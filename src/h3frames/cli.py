@@ -47,6 +47,7 @@ from .singularities import (
     HESS_TOL,
     PAIR_TOL,
     REFINE_TOL,
+    find_singular_points,
     singularity_scan,
 )
 from .surface import Domain
@@ -353,13 +354,7 @@ def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> str:
     dom = _config_domain(cfg, entry.framed.domain)
     marker_pts = None
     if markers:
-        reports = sorted(
-            singularity_scan(
-                entry.framed, dom, tol=cfg.singular_tol, h=cfg.h1, h_phi=cfg.h2
-            ),
-            key=lambda r: (r.u, r.v),
-        )
-        marker_pts = [(r.u, r.v) for r in reports]
+        marker_pts = find_singular_points(entry.framed, dom, tol=cfg.singular_tol)
     buf = io.StringIO()
     write_disc_mesh(
         buf,

@@ -24,10 +24,12 @@ import enum
 import io
 import math
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+if TYPE_CHECKING:  # scipy.interpolate is imported where splines are built
+    from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateFrameError, NotHorocyclicError
 from .frames import (
@@ -395,6 +397,8 @@ def integrate_frame_curves(
         states[-1] = y.copy()
         t = traj.t[-1]
 
+    from scipy.interpolate import CubicSpline  # deferred: a slow import
+
     spline = CubicSpline(np.asarray(us), np.asarray(states), axis=0)
 
     def a0_value(u):
@@ -615,6 +619,8 @@ def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
     u = table[:, 0]
     if not np.all(np.diff(u) > 0.0):
         raise ValueError("h-profile u column must be strictly increasing")
+    from scipy.interpolate import CubicSpline  # deferred: a slow import
+
     bc = "not-a-knot" if len(u) >= 4 else "natural"
     return HProfile(u=u, values=table[:, 1:], _spline=CubicSpline(u, table[:, 1:], bc_type=bc))
 

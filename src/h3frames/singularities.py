@@ -1,8 +1,10 @@
 """Locating and classifying singular points of framed surfaces.
 
 The singular set of a framed surface is the common zero set of the wedge
-coefficients (alpha, beta).  Each zero is refined by a damped Newton
-iteration and then classified through invariant-level criteria:
+coefficients (alpha, beta).  A grid screen seeds only the cells where
+both components come within their corner-to-corner spread of zero; each
+seed is refined by a damped Newton iteration, and each distinct root is
+classified through invariant-level criteria:
 
 * corank-one screen: all four of (a1, a2, b1, b2) vanish at the point
   while (c1, c2) does not — otherwise the point is ``not_corank_one``;
@@ -24,7 +26,7 @@ phi refuses to evaluate when both c-invariants vanish (eta undefined).
 
 Surfaces whose singular set is a curve rather than isolated points (the
 second ruled example degenerates along an entire line) come out as a
-deduplicated sample of points along the curve, one per grid cell or so.
+deduplicated sample of points along the curve, at most a cell apart.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ H_INVARIANT = 1e-5
 #: Step for the second differences of phi (phi already differentiates once,
 #: so a larger step keeps the noise floor ~1e-6).
 H_PHI = 1e-4
-#: A cell is a root candidate when min |alpha| (and |beta|) over its
-#: corners is below this multiple of the corner-to-corner variation.
-CANDIDATE_FACTOR = 10.0
 
 InvariantField = Callable[[float, float], Invariants]
 FieldLike = Union[FramedSurface, InvariantField]
@@ -267,13 +266,14 @@ def find_singular_points(
 ):
     """Grid-scan for zeros of (alpha, beta), refine, deduplicate.
 
-    A grid cell becomes a candidate when, for alpha and beta separately,
-    the smallest corner magnitude is within ``CANDIDATE_FACTOR`` times the
-    corner-to-corner variation — cheap, and catches both sign changes and
-    near-flat zeros.  Refined roots outside the domain are dropped;
-    period-equivalent u values are folded into one window first.  Returns
-    the sorted (u, v) list, plus every :class:`RefinementRecord` when
-    ``full_output`` is set.
+    A grid cell seeds a Newton run from its centre when, for alpha and beta
+    separately, the smallest corner magnitude is at most the corner-to-corner
+    spread (max - min).  That keeps every sign change, every exactly-zero
+    corner and the cells beside a double zero such as alpha = v^2, and skips
+    cells where either component stays clear of zero.  Refined roots outside
+    the domain are dropped; period-equivalent u values are folded into one
+    window first.  Returns the sorted (u, v) list, plus every
+    :class:`RefinementRecord` (one per seed, v-major) when ``full_output``.
     """
     if domain is None:
         if not isinstance(fs, FramedSurface):
@@ -290,21 +290,29 @@ def find_singular_points(
             alpha[iv, iu] = inv.alpha
             beta[iv, iu] = inv.beta
 
-    seeds = []
-    for iv in range(len(vg) - 1):
-        for iu in range(len(ug) - 1):
-            ca = alpha[iv : iv + 2, iu : iu + 2]
-            cb = beta[iv : iv + 2, iu : iu + 2]
-            var_a = float(ca.max() - ca.min())
-            var_b = float(cb.max() - cb.min())
-            if (
-                float(np.min(np.abs(ca))) <= CANDIDATE_FACTOR * var_a
-                and float(np.min(np.abs(cb))) <= CANDIDATE_FACTOR * var_b
-            ):
-                seeds.append((0.5 * (ug[iu] + ug[iu + 1]), 0.5 * (vg[iv] + vg[iv + 1])))
+    def candidate(g: np.ndarray) -> np.ndarray:
+        corners = np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]])
+        return np.abs(corners).min(axis=0) <= corners.max(axis=0) - corners.min(axis=0)
 
-    records = [_newton_refine(field, su, sv, tol) for su, sv in seeds]
+    records = [
+        _newton_refine(field, 0.5 * (ug[iu] + ug[iu + 1]), 0.5 * (vg[iv] + vg[iv + 1]), tol)
+        for iv, iu in zip(*np.nonzero(candidate(alpha) & candidate(beta)))  # v-major
+    ]
 
+    points = [(u, v) for u, v, _ in _merge_roots(records, domain)]
+    if full_output:
+        return points, records
+    return points
+
+
+def _merge_roots(
+    records: Sequence[RefinementRecord], domain: Domain
+) -> list[tuple[float, float, int]]:
+    """Deduplicate converged roots into sorted (u, v, newton_iters) triples.
+
+    Roots within a tenth of a cell (periodically in u) are one point;
+    ``newton_iters`` is the fewest iterations among the merged records.
+    """
     du, dv = domain.cell()
     dedup_dist = min(du, dv) / 10.0
 
@@ -314,7 +322,7 @@ def find_singular_points(
             d_u = min(d_u, domain.u_period - d_u)
         return math.hypot(d_u, v1 - v2)
 
-    points: list[tuple[float, float]] = []
+    roots: list[list] = []
     for rec in sorted(records, key=lambda r: (r.u, r.v)):
         if not rec.converged:
             continue
@@ -322,13 +330,12 @@ def find_singular_points(
         v = rec.v
         if not domain.contains(u, v, margin=-1e-9):
             continue
-        if any(dist(u, v, pu, pv) <= dedup_dist for pu, pv in points):
-            continue
-        points.append((u, v))
-    points.sort()
-    if full_output:
-        return points, records
-    return points
+        root = next((r for r in roots if dist(u, v, r[0], r[1]) <= dedup_dist), None)
+        if root is None:
+            roots.append([u, v, rec.iterations])
+        else:
+            root[2] = min(root[2], rec.iterations)
+    return sorted(tuple(r) for r in roots)
 
 
 def _invariant_partials(
@@ -551,25 +558,18 @@ def singularity_scan(
     tol: float = REFINE_TOL,
     **classify_kwargs,
 ) -> list[SingularityReport]:
-    """find_singular_points followed by classify_singularity on each root."""
+    """find_singular_points followed by classify_singularity on each root.
+
+    Each report's ``newton_iters`` is the fewest iterations among the
+    Newton runs that the deduplication merged into its point.
+    """
     if domain is None and isinstance(fs, FramedSurface):
         domain = fs.domain
-    points, records = find_singular_points(fs, domain=domain, tol=tol, full_output=True)
-    du, dv = domain.cell()
-    snap = min(du, dv) / 10.0
-    reports = []
-    for u, v in points:
-        matches = [
-            rec
-            for rec in records
-            if rec.converged
-            and math.hypot(_canonicalize_u(rec.u, domain, snap=snap) - u, rec.v - v) < 1e-6
-        ]
-        iters = min((m.iterations for m in matches), default=0)
-        reports.append(
-            classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
-        )
-    return reports
+    _, records = find_singular_points(fs, domain=domain, tol=tol, full_output=True)
+    return [
+        classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
+        for u, v, iters in _merge_roots(records, domain)
+    ]
 
 
 def reports_to_json(

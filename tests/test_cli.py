@@ -3,10 +3,14 @@
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import h3frames
 from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
@@ -24,6 +28,22 @@ def _run(capsys, argv):
 
 def _data_lines(text):
     return [l for l in text.splitlines() if l and not l.startswith("#")]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.interpolate costs most of a one-point run's start-up; only the
+    # spline-building horocyclic paths may pull it in.
+    src = str(Path(h3frames.__file__).resolve().parents[1])
+    code = (
+        "import sys, h3frames.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

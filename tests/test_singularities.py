@@ -84,6 +84,14 @@ def test_find_singular_points_cross_cap_origin():
             assert r.residual < 1e-10
 
 
+@pytest.mark.parametrize("name, max_seeds", [("ruled_A", 64), ("cross_cap", 16)])
+def test_screen_seeds_only_cells_near_the_zeros(name, max_seeds):
+    # ruled_A's 40x20 grid has 800 cells and cross_cap's 400; only the
+    # few around each isolated root need a Newton run.
+    _, records = find_singular_points(get_example(name).framed, full_output=True)
+    assert 0 < len(records) <= max_seeds
+
+
 def test_find_singular_points_samples_the_ruled_b_line():
     fs = get_example("ruled_B").framed
     pts = find_singular_points(fs)
@@ -91,6 +99,10 @@ def test_find_singular_points_samples_the_ruled_b_line():
     assert max(abs(v) for _, v in pts) < 1e-8
     us = sorted(u for u, _ in pts)
     assert us[0] < -2.5 and us[-1] > 2.5  # spread across the u-window
+    dom = fs.domain
+    gaps = [b - a for a, b in zip(us, us[1:])]
+    gaps.append(us[0] - dom.u_min + dom.u_max - us[-1])  # across the periodic seam
+    assert max(gaps) <= dom.cell()[0]
 
 
 def test_find_singular_points_empty_on_regular_band():
@@ -106,6 +118,19 @@ def test_find_singular_points_bare_field_needs_domain():
     dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
     pts = find_singular_points(field, domain=dom)
     assert len(pts) == 1 and math.hypot(*pts[0]) < 1e-8
+
+
+def test_find_singular_points_double_zero_inside_a_cell():
+    # alpha = -b2 = -(v - 0.125)^2 never changes sign and beta = a2 = u - 0.02;
+    # the root sits inside the cell [0, 0.25]^2, whose alpha corners are
+    # equal, so only the neighbouring cells can seed it.  Newton converges
+    # linearly onto a double zero: |alpha| < 1e-10 puts v within 1e-5.
+    field = _field(a2=lambda u, v: u - 0.02, b2=lambda u, v: (v - 0.125) ** 2)
+    dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
+    pts = find_singular_points(field, domain=dom)
+    assert len(pts) == 1
+    (u0, v0), = pts
+    assert abs(u0 - 0.02) < 1e-8 and abs(v0 - 0.125) < 1e-5
 
 
 # ---------------------------------------------------------------------------
