@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
-import math
 import os
 import sys
 from pathlib import Path
@@ -28,6 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import GeometryError, PreconditionError
 from .examples import get_example
+from .fmt import fmt, fmt_rows
 from .frames import FRAME_TOL, invariant_field, verify_framed, write_invariants_csv
 from .horocyclic import (
     CLASS_TOL,
@@ -50,7 +50,7 @@ from .singularities import (
     find_singular_points,
     singularity_scan,
 )
-from .surface import Domain
+from .surface import Domain, components, first_true
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
@@ -68,10 +68,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want 4
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,7 +98,7 @@ class RunConfig:
             if isinstance(val, bool):
                 txt = "true" if val else "false"
             elif isinstance(val, float):
-                txt = _fmt(val)
+                txt = fmt(val)
             elif val is None:
                 txt = "none"
             else:
@@ -282,16 +278,18 @@ def _load_example(args: argparse.Namespace):
         raise _UsageError(str(exc.args[0]))
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text, output: Optional[str]) -> None:
+    """Write the output text, one string or a list of blocks."""
+    blocks = [text] if isinstance(text, str) else text
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     path = Path(output)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +297,26 @@ def _emit(text: str, output: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invariants(cfg: RunConfig, entry) -> str:
+class _Blocks(list):
+    """Text sink for large outputs: blocks are emitted one by one, never joined."""
+
+    write = list.append
+
+
+def cmd_invariants(cfg: RunConfig, entry) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
-    buf = io.StringIO()
-    write_invariants_csv(buf, entry.framed, dom, header_comments=cfg.header_lines())
-    summary = verify_framed(entry.framed, dom)
-    buf.write(
+    summary = verify_framed(entry.framed, dom)  # before the CSV text holds memory
+    out = _Blocks()
+    write_invariants_csv(out, entry.framed, dom, header_comments=cfg.header_lines())
+    out.write(
         "# residuals: max_gram = %s, max_offspan = %s, max_constraint = %s\n"
         % (
-            _fmt(summary.max_gram_residual),
-            _fmt(summary.max_offspan_residual),
-            _fmt(summary.max_constraint_residual),
+            fmt(summary.max_gram_residual),
+            fmt(summary.max_offspan_residual),
+            fmt(summary.max_constraint_residual),
         )
     )
-    return buf.getvalue()
+    return out
 
 
 _DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
@@ -331,39 +335,39 @@ def cmd_singular(cfg: RunConfig, entry) -> str:
         buf.write(f"# {line}\n")
     buf.write(
         "# tolerances: refine = %s, corank = %s, D = %s, hess = %s, pair = %s\n"
-        % tuple(_fmt(t) for t in (cfg.singular_tol, CORANK_TOL, D_TOL, HESS_TOL, PAIR_TOL))
+        % tuple(fmt(t) for t in (cfg.singular_tol, CORANK_TOL, D_TOL, HESS_TOL, PAIR_TOL))
     )
     buf.write(f"points = {len(reports)}\n")
     for k, rep in enumerate(reports, 1):
         d = rep.diagnostics
         buf.write(f"\n[{k}]\n")
-        buf.write(f"u = {_fmt(rep.u)}\n")
-        buf.write(f"v = {_fmt(rep.v)}\n")
+        buf.write(f"u = {fmt(rep.u)}\n")
+        buf.write(f"v = {fmt(rep.v)}\n")
         buf.write(f"classification = {rep.classification.value}\n")
         for name in _DIAG_SCALARS:
-            buf.write(f"{name} = {_fmt(getattr(d, name))}\n")
+            buf.write(f"{name} = {fmt(getattr(d, name))}\n")
         for name in ("a_pair", "b_pair", "c_pair", "independence_pair"):
             pair = getattr(d, name)
-            buf.write(f"{name} = {_fmt(pair[0])} {_fmt(pair[1])}\n")
+            buf.write(f"{name} = {fmt(pair[0])} {fmt(pair[1])}\n")
         buf.write(f"newton_iters = {d.newton_iters}\n")
         buf.write(f"converged = {'true' if d.converged else 'false'}\n")
     return buf.getvalue()
 
 
-def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> str:
+def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
     marker_pts = None
     if markers:
         marker_pts = find_singular_points(entry.framed, dom, tol=cfg.singular_tol)
-    buf = io.StringIO()
+    out = _Blocks()
     write_disc_mesh(
-        buf,
+        out,
         entry.framed,
         dom,
         markers=marker_pts,
         header_comments=cfg.header_lines(extra=[("markers", markers)]),
     )
-    return buf.getvalue()
+    return out
 
 
 def cmd_classify(cfg: RunConfig) -> str:
@@ -392,27 +396,30 @@ def cmd_classify(cfg: RunConfig) -> str:
     agree = h_form.tag is inv_form.tag
     buf.write(f"agree = {'true' if agree else 'false'}\n")
     if h_form.two_vertex_ratio is not None:
-        buf.write(f"two_vertex_ratio = {_fmt(h_form.two_vertex_ratio)}\n")
+        buf.write(f"two_vertex_ratio = {fmt(h_form.two_vertex_ratio)}\n")
     return buf.getvalue()
 
 
-def _convert_point(coords: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
+def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
+    """Convert a component-first stack of points between models."""
     if frm == "disc":
-        return _convert_point(from_poincare(coords), "h3", to, axis)
-    if frm == "r31":
-        q = -minkowski_dot3(coords, coords)  # x1^2 - x2^2 - x3^2
-        if q <= 1.0:
+        x = from_poincare(x)
+    elif frm == "r31":
+        q = -minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
+        k = first_true(q <= 1.0)
+        if k is not None:
             raise PreconditionError(
-                f"point does not lift: x1^2 - x2^2 - x3^2 = {_fmt(q)} <= 1"
+                f"point does not lift: x1^2 - x2^2 - x3^2 = {fmt(q[k])} <= 1"
             )
-        lifted = np.insert(coords, axis.index, math.sqrt(q - 1.0))
-        return _convert_point(lifted, "h3", to, axis)
-    # frm == "h3"
-    if to == "h3":
-        return np.asarray(coords, dtype=float)
+        i = axis.index
+        x = components(*x[:i], np.sqrt(q - 1.0), *x[i:])
+    elif to != "disc":
+        to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target
     if to == "disc":
-        return to_poincare(coords)
-    return np.delete(np.asarray(coords, dtype=float), axis.index)
+        return to_poincare(x)
+    if to == "r31":
+        return np.delete(x, axis.index, axis=0)
+    return x
 
 
 def cmd_project(cfg: RunConfig, args: argparse.Namespace) -> str:
@@ -424,9 +431,9 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace) -> str:
         raise _UsageError("give exactly one of --point or --input")
 
     arity = _MODEL_ARITY[frm]
-    rows = []
+    rows, linenos = [], []
     if args.point is not None:
-        rows.append(np.asarray(args.point, dtype=float))
+        rows.append(list(args.point))
     else:
         with open(args.input, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -434,24 +441,23 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace) -> str:
                 if not line:
                     continue
                 try:
-                    rows.append(np.array([float(c) for c in line.split()]))
+                    rows.append([float(c) for c in line.split()])
                 except ValueError:
                     raise _UsageError(f"{args.input}:{lineno}: malformed point")
+                linenos.append(lineno)
     for row in rows:
-        if row.shape != (arity,):
-            raise _UsageError(
-                f"{frm} points have {arity} coordinates, got {row.tolist()}"
-            )
+        if len(row) != arity:
+            raise _UsageError(f"{frm} points have {arity} coordinates, got {row}")
+    coords = np.array(rows, dtype=float).reshape(-1, arity)
+    k = first_true(~np.isfinite(coords).all(axis=1))
+    if k is not None:
+        where = "--point" if args.point is not None else f"{args.input}:{linenos[k]}"
+        raise _UsageError(f"{where}: non-finite coordinate in {rows[k]}")
 
-    buf = io.StringIO()
     extra = [("from", frm), ("to", to), ("axis", axis.name.lower()),
              ("points", len(rows))]
-    for line in cfg.header_lines(extra=extra):
-        buf.write(f"# {line}\n")
-    for row in rows:
-        out = _convert_point(row, frm, to, axis)
-        buf.write(" ".join(_fmt(c) for c in out) + "\n")
-    return buf.getvalue()
+    head = "".join(f"# {line}\n" for line in cfg.header_lines(extra=extra))
+    return head + "".join(fmt_rows(_convert_points(coords.T, frm, to, axis).T))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .frames import FramedSurface, Invariants
-from .surface import Domain, ParametricMap4
+from .surface import Domain, ParametricMap4, components, cos, sin, sqrt, zero4
 
 __all__ = [
     "ExampleEntry",
@@ -62,67 +62,55 @@ def _cc_W(u, v):
 def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
     """The standard cross cap with closed-form first derivatives."""
 
+    def sW(u, v):  # sqrt(W), powers written as products
+        return sqrt(u * u + v * v * v * v + u * u * v * v + 1.0)
+
     def x(u, v):
-        return np.array([math.sqrt(_cc_W(u, v)), u, v * v, u * v])
+        return components(sW(u, v), u, v * v, u * v)
 
     def xu(u, v):
-        return np.array([u * (1.0 + v * v) / math.sqrt(_cc_W(u, v)), 1.0, 0.0, v])
+        return components(u * (1.0 + v * v) / sW(u, v), 1.0, 0.0, v)
 
     def xv(u, v):
-        return np.array(
-            [(2.0 * v ** 3 + u * u * v) / math.sqrt(_cc_W(u, v)), 0.0, 2.0 * v, u]
-        )
+        return components((2.0 * v * v * v + u * u * v) / sW(u, v), 0.0, 2.0 * v, u)
 
     def n1(u, v):
-        P = math.sqrt(v ** 4 + 1.0)
-        return np.array(
-            [v * v * math.sqrt(_cc_W(u, v)) / P, u * v * v / P, P, u * v ** 3 / P]
-        )
+        P = sqrt(v * v * v * v + 1.0)
+        return components(v * v * sW(u, v) / P, u * v * v / P, P, u * v * v * v / P)
 
     def n1u(u, v):
-        P = math.sqrt(v ** 4 + 1.0)
-        return np.array(
-            [
-                u * v * v * (1.0 + v * v) / (math.sqrt(_cc_W(u, v)) * P),
-                v * v / P,
-                0.0,
-                v ** 3 / P,
-            ]
+        P = sqrt(v * v * v * v + 1.0)
+        return components(
+            u * v * v * (1.0 + v * v) / (sW(u, v) * P), v * v / P, 0.0, v * v * v / P
         )
 
     def n1v(u, v):
-        W = _cc_W(u, v)
-        sW = math.sqrt(W)
-        P2 = v ** 4 + 1.0
-        P = math.sqrt(P2)
+        s = sW(u, v)
+        P2 = v * v * v * v + 1.0
+        P = sqrt(P2)
         P3 = P2 * P
-        return np.array(
-            [
-                2.0 * v * sW / P
-                + v * v * (2.0 * v ** 3 + u * u * v) / (sW * P)
-                - 2.0 * v ** 5 * sW / P3,
-                2.0 * u * v / P3,
-                2.0 * v ** 3 / P,
-                u * v * v * (v ** 4 + 3.0) / P3,
-            ]
+        return components(
+            2.0 * v * s / P
+            + v * v * (2.0 * v * v * v + u * u * v) / (s * P)
+            - 2.0 * v * v * v * v * v * s / P3,
+            2.0 * u * v / P3,
+            2.0 * v * v * v / P,
+            u * v * v * (v * v * v * v + 3.0) / P3,
         )
 
     def n2(u, v):
-        Q = math.sqrt(v * v + 1.0)
-        return np.array([0.0, v / Q, 0.0, -1.0 / Q])
-
-    def n2u(u, v):
-        return np.zeros(4)
+        Q = sqrt(v * v + 1.0)
+        return components(0.0, v / Q, 0.0, -1.0 / Q)
 
     def n2v(u, v):
-        Q3 = (v * v + 1.0) ** 1.5
-        return np.array([0.0, 1.0 / Q3, 0.0, v / Q3])
+        Q3 = (v * v + 1.0) * sqrt(v * v + 1.0)
+        return components(0.0, 1.0 / Q3, 0.0, v / Q3)
 
     dom = domain or Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)
     return FramedSurface(
         x=ParametricMap4(value=x, du=xu, dv=xv),
         nu1=ParametricMap4(value=n1, du=n1u, dv=n1v),
-        nu2=ParametricMap4(value=n2, du=n2u, dv=n2v),
+        nu2=ParametricMap4(value=n2, du=zero4, dv=n2v),
         domain=dom,
     )
 
@@ -178,7 +166,9 @@ def corank_one_surface(
     The construction assumes f_v(0,0) = g_v(0,0) = 0 (so the origin is a
     singular point of the base map); this is checked unless
     ``check_origin=False``.  Normal fields carry no closed-form derivatives
-    - the e/f/g invariants come out through finite differences.
+    - the e/f/g invariants come out through finite differences.  The six
+    callables must broadcast over arrays like the surface maps (a
+    constant may return a float).
     """
     if check_origin and (abs(f_v(0.0, 0.0)) > 1e-12 or abs(g_v(0.0, 0.0)) > 1e-12):
         raise PreconditionError(
@@ -187,43 +177,40 @@ def corank_one_surface(
         )
 
     def S(u, v):
-        return u * u + f(u, v) ** 2 + g(u, v) ** 2 + 1.0
+        fv_, gv_ = f(u, v), g(u, v)
+        return u * u + fv_ * fv_ + gv_ * gv_ + 1.0
 
     def x(u, v):
-        return np.array([math.sqrt(S(u, v)), u, f(u, v), g(u, v)])
+        return components(sqrt(S(u, v)), u, f(u, v), g(u, v))
 
     def xu(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
-        return np.array(
-            [(u + fv_ * fu_ + gv_ * gu_) / math.sqrt(S(u, v)), 1.0, fu_, gu_]
-        )
+        return components((u + fv_ * fu_ + gv_ * gu_) / sqrt(S(u, v)), 1.0, fu_, gu_)
 
     def xv(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fvv, gvv = f_v(u, v), g_v(u, v)
-        return np.array(
-            [(fv_ * fvv + gv_ * gvv) / math.sqrt(S(u, v)), 0.0, fvv, gvv]
-        )
+        return components((fv_ * fvv + gv_ * gvv) / sqrt(S(u, v)), 0.0, fvv, gvv)
 
     def _Q(u, v):
-        return (g(u, v) - u * g_u(u, v)) ** 2 + g_u(u, v) ** 2 + 1.0
+        r = g(u, v) - u * g_u(u, v)
+        return r * r + g_u(u, v) * g_u(u, v) + 1.0
+
+    def _bar2(u, v):  # unnormalized nu2
+        return (u * g_u(u, v) - g(u, v)) * x(u, v) + components(0.0, g_u(u, v), 0.0, -1.0)
 
     def n2(u, v):
-        return ((u * g_u(u, v) - g(u, v)) * x(u, v) + np.array(
-            [0.0, g_u(u, v), 0.0, -1.0]
-        )) / math.sqrt(_Q(u, v))
+        return _bar2(u, v) / sqrt(_Q(u, v))
 
     def _bar1(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_ = f_u(u, v)
-        return np.array(
-            [
-                (fv_ - u * fu_) * math.sqrt(S(u, v)),
-                u * fv_ - (1.0 + u * u) * fu_,
-                1.0 + fv_ * fv_ - u * fv_ * fu_,
-                fv_ * gv_ - u * gv_ * fu_,
-            ]
+        return components(
+            (fv_ - u * fu_) * sqrt(S(u, v)),
+            u * fv_ - (1.0 + u * u) * fu_,
+            1.0 + fv_ * fv_ - u * fv_ * fu_,
+            fv_ * gv_ - u * gv_ * fu_,
         )
 
     def _k(u, v):
@@ -235,25 +222,12 @@ def corank_one_surface(
     def _p(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
-        return (
-            (fv_ - u * fu_) ** 2
-            + (gv_ - u * gu_) ** 2
-            + (fu_ * gv_ - gu_ * fv_) ** 2
-            + fu_ * fu_
-            + gu_ * gu_
-            + 1.0
-        )
+        r1, r2, r3 = fv_ - u * fu_, gv_ - u * gu_, fu_ * gv_ - gu_ * fv_
+        return r1 * r1 + r2 * r2 + r3 * r3 + fu_ * fu_ + gu_ * gu_ + 1.0
 
     def n1(u, v):
         # nu1 = sqrt(Q)/sqrt(p) (bar1 - k bar2) with bar2 unnormalized.
-        bar2 = (u * g_u(u, v) - g(u, v)) * x(u, v) + np.array(
-            [0.0, g_u(u, v), 0.0, -1.0]
-        )
-        return (
-            math.sqrt(_Q(u, v))
-            / math.sqrt(_p(u, v))
-            * (_bar1(u, v) - _k(u, v) * bar2)
-        )
+        return sqrt(_Q(u, v)) / sqrt(_p(u, v)) * (_bar1(u, v) - _k(u, v) * _bar2(u, v))
 
     dom = domain or Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)
     return FramedSurface(
@@ -313,25 +287,24 @@ def _default_corank_one() -> tuple[FramedSurface, Callable]:
 # ---------------------------------------------------------------------------
 
 
+# The maps below broadcast; the oracles keep the scalar ``math`` forms.
+
+
 def _gamma(u):
-    return np.array(
-        [
-            13.0 / 5.0,
-            (9.0 * math.cos(u) - 3.0 * math.cos(3.0 * u)) / 5.0,
-            (9.0 * math.sin(u) - 3.0 * math.sin(3.0 * u)) / 5.0,
-            6.0 * SQ3 * math.cos(u) / 5.0,
-        ]
+    return components(
+        13.0 / 5.0,
+        (9.0 * cos(u) - 3.0 * cos(3.0 * u)) / 5.0,
+        (9.0 * sin(u) - 3.0 * sin(3.0 * u)) / 5.0,
+        6.0 * SQ3 * cos(u) / 5.0,
     )
 
 
 def _gamma_p(u):
-    return np.array(
-        [
-            0.0,
-            (-9.0 * math.sin(u) + 9.0 * math.sin(3.0 * u)) / 5.0,
-            (9.0 * math.cos(u) - 9.0 * math.cos(3.0 * u)) / 5.0,
-            -6.0 * SQ3 * math.sin(u) / 5.0,
-        ]
+    return components(
+        0.0,
+        (-9.0 * sin(u) + 9.0 * sin(3.0 * u)) / 5.0,
+        (9.0 * cos(u) - 9.0 * cos(3.0 * u)) / 5.0,
+        -6.0 * SQ3 * sin(u) / 5.0,
     )
 
 
@@ -339,85 +312,76 @@ def _w(u):
     return 144.0 * math.sin(u) ** 2 + 25.0
 
 
+def _w_map(u):  # _w, written to broadcast
+    s = sin(u)
+    return 144.0 * (s * s) + 25.0
+
+
 def _w_p(u):
-    return 144.0 * math.sin(2.0 * u)
+    return 144.0 * sin(2.0 * u)
+
+
+def _delta_a_numerator(u):
+    s = sin(u)
+    return components(
+        -156.0 * s,
+        -97.0 * sin(2.0 * u) + 18.0 * sin(4.0 * u),
+        -50.0 * (s * s) - 144.0 * (s * s * s * s) + 25.0,
+        -36.0 * SQ3 * sin(2.0 * u),
+    )
 
 
 def _delta_a(u):
     # Spacelike director of the first ruled surface: N(u) / (5 sqrt(w)).
-    N = np.array(
-        [
-            -156.0 * math.sin(u),
-            -97.0 * math.sin(2.0 * u) + 18.0 * math.sin(4.0 * u),
-            -50.0 * math.sin(u) ** 2 - 144.0 * math.sin(u) ** 4 + 25.0,
-            -36.0 * SQ3 * math.sin(2.0 * u),
-        ]
-    )
-    return N / (5.0 * math.sqrt(_w(u)))
+    return _delta_a_numerator(u) / (5.0 * sqrt(_w_map(u)))
 
 
 def _delta_a_p(u):
-    N = np.array(
-        [
-            -156.0 * math.sin(u),
-            -97.0 * math.sin(2.0 * u) + 18.0 * math.sin(4.0 * u),
-            -50.0 * math.sin(u) ** 2 - 144.0 * math.sin(u) ** 4 + 25.0,
-            -36.0 * SQ3 * math.sin(2.0 * u),
-        ]
+    N = _delta_a_numerator(u)
+    s = sin(u)
+    Np = components(
+        -156.0 * cos(u),
+        -194.0 * cos(2.0 * u) + 72.0 * cos(4.0 * u),
+        -50.0 * sin(2.0 * u) - 576.0 * (s * s * s) * cos(u),
+        -72.0 * SQ3 * cos(2.0 * u),
     )
-    Np = np.array(
-        [
-            -156.0 * math.cos(u),
-            -194.0 * math.cos(2.0 * u) + 72.0 * math.cos(4.0 * u),
-            -50.0 * math.sin(2.0 * u) - 576.0 * math.sin(u) ** 3 * math.cos(u),
-            -72.0 * SQ3 * math.cos(2.0 * u),
-        ]
-    )
-    d = 5.0 * math.sqrt(_w(u))
-    dp = 5.0 * _w_p(u) / (2.0 * math.sqrt(_w(u)))
+    d = 5.0 * sqrt(_w_map(u))
+    dp = 5.0 * _w_p(u) / (2.0 * sqrt(_w_map(u)))
     return Np / d - N * dp / (d * d)
 
 
+def _nu1_numerator(u):
+    return components(24.0 * cos(u), 13.0 * cos(2.0 * u), 13.0 * sin(2.0 * u), 13.0 * SQ3)
+
+
 def _nu1_ruled(u):
-    return np.array(
-        [24.0 * math.cos(u), 13.0 * math.cos(2.0 * u), 13.0 * math.sin(2.0 * u), 13.0 * SQ3]
-    ) / (2.0 * math.sqrt(_w(u)))
+    return _nu1_numerator(u) / (2.0 * sqrt(_w_map(u)))
 
 
 def _nu1_ruled_p(u):
-    A = np.array(
-        [24.0 * math.cos(u), 13.0 * math.cos(2.0 * u), 13.0 * math.sin(2.0 * u), 13.0 * SQ3]
-    )
-    Ap = np.array(
-        [-24.0 * math.sin(u), -26.0 * math.sin(2.0 * u), 26.0 * math.cos(2.0 * u), 0.0]
-    )
-    w = _w(u)
-    return Ap / (2.0 * math.sqrt(w)) - A * _w_p(u) / (4.0 * w ** 1.5)
+    Ap = components(-24.0 * sin(u), -26.0 * sin(2.0 * u), 26.0 * cos(2.0 * u), 0.0)
+    w = _w_map(u)
+    return Ap / (2.0 * sqrt(w)) - _nu1_numerator(u) * _w_p(u) / (4.0 * (w * sqrt(w)))
 
 
 def _delta_b(u):
-    return np.array(
-        [0.0, -SQ3 / 2.0 * math.cos(2.0 * u), -SQ3 / 2.0 * math.sin(2.0 * u), 0.5]
-    )
+    return components(0.0, -SQ3 / 2.0 * cos(2.0 * u), -SQ3 / 2.0 * sin(2.0 * u), 0.5)
 
 
 def _delta_b_p(u):
-    return np.array(
-        [0.0, SQ3 * math.sin(2.0 * u), -SQ3 * math.cos(2.0 * u), 0.0]
-    )
+    return components(0.0, SQ3 * sin(2.0 * u), -SQ3 * cos(2.0 * u), 0.0)
 
 
 def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p, domain) -> FramedSurface:
     def x(u, v):
-        return math.cosh(v) * _gamma(u) + math.sinh(v) * delta(u)
+        return np.cosh(v) * _gamma(u) + np.sinh(v) * delta(u)
 
     def xu(u, v):
-        return math.cosh(v) * _gamma_p(u) + math.sinh(v) * delta_p(u)
+        return np.cosh(v) * _gamma_p(u) + np.sinh(v) * delta_p(u)
 
     def xv(u, v):
-        return math.sinh(v) * _gamma(u) + math.cosh(v) * delta(u)
+        return np.sinh(v) * _gamma(u) + np.cosh(v) * delta(u)
 
-    zero4 = lambda u, v: np.zeros(4)
     return FramedSurface(
         x=ParametricMap4(value=x, du=xu, dv=xv),
         nu1=ParametricMap4(

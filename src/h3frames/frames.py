@@ -16,13 +16,16 @@ and the same with index 2 for v-derivatives.  The derived quantities
     alpha = b1 c2 - b2 c1,     beta = c1 a2 - c2 a1
 
 vanish simultaneously exactly at the singular points of x.
+
+Frames and invariants are evaluated by one code path for one point and
+for whole grids: ``u, v`` may be floats or equal-shape arrays, and then
+every field of :class:`FrameAt` / :class:`Invariants` is an array too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import io
 import math
 from typing import Callable, Optional, Sequence
 
@@ -32,10 +35,10 @@ from .errors import DegenerateAnglesError, DegenerateFrameError, PreconditionErr
 from .minkowski import (
     frame_gram_residual,
     minkowski_dot4,
-    minkowski_norm,
     wedge3,
 )
-from .surface import Domain, ParametricMap4, first_partials
+from .fmt import fmt_rows
+from .surface import Domain, ParametricMap4, evaluate, first_partials, first_true
 
 __all__ = [
     "FRAME_TOL",
@@ -46,6 +49,7 @@ __all__ = [
     "ReflectVariant",
     "ReductionType",
     "ReductionResult",
+    "FamilyCurvature",
     "FamilyCurvatureU",
     "FamilyCurvatureV",
     "FramedResidualSummary",
@@ -57,6 +61,7 @@ __all__ = [
     "frame_at",
     "basic_invariants",
     "invariants_at",
+    "invariants_grid",
     "invariant_field",
     "verify_framed",
     "integrability_residuals",
@@ -114,7 +119,7 @@ class FrameAt:
 
 @dataclasses.dataclass(frozen=True)
 class Invariants:
-    """The twelve connection coefficients at one point.
+    """The twelve connection coefficients at one point or over a grid.
 
     ``alpha`` and ``beta`` are derived, so they are exposed as properties
     and always consistent with the defining 2x2 determinants.
@@ -165,6 +170,8 @@ _INVARIANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", 
 
 def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
     """Evaluate the moving frame and its first derivatives at (u, v)."""
+    if isinstance(u, float):  # one point: the maps then compute in Python floats
+        u, v = float(u), float(v)
     x, xu, xv = first_partials(fs.x, u, v)
     n1, n1u, n1v = first_partials(fs.nu1, u, v)
     n2, n2u, n2v = first_partials(fs.nu2, u, v)
@@ -187,35 +194,44 @@ def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
 def basic_invariants(frame: FrameAt, gram_tol: float = GRAM_DEGENERATE_TOL) -> Invariants:
     """Extract the twelve invariants from a frame by pseudo inner products.
 
-    Raises :class:`DegenerateFrameError` when the frame fails
-    pseudo-orthonormality beyond ``gram_tol`` - extracted coefficients would
-    be meaningless.
+    Raises :class:`DegenerateFrameError` at the first point (v-major) where
+    the frame fails pseudo-orthonormality beyond ``gram_tol`` or is not
+    finite - extracted coefficients would be meaningless.
     """
-    resid = frame.gram_residual()
-    if resid > gram_tol:
-        raise DegenerateFrameError(
-            f"frame at ({frame.u}, {frame.v}) has Gram residual {resid:.3e} "
-            f"> {gram_tol:.3e}"
-        )
     n1, n2, n3 = frame.nu1, frame.nu2, frame.nu3
-    return Invariants(
-        a1=minkowski_dot4(frame.xu, n1),
-        a2=minkowski_dot4(frame.xv, n1),
-        b1=minkowski_dot4(frame.xu, n2),
-        b2=minkowski_dot4(frame.xv, n2),
-        c1=minkowski_dot4(frame.xu, n3),
-        c2=minkowski_dot4(frame.xv, n3),
-        e1=minkowski_dot4(frame.nu1u, n2),
-        e2=minkowski_dot4(frame.nu1v, n2),
-        f1=minkowski_dot4(frame.nu1u, n3),
-        f2=minkowski_dot4(frame.nu1v, n3),
-        g1=minkowski_dot4(frame.nu2u, n3),
-        g2=minkowski_dot4(frame.nu2v, n3),
-    )
+    q = np.array([
+        minkowski_dot4(frame.xu, n1),
+        minkowski_dot4(frame.xv, n1),
+        minkowski_dot4(frame.xu, n2),
+        minkowski_dot4(frame.xv, n2),
+        minkowski_dot4(frame.xu, n3),
+        minkowski_dot4(frame.xv, n3),
+        minkowski_dot4(frame.nu1u, n2),
+        minkowski_dot4(frame.nu1v, n2),
+        minkowski_dot4(frame.nu1u, n3),
+        minkowski_dot4(frame.nu1v, n3),
+        minkowski_dot4(frame.nu2u, n3),
+        minkowski_dot4(frame.nu2v, n3),
+    ])
+    resid = frame.gram_residual()
+    ok = (resid <= gram_tol) & np.isfinite(q).all(axis=0)
+    if not ok.all():
+        k = first_true(~ok)
+        u, v, r = (np.asarray(a).flat[k] for a in (frame.u, frame.v, resid))
+        what = f"has Gram residual {r:.3e} > {gram_tol:.3e}" if r > gram_tol else "is not finite"
+        raise DegenerateFrameError(f"frame at ({u}, {v}) {what}")
+    return Invariants(*q)
 
 
 def invariants_at(fs: FramedSurface, u: float, v: float, gram_tol: float = GRAM_DEGENERATE_TOL) -> Invariants:
     return basic_invariants(frame_at(fs, u, v), gram_tol=gram_tol)
+
+
+def invariants_grid(
+    fs: FramedSurface, domain: Optional[Domain] = None, gram_tol: float = GRAM_DEGENERATE_TOL
+) -> Invariants:
+    """The twelve invariants as ``(nv, nu)`` arrays over the sampling grid."""
+    return invariants_at(fs, *(domain or fs.domain).mesh(), gram_tol=gram_tol)
 
 
 def invariant_field(fs: FramedSurface, gram_tol: float = GRAM_DEGENERATE_TOL) -> Callable[[float, float], Invariants]:
@@ -240,19 +256,14 @@ def verify_framed(fs: FramedSurface, domain: Optional[Domain] = None) -> FramedR
     computed from the raw derivatives, independently of the extracted
     invariants, so it cross-checks the constraint residual.
     """
-    dom = domain or fs.domain
-    max_gram = 0.0
-    max_off = 0.0
-    max_con = 0.0
-    for v in dom.v_grid():
-        for u in dom.u_grid():
-            fr = frame_at(fs, u, v)
-            max_gram = max(max_gram, fr.gram_residual())
-            w = wedge3(fr.x, fr.xu, fr.xv)
-            max_off = max(max_off, abs(minkowski_dot4(w, fr.nu3)))
-            inv = basic_invariants(fr)
-            max_con = max(max_con, inv.constraint_residual())
-    return FramedResidualSummary(max_gram, max_off, max_con)
+    fr = frame_at(fs, *(domain or fs.domain).mesh())
+    inv = basic_invariants(fr)
+    off = abs(minkowski_dot4(wedge3(fr.x, fr.xu, fr.xv), fr.nu3))
+    return FramedResidualSummary(
+        float(np.max(fr.gram_residual())),
+        float(np.max(off)),
+        float(np.max(inv.constraint_residual())),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,40 +296,30 @@ def integrability_residuals(
     """Evaluate the six integrability residuals over the sampling grid.
 
     Invariant derivatives are 2-point central differences with step ``h``;
-    the grid must be evaluable with that margin.
+    the grid must be evaluable with that margin.  Each point and its four
+    stencil points are evaluated together, in the order (u, v), (u + h, v),
+    (u - h, v), (u, v + h), (u, v - h).
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     dom = domain or fs.domain
-    field = invariant_field(fs, gram_tol=gram_tol)
-    ug, vg = dom.u_grid(), dom.v_grid()
-    out = [np.empty((len(vg), len(ug))) for _ in range(6)]
-    for iv, v in enumerate(vg):
-        for iu, u in enumerate(ug):
-            q = field(u, v)
-            pu = field(u + h, v)
-            mu = field(u - h, v)
-            pv = field(u, v + h)
-            mv = field(u, v - h)
-            d_u = {k: (getattr(pu, k) - getattr(mu, k)) / (2.0 * h) for k in _INVARIANT_NAMES}
-            d_v = {k: (getattr(pv, k) - getattr(mv, k)) / (2.0 * h) for k in _INVARIANT_NAMES}
-            out[0][iv, iu] = (d_v["a1"] - q.b1 * q.e2 - q.c1 * q.f2) - (
-                d_u["a2"] - q.b2 * q.e1 - q.c2 * q.f1
-            )
-            out[1][iv, iu] = (d_v["b1"] + q.a1 * q.e2 - q.c1 * q.g2) - (
-                d_u["b2"] + q.a2 * q.e1 - q.c2 * q.g1
-            )
-            out[2][iv, iu] = (d_v["c1"] + q.a1 * q.f2 + q.b1 * q.g2) - (
-                d_u["c2"] + q.a2 * q.f1 + q.b2 * q.g1
-            )
-            out[3][iv, iu] = (d_v["e1"] - q.f1 * q.g2) - (d_u["e2"] - q.f2 * q.g1)
-            out[4][iv, iu] = (d_v["f1"] + q.e1 * q.g2 + q.a1 * q.c2) - (
-                d_u["f2"] + q.e2 * q.g1 + q.a2 * q.c1
-            )
-            out[5][iv, iu] = (d_v["g1"] - q.e1 * q.f2 + q.b1 * q.c2) - (
-                d_u["g2"] - q.e2 * q.f1 + q.b2 * q.c1
-            )
-    return IntegrabilityResiduals(u=ug, v=vg, r=tuple(out), h=h)
+    U, V = dom.mesh()
+    inv = invariants_at(
+        fs, np.stack([U, U + h, U - h, U, U], axis=-1),
+        np.stack([V, V, V, V + h, V - h], axis=-1), gram_tol=gram_tol,
+    )
+    q = Invariants(*(getattr(inv, k)[..., 0] for k in _INVARIANT_NAMES))
+    d_u = {k: (getattr(inv, k)[..., 1] - getattr(inv, k)[..., 2]) / (2.0 * h) for k in _INVARIANT_NAMES}
+    d_v = {k: (getattr(inv, k)[..., 3] - getattr(inv, k)[..., 4]) / (2.0 * h) for k in _INVARIANT_NAMES}
+    out = (
+        (d_v["a1"] - q.b1 * q.e2 - q.c1 * q.f2) - (d_u["a2"] - q.b2 * q.e1 - q.c2 * q.f1),
+        (d_v["b1"] + q.a1 * q.e2 - q.c1 * q.g2) - (d_u["b2"] + q.a2 * q.e1 - q.c2 * q.g1),
+        (d_v["c1"] + q.a1 * q.f2 + q.b1 * q.g2) - (d_u["c2"] + q.a2 * q.f1 + q.b2 * q.g1),
+        (d_v["e1"] - q.f1 * q.g2) - (d_u["e2"] - q.f2 * q.g1),
+        (d_v["f1"] + q.e1 * q.g2 + q.a1 * q.c2) - (d_u["f2"] + q.e2 * q.g1 + q.a2 * q.c1),
+        (d_v["g1"] - q.e1 * q.f2 + q.b1 * q.c2) - (d_u["g2"] - q.e2 * q.f1 + q.b2 * q.c1),
+    )
+    return IntegrabilityResiduals(u=dom.u_grid(), v=dom.v_grid(), r=out, h=h)
 
 
 class ReflectVariant(enum.Enum):
@@ -360,7 +361,7 @@ def rotated_invariants(
     nu2 -> sin(theta) nu1 + cos(theta) nu2 with theta = theta(u, v);
     ``theta_u`` / ``theta_v`` are its partial derivatives at the point.
     """
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = np.cos(theta), np.sin(theta)
     return Invariants(
         a1=inv.a1 * ct - inv.b1 * st,
         a2=inv.a2 * ct - inv.b2 * st,
@@ -388,64 +389,40 @@ def rotate_frame(
     The base map is untouched; nu3 is unchanged by construction.  When the
     original normal maps carry closed-form first derivatives, the rotated
     maps do too (product rule); missing theta derivatives are filled in by
-    central differences with the map's h1 step.
+    central differences with the map's h1 step.  ``theta`` and its
+    partials must broadcast like the maps.
     """
     h = fs.nu1.h1
+    theta_d = {
+        "du": theta_u or (lambda u, v: (theta(u + h, v) - theta(u - h, v)) / (2.0 * h)),
+        "dv": theta_v or (lambda u, v: (theta(u, v + h) - theta(u, v - h)) / (2.0 * h)),
+    }
+    closed = fs.nu1.has_closed_firsts and fs.nu2.has_closed_firsts
 
-    def th_u(u, v):
-        if theta_u is not None:
-            return theta_u(u, v)
-        return (theta(u + h, v) - theta(u - h, v)) / (2.0 * h)
-
-    def th_v(u, v):
-        if theta_v is not None:
-            return theta_v(u, v)
-        return (theta(u, v + h) - theta(u, v - h)) / (2.0 * h)
-
-    def val1(u, v):
-        t = theta(u, v)
-        return math.cos(t) * fs.nu1.value(u, v) - math.sin(t) * fs.nu2.value(u, v)
-
-    def val2(u, v):
-        t = theta(u, v)
-        return math.sin(t) * fs.nu1.value(u, v) + math.cos(t) * fs.nu2.value(u, v)
-
-    if fs.nu1.has_closed_firsts and fs.nu2.has_closed_firsts:
-
-        def _parts(u, v):
+    def rotated(first: bool, base: ParametricMap4) -> ParametricMap4:
+        # a nu1 + b nu2 with (a, b) = (cos t, -sin t) or (sin t, cos t)
+        def coefs(u, v):
             t = theta(u, v)
-            return math.cos(t), math.sin(t), fs.nu1.value(u, v), fs.nu2.value(u, v)
+            c, s = np.cos(t), np.sin(t)
+            return ((c, -s), (-s, -c)) if first else ((s, c), (c, -s))  # and d/dt
 
-        def d1u(u, v):
-            ct, st, n1, n2 = _parts(u, v)
-            return ct * fs.nu1.du(u, v) - st * fs.nu2.du(u, v) - th_u(u, v) * (
-                st * n1 + ct * n2
-            )
+        def value(u, v):
+            (a, b), _ = coefs(u, v)
+            return a * evaluate(fs.nu1.value, u, v) + b * evaluate(fs.nu2.value, u, v)
 
-        def d1v(u, v):
-            ct, st, n1, n2 = _parts(u, v)
-            return ct * fs.nu1.dv(u, v) - st * fs.nu2.dv(u, v) - th_v(u, v) * (
-                st * n1 + ct * n2
-            )
+        def partial(which):
+            def d(u, v):
+                (a, b), (da, db) = coefs(u, v)
+                n1, n2 = evaluate(fs.nu1.value, u, v), evaluate(fs.nu2.value, u, v)
+                d1, d2 = evaluate(getattr(fs.nu1, which), u, v), evaluate(getattr(fs.nu2, which), u, v)
+                return a * d1 + b * d2 + theta_d[which](u, v) * (da * n1 + db * n2)
 
-        def d2u(u, v):
-            ct, st, n1, n2 = _parts(u, v)
-            return st * fs.nu1.du(u, v) + ct * fs.nu2.du(u, v) + th_u(u, v) * (
-                ct * n1 - st * n2
-            )
+            return d
 
-        def d2v(u, v):
-            ct, st, n1, n2 = _parts(u, v)
-            return st * fs.nu1.dv(u, v) + ct * fs.nu2.dv(u, v) + th_v(u, v) * (
-                ct * n1 - st * n2
-            )
+        firsts = {"du": partial("du"), "dv": partial("dv")} if closed else {}
+        return ParametricMap4(value=value, h1=base.h1, h2=base.h2, domain=base.domain, **firsts)
 
-        m1 = ParametricMap4(value=val1, du=d1u, dv=d1v, h1=fs.nu1.h1, h2=fs.nu1.h2, domain=fs.nu1.domain)
-        m2 = ParametricMap4(value=val2, du=d2u, dv=d2v, h1=fs.nu2.h1, h2=fs.nu2.h2, domain=fs.nu2.domain)
-    else:
-        m1 = ParametricMap4(value=val1, h1=fs.nu1.h1, h2=fs.nu1.h2, domain=fs.nu1.domain)
-        m2 = ParametricMap4(value=val2, h1=fs.nu2.h1, h2=fs.nu2.h2, domain=fs.nu2.domain)
-
+    m1, m2 = rotated(True, fs.nu1), rotated(False, fs.nu2)
     return FramedSurface(x=fs.x, nu1=m1, nu2=m2, domain=fs.domain)
 
 
@@ -553,6 +530,37 @@ class ReductionResult:
     theta: Optional[float] = None
 
 
+_REDUCTION_LADDER = (
+    ReductionType.FAMILY_V,
+    ReductionType.FAMILY_U,
+    ReductionType.FRAMED_A_ZERO,
+    ReductionType.FRAMED_B_ZERO,
+    ReductionType.ROTATABLE_TO_FRAMED,
+    ReductionType.GENERIC,
+)
+
+
+def _reduction_arrays(inv: Invariants, tol: float):
+    """Index into ``_REDUCTION_LADDER`` and rotation angle (0 unless
+    rotatable), elementwise over scalar or grid invariants."""
+    small = {k: abs(getattr(inv, k)) <= tol for k in ("a1", "a2", "b1", "b2")}
+    tests = (
+        small["a2"] & small["b2"],
+        small["a1"] & small["b1"],
+        small["a1"] & small["a2"],
+        small["b1"] & small["b2"],
+        inv.constraint_residual() <= tol,
+        True,
+    )
+    index = np.select(tests, range(len(tests)))
+    theta = np.where(
+        np.hypot(inv.a1, inv.b1) > tol,
+        np.arctan2(inv.a1, inv.b1),
+        np.where(np.hypot(inv.a2, inv.b2) > tol, np.arctan2(inv.a2, inv.b2), 0.0),
+    )
+    return index, np.where(index == 4, theta, 0.0)
+
+
 def reduction_type(inv: Invariants, tol: float = FRAME_TOL) -> ReductionResult:
     """Classify which reduced form the invariants already have.
 
@@ -568,23 +576,9 @@ def reduction_type(inv: Invariants, tol: float = FRAME_TOL) -> ReductionResult:
     theta that kills the rotated a-row is reported; anything else is
     generic.
     """
-    if abs(inv.a2) <= tol and abs(inv.b2) <= tol:
-        return ReductionResult(ReductionType.FAMILY_V)
-    if abs(inv.a1) <= tol and abs(inv.b1) <= tol:
-        return ReductionResult(ReductionType.FAMILY_U)
-    if abs(inv.a1) <= tol and abs(inv.a2) <= tol:
-        return ReductionResult(ReductionType.FRAMED_A_ZERO)
-    if abs(inv.b1) <= tol and abs(inv.b2) <= tol:
-        return ReductionResult(ReductionType.FRAMED_B_ZERO)
-    if inv.constraint_residual() <= tol:
-        if math.hypot(inv.a1, inv.b1) > tol:
-            theta = math.atan2(inv.a1, inv.b1)
-        elif math.hypot(inv.a2, inv.b2) > tol:
-            theta = math.atan2(inv.a2, inv.b2)
-        else:
-            theta = 0.0
-        return ReductionResult(ReductionType.ROTATABLE_TO_FRAMED, theta=theta)
-    return ReductionResult(ReductionType.GENERIC)
+    index, theta = _reduction_arrays(inv, tol)
+    tag = _REDUCTION_LADDER[int(index)]
+    return ReductionResult(tag, float(theta) if tag is ReductionType.ROTATABLE_TO_FRAMED else None)
 
 
 def reduction_type_grid(
@@ -596,28 +590,16 @@ def reduction_type_grid(
     field usable as a continuous rotation, each grid row (fixed v) is
     unwrapped by multiples of pi against its left neighbour.
     """
-    dom = domain or fs.domain
-    field = invariant_field(fs)
-    ug, vg = dom.u_grid(), dom.v_grid()
-    tags = [[None] * len(ug) for _ in vg]
-    thetas = np.zeros((len(vg), len(ug)))
-    for iv, v in enumerate(vg):
-        prev = None
-        for iu, u in enumerate(ug):
-            res = reduction_type(field(u, v), tol=tol)
-            tags[iv][iu] = res.tag
-            th = res.theta if res.theta is not None else 0.0
-            if prev is not None:
-                k = round((prev - th) / math.pi)
-                th = th + k * math.pi
-            thetas[iv, iu] = th
-            prev = th
-    return tags, thetas
+    index, theta = _reduction_arrays(invariants_grid(fs, domain), tol)
+    turns = np.zeros(theta.shape)
+    turns[:, 1:] = np.round((theta[:, :-1] - theta[:, 1:]) / math.pi)
+    tags = [[_REDUCTION_LADDER[i] for i in row] for row in index.tolist()]
+    return tags, theta + np.cumsum(turns, axis=1) * math.pi
 
 
 @dataclasses.dataclass(frozen=True)
-class FamilyCurvatureU:
-    """Curvature-type data of a u-family (a1 = b1 = 0 direction)."""
+class FamilyCurvature:
+    """Curvature-type data of a one-parameter family (either direction)."""
 
     m: float
     n: float
@@ -631,20 +613,8 @@ class FamilyCurvatureU:
     B: float
 
 
-@dataclasses.dataclass(frozen=True)
-class FamilyCurvatureV:
-    """Curvature-type data of a v-family (a2 = b2 = 0 direction)."""
-
-    m: float
-    n: float
-    a: float
-    b: float
-    P: float
-    Q: float
-    M: float
-    N: float
-    A: float
-    B: float
+#: The u- and v-family records have the same fields.
+FamilyCurvatureU = FamilyCurvatureV = FamilyCurvature
 
 
 def family_curvatures(inv: Invariants, direction: str, tol: float = FRAME_TOL):
@@ -661,7 +631,7 @@ def family_curvatures(inv: Invariants, direction: str, tol: float = FRAME_TOL):
                 f"u-family needs a1 = b1 = 0 within {tol}, got "
                 f"a1 = {inv.a1:.3e}, b1 = {inv.b1:.3e}"
             )
-        return FamilyCurvatureU(
+        return FamilyCurvature(
             m=inv.c1, n=inv.e1, a=inv.f1, b=inv.g1,
             P=inv.a2, Q=inv.b2, M=inv.c2, N=inv.e2, A=inv.f2, B=inv.g2,
         )
@@ -671,7 +641,7 @@ def family_curvatures(inv: Invariants, direction: str, tol: float = FRAME_TOL):
                 f"v-family needs a2 = b2 = 0 within {tol}, got "
                 f"a2 = {inv.a2:.3e}, b2 = {inv.b2:.3e}"
             )
-        return FamilyCurvatureV(
+        return FamilyCurvature(
             m=inv.c2, n=inv.e2, a=inv.f2, b=inv.g2,
             P=inv.a1, Q=inv.b1, M=inv.c1, N=inv.e1, A=inv.f1, B=inv.g1,
         )
@@ -778,10 +748,6 @@ def integrate_frame_along_line(
     return FrameTrajectory(t=np.array(ts), frames=np.array(frames), max_gram_drift=drift)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_invariants_csv(
     target,
     fs: FramedSurface,
@@ -795,22 +761,16 @@ def write_invariants_csv(
     ``header_comments`` lines are emitted first, each prefixed with '# '.
     """
     dom = domain or fs.domain
-    field = invariant_field(fs)
-
-    def _write(fh: io.TextIOBase):
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(INVARIANT_CSV_HEADER + "\n")
-        for v in dom.v_grid():
-            for u in dom.u_grid():
-                inv = field(u, v)
-                cells = [_fmt(u), _fmt(v)]
-                cells += [_fmt(getattr(inv, k)) for k in _INVARIANT_NAMES]
-                cells += [_fmt(inv.alpha), _fmt(inv.beta)]
-                fh.write(",".join(cells) + "\n")
-
+    U, V = dom.mesh()
+    inv = invariants_grid(fs, dom)
+    cols = [U, V] + [getattr(inv, k) for k in _INVARIANT_NAMES] + [inv.alpha, inv.beta]
+    head = "".join(f"# {line}\n" for line in header_comments) + INVARIANT_CSV_HEADER + "\n"
+    body = fmt_rows(np.stack(cols, axis=-1).reshape(-1, len(cols)), sep=",")
     if hasattr(target, "write"):
-        _write(target)
+        target.write(head)
+        for block in body:
+            target.write(block)
     else:
         with open(target, "w", encoding="utf-8") as fh:
-            _write(fh)
+            fh.write(head)
+            fh.writelines(body)

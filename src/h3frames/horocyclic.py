@@ -13,7 +13,9 @@ invariant field; both classifiers live here and must agree.
 
 Curve frames come from closed forms or from integrating the linear frame
 system (the same ODE shape the surface frame integrator uses, so it is
-reused chunk-wise with periodic re-orthonormalization).
+reused chunk-wise with periodic re-orthonormalization).  Curves broadcast
+like surface maps: an array of u values gives a component-first
+``(4, *shape)`` result, so the swept surface evaluates whole grids.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .frames import (
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
-from .surface import Domain, ParametricMap4
+from .surface import Domain, ParametricMap4, evaluate, sqrt, zero4
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -87,11 +89,10 @@ class Curve4:
 
     def derivative(self, u: float) -> np.ndarray:
         if self.d is not None:
-            return np.asarray(self.d(u), dtype=float)
-        return (
-            np.asarray(self.value(u + self.h), dtype=float)
-            - np.asarray(self.value(u - self.h), dtype=float)
-        ) / (2.0 * self.h)
+            return evaluate(self.d, u)
+        return (evaluate(self.value, u + self.h) - evaluate(self.value, u - self.h)) / (
+            2.0 * self.h
+        )
 
 
 HFuncs = tuple[
@@ -114,11 +115,7 @@ class HorocyclicData:
     h: HFuncs
 
     def a3(self, u: float) -> np.ndarray:
-        return wedge3(
-            np.asarray(self.a0.value(u), dtype=float),
-            np.asarray(self.a1.value(u), dtype=float),
-            np.asarray(self.a2.value(u), dtype=float),
-        )
+        return wedge3(*(evaluate(c.value, u) for c in (self.a0, self.a1, self.a2)))
 
     def h_at(self, u: float) -> np.ndarray:
         return np.array([hi(u) for hi in self.h])
@@ -161,12 +158,12 @@ def build_horocyclic(
         )
     a0, a1, a2 = data.a0, data.a1, data.a2
 
+    def values(u):
+        return (evaluate(a0.value, u), evaluate(a1.value, u), evaluate(a2.value, u))
+
     def x_value(u, v):
-        return (
-            (1.0 + v * v / 2.0) * np.asarray(a0.value(u), dtype=float)
-            + v * np.asarray(a1.value(u), dtype=float)
-            + (v * v / 2.0) * np.asarray(a2.value(u), dtype=float)
-        )
+        w0, w1, w2 = values(u)
+        return (1.0 + v * v / 2.0) * w0 + v * w1 + (v * v / 2.0) * w2
 
     def x_du(u, v):
         return (
@@ -176,19 +173,14 @@ def build_horocyclic(
         )
 
     def x_dv(u, v):
-        return (
-            v * np.asarray(a0.value(u), dtype=float)
-            + np.asarray(a1.value(u), dtype=float)
-            + v * np.asarray(a2.value(u), dtype=float)
-        )
+        w0, w1, w2 = values(u)
+        return v * w0 + w1 + v * w2
 
     def nu1_value(u, v):
         return data.a3(u)
 
     def nu1_du(u, v):
-        w0 = np.asarray(a0.value(u), dtype=float)
-        w1 = np.asarray(a1.value(u), dtype=float)
-        w2 = np.asarray(a2.value(u), dtype=float)
+        w0, w1, w2 = values(u)
         return (
             wedge3(a0.derivative(u), w1, w2)
             + wedge3(w0, a1.derivative(u), w2)
@@ -196,11 +188,8 @@ def build_horocyclic(
         )
 
     def nu2_value(u, v):
-        return (
-            -(v * v / 2.0) * np.asarray(a0.value(u), dtype=float)
-            - v * np.asarray(a1.value(u), dtype=float)
-            + (1.0 - v * v / 2.0) * np.asarray(a2.value(u), dtype=float)
-        )
+        w0, w1, w2 = values(u)
+        return -(v * v / 2.0) * w0 - v * w1 + (1.0 - v * v / 2.0) * w2
 
     def nu2_du(u, v):
         return (
@@ -210,13 +199,9 @@ def build_horocyclic(
         )
 
     def nu2_dv(u, v):
-        return (
-            -v * np.asarray(a0.value(u), dtype=float)
-            - np.asarray(a1.value(u), dtype=float)
-            - v * np.asarray(a2.value(u), dtype=float)
-        )
+        w0, w1, w2 = values(u)
+        return -v * w0 - w1 - v * w2
 
-    zero4 = lambda u, v: np.zeros(4)
     return FramedSurface(
         x=ParametricMap4(value=x_value, du=x_du, dv=x_dv),
         nu1=ParametricMap4(value=nu1_value, du=nu1_du, dv=zero4),
@@ -401,28 +386,26 @@ def integrate_frame_curves(
 
     spline = CubicSpline(np.asarray(us), np.asarray(states), axis=0)
 
-    def a0_value(u):
-        w = spline(u)[0]
-        return w / math.sqrt(-minkowski_dot4(w, w))
-
-    def a1_value(u):
+    def orthonormalized(u, k):
+        """The k-th of a0, a1, a2 at u, by Gram-Schmidt on one spline value
+        (node states stacked component-first; a float needs no move)."""
         s = spline(u)
-        b0 = a0_value(u)
+        s = s if s.ndim == 2 else np.moveaxis(s, (-2, -1), (0, 1))
+        b0 = s[0] / sqrt(-minkowski_dot4(s[0], s[0]))
+        if k == 0:
+            return b0
         w = s[1] + minkowski_dot4(s[1], b0) * b0
-        return w / math.sqrt(minkowski_dot4(w, w))
-
-    def a2_value(u):
-        s = spline(u)
-        b0 = a0_value(u)
-        b1 = a1_value(u)
+        b1 = w / sqrt(minkowski_dot4(w, w))
+        if k == 1:
+            return b1
         w = s[2] + minkowski_dot4(s[2], b0) * b0
-        w -= minkowski_dot4(w, b1) * b1
-        return w / math.sqrt(minkowski_dot4(w, w))
+        w = w - minkowski_dot4(w, b1) * b1
+        return w / sqrt(minkowski_dot4(w, w))
 
     return HorocyclicData(
-        a0=Curve4(value=a0_value),
-        a1=Curve4(value=a1_value),
-        a2=Curve4(value=a2_value),
+        a0=Curve4(value=lambda u: orthonormalized(u, 0)),
+        a1=Curve4(value=lambda u: orthonormalized(u, 1)),
+        a2=Curve4(value=lambda u: orthonormalized(u, 2)),
         h=tuple(h_funcs),
     )
 

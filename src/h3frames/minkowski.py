@@ -3,7 +3,10 @@
 Vectors live in R^4_1 with signature (-+++) or in R^3_1 with signature
 (-++); the first coordinate is the timelike one in both cases.  Vectors are
 plain ``numpy`` arrays of shape ``(4,)`` or ``(3,)`` built through the
-validating constructors :func:`vec4` / :func:`vec3`.
+validating constructors :func:`vec4` / :func:`vec3`.  The products also
+take component-first stacks of shape ``(4, *shape)`` / ``(3, *shape)`` and
+then work elementwise over the trailing grid axes, with the same
+summation order as for one vector.
 
 The pseudo vector products are expanded by cofactors rather than delegated
 to a generic determinant routine so the defining identity
@@ -16,7 +19,6 @@ holds to rounding error with no pivoting noise.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -71,12 +73,12 @@ def vec3(x1, x2, x3) -> np.ndarray:
 
 def minkowski_dot4(a, b) -> float:
     """Pseudo scalar product -a1*b1 + a2*b2 + a3*b3 + a4*b4."""
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 def minkowski_dot3(a, b) -> float:
     """Pseudo scalar product -a1*b1 + a2*b2 + a3*b3 in R^3_1."""
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _pseudo_dot(a, b) -> float:
@@ -85,7 +87,7 @@ def _pseudo_dot(a, b) -> float:
 
 def minkowski_norm(a) -> float:
     """sqrt(|<a, a>|) for a vector of R^4_1 or R^3_1."""
-    return math.sqrt(abs(_pseudo_dot(a, a)))
+    return np.sqrt(abs(_pseudo_dot(a, a)))
 
 
 def _det3(r0, r1, r2) -> float:
@@ -126,8 +128,8 @@ def wedge2_r31(a, b) -> np.ndarray:
 
 
 def euclid_dot(a, b) -> float:
-    """Ordinary Euclidean scalar product."""
-    return float(np.dot(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    """Ordinary Euclidean scalar product (the same rounding as ``np.dot``)."""
+    return np.vecdot(np.asarray(a, dtype=float), np.asarray(b, dtype=float), axis=0)
 
 
 def euclid_cross(a, b) -> np.ndarray:
@@ -167,7 +169,12 @@ def frame_gram_residual(x, n1, n2, n3) -> float:
     """Max abs deviation of the frame's Gram matrix from diag(-1, 1, 1, 1).
 
     Zero exactly when {x, n1, n2, n3} is a pseudo-orthonormal frame with
-    timelike x.
+    timelike x; nan when a vector is not finite.
     """
-    g = gram_matrix(x, n1, n2, n3)
-    return float(np.max(np.abs(g - np.diag(_SIGNATURE[4]))))
+    vecs = (x, n1, n2, n3)
+    dev = [
+        abs(minkowski_dot4(vecs[i], vecs[j]) - (_SIGNATURE[4][i] if i == j else 0.0))
+        for i in range(4)
+        for j in range(i, 4)
+    ]
+    return np.array(dev).max(axis=0)

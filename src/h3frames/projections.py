@@ -1,6 +1,6 @@
 """Transports between the hyperboloid, the Poincare ball, and R^3_1.
 
-Three bridges, all pointwise:
+Three bridges, all pointwise and all broadcasting over grids:
 
 * the ball-model diffeomorphism pi and its inverse, lifted to whole framed
   surfaces by explicit component formulas for the transported normal pair
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +31,10 @@ from .errors import (
     OutsideDiscError,
     PreconditionError,
 )
-from .frames import FramedSurface, frame_at
+from .fmt import fmt, fmt_rows
+from .frames import FramedSurface
 from .minkowski import (
-    CausalCharacter,
+    CAUSAL_TOL,
     causal_character,
     euclid_cross,
     euclid_dot,
@@ -43,7 +43,7 @@ from .minkowski import (
     wedge2_r31,
     wedge3,
 )
-from .surface import Domain, ParametricMap4, first_partials
+from .surface import Domain, ParametricMap4, components, evaluate, first_partials, first_true
 
 __all__ = [
     "ON_H3_TOL",
@@ -117,26 +117,31 @@ class LightconeCandidate:
 
 
 def to_poincare(x, tol: float = ON_H3_TOL) -> np.ndarray:
-    """Ball-model image (x2, x3, x4) / (x1 + 1) of a hyperboloid point."""
+    """Ball-model image (x2, x3, x4) / (x1 + 1) of a hyperboloid point.
+
+    Also takes a component-first stack of points; the first point off the
+    upper sheet (non-finite ones included) is refused.
+    """
     x = np.asarray(x, dtype=float)
     q = minkowski_dot4(x, x)
-    if abs(q + 1.0) > tol:
-        raise OffHyperboloidError(f"<x,x> = {q:.6e}, expected -1 within {tol}")
-    if x[0] <= 0.0:
-        raise OffHyperboloidError(f"x1 = {x[0]:.6e} is not on the upper branch")
+    off = ~(abs(q + 1.0) <= tol)
+    k = first_true(off | ~(x[0] > 0.0))
+    if k is not None:
+        if off.flat[k]:
+            raise OffHyperboloidError(f"<x,x> = {q.flat[k]:.6e}, expected -1 within {tol}")
+        raise OffHyperboloidError(f"x1 = {x[0].flat[k]:.6e} is not on the upper branch")
     return x[1:] / (x[0] + 1.0)
 
 
 def from_poincare(p) -> np.ndarray:
-    """Hyperboloid point (1 + |p|^2, 2p) / (1 - |p|^2) over a ball point."""
+    """Hyperboloid point (1 + |p|^2, 2p) / (1 - |p|^2) over a ball point (or
+    a component-first stack of them)."""
     p = np.asarray(p, dtype=float)
-    s = float(np.dot(p, p))
-    if s >= 1.0:
-        raise OutsideDiscError(f"|p|^2 = {s:.6e} is not inside the unit ball")
-    out = np.empty(4)
-    out[0] = 1.0 + s
-    out[1:] = 2.0 * p
-    return out / (1.0 - s)
+    s = euclid_dot(p, p)
+    k = first_true(~(s < 1.0))
+    if k is not None:
+        raise OutsideDiscError(f"|p|^2 = {s.flat[k]:.6e} is not inside the unit ball")
+    return components(1.0 + s, *(2.0 * p)) / (1.0 - s)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +158,15 @@ def _disc_direction(x, y):
     return y[0] * x[1:] - (x[0] + 1.0) * y[1:]
 
 
-def _normalize_euclid(w, where: str):
-    n2 = float(np.dot(w, w))
-    if n2 <= NORMALIZATION_TOL:
+def _normalize(w, n2, where: str, what: str):
+    """w / sqrt(n2), refusing the first point where n2 is not clearly positive."""
+    k = first_true(~(n2 > NORMALIZATION_TOL))
+    if k is not None:
         raise NormalizationError(
-            f"{where}: direction has squared norm {n2:.3e}; "
+            f"{where}: direction has {what.format(np.asarray(n2).flat[k])}; "
             "the input does not satisfy the framed-surface axioms"
         )
-    return w / math.sqrt(n2)
+    return w / np.sqrt(n2)
 
 
 def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
@@ -179,34 +185,30 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
     x_m, n1_m, n2_m = fs.x, fs.nu1, fs.nu2
 
     def xbar_value(u, v):
-        return to_poincare(x_m.value(u, v))
+        return to_poincare(evaluate(x_m.value, u, v))
 
     def nub_value_factory(n_m):
         def value(u, v):
-            w = _disc_direction(x_m.value(u, v), n_m.value(u, v))
-            return _normalize_euclid(w, "transport_to_disc")
+            w = _disc_direction(evaluate(x_m.value, u, v), evaluate(n_m.value, u, v))
+            return _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm {:.3e}")
 
         return value
 
-    xbar_kw = {}
-    nub1_kw = {}
-    nub2_kw = {}
+    xbar_kw = nub1_kw = nub2_kw = {}
     if _have_firsts(x_m, n1_m, n2_m):
 
         def xbar_partial(which):
             def d(u, v):
-                x = np.asarray(x_m.value(u, v), dtype=float)
-                dx = np.asarray(getattr(x_m, which)(u, v), dtype=float)
-                return (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / (x[0] + 1.0) ** 2
+                x = evaluate(x_m.value, u, v)
+                dx = evaluate(getattr(x_m, which), u, v)
+                return (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / ((x[0] + 1.0) * (x[0] + 1.0))
 
             return d
 
         def nub_partial_factory(n_m, which):
             def d(u, v):
-                x = np.asarray(x_m.value(u, v), dtype=float)
-                y = np.asarray(n_m.value(u, v), dtype=float)
-                dx = np.asarray(getattr(x_m, which)(u, v), dtype=float)
-                dy = np.asarray(getattr(n_m, which)(u, v), dtype=float)
+                x, y = evaluate(x_m.value, u, v), evaluate(n_m.value, u, v)
+                dx, dy = evaluate(getattr(x_m, which), u, v), evaluate(getattr(n_m, which), u, v)
                 w = _disc_direction(x, y)
                 dw = (
                     dy[0] * x[1:]
@@ -214,20 +216,14 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
                     - dx[0] * y[1:]
                     - (x[0] + 1.0) * dy[1:]
                 )
-                n = math.sqrt(float(np.dot(w, w)))
-                return dw / n - w * (float(np.dot(w, dw)) / n**3)
+                n = np.sqrt(euclid_dot(w, w))
+                return dw / n - w * (euclid_dot(w, dw) / (n * n * n))
 
             return d
 
-        xbar_kw = {"du": xbar_partial("du"), "dv": xbar_partial("dv")}
-        nub1_kw = {
-            "du": nub_partial_factory(n1_m, "du"),
-            "dv": nub_partial_factory(n1_m, "dv"),
-        }
-        nub2_kw = {
-            "du": nub_partial_factory(n2_m, "du"),
-            "dv": nub_partial_factory(n2_m, "dv"),
-        }
+        xbar_kw = {w: xbar_partial(w) for w in ("du", "dv")}
+        nub1_kw = {w: nub_partial_factory(n1_m, w) for w in ("du", "dv")}
+        nub2_kw = {w: nub_partial_factory(n2_m, w) for w in ("du", "dv")}
 
     return DiscFramedSurface(
         xbar=ParametricMap4(value=xbar_value, h1=x_m.h1, h2=x_m.h2, **xbar_kw),
@@ -248,21 +244,12 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
 
 def _h3_direction(p, y):
     """Unnormalized lifted normal (2 p.y, (1 - |p|^2) y + 2 (p.y) p)."""
-    d = float(np.dot(p, y))
-    out = np.empty(4)
-    out[0] = 2.0 * d
-    out[1:] = (1.0 - float(np.dot(p, p))) * y + 2.0 * d * p
-    return out
+    d = euclid_dot(p, y)
+    return components(2.0 * d, *((1.0 - euclid_dot(p, p)) * y + 2.0 * d * p))
 
 
 def _normalize_minkowski(w, where: str):
-    n2 = minkowski_dot4(w, w)
-    if n2 <= NORMALIZATION_TOL:
-        raise NormalizationError(
-            f"{where}: direction has pseudo square {n2:.3e}, expected > 0; "
-            "the input does not satisfy the framed-surface axioms"
-        )
-    return w / math.sqrt(n2)
+    return _normalize(w, minkowski_dot4(w, w), where, "pseudo square {:.3e}, expected > 0")
 
 
 def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
@@ -277,69 +264,56 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
     xb_m, n1_m, n2_m = dfs.xbar, dfs.nubar1, dfs.nubar2
 
     def x_value(u, v):
-        return from_poincare(xb_m.value(u, v))
+        return from_poincare(evaluate(xb_m.value, u, v))
 
     def nu_value_factory(n_m):
         def value(u, v):
-            w = _h3_direction(
-                np.asarray(xb_m.value(u, v), dtype=float),
-                np.asarray(n_m.value(u, v), dtype=float),
-            )
+            w = _h3_direction(evaluate(xb_m.value, u, v), evaluate(n_m.value, u, v))
             return _normalize_minkowski(w, "transport_to_h3")
 
         return value
 
-    x_kw = {}
-    nu1_kw = {}
-    nu2_kw = {}
+    x_kw = nu1_kw = nu2_kw = {}
     if _have_firsts(xb_m, n1_m, n2_m):
 
         def x_partial(which):
             def d(u, v):
-                p = np.asarray(xb_m.value(u, v), dtype=float)
-                dp = np.asarray(getattr(xb_m, which)(u, v), dtype=float)
-                s = float(np.dot(p, p))
-                ds = 2.0 * float(np.dot(p, dp))
+                p = evaluate(xb_m.value, u, v)
+                dp = evaluate(getattr(xb_m, which), u, v)
+                s = euclid_dot(p, p)
+                ds = 2.0 * euclid_dot(p, dp)
                 denom = 1.0 - s
-                out = np.empty(4)
                 # quotient rule on (1 + s, 2p) / (1 - s)
-                out[0] = (ds * denom + (1.0 + s) * ds) / denom**2
-                out[1:] = (2.0 * dp * denom + 2.0 * p * ds) / denom**2
-                return out
+                return components(
+                    (ds * denom + (1.0 + s) * ds), *(2.0 * dp * denom + 2.0 * p * ds)
+                ) / (denom * denom)
 
             return d
 
         def nu_partial_factory(n_m, which):
             def d(u, v):
-                p = np.asarray(xb_m.value(u, v), dtype=float)
-                y = np.asarray(n_m.value(u, v), dtype=float)
-                dp = np.asarray(getattr(xb_m, which)(u, v), dtype=float)
-                dy = np.asarray(getattr(n_m, which)(u, v), dtype=float)
-                dd = float(np.dot(dp, y) + np.dot(p, dy))
-                ds = 2.0 * float(np.dot(p, dp))
+                p, y = evaluate(xb_m.value, u, v), evaluate(n_m.value, u, v)
+                dp, dy = evaluate(getattr(xb_m, which), u, v), evaluate(getattr(n_m, which), u, v)
+                dd = euclid_dot(dp, y) + euclid_dot(p, dy)
+                ds = 2.0 * euclid_dot(p, dp)
                 w = _h3_direction(p, y)
-                dw = np.empty(4)
-                dw[0] = 2.0 * dd
-                dw[1:] = (
-                    -ds * y
-                    + (1.0 - float(np.dot(p, p))) * dy
-                    + 2.0 * dd * p
-                    + 2.0 * float(np.dot(p, y)) * dp
+                dw = components(
+                    2.0 * dd,
+                    *(
+                        -ds * y
+                        + (1.0 - euclid_dot(p, p)) * dy
+                        + 2.0 * dd * p
+                        + 2.0 * euclid_dot(p, y) * dp
+                    ),
                 )
-                n = math.sqrt(minkowski_dot4(w, w))
-                return dw / n - w * (minkowski_dot4(w, dw) / n**3)
+                n = np.sqrt(minkowski_dot4(w, w))
+                return dw / n - w * (minkowski_dot4(w, dw) / (n * n * n))
 
             return d
 
-        x_kw = {"du": x_partial("du"), "dv": x_partial("dv")}
-        nu1_kw = {
-            "du": nu_partial_factory(n1_m, "du"),
-            "dv": nu_partial_factory(n1_m, "dv"),
-        }
-        nu2_kw = {
-            "du": nu_partial_factory(n2_m, "du"),
-            "dv": nu_partial_factory(n2_m, "dv"),
-        }
+        x_kw = {w: x_partial(w) for w in ("du", "dv")}
+        nu1_kw = {w: nu_partial_factory(n1_m, w) for w in ("du", "dv")}
+        nu2_kw = {w: nu_partial_factory(n2_m, w) for w in ("du", "dv")}
 
     return FramedSurface(
         x=ParametricMap4(value=x_value, h1=xb_m.h1, h2=xb_m.h2, **x_kw),
@@ -357,8 +331,8 @@ def disc_alpha_beta(dfs: DiscFramedSurface, u: float, v: float) -> tuple[float, 
     """Weights of xbar_u x xbar_v on the orthonormal pair at one point."""
     _, xu, xv = first_partials(dfs.xbar, u, v)
     cr = euclid_cross(xu, xv)
-    n1 = np.asarray(dfs.nubar1.value(u, v), dtype=float)
-    n2 = np.asarray(dfs.nubar2.value(u, v), dtype=float)
+    n1 = evaluate(dfs.nubar1.value, u, v)
+    n2 = evaluate(dfs.nubar2.value, u, v)
     return euclid_dot(cr, n1), euclid_dot(cr, n2)
 
 
@@ -375,27 +349,17 @@ class DiscResidualSummary:
 def verify_disc_framed(
     dfs: DiscFramedSurface, domain: Optional[Domain] = None
 ) -> DiscResidualSummary:
-    dom = domain or dfs.domain
-    max_radius = 0.0
-    max_unit = 0.0
-    max_orth = 0.0
-    max_off = 0.0
-    for v in dom.v_grid():
-        for u in dom.u_grid():
-            p, pu, pv = first_partials(dfs.xbar, u, v)
-            n1 = np.asarray(dfs.nubar1.value(u, v), dtype=float)
-            n2 = np.asarray(dfs.nubar2.value(u, v), dtype=float)
-            max_radius = max(max_radius, math.sqrt(float(np.dot(p, p))))
-            max_unit = max(
-                max_unit,
-                abs(math.sqrt(float(np.dot(n1, n1))) - 1.0),
-                abs(math.sqrt(float(np.dot(n2, n2))) - 1.0),
-            )
-            max_orth = max(max_orth, abs(euclid_dot(n1, n2)))
-            max_off = max(
-                max_off, abs(euclid_dot(euclid_cross(pu, pv), euclid_cross(n1, n2)))
-            )
-    return DiscResidualSummary(max_radius, max_unit, max_orth, max_off)
+    U, V = (domain or dfs.domain).mesh()
+    p, pu, pv = first_partials(dfs.xbar, U, V)
+    n1 = evaluate(dfs.nubar1.value, U, V)
+    n2 = evaluate(dfs.nubar2.value, U, V)
+    unit = [abs(np.sqrt(euclid_dot(n, n)) - 1.0) for n in (n1, n2)]
+    return DiscResidualSummary(
+        float(np.max(np.sqrt(euclid_dot(p, p)))),
+        float(np.max(unit)),
+        float(np.max(abs(euclid_dot(n1, n2)))),
+        float(np.max(abs(euclid_dot(euclid_cross(pu, pv), euclid_cross(n1, n2))))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +368,21 @@ def verify_disc_framed(
 
 
 def _drop(w, axis: Axis) -> np.ndarray:
-    return np.delete(np.asarray(w, dtype=float), axis.index)
+    return np.delete(np.asarray(w, dtype=float), axis.index, axis=0)
 
 
-def _insert(w3, value: float, axis: Axis) -> np.ndarray:
-    return np.insert(np.asarray(w3, dtype=float), axis.index, value)
+def _insert(w3, value, axis: Axis) -> np.ndarray:
+    i = axis.index
+    return components(*w3[:i], value, *w3[i:])
 
 
-def _nu3_value(fs: FramedSurface, u: float, v: float) -> np.ndarray:
-    return wedge3(
-        np.asarray(fs.x.value(u, v), dtype=float),
-        np.asarray(fs.nu1.value(u, v), dtype=float),
-        np.asarray(fs.nu2.value(u, v), dtype=float),
-    )
+def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
+    return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
 
-def _nu3_partial(fs: FramedSurface, which: str, u: float, v: float) -> np.ndarray:
-    x = np.asarray(fs.x.value(u, v), dtype=float)
-    n1 = np.asarray(fs.nu1.value(u, v), dtype=float)
-    n2 = np.asarray(fs.nu2.value(u, v), dtype=float)
-    dx = np.asarray(getattr(fs.x, which)(u, v), dtype=float)
-    dn1 = np.asarray(getattr(fs.nu1, which)(u, v), dtype=float)
-    dn2 = np.asarray(getattr(fs.nu2, which)(u, v), dtype=float)
+def _nu3_partial(fs: FramedSurface, which: str, u, v) -> np.ndarray:
+    x, n1, n2 = (evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2))
+    dx, dn1, dn2 = (evaluate(getattr(m, which), u, v) for m in (fs.x, fs.nu1, fs.nu2))
     return wedge3(dx, n1, n2) + wedge3(x, dn1, n2) + wedge3(x, n1, dn2)
 
 
@@ -438,43 +395,44 @@ def project_to_r31(
     grid points of ``domain`` (default: the surface's own) only — nothing
     is certified between samples.  Failure raises
     :class:`NonSpacelikeNormalError` carrying the first offending point
-    and its causal character.
+    (v-major) and its causal character.
     """
     dom = domain or fs.domain
-    for v in dom.v_grid():
-        for u in dom.u_grid():
-            w = _drop(_nu3_value(fs, u, v), axis)
-            ch = causal_character(w)
-            if ch is not CausalCharacter.SPACELIKE:
-                raise NonSpacelikeNormalError(
-                    f"projected binormal at ({u:.6g}, {v:.6g}) is {ch.value} "
-                    f"(<w,w> = {minkowski_dot3(w, w):.3e}) for axis {axis.name}",
-                    u=u,
-                    v=v,
-                    character=ch,
-                )
+    U, V = dom.mesh()
+    w = _drop(_nu3_value(fs, U, V), axis)
+    k = first_true(~(minkowski_dot3(w, w) > CAUSAL_TOL))
+    if k is not None:
+        u, v = U.flat[k], V.flat[k]
+        wk = w.reshape(3, -1)[:, k]
+        ch = causal_character(wk)
+        raise NonSpacelikeNormalError(
+            f"projected binormal at ({u:.6g}, {v:.6g}) is {ch.value} "
+            f"(<w,w> = {minkowski_dot3(wk, wk):.3e}) for axis {axis.name}",
+            u=u,
+            v=v,
+            character=ch,
+        )
 
     def xt_value(u, v):
-        return _drop(fs.x.value(u, v), axis)
+        return _drop(evaluate(fs.x.value, u, v), axis)
 
     def t_value(u, v):
         w = _drop(_nu3_value(fs, u, v), axis)
-        return w / math.sqrt(minkowski_dot3(w, w))
+        return w / np.sqrt(minkowski_dot3(w, w))
 
-    xt_kw = {}
-    t_kw = {}
+    xt_kw = t_kw = {}
     if _have_firsts(fs.x, fs.nu1, fs.nu2):
         xt_kw = {
-            "du": lambda u, v: _drop(fs.x.du(u, v), axis),
-            "dv": lambda u, v: _drop(fs.x.dv(u, v), axis),
+            "du": lambda u, v: _drop(evaluate(fs.x.du, u, v), axis),
+            "dv": lambda u, v: _drop(evaluate(fs.x.dv, u, v), axis),
         }
 
         def t_partial(which):
             def d(u, v):
                 w = _drop(_nu3_value(fs, u, v), axis)
                 dw = _drop(_nu3_partial(fs, which, u, v), axis)
-                n = math.sqrt(minkowski_dot3(w, w))
-                return dw / n - w * (minkowski_dot3(w, dw) / n**3)
+                n = np.sqrt(minkowski_dot3(w, w))
+                return dw / n - w * (minkowski_dot3(w, dw) / (n * n * n))
 
             return d
 
@@ -492,14 +450,10 @@ def lightcone_residual(
     lc: LightconeCandidate, domain: Optional[Domain] = None
 ) -> float:
     """Grid max of |<xt_u ^ xt_v, t>|, the defining identity of the output."""
-    dom = domain or lc.domain
-    worst = 0.0
-    for v in dom.v_grid():
-        for u in dom.u_grid():
-            _, xu, xv = first_partials(lc.xtilde, u, v)
-            t = np.asarray(lc.t.value(u, v), dtype=float)
-            worst = max(worst, abs(minkowski_dot3(wedge2_r31(xu, xv), t)))
-    return worst
+    U, V = (domain or lc.domain).mesh()
+    _, xu, xv = first_partials(lc.xtilde, U, V)
+    t = evaluate(lc.t.value, U, V)
+    return float(np.max(abs(minkowski_dot3(wedge2_r31(xu, xv), t))))
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +471,25 @@ def _fallback_normal(x, xu, xv) -> np.ndarray:
     Wedging x with W = x ^ x_u ^ x_v and the best coordinate direction
     gives both orthogonalities by alternation; when W (nearly) vanishes
     any unit spacelike vector orthogonal to x does the job, produced by
-    pseudo-projecting the best coordinate direction against x.
+    pseudo-projecting the best coordinate direction against x.  "Best"
+    is the largest pseudo square, the first candidate on ties.
     """
     w = wedge3(x, xu, xv)
-    best = None
-    best_n2 = 0.0
-    for j in range(4):
-        cand = wedge3(x, w, _BASIS4[j])
-        n2 = minkowski_dot4(cand, cand)
-        if n2 > best_n2:
-            best, best_n2 = cand, n2
-    if best is not None and best_n2 > NORMALIZATION_TOL:
-        return best / math.sqrt(best_n2)
-    for j in range(4):
-        cand = _BASIS4[j] + minkowski_dot4(_BASIS4[j], x) * x
-        n2 = minkowski_dot4(cand, cand)
-        if n2 > best_n2:
-            best, best_n2 = cand, n2
-    return best / math.sqrt(best_n2)
+    basis = [e.reshape((4,) + (1,) * (np.ndim(x) - 1)) for e in _BASIS4]
+    cands = np.array(
+        np.broadcast_arrays(
+            *[wedge3(x, w, e) for e in basis], *[e + minkowski_dot4(e, x) * x for e in basis]
+        )
+    )
+    n2 = np.array([minkowski_dot4(c, c) for c in cands])
+    wedged = np.argmax(n2[:4], axis=0)
+    pick = np.where(
+        np.take_along_axis(n2, wedged[None], 0)[0] > NORMALIZATION_TOL,
+        wedged,
+        np.argmax(n2, axis=0),
+    )
+    best = np.take_along_axis(cands, pick[None, None], 0)[0]
+    return best / np.sqrt(np.take_along_axis(n2, pick[None], 0)[0])
 
 
 def lift_from_r31(
@@ -569,19 +524,16 @@ def lift_from_r31(
     if dom is None:
         raise ValueError("an explicit domain is required when the map carries none")
 
-    worst = math.inf
-    for v in dom.v_grid():
-        for u in dom.u_grid():
-            p = np.asarray(xt.value(u, v), dtype=float)
-            worst = min(worst, p[0] ** 2 - p[1] ** 2 - p[2] ** 2)
-    if worst <= 1.0 + margin:
+    p = evaluate(xt.value, *dom.mesh())
+    worst = np.min(p[0] * p[0] - p[1] * p[1] - p[2] * p[2])
+    if not worst > 1.0 + margin:
         raise PreconditionError(
             f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}"
         )
 
     def inserted(u, v):
-        p = np.asarray(xt.value(u, v), dtype=float)
-        return p, math.sqrt(p[0] ** 2 - p[1] ** 2 - p[2] ** 2 - 1.0)
+        p = evaluate(xt.value, u, v)
+        return p, np.sqrt(p[0] * p[0] - p[1] * p[1] - p[2] * p[2] - 1.0)
 
     def x_value(u, v):
         p, x4 = inserted(u, v)
@@ -593,7 +545,7 @@ def lift_from_r31(
         def x_partial(which):
             def d(u, v):
                 p, x4 = inserted(u, v)
-                dp = np.asarray(getattr(xt, which)(u, v), dtype=float)
+                dp = evaluate(getattr(xt, which), u, v)
                 dx4 = (p[0] * dp[0] - p[1] * dp[1] - p[2] * dp[2]) / x4
                 return _insert(dp, dx4, axis)
 
@@ -607,10 +559,7 @@ def lift_from_r31(
 
         def nu_value(u, v):
             p, x4 = inserted(u, v)
-            lw = wedge2_r31(
-                np.asarray(lplus(u, v), dtype=float),
-                np.asarray(lminus(u, v), dtype=float),
-            )
+            lw = wedge2_r31(evaluate(lplus, u, v), evaluate(lminus, u, v))
             raw = _insert(x4 * lw, -minkowski_dot3(p, lw), axis)
             return _normalize_minkowski(raw, "lift_from_r31")
 
@@ -656,38 +605,30 @@ def write_disc_mesh(
             _write_disc_mesh(fh, fs, dom, markers or (), header_comments)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_disc_mesh(fh, fs, dom, markers, header_comments=()) -> None:
-    for line in header_comments:
-        fh.write(f"# {line}\n")
-    ug, vg = dom.u_grid(), dom.v_grid()
-    nu, nv = len(ug), len(vg)
-    pts = np.empty((nv, nu, 3))
-    for iv, v in enumerate(vg):
-        for iu, u in enumerate(ug):
-            pts[iv, iu] = to_poincare(fs.x.value(u, v))
-            fh.write(f"v {_fmt(pts[iv, iu, 0])} {_fmt(pts[iv, iu, 1])} {_fmt(pts[iv, iu, 2])}\n")
+    U, V = dom.mesh()
+    nv, nu = U.shape
+    pts = to_poincare(evaluate(fs.x.value, U, V)).reshape(3, -1)  # v-major vertices
 
-    def emit(ia, ib, ic):
-        a, b, c = (pts[i // nu, i % nu] for i in (ia, ib, ic))
-        if np.dot(np.cross(b - a, c - a), (a + b + c) / 3.0) < 0.0:
-            ib, ic = ic, ib
-        fh.write(f"f {ia + 1} {ib + 1} {ic + 1}\n")
+    # Each grid quad gives the triangles (00, 10, 11) and (00, 11, 01); a
+    # triangle whose normal points into the ball against its centroid is
+    # flipped.  Vertex numbers are integers, exact in the number formatter.
+    i00 = (np.arange(nv - 1)[:, None] * nu + np.arange(nu - 1)).ravel()
+    tri = np.stack(
+        [np.stack([i00, i00 + 1, i00 + nu + 1], -1), np.stack([i00, i00 + nu + 1, i00 + nu], -1)],
+        axis=1,
+    ).reshape(-1, 3)
+    a, b, c = (pts[:, tri[:, j]] for j in range(3))
+    flip = euclid_dot(euclid_cross(b - a, c - a), (a + b + c) / 3.0) < 0.0
+    tri[flip, 1:] = tri[flip, :0:-1]
 
-    for iv in range(nv - 1):
-        for iu in range(nu - 1):
-            i00 = iv * nu + iu
-            i10 = i00 + 1
-            i01 = i00 + nu
-            i11 = i01 + 1
-            emit(i00, i10, i11)
-            emit(i00, i11, i01)
-
-    base = nv * nu
-    for k, (u, v) in enumerate(markers):
-        p = to_poincare(fs.x.value(u, v))
-        fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        fh.write(f"p {base + k + 1}\n")
+    fh.write("".join(f"# {line}\n" for line in header_comments))
+    for block in (*fmt_rows(pts.T, prefix="v "), *fmt_rows(tri + 1, prefix="f ")):
+        fh.write(block)
+    if markers:
+        mu, mv = np.asarray(markers, dtype=float).T
+        marks = to_poincare(evaluate(fs.x.value, mu, mv)).T
+        base = nv * nu
+        fh.write("".join(
+            f"v {' '.join(map(fmt, p))}\np {base + k + 1}\n" for k, p in enumerate(marks)
+        ))

@@ -26,7 +26,9 @@ phi refuses to evaluate when both c-invariants vanish (eta undefined).
 
 Surfaces whose singular set is a curve rather than isolated points (the
 second ruled example degenerates along an entire line) come out as a
-deduplicated sample of points along the curve, at most a cell apart.
+deduplicated sample of points along the curve, at most a cell apart: a
+root where the Jacobian of (alpha, beta) has rank one lies on such a
+curve, and the curve is sampled half a cell to either side of it too.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ __all__ = [
 REFINE_TOL = 1e-10
 #: Max Newton iterations before a candidate is abandoned.
 MAX_NEWTON_ITERS = 50
+#: Jacobian singular values below this fraction of the largest count as
+#: zero (rounding noise of a component that vanishes identically).
+RANK_TOL = 1e-8
 #: Corank screen: (a, b) must be below / (c1, c2) above this.
 CORANK_TOL = 1e-6
 #: |D| above this is a cross cap.
@@ -110,18 +115,7 @@ class SingularityDiagnostics:
     converged: bool
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "a_pair": list(self.a_pair),
-            "b_pair": list(self.b_pair),
-            "c_pair": list(self.c_pair),
-            "D": self.D,
-            "hess_phi": self.hess_phi,
-            "independence_pair": list(self.independence_pair),
-            "newton_iters": self.newton_iters,
-            "converged": self.converged,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,6 +145,7 @@ class RefinementRecord:
     residual: float
     iterations: int
     converged: bool
+    tangent: Optional[tuple[float, float]] = None  # of a singular curve through the root
 
 
 def _as_field(fs: FieldLike) -> InvariantField:
@@ -170,7 +165,7 @@ def _safe_alpha_beta(field: InvariantField, u: float, v: float) -> Optional[np.n
     """(alpha, beta), or None where the surface cannot be evaluated (a wild
     Newton step can leave the numerically representable range entirely)."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             f = _alpha_beta(field, u, v)
     except (ArithmeticError, ValueError):
         return None
@@ -180,15 +175,17 @@ def _safe_alpha_beta(field: InvariantField, u: float, v: float) -> Optional[np.n
 
 
 def _newton_refine(
-    field: InvariantField, u0: float, v0: float, tol: float
+    field: InvariantField, u0: float, v0: float, tol: float, find_tangent: bool = True
 ) -> RefinementRecord:
     """Damped 2D Newton on (alpha, beta) with a finite-difference Jacobian.
 
-    Steps are halved until the residual decreases; a singular Jacobian
-    (e.g. on a singular *curve*, where one direction is flat) falls back
-    to the least-squares step, which walks to the nearest zero.
+    Steps are halved until the residual decreases.  A Jacobian of rank one
+    (on a singular *curve*, where one direction is flat) gives the
+    minimum-norm least-squares step, which walks to the nearest zero
+    instead of along the curve by the rounding noise of the flat part.
+    With ``find_tangent``, the Jacobian at a converged root tells whether
+    it lies on such a curve.
     """
-    h = H_INVARIANT
     p = np.array([u0, v0])
     f = _safe_alpha_beta(field, *p)
     if f is None:
@@ -196,23 +193,10 @@ def _newton_refine(
     res = float(np.sum(np.abs(f)))
     iters = 0
     while res >= tol and iters < MAX_NEWTON_ITERS:
-        stencil = [
-            _safe_alpha_beta(field, p[0] + h, p[1]),
-            _safe_alpha_beta(field, p[0] - h, p[1]),
-            _safe_alpha_beta(field, p[0], p[1] + h),
-            _safe_alpha_beta(field, p[0], p[1] - h),
-        ]
-        if any(s is None for s in stencil):
+        jac = _jacobian(field, p)
+        if jac is None:
             break
-        jac = np.column_stack(
-            [(stencil[0] - stencil[1]) / (2.0 * h), (stencil[2] - stencil[3]) / (2.0 * h)]
-        )
-        try:
-            step = np.linalg.solve(jac, -f)
-            if not np.all(np.isfinite(step)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        step = np.linalg.lstsq(jac, -f, rcond=RANK_TOL)[0]
         if not np.all(np.isfinite(step)):
             break
         # damping: halve until the residual actually drops
@@ -229,6 +213,12 @@ def _newton_refine(
         else:
             break  # no useful step at any damping; give up on this seed
         iters += 1
+    tangent = None
+    jac = _jacobian(field, p) if res < tol and find_tangent else None
+    if jac is not None:
+        _, sv, vt = np.linalg.svd(jac)
+        if sv[1] <= RANK_TOL * sv[0]:
+            tangent = (float(vt[1, 0]), float(vt[1, 1]))
     return RefinementRecord(
         seed_u=u0,
         seed_v=v0,
@@ -237,6 +227,24 @@ def _newton_refine(
         residual=res,
         iterations=iters,
         converged=res < tol,
+        tangent=tangent,
+    )
+
+
+def _jacobian(field: InvariantField, p: np.ndarray) -> Optional[np.ndarray]:
+    """Central-difference Jacobian of (alpha, beta), or None where the
+    stencil cannot be evaluated."""
+    h = H_INVARIANT
+    stencil = [
+        _safe_alpha_beta(field, p[0] + h, p[1]),
+        _safe_alpha_beta(field, p[0] - h, p[1]),
+        _safe_alpha_beta(field, p[0], p[1] + h),
+        _safe_alpha_beta(field, p[0], p[1] - h),
+    ]
+    if any(s is None for s in stencil):
+        return None
+    return np.column_stack(
+        [(stencil[0] - stencil[1]) / (2.0 * h), (stencil[2] - stencil[3]) / (2.0 * h)]
     )
 
 
@@ -272,8 +280,11 @@ def find_singular_points(
     corner and the cells beside a double zero such as alpha = v^2, and skips
     cells where either component stays clear of zero.  Refined roots outside
     the domain are dropped; period-equivalent u values are folded into one
-    window first.  Returns the sorted (u, v) list, plus every
-    :class:`RefinementRecord` (one per seed, v-major) when ``full_output``.
+    window first.  A root on a singular curve (a record with a ``tangent``)
+    seeds two more Newton runs half a cell along the curve to either side,
+    so the curve sample has no gap wider than a cell.  Returns the sorted
+    (u, v) list, plus every :class:`RefinementRecord` (one per grid seed,
+    v-major, then the curve seeds) when ``full_output``.
     """
     if domain is None:
         if not isinstance(fs, FramedSurface):
@@ -297,6 +308,13 @@ def find_singular_points(
     records = [
         _newton_refine(field, 0.5 * (ug[iu] + ug[iu + 1]), 0.5 * (vg[iv] + vg[iv + 1]), tol)
         for iv, iu in zip(*np.nonzero(candidate(alpha) & candidate(beta)))  # v-major
+    ]
+    du, dv = domain.cell()
+    records += [
+        _newton_refine(field, r.u + s * du * r.tangent[0], r.v + s * dv * r.tangent[1], tol, False)
+        for r in records
+        if r.tangent is not None
+        for s in (-0.5, 0.5)
     ]
 
     points = [(u, v) for u, v, _ in _merge_roots(records, domain)]
@@ -338,6 +356,30 @@ def _merge_roots(
     return sorted(tuple(r) for r in roots)
 
 
+def _stencil_field(fs: FieldLike, u: float, v: float, h: float, h_phi: float) -> InvariantField:
+    """The field that classifying (u, v) reads.  For a FramedSurface, the 45
+    points behind the partials and det Hess(phi) come from one array call,
+    equal bit for bit to one-point calls; otherwise, or if that call fails,
+    points are evaluated one by one and raise in evaluation order."""
+    field = _as_field(fs)
+    if not isinstance(fs, FramedSurface):
+        return field
+    pts = [
+        p
+        for uu in (u, u + h_phi, u - h_phi)
+        for vv in (v, v + h_phi, v - h_phi)
+        for p in ((uu, vv), (uu + h, vv), (uu - h, vv), (uu, vv + h), (uu, vv - h))
+    ]
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            inv = field(*np.array(pts).T)
+    except Exception:
+        return field
+    cols = [getattr(inv, f.name) for f in dataclasses.fields(inv)]
+    table = {p: Invariants(*(c[k] for c in cols)) for k, p in enumerate(pts)}
+    return lambda uu, vv: table[uu, vv] if (uu, vv) in table else field(uu, vv)
+
+
 def _invariant_partials(
     field: InvariantField, u: float, v: float, h: float
 ) -> tuple[Invariants, dict[str, float]]:
@@ -351,6 +393,11 @@ def _invariant_partials(
         d[name + "_u"] = (getattr(pu, name) - getattr(mu, name)) / (2.0 * h)
         d[name + "_v"] = (getattr(pv, name) - getattr(mv, name)) / (2.0 * h)
     return q, d
+
+
+def _require_c(q: Invariants, u: float, v: float, tol: float) -> None:
+    if math.hypot(q.c1, q.c2) <= tol:
+        raise CDegenerateError(f"both c-invariants vanish at ({u}, {v}): (c1, c2) = ({q.c1:.3e}, {q.c2:.3e})")
 
 
 def phi(
@@ -373,13 +420,8 @@ def phi(
     Raises :class:`CDegenerateError` when both c-invariants vanish within
     ``c_tol`` — the degenerate direction eta is undefined there.
     """
-    field = _as_field(fs)
-    q, d = _invariant_partials(field, u, v, h)
-    if math.hypot(q.c1, q.c2) <= c_tol:
-        raise CDegenerateError(
-            f"both c-invariants vanish at ({u}, {v}): "
-            f"(c1, c2) = ({q.c1:.3e}, {q.c2:.3e})"
-        )
+    q, d = _invariant_partials(_as_field(fs), u, v, h)
+    _require_c(q, u, v, c_tol)
     al, be = q.alpha, q.beta
     ce = q.c1 * q.e2 - q.c2 * q.e1
     m = np.array(
@@ -430,6 +472,38 @@ def _row_dets(q: Invariants, d: Mapping[str, float]) -> dict[str, float]:
     }
 
 
+def _report(
+    u0: float, v0: float, q: Invariants, not_corank_one: bool, cross_cap: bool, D: float, hess: float,
+    pair: tuple[float, float], hess_tol: float, pair_tol: float, newton_iters: int, refine_tol: float,
+) -> SingularityReport:
+    """The decision ladder of both classifiers, from the corank-one and the
+    cross-cap tests that each makes its own way, and the report."""
+    if not_corank_one:
+        tag = SingularityClass.NOT_CORANK_ONE
+    elif cross_cap:
+        tag = SingularityClass.CROSS_CAP
+    elif hess < -hess_tol and math.hypot(*pair) > pair_tol:
+        tag = SingularityClass.S1_PLUS
+    elif hess > hess_tol:
+        tag = SingularityClass.S1_MINUS
+    else:
+        tag = SingularityClass.UNCLASSIFIED
+
+    diag = SingularityDiagnostics(
+        alpha=q.alpha,
+        beta=q.beta,
+        a_pair=(q.a1, q.a2),
+        b_pair=(q.b1, q.b2),
+        c_pair=(q.c1, q.c2),
+        D=D,
+        hess_phi=hess,
+        independence_pair=pair,
+        newton_iters=newton_iters,
+        converged=bool(abs(q.alpha) + abs(q.beta) < refine_tol),
+    )
+    return SingularityReport(u=u0, v=v0, classification=tag, diagnostics=diag)
+
+
 def classify_singularity(
     fs: FieldLike,
     u0: float,
@@ -451,14 +525,9 @@ def classify_singularity(
     ``newton_iters`` is carried into the diagnostics verbatim so scan
     pipelines can stamp their refinement effort.
     """
-    field = _as_field(fs)
+    field = _stencil_field(fs, u0, v0, h, h_phi)
     q, d = _invariant_partials(field, u0, v0, h)
-    c_norm = math.hypot(q.c1, q.c2)
-    if c_norm <= corank_tol:
-        raise CDegenerateError(
-            f"both c-invariants vanish at ({u0}, {v0}): "
-            f"(c1, c2) = ({q.c1:.3e}, {q.c2:.3e})"
-        )
+    _require_c(q, u0, v0, corank_tol)
 
     dets = _row_dets(q, d)
     D = dets["bu_c"] * dets["av_c"] - dets["bv_c"] * dets["au_c"]
@@ -469,30 +538,8 @@ def classify_singularity(
     hess = _hess_phi_det(field, u0, v0, h_phi, h, corank_tol)
 
     corank_one = max(abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)) <= corank_tol
-    if not corank_one:
-        tag = SingularityClass.NOT_CORANK_ONE
-    elif abs(D) > d_tol:
-        tag = SingularityClass.CROSS_CAP
-    elif hess < -hess_tol and math.hypot(*pair) > pair_tol:
-        tag = SingularityClass.S1_PLUS
-    elif hess > hess_tol:
-        tag = SingularityClass.S1_MINUS
-    else:
-        tag = SingularityClass.UNCLASSIFIED
-
-    diag = SingularityDiagnostics(
-        alpha=q.alpha,
-        beta=q.beta,
-        a_pair=(q.a1, q.a2),
-        b_pair=(q.b1, q.b2),
-        c_pair=(q.c1, q.c2),
-        D=D,
-        hess_phi=hess,
-        independence_pair=pair,
-        newton_iters=newton_iters,
-        converged=abs(q.alpha) + abs(q.beta) < refine_tol,
-    )
-    return SingularityReport(u=u0, v=v0, classification=tag, diagnostics=diag)
+    return _report(u0, v0, q, not corank_one, abs(D) > d_tol, D, hess, pair,
+                   hess_tol, pair_tol, newton_iters, refine_tol)
 
 
 def horocyclic_classify_singularity(
@@ -517,7 +564,7 @@ def horocyclic_classify_singularity(
     A point violating a1 = b1 = 0 within ``tol`` is regular, reported
     ``not_corank_one``.
     """
-    field = _as_field(inv_field)
+    field = _stencil_field(inv_field, u0, v0, h, h_phi)
     q, d = _invariant_partials(field, u0, v0, h)
 
     bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
@@ -526,30 +573,8 @@ def horocyclic_classify_singularity(
     pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
     hess = _hess_phi_det(field, u0, v0, h_phi, h, tol)
 
-    if max(abs(q.a1), abs(q.b1)) > tol:
-        tag = SingularityClass.NOT_CORANK_ONE
-    elif abs(bracket) > d_tol:
-        tag = SingularityClass.CROSS_CAP
-    elif hess < -hess_tol and math.hypot(*pair) > pair_tol:
-        tag = SingularityClass.S1_PLUS
-    elif hess > hess_tol:
-        tag = SingularityClass.S1_MINUS
-    else:
-        tag = SingularityClass.UNCLASSIFIED
-
-    diag = SingularityDiagnostics(
-        alpha=q.alpha,
-        beta=q.beta,
-        a_pair=(q.a1, q.a2),
-        b_pair=(q.b1, q.b2),
-        c_pair=(q.c1, q.c2),
-        D=D,
-        hess_phi=hess,
-        independence_pair=pair,
-        newton_iters=newton_iters,
-        converged=abs(q.alpha) + abs(q.beta) < refine_tol,
-    )
-    return SingularityReport(u=u0, v=v0, classification=tag, diagnostics=diag)
+    return _report(u0, v0, q, max(abs(q.a1), abs(q.b1)) > tol, abs(bracket) > d_tol, D, hess, pair,
+                   hess_tol, pair_tol, newton_iters, refine_tol)
 
 
 def singularity_scan(

@@ -1,8 +1,20 @@
 """Parametric maps, 2-jets and rectangular domains.
 
-A :class:`ParametricMap4` wraps a point evaluator ``(u, v) -> ndarray``
-together with optional closed-form partial derivatives.  Whatever is not
-supplied in closed form is obtained by central finite differences:
+A :class:`ParametricMap4` wraps an evaluator ``(u, v) -> ndarray``
+together with optional closed-form partial derivatives.  Evaluators
+broadcast: ``u`` and ``v`` are Python floats or arrays of one shape, and
+the result is component-first, of shape ``(k, *shape)`` - ``(k,)`` for
+floats.  Build results with :func:`components`, which accepts constant
+components beside array ones, and write formulas with ``np.`` functions
+rather than ``math.`` (or with :func:`sqrt`, :func:`sin`, :func:`cos`
+here, which take the faster ``math`` route for one float), and powers as
+products.  A map may also return one constant ``(k,)``
+vector; :func:`evaluate` broadcasts it over the grid.  Every grid sweep
+evaluates a whole ``(nv, nu)`` grid (:meth:`Domain.mesh`, v-major) in one
+call, and a refusal names the first offending point in v-major order.
+
+Whatever is not supplied in closed form is obtained by central finite
+differences:
 
 * first partials: 2-point stencil, step ``h1`` (default ``1e-5``),
 * pure second partials: 3-point stencil, step ``h2`` (default ``1e-4``),
@@ -23,6 +35,7 @@ behave predictably in convergence studies.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +50,13 @@ __all__ = [
     "Jet2",
     "ParametricMap4",
     "OnH3Report",
+    "components",
+    "evaluate",
+    "first_true",
+    "zero4",
+    "sqrt",
+    "sin",
+    "cos",
     "evaluate_jet",
     "first_partials",
     "check_on_h3",
@@ -85,6 +105,10 @@ class Domain:
 
     def v_grid(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, self.nv)
+
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid arrays ``(U, V)`` of shape ``(nv, nu)``; flat order is v-major."""
+        return np.meshgrid(self.u_grid(), self.v_grid())
 
     def cell(self) -> tuple[float, float]:
         """Grid spacing (du, dv)."""
@@ -161,24 +185,76 @@ class ParametricMap4:
         )
 
 
-def _check_margin(m: ParametricMap4, u: float, v: float, h: float):
-    if m.domain is not None and not m.domain.contains(u, v, margin=2.0 * h):
+def components(*values) -> np.ndarray:
+    """Component-first array from scalars and equal-shape arrays (float
+    unless every component is an integer)."""
+    try:
+        return np.array(values)
+    except ValueError:  # constant components beside grid-shaped ones
+        return np.array(np.broadcast_arrays(*values), dtype=float)
+
+
+def _scalar_fast(np_fn, math_fn):
+    """``np_fn``, computed by ``math_fn`` on the floats it accepts: the two round
+    sqrt, sin and cos identically, and math is several times faster on one."""
+
+    def fn(x):
+        try:
+            return math_fn(x)
+        except (TypeError, ValueError):  # arrays, negative radicands, infinities
+            return np_fn(x)
+
+    return fn
+
+
+sqrt = _scalar_fast(np.sqrt, math.sqrt)
+sin = _scalar_fast(np.sin, math.sin)
+cos = _scalar_fast(np.cos, math.cos)
+
+
+def zero4(u, v) -> np.ndarray:
+    """The zero map into R^4_1, shaped like ``u``."""
+    return np.zeros((4,) + getattr(u, "shape", ()))
+
+
+def evaluate(fn: VecFn, u, *args) -> np.ndarray:
+    """``fn(u, *args)`` as a float array of shape ``(k, *shape(u))``."""
+    out = np.asarray(fn(u, *args), dtype=float)
+    shape = getattr(u, "shape", ())  # np.shape costs a microsecond per float
+    if out.shape[1:] != shape:  # one constant vector for the whole grid
+        out = np.broadcast_to(out.reshape((-1,) + (1,) * len(shape)), out.shape[:1] + shape)
+    return out
+
+
+def first_true(mask) -> Optional[int]:
+    """Flat (v-major) index of the first True entry of ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _check_margin(m: ParametricMap4, u, v, h: float):
+    if m.domain is None:
+        return
+    d, m2 = m.domain, 2.0 * h
+    u, v = np.asarray(u), np.asarray(v)
+    k = first_true(~((d.u_min + m2 <= u) & (u <= d.u_max - m2)
+                     & (d.v_min + m2 <= v) & (v <= d.v_max - m2)))
+    if k is not None:
         raise BoundaryError(
-            f"point ({u}, {v}) is closer than 2h = {2.0 * h} to the boundary of "
-            f"[{m.domain.u_min}, {m.domain.u_max}] x "
-            f"[{m.domain.v_min}, {m.domain.v_max}]"
+            f"point ({u.flat[k]}, {v.flat[k]}) is closer than "
+            f"2h = {m2} to the boundary of [{d.u_min}, {d.u_max}] x [{d.v_min}, {d.v_max}]"
         )
 
 
-def first_partials(m: ParametricMap4, u: float, v: float):
+def first_partials(m: ParametricMap4, u, v):
     """(x, x_u, x_v) without touching second derivatives."""
-    x = np.asarray(m.value(u, v), dtype=float)
+    x = evaluate(m.value, u, v)
     if m.has_closed_firsts:
-        return x, np.asarray(m.du(u, v), dtype=float), np.asarray(m.dv(u, v), dtype=float)
+        return x, evaluate(m.du, u, v), evaluate(m.dv, u, v)
     h = m.h1
     _check_margin(m, u, v, h)
-    xu = (np.asarray(m.value(u + h, v), dtype=float) - m.value(u - h, v)) / (2.0 * h)
-    xv = (np.asarray(m.value(u, v + h), dtype=float) - m.value(u, v - h)) / (2.0 * h)
+    xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)
+    xv = (evaluate(m.value, u, v + h) - evaluate(m.value, u, v - h)) / (2.0 * h)
     return x, xu, xv
 
 
@@ -191,21 +267,18 @@ def evaluate_jet(m: ParametricMap4, u: float, v: float) -> Jet2:
     x, xu, xv = first_partials(m, u, v)
 
     if m.has_closed_seconds:
-        xuu = np.asarray(m.duu(u, v), dtype=float)
-        xuv = np.asarray(m.duv(u, v), dtype=float)
-        xvv = np.asarray(m.dvv(u, v), dtype=float)
-        return Jet2(x, xu, xv, xuu, xuv, xvv)
+        return Jet2(x, xu, xv, *(evaluate(fn, u, v) for fn in (m.duu, m.duv, m.dvv)))
 
     h = m.h2
     _check_margin(m, u, v, h)
     if m.has_closed_firsts:
         # Central differences of the exact first partials.
-        xuu = (np.asarray(m.du(u + h, v), dtype=float) - m.du(u - h, v)) / (2.0 * h)
-        xvv = (np.asarray(m.dv(u, v + h), dtype=float) - m.dv(u, v - h)) / (2.0 * h)
-        xuv = (np.asarray(m.du(u, v + h), dtype=float) - m.du(u, v - h)) / (2.0 * h)
+        xuu = (evaluate(m.du, u + h, v) - evaluate(m.du, u - h, v)) / (2.0 * h)
+        xvv = (evaluate(m.dv, u, v + h) - evaluate(m.dv, u, v - h)) / (2.0 * h)
+        xuv = (evaluate(m.du, u, v + h) - evaluate(m.du, u, v - h)) / (2.0 * h)
         return Jet2(x, xu, xv, xuu, xuv, xvv)
 
-    f = lambda uu, vv: np.asarray(m.value(uu, vv), dtype=float)
+    f = lambda uu, vv: evaluate(m.value, uu, vv)
     xuu = (f(u + h, v) - 2.0 * x + f(u - h, v)) / (h * h)
     xvv = (f(u, v + h) - 2.0 * x + f(u, v - h)) / (h * h)
     xuv = (f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)) / (

@@ -49,7 +49,13 @@ from h3frames.singularities import (
     find_singular_points,
     horocyclic_classify_singularity,
 )
-from h3frames.surface import Domain, ParametricMap4, fd_convergence_ratio, first_partials
+from h3frames.surface import (
+    Domain,
+    ParametricMap4,
+    components,
+    fd_convergence_ratio,
+    first_partials,
+)
 
 INVARIANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", "g1", "g2")
 
@@ -300,13 +306,13 @@ def test_criterion_08_r31_bridge(gate):
             assert lightcone_residual(lc) < 1e-8, axis
 
         def sheet(u, v):
-            return np.array([math.sqrt(2.0 + u * u + v * v), u, v])
+            return components(np.sqrt(2.0 + u * u + v * v), u, v)
 
         def sheet_du(u, v):
-            return np.array([u / math.sqrt(2.0 + u * u + v * v), 1.0, 0.0])
+            return components(u / np.sqrt(2.0 + u * u + v * v), 1.0, 0.0)
 
         def sheet_dv(u, v):
-            return np.array([v / math.sqrt(2.0 + u * u + v * v), 0.0, 1.0])
+            return components(v / np.sqrt(2.0 + u * u + v * v), 0.0, 1.0)
 
         xt = ParametricMap4(value=sheet, du=sheet_du, dv=sheet_dv)
         dom = Domain(0.2, 0.5, 0.2, 0.5, nu=7, nv=7)

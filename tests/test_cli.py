@@ -294,6 +294,42 @@ def test_project_file_input(tmp_path, capsys):
     assert rows[0] == "0 0 0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--from", "h3", "--to", "disc", "--point", "nan", "0", "0", "0"],
+        ["--from", "disc", "--to", "h3", "--point", "nan", "0", "0"],
+        ["--from", "h3", "--to", "r31", "--point", "1", "0", "0", "nan"],
+    ],
+)
+def test_project_rejects_non_finite_point(capsys, argv):
+    code, out, err = _run(capsys, ["project", *argv])
+    assert code == 4
+    assert err.startswith("error: --point: non-finite coordinate")
+    assert out == ""
+
+
+def test_project_rejects_non_finite_file_row(tmp_path, capsys):
+    src = tmp_path / "pts.txt"
+    src.write_text("1 0 0 0\n\n-inf 0 0 0\n")
+    code, out, err = _run(capsys, ["project", "--from", "h3", "--to", "disc", "--input", str(src)])
+    assert code == 4
+    assert err.startswith(f"error: {src}:3: non-finite coordinate")
+    assert out == ""
+
+
+@pytest.mark.parametrize("to", ["disc", "r31"])
+def test_project_refuses_h3_input_off_the_upper_sheet(capsys, to):
+    code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
+                                   "--point", "2", "0", "0", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: <x,x> = -4.000000e+00, expected -1 within 1e-09\n"
+    code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
+                                   "--point", "-1.4142135623730951", "1", "0", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: x1 = -1.414214e+00 is not on the upper branch\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

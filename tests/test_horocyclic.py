@@ -38,7 +38,7 @@ from h3frames.singularities import (
     find_singular_points,
     horocyclic_classify_singularity,
 )
-from h3frames.surface import Domain
+from h3frames.surface import Domain, components
 
 ON_H3_TOL = 1e-12
 BRIDGE_TOL = 1e-7
@@ -55,12 +55,12 @@ E2 = np.array([0.0, 0.0, 1.0, 0.0])
 def _helix_data():
     """a0 boosts in the x1-x2 plane; the exact curvature tuple is (1,0,0,0,0,0)."""
     a0 = Curve4(
-        value=lambda u: np.array([math.cosh(u), math.sinh(u), 0.0, 0.0]),
-        d=lambda u: np.array([math.sinh(u), math.cosh(u), 0.0, 0.0]),
+        value=lambda u: components(np.cosh(u), np.sinh(u), 0.0, 0.0),
+        d=lambda u: components(np.sinh(u), np.cosh(u), 0.0, 0.0),
     )
     a1 = Curve4(
-        value=lambda u: np.array([math.sinh(u), math.cosh(u), 0.0, 0.0]),
-        d=lambda u: np.array([math.cosh(u), math.sinh(u), 0.0, 0.0]),
+        value=lambda u: components(np.sinh(u), np.cosh(u), 0.0, 0.0),
+        d=lambda u: components(np.cosh(u), np.sinh(u), 0.0, 0.0),
     )
     a2 = Curve4(value=lambda u: E2.copy(), d=lambda u: np.zeros(4))
     one = lambda u: 1.0

@@ -38,7 +38,7 @@ from h3frames.projections import (
     verify_disc_framed,
     write_disc_mesh,
 )
-from h3frames.surface import Domain, ParametricMap4, first_partials
+from h3frames.surface import Domain, ParametricMap4, components, first_partials
 
 ROUND_TRIP_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -184,20 +184,20 @@ def test_transport_to_h3_flat_patch():
     zero3 = lambda u, v: np.zeros(3)
 
     def n2_value(u, v):
-        n = math.hypot(u, v)
-        return np.array([-v / n, u / n, 0.0])
+        n = np.hypot(u, v)
+        return components(-v / n, u / n, 0.0)
 
     def n2_du(u, v):
-        n = math.hypot(u, v)
-        return np.array([u * v / n**3, v * v / n**3, 0.0])
+        n = np.hypot(u, v)
+        return components(u * v / n**3, v * v / n**3, 0.0)
 
     def n2_dv(u, v):
-        n = math.hypot(u, v)
-        return np.array([-u * u / n**3, -u * v / n**3, 0.0])
+        n = np.hypot(u, v)
+        return components(-u * u / n**3, -u * v / n**3, 0.0)
 
     dfs = DiscFramedSurface(
         xbar=ParametricMap4(
-            value=lambda u, v: np.array([u, v, 0.0]),
+            value=lambda u, v: components(u, v, 0.0),
             du=lambda u, v: np.array([1.0, 0.0, 0.0]),
             dv=lambda u, v: np.array([0.0, 1.0, 0.0]),
         ),
@@ -264,11 +264,11 @@ def test_project_to_r31_nonspacelike_error():
 
 def _sheet():
     """x1^2 - x2^2 - x3^2 = 2 everywhere: a clean lift input."""
-    r = lambda u, v: math.sqrt(2.0 + u * u + v * v)
+    r = lambda u, v: np.sqrt(2.0 + u * u + v * v)
     return ParametricMap4(
-        value=lambda u, v: np.array([r(u, v), u, v]),
-        du=lambda u, v: np.array([u / r(u, v), 1.0, 0.0]),
-        dv=lambda u, v: np.array([v / r(u, v), 0.0, 1.0]),
+        value=lambda u, v: components(r(u, v), u, v),
+        du=lambda u, v: components(u / r(u, v), 1.0, 0.0),
+        dv=lambda u, v: components(v / r(u, v), 0.0, 1.0),
     )
 
 
