@@ -58,6 +58,7 @@ __all__ = ["RunConfig", "main", "entry_point"]
 OUTPUT_DIR_ENV = "H3FRAMES_OUT_DIR"
 
 _MODELS = ("h3", "disc", "r31")
+_AXES = ("x2", "x3", "x4")
 _MODEL_ARITY = {"h3": 4, "disc": 3, "r31": 3}
 
 
@@ -167,6 +168,8 @@ def _read_config_file(path: str) -> dict:
                 values[key] = caster(val)
             except ValueError as exc:
                 raise _UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
+            if key == "axis" and val not in _AXES:
+                raise _UsageError(f"{path}:{lineno}: bad value for axis: expected one of {', '.join(_AXES)}")
     return values
 
 
@@ -208,7 +211,7 @@ def _build_parser() -> _Parser:
     )
     project.add_argument("--from", dest="frm", choices=_MODELS, required=True)
     project.add_argument("--to", dest="to", choices=_MODELS, required=True)
-    project.add_argument("--axis", choices=("x2", "x3", "x4"))
+    project.add_argument("--axis", choices=_AXES)
     project.add_argument("--point", nargs="+", type=float, help="one point inline")
     project.add_argument("--input", help="file of whitespace-separated points")
     return parser
@@ -223,8 +226,9 @@ def _merged(args: argparse.Namespace, key: str, file_values: dict, default=None)
     return default
 
 
-def _resolve_config(args: argparse.Namespace, default_domain: Optional[Domain]) -> RunConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
+def _resolve_config(
+    args: argparse.Namespace, file_values: dict, default_domain: Optional[Domain]
+) -> RunConfig:
     grid = getattr(args, "grid", None)
     nu_flag, nv_flag = (grid if grid else (None, None))
 
@@ -265,11 +269,9 @@ def _config_domain(cfg: RunConfig, template: Optional[Domain]) -> Domain:
     )
 
 
-def _load_example(args: argparse.Namespace):
+def _load_example(args: argparse.Namespace, file_values: dict):
     """The example must be known before defaults resolve (domain comes from it)."""
-    name = getattr(args, "example", None)
-    if name is None and args.config:
-        name = _read_config_file(args.config).get("example")
+    name = _merged(args, "example", file_values)
     if not name:
         raise _UsageError("an example name is required (--example)")
     try:
@@ -370,10 +372,7 @@ def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
     return out
 
 
-def cmd_classify(cfg: RunConfig) -> str:
-    if not cfg.profile:
-        raise _UsageError("classify needs an h-profile (--profile)")
-    profile = load_h_profile(cfg.profile)
+def cmd_classify(cfg: RunConfig, profile) -> str:
     h_form = classify_horocyclic(profile.values, tol=cfg.classify_tol)
 
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -422,11 +421,10 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
     return x
 
 
-def cmd_project(cfg: RunConfig, args: argparse.Namespace) -> str:
+def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> str:
     frm, to = args.frm, args.to
     if frm == to:
         raise _UsageError("--from and --to must differ")
-    axis = Axis[(args.axis or "x4").upper()]
     if (args.point is None) == (args.input is None):
         raise _UsageError("give exactly one of --point or --input")
 
@@ -468,28 +466,29 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        file_values = _read_config_file(args.config) if args.config else {}
         if args.command in ("invariants", "singular", "mesh"):
-            entry = _load_example(args)
-            cfg = _resolve_config(args, entry.framed.domain)
+            entry = _load_example(args, file_values)
+            cfg = _resolve_config(args, file_values, entry.framed.domain)
             if args.command == "invariants":
                 text = cmd_invariants(cfg, entry)
             elif args.command == "singular":
                 text = cmd_singular(cfg, entry)
             else:
-                text = cmd_mesh(cfg, entry, bool(args.markers))
+                text = cmd_mesh(cfg, entry, _merged(args, "markers", file_values, False))
         elif args.command == "classify":
-            file_values = _read_config_file(args.config) if args.config else {}
-            profile_path = args.profile or file_values.get("profile")
+            profile_path = _merged(args, "profile", file_values)
             if not profile_path:
                 raise _UsageError("classify needs an h-profile (--profile)")
             prof = load_h_profile(profile_path)
             default = Domain(prof.u_min, prof.u_max, -1.5, 1.5, nu=21, nv=21)
-            cfg = _resolve_config(args, default)
-            text = cmd_classify(cfg)
+            cfg = _resolve_config(args, file_values, default)
+            text = cmd_classify(cfg, prof)
         elif args.command == "project":
             unit = Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)  # unused placeholder
-            cfg = _resolve_config(args, unit)
-            text = cmd_project(cfg, args)
+            cfg = _resolve_config(args, file_values, unit)
+            axis = Axis[_merged(args, "axis", file_values, "x4").upper()]
+            text = cmd_project(cfg, args, axis)
         else:  # pragma: no cover - argparse enforces the choices
             raise _UsageError(f"unknown command {args.command!r}")
         _emit(text, cfg.output)

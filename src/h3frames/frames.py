@@ -63,6 +63,7 @@ __all__ = [
     "invariants_at",
     "invariants_grid",
     "invariant_field",
+    "invariant_partials",
     "verify_framed",
     "integrability_residuals",
     "reflect",
@@ -235,8 +236,30 @@ def invariants_grid(
 
 
 def invariant_field(fs: FramedSurface, gram_tol: float = GRAM_DEGENERATE_TOL) -> Callable[[float, float], Invariants]:
-    """Invariants as a function of (u, v)."""
+    """Invariants as a function of (u, v), floats or equal-shape arrays."""
     return lambda u, v: invariants_at(fs, u, v, gram_tol=gram_tol)
+
+
+def invariant_partials(
+    field: Callable[[float, float], Invariants], u, v, h: float
+) -> tuple[Invariants, dict]:
+    """Invariants at (u, v) and the central differences (step ``h``) of the
+    twelve invariants, alpha and beta, keyed like 'a1_u' and 'alpha_v'.
+
+    ``u, v`` are floats or equal-shape arrays.  The field is called once on
+    the stencil (u, v), (u + h, v), (u - h, v), (u, v + h), (u, v - h),
+    stacked on a last axis, so a refusal names the first stencil point in
+    that order; components the field returns as constants are broadcast.
+    """
+    U = np.stack([u, u + h, u - h, u, u], axis=-1)
+    V = np.stack([v, v, v, v + h, v - h], axis=-1)
+    inv = field(U, V)
+    cols = {k: np.broadcast_to(getattr(inv, k), U.shape) for k in _INVARIANT_NAMES + ("alpha", "beta")}
+    d = {}
+    for k, c in cols.items():
+        d[k + "_u"] = (c[..., 1] - c[..., 2]) / (2.0 * h)
+        d[k + "_v"] = (c[..., 3] - c[..., 4]) / (2.0 * h)
+    return Invariants(*(cols[k][..., 0] for k in _INVARIANT_NAMES)), d
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,29 +318,21 @@ def integrability_residuals(
 ) -> IntegrabilityResiduals:
     """Evaluate the six integrability residuals over the sampling grid.
 
-    Invariant derivatives are 2-point central differences with step ``h``;
-    the grid must be evaluable with that margin.  Each point and its four
-    stencil points are evaluated together, in the order (u, v), (u + h, v),
-    (u - h, v), (u, v + h), (u, v - h).
+    Invariant derivatives are 2-point central differences with step ``h``
+    (:func:`invariant_partials`); the grid must be evaluable with that
+    margin.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     dom = domain or fs.domain
-    U, V = dom.mesh()
-    inv = invariants_at(
-        fs, np.stack([U, U + h, U - h, U, U], axis=-1),
-        np.stack([V, V, V, V + h, V - h], axis=-1), gram_tol=gram_tol,
-    )
-    q = Invariants(*(getattr(inv, k)[..., 0] for k in _INVARIANT_NAMES))
-    d_u = {k: (getattr(inv, k)[..., 1] - getattr(inv, k)[..., 2]) / (2.0 * h) for k in _INVARIANT_NAMES}
-    d_v = {k: (getattr(inv, k)[..., 3] - getattr(inv, k)[..., 4]) / (2.0 * h) for k in _INVARIANT_NAMES}
+    q, d = invariant_partials(invariant_field(fs, gram_tol), *dom.mesh(), h)
     out = (
-        (d_v["a1"] - q.b1 * q.e2 - q.c1 * q.f2) - (d_u["a2"] - q.b2 * q.e1 - q.c2 * q.f1),
-        (d_v["b1"] + q.a1 * q.e2 - q.c1 * q.g2) - (d_u["b2"] + q.a2 * q.e1 - q.c2 * q.g1),
-        (d_v["c1"] + q.a1 * q.f2 + q.b1 * q.g2) - (d_u["c2"] + q.a2 * q.f1 + q.b2 * q.g1),
-        (d_v["e1"] - q.f1 * q.g2) - (d_u["e2"] - q.f2 * q.g1),
-        (d_v["f1"] + q.e1 * q.g2 + q.a1 * q.c2) - (d_u["f2"] + q.e2 * q.g1 + q.a2 * q.c1),
-        (d_v["g1"] - q.e1 * q.f2 + q.b1 * q.c2) - (d_u["g2"] - q.e2 * q.f1 + q.b2 * q.c1),
+        (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
+        (d["b1_v"] + q.a1 * q.e2 - q.c1 * q.g2) - (d["b2_u"] + q.a2 * q.e1 - q.c2 * q.g1),
+        (d["c1_v"] + q.a1 * q.f2 + q.b1 * q.g2) - (d["c2_u"] + q.a2 * q.f1 + q.b2 * q.g1),
+        (d["e1_v"] - q.f1 * q.g2) - (d["e2_u"] - q.f2 * q.g1),
+        (d["f1_v"] + q.e1 * q.g2 + q.a1 * q.c2) - (d["f2_u"] + q.e2 * q.g1 + q.a2 * q.c1),
+        (d["g1_v"] - q.e1 * q.f2 + q.b1 * q.c2) - (d["g2_u"] - q.e2 * q.f1 + q.b2 * q.c1),
     )
     return IntegrabilityResiduals(u=dom.u_grid(), v=dom.v_grid(), r=out, h=h)
 

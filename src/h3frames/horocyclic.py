@@ -42,7 +42,7 @@ from .frames import (
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
-from .surface import Domain, ParametricMap4, evaluate, sqrt, zero4
+from .surface import Domain, ParametricMap4, evaluate, first_true, sqrt, zero4
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -122,16 +122,11 @@ class HorocyclicData:
 
 
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
-    """Max Gram residual of {a0, a1, a2, a3} over the given u samples."""
-    worst = 0.0
-    for u in us:
-        worst = max(
-            worst,
-            frame_gram_residual(
-                data.a0.value(u), data.a1.value(u), data.a2.value(u), data.a3(u)
-            ),
-        )
-    return worst
+    """Max Gram residual of {a0, a1, a2, a3} over the given u samples (nan
+    where a frame vector is not finite)."""
+    u = np.asarray(us, dtype=float)
+    vecs = (evaluate(c.value, u) for c in (data.a0, data.a1, data.a2))
+    return float(np.max(frame_gram_residual(*vecs, data.a3(u)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +206,8 @@ def build_horocyclic(
 
 
 def horocyclic_invariants(data: HorocyclicData) -> Callable[[float, float], Invariants]:
-    """Closed-form invariant field of the swept surface in terms of h1..h6."""
+    """Closed-form invariant field of the swept surface in terms of h1..h6;
+    it broadcasts over arrays ``u, v`` when the h functions do."""
 
     def field(u: float, v: float) -> Invariants:
         h1, h2, h3, h4, h5, h6 = (hi(u) for hi in data.h)
@@ -497,26 +493,25 @@ def invariant_form_classify(
     c1 + g1 = h4 - h1, b1 - v (c1 + g1) = h2, a1 - e1 = h3 + h6,
     f1 - v (a1 - e1) = h5, (v^2 + 2) a1 - v^2 e1 - 2 v f1 = 2 h3.
     """
-    rows = []
-    for v in domain.v_grid():
-        for u in domain.u_grid():
-            q = inv_field(u, v)
-            for name, want in _HORO_CONSTANTS.items():
-                got = getattr(q, name)
-                if abs(got - want) > tol:
-                    raise NotHorocyclicError(
-                        f"invariant {name} = {got:.6g} at ({u:.6g}, {v:.6g}), "
-                        f"expected the horocyclic constant {want}"
-                    )
-            rows.append((v, q))
+    U, V = domain.mesh()
+    q = inv_field(U, V)
 
-    c1 = np.array([q.c1 for _, q in rows])
-    g1 = np.array([q.g1 for _, q in rows])
-    b1 = np.array([q.b1 for _, q in rows])
-    a1 = np.array([q.a1 for _, q in rows])
-    e1 = np.array([q.e1 for _, q in rows])
-    f1 = np.array([q.f1 for _, q in rows])
-    v = np.array([vv for vv, _ in rows])
+    def col(name):  # v-major, constants broadcast
+        return np.broadcast_to(getattr(q, name), U.shape).ravel()
+
+    names, wants = list(_HORO_CONSTANTS), list(_HORO_CONSTANTS.values())
+    got = np.stack([col(name) for name in names])
+    bad = np.abs(got - np.array(wants)[:, None]) > tol
+    k = first_true(bad.any(axis=0))  # the first node, v-major
+    if k is not None:
+        j = first_true(bad[:, k])  # its first failing name
+        raise NotHorocyclicError(
+            f"invariant {names[j]} = {got[j, k]:.6g} at ({U.flat[k]:.6g}, {V.flat[k]:.6g}), "
+            f"expected the horocyclic constant {wants[j]}"
+        )
+
+    c1, g1, b1, a1, e1, f1 = (col(name) for name in ("c1", "g1", "b1", "a1", "e1", "f1"))
+    v = V.ravel()
 
     bracket = (v * v + 2.0) * a1 - v * v * e1 - 2.0 * v * f1
     s = a1 - e1  # = h3 + h6
@@ -572,9 +567,12 @@ class HProfile:
 
     @property
     def h_funcs(self) -> HFuncs:
-        return tuple(
-            (lambda j: lambda u: float(self._spline(u)[j]))(j) for j in range(6)
-        )
+        """h1..h6 as functions of u, a float or an array."""
+
+        def h(j):
+            return lambda u: float(self._spline(u)[j]) if isinstance(u, float) else self._spline(u)[..., j]
+
+        return tuple(h(j) for j in range(6))
 
 
 def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:

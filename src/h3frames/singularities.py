@@ -19,6 +19,14 @@ classified through invariant-level criteria:
   evaluated by :func:`phi` below, separates S1+ (negative, together with
   a nonvanishing independence pair) from S1- (positive).
 
+Invariant fields broadcast like maps: ``(u, v)`` are floats or equal-shape
+arrays and constant components are allowed.  Each stage is one field
+call: the screen over the whole grid and, through
+:func:`h3frames.frames.invariant_partials`, each Newton Jacobian over its
+stencil and each classification over the 45 points behind its partials
+and det Hess(phi).  The Newton iteration itself evaluates one point per
+step.
+
 Values that straddle a threshold are reported ``unclassified`` rather
 than guessed.  The degenerate direction eta = c2 d/du - c1 d/dv and its
 transverse companion xi = c1 d/du + c2 d/dv are fixed once and for all;
@@ -43,8 +51,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CDegenerateError
-from .frames import FramedSurface, Invariants, invariant_field
-from .surface import Domain
+from .frames import FramedSurface, Invariants, invariant_field, invariant_partials
+from .surface import Domain, first_true
 
 __all__ = [
     "REFINE_TOL",
@@ -161,17 +169,22 @@ def _alpha_beta(field: InvariantField, u: float, v: float) -> np.ndarray:
     return np.array([inv.alpha, inv.beta])
 
 
-def _safe_alpha_beta(field: InvariantField, u: float, v: float) -> Optional[np.ndarray]:
-    """(alpha, beta), or None where the surface cannot be evaluated (a wild
+def _finite_or_none(call: Callable[[], np.ndarray]) -> Optional[np.ndarray]:
+    """``call()``, or None where the surface cannot be evaluated (a wild
     Newton step can leave the numerically representable range entirely)."""
     try:
         with np.errstate(all="ignore"):
-            f = _alpha_beta(field, u, v)
+            f = call()
     except (ArithmeticError, ValueError):
         return None
     if not np.all(np.isfinite(f)):
         return None
     return f
+
+
+def _safe_alpha_beta(field: InvariantField, u: float, v: float) -> Optional[np.ndarray]:
+    """(alpha, beta) at one point, or None where it cannot be evaluated."""
+    return _finite_or_none(lambda: _alpha_beta(field, u, v))
 
 
 def _newton_refine(
@@ -232,20 +245,14 @@ def _newton_refine(
 
 
 def _jacobian(field: InvariantField, p: np.ndarray) -> Optional[np.ndarray]:
-    """Central-difference Jacobian of (alpha, beta), or None where the
-    stencil cannot be evaluated."""
-    h = H_INVARIANT
-    stencil = [
-        _safe_alpha_beta(field, p[0] + h, p[1]),
-        _safe_alpha_beta(field, p[0] - h, p[1]),
-        _safe_alpha_beta(field, p[0], p[1] + h),
-        _safe_alpha_beta(field, p[0], p[1] - h),
-    ]
-    if any(s is None for s in stencil):
-        return None
-    return np.column_stack(
-        [(stencil[0] - stencil[1]) / (2.0 * h), (stencil[2] - stencil[3]) / (2.0 * h)]
-    )
+    """Central-difference Jacobian of (alpha, beta) from one field call, or
+    None where the stencil cannot be evaluated."""
+
+    def jac():
+        _, d = invariant_partials(field, p[0], p[1], H_INVARIANT)
+        return np.array([[d["alpha_u"], d["alpha_v"]], [d["beta_u"], d["beta_v"]]])
+
+    return _finite_or_none(jac)
 
 
 def _canonicalize_u(u: float, dom: Domain, snap: float = 0.0) -> float:
@@ -292,19 +299,15 @@ def find_singular_points(
         domain = fs.domain
     field = _as_field(fs)
 
-    ug, vg = domain.u_grid(), domain.v_grid()
-    alpha = np.empty((len(vg), len(ug)))
-    beta = np.empty_like(alpha)
-    for iv, v in enumerate(vg):
-        for iu, u in enumerate(ug):
-            inv = field(u, v)
-            alpha[iv, iu] = inv.alpha
-            beta[iv, iu] = inv.beta
+    U, V = domain.mesh()
+    inv = field(U, V)
+    alpha, beta = np.broadcast_to(inv.alpha, U.shape), np.broadcast_to(inv.beta, U.shape)
 
     def candidate(g: np.ndarray) -> np.ndarray:
         corners = np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]])
         return np.abs(corners).min(axis=0) <= corners.max(axis=0) - corners.min(axis=0)
 
+    ug, vg = domain.u_grid(), domain.v_grid()
     records = [
         _newton_refine(field, 0.5 * (ug[iu] + ug[iu + 1]), 0.5 * (vg[iv] + vg[iv + 1]), tol)
         for iv, iu in zip(*np.nonzero(candidate(alpha) & candidate(beta)))  # v-major
@@ -356,48 +359,13 @@ def _merge_roots(
     return sorted(tuple(r) for r in roots)
 
 
-def _stencil_field(fs: FieldLike, u: float, v: float, h: float, h_phi: float) -> InvariantField:
-    """The field that classifying (u, v) reads.  For a FramedSurface, the 45
-    points behind the partials and det Hess(phi) come from one array call,
-    equal bit for bit to one-point calls; otherwise, or if that call fails,
-    points are evaluated one by one and raise in evaluation order."""
-    field = _as_field(fs)
-    if not isinstance(fs, FramedSurface):
-        return field
-    pts = [
-        p
-        for uu in (u, u + h_phi, u - h_phi)
-        for vv in (v, v + h_phi, v - h_phi)
-        for p in ((uu, vv), (uu + h, vv), (uu - h, vv), (uu, vv + h), (uu, vv - h))
-    ]
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            inv = field(*np.array(pts).T)
-    except Exception:
-        return field
-    cols = [getattr(inv, f.name) for f in dataclasses.fields(inv)]
-    table = {p: Invariants(*(c[k] for c in cols)) for k, p in enumerate(pts)}
-    return lambda uu, vv: table[uu, vv] if (uu, vv) in table else field(uu, vv)
-
-
-def _invariant_partials(
-    field: InvariantField, u: float, v: float, h: float
-) -> tuple[Invariants, dict[str, float]]:
-    """Center value plus central differences of all twelve invariants,
-    alpha, and beta; keys are like 'a1_u', 'alpha_v'."""
-    q = field(u, v)
-    pu, mu = field(u + h, v), field(u - h, v)
-    pv, mv = field(u, v + h), field(u, v - h)
-    d: dict[str, float] = {}
-    for name in ("a1", "a2", "b1", "b2", "c1", "c2", "alpha", "beta"):
-        d[name + "_u"] = (getattr(pu, name) - getattr(mu, name)) / (2.0 * h)
-        d[name + "_v"] = (getattr(pv, name) - getattr(mv, name)) / (2.0 * h)
-    return q, d
-
-
-def _require_c(q: Invariants, u: float, v: float, tol: float) -> None:
-    if math.hypot(q.c1, q.c2) <= tol:
-        raise CDegenerateError(f"both c-invariants vanish at ({u}, {v}): (c1, c2) = ({q.c1:.3e}, {q.c2:.3e})")
+def _require_c(q: Invariants, u, v, tol: float) -> None:
+    """Refuse at the first point (flat order of ``u, v``) where both
+    c-invariants vanish."""
+    k = first_true(np.hypot(q.c1, q.c2) <= tol)
+    if k is not None:
+        u, v, c1, c2 = (float(np.ravel(a)[k]) for a in (u, v, q.c1, q.c2))
+        raise CDegenerateError(f"both c-invariants vanish at ({u}, {v}): (c1, c2) = ({c1:.3e}, {c2:.3e})")
 
 
 def phi(
@@ -407,7 +375,7 @@ def phi(
     h: float = H_INVARIANT,
     c_tol: float = CORANK_TOL,
 ) -> float:
-    """The 3x3 degeneracy determinant at (u, v).
+    """The 3x3 degeneracy determinant at (u, v), floats or equal-shape arrays.
 
     Rows are the frame components of xi x, eta x and eta eta x, written
     out in invariants (alpha/beta partials by central differences with
@@ -420,43 +388,42 @@ def phi(
     Raises :class:`CDegenerateError` when both c-invariants vanish within
     ``c_tol`` — the degenerate direction eta is undefined there.
     """
-    q, d = _invariant_partials(_as_field(fs), u, v, h)
+    q, d = invariant_partials(_as_field(fs), u, v, h)
     _require_c(q, u, v, c_tol)
+    return _phi(q, d)
+
+
+def _phi(q: Invariants, d: Mapping[str, np.ndarray]) -> np.ndarray:
+    """phi from the invariants and their partials, one 3x3 determinant per point."""
     al, be = q.alpha, q.beta
     ce = q.c1 * q.e2 - q.c2 * q.e1
-    m = np.array(
-        [
-            [q.a1 * q.c1 + q.a2 * q.c2, -be, q.c1 * d["beta_v"] - q.c2 * d["beta_u"] + al * ce],
-            [q.b1 * q.c1 + q.b2 * q.c2, al, q.c2 * d["alpha_u"] - q.c1 * d["alpha_v"] + be * ce],
-            [q.c1 ** 2 + q.c2 ** 2, 0.0, be * (q.c1 * q.f2 - q.c2 * q.f1) + al * (q.c2 * q.g1 - q.c1 * q.g2)],
-        ]
-    )
-    return float(np.linalg.det(m))
+    m = np.stack(np.broadcast_arrays(
+        q.a1 * q.c1 + q.a2 * q.c2, -be, q.c1 * d["beta_v"] - q.c2 * d["beta_u"] + al * ce,
+        q.b1 * q.c1 + q.b2 * q.c2, al, q.c2 * d["alpha_u"] - q.c1 * d["alpha_v"] + be * ce,
+        q.c1 * q.c1 + q.c2 * q.c2, 0.0, be * (q.c1 * q.f2 - q.c2 * q.f1) + al * (q.c2 * q.g1 - q.c1 * q.g2),
+    ), axis=-1)
+    return np.linalg.det(m.reshape(m.shape[:-1] + (3, 3)))
 
 
-def _hess_phi_det(
-    field: InvariantField,
-    u: float,
-    v: float,
-    h_phi: float,
-    h_inv: float,
-    c_tol: float,
-) -> float:
-    """det Hess(phi) by 3-point / 4-corner second differences of phi."""
-
-    def p(uu, vv):
-        return phi(field, uu, vv, h=h_inv, c_tol=c_tol)
-
-    center = p(u, v)
-    fuu = (p(u + h_phi, v) - 2.0 * center + p(u - h_phi, v)) / h_phi ** 2
-    fvv = (p(u, v + h_phi) - 2.0 * center + p(u, v - h_phi)) / h_phi ** 2
-    fuv = (
-        p(u + h_phi, v + h_phi)
-        - p(u + h_phi, v - h_phi)
-        - p(u - h_phi, v + h_phi)
-        + p(u - h_phi, v - h_phi)
-    ) / (4.0 * h_phi ** 2)
-    return fuu * fvv - fuv ** 2
+def _read_point(
+    fs: FieldLike, u0: float, v0: float, h: float, h_phi: float, c_tol: float
+) -> tuple[Invariants, dict, float]:
+    """What classifying (u0, v0) reads, from one field call: the invariants
+    and their partials at the point, and det Hess(phi) by 3-point / 4-corner
+    second differences of phi (step ``h_phi``).  phi is evaluated at the
+    centre, u+-, v+- and then the corners, each with its partials stencil:
+    45 points.  Refuses where both c-invariants vanish at any of the nine."""
+    up, um, vp, vm = u0 + h_phi, u0 - h_phi, v0 + h_phi, v0 - h_phi
+    us = np.array([u0, up, um, u0, u0, up, up, um, um])
+    vs = np.array([v0, v0, v0, vp, vm, vp, vm, vp, vm])
+    q, d = invariant_partials(_as_field(fs), us, vs, h)
+    _require_c(q, us, vs, c_tol)
+    center, pu, mu, pv, mv, pp, pm, mp, mm = _phi(q, d).tolist()
+    fuu = (pu - 2.0 * center + mu) / h_phi ** 2
+    fvv = (pv - 2.0 * center + mv) / h_phi ** 2
+    fuv = (pp - pm - mp + mm) / (4.0 * h_phi ** 2)
+    q0 = Invariants(**{f.name: getattr(q, f.name)[0] for f in dataclasses.fields(q)})
+    return q0, {k: x[0] for k, x in d.items()}, fuu * fvv - fuv ** 2
 
 
 def _row_dets(q: Invariants, d: Mapping[str, float]) -> dict[str, float]:
@@ -525,18 +492,13 @@ def classify_singularity(
     ``newton_iters`` is carried into the diagnostics verbatim so scan
     pipelines can stamp their refinement effort.
     """
-    field = _stencil_field(fs, u0, v0, h, h_phi)
-    q, d = _invariant_partials(field, u0, v0, h)
-    _require_c(q, u0, v0, corank_tol)
-
+    q, d, hess = _read_point(fs, u0, v0, h, h_phi, corank_tol)
     dets = _row_dets(q, d)
     D = dets["bu_c"] * dets["av_c"] - dets["bv_c"] * dets["au_c"]
     pair = (
         -q.c1 * dets["av_c"] + q.c2 * dets["au_c"],
         q.c2 * dets["bu_c"] - q.c1 * dets["bv_c"],
     )
-    hess = _hess_phi_det(field, u0, v0, h_phi, h, corank_tol)
-
     corank_one = max(abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)) <= corank_tol
     return _report(u0, v0, q, not corank_one, abs(D) > d_tol, D, hess, pair,
                    hess_tol, pair_tol, newton_iters, refine_tol)
@@ -564,15 +526,11 @@ def horocyclic_classify_singularity(
     A point violating a1 = b1 = 0 within ``tol`` is regular, reported
     ``not_corank_one``.
     """
-    field = _stencil_field(inv_field, u0, v0, h, h_phi)
-    q, d = _invariant_partials(field, u0, v0, h)
-
+    q, d, hess = _read_point(inv_field, u0, v0, h, h_phi, tol)
     bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
     dets = _row_dets(q, d)
     D = dets["bu_c"] * dets["av_c"] - dets["bv_c"] * dets["au_c"]
     pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
-    hess = _hess_phi_det(field, u0, v0, h_phi, h, tol)
-
     return _report(u0, v0, q, max(abs(q.a1), abs(q.b1)) > tol, abs(bracket) > d_tol, D, hess, pair,
                    hess_tol, pair_tol, newton_iters, refine_tol)
 

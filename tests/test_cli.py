@@ -117,6 +117,52 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert len(_data_lines(out)) == 1 + 15
 
 
+def test_config_file_markers_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("example = ruled_A\nmarkers = true\n")
+    code, out, _ = _run(capsys, ["mesh", "--config", str(cfg)])
+    assert code == 0
+    assert "# markers = true" in out.splitlines()
+    assert len([l for l in out.splitlines() if l.startswith("p ")]) == 2
+
+
+def test_config_file_axis_key_and_flag_override(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("axis = x2\n")
+    argv = ["project", "--config", str(cfg), "--from", "r31", "--to", "h3",
+            "--point", "1.5", "0.5", "0.5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert "# axis = x2" in out.splitlines()
+    assert _data_lines(out)[0].split()[1] != "1.5"  # x2 is the lifted coordinate
+    code, out, _ = _run(capsys, argv + ["--axis", "x3"])
+    assert code == 0
+    assert "# axis = x3" in out.splitlines()
+    cfg.write_text("axis = x5\n")
+    code, _, err = _run(capsys, argv)
+    assert code == 4 and "axis" in err
+
+
+def test_config_file_and_profile_read_once(tmp_path, capsys, monkeypatch):
+    import h3frames.cli as cli
+
+    calls = []
+    for name in ("_read_config_file", "load_h_profile"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda path, real=real, name=name: calls.append(name) or real(path))
+    prof = tmp_path / "prof.csv"
+    _write_profile(prof, (0, 0, 0, 0, 1, 0))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"profile = {prof}\nnu = 5\nnv = 5\n")
+    code, out, _ = _run(capsys, ["classify", "--config", str(cfg)])
+    assert code == 0 and "agree = true" in out
+    assert calls == ["_read_config_file", "load_h_profile"]
+    calls.clear()
+    cfg.write_text("example = cross_cap\nnu = 3\nnv = 3\n")
+    assert _run(capsys, ["invariants", "--config", str(cfg)])[0] == 0
+    assert calls == ["_read_config_file"]
+
+
 def test_output_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("H3FRAMES_OUT_DIR", str(tmp_path))
     assert main(["invariants", "--example", "cross_cap", "--grid", "3", "3",

@@ -30,6 +30,7 @@ from h3frames.frames import (
     integrability_residuals,
     integrate_frame_along_line,
     invariant_field,
+    invariant_partials,
     invariants_at,
     reduction_type,
     reduction_type_grid,
@@ -468,3 +469,28 @@ def test_write_invariants_csv_to_path(tmp_path):
     text = target.read_text(encoding="utf-8")
     assert text.splitlines()[0] == INVARIANT_CSV_HEADER
     assert len(text.splitlines()) == 5
+
+
+def test_invariant_partials_one_call_broadcasting_constants():
+    # a1 = u^2 v, b1 = u - v, c2 = 1 and the rest constant: alpha = b1,
+    # beta = -a1 (c1 = 0)
+    calls = []
+
+    def field(u, v):
+        calls.append(np.shape(u))
+        return Invariants(a1=u * u * v, a2=0.0, b1=u - v, b2=0.0, c1=0.0, c2=1.0,
+                          e1=0.5, e2=0.0, f1=0.0, f2=0.0, g1=0.0, g2=0.0)
+
+    u = np.array([[0.3, -0.2, 1.0], [0.0, 0.5, -1.0]])
+    v = np.array([[0.1, 0.4, -0.7], [2.0, 0.0, 0.3]])
+    q, d = invariant_partials(field, u, v, 1e-5)
+    assert calls == [(2, 3, 5)]
+    assert q.a1.shape == q.e1.shape == d["c2_u"].shape == (2, 3)
+    np.testing.assert_array_equal(q.a1, u * u * v)
+    np.testing.assert_allclose(d["a1_u"], 2.0 * u * v, atol=1e-9)
+    np.testing.assert_allclose(d["a1_v"], u * u, atol=1e-9)
+    np.testing.assert_allclose(d["alpha_v"], -1.0, atol=1e-9)
+    np.testing.assert_allclose(d["beta_u"], -2.0 * u * v, atol=1e-9)
+    assert not d["e1_u"].any() and not d["c2_v"].any()
+    q, d = invariant_partials(field, 0.3, 0.1, 1e-5)  # one point: one call of five
+    assert calls[-1] == (5,) and q.a1 == 0.3 * 0.3 * 0.1

@@ -1,6 +1,8 @@
 """One evaluation path: a grid sweep gives, bit for bit, what one-point
 calls give at each node, and refuses at the same first point (v-major) with
-the same message as a loop over the nodes."""
+the same message as a loop over the nodes.  The singular-set and horocyclic
+pipelines are checked against an invariant field written here that makes
+one-point calls."""
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from h3frames.errors import (
     BoundaryError,
     DegenerateFrameError,
     NonSpacelikeNormalError,
+    NotHorocyclicError,
     PreconditionError,
 )
 from h3frames.examples import get_example
 from h3frames.frames import (
     FramedSurface,
+    Invariants,
     integrability_residuals,
     invariant_field,
     invariants_at,
@@ -23,7 +27,7 @@ from h3frames.frames import (
     verify_framed,
     write_invariants_csv,
 )
-from h3frames.horocyclic import build_horocyclic, integrate_frame_curves
+from h3frames.horocyclic import build_horocyclic, integrate_frame_curves, invariant_form_classify
 from h3frames.minkowski import causal_character, minkowski_dot3, wedge3
 from h3frames.projections import (
     Axis,
@@ -108,23 +112,85 @@ def test_transported_maps_equal_one_point_calls(name, m):
             assert np.array_equal(g.reshape(len(o), -1)[:, k], o), (name, u, v)
 
 
+def _one_point_field(fs):
+    """The invariant field of ``fs`` by one-point calls at each point (in
+    flat order), stacked: the per-point reference of the array pipeline."""
+
+    def field(u, v):
+        u, v = np.broadcast_arrays(u, v)
+        pts = [invariants_at(fs, float(a), float(b)) for a, b in zip(u.ravel(), v.ravel())]
+        return Invariants(*(np.reshape([getattr(q, k) for q in pts], u.shape) for k in NAMES[:12]))
+
+    return field
+
+
 def _outcome(call):
+    """What a call gives: its result (a report as its class and diagnostics)
+    or its error."""
     try:
         rep = call()
     except Exception as exc:
         return type(exc), str(exc)
-    return rep.classification, rep.diagnostics.as_dict()
+    if hasattr(rep, "diagnostics"):
+        return rep.classification, rep.diagnostics.as_dict()
+    return rep
 
 
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
 def test_classify_singularity_equals_one_point_calls(name, fs):
-    # a bare invariant field is evaluated one point at a time
-    field = invariant_field(fs)
+    ref = _one_point_field(fs)
     points = find_singular_points(fs)[:3] + _nodes(_inner(fs.domain, nu=2, nv=2))
     for classify in (classify_singularity, horocyclic_classify_singularity):
         for u, v in points:
-            want = _outcome(lambda: classify(field, u, v))
+            want = _outcome(lambda: classify(ref, u, v))
             assert _outcome(lambda: classify(fs, u, v)) == want, (name, classify.__name__, u, v)
+
+
+@pytest.mark.parametrize("name, fs", list(_surfaces().items()))
+def test_find_singular_points_equals_one_point_calls(name, fs):
+    want = find_singular_points(_one_point_field(fs), fs.domain, full_output=True)
+    assert find_singular_points(fs, full_output=True) == want, name
+
+
+@pytest.mark.parametrize("name", ["horocyclic", "cross_cap"])
+def test_invariant_form_classify_equals_one_point_calls(name):
+    fs = _surfaces()[name]
+    dom = _inner(fs.domain, nu=5, nv=4)
+    want = _outcome(lambda: invariant_form_classify(_one_point_field(fs), dom))
+    assert _outcome(lambda: invariant_form_classify(invariant_field(fs), dom)) == want
+    refused = isinstance(want, tuple) and want[0] is NotHorocyclicError
+    assert refused == (name != "horocyclic")
+
+
+_HORO_CONSTANTS = (("a2", 0.0), ("b2", 0.0), ("c2", -1.0), ("e2", 0.0), ("f2", 0.0), ("g2", 1.0))
+
+
+def test_not_horocyclic_names_the_first_node_then_its_first_name():
+    # off the horocyclic shape at two nodes: a2 at (u0, v2), which comes
+    # first u-major; c2 and f2 at (u2, v1), which comes first v-major
+    dom = Domain(0.0, 0.3, 0.0, 0.2, nu=4, nv=3)
+
+    def field(u, v):
+        at = lambda uu, vv: np.isclose(u, uu) & np.isclose(v, vv)
+        bad = np.where(at(0.2, 0.1), 0.5, 0.0)
+        return Invariants(
+            a1=u, a2=np.where(at(0.0, 0.2), 0.25, 0.0), b1=v, b2=0.0, c1=0.1, c2=-1.0 + bad,
+            e1=0.0, e2=0.0, f1=0.0, f2=bad, g1=0.0, g2=1.0,
+        )
+
+    def one_point_check():  # the loop over nodes and names, written out
+        for u, v in _nodes(dom):
+            q = field(u, v)
+            for k, c in _HORO_CONSTANTS:
+                if abs(getattr(q, k) - c) > 1e-7:
+                    return (f"invariant {k} = {float(getattr(q, k)):.6g} at ({u:.6g}, {v:.6g}), "
+                            f"expected the horocyclic constant {c}")
+
+    want = one_point_check()
+    assert want == "invariant c2 = -0.5 at (0.2, 0.1), expected the horocyclic constant -1.0"
+    with pytest.raises(NotHorocyclicError) as exc:
+        invariant_form_classify(field, dom)
+    assert str(exc.value) == want
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +336,13 @@ def test_lift_precondition_grid_reports_the_loop_minimum():
 
 def test_classify_singularity_refuses_at_the_first_point_it_reads():
     # nu2 stretched where u or v > 0.30005: classifying (0.3, 0.3) reads
-    # (0.3 + h_phi, 0.3) before (0.3, 0.3 + h_phi), the array of its stencil
-    # points holds them the other way round
+    # phi's points in the order centre, u+-, v+-, corners, so the first
+    # refused point is (0.3 + h_phi, 0.3), not (0.3, 0.3 + h_phi)
     cc = get_example("cross_cap").framed
     fs = _cross_cap_with(
         nu2_value=lambda u, v: np.where((u > 0.30005) | (v > 0.30005), 1.01, 1.0) * cc.nu2.value(u, v)
     )
-    want = _outcome(lambda: classify_singularity(invariant_field(fs), 0.3, 0.3))
+    want = _outcome(lambda: classify_singularity(_one_point_field(fs), 0.3, 0.3))
     assert want[0] is DegenerateFrameError
     assert want[1].startswith("frame at (0.3001, 0.3) ")
     assert _outcome(lambda: classify_singularity(fs, 0.3, 0.3)) == want

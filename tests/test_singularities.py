@@ -26,6 +26,7 @@ from h3frames.frames import (
 )
 from h3frames.singularities import (
     RefinementRecord,
+    _jacobian,
     SingularityClass,
     classify_singularity,
     find_singular_points,
@@ -133,6 +134,29 @@ def test_find_singular_points_double_zero_inside_a_cell():
     assert abs(u0 - 0.02) < 1e-8 and abs(v0 - 0.125) < 1e-5
 
 
+def test_each_stage_makes_one_field_call():
+    # the S1+ field below: the screen, each Jacobian and each classifier
+    # read their points through one call of the field
+    shapes = []
+    base = _field(a2=lambda u, v: v + u * u, b2=lambda u, v: u * u + v * v)
+
+    def field(u, v):
+        shapes.append(np.shape(u))
+        return base(u, v)
+
+    classify_singularity(field, 0.0, 0.0)
+    horocyclic_classify_singularity(field, 0.0, 0.0)
+    assert shapes == [(9, 5), (9, 5)]  # 9 phi points, 5 stencil points each
+    shapes.clear()
+    assert _jacobian(field, np.array([0.1, 0.2])).shape == (2, 2)
+    assert shapes == [(5,)]
+    shapes.clear()
+    dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=7)
+    find_singular_points(field, domain=dom)
+    assert shapes[0] == (7, 9)  # the screen
+    assert set(shapes[1:]) == {(), (5,)}  # Newton: one point, or one Jacobian
+
+
 # ---------------------------------------------------------------------------
 # the phi determinant
 # ---------------------------------------------------------------------------
@@ -168,6 +192,18 @@ def test_phi_closed_form_on_synthetic_field():
     for u, v in ((0.2, 0.1), (-0.4, 0.3), (0.0, 0.0)):
         want = 1.0 * b2(u, v) - a2(u, v) * (-2.0 * v)
         assert phi(field, u, v) == pytest.approx(want, abs=1e-9)
+
+
+def test_phi_broadcasts_over_arrays():
+    fs = get_example("ruled_A").framed
+    U, V = np.meshgrid([0.2, 0.5, 1.0], [-0.3, 0.4])
+    got = phi(fs, U, V)
+    assert got.shape == (2, 3)
+    for k in range(got.size):
+        assert got.flat[k] == phi(fs, float(U.flat[k]), float(V.flat[k]))
+    field = _field(a2=lambda u, v: v, b2=lambda u, v: u, c=(0.0, 0.0))
+    with pytest.raises(CDegenerateError, match=r"at \(0\.2, -0\.3\)"):
+        phi(field, U, V)
 
 
 def test_phi_gradient_matches_closed_bracket_on_ruled_a():
