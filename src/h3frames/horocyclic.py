@@ -12,10 +12,12 @@ horo-cones, conical horosphere) reads off either the h functions or the
 invariant field; both classifiers live here and must agree.
 
 Curve frames come from closed forms or from integrating the linear frame
-system (the same ODE shape the surface frame integrator uses, so it is
-reused chunk-wise with periodic re-orthonormalization).  Curves broadcast
-like surface maps: an array of u values gives a component-first
-``(4, *shape)`` result, so the swept surface evaluates whole grids.
+system (the same ODE shape as the surface frame system, so the surface
+frame integrator's Magnus steps, which keep each frame pseudo-orthonormal
+to rounding, cover the whole span in one call).  The h functions, like
+curves and surface maps, broadcast: an array of u values gives a
+component-first ``(4, *shape)`` curve value, so the swept surface
+evaluates whole grids.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import csv
 import dataclasses
 import enum
 import io
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
@@ -33,11 +34,12 @@ import numpy as np
 if TYPE_CHECKING:  # scipy.interpolate is imported where splines are built
     from scipy.interpolate import CubicSpline
 
-from .errors import DegenerateFrameError, NotHorocyclicError
+from .errors import DegenerateFrameError, NotHorocyclicError, PreconditionError
 from .frames import (
     FrameAt,
     FramedSurface,
     Invariants,
+    _frame_ode_matrix,
     fixed_v,
     integrate_frame_along_line,
 )
@@ -48,7 +50,6 @@ __all__ = [
     "ORTHONORMAL_TOL",
     "CLASS_TOL",
     "H_STEP",
-    "REORTH_EVERY",
     "Curve4",
     "HorocyclicData",
     "HoroTag",
@@ -74,9 +75,6 @@ CLASS_TOL = 1e-7
 
 #: Central-difference step of :func:`extract_h`.
 H_STEP = 1e-5
-
-#: Integration steps between Gram-Schmidt passes.
-REORTH_EVERY = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,9 +114,6 @@ class HorocyclicData:
 
     def a3(self, u: float) -> np.ndarray:
         return wedge3(*(evaluate(c.value, u) for c in (self.a0, self.a1, self.a2)))
-
-    def h_at(self, u: float) -> np.ndarray:
-        return np.array([hi(u) for hi in self.h])
 
 
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
@@ -293,26 +288,6 @@ def extract_h(
 # ---------------------------------------------------------------------------
 
 
-def _mgs(state: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize rows (a0, a1, a2, *) pseudo-Gram-Schmidt style."""
-    q0 = minkowski_dot4(state[0], state[0])
-    if q0 >= 0.0:
-        raise DegenerateFrameError(f"a0 lost timelikeness: <a0,a0> = {q0:.3e}")
-    a0 = state[0] / math.sqrt(-q0)
-    a1 = state[1] + minkowski_dot4(state[1], a0) * a0
-    n1 = minkowski_dot4(a1, a1)
-    a2 = state[2] + minkowski_dot4(state[2], a0) * a0
-    if n1 <= 0.0:
-        raise DegenerateFrameError("a1 degenerated during integration")
-    a1 /= math.sqrt(n1)
-    a2 -= minkowski_dot4(a2, a1) * a1
-    n2 = minkowski_dot4(a2, a2)
-    if n2 <= 0.0:
-        raise DegenerateFrameError("a2 degenerated during integration")
-    a2 /= math.sqrt(n2)
-    return np.vstack([a0, a1, a2, wedge3(a0, a1, a2)])
-
-
 def integrate_frame_curves(
     h_funcs: Sequence[Callable[[float], float]],
     a0_init,
@@ -321,24 +296,24 @@ def integrate_frame_curves(
     u_start: float,
     u_end: float,
     step: float = 1e-3,
-    reorth_every: int = REORTH_EVERY,
 ) -> HorocyclicData:
     """Generate a curve frame by integrating the h system.
 
     The frame ODE has exactly the shape of the surface frame system with
-    (a, b, c, e, f, g) = (h1, .., h6), so integration is delegated to
-    :func:`h3frames.frames.integrate_frame_along_line` in chunks of
-    ``reorth_every`` steps with a Gram-Schmidt pass between chunks (long
-    runs otherwise lose pseudo-orthonormality at O(step^4 * length)).
-    The returned curves interpolate the node states with cubic splines
-    and re-orthonormalize pointwise, so the frame axioms hold to rounding
-    at *every* u, not just the nodes.
+    (a, b, c, e, f, g) = (h1, .., h6), so one call of
+    :func:`h3frames.frames.integrate_frame_along_line` integrates it over
+    the whole span; its Magnus steps keep every node frame
+    pseudo-orthonormal to rounding.  The h functions must broadcast over an
+    array of u (a constant may return a float).  The returned curves
+    interpolate the node states with cubic Hermite splines whose node
+    derivatives come from the ODE itself, M(u_k) Y_k, and
+    re-orthonormalize pointwise, so the frame axioms hold to rounding at
+    *every* u, not just the nodes.
     """
     if len(h_funcs) != 6:
         raise ValueError(f"expected 6 curvature functions, got {len(h_funcs)}")
     if not (u_end > u_start):
         raise ValueError(f"need u_end > u_start, got [{u_start}, {u_end}]")
-    h1, h2, h3, h4, h5, h6 = h_funcs
 
     y = np.vstack(
         [
@@ -354,33 +329,27 @@ def integrate_frame_curves(
             f"initial curve frame Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
         )
 
-    def field(u: float, v: float) -> Invariants:
+    def field(u, v) -> Invariants:
+        h1, h2, h3, h4, h5, h6 = (hi(u) for hi in h_funcs)
         return Invariants(
-            a1=h1(u), a2=0.0, b1=h2(u), b2=0.0, c1=h3(u), c2=0.0,
-            e1=h4(u), e2=0.0, f1=h5(u), f2=0.0, g1=h6(u), g2=0.0,
+            a1=h1, a2=0.0, b1=h2, b2=0.0, c1=h3, c2=0.0,
+            e1=h4, e2=0.0, f1=h5, f2=0.0, g1=h6, g2=0.0,
         )
 
     zero4 = np.zeros(4)
-    us = [u_start]
-    states = [y.copy()]
-    t = u_start
-    chunk = reorth_every * step
-    while t < u_end - 1e-12 * max(1.0, abs(u_end)):
-        span = min(chunk, u_end - t)
-        start = FrameAt(
-            u=t, v=0.0, x=y[0], nu1=y[1], nu2=y[2], nu3=y[3],
-            xu=zero4, xv=zero4, nu1u=zero4, nu1v=zero4, nu2u=zero4, nu2v=zero4,
-        )
-        traj = integrate_frame_along_line(field, start, fixed_v(0.0), span, step)
-        us.extend(traj.t[1:])
-        states.extend(traj.frames[1:])
-        y = _mgs(traj.frames[-1])
-        states[-1] = y.copy()
-        t = traj.t[-1]
+    start = FrameAt(
+        u=u_start, v=0.0, x=y[0], nu1=y[1], nu2=y[2], nu3=y[3],
+        xu=zero4, xv=zero4, nu1u=zero4, nu1v=zero4, nu2u=zero4, nu2v=zero4,
+    )
+    traj = integrate_frame_along_line(field, start, fixed_v(0.0), u_end - u_start, step)
+    us = traj.t
+    rows = np.stack([np.broadcast_to(hi(us), us.shape) for hi in h_funcs], -1)
+    if not np.isfinite(rows).all():
+        raise PreconditionError("non-finite curvature function at an integration node")
 
-    from scipy.interpolate import CubicSpline  # deferred: a slow import
+    from scipy.interpolate import CubicHermiteSpline  # deferred: a slow import
 
-    spline = CubicSpline(np.asarray(us), np.asarray(states), axis=0)
+    spline = CubicHermiteSpline(us, traj.frames, _frame_ode_matrix(rows) @ traj.frames, axis=0)
 
     def orthonormalized(u, k):
         """The k-th of a0, a1, a2 at u, by Gram-Schmidt on one spline value

@@ -340,7 +340,7 @@ def test_criterion_09_horocyclic_suite(gate):
         profiles = {
             "horo_flat": _const_h((1, 0, 0.4, 1, 0.3, 0.5)),
             "generalized_horo_cone": _const_h((0, 0, 0, 0))
-            + (lambda u: math.sin(u) + 2.0, lambda u: 1.0),
+            + (lambda u: np.sin(u) + 2.0, lambda u: 1.0),
             "single_vertex": _const_h((0, 0, 0, 0, 0, 1)),
             "two_vertices": _const_h((0, 0, 0, 0, 2, 1)),
             "conical_horosphere": _const_h((0, 0, 0, 0, 1, 0)),

@@ -290,6 +290,23 @@ def test_classify_profiles(tmp_path, capsys, consts, tag, ratio):
         assert f"two_vertex_ratio = {ratio}" in out
 
 
+def test_classify_long_profile_agrees(tmp_path, capsys):
+    # the golden two-vertex cone (h5 = 2 h6, h6 = 0.5 + 0.2 u^2) over 8
+    # units of u: the integrated curve frame must be accurate enough that
+    # the invariant form reads the same class as the h form
+    prof = tmp_path / "long.csv"
+    rows = ["u,h1,h2,h3,h4,h5,h6"]
+    for u in np.linspace(-4.0, 4.0, 33):
+        h6 = 0.5 + 0.2 * u * u
+        rows.append(",".join(repr(float(x)) for x in (u, 0, 0, 0, 0, 2.0 * h6, h6)))
+    prof.write_text("\n".join(rows) + "\n")
+    code, out, _ = _run(capsys, ["classify", "--profile", str(prof)])
+    assert code == 0
+    assert "h_form = horo_cone_two_vertices" in out
+    assert "invariant_form = horo_cone_two_vertices" in out
+    assert "agree = true" in out
+
+
 def test_classify_rejects_malformed_profile(tmp_path, capsys):
     prof = tmp_path / "bad.csv"
     prof.write_text("not,a,profile\n1,2,3\n")

@@ -426,6 +426,20 @@ def test_integrate_frame_partial_last_step_and_direction():
     assert np.max(np.abs(traj.final[0] - want.x)) < 1e-6
 
 
+def test_integrate_frame_calls_field_once():
+    fs = get_example("cross_cap").framed
+    field = invariant_field(fs)
+    shapes = []
+
+    def counting(u, v):
+        shapes.append(np.shape(u))
+        return field(u, v)
+
+    integrate_frame_along_line(counting, frame_at(fs, 0.0, 0.3), fixed_u(0.0), span=-0.55, step=0.1)
+    # one array call on the two Gauss points of each of the 6 steps
+    assert shapes == [(6, 2)]
+
+
 def test_integrate_frame_rejects_bad_step():
     fs = get_example("cross_cap").framed
     start = frame_at(fs, 0.0, 0.0)

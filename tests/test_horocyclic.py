@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h3frames import frames, horocyclic
 from h3frames.errors import DegenerateFrameError, NotHorocyclicError
 from h3frames.examples import get_example
 from h3frames.frames import (
@@ -38,7 +39,7 @@ from h3frames.singularities import (
     find_singular_points,
     horocyclic_classify_singularity,
 )
-from h3frames.surface import Domain, components
+from h3frames.surface import Domain, components, evaluate
 
 ON_H3_TOL = 1e-12
 BRIDGE_TOL = 1e-7
@@ -79,7 +80,7 @@ GENERIC_H = (0.3, 0.7, 0.2, -0.1, 0.5, 0.4)
 PROFILES = {
     "horo_flat": (_const_h((1, 0, 0.4, 1, 0.3, 0.5)), HoroTag.HORO_FLAT),
     "generalized_horo_cone": (
-        _const_h((0, 0, 0, 0)) + (lambda u: math.sin(u) + 2.0, lambda u: 1.0),
+        _const_h((0, 0, 0, 0)) + (lambda u: np.sin(u) + 2.0, lambda u: 1.0),
         HoroTag.GENERALIZED_HORO_CONE,
     ),
     "single_vertex": (_const_h((0, 0, 0, 0, 0, 1)), HoroTag.HORO_CONE_SINGLE_VERTEX),
@@ -249,11 +250,11 @@ def test_bridge_identities_on_built_surface():
 
 def test_integrate_then_extract_recovers_h():
     h_funcs = (
-        lambda u: 0.3 * math.sin(u) + 0.1,
+        lambda u: 0.3 * np.sin(u) + 0.1,
         lambda u: 0.7,
         lambda u: 0.2 * u,
         lambda u: -0.1,
-        lambda u: 0.5 * math.cos(u),
+        lambda u: 0.5 * np.cos(u),
         lambda u: 0.4,
     )
     data = _integrated(h_funcs)
@@ -270,6 +271,39 @@ def test_integrated_curves_stay_orthonormal_between_nodes():
     data = _integrated(_const_h(GENERIC_H))
     us = np.linspace(-1.0, 1.0, 101) + 2.71e-4
     assert verify_horocyclic_data(data, us[:-1]) < 1e-12
+
+
+def test_long_integration_keeps_node_frames_orthonormal(monkeypatch):
+    # the 8-unit two-vertex profile of the CLI test, integrated in one
+    # call; no node frame is re-orthonormalized
+    runs = []
+
+    def spy(*args):
+        runs.append(frames.integrate_frame_along_line(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(horocyclic, "integrate_frame_along_line", spy)
+    h6 = lambda u: 0.5 + 0.2 * u * u
+    integrate_frame_curves(_const_h((0, 0, 0, 0)) + (lambda u: 2.0 * h6(u), h6), E0, E1, E2, -4.0, 4.0)
+    (traj,) = runs
+    assert len(traj.t) == 8001
+    assert traj.max_gram_drift <= 1e-13  # worst Gram residual over the nodes
+
+
+def test_integrated_curves_are_fourth_order():
+    # node error against a 2^-10 step reference falls ~16x per halving
+    h_funcs = PROFILES["generalized_horo_cone"][0]
+    ref = _integrated(h_funcs, step=2.0**-10)
+    nodes = np.linspace(-1.0, 1.0, 9)
+
+    def node_error(step):
+        data = _integrated(h_funcs, step=step)
+        return max(
+            float(np.max(np.abs(evaluate(c.value, nodes) - evaluate(r.value, nodes))))
+            for c, r in ((data.a0, ref.a0), (data.a1, ref.a1), (data.a2, ref.a2))
+        )
+
+    assert 12.0 <= node_error(0.25) / node_error(0.125) <= 20.0
 
 
 def test_integrate_rejects_bad_inputs():
