@@ -706,6 +706,32 @@ def _frame_ode_matrix(rows) -> np.ndarray:
 #: Offsets of the two Gauss points from the middle of a step, in steps.
 _GAUSS = np.array([-math.sqrt(3.0) / 6.0, math.sqrt(3.0) / 6.0])
 
+#: Largest 1-norm at which :func:`_expm` sums its Taylor polynomial
+#: directly, and that polynomial's degree: the first omitted term is below
+#: 1/19! < 1e-17 of the result, so the sum is exact to rounding.
+_EXPM_THETA = 1.0
+_EXPM_DEGREE = 18
+
+
+def _expm(a) -> np.ndarray:
+    """Matrix exponentials of a stack ``(..., k, k)`` by scaling and
+    squaring (Higham 2005): each matrix is halved s times until its 1-norm
+    is at most :data:`_EXPM_THETA`, its Taylor polynomial is summed by
+    Horner's rule, and the result is squared s times, each matrix with its
+    own s."""
+    a = np.asarray(a, dtype=float)
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _EXPM_THETA)
+    s = np.maximum(s, 0)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    e = eye + a / _EXPM_DEGREE
+    for k in range(_EXPM_DEGREE - 1, 0, -1):
+        e = eye + (a @ e) / k
+    for j in range(int(s.max(initial=0))):
+        more = s > j
+        e[more] = e[more] @ e[more]
+    return e
+
 
 def integrate_frame_along_line(
     inv_field: Callable[[float, float], Invariants],
@@ -752,15 +778,14 @@ def integrate_frame_along_line(
     k = first_true(~np.isfinite(rows).all(axis=-1))
     if k is not None:
         raise PreconditionError(
-            f"non-finite invariants at ({u.flat[k]}, {v.flat[k]}): {tuple(rows.reshape(-1, 6)[k])}"
+            f"non-finite invariants at ({u.flat[k]}, {v.flat[k]}): "
+            f"{tuple(rows.reshape(-1, 6)[k].tolist())}"
         )
-
-    from scipy.linalg import expm  # deferred: a slow import
 
     m = _frame_ode_matrix(rows)
     m1, m2 = m[:, 0], m[:, 1]
     dt = dts[:, None, None]
-    steps = expm(dt / 2.0 * (m1 + m2) + math.sqrt(3.0) / 12.0 * dt * dt * (m2 @ m1 - m1 @ m2))
+    steps = _expm(dt / 2.0 * (m1 + m2) + math.sqrt(3.0) / 12.0 * dt * dt * (m2 @ m1 - m1 @ m2))
 
     frames = np.empty((len(ts), 4, 4))
     frames[0] = y = np.vstack([initial.x, initial.nu1, initial.nu2, initial.nu3])

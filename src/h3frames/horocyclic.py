@@ -14,10 +14,16 @@ invariant field; both classifiers live here and must agree.
 Curve frames come from closed forms or from integrating the linear frame
 system (the same ODE shape as the surface frame system, so the surface
 frame integrator's Magnus steps, which keep each frame pseudo-orthonormal
-to rounding, cover the whole span in one call).  The h functions, like
-curves and surface maps, broadcast: an array of u values gives a
-component-first ``(4, *shape)`` curve value, so the swept surface
-evaluates whole grids.
+to rounding, cover the whole span in one call).  Between the nodes the
+integrated curves are cubic Hermite pieces whose node slopes come from the
+frame system, and their derivatives are the frame system itself,
+a_k' = sum_j M_kj(h(u)) a_j.  The h functions, like curves and surface
+maps, broadcast: an array of u values gives a component-first
+``(4, *shape)`` curve value, so the swept surface evaluates whole grids.
+
+An h-profile CSV gives h1..h6 as the C^2 cubic spline through its samples
+(:class:`HProfile`).  Both splines are a few lines of numpy: one Hermite
+evaluator, and one tridiagonal sweep for the profile's node slopes.
 """
 
 from __future__ import annotations
@@ -27,12 +33,9 @@ import dataclasses
 import enum
 import io
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-
-if TYPE_CHECKING:  # scipy.interpolate is imported where splines are built
-    from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateFrameError, NotHorocyclicError, PreconditionError
 from .frames import (
@@ -79,7 +82,9 @@ H_STEP = 1e-5
 
 @dataclasses.dataclass(frozen=True)
 class Curve4:
-    """Curve u -> R^4_1 with an optional closed-form derivative."""
+    """Curve u -> R^4_1 with an optional exact derivative ``d`` (a closed
+    form, or the frame system for integrated curves); without one,
+    :meth:`derivative` takes central differences of step ``h``."""
 
     value: Callable[[float], np.ndarray]
     d: Optional[Callable[[float], np.ndarray]] = None
@@ -137,9 +142,8 @@ def build_horocyclic(
     The curve-frame axioms are checked on the domain's u grid first;
     violation raises :class:`DegenerateFrameError`.  First derivatives of
     all three surface maps are assembled from the curve derivatives
-    (closed-form when the curves carry one, central differences inside
-    the curve otherwise), so the surface maps always advertise closed
-    firsts.
+    (exact when the curves carry one, central differences inside the
+    curve otherwise), so the surface maps always advertise closed firsts.
     """
     res = verify_horocyclic_data(data, domain.u_grid())
     if res > tol:
@@ -308,7 +312,8 @@ def integrate_frame_curves(
     interpolate the node states with cubic Hermite splines whose node
     derivatives come from the ODE itself, M(u_k) Y_k, and
     re-orthonormalize pointwise, so the frame axioms hold to rounding at
-    *every* u, not just the nodes.
+    *every* u, not just the nodes.  Their derivatives come from the ODE
+    too: a_k'(u) is row k of M(h(u)) times (a0, a1, a2, a3)(u).
     """
     if len(h_funcs) != 6:
         raise ValueError(f"expected 6 curvature functions, got {len(h_funcs)}")
@@ -346,33 +351,57 @@ def integrate_frame_curves(
     rows = np.stack([np.broadcast_to(hi(us), us.shape) for hi in h_funcs], -1)
     if not np.isfinite(rows).all():
         raise PreconditionError("non-finite curvature function at an integration node")
+    slopes = _frame_ode_matrix(rows) @ traj.frames
 
-    from scipy.interpolate import CubicHermiteSpline  # deferred: a slow import
-
-    spline = CubicHermiteSpline(us, traj.frames, _frame_ode_matrix(rows) @ traj.frames, axis=0)
-
-    def orthonormalized(u, k):
-        """The k-th of a0, a1, a2 at u, by Gram-Schmidt on one spline value
-        (node states stacked component-first; a float needs no move)."""
-        s = spline(u)
+    def frame(u):
+        """a0, a1, a2 at u, by Gram-Schmidt on one spline value (node states
+        stacked component-first; a float needs no move)."""
+        s = _hermite(us, traj.frames, slopes, u)
         s = s if s.ndim == 2 else np.moveaxis(s, (-2, -1), (0, 1))
         b0 = s[0] / sqrt(-minkowski_dot4(s[0], s[0]))
-        if k == 0:
-            return b0
         w = s[1] + minkowski_dot4(s[1], b0) * b0
         b1 = w / sqrt(minkowski_dot4(w, w))
-        if k == 1:
-            return b1
         w = s[2] + minkowski_dot4(s[2], b0) * b0
         w = w - minkowski_dot4(w, b1) * b1
-        return w / sqrt(minkowski_dot4(w, w))
+        return b0, b1, w / sqrt(minkowski_dot4(w, w))
+
+    def derivative(u, k):
+        """a_k' at u from the frame system itself (row k of M):
+        a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
+        a2' = h2 a0 - h4 a1 + h6 a3."""
+        h1, h2, h3, h4, h5, h6 = h_funcs
+        a0, a1, a2 = frame(u)
+        a3 = wedge3(a0, a1, a2)
+        if k == 0:
+            return h1(u) * a1 + h2(u) * a2 + h3(u) * a3
+        if k == 1:
+            return h1(u) * a0 + h4(u) * a2 + h5(u) * a3
+        return h2(u) * a0 - h4(u) * a1 + h6(u) * a3
 
     return HorocyclicData(
-        a0=Curve4(value=lambda u: orthonormalized(u, 0)),
-        a1=Curve4(value=lambda u: orthonormalized(u, 1)),
-        a2=Curve4(value=lambda u: orthonormalized(u, 2)),
+        *(
+            Curve4(value=lambda u, k=k: frame(u)[k], d=lambda u, k=k: derivative(u, k))
+            for k in range(3)
+        ),
         h=tuple(h_funcs),
     )
+
+
+def _hermite(x, y, dy, u) -> np.ndarray:
+    """Piecewise-cubic Hermite interpolant with values ``y`` and slopes
+    ``dy`` (both ``(n, ...)``) at the increasing knots ``x``, evaluated at
+    ``u`` (a float or an array); the result has shape
+    ``u.shape + y.shape[1:]``.  Beyond the knots the end pieces extend.
+    Each piece is summed in rising powers of s = u - x[k]."""
+    u = np.asarray(u, dtype=float)
+    k = np.searchsorted(x[1:-1], u, side="right")  # piece k spans [x[k], x[k + 1]]
+    x0 = x[k]
+    tail = (...,) + (None,) * (y.ndim - 1)
+    s, h = (u - x0)[tail], (x[k + 1] - x0)[tail]
+    y0, d0 = y[k], dy[k]
+    slope = (y[k + 1] - y0) / h
+    t = (d0 + dy[k + 1] - 2.0 * slope) / h
+    return y0 + d0 * s + ((slope - d0) / h - t) * (s * s) + t / h * (s * s * s)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +546,13 @@ _PROFILE_HEADER = ["u", "h1", "h2", "h3", "h4", "h5", "h6"]
 
 @dataclasses.dataclass(frozen=True)
 class HProfile:
-    """Sampled curvature functions with cubic interpolation between samples."""
+    """Sampled curvature functions h1..h6 and the C^2 cubic spline through
+    them, stored as its node slopes: not-a-knot ends for four or more
+    samples, natural ends for two or three."""
 
     u: np.ndarray
     values: np.ndarray  # shape (n, 6)
-    _spline: CubicSpline
+    slopes: np.ndarray  # shape (n, 6), the spline's derivative at each u
 
     @property
     def u_min(self) -> float:
@@ -531,15 +562,20 @@ class HProfile:
     def u_max(self) -> float:
         return float(self.u[-1])
 
-    def at(self, u: float) -> np.ndarray:
-        return np.asarray(self._spline(u), dtype=float)
+    def at(self, u) -> np.ndarray:
+        """h1..h6 at u, shape ``(*shape(u), 6)``."""
+        return _hermite(self.u, self.values, self.slopes, u)
 
     @property
     def h_funcs(self) -> HFuncs:
         """h1..h6 as functions of u, a float or an array."""
 
         def h(j):
-            return lambda u: float(self._spline(u)[j]) if isinstance(u, float) else self._spline(u)[..., j]
+            def hj(u):
+                out = _hermite(self.u, self.values[:, j], self.slopes[:, j], u)
+                return float(out) if isinstance(u, float) else out
+
+            return hj
 
         return tuple(h(j) for j in range(6))
 
@@ -547,8 +583,9 @@ class HProfile:
 def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
     """Read an h-profile CSV with header ``u,h1,h2,h3,h4,h5,h6``.
 
-    The u column must be strictly increasing.  Fewer than four samples
-    fall back to natural boundary conditions for the spline.
+    Every value must be finite and the u column strictly increasing.
+    Fewer than four samples fall back to natural end conditions for the
+    spline.
     """
     if hasattr(source, "read"):
         rows = list(csv.reader(source))
@@ -566,13 +603,48 @@ def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
         raise ValueError(f"malformed h-profile row: {exc}") from exc
     if table.ndim != 2 or table.shape[1] != 7 or table.shape[0] < 2:
         raise ValueError("h-profile needs >= 2 rows of 7 columns")
+    k = first_true(~np.isfinite(table).all(axis=1))
+    if k is not None:
+        raise ValueError(f"h-profile data row {k + 1} is not finite: {','.join(rows[k + 1])}")
     u = table[:, 0]
     if not np.all(np.diff(u) > 0.0):
         raise ValueError("h-profile u column must be strictly increasing")
-    from scipy.interpolate import CubicSpline  # deferred: a slow import
+    return HProfile(u=u, values=table[:, 1:], slopes=_spline_slopes(u, table[:, 1:]))
 
-    bc = "not-a-knot" if len(u) >= 4 else "natural"
-    return HProfile(u=u, values=table[:, 1:], _spline=CubicSpline(u, table[:, 1:], bc_type=bc))
+
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes ``(n, k)`` of the C^2 cubic spline through the rows of
+    ``y`` at the increasing knots ``x``: not-a-knot ends for n >= 4,
+    natural ends otherwise.  Continuity of the second derivative at the
+    interior knots and the two end conditions give a tridiagonal system
+    (de Boor, *A Practical Guide to Splines*, ch. IV), solved by one
+    Thomas sweep over all k columns."""
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    lower, diag, upper = np.zeros(n), np.empty(n), np.zeros(n)
+    rhs = np.empty_like(y)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    if n >= 4:  # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        diag[-1], lower[-1] = dx[-2], d
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    else:  # natural: the second derivative vanishes at both ends
+        diag[0], upper[0], rhs[0] = 2.0 * dx[0], dx[0], 3.0 * (y[1] - y[0])
+        diag[-1], lower[-1], rhs[-1] = 2.0 * dx[-1], dx[-1], 3.0 * (y[-1] - y[-2])
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = np.empty_like(y)
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    return s
 
 
 _INITIAL_FRAME = (

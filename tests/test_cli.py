@@ -30,20 +30,26 @@ def _data_lines(text):
     return [l for l in text.splitlines() if l and not l.startswith("#")]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.interpolate costs most of a one-point run's start-up; only the
-    # spline-building horocyclic paths may pull it in.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # importing scipy.interpolate would cost most of a run's start-up; no
+    # code path, the horocyclic splines and frame exponentials included,
+    # loads scipy
+    prof = tmp_path / "prof.csv"
+    _write_profile(prof, (0.3, 0.7, 0.2, -0.1, 0.5, 0.4))
     src = str(Path(h3frames.__file__).resolve().parents[1])
     code = (
         "import sys, h3frames.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"assert h3frames.cli.main(['classify', '--profile', {str(prof)!r}]) == 0; "
+        "assert h3frames.cli.main(['singular', '--example', "
+        f"{'horocyclic:' + str(prof)!r}, '--grid', '5', '5']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stderr.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +311,25 @@ def test_classify_long_profile_agrees(tmp_path, capsys):
     assert "h_form = horo_cone_two_vertices" in out
     assert "invariant_form = horo_cone_two_vertices" in out
     assert "agree = true" in out
+
+
+@pytest.mark.parametrize("row,col,cell", [(2, 1, "nan"), (5, 0, "inf")])
+@pytest.mark.parametrize("command", ["classify", "singular"])
+def test_non_finite_profile_exit_4(tmp_path, capsys, command, row, col, cell):
+    # a nan in h1 of data row 2, or an inf u in the last row (where the u
+    # column still increases): refused by name before any spline is built
+    prof = tmp_path / "prof.csv"
+    _write_profile(prof, (0.3, 0.7, 0.2, -0.1, 0.5, 0.4))
+    lines = prof.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = cell
+    lines[row] = ",".join(cells)
+    prof.write_text("\n".join(lines) + "\n")
+    argv = (["classify", "--profile", str(prof)] if command == "classify"
+            else ["singular", "--example", f"horocyclic:{prof}", "--grid", "5", "5"])
+    code, _, err = _run(capsys, argv)
+    assert code == 4
+    assert err == f"error: h-profile data row {row} is not finite: {lines[row]}\n"
 
 
 def test_classify_rejects_malformed_profile(tmp_path, capsys):

@@ -22,6 +22,8 @@ from h3frames.frames import (
     Invariants,
     ReductionType,
     ReflectVariant,
+    _expm,
+    _frame_ode_matrix,
     construct_frame_from_normal,
     family_curvatures,
     fixed_u,
@@ -445,6 +447,26 @@ def test_integrate_frame_rejects_bad_step():
     start = frame_at(fs, 0.0, 0.0)
     with pytest.raises(ValueError):
         integrate_frame_along_line(invariant_field(fs), start, fixed_v(0.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "norm,rtol",
+    [(1e-6, 1e-15), (1e-3, 1e-15), (0.1, 1e-15), (1.0, 1e-12), (3.0, 1e-12), (10.0, 1e-12),
+     (30.0, 1e-12)],
+)
+def test_expm_matches_scipy_on_so13(norm, rtol):
+    # scipy is the oracle; Magnus exponents of the usual steps (~1e-3)
+    # have 1-norms far below 0.1
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(7)
+    m = _frame_ode_matrix(rng.normal(size=(32, 6)))
+    m *= (norm / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+    got, want = _expm(m), linalg.expm(m)
+    err = np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+    assert err.max() <= rtol
+    if norm <= 0.1:  # each factor keeps the Gram matrix to rounding
+        gram = np.diag([-1.0, 1.0, 1.0, 1.0])
+        assert np.max(np.abs(np.swapaxes(got, -1, -2) @ gram @ got - gram)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h3frames import frames, horocyclic
-from h3frames.errors import DegenerateFrameError, NotHorocyclicError
+from h3frames.errors import DegenerateFrameError, NotHorocyclicError, PreconditionError
 from h3frames.examples import get_example
 from h3frames.frames import (
     ReductionType,
@@ -313,6 +313,10 @@ def test_integrate_rejects_bad_inputs():
         integrate_frame_curves(_const_h(GENERIC_H), E0, E1, E2, 1.0, 1.0)
     with pytest.raises(DegenerateFrameError):
         integrate_frame_curves(_const_h(GENERIC_H), E0, 2.0 * E1, E2, 0.0, 1.0)
+    holed = (lambda u: np.where(u > 0.5, np.nan, 0.3),) + _const_h(GENERIC_H[1:])
+    with pytest.raises(PreconditionError, match=r"non-finite invariants at \(0\.5\d*, 0\.0\): "
+                       r"\(nan, 0\.7, 0\.2, -0\.1, 0\.5, 0\.4\)$"):
+        integrate_frame_curves(holed, E0, E1, E2, 0.0, 1.0, step=0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +409,26 @@ def test_singular_point_location_and_classifier_agreement():
     assert abs(generic.diagnostics.D) == pytest.approx(1.0 - 0.5 * v0, abs=1e-5)
 
 
+def test_profile_cross_cap_matches_closed_form_diagnostics(tmp_path):
+    # h1 - h4 = 0.8 and h2 = 0 make alpha = 0.8 v; h3 = 0.75 (u - u0) makes
+    # beta = 0.75 (u - u0) on v = 0: a cross cap at (u0, 0).  The curve
+    # derivatives come from the frame system, so the surface's D and
+    # hess_phi match the closed-form invariant field's.
+    u0 = 0.13
+    u = np.linspace(-1.0, 1.0, 21)
+    h4 = 0.2 + 0.1 * u
+    table = np.column_stack([u, h4 + 0.8, 0.0 * u, 0.75 * (u - u0), h4, 0.15 - 0.2 * u, 0.1 + 0.25 * u])
+    path = tmp_path / "planted.csv"
+    path.write_text(_profile_csv(table))
+    entry = get_example(f"horocyclic:{path}")
+
+    got = classify_singularity(entry.framed, u0, 0.0)
+    want = horocyclic_classify_singularity(entry.oracle_invariants, u0, 0.0)
+    assert got.classification is want.classification is SingularityClass.CROSS_CAP
+    assert abs(got.diagnostics.D - want.diagnostics.D) < 1e-9
+    assert abs(got.diagnostics.hess_phi - want.diagnostics.hess_phi) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # h-profile CSV and the example registry
 # ---------------------------------------------------------------------------
@@ -431,6 +455,44 @@ def test_profile_loader_reproduces_nodes():
         assert np.allclose(prof.at(u), prof.values[i], atol=1e-14)
     # spline of a smooth function: mid-sample error stays small
     assert prof.h_funcs[4](0.37) == pytest.approx(0.5 * math.cos(0.37), abs=1e-6)
+
+
+def _profile_csv(table):
+    return "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+@pytest.mark.parametrize(
+    "n,knots", [(2, "uneven"), (3, "uneven"), (4, "uneven"), (5, "uneven"), (21, "even"),
+                (21, "uneven"), (20000, "uneven")]
+)
+def test_profile_spline_matches_cubic_spline(n, knots):
+    # scipy is the oracle: not-a-knot ends from four samples, natural below
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    x = np.linspace(-1.0, 1.0, n) if knots == "even" else np.cumsum(rng.uniform(0.05, 1.0, n))
+    y = rng.normal(size=(n, 6))
+    prof = load_h_profile(io.StringIO(_profile_csv(np.column_stack([x, y]))))
+    ref = interpolate.CubicSpline(x, y, bc_type="not-a-knot" if n >= 4 else "natural")
+    dx = np.diff(x)
+    # nodes, between nodes, and half an end piece beyond either end
+    u = np.concatenate([x, x[:-1] + 0.37 * dx, [x[0] - 0.5 * dx[0], x[-1] + 0.5 * dx[-1]]])
+    for got, want in ((prof.slopes, ref(x, 1)), (prof.at(u), ref(u))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_hermite_matches_cubic_hermite_spline():
+    # frame-shaped (n, 4, 4) node data, evaluated at a float and an array
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 12))
+    y, dy = rng.normal(size=(2, 12, 4, 4))
+    ref = interpolate.CubicHermiteSpline(x, y, dy, axis=0)
+    u = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, 5))
+    u[0, :3] = x[[0, 5, -1]]
+    for at in (u, float(u[1, 2]), float(x[4])):
+        got = horocyclic._hermite(x, y, dy, at)
+        assert got.shape == np.shape(at) + (4, 4)
+        assert np.max(np.abs(got - ref(at))) <= 1e-14 * np.max(np.abs(ref(at)))
 
 
 def test_profile_loader_validation():
