@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .frames import FramedSurface, Invariants
-from .surface import Domain, ParametricMap4, components, cos, sin, sqrt, zero4
+from .surface import Domain, ParametricMap4, components, zero4
 
 __all__ = [
     "ExampleEntry",
@@ -63,7 +63,7 @@ def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
     """The standard cross cap with closed-form first derivatives."""
 
     def sW(u, v):  # sqrt(W), powers written as products
-        return sqrt(u * u + v * v * v * v + u * u * v * v + 1.0)
+        return np.sqrt(u * u + v * v * v * v + u * u * v * v + 1.0)
 
     def x(u, v):
         return components(sW(u, v), u, v * v, u * v)
@@ -75,11 +75,11 @@ def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
         return components((2.0 * v * v * v + u * u * v) / sW(u, v), 0.0, 2.0 * v, u)
 
     def n1(u, v):
-        P = sqrt(v * v * v * v + 1.0)
+        P = np.sqrt(v * v * v * v + 1.0)
         return components(v * v * sW(u, v) / P, u * v * v / P, P, u * v * v * v / P)
 
     def n1u(u, v):
-        P = sqrt(v * v * v * v + 1.0)
+        P = np.sqrt(v * v * v * v + 1.0)
         return components(
             u * v * v * (1.0 + v * v) / (sW(u, v) * P), v * v / P, 0.0, v * v * v / P
         )
@@ -87,7 +87,7 @@ def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
     def n1v(u, v):
         s = sW(u, v)
         P2 = v * v * v * v + 1.0
-        P = sqrt(P2)
+        P = np.sqrt(P2)
         P3 = P2 * P
         return components(
             2.0 * v * s / P
@@ -99,11 +99,11 @@ def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
         )
 
     def n2(u, v):
-        Q = sqrt(v * v + 1.0)
+        Q = np.sqrt(v * v + 1.0)
         return components(0.0, v / Q, 0.0, -1.0 / Q)
 
     def n2v(u, v):
-        Q3 = (v * v + 1.0) * sqrt(v * v + 1.0)
+        Q3 = (v * v + 1.0) * np.sqrt(v * v + 1.0)
         return components(0.0, 1.0 / Q3, 0.0, v / Q3)
 
     dom = domain or Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)
@@ -181,17 +181,17 @@ def corank_one_surface(
         return u * u + fv_ * fv_ + gv_ * gv_ + 1.0
 
     def x(u, v):
-        return components(sqrt(S(u, v)), u, f(u, v), g(u, v))
+        return components(np.sqrt(S(u, v)), u, f(u, v), g(u, v))
 
     def xu(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
-        return components((u + fv_ * fu_ + gv_ * gu_) / sqrt(S(u, v)), 1.0, fu_, gu_)
+        return components((u + fv_ * fu_ + gv_ * gu_) / np.sqrt(S(u, v)), 1.0, fu_, gu_)
 
     def xv(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fvv, gvv = f_v(u, v), g_v(u, v)
-        return components((fv_ * fvv + gv_ * gvv) / sqrt(S(u, v)), 0.0, fvv, gvv)
+        return components((fv_ * fvv + gv_ * gvv) / np.sqrt(S(u, v)), 0.0, fvv, gvv)
 
     def _Q(u, v):
         r = g(u, v) - u * g_u(u, v)
@@ -201,13 +201,13 @@ def corank_one_surface(
         return (u * g_u(u, v) - g(u, v)) * x(u, v) + components(0.0, g_u(u, v), 0.0, -1.0)
 
     def n2(u, v):
-        return _bar2(u, v) / sqrt(_Q(u, v))
+        return _bar2(u, v) / np.sqrt(_Q(u, v))
 
     def _bar1(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_ = f_u(u, v)
         return components(
-            (fv_ - u * fu_) * sqrt(S(u, v)),
+            (fv_ - u * fu_) * np.sqrt(S(u, v)),
             u * fv_ - (1.0 + u * u) * fu_,
             1.0 + fv_ * fv_ - u * fv_ * fu_,
             fv_ * gv_ - u * gv_ * fu_,
@@ -227,7 +227,7 @@ def corank_one_surface(
 
     def n1(u, v):
         # nu1 = sqrt(Q)/sqrt(p) (bar1 - k bar2) with bar2 unnormalized.
-        return sqrt(_Q(u, v)) / sqrt(_p(u, v)) * (_bar1(u, v) - _k(u, v) * _bar2(u, v))
+        return np.sqrt(_Q(u, v)) / np.sqrt(_p(u, v)) * (_bar1(u, v) - _k(u, v) * _bar2(u, v))
 
     dom = domain or Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)
     return FramedSurface(
@@ -293,18 +293,18 @@ def _default_corank_one() -> tuple[FramedSurface, Callable]:
 def _gamma(u):
     return components(
         13.0 / 5.0,
-        (9.0 * cos(u) - 3.0 * cos(3.0 * u)) / 5.0,
-        (9.0 * sin(u) - 3.0 * sin(3.0 * u)) / 5.0,
-        6.0 * SQ3 * cos(u) / 5.0,
+        (9.0 * np.cos(u) - 3.0 * np.cos(3.0 * u)) / 5.0,
+        (9.0 * np.sin(u) - 3.0 * np.sin(3.0 * u)) / 5.0,
+        6.0 * SQ3 * np.cos(u) / 5.0,
     )
 
 
 def _gamma_p(u):
     return components(
         0.0,
-        (-9.0 * sin(u) + 9.0 * sin(3.0 * u)) / 5.0,
-        (9.0 * cos(u) - 9.0 * cos(3.0 * u)) / 5.0,
-        -6.0 * SQ3 * sin(u) / 5.0,
+        (-9.0 * np.sin(u) + 9.0 * np.sin(3.0 * u)) / 5.0,
+        (9.0 * np.cos(u) - 9.0 * np.cos(3.0 * u)) / 5.0,
+        -6.0 * SQ3 * np.sin(u) / 5.0,
     )
 
 
@@ -313,63 +313,63 @@ def _w(u):
 
 
 def _w_map(u):  # _w, written to broadcast
-    s = sin(u)
+    s = np.sin(u)
     return 144.0 * (s * s) + 25.0
 
 
 def _w_p(u):
-    return 144.0 * sin(2.0 * u)
+    return 144.0 * np.sin(2.0 * u)
 
 
 def _delta_a_numerator(u):
-    s = sin(u)
+    s = np.sin(u)
     return components(
         -156.0 * s,
-        -97.0 * sin(2.0 * u) + 18.0 * sin(4.0 * u),
+        -97.0 * np.sin(2.0 * u) + 18.0 * np.sin(4.0 * u),
         -50.0 * (s * s) - 144.0 * (s * s * s * s) + 25.0,
-        -36.0 * SQ3 * sin(2.0 * u),
+        -36.0 * SQ3 * np.sin(2.0 * u),
     )
 
 
 def _delta_a(u):
     # Spacelike director of the first ruled surface: N(u) / (5 sqrt(w)).
-    return _delta_a_numerator(u) / (5.0 * sqrt(_w_map(u)))
+    return _delta_a_numerator(u) / (5.0 * np.sqrt(_w_map(u)))
 
 
 def _delta_a_p(u):
     N = _delta_a_numerator(u)
-    s = sin(u)
+    s = np.sin(u)
     Np = components(
-        -156.0 * cos(u),
-        -194.0 * cos(2.0 * u) + 72.0 * cos(4.0 * u),
-        -50.0 * sin(2.0 * u) - 576.0 * (s * s * s) * cos(u),
-        -72.0 * SQ3 * cos(2.0 * u),
+        -156.0 * np.cos(u),
+        -194.0 * np.cos(2.0 * u) + 72.0 * np.cos(4.0 * u),
+        -50.0 * np.sin(2.0 * u) - 576.0 * (s * s * s) * np.cos(u),
+        -72.0 * SQ3 * np.cos(2.0 * u),
     )
-    d = 5.0 * sqrt(_w_map(u))
-    dp = 5.0 * _w_p(u) / (2.0 * sqrt(_w_map(u)))
+    d = 5.0 * np.sqrt(_w_map(u))
+    dp = 5.0 * _w_p(u) / (2.0 * np.sqrt(_w_map(u)))
     return Np / d - N * dp / (d * d)
 
 
 def _nu1_numerator(u):
-    return components(24.0 * cos(u), 13.0 * cos(2.0 * u), 13.0 * sin(2.0 * u), 13.0 * SQ3)
+    return components(24.0 * np.cos(u), 13.0 * np.cos(2.0 * u), 13.0 * np.sin(2.0 * u), 13.0 * SQ3)
 
 
 def _nu1_ruled(u):
-    return _nu1_numerator(u) / (2.0 * sqrt(_w_map(u)))
+    return _nu1_numerator(u) / (2.0 * np.sqrt(_w_map(u)))
 
 
 def _nu1_ruled_p(u):
-    Ap = components(-24.0 * sin(u), -26.0 * sin(2.0 * u), 26.0 * cos(2.0 * u), 0.0)
+    Ap = components(-24.0 * np.sin(u), -26.0 * np.sin(2.0 * u), 26.0 * np.cos(2.0 * u), 0.0)
     w = _w_map(u)
-    return Ap / (2.0 * sqrt(w)) - _nu1_numerator(u) * _w_p(u) / (4.0 * (w * sqrt(w)))
+    return Ap / (2.0 * np.sqrt(w)) - _nu1_numerator(u) * _w_p(u) / (4.0 * (w * np.sqrt(w)))
 
 
 def _delta_b(u):
-    return components(0.0, -SQ3 / 2.0 * cos(2.0 * u), -SQ3 / 2.0 * sin(2.0 * u), 0.5)
+    return components(0.0, -SQ3 / 2.0 * np.cos(2.0 * u), -SQ3 / 2.0 * np.sin(2.0 * u), 0.5)
 
 
 def _delta_b_p(u):
-    return components(0.0, SQ3 * sin(2.0 * u), -SQ3 * cos(2.0 * u), 0.0)
+    return components(0.0, SQ3 * np.sin(2.0 * u), -SQ3 * np.cos(2.0 * u), 0.0)
 
 
 def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p, domain) -> FramedSurface:

@@ -169,8 +169,6 @@ _INVARIANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", 
 
 def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
     """Evaluate the moving frame and its first derivatives at (u, v)."""
-    if isinstance(u, float):  # one point: the maps then compute in Python floats
-        u, v = float(u), float(v)
     x, xu, xv = first_partials(fs.x, u, v)
     n1, n1u, n1v = first_partials(fs.nu1, u, v)
     n2, n2u, n2v = first_partials(fs.nu2, u, v)

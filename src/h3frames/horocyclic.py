@@ -47,7 +47,7 @@ from .frames import (
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
-from .surface import Domain, ParametricMap4, evaluate, first_true, sqrt, zero4
+from .surface import Domain, ParametricMap4, evaluate, first_true, zero4
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -355,15 +355,14 @@ def integrate_frame_curves(
 
     def frame(u):
         """a0, a1, a2 at u, by Gram-Schmidt on one spline value (node states
-        stacked component-first; a float needs no move)."""
-        s = _hermite(us, traj.frames, slopes, u)
-        s = s if s.ndim == 2 else np.moveaxis(s, (-2, -1), (0, 1))
-        b0 = s[0] / sqrt(-minkowski_dot4(s[0], s[0]))
+        stacked component-first)."""
+        s = np.moveaxis(_hermite(us, traj.frames, slopes, u), (-2, -1), (0, 1))
+        b0 = s[0] / np.sqrt(-minkowski_dot4(s[0], s[0]))
         w = s[1] + minkowski_dot4(s[1], b0) * b0
-        b1 = w / sqrt(minkowski_dot4(w, w))
+        b1 = w / np.sqrt(minkowski_dot4(w, w))
         w = s[2] + minkowski_dot4(s[2], b0) * b0
         w = w - minkowski_dot4(w, b1) * b1
-        return b0, b1, w / sqrt(minkowski_dot4(w, w))
+        return b0, b1, w / np.sqrt(minkowski_dot4(w, w))
 
     def derivative(u, k):
         """a_k' at u from the frame system itself (row k of M):

@@ -21,11 +21,10 @@ classified through invariant-level criteria:
 
 Invariant fields broadcast like maps: ``(u, v)`` are floats or equal-shape
 arrays and constant components are allowed.  Each stage is one field
-call: the screen over the whole grid and, through
-:func:`h3frames.frames.invariant_partials`, each Newton Jacobian over its
-stencil and each classification over the 45 points behind its partials
-and det Hess(phi).  The Newton iteration itself evaluates one point per
-step.
+call: the screen over the whole grid, each Newton stage over every seed
+(the Jacobians through :func:`h3frames.frames.invariant_partials`, over
+all their stencils at once), and each classification over the 45 points
+behind its partials and det Hess(phi).
 
 Values that straddle a threshold are reported ``unclassified`` rather
 than guessed.  The degenerate direction eta = c2 d/du - c1 d/dv and its
@@ -164,95 +163,105 @@ def _as_field(fs: FieldLike) -> InvariantField:
     raise TypeError(f"expected a FramedSurface or an invariant field, got {type(fs)!r}")
 
 
-def _alpha_beta(field: InvariantField, u: float, v: float) -> np.ndarray:
+def _alpha_beta(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(alpha, beta) at the points (u, v), one row per point."""
     inv = field(u, v)
-    return np.array([inv.alpha, inv.beta])
+    return np.stack([np.broadcast_to(inv.alpha, u.shape), np.broadcast_to(inv.beta, u.shape)], axis=-1)
 
 
-def _finite_or_none(call: Callable[[], np.ndarray]) -> Optional[np.ndarray]:
-    """``call()``, or None where the surface cannot be evaluated (a wild
-    Newton step can leave the numerically representable range entirely)."""
+def _jacobians(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of (alpha, beta) at the points (u, v),
+    one row (alpha_u, alpha_v, beta_u, beta_v) per point, from one field
+    call over their stencils."""
+    _, d = invariant_partials(field, u, v, H_INVARIANT)
+    return np.stack([d["alpha_u"], d["alpha_v"], d["beta_u"], d["beta_v"]], axis=-1)
+
+
+def _rows(fn: Callable, field: InvariantField, u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
+    """``fn(field, u, v)``, one row of ``width`` values per point, with nan
+    rows where a point cannot be evaluated: its values are not finite, or
+    the field refuses it (a wild Newton step can leave the numerically
+    representable range entirely).  A refused call is split in halves until
+    each refusing point stands alone; no points make no call."""
+    if not len(u):
+        return np.empty((0, width))
     try:
         with np.errstate(all="ignore"):
-            f = call()
+            out = fn(field, u, v)
     except (ArithmeticError, ValueError):
-        return None
-    if not np.all(np.isfinite(f)):
-        return None
-    return f
-
-
-def _safe_alpha_beta(field: InvariantField, u: float, v: float) -> Optional[np.ndarray]:
-    """(alpha, beta) at one point, or None where it cannot be evaluated."""
-    return _finite_or_none(lambda: _alpha_beta(field, u, v))
+        if len(u) == 1:
+            return np.full((1, width), np.nan)
+        k = len(u) // 2
+        return np.concatenate([_rows(fn, field, u[:k], v[:k], width),
+                               _rows(fn, field, u[k:], v[k:], width)])
+    out[~np.isfinite(out).all(axis=1)] = np.nan
+    return out
 
 
 def _newton_refine(
-    field: InvariantField, u0: float, v0: float, tol: float, find_tangent: bool = True
-) -> RefinementRecord:
-    """Damped 2D Newton on (alpha, beta) with a finite-difference Jacobian.
+    field: InvariantField, seeds, tol: float, find_tangent: bool = True
+) -> list[RefinementRecord]:
+    """Damped 2D Newton on (alpha, beta) with a finite-difference Jacobian,
+    from each (u, v) row of ``seeds``; one record per seed, in order.
 
-    Steps are halved until the residual decreases.  A Jacobian of rank one
-    (on a singular *curve*, where one direction is flat) gives the
-    minimum-norm least-squares step, which walks to the nearest zero
-    instead of along the curve by the rounding noise of the flat part.
-    With ``find_tangent``, the Jacobian at a converged root tells whether
-    it lies on such a curve.
+    Steps are halved until the residual decreases, 25 times at most.  A
+    Jacobian of rank one (on a singular *curve*, where one direction is
+    flat) gives the minimum-norm least-squares step, which walks to the
+    nearest zero instead of along the curve by the rounding noise of the
+    flat part.  With ``find_tangent``, the Jacobian at a converged root
+    tells whether it lies on such a curve.  A run ends where its point,
+    stencil or step cannot be evaluated.
+
+    All seeds step together: each iteration makes one field call over the
+    Jacobian stencils of the running seeds, each halving one over the seeds
+    still waiting for a lower residual, and the tangent test one over the
+    converged roots.  Each seed takes the steps a run of its own would.
     """
-    p = np.array([u0, v0])
-    f = _safe_alpha_beta(field, *p)
-    if f is None:
-        return RefinementRecord(u0, v0, u0, v0, math.inf, 0, False)
-    res = float(np.sum(np.abs(f)))
-    iters = 0
-    while res >= tol and iters < MAX_NEWTON_ITERS:
-        jac = _jacobian(field, p)
-        if jac is None:
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
+    p = seeds.copy()
+    f = _rows(_alpha_beta, field, p[:, 0], p[:, 1], 2)
+    res = np.abs(f).sum(axis=1)
+    running = np.isfinite(res)
+    res[~running] = math.inf
+    iters = np.zeros(len(p), dtype=int)
+    while True:
+        running &= (res >= tol) & (iters < MAX_NEWTON_ITERS)
+        idx = np.flatnonzero(running)
+        if not idx.size:
             break
-        step = np.linalg.lstsq(jac, -f, rcond=RANK_TOL)[0]
-        if not np.all(np.isfinite(step)):
-            break
+        steps = np.full((idx.size, 2), np.nan)
+        for k, (i, j) in enumerate(zip(idx, _rows(_jacobians, field, p[idx, 0], p[idx, 1], 4))):
+            if np.all(np.isfinite(j)):
+                steps[k] = np.linalg.lstsq(j.reshape(2, 2), -f[i], rcond=RANK_TOL)[0]
+        ok = np.isfinite(steps).all(axis=1)
+        running[idx[~ok]] = False
+        idx, steps = idx[ok], steps[ok]
         # damping: halve until the residual actually drops
         lam = 1.0
         for _ in range(25):
-            q = p + lam * step
-            fq = _safe_alpha_beta(field, *q)
-            if fq is not None:
-                rq = float(np.sum(np.abs(fq)))
-                if rq < res:
-                    p, f, res = q, fq, rq
-                    break
+            if not idx.size:
+                break
+            q = p[idx] + lam * steps
+            fq = _rows(_alpha_beta, field, q[:, 0], q[:, 1], 2)
+            rq = np.abs(fq).sum(axis=1)
+            lower = rq < res[idx]  # False where fq is nan
+            done = idx[lower]
+            p[done], f[done], res[done] = q[lower], fq[lower], rq[lower]
+            iters[done] += 1
+            idx, steps = idx[~lower], steps[~lower]
             lam *= 0.5
-        else:
-            break  # no useful step at any damping; give up on this seed
-        iters += 1
-    tangent = None
-    jac = _jacobian(field, p) if res < tol and find_tangent else None
-    if jac is not None:
-        _, sv, vt = np.linalg.svd(jac)
-        if sv[1] <= RANK_TOL * sv[0]:
-            tangent = (float(vt[1, 0]), float(vt[1, 1]))
-    return RefinementRecord(
-        seed_u=u0,
-        seed_v=v0,
-        u=float(p[0]),
-        v=float(p[1]),
-        residual=res,
-        iterations=iters,
-        converged=res < tol,
-        tangent=tangent,
-    )
-
-
-def _jacobian(field: InvariantField, p: np.ndarray) -> Optional[np.ndarray]:
-    """Central-difference Jacobian of (alpha, beta) from one field call, or
-    None where the stencil cannot be evaluated."""
-
-    def jac():
-        _, d = invariant_partials(field, p[0], p[1], H_INVARIANT)
-        return np.array([[d["alpha_u"], d["alpha_v"]], [d["beta_u"], d["beta_v"]]])
-
-    return _finite_or_none(jac)
+        running[idx] = False  # no useful step at any damping; give up on these seeds
+    tangents = [None] * len(p)
+    roots = np.flatnonzero((res < tol) & find_tangent)
+    for i, j in zip(roots, _rows(_jacobians, field, p[roots, 0], p[roots, 1], 4)):
+        if np.all(np.isfinite(j)):
+            _, sv, vt = np.linalg.svd(j.reshape(2, 2))
+            if sv[1] <= RANK_TOL * sv[0]:
+                tangents[i] = (float(vt[1, 0]), float(vt[1, 1]))
+    return [
+        RefinementRecord(*s, *x, r, k, r < tol, t)
+        for s, x, r, k, t in zip(seeds.tolist(), p.tolist(), res.tolist(), iters.tolist(), tangents)
+    ]
 
 
 def _canonicalize_u(u: float, dom: Domain, snap: float = 0.0) -> float:
@@ -285,7 +294,8 @@ def find_singular_points(
     separately, the smallest corner magnitude is at most the corner-to-corner
     spread (max - min).  That keeps every sign change, every exactly-zero
     corner and the cells beside a double zero such as alpha = v^2, and skips
-    cells where either component stays clear of zero.  Refined roots outside
+    cells where either component stays clear of zero.  All grid seeds are
+    refined together, then all curve seeds.  Refined roots outside
     the domain are dropped; period-equivalent u values are folded into one
     window first.  A root on a singular curve (a record with a ``tangent``)
     seeds two more Newton runs half a cell along the curve to either side,
@@ -308,17 +318,12 @@ def find_singular_points(
         return np.abs(corners).min(axis=0) <= corners.max(axis=0) - corners.min(axis=0)
 
     ug, vg = domain.u_grid(), domain.v_grid()
-    records = [
-        _newton_refine(field, 0.5 * (ug[iu] + ug[iu + 1]), 0.5 * (vg[iv] + vg[iv + 1]), tol)
-        for iv, iu in zip(*np.nonzero(candidate(alpha) & candidate(beta)))  # v-major
-    ]
+    iv, iu = np.nonzero(candidate(alpha) & candidate(beta))  # v-major
+    records = _newton_refine(field, 0.5 * np.stack([ug[iu] + ug[iu + 1], vg[iv] + vg[iv + 1]], -1), tol)
     du, dv = domain.cell()
-    records += [
-        _newton_refine(field, r.u + s * du * r.tangent[0], r.v + s * dv * r.tangent[1], tol, False)
-        for r in records
-        if r.tangent is not None
-        for s in (-0.5, 0.5)
-    ]
+    curve_seeds = [(r.u + s * du * r.tangent[0], r.v + s * dv * r.tangent[1])
+                   for r in records if r.tangent is not None for s in (-0.5, 0.5)]
+    records += _newton_refine(field, curve_seeds, tol, find_tangent=False)
 
     points = [(u, v) for u, v, _ in _merge_roots(records, domain)]
     if full_output:

@@ -35,7 +35,6 @@ behave predictably in convergence studies.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,9 +53,6 @@ __all__ = [
     "evaluate",
     "first_true",
     "zero4",
-    "sqrt",
-    "sin",
-    "cos",
     "evaluate_jet",
     "first_partials",
     "check_on_h3",
@@ -192,24 +188,6 @@ def components(*values) -> np.ndarray:
         return np.array(values)
     except ValueError:  # constant components beside grid-shaped ones
         return np.array(np.broadcast_arrays(*values), dtype=float)
-
-
-def _scalar_fast(np_fn, math_fn):
-    """``np_fn``, computed by ``math_fn`` on the floats it accepts: the two round
-    sqrt, sin and cos identically, and math is several times faster on one."""
-
-    def fn(x):
-        try:
-            return math_fn(x)
-        except (TypeError, ValueError):  # arrays, negative radicands, infinities
-            return np_fn(x)
-
-    return fn
-
-
-sqrt = _scalar_fast(np.sqrt, math.sqrt)
-sin = _scalar_fast(np.sin, math.sin)
-cos = _scalar_fast(np.cos, math.cos)
 
 
 def zero4(u, v) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import h3frames
+from h3frames import frames
 from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
@@ -211,6 +212,24 @@ def test_singular_ruled_b_window_conservative_tags(capsys):
     assert max(abs(v) for v in vs) < 1e-8
     tags = set(re.findall(r"^classification = (\w+)$", out, flags=re.M))
     assert tags <= {"unclassified", "not_corank_one"}
+
+
+@pytest.mark.parametrize("name", ["ruled_A", "ruled_B", "cross_cap"])
+def test_singular_evaluates_no_single_points(name, capsys, monkeypatch):
+    # every stage of the singular-set pipeline reads arrays of points; a
+    # one-point invariant evaluation would mean a per-point loop is back
+    scalar_calls = []
+    original = frames.invariants_at
+
+    def invariants_at(fs, u, v, *args, **kwargs):
+        if np.ndim(u) == 0:
+            scalar_calls.append((u, v))
+        return original(fs, u, v, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "invariants_at", invariants_at)
+    code, _, _ = _run(capsys, ["singular", "--example", name])
+    assert code == 0
+    assert scalar_calls == []
 
 
 def test_singular_empty_for_regular_band(tmp_path, capsys):

@@ -2,11 +2,15 @@
 calls give at each node, and refuses at the same first point (v-major) with
 the same message as a loop over the nodes.  The singular-set and horocyclic
 pipelines are checked against an invariant field written here that makes
-one-point calls."""
+one-point calls, and the batched Newton refinement against a run of one
+seed at a time written here."""
+
+import math
 
 import numpy as np
 import pytest
 
+from h3frames import singularities
 from h3frames.errors import (
     BoundaryError,
     DegenerateFrameError,
@@ -20,6 +24,7 @@ from h3frames.frames import (
     Invariants,
     integrability_residuals,
     invariant_field,
+    invariant_partials,
     invariants_at,
     invariants_grid,
     reduction_type_grid,
@@ -36,7 +41,13 @@ from h3frames.projections import (
     transport_to_disc,
 )
 from h3frames.singularities import (
-    _safe_alpha_beta,
+    H_INVARIANT,
+    MAX_NEWTON_ITERS,
+    RANK_TOL,
+    REFINE_TOL,
+    RefinementRecord,
+    _alpha_beta,
+    _rows,
     classify_singularity,
     find_singular_points,
     horocyclic_classify_singularity,
@@ -262,8 +273,119 @@ def test_non_finite_point_is_one_newton_cannot_evaluate():
     cc = get_example("cross_cap").framed
     fs = _cross_cap_with(x_value=lambda u, v: np.where(u > 0.5, np.nan, cc.x.value(u, v)))
     field = lambda u, v: invariants_at(fs, u, v)
-    assert _safe_alpha_beta(field, 0.7, 0.1) is None
-    assert _safe_alpha_beta(field, 0.3, 0.1) is not None
+    rows = _rows(_alpha_beta, field, np.array([0.7, 0.3]), np.array([0.1, 0.1]), 2)
+    q = invariants_at(fs, 0.3, 0.1)
+    assert np.isnan(rows[0]).all()
+    assert rows[1].tolist() == [q.alpha, q.beta]
+
+
+def _finite_or_none(call):
+    try:
+        with np.errstate(all="ignore"):
+            f = call()
+    except (ArithmeticError, ValueError):
+        return None
+    return f if np.all(np.isfinite(f)) else None
+
+
+def _reference_newton(field, u0, v0, tol, find_tangent=True):
+    """The Newton run of one seed, one point (or one Jacobian stencil) per
+    field call: the per-seed reference of the batched refinement."""
+
+    def alpha_beta(p):
+        inv = field(p[0], p[1])
+        return np.array([inv.alpha, inv.beta])
+
+    def jacobian(p):
+        _, d = invariant_partials(field, p[0], p[1], H_INVARIANT)
+        return np.array([[d["alpha_u"], d["alpha_v"]], [d["beta_u"], d["beta_v"]]])
+
+    p = np.array([u0, v0])
+    f = _finite_or_none(lambda: alpha_beta(p))
+    if f is None:
+        return RefinementRecord(u0, v0, u0, v0, math.inf, 0, False)
+    res = float(np.sum(np.abs(f)))
+    iters = 0
+    while res >= tol and iters < MAX_NEWTON_ITERS:
+        jac = _finite_or_none(lambda: jacobian(p))
+        if jac is None:
+            break
+        step = np.linalg.lstsq(jac, -f, rcond=RANK_TOL)[0]
+        if not np.all(np.isfinite(step)):
+            break
+        lam = 1.0
+        for _ in range(25):
+            q = p + lam * step
+            fq = _finite_or_none(lambda: alpha_beta(q))
+            if fq is not None:
+                rq = float(np.sum(np.abs(fq)))
+                if rq < res:
+                    p, f, res = q, fq, rq
+                    break
+            lam *= 0.5
+        else:
+            break
+        iters += 1
+    tangent = None
+    jac = _finite_or_none(lambda: jacobian(p)) if res < tol and find_tangent else None
+    if jac is not None:
+        _, sv, vt = np.linalg.svd(jac)
+        if sv[1] <= RANK_TOL * sv[0]:
+            tangent = (float(vt[1, 0]), float(vt[1, 1]))
+    return RefinementRecord(u0, v0, float(p[0]), float(p[1]), res, iters, res < tol, tangent)
+
+
+def _per_seed_newton(field, seeds, tol, find_tangent=True):
+    return [_reference_newton(field, u, v, tol, find_tangent) for u, v in np.reshape(seeds, (-1, 2)).tolist()]
+
+
+def _double_zero(u, v):
+    # alpha = -(v - 0.125)^2, beta = u - 0.02: Newton converges linearly
+    return Invariants(a1=0.0, a2=u - 0.02, b1=0.0, b2=(v - 0.125) * (v - 0.125), c1=1.0, c2=0.0,
+                      e1=0.0, e2=0.0, f1=0.1, f2=0.0, g1=-0.2, g2=0.0)
+
+
+def _refusing_cross_caps():
+    """Cross cap fields that refuse every point with u > 0.5: by a nan x,
+    and by raising."""
+    cc = get_example("cross_cap").framed
+    nan_x = _cross_cap_with(x_value=lambda u, v: np.where(u > 0.5, np.nan, cc.x.value(u, v)))
+
+    def raises(u, v):
+        if np.any(np.asarray(u) > 0.5):
+            raise DegenerateFrameError("refused")
+        return invariants_at(cc, u, v)
+
+    return {"nan_x": invariant_field(nan_x), "raises": raises}
+
+
+def _newton_cases():
+    out = {name: (fs, fs.domain) for name, fs in _surfaces().items()}  # ruled_B on its default domain
+    out["double_zero"] = (_double_zero, Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9))
+    for name, field in _refusing_cross_caps().items():  # the screen grid stays where they evaluate
+        out["cross_cap_" + name] = (field, Domain(-0.9, 0.5, -0.9, 0.9, nu=8, nv=9))
+    return out
+
+
+@pytest.mark.parametrize("name, case", list(_newton_cases().items()))
+def test_batched_newton_equals_per_seed_runs(name, case, monkeypatch):
+    fs, dom = case
+    got = find_singular_points(fs, dom, full_output=True)
+    assert got[1], name
+    monkeypatch.setattr(singularities, "_newton_refine", _per_seed_newton)
+    assert got == find_singular_points(fs, dom, full_output=True), name
+
+
+@pytest.mark.parametrize("name", ["nan_x", "raises"])
+def test_batched_newton_refusals_equal_per_seed_runs(name):
+    # seeds on both sides of u = 0.5, and two whose Jacobian stencils cross it
+    field = _refusing_cross_caps()[name]
+    U, V = np.meshgrid(np.linspace(-0.9, 0.9, 10), np.linspace(-0.9, 0.9, 7))
+    seeds = np.concatenate([np.stack([U.ravel(), V.ravel()], -1), [(0.5 - 5e-6, 0.2), (0.5 - 5e-6, -0.4)]])
+    got = singularities._newton_refine(field, seeds, REFINE_TOL)
+    assert got == _per_seed_newton(field, seeds, REFINE_TOL)
+    assert sum(r.residual == math.inf for r in got) == 21  # refused at the seed
+    assert [r.iterations for r in got if not r.converged and r.residual < math.inf] == [0, 0]
 
 
 def test_negative_radicand_refuses_on_both_paths():

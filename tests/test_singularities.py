@@ -26,7 +26,6 @@ from h3frames.frames import (
 )
 from h3frames.singularities import (
     RefinementRecord,
-    _jacobian,
     SingularityClass,
     classify_singularity,
     find_singular_points,
@@ -135,26 +134,30 @@ def test_find_singular_points_double_zero_inside_a_cell():
 
 
 def test_each_stage_makes_one_field_call():
-    # the S1+ field below: the screen, each Jacobian and each classifier
-    # read their points through one call of the field
+    # each classifier reads its points through one call of the field, and
+    # each Newton stage through one call over every seed
     shapes = []
-    base = _field(a2=lambda u, v: v + u * u, b2=lambda u, v: u * u + v * v)
 
-    def field(u, v):
-        shapes.append(np.shape(u))
-        return base(u, v)
+    def counted(base):
+        def field(u, v):
+            shapes.append(np.shape(u))
+            return base(u, v)
 
+        return field
+
+    field = counted(_field(a2=lambda u, v: v + u * u, b2=lambda u, v: u * u + v * v))  # S1+ below
     classify_singularity(field, 0.0, 0.0)
     horocyclic_classify_singularity(field, 0.0, 0.0)
     assert shapes == [(9, 5), (9, 5)]  # 9 phi points, 5 stencil points each
     shapes.clear()
-    assert _jacobian(field, np.array([0.1, 0.2])).shape == (2, 2)
-    assert shapes == [(5,)]
-    shapes.clear()
-    dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=7)
-    find_singular_points(field, domain=dom)
-    assert shapes[0] == (7, 9)  # the screen
-    assert set(shapes[1:]) == {(), (5,)}  # Newton: one point, or one Jacobian
+    # alpha = v, beta = u: the screen seeds 16 cells, and Newton reaches
+    # the root from each in one step
+    field = counted(_field(a2=lambda u, v: u, b2=lambda u, v: -v))
+    dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
+    _, records = find_singular_points(field, domain=dom, full_output=True)
+    assert [r.iterations for r in records] == [1] * 16
+    # the screen, then Newton: start values, Jacobians, trial step, tangent test
+    assert shapes == [(9, 9), (16,), (16, 5), (16,), (16, 5)]
 
 
 # ---------------------------------------------------------------------------
