@@ -30,6 +30,7 @@ from .examples import get_example
 from .fmt import fmt, fmt_rows
 from .frames import FRAME_TOL, invariant_field, verify_framed, write_invariants_csv
 from .horocyclic import (
+    _INITIAL_FRAME,
     CLASS_TOL,
     build_horocyclic,
     classify_horocyclic,
@@ -187,8 +188,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--frame-tol", dest="frame_tol", type=float)
     common.add_argument("--singular-tol", dest="singular_tol", type=float)
     common.add_argument("--classify-tol", dest="classify_tol", type=float)
-    common.add_argument("--h1", type=float, help="first-order fd step")
-    common.add_argument("--h2", type=float, help="second-order fd step")
+    common.add_argument("--h1", type=float, help="singular only: classification step of invariant partials")
+    common.add_argument("--h2", type=float, help="singular only: classification step of the Hessian of phi")
     common.add_argument("--output", help="output path (default stdout)")
 
     parser = _Parser(prog="h3frames", description=__doc__.splitlines()[0])
@@ -375,13 +376,8 @@ def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
 def cmd_classify(cfg: RunConfig, profile) -> str:
     h_form = classify_horocyclic(profile.values, tol=cfg.classify_tol)
 
-    e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    e1 = np.array([0.0, 1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 0.0, 1.0, 0.0])
-    data = integrate_frame_curves(
-        profile.h_funcs, e0, e1, e2, profile.u_min, profile.u_max
-    )
-    dom = Domain(cfg.u_min, cfg.u_max, cfg.v_min, cfg.v_max, nu=cfg.nu, nv=cfg.nv)
+    data = integrate_frame_curves(profile.h_funcs, *_INITIAL_FRAME, profile.u_min, profile.u_max)
+    dom = _config_domain(cfg, None)
     fs = build_horocyclic(data, dom)
     inv_form = invariant_form_classify(
         invariant_field(fs), dom, tol=cfg.classify_tol

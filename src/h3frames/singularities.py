@@ -19,12 +19,12 @@ classified through invariant-level criteria:
   evaluated by :func:`phi` below, separates S1+ (negative, together with
   a nonvanishing independence pair) from S1- (positive).
 
-Invariant fields broadcast like maps: ``(u, v)`` are floats or equal-shape
-arrays and constant components are allowed.  Each stage is one field
-call: the screen over the whole grid, each Newton stage over every seed
-(the Jacobians through :func:`h3frames.frames.invariant_partials`, over
-all their stencils at once), and each classification over the 45 points
-behind its partials and det Hess(phi).
+Invariant fields broadcast like maps, and so do the classifiers: ``(u, v)``
+are floats or equal-shape arrays, and constant components are allowed.
+Each stage is one field call: the screen over the whole grid, each Newton
+stage over every seed (the Jacobians through
+:func:`h3frames.frames.invariant_partials`, over all their stencils at
+once), and the classification of a scan over every root, 45 points each.
 
 Values that straddle a threshold are reported ``unclassified`` rather
 than guessed.  The degenerate direction eta = c2 d/du - c1 d/dv and its
@@ -341,14 +341,8 @@ def _merge_roots(
     """
     du, dv = domain.cell()
     dedup_dist = min(du, dv) / 10.0
-
-    def dist(u1, v1, u2, v2):
-        d_u = abs(u1 - u2)
-        if domain.u_period is not None:
-            d_u = min(d_u, domain.u_period - d_u)
-        return math.hypot(d_u, v1 - v2)
-
-    roots: list[list] = []
+    kept = np.empty((len(records), 2))  # (u, v) of the roots kept so far
+    iters: list[int] = []
     for rec in sorted(records, key=lambda r: (r.u, r.v)):
         if not rec.converged:
             continue
@@ -356,12 +350,17 @@ def _merge_roots(
         v = rec.v
         if not domain.contains(u, v, margin=-1e-9):
             continue
-        root = next((r for r in roots if dist(u, v, r[0], r[1]) <= dedup_dist), None)
-        if root is None:
-            roots.append([u, v, rec.iterations])
+        n = len(iters)
+        d_u = np.abs(kept[:n, 0] - u)
+        if domain.u_period is not None:
+            d_u = np.minimum(d_u, domain.u_period - d_u)
+        k = first_true(np.hypot(d_u, kept[:n, 1] - v) <= dedup_dist)
+        if k is None:
+            kept[n] = u, v
+            iters.append(rec.iterations)
         else:
-            root[2] = min(root[2], rec.iterations)
-    return sorted(tuple(r) for r in roots)
+            iters[k] = min(iters[k], rec.iterations)
+    return sorted(zip(*kept[:len(iters)].T.tolist(), iters))
 
 
 def _require_c(q: Invariants, u, v, tol: float) -> None:
@@ -411,27 +410,27 @@ def _phi(q: Invariants, d: Mapping[str, np.ndarray]) -> np.ndarray:
 
 
 def _read_point(
-    fs: FieldLike, u0: float, v0: float, h: float, h_phi: float, c_tol: float
-) -> tuple[Invariants, dict, float]:
-    """What classifying (u0, v0) reads, from one field call: the invariants
-    and their partials at the point, and det Hess(phi) by 3-point / 4-corner
-    second differences of phi (step ``h_phi``).  phi is evaluated at the
-    centre, u+-, v+- and then the corners, each with its partials stencil:
-    45 points.  Refuses where both c-invariants vanish at any of the nine."""
+    fs: FieldLike, u0, v0, h: float, h_phi: float, c_tol: float
+) -> tuple[Invariants, dict, np.ndarray]:
+    """What classifying (u0, v0), floats or 1-d arrays, reads from one field
+    call: the invariants and their partials at each point, and det Hess(phi)
+    by second differences of phi (step ``h_phi``) at the centre, u+-, v+- and
+    then the corners, on a last axis, each with its partials stencil: 45
+    points per point.  Refuses at the first of them where c1 = c2 = 0."""
     up, um, vp, vm = u0 + h_phi, u0 - h_phi, v0 + h_phi, v0 - h_phi
-    us = np.array([u0, up, um, u0, u0, up, up, um, um])
-    vs = np.array([v0, v0, v0, vp, vm, vp, vm, vp, vm])
+    us = np.stack([u0, up, um, u0, u0, up, up, um, um], axis=-1)
+    vs = np.stack([v0, v0, v0, vp, vm, vp, vm, vp, vm], axis=-1)
     q, d = invariant_partials(_as_field(fs), us, vs, h)
     _require_c(q, us, vs, c_tol)
-    center, pu, mu, pv, mv, pp, pm, mp, mm = _phi(q, d).tolist()
+    center, pu, mu, pv, mv, pp, pm, mp, mm = np.moveaxis(_phi(q, d), -1, 0)
     fuu = (pu - 2.0 * center + mu) / h_phi ** 2
     fvv = (pv - 2.0 * center + mv) / h_phi ** 2
     fuv = (pp - pm - mp + mm) / (4.0 * h_phi ** 2)
-    q0 = Invariants(**{f.name: getattr(q, f.name)[0] for f in dataclasses.fields(q)})
-    return q0, {k: x[0] for k, x in d.items()}, fuu * fvv - fuv ** 2
+    q0 = Invariants(**{f.name: getattr(q, f.name)[..., 0] for f in dataclasses.fields(q)})
+    return q0, {k: x[..., 0] for k, x in d.items()}, fuu * fvv - fuv ** 2
 
 
-def _row_dets(q: Invariants, d: Mapping[str, float]) -> dict[str, float]:
+def _row_dets(q: Invariants, d: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The four 2x2 determinants det(row_u c), det(row_v c) for rows a, b.
 
     det(a_u c) pairs the column vector (a1_u, a2_u) with (c1, c2).
@@ -445,41 +444,40 @@ def _row_dets(q: Invariants, d: Mapping[str, float]) -> dict[str, float]:
 
 
 def _report(
-    u0: float, v0: float, q: Invariants, not_corank_one: bool, cross_cap: bool, D: float, hess: float,
-    pair: tuple[float, float], hess_tol: float, pair_tol: float, newton_iters: int, refine_tol: float,
-) -> SingularityReport:
+    u0, v0, q: Invariants, not_corank_one, cross_cap, D, hess, pair,
+    hess_tol: float, pair_tol: float, newton_iters, refine_tol: float,
+):
     """The decision ladder of both classifiers, from the corank-one and the
-    cross-cap tests that each makes its own way, and the report."""
-    if not_corank_one:
-        tag = SingularityClass.NOT_CORANK_ONE
-    elif cross_cap:
-        tag = SingularityClass.CROSS_CAP
-    elif hess < -hess_tol and math.hypot(*pair) > pair_tol:
-        tag = SingularityClass.S1_PLUS
-    elif hess > hess_tol:
-        tag = SingularityClass.S1_MINUS
-    else:
-        tag = SingularityClass.UNCLASSIFIED
+    cross-cap tests that each makes its own way, and the reports, from Python
+    scalars: one for float (u0, v0), a list in point order for arrays."""
+    cols = np.broadcast_arrays(u0, v0, q.alpha, q.beta, q.a1, q.a2, q.b1, q.b2, q.c1, q.c2,
+                               not_corank_one, cross_cap, D, hess, *pair, newton_iters)
+    reports = []
+    rows = zip(*(c.ravel().tolist() for c in cols))
+    for u, v, al, be, a1, a2, b1, b2, c1, c2, ncr, cc, d, hs, p1, p2, iters in rows:
+        if ncr:
+            tag = SingularityClass.NOT_CORANK_ONE
+        elif cc:
+            tag = SingularityClass.CROSS_CAP
+        elif hs < -hess_tol and math.hypot(p1, p2) > pair_tol:
+            tag = SingularityClass.S1_PLUS
+        elif hs > hess_tol:
+            tag = SingularityClass.S1_MINUS
+        else:
+            tag = SingularityClass.UNCLASSIFIED
 
-    diag = SingularityDiagnostics(
-        alpha=q.alpha,
-        beta=q.beta,
-        a_pair=(q.a1, q.a2),
-        b_pair=(q.b1, q.b2),
-        c_pair=(q.c1, q.c2),
-        D=D,
-        hess_phi=hess,
-        independence_pair=pair,
-        newton_iters=newton_iters,
-        converged=bool(abs(q.alpha) + abs(q.beta) < refine_tol),
-    )
-    return SingularityReport(u=u0, v=v0, classification=tag, diagnostics=diag)
+        diag = SingularityDiagnostics(
+            alpha=al, beta=be, a_pair=(a1, a2), b_pair=(b1, b2), c_pair=(c1, c2), D=d, hess_phi=hs,
+            independence_pair=(p1, p2), newton_iters=iters, converged=abs(al) + abs(be) < refine_tol,
+        )
+        reports.append(SingularityReport(u=u, v=v, classification=tag, diagnostics=diag))
+    return reports if np.ndim(u0) else reports[0]
 
 
 def classify_singularity(
     fs: FieldLike,
-    u0: float,
-    v0: float,
+    u0,
+    v0,
     corank_tol: float = CORANK_TOL,
     d_tol: float = D_TOL,
     hess_tol: float = HESS_TOL,
@@ -487,15 +485,17 @@ def classify_singularity(
     h: float = H_INVARIANT,
     h_phi: float = H_PHI,
     refine_tol: float = REFINE_TOL,
-    newton_iters: int = 0,
-) -> SingularityReport:
-    """Classify a (previously refined) singular point.
+    newton_iters=0,
+) -> Union[SingularityReport, list[SingularityReport]]:
+    """Classify (previously refined) singular points.
 
+    ``u0, v0`` are floats, giving one report, or 1-d arrays, giving one
+    report per point in order; all points are read in one field call.
     Decision ladder: corank-one screen, then |D| > ``d_tol`` for a cross
     cap, then the sign of det Hess(phi) with the independence pair for
     S1+/S1-; anything that straddles a threshold is ``unclassified``.
-    ``newton_iters`` is carried into the diagnostics verbatim so scan
-    pipelines can stamp their refinement effort.
+    ``newton_iters`` (an int, or an array like ``u0``) is carried into the
+    diagnostics verbatim so scan pipelines can stamp their refinement effort.
     """
     q, d, hess = _read_point(fs, u0, v0, h, h_phi, corank_tol)
     dets = _row_dets(q, d)
@@ -504,15 +504,15 @@ def classify_singularity(
         -q.c1 * dets["av_c"] + q.c2 * dets["au_c"],
         q.c2 * dets["bu_c"] - q.c1 * dets["bv_c"],
     )
-    corank_one = max(abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)) <= corank_tol
-    return _report(u0, v0, q, not corank_one, abs(D) > d_tol, D, hess, pair,
+    corank_one = np.maximum.reduce([abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)]) <= corank_tol
+    return _report(u0, v0, q, ~corank_one, abs(D) > d_tol, D, hess, pair,
                    hess_tol, pair_tol, newton_iters, refine_tol)
 
 
 def horocyclic_classify_singularity(
     inv_field: FieldLike,
-    u0: float,
-    v0: float,
+    u0,
+    v0,
     tol: float = CORANK_TOL,
     d_tol: float = D_TOL,
     hess_tol: float = HESS_TOL,
@@ -520,8 +520,8 @@ def horocyclic_classify_singularity(
     h: float = H_INVARIANT,
     h_phi: float = H_PHI,
     refine_tol: float = REFINE_TOL,
-    newton_iters: int = 0,
-) -> SingularityReport:
+    newton_iters=0,
+) -> Union[SingularityReport, list[SingularityReport]]:
     """Specialized classifier for the horocyclic invariant structure.
 
     There a2 = b2 = 0 identically and c2 = -1, so a point is singular
@@ -529,14 +529,15 @@ def horocyclic_classify_singularity(
     a1_u b1_v - a1_v b1_u != 0, and the independence pair becomes
     (c1 a1_v + a1_u, c1 b1_v + b1_u).  The Hessian test is unchanged.
     A point violating a1 = b1 = 0 within ``tol`` is regular, reported
-    ``not_corank_one``.
+    ``not_corank_one``.  Points and reports are as in
+    :func:`classify_singularity`.
     """
     q, d, hess = _read_point(inv_field, u0, v0, h, h_phi, tol)
     bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
     dets = _row_dets(q, d)
     D = dets["bu_c"] * dets["av_c"] - dets["bv_c"] * dets["au_c"]
     pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
-    return _report(u0, v0, q, max(abs(q.a1), abs(q.b1)) > tol, abs(bracket) > d_tol, D, hess, pair,
+    return _report(u0, v0, q, np.maximum(abs(q.a1), abs(q.b1)) > tol, abs(bracket) > d_tol, D, hess, pair,
                    hess_tol, pair_tol, newton_iters, refine_tol)
 
 
@@ -546,7 +547,8 @@ def singularity_scan(
     tol: float = REFINE_TOL,
     **classify_kwargs,
 ) -> list[SingularityReport]:
-    """find_singular_points followed by classify_singularity on each root.
+    """find_singular_points followed by one classify_singularity call over
+    every merged root (none when there are no roots).
 
     Each report's ``newton_iters`` is the fewest iterations among the
     Newton runs that the deduplication merged into its point.
@@ -554,10 +556,11 @@ def singularity_scan(
     if domain is None and isinstance(fs, FramedSurface):
         domain = fs.domain
     _, records = find_singular_points(fs, domain=domain, tol=tol, full_output=True)
-    return [
-        classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
-        for u, v, iters in _merge_roots(records, domain)
-    ]
+    roots = _merge_roots(records, domain)
+    if not roots:
+        return []
+    u, v, iters = map(np.array, zip(*roots))
+    return classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
 
 
 def reports_to_json(

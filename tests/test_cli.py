@@ -232,6 +232,40 @@ def test_singular_evaluates_no_single_points(name, capsys, monkeypatch):
     assert scalar_calls == []
 
 
+def test_singular_classifies_every_root_in_one_call(capsys, monkeypatch):
+    # the 45-point classification stencils of all 129 ruled_B roots are
+    # read in one field call; a loop over the roots would make 129
+    shapes = []
+    original = frames.invariants_at
+
+    def invariants_at(fs, u, v, *args, **kwargs):
+        shapes.append(np.shape(u))
+        return original(fs, u, v, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "invariants_at", invariants_at)
+    code, out, _ = _run(capsys, ["singular", "--example", "ruled_B"])
+    assert code == 0
+    assert "points = 129" in out
+    assert [s for s in shapes if s[-2:] == (9, 5)] == [(129, 9, 5)]
+
+
+def test_singular_h1_h2_set_the_classification_steps(capsys):
+    # --h1 and --h2 are the steps of the classification's differences:
+    # Newton finds the same two cross caps, and D is read anew
+    _, default, _ = _run(capsys, ["singular", "--example", "ruled_A"])
+    code, out, _ = _run(capsys, ["singular", "--example", "ruled_A", "--h1", "2e-5", "--h2", "2e-4"])
+    assert code == 0
+    values = lambda text, key: re.findall(rf"^{key} = (.+)$", text, flags=re.M)
+    assert values(out, "classification") == ["cross_cap", "cross_cap"]
+    assert values(out, "u") == values(default, "u") and values(out, "v") == values(default, "v")
+    assert values(out, "D") != values(default, "D")
+    with pytest.raises(SystemExit):
+        main(["singular", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "fd step" not in help_text
+    assert "--h1 H1 singular only: classification step of invariant partials" in help_text
+
+
 def test_singular_empty_for_regular_band(tmp_path, capsys):
     prof = tmp_path / "regular.csv"
     prof.write_text(

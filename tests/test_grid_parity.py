@@ -2,9 +2,11 @@
 calls give at each node, and refuses at the same first point (v-major) with
 the same message as a loop over the nodes.  The singular-set and horocyclic
 pipelines are checked against an invariant field written here that makes
-one-point calls, and the batched Newton refinement against a run of one
-seed at a time written here."""
+one-point calls, the batched Newton refinement against a run of one seed at
+a time written here, and the one-call classification of a scan against a
+loop over its roots written here."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from h3frames import singularities
 from h3frames.errors import (
     BoundaryError,
+    CDegenerateError,
     DegenerateFrameError,
     NonSpacelikeNormalError,
     NotHorocyclicError,
@@ -47,10 +50,14 @@ from h3frames.singularities import (
     REFINE_TOL,
     RefinementRecord,
     _alpha_beta,
+    _canonicalize_u,
+    _merge_roots,
     _rows,
     classify_singularity,
     find_singular_points,
     horocyclic_classify_singularity,
+    reports_to_json,
+    singularity_scan,
 )
 from h3frames.surface import Domain, ParametricMap4, components, first_partials
 
@@ -456,6 +463,18 @@ def test_lift_precondition_grid_reports_the_loop_minimum():
     )
 
 
+def _c_degenerate_cross_cap():
+    """The cross cap's invariant field with c1 = c2 = 0 where u > 0.40005."""
+    base = invariant_field(get_example("cross_cap").framed)
+
+    def field(u, v):
+        q = base(u, v)
+        on = np.where(np.asarray(u) > 0.40005, 0.0, 1.0)
+        return dataclasses.replace(q, c1=q.c1 * on, c2=q.c2 * on)
+
+    return field
+
+
 def test_classify_singularity_refuses_at_the_first_point_it_reads():
     # nu2 stretched where u or v > 0.30005: classifying (0.3, 0.3) reads
     # phi's points in the order centre, u+-, v+-, corners, so the first
@@ -468,3 +487,108 @@ def test_classify_singularity_refuses_at_the_first_point_it_reads():
     assert want[0] is DegenerateFrameError
     assert want[1].startswith("frame at (0.3001, 0.3) ")
     assert _outcome(lambda: classify_singularity(fs, 0.3, 0.3)) == want
+
+    # one call over several points refuses as a loop over them does, at its
+    # first refusal: a later point refused by the field, or c-degenerate
+    # (c vanishes from u = 0.4 + h_phi on, so not at the centre (0.4, 0))
+    for field, pts, start in (
+        (fs, [(0.1, 0.1), (-0.2, 0.0), (0.3, 0.3), (0.5, -0.5)], "frame at (0.3001, 0.3) "),
+        (_c_degenerate_cross_cap(), [(0.1, 0.1), (-0.2, 0.0), (0.4, 0.0), (0.6, 0.2)],
+         "both c-invariants vanish at (0.4001, 0.0)"),
+    ):
+        u, v = np.array(pts).T
+        for classify in (classify_singularity, horocyclic_classify_singularity):
+            want = _outcome(lambda: [classify(field, a, b) for a, b in pts])
+            assert want[0] in (DegenerateFrameError, CDegenerateError)
+            assert want[1].startswith(start)
+            assert _outcome(lambda: classify(field, u, v)) == want, classify.__name__
+
+
+# ---------------------------------------------------------------------------
+# one classification call per scan
+# ---------------------------------------------------------------------------
+
+
+def _reference_merge_roots(records, domain):
+    """Root merging by a generator scan of the kept roots for each record:
+    the reference of the array comparison of ``_merge_roots``."""
+    du, dv = domain.cell()
+    dedup_dist = min(du, dv) / 10.0
+
+    def dist(u1, v1, u2, v2):
+        d_u = abs(u1 - u2)
+        if domain.u_period is not None:
+            d_u = min(d_u, domain.u_period - d_u)
+        return math.hypot(d_u, v1 - v2)
+
+    roots = []
+    for rec in sorted(records, key=lambda r: (r.u, r.v)):
+        if not rec.converged:
+            continue
+        u = _canonicalize_u(rec.u, domain, snap=dedup_dist)
+        v = rec.v
+        if not domain.contains(u, v, margin=-1e-9):
+            continue
+        root = next((r for r in roots if dist(u, v, r[0], r[1]) <= dedup_dist), None)
+        if root is None:
+            roots.append([u, v, rec.iterations])
+        else:
+            root[2] = min(root[2], rec.iterations)
+    return sorted(tuple(r) for r in roots)
+
+
+def _per_root_scan(fs, domain, **classify_kwargs):
+    """singularity_scan with one classify_singularity call per merged root:
+    the per-root reference of the one-call scan."""
+    _, records = find_singular_points(fs, domain=domain, full_output=True)
+    return [classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
+            for u, v, iters in _reference_merge_roots(records, domain)]
+
+
+SCANNED = ("cross_cap", "corank_one", "ruled_A", "ruled_B", "horocyclic")
+
+
+def _fields(rep):
+    return rep.classification, rep.u, rep.v, rep.diagnostics.as_dict()
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_broadcast_classifiers_equal_one_point_calls(name):
+    # every default root (129 on ruled_B's line), with its Newton
+    # iterations, and the nodes of a 2 x 2 grid inside the domain
+    fs = _surfaces()[name]
+    _, records = find_singular_points(fs, full_output=True)
+    pts = _merge_roots(records, fs.domain) + [(u, v, 0) for u, v in _nodes(_inner(fs.domain, nu=2, nv=2))]
+    assert len(pts) == {"ruled_A": 6, "ruled_B": 133}.get(name, 5)
+    u, v, iters = (np.array(c) for c in zip(*pts))
+    for classify in (classify_singularity, horocyclic_classify_singularity):
+        got = classify(fs, u, v, newton_iters=iters)
+        want = [classify(fs, a, b, newton_iters=k) for a, b, k in pts]
+        assert [_fields(r) for r in got] == [_fields(r) for r in want], classify.__name__
+        assert all(type(r.diagnostics.newton_iters) is int for r in got)
+        assert reports_to_json(got) == reports_to_json(want)
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_singularity_scan_equals_per_root_scan(name):
+    fs = _surfaces()[name]
+    dom = fs.domain
+    _, records = find_singular_points(fs, full_output=True)
+    assert _merge_roots(records, dom) == _reference_merge_roots(records, dom)
+    if dom.u_period is not None:  # roots on both sides of the seam u = +-pi
+        du = dom.cell()[0]
+        us = [r.u for r in records if r.converged]
+        assert min(us) < dom.u_min + du and max(us) > dom.u_max - du
+    got = singularity_scan(fs)
+    assert [_fields(r) for r in got] == [_fields(r) for r in _per_root_scan(fs, dom)]
+    if name == "ruled_A":  # the classification steps pass through
+        got = singularity_scan(fs, h=2e-5, h_phi=2e-4)
+        assert [_fields(r) for r in got] == [_fields(r) for r in _per_root_scan(fs, dom, h=2e-5, h_phi=2e-4)]
+
+
+def test_scan_without_roots_makes_no_classification_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(singularities, "classify_singularity", lambda *a, **k: calls.append(a))
+    fs = get_example("ruled_A").framed  # singular only at (0, 0) and (pi, 0)
+    assert singularity_scan(fs, Domain(0.5, 1.4, 0.2, 0.6, nu=7, nv=5)) == []
+    assert calls == []
