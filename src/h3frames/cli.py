@@ -247,6 +247,9 @@ def _resolve_config(
         key: _merged(args, key, file_values, default)
         for key, default in _TOL_DEFAULTS.items()
     }
+    for key, val in tols.items():
+        if not 0.0 < val < np.inf:  # a zero, negative or non-finite step or tolerance breaks the run
+            raise _UsageError(f"{key} must be finite and positive, got {fmt(val)}")
     return RunConfig(
         command=args.command,
         example=_merged(args, "example", file_values),
@@ -400,11 +403,12 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
     if frm == "disc":
         x = from_poincare(x)
     elif frm == "r31":
-        q = -minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
-        k = first_true(q <= 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
+            q = -minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
+        k = first_true(~(np.isfinite(q) & (q > 1.0)))
         if k is not None:
             raise PreconditionError(
-                f"point does not lift: x1^2 - x2^2 - x3^2 = {fmt(q[k])} <= 1"
+                f"point does not lift: x1^2 - x2^2 - x3^2 = {fmt(q[k])}, not a finite number > 1"
             )
         i = axis.index
         x = components(*x[:i], np.sqrt(q - 1.0), *x[i:])

@@ -431,7 +431,7 @@ def rotate_frame(
             return d
 
         firsts = {"du": partial("du"), "dv": partial("dv")} if closed else {}
-        return ParametricMap4(value=value, h1=base.h1, h2=base.h2, domain=base.domain, **firsts)
+        return ParametricMap4(value=value, h1=base.h1, domain=base.domain, **firsts)
 
     m1, m2 = rotated(True, fs.nu1), rotated(False, fs.nu2)
     return FramedSurface(x=fs.x, nu1=m1, nu2=m2, domain=fs.domain)

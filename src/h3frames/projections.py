@@ -226,13 +226,9 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
         nub2_kw = {w: nub_partial_factory(n2_m, w) for w in ("du", "dv")}
 
     return DiscFramedSurface(
-        xbar=ParametricMap4(value=xbar_value, h1=x_m.h1, h2=x_m.h2, **xbar_kw),
-        nubar1=ParametricMap4(
-            value=nub_value_factory(n1_m), h1=n1_m.h1, h2=n1_m.h2, **nub1_kw
-        ),
-        nubar2=ParametricMap4(
-            value=nub_value_factory(n2_m), h1=n2_m.h1, h2=n2_m.h2, **nub2_kw
-        ),
+        xbar=ParametricMap4(value=xbar_value, h1=x_m.h1, **xbar_kw),
+        nubar1=ParametricMap4(value=nub_value_factory(n1_m), h1=n1_m.h1, **nub1_kw),
+        nubar2=ParametricMap4(value=nub_value_factory(n2_m), h1=n2_m.h1, **nub2_kw),
         domain=fs.domain,
     )
 
@@ -316,13 +312,9 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
         nu2_kw = {w: nu_partial_factory(n2_m, w) for w in ("du", "dv")}
 
     return FramedSurface(
-        x=ParametricMap4(value=x_value, h1=xb_m.h1, h2=xb_m.h2, **x_kw),
-        nu1=ParametricMap4(
-            value=nu_value_factory(n1_m), h1=n1_m.h1, h2=n1_m.h2, **nu1_kw
-        ),
-        nu2=ParametricMap4(
-            value=nu_value_factory(n2_m), h1=n2_m.h1, h2=n2_m.h2, **nu2_kw
-        ),
+        x=ParametricMap4(value=x_value, h1=xb_m.h1, **x_kw),
+        nu1=ParametricMap4(value=nu_value_factory(n1_m), h1=n1_m.h1, **nu1_kw),
+        nu2=ParametricMap4(value=nu_value_factory(n2_m), h1=n2_m.h1, **nu2_kw),
         domain=dfs.domain,
     )
 
@@ -439,8 +431,8 @@ def project_to_r31(
         t_kw = {"du": t_partial("du"), "dv": t_partial("dv")}
 
     return LightconeCandidate(
-        xtilde=ParametricMap4(value=xt_value, h1=fs.x.h1, h2=fs.x.h2, **xt_kw),
-        t=ParametricMap4(value=t_value, h1=fs.x.h1, h2=fs.x.h2, **t_kw),
+        xtilde=ParametricMap4(value=xt_value, h1=fs.x.h1, **xt_kw),
+        t=ParametricMap4(value=t_value, h1=fs.x.h1, **t_kw),
         domain=dom,
         axis=axis,
     )
@@ -553,7 +545,7 @@ def lift_from_r31(
 
         x_kw = {"du": x_partial("du"), "dv": x_partial("dv")}
 
-    x_map = ParametricMap4(value=x_value, h1=xt.h1, h2=xt.h2, domain=dom, **x_kw)
+    x_map = ParametricMap4(value=x_value, h1=xt.h1, domain=dom, **x_kw)
 
     if lplus is not None:
 
@@ -569,7 +561,7 @@ def lift_from_r31(
             x, xu, xv = first_partials(x_map, u, v)
             return _fallback_normal(x, xu, xv)
 
-    nu_map = ParametricMap4(value=nu_value, h1=xt.h1, h2=xt.h2, domain=dom)
+    nu_map = ParametricMap4(value=nu_value, h1=xt.h1, domain=dom)
     return x_map, nu_map
 
 

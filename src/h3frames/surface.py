@@ -1,35 +1,27 @@
-"""Parametric maps, 2-jets and rectangular domains.
+"""Parametric maps, first partials and rectangular domains.
 
 A :class:`ParametricMap4` wraps an evaluator ``(u, v) -> ndarray``
-together with optional closed-form partial derivatives.  Evaluators
+together with optional closed-form first partials.  Evaluators
 broadcast: ``u`` and ``v`` are Python floats or arrays of one shape, and
 the result is component-first, of shape ``(k, *shape)`` - ``(k,)`` for
 floats.  Build results with :func:`components`, which accepts constant
 components beside array ones, and write formulas with ``np.`` functions
-rather than ``math.`` (or with :func:`sqrt`, :func:`sin`, :func:`cos`
-here, which take the faster ``math`` route for one float), and powers as
-products.  A map may also return one constant ``(k,)``
-vector; :func:`evaluate` broadcasts it over the grid.  Every grid sweep
-evaluates a whole ``(nv, nu)`` grid (:meth:`Domain.mesh`, v-major) in one
-call, and a refusal names the first offending point in v-major order.
+rather than ``math.``, and powers as products.  A map may also return
+one constant ``(k,)`` vector; :func:`evaluate` broadcasts it over the
+grid.  Every grid sweep evaluates a whole ``(nv, nu)`` grid
+(:meth:`Domain.mesh`, v-major) in one call, and a refusal names the
+first offending point in v-major order.
 
-Whatever is not supplied in closed form is obtained by central finite
-differences:
-
-* first partials: 2-point stencil, step ``h1`` (default ``1e-5``),
-* pure second partials: 3-point stencil, step ``h2`` (default ``1e-4``),
-* mixed partial: 4-corner stencil, step ``h2``.
-
-When closed-form first derivatives are available, second derivatives are
-taken as 2-point central differences *of the closed-form firsts* with step
-``h2``; this keeps one derivative order exact and is how the built-in
-example surfaces are set up.
+First partials that are not supplied in closed form are taken by
+2-point central differences of step ``h1`` (default ``1e-5``).  Nothing
+downstream needs second partials of a map: second-order information
+comes from differences of the invariants.
 
 Despite the name, the same machinery evaluates maps into R^3 (model
 transports use it); only :func:`check_on_h3` insists on four components.
 
-Jets are recomputed on every call - no caching, so perturbed evaluators
-behave predictably in convergence studies.
+Partials are recomputed on every call - no caching, so perturbed
+evaluators behave predictably in convergence studies.
 """
 
 from __future__ import annotations
@@ -44,16 +36,13 @@ from .minkowski import minkowski_dot4
 
 __all__ = [
     "H1_DEFAULT",
-    "H2_DEFAULT",
     "Domain",
-    "Jet2",
     "ParametricMap4",
     "OnH3Report",
     "components",
     "evaluate",
     "first_true",
     "zero4",
-    "evaluate_jet",
     "first_partials",
     "check_on_h3",
     "fd_convergence_ratio",
@@ -61,8 +50,6 @@ __all__ = [
 
 #: Default central-difference step for first derivatives.
 H1_DEFAULT = 1e-5
-#: Default central-difference step for second derivatives.
-H2_DEFAULT = 1e-4
 
 VecFn = Callable[[float, float], np.ndarray]
 
@@ -131,20 +118,8 @@ class Domain:
 
 
 @dataclasses.dataclass(frozen=True)
-class Jet2:
-    """Value and partial derivatives through order two at one point."""
-
-    x: np.ndarray
-    xu: np.ndarray
-    xv: np.ndarray
-    xuu: np.ndarray
-    xuv: np.ndarray
-    xvv: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
 class ParametricMap4:
-    """Point evaluator with optional closed-form partials.
+    """Point evaluator with optional closed-form first partials.
 
     ``domain`` restricts where finite-difference stencils may be centered;
     maps given by globally valid formulas leave it ``None``.
@@ -153,16 +128,12 @@ class ParametricMap4:
     value: VecFn
     du: Optional[VecFn] = None
     dv: Optional[VecFn] = None
-    duu: Optional[VecFn] = None
-    duv: Optional[VecFn] = None
-    dvv: Optional[VecFn] = None
     h1: float = H1_DEFAULT
-    h2: float = H2_DEFAULT
     domain: Optional[Domain] = None
 
     def __post_init__(self):
-        if self.h1 <= 0 or self.h2 <= 0:
-            raise ValueError("finite-difference steps must be positive")
+        if not 0.0 < self.h1 < np.inf:
+            raise ValueError(f"finite-difference step must be finite and positive, got {self.h1}")
         if (self.du is None) != (self.dv is None):
             raise ValueError("supply both first partials or neither")
 
@@ -170,15 +141,9 @@ class ParametricMap4:
     def has_closed_firsts(self) -> bool:
         return self.du is not None
 
-    @property
-    def has_closed_seconds(self) -> bool:
-        return self.duu is not None and self.duv is not None and self.dvv is not None
-
     def without_derivatives(self) -> "ParametricMap4":
         """Copy that evaluates everything by finite differences."""
-        return dataclasses.replace(
-            self, du=None, dv=None, duu=None, duv=None, dvv=None
-        )
+        return dataclasses.replace(self, du=None, dv=None)
 
 
 def components(*values) -> np.ndarray:
@@ -210,10 +175,10 @@ def first_true(mask) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _check_margin(m: ParametricMap4, u, v, h: float):
+def _check_margin(m: ParametricMap4, u, v):
     if m.domain is None:
         return
-    d, m2 = m.domain, 2.0 * h
+    d, m2 = m.domain, 2.0 * m.h1
     u, v = np.asarray(u), np.asarray(v)
     k = first_true(~((d.u_min + m2 <= u) & (u <= d.u_max - m2)
                      & (d.v_min + m2 <= v) & (v <= d.v_max - m2)))
@@ -225,44 +190,19 @@ def _check_margin(m: ParametricMap4, u, v, h: float):
 
 
 def first_partials(m: ParametricMap4, u, v):
-    """(x, x_u, x_v) without touching second derivatives."""
+    """(x, x_u, x_v) at (u, v).
+
+    Raises :class:`BoundaryError` when the finite-difference stencil would
+    leave the declared domain (interior margin 2h).
+    """
     x = evaluate(m.value, u, v)
     if m.has_closed_firsts:
         return x, evaluate(m.du, u, v), evaluate(m.dv, u, v)
     h = m.h1
-    _check_margin(m, u, v, h)
+    _check_margin(m, u, v)
     xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)
     xv = (evaluate(m.value, u, v + h) - evaluate(m.value, u, v - h)) / (2.0 * h)
     return x, xu, xv
-
-
-def evaluate_jet(m: ParametricMap4, u: float, v: float) -> Jet2:
-    """Full 2-jet of the map at (u, v).
-
-    Raises :class:`BoundaryError` when a finite-difference stencil would
-    leave the declared domain (interior margin 2h for the step used).
-    """
-    x, xu, xv = first_partials(m, u, v)
-
-    if m.has_closed_seconds:
-        return Jet2(x, xu, xv, *(evaluate(fn, u, v) for fn in (m.duu, m.duv, m.dvv)))
-
-    h = m.h2
-    _check_margin(m, u, v, h)
-    if m.has_closed_firsts:
-        # Central differences of the exact first partials.
-        xuu = (evaluate(m.du, u + h, v) - evaluate(m.du, u - h, v)) / (2.0 * h)
-        xvv = (evaluate(m.dv, u, v + h) - evaluate(m.dv, u, v - h)) / (2.0 * h)
-        xuv = (evaluate(m.du, u, v + h) - evaluate(m.du, u, v - h)) / (2.0 * h)
-        return Jet2(x, xu, xv, xuu, xuv, xvv)
-
-    f = lambda uu, vv: evaluate(m.value, uu, vv)
-    xuu = (f(u + h, v) - 2.0 * x + f(u - h, v)) / (h * h)
-    xvv = (f(u, v + h) - 2.0 * x + f(u, v - h)) / (h * h)
-    xuv = (f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)) / (
-        4.0 * h * h
-    )
-    return Jet2(x, xu, xv, xuu, xuv, xvv)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,38 +237,27 @@ def check_on_h3(m: ParametricMap4, u: float, v: float) -> OnH3Report:
 
 
 def fd_convergence_ratio(m: ParametricMap4, u: float, v: float, order: int = 1):
-    """Error-reduction factor when the FD step is halved.
+    """Error-reduction factor of the first partials when ``h1`` is halved.
 
     Compares the stencil at the map's configured step and at half that step
-    against closed-form derivatives (which the map must carry for the
-    requested order).  Returns the max-norm error ratio err(h) / err(h/2);
-    second-order stencils give ratios near 4 while truncation dominates.
+    against the map's closed-form first partials.  Returns the max-norm
+    error ratio err(h) / err(h/2); the 2-point stencil gives ratios near 4
+    while truncation dominates.  ``order`` must be 1, the only derivative
+    order a map carries.
     """
-    if order == 1:
-        if not m.has_closed_firsts:
-            raise ValueError("need closed-form first partials as reference")
-        exact = np.concatenate((m.du(u, v), m.dv(u, v)))
-        stripped = m.without_derivatives()
-        approx = []
-        for h in (m.h1, m.h1 / 2.0):
-            probe = dataclasses.replace(stripped, h1=h)
-            _, xu, xv = first_partials(probe, u, v)
-            approx.append(np.concatenate((xu, xv)))
-    elif order == 2:
-        if not m.has_closed_seconds:
-            raise ValueError("need closed-form second partials as reference")
-        exact = np.concatenate((m.duu(u, v), m.duv(u, v), m.dvv(u, v)))
-        stripped = m.without_derivatives()
-        approx = []
-        for h in (m.h2, m.h2 / 2.0):
-            probe = dataclasses.replace(stripped, h2=h)
-            jet = evaluate_jet(probe, u, v)
-            approx.append(np.concatenate((jet.xuu, jet.xuv, jet.xvv)))
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
+    if order != 1:
+        raise ValueError(f"order must be 1, got {order}")
+    if not m.has_closed_firsts:
+        raise ValueError("need closed-form first partials as reference")
+    exact = np.concatenate((m.du(u, v), m.dv(u, v)))
+    stripped = m.without_derivatives()
+    approx = []
+    for h in (m.h1, m.h1 / 2.0):
+        _, xu, xv = first_partials(dataclasses.replace(stripped, h1=h), u, v)
+        approx.append(np.concatenate((xu, xv)))
 
     err_h = float(np.max(np.abs(approx[0] - exact)))
-    err_h2 = float(np.max(np.abs(approx[1] - exact)))
-    if err_h2 == 0.0:
+    err_half = float(np.max(np.abs(approx[1] - exact)))
+    if err_half == 0.0:
         return float("inf")
-    return err_h / err_h2
+    return err_h / err_half

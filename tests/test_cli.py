@@ -266,6 +266,23 @@ def test_singular_h1_h2_set_the_classification_steps(capsys):
     assert "--h1 H1 singular only: classification step of invariant partials" in help_text
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("key", ["h1", "h2", "singular_tol", "classify_tol", "frame_tol"])
+def test_steps_and_tolerances_must_be_finite_and_positive(capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", flag, value])
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {key} must be finite and positive") and err.count("\n") == 1
+
+
+def test_config_file_step_must_be_positive(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h1 = 0\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", "--config", str(cfg)])
+    assert (code, out) == (4, "")
+    assert err == "error: h1 must be finite and positive, got 0\n"
+
+
 def test_singular_empty_for_regular_band(tmp_path, capsys):
     prof = tmp_path / "regular.csv"
     prof.write_text(
@@ -485,6 +502,15 @@ def test_exit_code_geometry_failure(capsys):
     code, _, err = _run(capsys, ["project", "--from", "r31", "--to", "h3",
                                  "--point", "1.0", "0.5", "0.5"])
     assert code == 2 and "does not lift" in err
+
+
+@pytest.mark.parametrize("to", ["h3", "disc"])
+def test_project_r31_overflow_does_not_lift(capsys, to):
+    # x1^2 - x2^2 - x3^2 overflows to inf; that is no liftable point either
+    code, out, err = _run(capsys, ["project", "--from", "r31", "--to", to,
+                                   "--point", "1e155", "0", "0"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: point does not lift")
 
 
 def test_exit_code_io_failure(tmp_path, capsys):

@@ -78,11 +78,7 @@ def test_examples_satisfy_framed_axioms(name):
 
 def test_degenerate_frame_refuses_extraction():
     fs = get_example("cross_cap").framed
-    bad_nu2 = ParametricMap4(
-        value=lambda u, v: 1.01 * fs.nu2.value(u, v),
-        h1=fs.nu2.h1,
-        h2=fs.nu2.h2,
-    )
+    bad_nu2 = ParametricMap4(value=lambda u, v: 1.01 * fs.nu2.value(u, v), h1=fs.nu2.h1)
     bad = FramedSurface(x=fs.x, nu1=fs.nu1, nu2=bad_nu2, domain=fs.domain)
     with pytest.raises(DegenerateFrameError):
         invariants_at(bad, 0.3, 0.2)
@@ -125,7 +121,6 @@ def test_reflect_matches_reflected_frame_extraction(variant):
             du=(lambda u, v: sign * m.du(u, v)) if m.has_closed_firsts else None,
             dv=(lambda u, v: sign * m.dv(u, v)) if m.has_closed_firsts else None,
             h1=m.h1,
-            h2=m.h2,
         )
 
     if variant is ReflectVariant.NEG_NU1:
@@ -232,7 +227,7 @@ def _cross_cap_nu3_map():
     def nu3(u, v):
         return wedge3(fs.x.value(u, v), fs.nu1.value(u, v), fs.nu2.value(u, v))
 
-    return fs, ParametricMap4(value=nu3, h1=fs.x.h1, h2=fs.x.h2)
+    return fs, ParametricMap4(value=nu3, h1=fs.x.h1)
 
 
 def test_construct_frame_from_normal_reproduces_normal():
@@ -251,14 +246,14 @@ def test_construct_frame_from_normal_reproduces_normal():
 
 def test_construct_frame_precondition_errors():
     fs, nu3_map = _cross_cap_nu3_map()
-    off_sheet = ParametricMap4(value=lambda u, v: 2.0 * fs.x.value(u, v), h1=1e-5, h2=1e-4)
+    off_sheet = ParametricMap4(value=lambda u, v: 2.0 * fs.x.value(u, v), h1=1e-5)
     with pytest.raises(PreconditionError):
         construct_frame_from_normal(off_sheet, nu3_map, 0.4, 0.2)
-    non_unit = ParametricMap4(value=lambda u, v: 1.5 * nu3_map.value(u, v), h1=1e-5, h2=1e-4)
+    non_unit = ParametricMap4(value=lambda u, v: 1.5 * nu3_map.value(u, v), h1=1e-5)
     with pytest.raises(PreconditionError):
         construct_frame_from_normal(fs.x, non_unit, 0.4, 0.2)
     # unit spacelike but not orthogonal to x
-    skew = ParametricMap4(value=lambda u, v: fs.nu1.value(0.9, 0.9), h1=1e-5, h2=1e-4)
+    skew = ParametricMap4(value=lambda u, v: fs.nu1.value(0.9, 0.9), h1=1e-5)
     with pytest.raises(PreconditionError):
         construct_frame_from_normal(fs.x, skew, 0.4, 0.2)
 
@@ -269,11 +264,10 @@ def test_construct_frame_degenerate_angles():
             [math.cosh(u) * math.cosh(v), math.sinh(u) * math.cosh(v), math.sinh(v), 0.0]
         ),
         h1=1e-5,
-        h2=1e-4,
     )
     # unit spacelike, orthogonal to x, but spatial part points along e4:
     # the spherical angles have rho = 0 there.
-    nu_map = ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 0.0, 1.0]), h1=1e-5, h2=1e-4)
+    nu_map = ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 0.0, 1.0]), h1=1e-5)
     with pytest.raises(DegenerateAnglesError):
         construct_frame_from_normal(x_map, nu_map, 0.3, 0.2)
 
@@ -330,7 +324,6 @@ def _sheared_rotated_ruled_b(theta):
             du=lambda p, q: m.du(p + q, q),
             dv=lambda p, q: m.du(p + q, q) + m.dv(p + q, q),
             h1=m.h1,
-            h2=m.h2,
         )
 
     # offset so no grid point has sin(0.7 p) = 0 (there the rotated a-row

@@ -1,5 +1,6 @@
 """Ball-model transports, R^3_1 projections and lifts, mesh export."""
 
+import dataclasses
 import io
 import math
 
@@ -16,7 +17,7 @@ from h3frames.errors import (
     PreconditionError,
 )
 from h3frames.examples import get_example
-from h3frames.frames import FramedSurface, invariants_at, verify_framed
+from h3frames.frames import FramedSurface, invariants_at, rotate_frame, verify_framed
 from h3frames.minkowski import (
     minkowski_dot3,
     minkowski_dot4,
@@ -321,6 +322,26 @@ def test_project_then_lift_is_identity():
         for u in np.linspace(dom.u_min, dom.u_max, 4):
             for v in np.linspace(dom.v_min, dom.v_max, 4):
                 assert np.max(np.abs(x_map.value(u, v) - fs.x.value(u, v))) < IDENTITY_TOL
+
+
+def test_derived_maps_keep_their_source_step():
+    # every map built from another one carries its source's h1, so a
+    # finite-difference partial of a derived map uses the step it was given
+    fs = get_example("cross_cap").framed
+    x, n1, n2 = (dataclasses.replace(m, h1=h) for m, h in
+                 ((fs.x, 1e-3), (fs.nu1, 2e-3), (fs.nu2, 3e-3)))
+    fs = FramedSurface(x=x, nu1=n1, nu2=n2, domain=fs.domain)
+
+    rot = rotate_frame(fs, lambda u, v: 0.3 * u)
+    assert (rot.x.h1, rot.nu1.h1, rot.nu2.h1) == (1e-3, 2e-3, 3e-3)
+    disc = transport_to_disc(fs)
+    assert (disc.xbar.h1, disc.nubar1.h1, disc.nubar2.h1) == (1e-3, 2e-3, 3e-3)
+    back = transport_to_h3(disc)
+    assert (back.x.h1, back.nu1.h1, back.nu2.h1) == (1e-3, 2e-3, 3e-3)
+    lc = project_to_r31(fs, Axis.X4, domain=_AXIS_WINDOWS[Axis.X4])
+    assert (lc.xtilde.h1, lc.t.h1) == (1e-3, 1e-3)
+    x_map, nu_map = lift_from_r31(lc.xtilde, Axis.X4, domain=_AXIS_WINDOWS[Axis.X4])
+    assert (x_map.h1, nu_map.h1) == (1e-3, 1e-3)
 
 
 def test_lift_precondition_and_argument_errors():

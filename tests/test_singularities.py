@@ -318,7 +318,6 @@ def test_classification_survives_coordinate_swap():
             du=lambda u, v: m.dv(v, u),
             dv=lambda u, v: m.du(v, u),
             h1=m.h1,
-            h2=m.h2,
         )
 
     dom = Domain(-1.0, 1.0, -0.5, 3.5, nu=11, nv=21)

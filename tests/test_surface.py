@@ -1,4 +1,4 @@
-"""Tests for parametric maps, jets and domains."""
+"""Tests for parametric maps, first partials and domains."""
 
 import math
 
@@ -10,7 +10,6 @@ from h3frames.surface import (
     Domain,
     ParametricMap4,
     check_on_h3,
-    evaluate_jet,
     fd_convergence_ratio,
     first_partials,
 )
@@ -22,9 +21,6 @@ def _poly_map(**kw):
         value=lambda u, v: np.array([u * u * v, u + v, v * v * v, 2.0 * u * v]),
         du=lambda u, v: np.array([2.0 * u * v, 1.0, 0.0, 2.0 * v]),
         dv=lambda u, v: np.array([u * u, 1.0, 3.0 * v * v, 2.0 * u]),
-        duu=lambda u, v: np.array([2.0 * v, 0.0, 0.0, 0.0]),
-        duv=lambda u, v: np.array([2.0 * u, 0.0, 0.0, 2.0]),
-        dvv=lambda u, v: np.array([0.0, 0.0, 6.0 * v, 0.0]),
         **kw,
     )
 
@@ -39,15 +35,6 @@ def _trig_map(**kw):
         ),
         dv=lambda u, v: np.array(
             [2 * math.cos(u + 2 * v), math.sin(u - v), -math.sin(3 * u) * math.sin(v), u]
-        ),
-        duu=lambda u, v: np.array(
-            [-math.sin(u + 2 * v), -math.cos(u - v), -9 * math.sin(3 * u) * math.cos(v), 0.0]
-        ),
-        duv=lambda u, v: np.array(
-            [-2 * math.sin(u + 2 * v), math.cos(u - v), -3 * math.cos(3 * u) * math.sin(v), 1.0]
-        ),
-        dvv=lambda u, v: np.array(
-            [-4 * math.sin(u + 2 * v), -math.cos(u - v), -math.sin(3 * u) * math.cos(v), 0.0]
         ),
         **kw,
     )
@@ -81,40 +68,16 @@ def test_map_requires_paired_firsts():
         ParametricMap4(value=lambda u, v: np.zeros(4), du=lambda u, v: np.zeros(4))
     with pytest.raises(ValueError):
         ParametricMap4(value=lambda u, v: np.zeros(4), h1=0.0)
+    with pytest.raises(ValueError):
+        ParametricMap4(value=lambda u, v: np.zeros(4), h1=math.nan)
 
 
-def test_jet_closed_form_exact():
+def test_first_partials_closed_form_exact():
     m = _poly_map()
-    jet = evaluate_jet(m, 0.7, -0.3)
-    assert np.array_equal(jet.xu, m.du(0.7, -0.3))
-    # Seconds fall back to FD of the closed-form firsts (duu etc. given, so exact here).
-    assert np.array_equal(jet.xuu, m.duu(0.7, -0.3))
-    assert np.array_equal(jet.xuv, m.duv(0.7, -0.3))
-
-
-def test_jet_fd_of_closed_firsts():
-    import dataclasses
-
-    ref = _trig_map()
-    m = dataclasses.replace(ref, duu=None, duv=None, dvv=None)
-    jet = evaluate_jet(m, 0.4, 0.2)
-    for got, want in (
-        (jet.xuu, ref.duu(0.4, 0.2)),
-        (jet.xuv, ref.duv(0.4, 0.2)),
-        (jet.xvv, ref.dvv(0.4, 0.2)),
-    ):
-        assert np.max(np.abs(got - want)) < 5e-7
-
-
-def test_jet_pure_fd():
-    ref = _trig_map()
-    m = ref.without_derivatives()
-    jet = evaluate_jet(m, -0.3, 0.9)
-    assert np.max(np.abs(jet.xu - ref.du(-0.3, 0.9))) < 1e-9
-    assert np.max(np.abs(jet.xv - ref.dv(-0.3, 0.9))) < 1e-9
-    assert np.max(np.abs(jet.xuu - ref.duu(-0.3, 0.9))) < 1e-6
-    assert np.max(np.abs(jet.xuv - ref.duv(-0.3, 0.9))) < 1e-6
-    assert np.max(np.abs(jet.xvv - ref.dvv(-0.3, 0.9))) < 1e-6
+    x, xu, xv = first_partials(m, 0.7, -0.3)
+    assert np.array_equal(x, m.value(0.7, -0.3))
+    assert np.array_equal(xu, m.du(0.7, -0.3))
+    assert np.array_equal(xv, m.dv(0.7, -0.3))
 
 
 def test_fd_mode_boundary_margin():
@@ -122,30 +85,27 @@ def test_fd_mode_boundary_margin():
     m = _trig_map().without_derivatives()
     m = ParametricMap4(value=m.value, domain=d)
     with pytest.raises(BoundaryError):
-        evaluate_jet(m, 1e-6, 0.5)
+        first_partials(m, 1e-6, 0.5)
     with pytest.raises(BoundaryError):
         first_partials(m, 0.5, 1.0 - 1e-6)
     # Closed-form mode has no margin requirement.
     mc = _trig_map(domain=d)
-    evaluate_jet(mc, 0.0, 0.0)
+    first_partials(mc, 0.0, 0.0)
     # Far enough inside is fine in FD mode too.
-    evaluate_jet(m, 0.5, 0.5)
+    first_partials(m, 0.5, 0.5)
 
 
 def test_fd_first_order_halving_ratio():
     # Step chosen so truncation dominates rounding; the 2-point stencil is
     # O(h^2), so halving must shrink the error by about 4.
-    m = _trig_map(h1=1e-3, h2=1e-3)
+    m = _trig_map(h1=1e-3)
     for (u, v) in [(0.3, -0.4), (1.1, 0.6), (-0.8, 0.2)]:
         r = fd_convergence_ratio(m, u, v, order=1)
         assert 3.5 <= r <= 4.5
-
-
-def test_fd_second_order_halving_ratio():
-    m = _trig_map(h1=1e-3, h2=1e-2)
-    for (u, v) in [(0.3, -0.4), (1.1, 0.6)]:
-        r = fd_convergence_ratio(m, u, v, order=2)
-        assert 3.5 <= r <= 4.5
+    # First partials are the only derivatives a map carries.
+    for order in (0, 2):
+        with pytest.raises(ValueError):
+            fd_convergence_ratio(m, 0.3, -0.4, order=order)
 
 
 def test_check_on_h3():
