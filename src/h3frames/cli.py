@@ -38,8 +38,8 @@ from .horocyclic import (
     invariant_form_classify,
     load_h_profile,
 )
-from .minkowski import minkowski_dot3
-from .projections import Axis, from_poincare, to_poincare, write_disc_mesh
+from .minkowski import minkowski_dot3, minkowski_dot4
+from .projections import ON_H3_TOL, Axis, from_poincare, to_poincare, write_disc_mesh
 from .singularities import (
     CORANK_TOL,
     D_TOL,
@@ -403,15 +403,19 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
     if frm == "disc":
         x = from_poincare(x)
     elif frm == "r31":
+        i = axis.index
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
             q = -minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
-        k = first_true(~(np.isfinite(q) & (q > 1.0)))
+            lifted = components(*x[:i], np.sqrt(q - 1.0), *x[i:])
+            r = minkowski_dot4(lifted, lifted)  # -1 up to rounding, which grows with x1^2
+        k = first_true(~(np.isfinite(q) & (q > 1.0) & (abs(r + 1.0) <= ON_H3_TOL)))
         if k is not None:
             raise PreconditionError(
-                f"point does not lift: x1^2 - x2^2 - x3^2 = {fmt(q[k])}, not a finite number > 1"
+                f"point does not lift: ({' '.join(map(fmt, x[:, k]))}) has x1^2 - x2^2 - x3^2 = "
+                f"{fmt(q[k])} and lifts to <x,x> = {fmt(r[k])}, not a finite number > 1 "
+                f"and -1 within {ON_H3_TOL}"
             )
-        i = axis.index
-        x = components(*x[:i], np.sqrt(q - 1.0), *x[i:])
+        x = lifted
     elif to != "disc":
         to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target
     if to == "disc":

@@ -7,7 +7,6 @@ whole family to a single exit code while still catching specific cases.
 
 __all__ = [
     "GeometryError",
-    "BoundaryError",
     "DegenerateFrameError",
     "DegenerateAnglesError",
     "CDegenerateError",
@@ -22,10 +21,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Base class for violated geometric preconditions."""
-
-
-class BoundaryError(GeometryError):
-    """Evaluation point too close to the domain boundary for the stencil."""
 
 
 class DegenerateFrameError(GeometryError):

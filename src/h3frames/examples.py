@@ -166,7 +166,7 @@ def corank_one_surface(
     The construction assumes f_v(0,0) = g_v(0,0) = 0 (so the origin is a
     singular point of the base map); this is checked unless
     ``check_origin=False``.  Normal fields carry no closed-form derivatives
-    - the e/f/g invariants come out through finite differences.  The six
+    - the e/f/g invariants come out through complex-step partials.  The six
     callables must broadcast over arrays like the surface maps (a
     constant may return a float).
     """

@@ -38,7 +38,9 @@ from .minkowski import (
     wedge3,
 )
 from .fmt import fmt_rows
-from .surface import Domain, ParametricMap4, evaluate, first_partials, first_true
+from .surface import (
+    Domain, ParametricMap4, _complex_step, components, evaluate, first_partials, first_true
+)
 
 __all__ = [
     "FRAME_TOL",
@@ -397,18 +399,17 @@ def rotate_frame(
 ) -> FramedSurface:
     """Framed surface with the normal pair rotated pointwise by theta(u, v).
 
-    The base map is untouched; nu3 is unchanged by construction.  When the
-    original normal maps carry closed-form first derivatives, the rotated
-    maps do too (product rule); missing theta derivatives are filled in by
-    central differences with the map's h1 step.  ``theta`` and its
-    partials must broadcast like the maps.
+    The base map is untouched; nu3 is unchanged by construction.  The
+    rotated maps carry first partials by the product rule, from the first
+    partials of the original normals and of theta; a missing theta partial
+    comes from the complex step, like a map's.  ``theta`` and its partials
+    must broadcast like the maps.
     """
-    h = fs.nu1.h1
-    theta_d = {
-        "du": theta_u or (lambda u, v: (theta(u + h, v) - theta(u - h, v)) / (2.0 * h)),
-        "dv": theta_v or (lambda u, v: (theta(u, v + h) - theta(u, v - h)) / (2.0 * h)),
-    }
-    closed = fs.nu1.has_closed_firsts and fs.nu2.has_closed_firsts
+
+    def theta_step(k):
+        return lambda u, v: _complex_step(lambda u, v: components(theta(u, v)), k, u, v)[0]
+
+    theta_d = (theta_u or theta_step(0), theta_v or theta_step(1))
 
     def rotated(first: bool, base: ParametricMap4) -> ParametricMap4:
         # a nu1 + b nu2 with (a, b) = (cos t, -sin t) or (sin t, cos t)
@@ -421,17 +422,16 @@ def rotate_frame(
             (a, b), _ = coefs(u, v)
             return a * evaluate(fs.nu1.value, u, v) + b * evaluate(fs.nu2.value, u, v)
 
-        def partial(which):
+        def partial(i):
             def d(u, v):
                 (a, b), (da, db) = coefs(u, v)
-                n1, n2 = evaluate(fs.nu1.value, u, v), evaluate(fs.nu2.value, u, v)
-                d1, d2 = evaluate(getattr(fs.nu1, which), u, v), evaluate(getattr(fs.nu2, which), u, v)
-                return a * d1 + b * d2 + theta_d[which](u, v) * (da * n1 + db * n2)
+                n1, *d1 = first_partials(fs.nu1, u, v)
+                n2, *d2 = first_partials(fs.nu2, u, v)
+                return a * d1[i] + b * d2[i] + theta_d[i](u, v) * (da * n1 + db * n2)
 
             return d
 
-        firsts = {"du": partial("du"), "dv": partial("dv")} if closed else {}
-        return ParametricMap4(value=value, h1=base.h1, domain=base.domain, **firsts)
+        return ParametricMap4(value=value, du=partial(0), dv=partial(1), domain=base.domain)
 
     m1, m2 = rotated(True, fs.nu1), rotated(False, fs.nu2)
     return FramedSurface(x=fs.x, nu1=m1, nu2=m2, domain=fs.domain)

@@ -47,7 +47,7 @@ from .frames import (
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
-from .surface import Domain, ParametricMap4, evaluate, first_true, zero4
+from .surface import Domain, ParametricMap4, _complex_step, evaluate, first_true, zero4
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -84,18 +84,15 @@ H_STEP = 1e-5
 class Curve4:
     """Curve u -> R^4_1 with an optional exact derivative ``d`` (a closed
     form, or the frame system for integrated curves); without one,
-    :meth:`derivative` takes central differences of step ``h``."""
+    :meth:`derivative` takes the complex step, like a map's first partials."""
 
     value: Callable[[float], np.ndarray]
     d: Optional[Callable[[float], np.ndarray]] = None
-    h: float = 1e-6
 
     def derivative(self, u: float) -> np.ndarray:
         if self.d is not None:
             return evaluate(self.d, u)
-        return (evaluate(self.value, u + self.h) - evaluate(self.value, u - self.h)) / (
-            2.0 * self.h
-        )
+        return _complex_step(self.value, 0, u)
 
 
 HFuncs = tuple[
@@ -142,8 +139,8 @@ def build_horocyclic(
     The curve-frame axioms are checked on the domain's u grid first;
     violation raises :class:`DegenerateFrameError`.  First derivatives of
     all three surface maps are assembled from the curve derivatives
-    (exact when the curves carry one, central differences inside the
-    curve otherwise), so the surface maps always advertise closed firsts.
+    (the curve's own when it carries one, its complex step otherwise), so
+    the surface maps always advertise closed firsts.
     """
     res = verify_horocyclic_data(data, domain.u_grid())
     if res > tol:
@@ -391,9 +388,10 @@ def _hermite(x, y, dy, u) -> np.ndarray:
     ``dy`` (both ``(n, ...)``) at the increasing knots ``x``, evaluated at
     ``u`` (a float or an array); the result has shape
     ``u.shape + y.shape[1:]``.  Beyond the knots the end pieces extend.
-    Each piece is summed in rising powers of s = u - x[k]."""
-    u = np.asarray(u, dtype=float)
-    k = np.searchsorted(x[1:-1], u, side="right")  # piece k spans [x[k], x[k + 1]]
+    Each piece is summed in rising powers of s = u - x[k]; a complex u
+    (a complex step) picks its piece by its real part."""
+    u = np.asarray(u)
+    k = np.searchsorted(x[1:-1], u.real, side="right")  # piece k spans [x[k], x[k + 1]]
     x0 = x[k]
     tail = (...,) + (None,) * (y.ndim - 1)
     s, h = (u - x0)[tail], (x[k + 1] - x0)[tail]

@@ -128,14 +128,15 @@ def wedge2_r31(a, b) -> np.ndarray:
 
 
 def euclid_dot(a, b) -> float:
-    """Ordinary Euclidean scalar product (the same rounding as ``np.dot``)."""
-    return np.vecdot(np.asarray(a, dtype=float), np.asarray(b, dtype=float), axis=0)
+    """Ordinary Euclidean scalar product (the same rounding as ``np.dot``),
+    bilinear also for complex vectors: ``np.vecdot`` conjugates its first
+    argument, and conjugating it beforehand undoes that."""
+    return np.vecdot(np.conj(a), b, axis=0)
 
 
 def euclid_cross(a, b) -> np.ndarray:
     """Ordinary Euclidean cross product in R^3."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a), np.asarray(b)
     return np.array(
         [
             a[1] * b[2] - a[2] * b[1],

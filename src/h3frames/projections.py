@@ -122,35 +122,31 @@ def to_poincare(x, tol: float = ON_H3_TOL) -> np.ndarray:
     Also takes a component-first stack of points; the first point off the
     upper sheet (non-finite ones included) is refused.
     """
-    x = np.asarray(x, dtype=float)
-    q = minkowski_dot4(x, x)
+    x = np.asarray(x)
+    q = minkowski_dot4(x, x).real
     off = ~(abs(q + 1.0) <= tol)
-    k = first_true(off | ~(x[0] > 0.0))
+    k = first_true(off | ~(x[0].real > 0.0))
     if k is not None:
         if off.flat[k]:
             raise OffHyperboloidError(f"<x,x> = {q.flat[k]:.6e}, expected -1 within {tol}")
-        raise OffHyperboloidError(f"x1 = {x[0].flat[k]:.6e} is not on the upper branch")
+        raise OffHyperboloidError(f"x1 = {x[0].real.flat[k]:.6e} is not on the upper branch")
     return x[1:] / (x[0] + 1.0)
 
 
 def from_poincare(p) -> np.ndarray:
     """Hyperboloid point (1 + |p|^2, 2p) / (1 - |p|^2) over a ball point (or
     a component-first stack of them)."""
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
     s = euclid_dot(p, p)
-    k = first_true(~(s < 1.0))
+    k = first_true(~(s.real < 1.0))
     if k is not None:
-        raise OutsideDiscError(f"|p|^2 = {s.flat[k]:.6e} is not inside the unit ball")
+        raise OutsideDiscError(f"|p|^2 = {s.real.flat[k]:.6e} is not inside the unit ball")
     return components(1.0 + s, *(2.0 * p)) / (1.0 - s)
 
 
 # ---------------------------------------------------------------------------
 # framed-surface transport H^3 -> D^3
 # ---------------------------------------------------------------------------
-
-
-def _have_firsts(*maps: ParametricMap4) -> bool:
-    return all(m.has_closed_firsts for m in maps)
 
 
 def _disc_direction(x, y):
@@ -160,10 +156,10 @@ def _disc_direction(x, y):
 
 def _normalize(w, n2, where: str, what: str):
     """w / sqrt(n2), refusing the first point where n2 is not clearly positive."""
-    k = first_true(~(n2 > NORMALIZATION_TOL))
+    k = first_true(~(np.real(n2) > NORMALIZATION_TOL))
     if k is not None:
         raise NormalizationError(
-            f"{where}: direction has {what.format(np.asarray(n2).flat[k])}; "
+            f"{where}: direction has {what.format(np.real(n2).flat[k])}; "
             "the input does not satisfy the framed-surface axioms"
         )
     return w / np.sqrt(n2)
@@ -178,9 +174,8 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
     with weights proportional to the original (alpha, beta).  A vanishing
     direction cannot occur for valid input (it would force <x, nu> != 0),
     so :class:`NormalizationError` here means the input was not framed.
-
-    Closed first derivatives are propagated whenever all three input maps
-    carry them.
+    The transported maps carry values only; their first partials come
+    from the complex step.
     """
     x_m, n1_m, n2_m = fs.x, fs.nu1, fs.nu2
 
@@ -194,41 +189,10 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
 
         return value
 
-    xbar_kw = nub1_kw = nub2_kw = {}
-    if _have_firsts(x_m, n1_m, n2_m):
-
-        def xbar_partial(which):
-            def d(u, v):
-                x = evaluate(x_m.value, u, v)
-                dx = evaluate(getattr(x_m, which), u, v)
-                return (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / ((x[0] + 1.0) * (x[0] + 1.0))
-
-            return d
-
-        def nub_partial_factory(n_m, which):
-            def d(u, v):
-                x, y = evaluate(x_m.value, u, v), evaluate(n_m.value, u, v)
-                dx, dy = evaluate(getattr(x_m, which), u, v), evaluate(getattr(n_m, which), u, v)
-                w = _disc_direction(x, y)
-                dw = (
-                    dy[0] * x[1:]
-                    + y[0] * dx[1:]
-                    - dx[0] * y[1:]
-                    - (x[0] + 1.0) * dy[1:]
-                )
-                n = np.sqrt(euclid_dot(w, w))
-                return dw / n - w * (euclid_dot(w, dw) / (n * n * n))
-
-            return d
-
-        xbar_kw = {w: xbar_partial(w) for w in ("du", "dv")}
-        nub1_kw = {w: nub_partial_factory(n1_m, w) for w in ("du", "dv")}
-        nub2_kw = {w: nub_partial_factory(n2_m, w) for w in ("du", "dv")}
-
     return DiscFramedSurface(
-        xbar=ParametricMap4(value=xbar_value, h1=x_m.h1, **xbar_kw),
-        nubar1=ParametricMap4(value=nub_value_factory(n1_m), h1=n1_m.h1, **nub1_kw),
-        nubar2=ParametricMap4(value=nub_value_factory(n2_m), h1=n2_m.h1, **nub2_kw),
+        xbar=ParametricMap4(value=xbar_value),
+        nubar1=ParametricMap4(value=nub_value_factory(n1_m)),
+        nubar2=ParametricMap4(value=nub_value_factory(n2_m)),
         domain=fs.domain,
     )
 
@@ -269,52 +233,10 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
 
         return value
 
-    x_kw = nu1_kw = nu2_kw = {}
-    if _have_firsts(xb_m, n1_m, n2_m):
-
-        def x_partial(which):
-            def d(u, v):
-                p = evaluate(xb_m.value, u, v)
-                dp = evaluate(getattr(xb_m, which), u, v)
-                s = euclid_dot(p, p)
-                ds = 2.0 * euclid_dot(p, dp)
-                denom = 1.0 - s
-                # quotient rule on (1 + s, 2p) / (1 - s)
-                return components(
-                    (ds * denom + (1.0 + s) * ds), *(2.0 * dp * denom + 2.0 * p * ds)
-                ) / (denom * denom)
-
-            return d
-
-        def nu_partial_factory(n_m, which):
-            def d(u, v):
-                p, y = evaluate(xb_m.value, u, v), evaluate(n_m.value, u, v)
-                dp, dy = evaluate(getattr(xb_m, which), u, v), evaluate(getattr(n_m, which), u, v)
-                dd = euclid_dot(dp, y) + euclid_dot(p, dy)
-                ds = 2.0 * euclid_dot(p, dp)
-                w = _h3_direction(p, y)
-                dw = components(
-                    2.0 * dd,
-                    *(
-                        -ds * y
-                        + (1.0 - euclid_dot(p, p)) * dy
-                        + 2.0 * dd * p
-                        + 2.0 * euclid_dot(p, y) * dp
-                    ),
-                )
-                n = np.sqrt(minkowski_dot4(w, w))
-                return dw / n - w * (minkowski_dot4(w, dw) / (n * n * n))
-
-            return d
-
-        x_kw = {w: x_partial(w) for w in ("du", "dv")}
-        nu1_kw = {w: nu_partial_factory(n1_m, w) for w in ("du", "dv")}
-        nu2_kw = {w: nu_partial_factory(n2_m, w) for w in ("du", "dv")}
-
     return FramedSurface(
-        x=ParametricMap4(value=x_value, h1=xb_m.h1, **x_kw),
-        nu1=ParametricMap4(value=nu_value_factory(n1_m), h1=n1_m.h1, **nu1_kw),
-        nu2=ParametricMap4(value=nu_value_factory(n2_m), h1=n2_m.h1, **nu2_kw),
+        x=ParametricMap4(value=x_value),
+        nu1=ParametricMap4(value=nu_value_factory(n1_m)),
+        nu2=ParametricMap4(value=nu_value_factory(n2_m)),
         domain=dfs.domain,
     )
 
@@ -360,7 +282,7 @@ def verify_disc_framed(
 
 
 def _drop(w, axis: Axis) -> np.ndarray:
-    return np.delete(np.asarray(w, dtype=float), axis.index, axis=0)
+    return np.delete(w, axis.index, axis=0)
 
 
 def _insert(w3, value, axis: Axis) -> np.ndarray:
@@ -370,12 +292,6 @@ def _insert(w3, value, axis: Axis) -> np.ndarray:
 
 def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
     return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
-
-
-def _nu3_partial(fs: FramedSurface, which: str, u, v) -> np.ndarray:
-    x, n1, n2 = (evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2))
-    dx, dn1, dn2 = (evaluate(getattr(m, which), u, v) for m in (fs.x, fs.nu1, fs.nu2))
-    return wedge3(dx, n1, n2) + wedge3(x, dn1, n2) + wedge3(x, n1, dn2)
 
 
 def project_to_r31(
@@ -412,27 +328,9 @@ def project_to_r31(
         w = _drop(_nu3_value(fs, u, v), axis)
         return w / np.sqrt(minkowski_dot3(w, w))
 
-    xt_kw = t_kw = {}
-    if _have_firsts(fs.x, fs.nu1, fs.nu2):
-        xt_kw = {
-            "du": lambda u, v: _drop(evaluate(fs.x.du, u, v), axis),
-            "dv": lambda u, v: _drop(evaluate(fs.x.dv, u, v), axis),
-        }
-
-        def t_partial(which):
-            def d(u, v):
-                w = _drop(_nu3_value(fs, u, v), axis)
-                dw = _drop(_nu3_partial(fs, which, u, v), axis)
-                n = np.sqrt(minkowski_dot3(w, w))
-                return dw / n - w * (minkowski_dot3(w, dw) / (n * n * n))
-
-            return d
-
-        t_kw = {"du": t_partial("du"), "dv": t_partial("dv")}
-
     return LightconeCandidate(
-        xtilde=ParametricMap4(value=xt_value, h1=fs.x.h1, **xt_kw),
-        t=ParametricMap4(value=t_value, h1=fs.x.h1, **t_kw),
+        xtilde=ParametricMap4(value=xt_value),
+        t=ParametricMap4(value=t_value),
         domain=dom,
         axis=axis,
     )
@@ -474,11 +372,11 @@ def _fallback_normal(x, xu, xv) -> np.ndarray:
         )
     )
     n2 = np.array([minkowski_dot4(c, c) for c in cands])
-    wedged = np.argmax(n2[:4], axis=0)
+    wedged = np.argmax(n2[:4].real, axis=0)  # a complex step keeps the choice
     pick = np.where(
-        np.take_along_axis(n2, wedged[None], 0)[0] > NORMALIZATION_TOL,
+        np.take_along_axis(n2.real, wedged[None], 0)[0] > NORMALIZATION_TOL,
         wedged,
-        np.argmax(n2, axis=0),
+        np.argmax(n2.real, axis=0),
     )
     best = np.take_along_axis(cands, pick[None, None], 0)[0]
     return best / np.sqrt(np.take_along_axis(n2, pick[None], 0)[0])
@@ -531,21 +429,7 @@ def lift_from_r31(
         p, x4 = inserted(u, v)
         return _insert(p, x4, axis)
 
-    x_kw = {}
-    if xt.has_closed_firsts:
-
-        def x_partial(which):
-            def d(u, v):
-                p, x4 = inserted(u, v)
-                dp = evaluate(getattr(xt, which), u, v)
-                dx4 = (p[0] * dp[0] - p[1] * dp[1] - p[2] * dp[2]) / x4
-                return _insert(dp, dx4, axis)
-
-            return d
-
-        x_kw = {"du": x_partial("du"), "dv": x_partial("dv")}
-
-    x_map = ParametricMap4(value=x_value, h1=xt.h1, domain=dom, **x_kw)
+    x_map = ParametricMap4(value=x_value, domain=dom)
 
     if lplus is not None:
 
@@ -561,7 +445,7 @@ def lift_from_r31(
             x, xu, xv = first_partials(x_map, u, v)
             return _fallback_normal(x, xu, xv)
 
-    nu_map = ParametricMap4(value=nu_value, h1=xt.h1, domain=dom)
+    nu_map = ParametricMap4(value=nu_value, domain=dom)
     return x_map, nu_map
 
 

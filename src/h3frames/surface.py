@@ -12,10 +12,18 @@ grid.  Every grid sweep evaluates a whole ``(nv, nu)`` grid
 (:meth:`Domain.mesh`, v-major) in one call, and a refusal names the
 first offending point in v-major order.
 
-First partials that are not supplied in closed form are taken by
-2-point central differences of step ``h1`` (default ``1e-5``).  Nothing
-downstream needs second partials of a map: second-order information
-comes from differences of the invariants.
+First partials are the map's closed forms when it has them, and
+otherwise complex-step derivatives Im f(u + ih, v) / h, with h far below
+rounding (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003): one
+evaluation per direction, no subtraction, exact to rounding wherever the
+map is defined, up to its boundary.  So map values must be
+complex-analytic numpy formulas of u and v: no ``math.`` functions, no
+``abs``, ``np.hypot`` or float casts, and refusal checks read the real
+part.  Only a partial taken inside another complex step is a central
+difference (:func:`_complex_step`).  ``ParametricMap4.h1`` is the step
+that :func:`fd_convergence_ratio` studies; nothing else reads it.  No
+map needs second partials: second-order information comes from
+differences of the invariants.
 
 Despite the name, the same machinery evaluates maps into R^3 (model
 transports use it); only :func:`check_on_h3` insists on four components.
@@ -31,7 +39,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BoundaryError
 from .minkowski import minkowski_dot4
 
 __all__ = [
@@ -48,8 +55,14 @@ __all__ = [
     "fd_convergence_ratio",
 ]
 
-#: Default central-difference step for first derivatives.
+#: Default central-difference step of :func:`fd_convergence_ratio`, and
+#: the step of a partial taken inside a complex step.
 H1_DEFAULT = 1e-5
+
+#: Imaginary step of the complex-step derivative.  Its product with any
+#: derivative is far below the rounding of the value, so the imaginary
+#: part carries the derivative alone.
+_STEP = 1e-20
 
 VecFn = Callable[[float, float], np.ndarray]
 
@@ -121,8 +134,9 @@ class Domain:
 class ParametricMap4:
     """Point evaluator with optional closed-form first partials.
 
-    ``domain`` restricts where finite-difference stencils may be centered;
-    maps given by globally valid formulas leave it ``None``.
+    ``domain`` is where the map is meant to be evaluated (a lift takes it
+    as its default grid); maps given by globally valid formulas leave it
+    ``None``.
     """
 
     value: VecFn
@@ -142,17 +156,17 @@ class ParametricMap4:
         return self.du is not None
 
     def without_derivatives(self) -> "ParametricMap4":
-        """Copy that evaluates everything by finite differences."""
+        """Copy whose first partials come from the complex step."""
         return dataclasses.replace(self, du=None, dv=None)
 
 
 def components(*values) -> np.ndarray:
-    """Component-first array from scalars and equal-shape arrays (float
-    unless every component is an integer)."""
+    """Component-first array from scalars and equal-shape arrays (complex
+    when a component is, integer when every component is, else float)."""
     try:
         return np.array(values)
     except ValueError:  # constant components beside grid-shaped ones
-        return np.array(np.broadcast_arrays(*values), dtype=float)
+        return np.array(np.broadcast_arrays(*values))
 
 
 def zero4(u, v) -> np.ndarray:
@@ -161,8 +175,10 @@ def zero4(u, v) -> np.ndarray:
 
 
 def evaluate(fn: VecFn, u, *args) -> np.ndarray:
-    """``fn(u, *args)`` as a float array of shape ``(k, *shape(u))``."""
-    out = np.asarray(fn(u, *args), dtype=float)
+    """``fn(u, *args)`` as a float (or, at complex arguments, complex)
+    array of shape ``(k, *shape(u))``."""
+    out = np.asarray(fn(u, *args))
+    out = out.astype(np.result_type(out, float), copy=False)  # integers become float
     shape = getattr(u, "shape", ())  # np.shape costs a microsecond per float
     if out.shape[1:] != shape:  # one constant vector for the whole grid
         out = np.broadcast_to(out.reshape((-1,) + (1,) * len(shape)), out.shape[:1] + shape)
@@ -175,34 +191,35 @@ def first_true(mask) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _check_margin(m: ParametricMap4, u, v):
-    if m.domain is None:
-        return
-    d, m2 = m.domain, 2.0 * m.h1
-    u, v = np.asarray(u), np.asarray(v)
-    k = first_true(~((d.u_min + m2 <= u) & (u <= d.u_max - m2)
-                     & (d.v_min + m2 <= v) & (v <= d.v_max - m2)))
-    if k is not None:
-        raise BoundaryError(
-            f"point ({u.flat[k]}, {v.flat[k]}) is closer than "
-            f"2h = {m2} to the boundary of [{d.u_min}, {d.u_max}] x [{d.v_min}, {d.v_max}]"
-        )
+def _complex_step(fn, k: int, *args) -> np.ndarray:
+    """Partial of ``fn`` in its ``k``-th argument, Im fn(.., a + ih, ..) / h,
+    shaped like :func:`evaluate`'s result.  A float point goes in as a
+    1-element array: numpy rounds complex scalars differently from arrays,
+    and one point must round as it does inside a grid.
+
+    One imaginary unit carries one derivative, so complex steps do not
+    nest: inside one (a map whose value takes partials, being itself
+    differentiated) the partial is a central difference of step
+    :data:`H1_DEFAULT`, and the outer derivative is good to about 1e-10."""
+    if any(np.iscomplexobj(a) for a in args):
+        hi, lo = list(args), list(args)
+        hi[k], lo[k] = args[k] + H1_DEFAULT, args[k] - H1_DEFAULT
+        return (evaluate(fn, *hi) - evaluate(fn, *lo)) / (2.0 * H1_DEFAULT)
+    pts = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    shape = pts[0].shape
+    pts = [p.reshape(shape or (1,)) for p in pts]
+    pts[k] = pts[k] + 1j * _STEP
+    d = evaluate(fn, *pts).imag / _STEP
+    return d.reshape(d.shape[:1] + shape)
 
 
 def first_partials(m: ParametricMap4, u, v):
-    """(x, x_u, x_v) at (u, v).
-
-    Raises :class:`BoundaryError` when the finite-difference stencil would
-    leave the declared domain (interior margin 2h).
-    """
+    """(x, x_u, x_v) at (u, v): closed forms when the map has them,
+    complex-step derivatives otherwise."""
     x = evaluate(m.value, u, v)
     if m.has_closed_firsts:
         return x, evaluate(m.du, u, v), evaluate(m.dv, u, v)
-    h = m.h1
-    _check_margin(m, u, v)
-    xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)
-    xv = (evaluate(m.value, u, v + h) - evaluate(m.value, u, v - h)) / (2.0 * h)
-    return x, xu, xv
+    return x, _complex_step(m.value, 0, u, v), _complex_step(m.value, 1, u, v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,27 +254,25 @@ def check_on_h3(m: ParametricMap4, u: float, v: float) -> OnH3Report:
 
 
 def fd_convergence_ratio(m: ParametricMap4, u: float, v: float, order: int = 1):
-    """Error-reduction factor of the first partials when ``h1`` is halved.
+    """Error-reduction factor of central-difference first partials when the
+    step ``h1`` is halved.
 
-    Compares the stencil at the map's configured step and at half that step
-    against the map's closed-form first partials.  Returns the max-norm
-    error ratio err(h) / err(h/2); the 2-point stencil gives ratios near 4
-    while truncation dominates.  ``order`` must be 1, the only derivative
-    order a map carries.
+    Takes the 2-point stencil of the map's values at its configured step
+    and at half that step, against the map's closed-form first partials.
+    Returns the max-norm error ratio err(h) / err(h/2); the 2-point stencil
+    gives ratios near 4 while truncation dominates.  ``order`` must be 1,
+    the only derivative order a map carries.
     """
     if order != 1:
         raise ValueError(f"order must be 1, got {order}")
     if not m.has_closed_firsts:
         raise ValueError("need closed-form first partials as reference")
     exact = np.concatenate((m.du(u, v), m.dv(u, v)))
-    stripped = m.without_derivatives()
-    approx = []
+    err = []
     for h in (m.h1, m.h1 / 2.0):
-        _, xu, xv = first_partials(dataclasses.replace(stripped, h1=h), u, v)
-        approx.append(np.concatenate((xu, xv)))
-
-    err_h = float(np.max(np.abs(approx[0] - exact)))
-    err_half = float(np.max(np.abs(approx[1] - exact)))
-    if err_half == 0.0:
+        xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)
+        xv = (evaluate(m.value, u, v + h) - evaluate(m.value, u, v - h)) / (2.0 * h)
+        err.append(float(np.max(np.abs(np.concatenate((xu, xv)) - exact))))
+    if err[1] == 0.0:
         return float("inf")
-    return err_h / err_half
+    return err[0] / err[1]

@@ -513,6 +513,26 @@ def test_project_r31_overflow_does_not_lift(capsys, to):
     assert err.count("\n") == 1 and err.startswith("error: point does not lift")
 
 
+@pytest.mark.parametrize("to", ["h3", "disc"])
+@pytest.mark.parametrize("point, shown", [(("1e5", "0.5", "0.25"), "(100000 0.5 0.25)"),
+                                          (("1e154", "0", "0"), "(1e+154 0 0)")],
+                         ids=["1e5", "1e154"])
+def test_project_r31_lift_off_h3_is_refused(capsys, to, point, shown):
+    # x1^2 - x2^2 - x3^2 > 1 holds, but the lifted point's <x,x> rounds
+    # away from -1 (to -1.000002 and to 0); the refusal names the point given
+    code, out, err = _run(capsys, ["project", "--from", "r31", "--to", to, "--point", *point])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: point does not lift: {shown} ")
+
+
+def test_project_r31_moderate_point_still_lifts(capsys):
+    code, out, _ = _run(capsys, ["project", "--from", "r31", "--to", "h3",
+                                 "--point", "1e3", "0.5", "0.25"])
+    assert code == 0
+    x = np.array([float(c) for c in _data_lines(out)[0].split()])
+    assert abs(-x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3] + 1.0) <= 1e-9
+
+
 def test_exit_code_io_failure(tmp_path, capsys):
     code, _, err = _run(capsys, ["invariants", "--example", "cross_cap",
                                  "--grid", "3", "3",

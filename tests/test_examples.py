@@ -1,6 +1,7 @@
 """The built-in example surfaces: defining properties, derivative
 consistency, and the closed-form invariant oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,13 +18,12 @@ from h3frames.examples import (
     ruled_a_oracle,
     ruled_b_oracle,
 )
-from h3frames.frames import invariants_at
+from h3frames.frames import invariants_at, invariants_grid
 from h3frames.minkowski import minkowski_dot4
 from h3frames.singularities import classify_singularity
 
-CLOSED_VS_FD_TOL = 1e-7
+CLOSED_VS_STEP_TOL = 1e-13
 ORACLE_TOL = 1e-10
-FD_STEP = 1e-5
 
 GRID_EXAMPLES = ("cross_cap", "corank_one", "ruled_A", "ruled_B")
 
@@ -34,26 +34,26 @@ def _sample_points(domain, n=5, margin=0.05):
     return [(u, v) for u in us for v in vs]
 
 
-def _fd_first(value, u, v, h=FD_STEP):
-    du = (value(u + h, v) - value(u - h, v)) / (2.0 * h)
-    dv = (value(u, v + h) - value(u, v - h)) / (2.0 * h)
-    return du, dv
+def _complex_step_firsts(value, u, v, h=1e-20):
+    """Exact-to-rounding reference partials, Im value(u + ih, v) / h."""
+    return value(u + 1j * h, v).imag / h, value(u, v + 1j * h).imag / h
 
 
 @pytest.mark.parametrize("name", GRID_EXAMPLES)
-def test_closed_firsts_match_finite_differences(name):
-    """Every hand-coded derivative must agree with differencing its value."""
+def test_closed_firsts_match_complex_step(name):
+    """Every hand-coded derivative must agree with the complex-step
+    derivative of its value, which has no truncation error."""
     ex = get_example(name)
     fs = ex.framed
     for label, m in (("x", fs.x), ("nu1", fs.nu1), ("nu2", fs.nu2)):
         if not m.has_closed_firsts:
             continue
         for u, v in _sample_points(fs.domain):
-            du_fd, dv_fd = _fd_first(m.value, u, v)
-            assert np.max(np.abs(m.du(u, v) - du_fd)) < CLOSED_VS_FD_TOL, (
+            du_cs, dv_cs = _complex_step_firsts(m.value, u, v)
+            assert np.max(np.abs(m.du(u, v) - du_cs)) < CLOSED_VS_STEP_TOL, (
                 f"{name}.{label} du mismatch at {(u, v)}"
             )
-            assert np.max(np.abs(m.dv(u, v) - dv_fd)) < CLOSED_VS_FD_TOL, (
+            assert np.max(np.abs(m.dv(u, v) - dv_cs)) < CLOSED_VS_STEP_TOL, (
                 f"{name}.{label} dv mismatch at {(u, v)}"
             )
 
@@ -190,6 +190,19 @@ def test_default_corank_one_is_the_cross_cap():
         a_co, b_co = co.oracle_alpha_beta(u, v)
         assert a_cc == pytest.approx(a_co, abs=1e-13)
         assert b_cc == pytest.approx(b_co, abs=1e-13)
+
+
+def test_corank_one_invariants_equal_the_cross_cap_oracle():
+    # the default corank-one surface is the cross cap, and its normals have
+    # no closed firsts: complex-step partials make its invariants exact to
+    # rounding (central differences missed the oracle by 1.2e-10)
+    fs = get_example("corank_one").framed
+    dom = dataclasses.replace(fs.domain, nu=31, nv=31)
+    got = invariants_grid(fs, dom).as_dict()
+    U, V = dom.mesh()
+    for k, (u, v) in enumerate(zip(U.ravel(), V.ravel())):
+        for name, want in cross_cap_oracle(float(u), float(v)).as_dict().items():
+            assert abs(got[name].flat[k] - want) < 1e-14, (name, u, v)
 
 
 def test_corank_one_rejects_nonsingular_origin():

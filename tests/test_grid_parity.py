@@ -14,7 +14,6 @@ import pytest
 
 from h3frames import singularities
 from h3frames.errors import (
-    BoundaryError,
     CDegenerateError,
     DegenerateFrameError,
     NonSpacelikeNormalError,
@@ -411,19 +410,6 @@ def test_negative_radicand_refuses_on_both_paths():
             invariants_grid(fs, dom)
     assert str(exc.value) == want
     assert want == "frame at (0.39999999999999997, 0.0) is not finite"
-
-
-def test_boundary_error_grid_names_first_point():
-    cc = get_example("cross_cap").framed
-    # nu1 by finite differences, valid on [-0.9, 0.5] x [-0.9, 0.9] only
-    nu1 = ParametricMap4(value=cc.nu1.value, domain=Domain(-0.9, 0.5, -0.9, 0.9))
-    fs = FramedSurface(cc.x, nu1, cc.nu2, Domain(0.0, 0.5, -0.5, 0.5, nu=4, nv=3))
-    want = _first_error(_nodes(fs.domain), lambda u, v: invariants_at(fs, u, v), BoundaryError)
-    assert "(0.5, -0.5)" in want
-    for name, sweep in _grid_sweeps(fs).items():
-        with pytest.raises(BoundaryError) as exc:
-            sweep()
-        assert str(exc.value) == want, name
 
 
 def _reference_nonspacelike(fs, axis, dom):

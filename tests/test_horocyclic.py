@@ -33,13 +33,14 @@ from h3frames.horocyclic import (
     verify_horocyclic_data,
 )
 from h3frames.minkowski import minkowski_dot4
+from h3frames.projections import transport_to_disc
 from h3frames.singularities import (
     SingularityClass,
     classify_singularity,
     find_singular_points,
     horocyclic_classify_singularity,
 )
-from h3frames.surface import Domain, components, evaluate
+from h3frames.surface import Domain, components, evaluate, first_partials
 
 ON_H3_TOL = 1e-12
 BRIDGE_TOL = 1e-7
@@ -304,6 +305,21 @@ def test_integrated_curves_are_fourth_order():
         )
 
     assert 12.0 <= node_error(0.25) / node_error(0.125) <= 20.0
+
+
+def test_complex_step_through_integrated_curves():
+    # the disc image has no closed firsts, so its partials are complex steps
+    # through the Hermite pieces of the integrated curves; they must equal
+    # the quotient rule on (x2, x3, x4) / (x1 + 1) with the frame system's
+    # exact x_u, x_v (a Hermite evaluator that drops the imaginary part
+    # gives xbar_u = 0)
+    fs = build_horocyclic(_integrated(_const_h(GENERIC_H)), DOMAIN)
+    U, V = DOMAIN.mesh()
+    _, pu, pv = first_partials(transport_to_disc(fs).xbar, U, V)
+    x, xu, xv = first_partials(fs.x, U, V)
+    for got, dx in ((pu, xu), (pv, xv)):
+        want = (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / ((x[0] + 1.0) * (x[0] + 1.0))
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_integrate_rejects_bad_inputs():

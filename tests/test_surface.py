@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from h3frames.errors import BoundaryError
 from h3frames.surface import (
     Domain,
     ParametricMap4,
     check_on_h3,
+    components,
     fd_convergence_ratio,
     first_partials,
 )
@@ -80,19 +80,22 @@ def test_first_partials_closed_form_exact():
     assert np.array_equal(xv, m.dv(0.7, -0.3))
 
 
-def test_fd_mode_boundary_margin():
+def test_complex_step_partials_exact_at_the_boundary():
+    # A map with a domain and no closed firsts is differentiated exactly
+    # on the whole closed domain, corners and edges included: the complex
+    # step leaves the domain by nothing.
     d = Domain(0.0, 1.0, 0.0, 1.0)
-    m = _trig_map().without_derivatives()
-    m = ParametricMap4(value=m.value, domain=d)
-    with pytest.raises(BoundaryError):
-        first_partials(m, 1e-6, 0.5)
-    with pytest.raises(BoundaryError):
-        first_partials(m, 0.5, 1.0 - 1e-6)
-    # Closed-form mode has no margin requirement.
-    mc = _trig_map(domain=d)
-    first_partials(mc, 0.0, 0.0)
-    # Far enough inside is fine in FD mode too.
-    first_partials(m, 0.5, 0.5)
+    m = ParametricMap4(
+        value=lambda u, v: components(
+            np.sin(u + 2 * v), np.cos(u - v), np.sin(3 * u) * np.cos(v), u * v
+        ),
+        domain=d,
+    )
+    exact = _trig_map()
+    for u, v in [(0.0, 0.0), (1e-6, 0.5), (0.5, 1.0 - 1e-6), (1.0, 1.0), (0.0, 1.0)]:
+        x, xu, xv = first_partials(m, u, v)
+        np.testing.assert_allclose(xu, exact.du(u, v), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(xv, exact.dv(u, v), rtol=0.0, atol=1e-15)
 
 
 def test_fd_first_order_halving_ratio():
@@ -111,33 +114,23 @@ def test_fd_first_order_halving_ratio():
 def test_check_on_h3():
     # Hyperboloid slice: x = (cosh u cosh v, sinh u cosh v, sinh v, 0).
     good = ParametricMap4(
-        value=lambda u, v: np.array(
-            [
-                math.cosh(u) * math.cosh(v),
-                math.sinh(u) * math.cosh(v),
-                math.sinh(v),
-                0.0,
-            ]
+        value=lambda u, v: components(
+            np.cosh(u) * np.cosh(v), np.sinh(u) * np.cosh(v), np.sinh(v), 0.0
         )
     )
     rep = check_on_h3(good, 0.3, -0.7)
     assert rep.ok(1e-9)
     assert rep.positive_branch
 
-    off = ParametricMap4(value=lambda u, v: np.array([1.0 + u, v, 0.0, 0.0]))
+    off = ParametricMap4(value=lambda u, v: components(1.0 + u, v, 0.0, 0.0))
     rep = check_on_h3(off, 0.2, 0.1)
     assert not rep.ok(1e-9)
     assert rep.on_h3_residual > 0.1
 
     # Lower branch is flagged even though <x,x> = -1.
     lower = ParametricMap4(
-        value=lambda u, v: np.array(
-            [
-                -math.cosh(u) * math.cosh(v),
-                math.sinh(u) * math.cosh(v),
-                math.sinh(v),
-                0.0,
-            ]
+        value=lambda u, v: components(
+            -np.cosh(u) * np.cosh(v), np.sinh(u) * np.cosh(v), np.sinh(v), 0.0
         )
     )
     assert not check_on_h3(lower, 0.1, 0.1).positive_branch
