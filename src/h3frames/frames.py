@@ -39,7 +39,7 @@ from .minkowski import (
 )
 from .fmt import fmt_rows
 from .surface import (
-    Domain, ParametricMap4, _complex_step, components, evaluate, first_partials, first_true
+    Domain, ParametricMap4, _complex_step, _partial, components, evaluate, first_partials, first_true
 )
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
     "rotate_frame",
     "rotated_invariants",
     "reparametrize_invariants",
-    "construct_frame_from_normal",
+    "frame_from_normal",
     "reduction_type",
     "reduction_type_grid",
     "family_curvatures",
@@ -400,10 +400,11 @@ def rotate_frame(
     """Framed surface with the normal pair rotated pointwise by theta(u, v).
 
     The base map is untouched; nu3 is unchanged by construction.  The
-    rotated maps carry first partials by the product rule, from the first
-    partials of the original normals and of theta; a missing theta partial
-    comes from the complex step, like a map's.  ``theta`` and its partials
-    must broadcast like the maps.
+    rotated maps carry first partials by the product rule: a partial in u
+    (or v) reads the original normals' values and their partials in u (or
+    v) alone, and theta's; a missing theta partial comes from the complex
+    step, like a map's.  ``theta`` and its partials must broadcast like
+    the maps.
     """
 
     def theta_step(k):
@@ -425,9 +426,9 @@ def rotate_frame(
         def partial(i):
             def d(u, v):
                 (a, b), (da, db) = coefs(u, v)
-                n1, *d1 = first_partials(fs.nu1, u, v)
-                n2, *d2 = first_partials(fs.nu2, u, v)
-                return a * d1[i] + b * d2[i] + theta_d[i](u, v) * (da * n1 + db * n2)
+                n1, n2 = (evaluate(m.value, u, v) for m in (fs.nu1, fs.nu2))
+                d1, d2 = (_partial(m, i, u, v) for m in (fs.nu1, fs.nu2))
+                return a * d1 + b * d2 + theta_d[i](u, v) * (da * n1 + db * n2)
 
             return d
 
@@ -458,72 +459,86 @@ def reparametrize_invariants(inv: Invariants, jac) -> Invariants:
     return Invariants(**out)
 
 
-def construct_frame_from_normal(
-    x_map: ParametricMap4,
-    nu_map: ParametricMap4,
-    u: float,
-    v: float,
+def frame_from_normal(
+    x: ParametricMap4,
+    nu: ParametricMap4,
+    domain: Optional[Domain] = None,
     tol: float = FRAME_TOL,
     angle_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split one unit normal field into an orthonormal pair at (u, v).
+) -> FramedSurface:
+    """Framed surface whose normal pair splits the unit normal field ``nu``.
 
     Writes nu = (n1, n2, n3, n4) in spherical angles for its spatial part,
-    seeds two explicit tangent candidates and pseudo-orthonormalizes them
-    against x; the output pair satisfies x ^ nu1 ^ nu2 = nu.
+    (n2, n3, n4) = s (sin t sin p, sin t cos p, cos t), taken algebraically:
+    with rho = sqrt(n2^2 + n3^2) and s = sqrt(rho^2 + n4^2),
+    cos t = n4 / s, sin t = rho / s, sin p = n2 / rho and cos p = n3 / rho.
+    Two explicit tangent candidates are then pseudo-orthonormalized against
+    x, and the pair satisfies x ^ nu1 ^ nu2 = nu.  nu1 and nu2 are
+    value-only maps: they broadcast and are complex-analytic, so their
+    partials come from :func:`first_partials` like any map's.
 
-    Preconditions (checked within ``tol``): x on the upper hyperboloid
-    sheet, nu unit spacelike with <x, nu> = 0.  Raises
-    :class:`DegenerateAnglesError` when the spherical angles are undefined,
-    i.e. n2 = n3 = 0 within ``angle_tol``.
+    Preconditions, checked within ``tol`` on the grid of ``domain``
+    (default: x's, then nu's): x on the upper hyperboloid sheet, nu unit
+    spacelike with <x, nu> = 0.  A violation raises
+    :class:`PreconditionError` at the first failing point (v-major).
+    Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
+    first point where the spherical angles are undefined, rho <= ``angle_tol``,
+    or where the second tangent candidate degenerates.
     """
-    x = np.asarray(x_map.value(u, v), dtype=float)
-    nu = np.asarray(nu_map.value(u, v), dtype=float)
-    if abs(minkowski_dot4(x, x) + 1.0) > tol or x[0] <= 0:
+    dom = domain or x.domain or nu.domain
+    if dom is None:
+        raise ValueError("an explicit domain is required when the maps carry none")
+    U, V = dom.mesh()
+    xg, ng = evaluate(x.value, U, V), evaluate(nu.value, U, V)
+    xx, nn, xn = minkowski_dot4(xg, xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
+    sheet = (abs(xx + 1.0) <= tol) & (xg[0] > 0)
+    unit, orth = abs(nn - 1.0) <= tol, abs(xn) <= tol
+    k = first_true(~(sheet & unit & orth))
+    if k is not None:
+        u, v = U.flat[k], V.flat[k]
+        if not sheet.flat[k]:
+            raise PreconditionError(
+                f"base point at ({u}, {v}) is not on the upper hyperboloid: "
+                f"<x,x> = {xx.flat[k]:.6e}, x1 = {xg[0].flat[k]:.6e}"
+            )
+        if not unit.flat[k]:
+            raise PreconditionError(
+                f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = {nn.flat[k]:.6e}"
+            )
         raise PreconditionError(
-            f"base point at ({u}, {v}) is not on the upper hyperboloid: "
-            f"<x,x> = {minkowski_dot4(x, x):.6e}, x1 = {x[0]:.6e}"
-        )
-    if abs(minkowski_dot4(nu, nu) - 1.0) > tol:
-        raise PreconditionError(
-            f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = "
-            f"{minkowski_dot4(nu, nu):.6e}"
-        )
-    if abs(minkowski_dot4(x, nu)) > tol:
-        raise PreconditionError(
-            f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = "
-            f"{minkowski_dot4(x, nu):.6e}"
+            f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = {xn.flat[k]:.6e}"
         )
 
-    rho = math.hypot(nu[1], nu[2])
-    if rho <= angle_tol:
-        raise DegenerateAnglesError(
-            f"spherical angles undefined at ({u}, {v}): normal has "
-            f"n2 = n3 = 0 (rho = {rho:.3e})"
-        )
-    # Spatial part of nu in spherical coordinates:
-    #   (n2, n3, n4) = s (sin t sin p, sin t cos p, cos t),  s = sqrt(1 + n1^2).
-    t = math.atan2(rho, nu[3])
-    p = math.atan2(nu[1], nu[2])
+    def pair(u, v):
+        p, n = evaluate(x.value, u, v), evaluate(nu.value, u, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.sqrt(n[1] * n[1] + n[2] * n[2])
+            s = np.sqrt(rho * rho + n[3] * n[3])
+            ct, st, sp, cp = n[3] / s, rho / s, n[1] / rho, n[2] / rho
+            t1 = components(0.0, ct * sp, ct * cp, -st)
+            t1 = t1 + minkowski_dot4(t1, p) * p
+            n1sq = minkowski_dot4(t1, t1)  # = 1 + <bar1, x>^2 > 0
+            bar2 = components(0.0, cp, -sp, 0.0)
+            t2 = bar2 + minkowski_dot4(bar2, p) * p - minkowski_dot4(bar2, t1) / n1sq * t1
+            n2sq = minkowski_dot4(t2, t2)
+        bad = (rho.real <= angle_tol) | (n2sq.real <= 0)
+        k = first_true(bad)
+        if k is not None:
+            u, v = (np.real(np.broadcast_to(a, bad.shape)).flat[k] for a in (u, v))
+            r, q = np.ravel(rho.real)[k], np.ravel(n2sq.real)[k]
+            raise DegenerateAnglesError(
+                f"spherical angles undefined at ({u}, {v}): normal has n2 = n3 = 0 (rho = {r:.3e})"
+                if r <= angle_tol
+                else f"second tangent candidate degenerates at ({u}, {v}): <t2,t2> = {q:.3e}"
+            )
+        return t1 / np.sqrt(n1sq), t2 / np.sqrt(n2sq)
 
-    bar1 = np.array([0.0, math.cos(t) * math.sin(p), math.cos(t) * math.cos(p), -math.sin(t)])
-    bar2 = np.array([0.0, math.cos(p), -math.sin(p), 0.0])
-
-    k = -minkowski_dot4(bar1, x)
-    t1 = bar1 - k * x
-    n1sq = minkowski_dot4(t1, t1)  # = 1 + k^2 > 0
-    nu1 = t1 / math.sqrt(n1sq)
-
-    k1 = -minkowski_dot4(bar2, x)
-    k2 = minkowski_dot4(bar2, t1) / n1sq
-    t2 = bar2 - k1 * x - k2 * t1
-    n2sq = minkowski_dot4(t2, t2)
-    if n2sq <= 0:
-        raise DegenerateAnglesError(
-            f"second tangent candidate degenerates at ({u}, {v}): <t2,t2> = {n2sq:.3e}"
-        )
-    nu2 = t2 / math.sqrt(n2sq)
-    return nu1, nu2
+    return FramedSurface(
+        x=x,
+        nu1=ParametricMap4(value=lambda u, v: pair(u, v)[0], domain=dom),
+        nu2=ParametricMap4(value=lambda u, v: pair(u, v)[1], domain=dom),
+        domain=dom,
+    )
 
 
 class ReductionType(enum.Enum):
@@ -742,7 +757,9 @@ def integrate_frame_along_line(
     fourth-order Magnus steps.
 
     ``initial`` provides the starting frame; its (u, v) must sit on the
-    line.  The span is covered by full steps plus one remainder.  Each step
+    line.  The span is covered by full steps plus one remainder, which is
+    dropped when it is below rounding of the span unless it is the only
+    step.  Each step
     multiplies the frame rows by exp(Omega) with
 
         Omega = dt/2 (M1 + M2) + sqrt(3)/12 dt^2 [M2, M1]
@@ -761,8 +778,10 @@ def integrate_frame_along_line(
     along_u = line.kind == "fixed_v"
 
     n_full, rem = divmod(abs(span), step)
+    if not math.isfinite(n_full):
+        raise ValueError(f"span {span} in steps of {step} is not a finite step count")
     dts = [math.copysign(step, span)] * int(n_full)
-    if rem > 1e-15 * max(1.0, abs(span)):
+    if rem > 1e-15 * max(1.0, abs(span)) or (rem and not dts):
         dts.append(math.copysign(rem, span))
     ts = np.cumsum([initial.u if along_u else initial.v, *dts])
     dts = np.array(dts)

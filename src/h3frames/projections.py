@@ -394,9 +394,9 @@ def lift_from_r31(
 
     Returns ``(x, nu)``: the lifted base map and one unit spacelike normal
     satisfying <nu, x> = <nu, x ^ x_u ^ x_v> = 0, which is exactly what
-    the frame-existence theorem needs; split nu into an orthonormal pair
-    with :func:`h3frames.frames.construct_frame_from_normal` when a full
-    frame is wanted.
+    the frame-existence theorem needs.  ``frame_from_normal(x, nu)``
+    (:func:`h3frames.frames.frame_from_normal`) splits nu into a normal
+    pair when a full framed surface is wanted.
 
     When the lightcone pair (lplus, lminus) of the source surface is
     supplied, nu uses its explicit formula: spatial part x4 * (l+ ^ l-)

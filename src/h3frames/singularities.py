@@ -19,7 +19,13 @@ classified through invariant-level criteria:
   evaluated by :func:`phi` below, separates S1+ (negative, together with
   a nonvanishing independence pair) from S1- (positive).
 
-Invariant fields broadcast like maps, and so do the classifiers: ``(u, v)``
+This one ladder classifies every field.  On a horocyclic field
+(a2 = b2 = 0, c2 = -1) D is minus the paper's bracket
+a1_u b1_v - a1_v b1_u, so its cross-cap criterion needs no classifier of
+its own; ``horocyclic_classify_singularity`` is kept as another name of
+:func:`classify_singularity`.
+
+Invariant fields broadcast like maps, and so does the classifier: ``(u, v)``
 are floats or equal-shape arrays, and constant components are allowed.
 Each stage is one field call: the screen over the whole grid, each Newton
 stage over every seed (the Jacobians through
@@ -443,37 +449,6 @@ def _row_dets(q: Invariants, d: Mapping[str, np.ndarray]) -> dict[str, np.ndarra
     }
 
 
-def _report(
-    u0, v0, q: Invariants, not_corank_one, cross_cap, D, hess, pair,
-    hess_tol: float, pair_tol: float, newton_iters, refine_tol: float,
-):
-    """The decision ladder of both classifiers, from the corank-one and the
-    cross-cap tests that each makes its own way, and the reports, from Python
-    scalars: one for float (u0, v0), a list in point order for arrays."""
-    cols = np.broadcast_arrays(u0, v0, q.alpha, q.beta, q.a1, q.a2, q.b1, q.b2, q.c1, q.c2,
-                               not_corank_one, cross_cap, D, hess, *pair, newton_iters)
-    reports = []
-    rows = zip(*(c.ravel().tolist() for c in cols))
-    for u, v, al, be, a1, a2, b1, b2, c1, c2, ncr, cc, d, hs, p1, p2, iters in rows:
-        if ncr:
-            tag = SingularityClass.NOT_CORANK_ONE
-        elif cc:
-            tag = SingularityClass.CROSS_CAP
-        elif hs < -hess_tol and math.hypot(p1, p2) > pair_tol:
-            tag = SingularityClass.S1_PLUS
-        elif hs > hess_tol:
-            tag = SingularityClass.S1_MINUS
-        else:
-            tag = SingularityClass.UNCLASSIFIED
-
-        diag = SingularityDiagnostics(
-            alpha=al, beta=be, a_pair=(a1, a2), b_pair=(b1, b2), c_pair=(c1, c2), D=d, hess_phi=hs,
-            independence_pair=(p1, p2), newton_iters=iters, converged=abs(al) + abs(be) < refine_tol,
-        )
-        reports.append(SingularityReport(u=u, v=v, classification=tag, diagnostics=diag))
-    return reports if np.ndim(u0) else reports[0]
-
-
 def classify_singularity(
     fs: FieldLike,
     u0,
@@ -496,6 +471,8 @@ def classify_singularity(
     S1+/S1-; anything that straddles a threshold is ``unclassified``.
     ``newton_iters`` (an int, or an array like ``u0``) is carried into the
     diagnostics verbatim so scan pipelines can stamp their refinement effort.
+    On a horocyclic field the independence pair is
+    (c1 a1_v + a1_u, c1 b1_v + b1_u).
     """
     q, d, hess = _read_point(fs, u0, v0, h, h_phi, corank_tol)
     dets = _row_dets(q, d)
@@ -505,40 +482,31 @@ def classify_singularity(
         q.c2 * dets["bu_c"] - q.c1 * dets["bv_c"],
     )
     corank_one = np.maximum.reduce([abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)]) <= corank_tol
-    return _report(u0, v0, q, ~corank_one, abs(D) > d_tol, D, hess, pair,
-                   hess_tol, pair_tol, newton_iters, refine_tol)
+    cols = np.broadcast_arrays(u0, v0, q.alpha, q.beta, q.a1, q.a2, q.b1, q.b2, q.c1, q.c2,
+                               corank_one, D, hess, *pair, newton_iters)
+    reports = []
+    rows = zip(*(c.ravel().tolist() for c in cols))
+    for u, v, al, be, a1, a2, b1, b2, c1, c2, cr, dd, hs, p1, p2, iters in rows:
+        if not cr:
+            tag = SingularityClass.NOT_CORANK_ONE
+        elif abs(dd) > d_tol:
+            tag = SingularityClass.CROSS_CAP
+        elif hs < -hess_tol and math.hypot(p1, p2) > pair_tol:
+            tag = SingularityClass.S1_PLUS
+        elif hs > hess_tol:
+            tag = SingularityClass.S1_MINUS
+        else:
+            tag = SingularityClass.UNCLASSIFIED
+
+        diag = SingularityDiagnostics(
+            alpha=al, beta=be, a_pair=(a1, a2), b_pair=(b1, b2), c_pair=(c1, c2), D=dd, hess_phi=hs,
+            independence_pair=(p1, p2), newton_iters=iters, converged=abs(al) + abs(be) < refine_tol,
+        )
+        reports.append(SingularityReport(u=u, v=v, classification=tag, diagnostics=diag))
+    return reports if np.ndim(u0) else reports[0]
 
 
-def horocyclic_classify_singularity(
-    inv_field: FieldLike,
-    u0,
-    v0,
-    tol: float = CORANK_TOL,
-    d_tol: float = D_TOL,
-    hess_tol: float = HESS_TOL,
-    pair_tol: float = PAIR_TOL,
-    h: float = H_INVARIANT,
-    h_phi: float = H_PHI,
-    refine_tol: float = REFINE_TOL,
-    newton_iters=0,
-) -> Union[SingularityReport, list[SingularityReport]]:
-    """Specialized classifier for the horocyclic invariant structure.
-
-    There a2 = b2 = 0 identically and c2 = -1, so a point is singular
-    exactly when a1 = b1 = 0, the cross-cap test collapses to the bracket
-    a1_u b1_v - a1_v b1_u != 0, and the independence pair becomes
-    (c1 a1_v + a1_u, c1 b1_v + b1_u).  The Hessian test is unchanged.
-    A point violating a1 = b1 = 0 within ``tol`` is regular, reported
-    ``not_corank_one``.  Points and reports are as in
-    :func:`classify_singularity`.
-    """
-    q, d, hess = _read_point(inv_field, u0, v0, h, h_phi, tol)
-    bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
-    dets = _row_dets(q, d)
-    D = dets["bu_c"] * dets["av_c"] - dets["bv_c"] * dets["au_c"]
-    pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
-    return _report(u0, v0, q, np.maximum(abs(q.a1), abs(q.b1)) > tol, abs(bracket) > d_tol, D, hess, pair,
-                   hess_tol, pair_tol, newton_iters, refine_tol)
+horocyclic_classify_singularity = classify_singularity
 
 
 def singularity_scan(

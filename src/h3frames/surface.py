@@ -213,13 +213,18 @@ def _complex_step(fn, k: int, *args) -> np.ndarray:
     return d.reshape(d.shape[:1] + shape)
 
 
+def _partial(m: ParametricMap4, k: int, u, v) -> np.ndarray:
+    """The partial of ``m`` in u (``k`` = 0) or v (``k`` = 1) at (u, v):
+    its closed form when the map has one, the complex step otherwise."""
+    if m.has_closed_firsts:
+        return evaluate((m.du, m.dv)[k], u, v)
+    return _complex_step(m.value, k, u, v)
+
+
 def first_partials(m: ParametricMap4, u, v):
     """(x, x_u, x_v) at (u, v): closed forms when the map has them,
     complex-step derivatives otherwise."""
-    x = evaluate(m.value, u, v)
-    if m.has_closed_firsts:
-        return x, evaluate(m.du, u, v), evaluate(m.dv, u, v)
-    return x, _complex_step(m.value, 0, u, v), _complex_step(m.value, 1, u, v)
+    return evaluate(m.value, u, v), _partial(m, 0, u, v), _partial(m, 1, u, v)
 
 
 @dataclasses.dataclass(frozen=True)

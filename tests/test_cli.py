@@ -402,6 +402,39 @@ def test_non_finite_profile_exit_4(tmp_path, capsys, command, row, col, cell):
     assert err == f"error: h-profile data row {row} is not finite: {lines[row]}\n"
 
 
+def _two_row_profile(path, u_max):
+    rows = ["u,h1,h2,h3,h4,h5,h6", *(f"{u},0.3,0.7,0.2,-0.1,0.5,0.4" for u in (0.0, u_max))]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_classify_profile_span_below_one_step(tmp_path, capsys):
+    # a span shorter than the rounding cutoff of a remainder step is still
+    # integrated, in that one step
+    prof = tmp_path / "tiny.csv"
+    _two_row_profile(prof, 1e-300)
+    code, out, err = _run(capsys, ["classify", "--profile", str(prof)])
+    assert (code, err) == (0, "")
+    assert "h_form = generic" in out and "agree = true" in out
+
+
+def test_classify_profile_with_uncountable_steps_exit_4(tmp_path, capsys):
+    prof = tmp_path / "huge.csv"
+    _two_row_profile(prof, 1e306)
+    code, _, err = _run(capsys, ["classify", "--profile", str(prof)])
+    assert code == 4
+    assert err == "error: span 1e+306 in steps of 0.001 is not a finite step count\n"
+    # at 1e308 the spline set-up overflows first (with a RuntimeWarning, so
+    # this one runs in a process of its own), and the count is refused alike
+    _two_row_profile(prof, 1e308)
+    src = str(Path(h3frames.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "h3frames.cli", "classify", "--profile", str(prof)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 4 and "Traceback" not in done.stderr
+    assert done.stderr.endswith("error: span 1e+308 in steps of 0.001 is not a finite step count\n")
+
+
 def test_classify_rejects_malformed_profile(tmp_path, capsys):
     prof = tmp_path / "bad.csv"
     prof.write_text("not,a,profile\n1,2,3\n")

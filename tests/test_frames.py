@@ -1,8 +1,11 @@
 """Frame evaluation, invariant extraction, transformation laws, reduction
 tags, family relabelling, the frame ODE, and the CSV writer."""
 
+import collections
+import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,11 +27,11 @@ from h3frames.frames import (
     ReflectVariant,
     _expm,
     _frame_ode_matrix,
-    construct_frame_from_normal,
     family_curvatures,
     fixed_u,
     fixed_v,
     frame_at,
+    frame_from_normal,
     integrability_residuals,
     integrate_frame_along_line,
     invariant_field,
@@ -44,7 +47,7 @@ from h3frames.frames import (
     write_invariants_csv,
 )
 from h3frames.minkowski import minkowski_dot4, wedge3
-from h3frames.surface import Domain, ParametricMap4
+from h3frames.surface import Domain, ParametricMap4, _partial, components, evaluate, first_partials
 
 GRAM_TOL = 1e-10
 OFFSPAN_TOL = 1e-8
@@ -192,6 +195,32 @@ def test_rotate_frame_fd_theta_fallback():
         assert val == pytest.approx(want.as_dict()[k], abs=1e-7), k
 
 
+def test_rotate_frame_reads_each_partial_once():
+    # each rotated normal's u-partial reads the normals' u-partials only,
+    # and likewise in v: one frame reads each original partial twice
+    fs = get_example("cross_cap").framed
+    calls = collections.Counter()
+
+    def counted(name, m):
+        def wrap(key, fn):
+            def f(u, v):
+                calls[name, key] += 1
+                return fn(u, v)
+
+            return f
+
+        return dataclasses.replace(m, du=wrap("du", m.du), dv=wrap("dv", m.dv))
+
+    counted_fs = dataclasses.replace(fs, nu1=counted("nu1", fs.nu1), nu2=counted("nu2", fs.nu2))
+    theta = lambda u, v: 0.7 + 0.3 * u - 0.2 * v
+    fr = frame_at(rotate_frame(counted_fs, theta), 0.4, 0.2)
+    assert set(calls) == {(n, k) for n in ("nu1", "nu2") for k in ("du", "dv")}
+    assert max(calls.values()) <= 2, calls
+    want = frame_at(rotate_frame(fs, theta), 0.4, 0.2)
+    for k in ("nu1", "nu2", "nu1u", "nu1v", "nu2u", "nu2v"):
+        assert np.array_equal(getattr(fr, k), getattr(want, k)), k
+
+
 # ---------------------------------------------------------------------------
 # reparametrization
 # ---------------------------------------------------------------------------
@@ -221,55 +250,115 @@ def test_reparametrize_identity_and_validation():
 # ---------------------------------------------------------------------------
 
 
-def _cross_cap_nu3_map():
-    fs = get_example("cross_cap").framed
+def _nu3_map(fs):
+    """nu3 = x ^ nu1 ^ nu2 of a framed surface, as a value-only map."""
 
     def nu3(u, v):
-        return wedge3(fs.x.value(u, v), fs.nu1.value(u, v), fs.nu2.value(u, v))
+        return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
-    return fs, ParametricMap4(value=nu3, h1=fs.x.h1)
-
-
-def test_construct_frame_from_normal_reproduces_normal():
-    fs, nu3_map = _cross_cap_nu3_map()
-    for u, v in ((0.4, 0.2), (-0.5, 0.6), (0.7, -0.3)):
-        n1, n2 = construct_frame_from_normal(fs.x, nu3_map, u, v)
-        x = fs.x.value(u, v)
-        nu = nu3_map.value(u, v)
-        assert abs(minkowski_dot4(n1, n1) - 1.0) < 1e-12
-        assert abs(minkowski_dot4(n2, n2) - 1.0) < 1e-12
-        assert abs(minkowski_dot4(n1, n2)) < 1e-12
-        assert abs(minkowski_dot4(n1, x)) < 1e-12
-        assert abs(minkowski_dot4(n2, x)) < 1e-12
-        assert np.max(np.abs(wedge3(x, n1, n2) - nu)) < 1e-10
+    return ParametricMap4(value=nu3, domain=fs.domain)
 
 
-def test_construct_frame_precondition_errors():
-    fs, nu3_map = _cross_cap_nu3_map()
-    off_sheet = ParametricMap4(value=lambda u, v: 2.0 * fs.x.value(u, v), h1=1e-5)
-    with pytest.raises(PreconditionError):
-        construct_frame_from_normal(off_sheet, nu3_map, 0.4, 0.2)
-    non_unit = ParametricMap4(value=lambda u, v: 1.5 * nu3_map.value(u, v), h1=1e-5)
-    with pytest.raises(PreconditionError):
-        construct_frame_from_normal(fs.x, non_unit, 0.4, 0.2)
-    # unit spacelike but not orthogonal to x
-    skew = ParametricMap4(value=lambda u, v: fs.nu1.value(0.9, 0.9), h1=1e-5)
-    with pytest.raises(PreconditionError):
-        construct_frame_from_normal(fs.x, skew, 0.4, 0.2)
+def _rotation_angle(fs, other):
+    """theta with other.nu1 = cos(theta) fs.nu1 - sin(theta) fs.nu2 over the
+    grid of ``fs``, and its partials, from complex steps of cos and sin."""
+
+    def cos_sin(u, v):
+        n = evaluate(other.nu1.value, u, v)
+        return components(minkowski_dot4(n, evaluate(fs.nu1.value, u, v)),
+                          -minkowski_dot4(n, evaluate(fs.nu2.value, u, v)))
+
+    (c, s), (c_u, s_u), (c_v, s_v) = first_partials(ParametricMap4(value=cos_sin), *fs.domain.mesh())
+    return np.arctan2(s, c), c * s_u - s * c_u, c * s_v - s * c_v
 
 
-def test_construct_frame_degenerate_angles():
-    x_map = ParametricMap4(
-        value=lambda u, v: np.array(
-            [math.cosh(u) * math.cosh(v), math.sinh(u) * math.cosh(v), math.sinh(v), 0.0]
-        ),
-        h1=1e-5,
+def test_frame_from_normal_reproduces_normal():
+    fs = get_example("cross_cap").framed
+    nf = frame_from_normal(fs.x, _nu3_map(fs))
+    assert nf.x is fs.x and nf.domain == fs.domain
+    assert not nf.nu1.has_closed_firsts and not nf.nu2.has_closed_firsts
+    U, V = fs.domain.mesh()
+    fr = frame_at(nf, U, V)
+    assert np.max(fr.gram_residual()) < 1e-12
+    assert np.max(np.abs(fr.nu3 - _nu3_map(fs).value(U, V))) < 1e-12
+    # one point evaluates as inside the grid
+    one = frame_at(nf, U[4, 7], V[4, 7])
+    for k in ("nu1", "nu2", "nu1u", "nu1v", "nu2u", "nu2v"):
+        assert np.array_equal(getattr(one, k), getattr(fr, k)[:, 4, 7]), k
+
+
+def test_frame_from_normal_precondition_errors():
+    fs = get_example("cross_cap").framed
+    nu3 = _nu3_map(fs)
+    U, V = fs.domain.mesh()
+    bad = (U > 0.5) & (V > 0.0)
+    k = np.flatnonzero(bad)[0]  # the first bad point, v-major
+    at = f"at ({U.flat[k]}, {V.flat[k]})"
+
+    def scaled(m, factor):
+        return ParametricMap4(value=lambda u, v: np.where((u > 0.5) & (v > 0.0), factor, 1.0) * m.value(u, v))
+
+    cases = (
+        (scaled(fs.x, 2.0), nu3, f"base point {at} is not on the upper hyperboloid"),
+        (fs.x, scaled(nu3, 1.5), f"normal {at} is not unit spacelike"),
+        (fs.x, ParametricMap4(value=lambda u, v: np.where(bad, fs.nu1.value(0.9, 0.9)[:, None, None],
+                                                          nu3.value(u, v))),
+         f"normal {at} is not orthogonal to x"),
     )
-    # unit spacelike, orthogonal to x, but spatial part points along e4:
-    # the spherical angles have rho = 0 there.
-    nu_map = ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 0.0, 1.0]), h1=1e-5)
-    with pytest.raises(DegenerateAnglesError):
-        construct_frame_from_normal(x_map, nu_map, 0.3, 0.2)
+    for x_map, nu_map, message in cases:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            frame_from_normal(x_map, nu_map, fs.domain)
+    with pytest.raises(ValueError, match="domain"):
+        frame_from_normal(ParametricMap4(value=fs.x.value), ParametricMap4(value=nu3.value))
+
+
+def test_frame_from_normal_degenerate_angles():
+    # unit spacelike, orthogonal to x, and with spatial part along e4 on the
+    # line v = 0: the spherical angles have rho = 0 there
+    x_map = ParametricMap4(value=lambda u, v: components(np.cosh(u), np.sinh(u), 0.0, 0.0))
+    nu_map = ParametricMap4(value=lambda u, v: components(0.0, 0.0, np.sin(v), np.cos(v)))
+    nf = frame_from_normal(x_map, nu_map, Domain(-0.5, 0.5, -1.0, 1.0, nu=5, nv=5))
+    U, V = nf.domain.mesh()
+    for m in (nf.nu1, nf.nu2):
+        with pytest.raises(DegenerateAnglesError, match=re.escape("undefined at (-0.5, 0.0)")):
+            evaluate(m.value, U, V)
+        with pytest.raises(DegenerateAnglesError, match=re.escape("undefined at (0.25, 0.0)")):
+            _partial(m, 0, 0.25, 0.0)  # the complex step names the real point
+    assert np.all(np.isfinite(frame_at(nf, U[:2], V[:2]).nu1u))  # v < 0 is fine
+
+
+@pytest.mark.parametrize("name", ALL_EXAMPLES)
+def test_frame_from_normal_rotates_the_built_in_pair(name):
+    # the two pairs differ by a rotation theta(u, v): the a/b and f/g rows
+    # rotate, c stays and e shifts by the partials of theta
+    fs = get_example(name).framed
+    nf = frame_from_normal(fs.x, _nu3_map(fs))
+    U, V = fs.domain.mesh()
+    want = rotated_invariants(invariants_at(fs, U, V), *_rotation_angle(fs, nf))
+    got = invariants_at(nf, U, V)
+    for k, val in got.as_dict().items():
+        assert np.max(np.abs(val - want.as_dict()[k])) <= 1e-10, k
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(ALL_EXAMPLES),
+    t=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+def test_frame_from_normal_depends_only_on_x_and_nu3(name, t):
+    # rotating the pair changes nu3 by rounding only; the split magnifies
+    # that by its condition number |nu| / rho (rho = |(n2, n3)|), which
+    # is 1 on cross_cap and corank_one and reaches ~44 on ruled_B
+    fs = get_example(name).framed
+    rot = rotate_frame(fs, lambda u, v: t[0] + t[1] * u + t[2] * v)
+    dom = dataclasses.replace(fs.domain, nu=7, nv=7)
+    U, V = dom.mesh()
+    want = frame_at(frame_from_normal(fs.x, _nu3_map(fs), dom), U, V)
+    got = frame_at(frame_from_normal(fs.x, _nu3_map(rot), dom), U, V)
+    nu = want.nu3
+    cond = np.abs(nu).max(axis=0) / np.hypot(nu[1], nu[2])
+    for k in ("nu1", "nu2", "nu1u", "nu1v", "nu2u", "nu2v"):
+        assert np.all(np.abs(getattr(got, k) - getattr(want, k)).max(axis=0) <= 1e-13 * cond), k
 
 
 # ---------------------------------------------------------------------------

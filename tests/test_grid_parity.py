@@ -54,7 +54,6 @@ from h3frames.singularities import (
     _rows,
     classify_singularity,
     find_singular_points,
-    horocyclic_classify_singularity,
     reports_to_json,
     singularity_scan,
 )
@@ -157,10 +156,9 @@ def _outcome(call):
 def test_classify_singularity_equals_one_point_calls(name, fs):
     ref = _one_point_field(fs)
     points = find_singular_points(fs)[:3] + _nodes(_inner(fs.domain, nu=2, nv=2))
-    for classify in (classify_singularity, horocyclic_classify_singularity):
-        for u, v in points:
-            want = _outcome(lambda: classify(ref, u, v))
-            assert _outcome(lambda: classify(fs, u, v)) == want, (name, classify.__name__, u, v)
+    for u, v in points:
+        want = _outcome(lambda: classify_singularity(ref, u, v))
+        assert _outcome(lambda: classify_singularity(fs, u, v)) == want, (name, u, v)
 
 
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
@@ -483,11 +481,10 @@ def test_classify_singularity_refuses_at_the_first_point_it_reads():
          "both c-invariants vanish at (0.4001, 0.0)"),
     ):
         u, v = np.array(pts).T
-        for classify in (classify_singularity, horocyclic_classify_singularity):
-            want = _outcome(lambda: [classify(field, a, b) for a, b in pts])
-            assert want[0] in (DegenerateFrameError, CDegenerateError)
-            assert want[1].startswith(start)
-            assert _outcome(lambda: classify(field, u, v)) == want, classify.__name__
+        want = _outcome(lambda: [classify_singularity(field, a, b) for a, b in pts])
+        assert want[0] in (DegenerateFrameError, CDegenerateError)
+        assert want[1].startswith(start)
+        assert _outcome(lambda: classify_singularity(field, u, v)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +544,11 @@ def test_broadcast_classifiers_equal_one_point_calls(name):
     pts = _merge_roots(records, fs.domain) + [(u, v, 0) for u, v in _nodes(_inner(fs.domain, nu=2, nv=2))]
     assert len(pts) == {"ruled_A": 6, "ruled_B": 133}.get(name, 5)
     u, v, iters = (np.array(c) for c in zip(*pts))
-    for classify in (classify_singularity, horocyclic_classify_singularity):
-        got = classify(fs, u, v, newton_iters=iters)
-        want = [classify(fs, a, b, newton_iters=k) for a, b, k in pts]
-        assert [_fields(r) for r in got] == [_fields(r) for r in want], classify.__name__
-        assert all(type(r.diagnostics.newton_iters) is int for r in got)
-        assert reports_to_json(got) == reports_to_json(want)
+    got = classify_singularity(fs, u, v, newton_iters=iters)
+    want = [classify_singularity(fs, a, b, newton_iters=k) for a, b, k in pts]
+    assert [_fields(r) for r in got] == [_fields(r) for r in want]
+    assert all(type(r.diagnostics.newton_iters) is int for r in got)
+    assert reports_to_json(got) == reports_to_json(want)
 
 
 @pytest.mark.parametrize("name", SCANNED)

@@ -38,7 +38,6 @@ from h3frames.singularities import (
     SingularityClass,
     classify_singularity,
     find_singular_points,
-    horocyclic_classify_singularity,
 )
 from h3frames.surface import Domain, components, evaluate, first_partials
 
@@ -413,12 +412,12 @@ def test_singular_point_location_and_classifier_agreement():
     assert math.hypot(u0 - 0.0, v0 - (2.0 - math.sqrt(2.0))) < 1e-8
 
     generic = classify_singularity(fs, u0, v0)
-    horo = horocyclic_classify_singularity(invariant_field(fs), u0, v0)
+    via_field = classify_singularity(invariant_field(fs), u0, v0)
     assert generic.classification is SingularityClass.CROSS_CAP
-    assert horo.classification is generic.classification
-    assert horo.diagnostics.D == pytest.approx(generic.diagnostics.D, abs=1e-9)
+    assert via_field.classification is generic.classification
+    assert via_field.diagnostics.D == pytest.approx(generic.diagnostics.D, abs=1e-9)
     for a, b in zip(
-        horo.diagnostics.independence_pair, generic.diagnostics.independence_pair
+        via_field.diagnostics.independence_pair, generic.diagnostics.independence_pair
     ):
         assert a == pytest.approx(b, abs=1e-9)
     # closed-form bracket at the root: -(0.5 v - 1)
@@ -439,7 +438,7 @@ def test_profile_cross_cap_matches_closed_form_diagnostics(tmp_path):
     entry = get_example(f"horocyclic:{path}")
 
     got = classify_singularity(entry.framed, u0, 0.0)
-    want = horocyclic_classify_singularity(entry.oracle_invariants, u0, 0.0)
+    want = classify_singularity(entry.oracle_invariants, u0, 0.0)
     assert got.classification is want.classification is SingularityClass.CROSS_CAP
     assert abs(got.diagnostics.D - want.diagnostics.D) < 1e-9
     assert abs(got.diagnostics.hess_phi - want.diagnostics.hess_phi) < 1e-5

@@ -1,5 +1,6 @@
 """Ball-model transports, R^3_1 projections and lifts, mesh export."""
 
+import dataclasses
 import io
 import math
 
@@ -16,7 +17,7 @@ from h3frames.errors import (
     PreconditionError,
 )
 from h3frames.examples import get_example
-from h3frames.frames import FramedSurface, invariants_at, verify_framed
+from h3frames.frames import FramedSurface, frame_from_normal, invariants_at, verify_framed
 from h3frames.minkowski import (
     minkowski_dot3,
     minkowski_dot4,
@@ -336,6 +337,18 @@ def test_project_then_lift_is_identity():
         for u in np.linspace(dom.u_min, dom.u_max, 4):
             for v in np.linspace(dom.v_min, dom.v_max, 4):
                 assert np.max(np.abs(x_map.value(u, v) - fs.x.value(u, v))) < IDENTITY_TOL
+
+
+def test_project_lift_and_split_give_a_full_frame():
+    # R^3_1 -> H^3 -> frame: the lifted base map and its normal, split by
+    # frame_from_normal, satisfy every framed-surface axiom
+    fs = get_example("cross_cap").framed
+    for axis, dom in _AXIS_WINDOWS.items():
+        x_map, nu_map = lift_from_r31(project_to_r31(fs, axis, domain=dom).xtilde, axis, domain=dom)
+        U, V = dom.mesh()
+        assert np.max(np.abs(x_map.value(U, V) - fs.x.value(U, V))) <= ROUND_TRIP_TOL
+        residuals = dataclasses.astuple(verify_framed(frame_from_normal(x_map, nu_map)))
+        assert max(residuals) <= ROUND_TRIP_TOL, (axis, residuals)
 
 
 def test_lift_precondition_and_argument_errors():

@@ -20,21 +20,29 @@ from h3frames.examples import get_example
 from h3frames.frames import (
     FramedSurface,
     Invariants,
+    frame_from_normal,
     invariant_field,
+    invariant_partials,
     invariants_at,
     rotate_frame,
 )
+from h3frames.horocyclic import horocyclic_invariants, integrate_frame_curves
 from h3frames.singularities import (
+    CORANK_TOL,
+    D_TOL,
+    H_INVARIANT,
+    HESS_TOL,
+    PAIR_TOL,
     RefinementRecord,
     SingularityClass,
     classify_singularity,
     find_singular_points,
-    horocyclic_classify_singularity,
     phi,
     reports_to_json,
     singularity_scan,
 )
-from h3frames.surface import Domain, ParametricMap4
+from h3frames.minkowski import wedge3
+from h3frames.surface import Domain, ParametricMap4, evaluate
 
 # |D| at the ruled_A cross caps, ~10.8080; derived exactly from the defining
 # maps in test_examples.py::test_ruled_a_cross_cap_d_exact_derivation.
@@ -134,7 +142,7 @@ def test_find_singular_points_double_zero_inside_a_cell():
 
 
 def test_each_stage_makes_one_field_call():
-    # each classifier reads its points through one call of the field, and
+    # the classifier reads its points through one call of the field, and
     # each Newton stage through one call over every seed
     shapes = []
 
@@ -147,8 +155,7 @@ def test_each_stage_makes_one_field_call():
 
     field = counted(_field(a2=lambda u, v: v + u * u, b2=lambda u, v: u * u + v * v))  # S1+ below
     classify_singularity(field, 0.0, 0.0)
-    horocyclic_classify_singularity(field, 0.0, 0.0)
-    assert shapes == [(9, 5), (9, 5)]  # 9 phi points, 5 stencil points each
+    assert shapes == [(9, 5)]  # 9 phi points, 5 stencil points each
     shapes.clear()
     # alpha = v, beta = u: the screen seeds 16 cells, and Newton reaches
     # the root from each in one step
@@ -332,8 +339,29 @@ def test_classification_survives_coordinate_swap():
         assert rep.classification is SingularityClass.CROSS_CAP
 
 
+@pytest.mark.parametrize("name", ["cross_cap", "corank_one", "ruled_A", "ruled_B"])
+def test_frame_from_normal_keeps_singular_points_and_classes(name):
+    # the singular set and the classes depend on x and nu3 alone, so the
+    # pair split from nu3 scans like the built-in pair
+    fs = get_example(name).framed
+
+    def nu3(u, v):
+        return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
+
+    got = singularity_scan(frame_from_normal(fs.x, ParametricMap4(value=nu3), fs.domain))
+    if name == "ruled_B":
+        # a singular line: its sample stays on v = 0; its S1+- labels are
+        # noise of the Hessian step and are not compared
+        assert got and max(abs(r.v) for r in got) <= 1e-9
+        return
+    want = singularity_scan(fs)
+    assert [r.classification for r in got] == [r.classification for r in want]
+    for a, b in zip(got, want):
+        assert math.hypot(a.u - b.u, a.v - b.v) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
-# the horocyclic-structure classifier
+# horocyclic fields: the one ladder against the horocyclic formulas
 # ---------------------------------------------------------------------------
 
 
@@ -350,37 +378,74 @@ def _horocyclic_like(a1, b1, c1=0.7):
     return at
 
 
+def _reference_horocyclic(field, u0, v0, hess):
+    """Class, D and independence pair by the paper's horocyclic criterion:
+    a point is singular when a1 = b1 = 0, a cross cap when the bracket
+    a1_u b1_v - a1_v b1_u clears ``D_TOL`` (D is minus the bracket), and
+    S1+/S1- by det Hess(phi) (``hess``, which the criterion shares) with
+    the pair (c1 a1_v + a1_u, c1 b1_v + b1_u): the reference of the one
+    classification ladder on fields with a2 = b2 = 0 and c2 = -1."""
+    q, d = invariant_partials(field, u0, v0, H_INVARIANT)
+    bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
+    pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
+    if max(abs(q.a1), abs(q.b1)) > CORANK_TOL:
+        tag = SingularityClass.NOT_CORANK_ONE
+    elif abs(bracket) > D_TOL:
+        tag = SingularityClass.CROSS_CAP
+    elif hess < -HESS_TOL and math.hypot(*pair) > PAIR_TOL:
+        tag = SingularityClass.S1_PLUS
+    elif hess > HESS_TOL:
+        tag = SingularityClass.S1_MINUS
+    else:
+        tag = SingularityClass.UNCLASSIFIED
+    return tag, -bracket, tuple(float(p) for p in pair)
+
+
+def _classify_as_reference(field, u0, v0):
+    """classify_singularity at (u0, v0), checked bit for bit against the
+    horocyclic reference."""
+    rep = classify_singularity(field, u0, v0)
+    tag, D, pair = _reference_horocyclic(field, u0, v0, rep.diagnostics.hess_phi)
+    assert rep.classification is tag, (u0, v0)
+    assert rep.diagnostics.D == D and rep.diagnostics.independence_pair == pair, (u0, v0)
+    return rep
+
+
 def test_horocyclic_classifier_agrees_with_generic_on_cross_cap_field():
     field = _horocyclic_like(a1=lambda u, v: u, b1=lambda u, v: v)
-    horo = horocyclic_classify_singularity(field, 0.0, 0.0)
-    generic = classify_singularity(field, 0.0, 0.0)
-    assert horo.classification is generic.classification is SingularityClass.CROSS_CAP
-    # bracket and generic D agree up to sign when c2 = -1
-    assert horo.diagnostics.D == pytest.approx(generic.diagnostics.D, abs=1e-9)
+    rep = _classify_as_reference(field, 0.0, 0.0)
+    assert rep.classification is SingularityClass.CROSS_CAP
 
 
 def test_horocyclic_classifier_agrees_on_degenerate_field():
-    field = _horocyclic_like(
-        a1=lambda u, v: u * u, b1=lambda u, v: u * u - v * v
-    )
-    horo = horocyclic_classify_singularity(field, 0.0, 0.0)
-    generic = classify_singularity(field, 0.0, 0.0)
-    assert horo.classification is generic.classification
-    assert horo.diagnostics.independence_pair == pytest.approx(
-        generic.diagnostics.independence_pair, abs=1e-9
-    )
+    field = _horocyclic_like(a1=lambda u, v: u * u, b1=lambda u, v: u * u - v * v)
+    _classify_as_reference(field, 0.0, 0.0)
 
 
 def test_horocyclic_classifier_regular_point():
     field = _horocyclic_like(a1=lambda u, v: 1.0 + u, b1=lambda u, v: v)
-    rep = horocyclic_classify_singularity(field, 0.0, 0.0)
+    rep = _classify_as_reference(field, 0.0, 0.0)
     assert rep.classification is SingularityClass.NOT_CORANK_ONE
 
 
 def test_horocyclic_never_cross_cap_when_a1_b1_identically_zero():
     field = _horocyclic_like(a1=lambda u, v: 0.0, b1=lambda u, v: 0.0)
-    rep = horocyclic_classify_singularity(field, 0.3, -0.2)
+    rep = _classify_as_reference(field, 0.3, -0.2)
     assert rep.classification is not SingularityClass.CROSS_CAP
+
+
+def test_classifier_matches_horocyclic_formulas_on_closed_form_field():
+    # h1 - h4 = 0.8 and h2 = 0 make alpha = 0.8 v, and h3 = 0.75 (u - 0.13)
+    # makes beta = h3 on v = 0: one cross cap, at (0.13, 0)
+    h = (1.0, 0.0, lambda u: 0.75 * (u - 0.13), 0.2, lambda u: 0.15 - 0.2 * u,
+         lambda u: 0.1 + 0.25 * u)
+    h_funcs = [hi if callable(hi) else (lambda u, c=hi: c) for hi in h]
+    field = horocyclic_invariants(integrate_frame_curves(h_funcs, *np.eye(4)[:3], -1.0, 1.0))
+    dom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
+    (root,) = find_singular_points(field, domain=dom)
+    assert _classify_as_reference(field, *root).classification is SingularityClass.CROSS_CAP
+    for u, v in zip(*(g.ravel()[::7] for g in Domain(-0.9, 0.9, -1.4, 1.4, nu=5, nv=5).mesh())):
+        _classify_as_reference(field, u, v)
 
 
 # ---------------------------------------------------------------------------
