@@ -45,6 +45,7 @@ from .surface import (
 __all__ = [
     "FRAME_TOL",
     "GRAM_DEGENERATE_TOL",
+    "MAX_STEPS",
     "FramedSurface",
     "FrameAt",
     "Invariants",
@@ -716,6 +717,11 @@ def _frame_ode_matrix(rows) -> np.ndarray:
     )
 
 
+#: Most steps :func:`integrate_frame_along_line` takes; each holds about
+#: 0.6 KB of arrays, so a span that needs more is refused before anything
+#: is allocated.
+MAX_STEPS = 10**6
+
 #: Offsets of the two Gauss points from the middle of a step, in steps.
 _GAUSS = np.array([-math.sqrt(3.0) / 6.0, math.sqrt(3.0) / 6.0])
 
@@ -759,7 +765,8 @@ def integrate_frame_along_line(
     ``initial`` provides the starting frame; its (u, v) must sit on the
     line.  The span is covered by full steps plus one remainder, which is
     dropped when it is below rounding of the span unless it is the only
-    step.  Each step
+    step; a span of more than :data:`MAX_STEPS` full steps raises
+    ``ValueError``.  Each step
     multiplies the frame rows by exp(Omega) with
 
         Omega = dt/2 (M1 + M2) + sqrt(3)/12 dt^2 [M2, M1]
@@ -780,6 +787,8 @@ def integrate_frame_along_line(
     n_full, rem = divmod(abs(span), step)
     if not math.isfinite(n_full):
         raise ValueError(f"span {span} in steps of {step} is not a finite step count")
+    if n_full > MAX_STEPS:
+        raise ValueError(f"span {span} in steps of {step} needs more than MAX_STEPS = {MAX_STEPS} steps")
     dts = [math.copysign(step, span)] * int(n_full)
     if rem > 1e-15 * max(1.0, abs(span)) or (rem and not dts):
         dts.append(math.copysign(rem, span))

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -433,6 +434,31 @@ def test_classify_profile_with_uncountable_steps_exit_4(tmp_path, capsys):
     )
     assert done.returncode == 4 and "Traceback" not in done.stderr
     assert done.stderr.endswith("error: span 1e+308 in steps of 0.001 is not a finite step count\n")
+
+
+def _limit_address_space():
+    # a step count that is no longer refused fails fast instead of
+    # allocating until the host runs out of memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("u_max", [1e300, 1e9])
+def test_classify_profile_with_too_many_steps_exit_4(tmp_path, u_max):
+    # finite step counts: 1e303 overflowed building the step list, 1e12
+    # asked for ~1e12 list slots
+    prof = tmp_path / "long.csv"
+    _two_row_profile(prof, u_max)
+    src = str(Path(h3frames.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "h3frames.cli", "classify", "--profile", str(prof)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == (
+        f"error: span {u_max!r} in steps of 0.001 needs more than "
+        f"MAX_STEPS = {frames.MAX_STEPS} steps\n"
+    )
 
 
 def test_classify_rejects_malformed_profile(tmp_path, capsys):

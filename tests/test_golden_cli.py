@@ -16,6 +16,9 @@ from h3frames.cli import main
 PROFILE_ROWS = [(u, 0.0, 0.0, 0.0, 0.0, 2.0 * (0.5 + 0.2 * u * u), 0.5 + 0.2 * u * u)
                 for u in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)]
 
+# 200 R^3_1 points (x1^2 - x2^2 - x3^2 > 3), exact in binary, for project.
+POINT_ROWS = [(2.0 + k / 8, (k % 17 - 8) / 16, (k % 13 - 6) / 12) for k in range(200)]
+
 GOLDEN = {
     "singular_cross_cap": (
         ["singular", "--example", "cross_cap"],
@@ -37,6 +40,18 @@ GOLDEN = {
         ["mesh", "--example", "ruled_A", "--markers"],
         "b2c8e5825aa240fed882a741a86ed3e4529df22fb9f8e950ef0763f028aa8483",
     ),
+    "invariants_cross_cap": (
+        ["invariants", "--example", "cross_cap"],
+        "d2c6bd3406812854eb6a99e656a02e4fb90c36e1407377ca9fa04852ceb9bcca",
+    ),
+    "mesh_cross_cap": (
+        ["mesh", "--example", "cross_cap"],
+        "26378c203956a5fbf41864d424c57c8b7f0dabd67c825c90b63af3a32b36320a",
+    ),
+    "project_r31_disc_file": (
+        ["project", "--from", "r31", "--to", "disc", "--input", "points.txt"],
+        "8b949cde1ea0bfd1e24292c71676b31c7afb34d0ac7ef03fefe661417063b1a7",
+    ),
     "classify_profile": (
         ["classify", "--profile", "profile.csv"],
         "4e8a0daaa514966d286495098f7d3f857f8a78e5ec96e10064dda42bd1878d5e",
@@ -52,6 +67,7 @@ def test_golden_stdout(name, tmp_path, monkeypatch, capsys):
     (tmp_path / "profile.csv").write_text(
         "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(repr(x) for x in row) + "\n" for row in PROFILE_ROWS)
     )
+    (tmp_path / "points.txt").write_text("".join(" ".join(repr(x) for x in row) + "\n" for row in POINT_ROWS))
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
