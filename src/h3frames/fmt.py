@@ -166,6 +166,7 @@ def _format_block(x, cells, keep, masks) -> str:
     ok = ok & fine | zero
 
     cells = cells[: len(x)].reshape(m, -1)
+    keep = keep[: len(x)].reshape(m, -1)
     words = cells.view(np.uint64)
     q, g4 = np.divmod(n, 10**4)
     q, g3 = np.divmod(q, 10**4)
@@ -186,8 +187,9 @@ def _format_block(x, cells, keep, masks) -> str:
     key = (np.signbit(flat) * _NLAYOUT + layout) * 17 + (16 - zeros)
     key = key.reshape(x.shape)
     key[:, -1] += len(masks) // 2  # the last column ends the line
-    np.take(masks, key.ravel(), axis=0, out=keep[: len(x)].reshape(m, -1))
-    text = np.compress(keep[: len(x)].ravel(), cells.ravel()).tobytes().decode()
+    # keys are in range; mode="clip" lets take write to out unbuffered
+    np.take(masks, key.ravel(), axis=0, out=keep, mode="clip")
+    text = np.compress(keep.ravel(), cells.ravel()).tobytes().decode()
     if ok.all():
         return text
     parts = text.split("\x01")
