@@ -16,7 +16,8 @@ from h3frames.cli import main
 PROFILE_ROWS = [(u, 0.0, 0.0, 0.0, 0.0, 2.0 * (0.5 + 0.2 * u * u), 0.5 + 0.2 * u * u)
                 for u in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)]
 
-# 200 R^3_1 points (x1^2 - x2^2 - x3^2 > 3), exact in binary, for project.
+# 200 R^3_1 points (x1^2 - x2^2 - x3^2 > 3) for project, written with repr
+# so that they read back exactly.
 POINT_ROWS = [(2.0 + k / 8, (k % 17 - 8) / 16, (k % 13 - 6) / 12) for k in range(200)]
 
 GOLDEN = {
