@@ -92,12 +92,18 @@ def _tables():
     hh = c - (c - hi)
     pow10 = (hh, hi - hh, np.array(lo))
 
-    g = np.arange(10000)
-    chars = np.full((10000, 8), ord("."), np.uint8)
-    chars[:, ::2] = 48 + np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], -1)
-    groups = chars.view(np.uint64).ravel()  # "d.d.d.d."
+    # "d.d.d.d." and the count of trailing zero digits of 0..9999
+    chars = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    tz = np.zeros((10, 10, 10, 10), np.int8)
+    zeros = np.ones(tz.shape, bool)
+    for j in (3, 2, 1, 0):
+        axis = (10,) + (1,) * (3 - j)
+        chars[..., 2 * j] = np.arange(48, 58, dtype=np.uint8).reshape(axis)
+        zeros &= (np.arange(10) == 0).reshape(axis)
+        tz += zeros
+    chars, tz = chars.reshape(10000, 8), tz.ravel()
+    groups = chars.view(np.uint64).ravel()
     pairs = chars[:100, 4::2].copy().view(np.uint16).ravel()  # "00".."99"
-    tz = sum((g % p == 0).astype(np.int8) for p in (10, 100, 1000, 10000))
 
     lay, d = np.divmod(np.arange(_NLAYOUT * 17), 17)
     d = d[:, None] + 1
