@@ -21,13 +21,12 @@ block of values at a time in numpy instead of one dtoa call per value:
   ``10**17`` then carries into ``k``.
 * **Certification.**  The digits are used only where ``|f - 1/2|`` exceeds
   ``_MARGIN`` (1e-9), far above that error, so the rounding direction is
-  certain.  Every other value -- an exact or near tie, a ``k`` that would
-  not settle, a value that is zero, not finite or outside
-  ``[1e-280, 1e280]`` -- is formatted by :func:`fmt`, that is, by Python's
-  correctly rounded conversion (D. M. Gay, *Correctly rounded
-  binary-decimal and decimal-binary conversions*, AT&T Numerical Analysis
-  Manuscript 90-10, 1990).  Zeros are the one exception: they are written
-  directly as ``0`` and ``-0``.
+  certain.  Zeros are written directly as ``0`` and ``-0``.  Every other
+  value -- an exact or near tie, a ``k`` that would not settle, a value
+  that is not finite or lies outside ``[1e-280, 1e280]`` -- is formatted by
+  :func:`fmt`, that is, by Python's correctly rounded conversion (D. M.
+  Gay, *Correctly rounded binary-decimal and decimal-binary conversions*,
+  AT&T Numerical Analysis Manuscript 90-10, 1990).
 * **Text.**  Each value gets a cell of bytes holding every character its
   text can use, in output order: the sign, ``0.000``, the 17 digits each
   followed by a point, the exponent and the separator.  The ``%g`` rules
