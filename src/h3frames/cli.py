@@ -485,8 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not profile_path:
                 raise _UsageError("classify needs an h-profile (--profile)")
             prof = load_h_profile(profile_path)
-            default = Domain(prof.u_min, prof.u_max, -1.5, 1.5, nu=21, nv=21)
-            cfg = _resolve_config(args, file_values, default)
+            cfg = _resolve_config(args, file_values, prof.domain())
             text = cmd_classify(cfg, prof)
         elif args.command == "project":
             unit = Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)  # unused placeholder

@@ -11,15 +11,19 @@ surface invariants in closed form, and the flatness classification (horo-flat,
 horo-cones, conical horosphere) reads off either the h functions or the
 invariant field; both classifiers live here and must agree.
 
-Curve frames come from closed forms or from integrating the linear frame
-system (the same ODE shape as the surface frame system, so the surface
-frame integrator's Magnus steps, which keep each frame pseudo-orthonormal
-to rounding, cover the whole span in one call).  Between the nodes the
-integrated curves are cubic Hermite pieces whose node slopes come from the
-frame system, and their derivatives are the frame system itself,
-a_k' = sum_j M_kj(h(u)) a_j.  The h functions, like curves and surface
-maps, broadcast: an array of u values gives a component-first
-``(4, *shape)`` curve value, so the swept surface evaluates whole grids.
+A curve frame is one callable, u -> (a0, a1, a2) stacked component-first,
+given in closed form or by integrating the linear frame system (the same
+ODE shape as the surface frame system, so the surface frame integrator's
+Magnus steps, which keep each frame pseudo-orthonormal to rounding, cover
+the whole span in one call).  Between the nodes the integrated frame is a
+cubic Hermite spline of the node states, whose node slopes come from the
+frame system, made pseudo-orthonormal pointwise.  Each swept map is a fixed
+combination sum_k c_k(v) a_k(u), so one frame evaluation gives its value,
+and its u-partial comes from the frame system itself,
+a_k' = sum_j M_kj(h(u)) a_j (a3' by the product rule).  The h functions,
+like frames and surface maps, broadcast: an array of u values gives a
+component-first ``(3, 4, *shape)`` frame, so the swept surface evaluates
+whole grids.
 
 An h-profile CSV gives h1..h6 as the C^2 cubic spline through its samples
 (:class:`HProfile`).  Both splines are a few lines of numpy: one Hermite
@@ -31,7 +35,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import io
+import operator
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -82,48 +88,56 @@ H_STEP = 1e-5
 
 @dataclasses.dataclass(frozen=True)
 class Curve4:
-    """Curve u -> R^4_1 with an optional exact derivative ``d`` (a closed
-    form, or the frame system for integrated curves); without one,
-    :meth:`derivative` takes the complex step, like a map's first partials."""
+    """Curve u -> R^4_1: a read-only view of one vector of a curve frame
+    (:attr:`HorocyclicData.a0` .. ``a2``), or a curve given on its own to
+    :func:`extract_h`.  :meth:`derivative` takes the complex step of the
+    value, like a map's first partials."""
 
     value: Callable[[float], np.ndarray]
-    d: Optional[Callable[[float], np.ndarray]] = None
 
     def derivative(self, u: float) -> np.ndarray:
-        if self.d is not None:
-            return evaluate(self.d, u)
         return _complex_step(self.value, 0, u)
 
 
-HFuncs = tuple[
-    Callable[[float], float],
-    Callable[[float], float],
-    Callable[[float], float],
-    Callable[[float], float],
-    Callable[[float], float],
-    Callable[[float], float],
-]
+HFuncs = tuple[Callable[[float], float], ...]  # h1..h6
 
 
 @dataclasses.dataclass(frozen=True)
 class HorocyclicData:
-    """Curve frame plus its six curvature functions."""
+    """Curve frame plus its six curvature functions.
 
-    a0: Curve4
-    a1: Curve4
-    a2: Curve4
+    ``frame(u)`` gives (a0, a1, a2) stacked component-first, of shape
+    ``(3, 4, *shape(u))``; a constant frame may return one ``(3, 4)``
+    stack, which :meth:`at` broadcasts.  ``h`` must be the frame's own
+    curvature functions: the swept maps take every u-derivative from the
+    frame system they define.  ``a0``, ``a1`` and ``a2`` are read-only
+    :class:`Curve4` views of the frame.
+    """
+
+    frame: Callable[[float], np.ndarray]
     h: HFuncs
 
+    a0, a1, a2 = (property(lambda self, k=k: Curve4(lambda u: self.at(u)[k])) for k in range(3))
+
+    def at(self, u) -> np.ndarray:
+        """``frame(u)`` as a float (or, at complex u, complex) array of
+        shape ``(3, 4, *shape(u))``."""
+        f = np.asarray(self.frame(u))
+        f = f.astype(np.result_type(f, float), copy=False)  # integers become float
+        shape = getattr(u, "shape", ())
+        if f.shape[2:] != shape:  # one constant frame for the whole grid
+            f = np.broadcast_to(f.reshape(f.shape[:2] + (1,) * len(shape)), f.shape[:2] + shape)
+        return f
+
     def a3(self, u: float) -> np.ndarray:
-        return wedge3(*(evaluate(c.value, u) for c in (self.a0, self.a1, self.a2)))
+        return wedge3(*self.at(u))
 
 
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
     """Max Gram residual of {a0, a1, a2, a3} over the given u samples (nan
     where a frame vector is not finite)."""
-    u = np.asarray(us, dtype=float)
-    vecs = (evaluate(c.value, u) for c in (data.a0, data.a1, data.a2))
-    return float(np.max(frame_gram_residual(*vecs, data.a3(u)), initial=0.0))
+    f = data.at(np.asarray(us, dtype=float))
+    return float(np.max(frame_gram_residual(*f, wedge3(*f)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,67 +151,58 @@ def build_horocyclic(
     """Sweep the curve frame into a framed surface over ``domain``.
 
     The curve-frame axioms are checked on the domain's u grid first;
-    violation raises :class:`DegenerateFrameError`.  First derivatives of
-    all three surface maps are assembled from the curve derivatives
-    (the curve's own when it carries one, its complex step otherwise), so
-    the surface maps always advertise closed firsts.
+    violation raises :class:`DegenerateFrameError`.  All three surface
+    maps carry closed firsts, from one frame evaluation per call (see
+    :func:`_swept_map`).
     """
     res = verify_horocyclic_data(data, domain.u_grid())
     if res > tol:
         raise DegenerateFrameError(
             f"curve frame Gram residual {res:.3e} exceeds {tol} on the u grid"
         )
-    a0, a1, a2 = data.a0, data.a1, data.a2
-
-    def values(u):
-        return (evaluate(a0.value, u), evaluate(a1.value, u), evaluate(a2.value, u))
-
-    def x_value(u, v):
-        w0, w1, w2 = values(u)
-        return (1.0 + v * v / 2.0) * w0 + v * w1 + (v * v / 2.0) * w2
-
-    def x_du(u, v):
-        return (
-            (1.0 + v * v / 2.0) * a0.derivative(u)
-            + v * a1.derivative(u)
-            + (v * v / 2.0) * a2.derivative(u)
-        )
-
-    def x_dv(u, v):
-        w0, w1, w2 = values(u)
-        return v * w0 + w1 + v * w2
-
-    def nu1_value(u, v):
-        return data.a3(u)
-
-    def nu1_du(u, v):
-        w0, w1, w2 = values(u)
-        return (
-            wedge3(a0.derivative(u), w1, w2)
-            + wedge3(w0, a1.derivative(u), w2)
-            + wedge3(w0, w1, a2.derivative(u))
-        )
-
-    def nu2_value(u, v):
-        w0, w1, w2 = values(u)
-        return -(v * v / 2.0) * w0 - v * w1 + (1.0 - v * v / 2.0) * w2
-
-    def nu2_du(u, v):
-        return (
-            -(v * v / 2.0) * a0.derivative(u)
-            - v * a1.derivative(u)
-            + (1.0 - v * v / 2.0) * a2.derivative(u)
-        )
-
-    def nu2_dv(u, v):
-        w0, w1, w2 = values(u)
-        return -v * w0 - w1 - v * w2
-
     return FramedSurface(
-        x=ParametricMap4(value=x_value, du=x_du, dv=x_dv),
-        nu1=ParametricMap4(value=nu1_value, du=nu1_du, dv=zero4),
-        nu2=ParametricMap4(value=nu2_value, du=nu2_du, dv=nu2_dv),
+        x=_swept_map(data, (0, 1, 2), lambda v: (1.0 + v * v / 2.0, v, v * v / 2.0),
+                     lambda v: (v, 1.0, v)),
+        nu1=_swept_map(data, (3,), lambda v: (1.0,)),
+        nu2=_swept_map(data, (0, 1, 2), lambda v: (-(v * v / 2.0), -v, 1.0 - v * v / 2.0),
+                       lambda v: (-v, -1.0, -v)),
         domain=domain,
+    )
+
+
+def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
+    """The map sum_k c_k(v) a_k(u) over the frame vectors a_k, k in ``ks``
+    (``c(v)`` gives their coefficients in that order), with closed firsts
+    du = sum_k c_k a_k' and dv = sum_k c_k' a_k, where c' = ``dc(v)`` (the
+    zero map when ``dc`` is None).  a0', a1' and a2' are rows of the frame
+    system, read with one call of each h:
+    a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
+    a2' = h2 a0 - h4 a1 + h6 a3; a3' is the product rule on a0 ^ a1 ^ a2.
+    Each sum starts from its first term (not from 0, which would turn a
+    -0.0 into +0.0)."""
+
+    def vectors(u):
+        w = tuple(data.at(u))
+        return w + (wedge3(*w),) if 3 in ks else w
+
+    def slopes(u):
+        w0, w1, w2 = data.at(u)
+        w3 = wedge3(w0, w1, w2)
+        h1, h2, h3, h4, h5, h6 = (hi(u) for hi in data.h)
+        d0 = h1 * w1 + h2 * w2 + h3 * w3
+        d1 = h1 * w0 + h4 * w2 + h5 * w3
+        d2 = h2 * w0 - h4 * w1 + h6 * w3
+        if 3 not in ks:
+            return d0, d1, d2
+        return d0, d1, d2, wedge3(d0, w1, w2) + wedge3(w0, d1, w2) + wedge3(w0, w1, d2)
+
+    def combine(coeffs, vecs):
+        return functools.reduce(operator.add, (ck * vecs[k] for ck, k in zip(coeffs, ks)))
+
+    return ParametricMap4(
+        value=lambda u, v: combine(c(v), vectors(u)),
+        du=lambda u, v: combine(c(v), slopes(u)),
+        dv=zero4 if dc is None else (lambda u, v: combine(dc(v), vectors(u))),
     )
 
 
@@ -255,7 +260,7 @@ def extract_h(
     h1 = <a0', a1>, h2 = <a0', a2>, h3 = <a0', a3>, h4 = <a1', a2>,
     h5 = <a1', a3>, h6 = <a2', a3>.  The derivative always comes from the
     symmetric difference of the curve values (the step is part of the
-    contract), never from a stored closed form.
+    contract).
     """
     w0 = np.asarray(a0.value(u), dtype=float)
     w1 = np.asarray(a1.value(u), dtype=float)
@@ -305,12 +310,11 @@ def integrate_frame_curves(
     :func:`h3frames.frames.integrate_frame_along_line` integrates it over
     the whole span; its Magnus steps keep every node frame
     pseudo-orthonormal to rounding.  The h functions must broadcast over an
-    array of u (a constant may return a float).  The returned curves
-    interpolate the node states with cubic Hermite splines whose node
-    derivatives come from the ODE itself, M(u_k) Y_k, and
-    re-orthonormalize pointwise, so the frame axioms hold to rounding at
-    *every* u, not just the nodes.  Their derivatives come from the ODE
-    too: a_k'(u) is row k of M(h(u)) times (a0, a1, a2, a3)(u).
+    array of u (a constant may return a float).  The returned frame
+    interpolates the node states with a cubic Hermite spline whose node
+    derivatives come from the ODE itself, M(u_k) Y_k, and is made
+    pseudo-orthonormal pointwise, so the frame axioms hold to rounding at
+    *every* u, not just the nodes.
     """
     if len(h_funcs) != 6:
         raise ValueError(f"expected 6 curvature functions, got {len(h_funcs)}")
@@ -351,36 +355,17 @@ def integrate_frame_curves(
     slopes = _frame_ode_matrix(rows) @ traj.frames
 
     def frame(u):
-        """a0, a1, a2 at u, by Gram-Schmidt on one spline value (node states
-        stacked component-first)."""
+        """(a0, a1, a2) at u, shape ``(3, 4, *shape(u))``: Gram-Schmidt on
+        one spline value of the node states (stacked component-first)."""
         s = np.moveaxis(_hermite(us, traj.frames, slopes, u), (-2, -1), (0, 1))
         b0 = s[0] / np.sqrt(-minkowski_dot4(s[0], s[0]))
         w = s[1] + minkowski_dot4(s[1], b0) * b0
         b1 = w / np.sqrt(minkowski_dot4(w, w))
         w = s[2] + minkowski_dot4(s[2], b0) * b0
         w = w - minkowski_dot4(w, b1) * b1
-        return b0, b1, w / np.sqrt(minkowski_dot4(w, w))
+        return np.stack((b0, b1, w / np.sqrt(minkowski_dot4(w, w))))
 
-    def derivative(u, k):
-        """a_k' at u from the frame system itself (row k of M):
-        a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
-        a2' = h2 a0 - h4 a1 + h6 a3."""
-        h1, h2, h3, h4, h5, h6 = h_funcs
-        a0, a1, a2 = frame(u)
-        a3 = wedge3(a0, a1, a2)
-        if k == 0:
-            return h1(u) * a1 + h2(u) * a2 + h3(u) * a3
-        if k == 1:
-            return h1(u) * a0 + h4(u) * a2 + h5(u) * a3
-        return h2(u) * a0 - h4(u) * a1 + h6(u) * a3
-
-    return HorocyclicData(
-        *(
-            Curve4(value=lambda u, k=k: frame(u)[k], d=lambda u, k=k: derivative(u, k))
-            for k in range(3)
-        ),
-        h=tuple(h_funcs),
-    )
+    return HorocyclicData(frame=frame, h=tuple(h_funcs))
 
 
 def _hermite(x, y, dy, u) -> np.ndarray:
@@ -559,6 +544,11 @@ class HProfile:
     def u_max(self) -> float:
         return float(self.u[-1])
 
+    def domain(self) -> Domain:
+        """Default grid of the swept surface: the profile's u range times
+        [-1.5, 1.5], 21 x 21 points."""
+        return Domain(self.u_min, self.u_max, -1.5, 1.5, nu=21, nv=21)
+
     def at(self, u) -> np.ndarray:
         """h1..h6 at u, shape ``(*shape(u), 6)``."""
         return _hermite(self.u, self.values, self.slopes, u)
@@ -582,7 +572,8 @@ def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
 
     Every value must be finite and the u column strictly increasing.
     Fewer than four samples fall back to natural end conditions for the
-    spline.
+    spline.  A profile whose spline overflows (a u span near the float
+    limit) is refused.
     """
     if hasattr(source, "read"):
         rows = list(csv.reader(source))
@@ -606,7 +597,13 @@ def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
     u = table[:, 0]
     if not np.all(np.diff(u) > 0.0):
         raise ValueError("h-profile u column must be strictly increasing")
-    return HProfile(u=u, values=table[:, 1:], slopes=_spline_slopes(u, table[:, 1:]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            slopes = _spline_slopes(u, table[:, 1:])
+    except FloatingPointError as exc:
+        span = f"[{float(u[0])!r}, {float(u[-1])!r}]"
+        raise ValueError(f"h-profile spline overflows on the u span {span}") from exc
+    return HProfile(u=u, values=table[:, 1:], slopes=slopes)
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -651,28 +648,19 @@ _INITIAL_FRAME = (
 )
 
 
-def horocyclic_example_from_profile(
-    path,
-    domain: Optional[Domain] = None,
-    v_span: tuple[float, float] = (-1.5, 1.5),
-    step: float = 1e-3,
-    **_,
-):
+def horocyclic_example_from_profile(path, domain: Optional[Domain] = None):
     """Example-registry entry for ``horocyclic:<profile.csv>`` names.
 
     Integrates the curve frame from the standard initial frame over the
-    profile's u range and sweeps the surface over ``v_span``.  The
-    closed-form invariant field doubles as the oracle.
+    profile's u range and sweeps the surface over ``domain``, by default
+    :meth:`HProfile.domain`.  The closed-form invariant field doubles as
+    the oracle.
     """
     from .examples import ExampleEntry
 
     profile = load_h_profile(path)
-    data = integrate_frame_curves(
-        profile.h_funcs, *_INITIAL_FRAME, profile.u_min, profile.u_max, step=step
-    )
-    dom = domain or Domain(
-        profile.u_min, profile.u_max, v_span[0], v_span[1], nu=21, nv=21
-    )
+    data = integrate_frame_curves(profile.h_funcs, *_INITIAL_FRAME, profile.u_min, profile.u_max)
+    dom = domain or profile.domain()
     oracle = horocyclic_invariants(data)
     ab = horocyclic_alpha_beta(data)
     return ExampleEntry(

@@ -16,6 +16,13 @@ from h3frames.cli import main
 PROFILE_ROWS = [(u, 0.0, 0.0, 0.0, 0.0, 2.0 * (0.5 + 0.2 * u * u), 0.5 + 0.2 * u * u)
                 for u in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)]
 
+# (u, h1, ..., h6): a planted cross cap.  h1 - h4 = 0.8 and h2 = 0 make
+# alpha = 0.8 v, and h3 = 0.75 (u - 0.125) makes beta vanish on v = 0 at
+# u = 0.125 only; every h is a cubic at most, so the spline reproduces it.
+PLANTED_ROWS = [(u, 1.0 + 0.1 * u, 0.0, 0.75 * (u - 0.125), 0.2 + 0.1 * u, 0.15 - 0.2 * u,
+                 0.1 + 0.25 * u * u * u)
+                for u in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)]
+
 # 200 R^3_1 points (x1^2 - x2^2 - x3^2 > 3) for project, written with repr
 # so that they read back exactly.
 POINT_ROWS = [(2.0 + k / 8, (k % 17 - 8) / 16, (k % 13 - 6) / 12) for k in range(200)]
@@ -53,6 +60,14 @@ GOLDEN = {
         ["project", "--from", "r31", "--to", "disc", "--input", "points.txt"],
         "8b949cde1ea0bfd1e24292c71676b31c7afb34d0ac7ef03fefe661417063b1a7",
     ),
+    "invariants_horocyclic": (
+        ["invariants", "--example", "horocyclic:planted.csv"],
+        "40ba54122ce32a2e9d0b798f87d57732f70522c8c2cce261d160a213fe544a78",
+    ),
+    "singular_horocyclic": (
+        ["singular", "--example", "horocyclic:planted.csv", "--grid", "11", "11"],
+        "55850ffa406f23674fa45b7b43010c2f5ef3a26f6a5fc8a786cc6785b351af0c",
+    ),
     "classify_profile": (
         ["classify", "--profile", "profile.csv"],
         "4e8a0daaa514966d286495098f7d3f857f8a78e5ec96e10064dda42bd1878d5e",
@@ -65,9 +80,10 @@ def test_golden_stdout(name, tmp_path, monkeypatch, capsys):
     argv, digest = GOLDEN[name]
     # the profile path is relative, so the header line naming it is fixed
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "profile.csv").write_text(
-        "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(repr(x) for x in row) + "\n" for row in PROFILE_ROWS)
-    )
+    for path, rows in (("profile.csv", PROFILE_ROWS), ("planted.csv", PLANTED_ROWS)):
+        (tmp_path / path).write_text(
+            "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(repr(x) for x in row) + "\n" for row in rows)
+        )
     (tmp_path / "points.txt").write_text("".join(" ".join(repr(x) for x in row) + "\n" for row in POINT_ROWS))
     assert main(argv) == 0
     out = capsys.readouterr().out

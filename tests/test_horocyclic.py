@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from h3frames.singularities import (
     classify_singularity,
     find_singular_points,
 )
-from h3frames.surface import Domain, components, evaluate, first_partials
+from h3frames.surface import Domain, evaluate, first_partials
 
 ON_H3_TOL = 1e-12
 BRIDGE_TOL = 1e-7
@@ -55,18 +56,18 @@ E2 = np.array([0.0, 0.0, 1.0, 0.0])
 
 def _helix_data():
     """a0 boosts in the x1-x2 plane; the exact curvature tuple is (1,0,0,0,0,0)."""
-    a0 = Curve4(
-        value=lambda u: components(np.cosh(u), np.sinh(u), 0.0, 0.0),
-        d=lambda u: components(np.sinh(u), np.cosh(u), 0.0, 0.0),
-    )
-    a1 = Curve4(
-        value=lambda u: components(np.sinh(u), np.cosh(u), 0.0, 0.0),
-        d=lambda u: components(np.cosh(u), np.sinh(u), 0.0, 0.0),
-    )
-    a2 = Curve4(value=lambda u: E2.copy(), d=lambda u: np.zeros(4))
+
+    def frame(u):
+        c, s, z = np.cosh(u), np.sinh(u), 0.0 * u
+        return np.array([[c, s, z, z], [s, c, z, z], [z, z, z + 1.0, z]])
+
     one = lambda u: 1.0
     zero = lambda u: 0.0
-    return HorocyclicData(a0=a0, a1=a1, a2=a2, h=(one, zero, zero, zero, zero, zero))
+    return HorocyclicData(frame=frame, h=(one, zero, zero, zero, zero, zero))
+
+
+def _const_frame(a0, a1, a2):
+    return lambda u: np.array([a0, a1, a2])
 
 
 def _const_h(values):
@@ -158,12 +159,7 @@ def test_built_surface_reduces_to_v_family_everywhere():
 
 
 def test_build_rejects_degenerate_curve_data():
-    bad = HorocyclicData(
-        a0=Curve4(value=lambda u: E0.copy()),
-        a1=Curve4(value=lambda u: 3.0 * E1),
-        a2=Curve4(value=lambda u: E2.copy()),
-        h=_const_h((0, 0, 0, 0, 0, 0)),
-    )
+    bad = HorocyclicData(frame=_const_frame(E0, 3.0 * E1, E2), h=_const_h((0, 0, 0, 0, 0, 0)))
     with pytest.raises(DegenerateFrameError):
         build_horocyclic(bad, DOMAIN)
 
@@ -206,12 +202,7 @@ def test_alpha_beta_closed_form():
 )
 def test_bridge_identities_hold_for_closed_forms(h, v):
     """The invariant combinations that recover h1..h6 are exact identities."""
-    data = HorocyclicData(
-        a0=Curve4(value=lambda u: E0.copy()),
-        a1=Curve4(value=lambda u: E1.copy()),
-        a2=Curve4(value=lambda u: E2.copy()),
-        h=_const_h(h),
-    )
+    data = HorocyclicData(frame=_const_frame(E0, E1, E2), h=_const_h(h))
     q = horocyclic_invariants(data)(0.0, v)
     h1, h2, h3, h4, h5, h6 = h
     scale = 1.0 + max(abs(c) for c in h) * (1.0 + v * v)
@@ -319,6 +310,35 @@ def test_complex_step_through_integrated_curves():
     for got, dx in ((pu, xu), (pv, xv)):
         want = (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / ((x[0] + 1.0) * (x[0] + 1.0))
         assert np.max(np.abs(got - want)) < 1e-12
+    # the closed firsts of every swept map (u-partials from the frame
+    # system) match the complex step of the map's own values
+    for data, tol in ((_integrated(_const_h(GENERIC_H)), 1e-11), (_helix_data(), 1e-14)):
+        fs = build_horocyclic(data, DOMAIN)
+        for m in (fs.x, fs.nu1, fs.nu2):
+            closed = first_partials(m, U, V)[1:]
+            stepped = first_partials(m.without_derivatives(), U, V)[1:]
+            for got, want in zip(closed, stepped):
+                assert np.max(np.abs(got - want)) < tol
+
+
+def test_one_frame_evaluation_per_map_call(monkeypatch):
+    # one grid frame_at on a profile-driven surface: each of the eight maps
+    # that are not identically zero evaluates the node-frame spline once,
+    # and each of the three u-partials reads h1..h6 once
+    prof = load_h_profile(io.StringIO(_profile_text()))
+    data = integrate_frame_curves(prof.h_funcs, E0, E1, E2, prof.u_min, prof.u_max)
+    fs = build_horocyclic(data, DOMAIN)
+    calls = []
+    hermite = horocyclic._hermite
+
+    def spy(x, y, dy, u):
+        calls.append(y.ndim)  # 3 for the (n, 4, 4) node stack, 1 for an h column
+        return hermite(x, y, dy, u)
+
+    monkeypatch.setattr(horocyclic, "_hermite", spy)
+    frames.frame_at(fs, *DOMAIN.mesh())
+    assert 0 < calls.count(3) <= 8
+    assert 0 < calls.count(1) <= 18
 
 
 def test_integrate_rejects_bad_inputs():
@@ -523,6 +543,12 @@ def test_profile_loader_validation():
         )
     with pytest.raises(ValueError):
         load_h_profile(io.StringIO("u,h1,h2,h3,h4,h5,h6\n0,0,0,0,0,0,0\n"))
+    # spans whose spline set-up overflows (natural and not-a-knot ends)
+    for u in ((0.0, 1e308), (0.0, 1e160, 2e160, 3e160)):
+        table = np.column_stack([u, np.outer(np.arange(len(u)), np.arange(1, 7) / 10.0)])
+        want = f"h-profile spline overflows on the u span [0.0, {u[-1]!r}]"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_h_profile(io.StringIO(_profile_csv(table)))
 
 
 def test_example_from_profile(tmp_path):
@@ -548,3 +574,5 @@ def test_example_from_profile(tmp_path):
     a, b = entry.oracle_alpha_beta(0.3, 0.8)
     q = entry.oracle_invariants(0.3, 0.8)
     assert (a, b) == (q.alpha, q.beta)
+    with pytest.raises(TypeError):  # no keyword is silently dropped
+        get_example(f"horocyclic:{path}", domian=dom)
