@@ -43,8 +43,6 @@ from .projections import ON_H3_TOL, Axis, from_poincare, to_poincare, write_disc
 from .singularities import (
     CORANK_TOL,
     D_TOL,
-    H_INVARIANT,
-    H_PHI,
     HESS_TOL,
     PAIR_TOL,
     REFINE_TOL,
@@ -88,8 +86,6 @@ class RunConfig:
     frame_tol: float
     singular_tol: float
     classify_tol: float
-    h1: float
-    h2: float
     output: Optional[str]
 
     def header_lines(self, extra: Sequence[tuple[str, object]] = ()) -> list[str]:
@@ -126,8 +122,6 @@ _KEY_TYPES = {
     "frame_tol": float,
     "singular_tol": float,
     "classify_tol": float,
-    "h1": float,
-    "h2": float,
     "output": str,
     "markers": bool,
     "axis": str,
@@ -137,8 +131,6 @@ _TOL_DEFAULTS = {
     "frame_tol": FRAME_TOL,
     "singular_tol": REFINE_TOL,
     "classify_tol": CLASS_TOL,
-    "h1": H_INVARIANT,
-    "h2": H_PHI,
 }
 
 
@@ -188,8 +180,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--frame-tol", dest="frame_tol", type=float)
     common.add_argument("--singular-tol", dest="singular_tol", type=float)
     common.add_argument("--classify-tol", dest="classify_tol", type=float)
-    common.add_argument("--h1", type=float, help="singular only: classification step of invariant partials")
-    common.add_argument("--h2", type=float, help="singular only: classification step of the Hessian of phi")
     common.add_argument("--output", help="output path (default stdout)")
 
     parser = _Parser(prog="h3frames", description=__doc__.splitlines()[0])
@@ -248,7 +238,7 @@ def _resolve_config(
         for key, default in _TOL_DEFAULTS.items()
     }
     for key, val in tols.items():
-        if not 0.0 < val < np.inf:  # a zero, negative or non-finite step or tolerance breaks the run
+        if not 0.0 < val < np.inf:  # a zero, negative or non-finite tolerance breaks the run
             raise _UsageError(f"{key} must be finite and positive, got {fmt(val)}")
     return RunConfig(
         command=args.command,
@@ -330,12 +320,7 @@ _DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
 
 def cmd_singular(cfg: RunConfig, entry) -> str:
     dom = _config_domain(cfg, entry.framed.domain)
-    reports = sorted(
-        singularity_scan(
-            entry.framed, dom, tol=cfg.singular_tol, h=cfg.h1, h_phi=cfg.h2
-        ),
-        key=lambda r: (r.u, r.v),
-    )
+    reports = sorted(singularity_scan(entry.framed, dom, tol=cfg.singular_tol), key=lambda r: (r.u, r.v))
     buf = io.StringIO()
     for line in cfg.header_lines():
         buf.write(f"# {line}\n")
@@ -456,8 +441,7 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> str:
         where = "--point" if args.point is not None else f"{args.input}:{linenos[k]}"
         raise _UsageError(f"{where}: non-finite coordinate in {rows[k]}")
 
-    extra = [("from", frm), ("to", to), ("axis", axis.name.lower()),
-             ("points", len(rows))]
+    extra = [("from", frm), ("to", to), ("axis", axis.name.lower()), ("input", args.input), ("points", len(rows))]
     head = "".join(f"# {line}\n" for line in cfg.header_lines(extra=extra))
     return head + "".join(fmt_rows(_convert_points(coords.T, frm, to, axis).T))
 

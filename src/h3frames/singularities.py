@@ -12,12 +12,18 @@ classified through invariant-level criteria:
 
       D = det(b_u c) det(a_v c) - det(b_v c) det(a_u c),
 
-  built from central differences of the invariant rows, equal to
+  built from the first partials of the invariant rows, equal to
   alpha_v beta_u - alpha_u beta_v at singular points — nonzero means a
   cross cap;
 * otherwise the sign of det Hess(phi), where phi is the 3x3 determinant
   evaluated by :func:`phi` below, separates S1+ (negative, together with
   a nonvanishing independence pair) from S1- (positive).
+
+Classification reads these derivatives on a torus of complex points
+(u0 + r w^j, v0 + r w^k), w = exp(2 pi i / N), around each point: map
+values are analytic, so one FFT (the trapezoid rule of the Cauchy
+integral; Lyness & Moler 1967, Bornemann 2011) gives Taylor coefficients
+to rounding, with no difference step to choose.
 
 This one ladder classifies every field.  On a horocyclic field
 (a2 = b2 = 0, c2 = -1) D is minus the paper's bracket
@@ -30,7 +36,7 @@ are floats or equal-shape arrays, and constant components are allowed.
 Each stage is one field call: the screen over the whole grid, each Newton
 stage over every seed (the Jacobians through
 :func:`h3frames.frames.invariant_partials`, over all their stencils at
-once), and the classification of a scan over every root, 45 points each.
+once), and the classification of a scan over every root and its torus.
 
 Values that straddle a threshold are reported ``unclassified`` rather
 than guessed.  The degenerate direction eta = c2 d/du - c1 d/dv and its
@@ -56,8 +62,10 @@ import numpy as np
 
 from . import __version__
 from .errors import CDegenerateError
-from .frames import FramedSurface, Invariants, invariant_field, invariant_partials
-from .surface import Domain, first_true
+from .frames import _INVARIANT_NAMES
+from .frames import FrameAt, FramedSurface, Invariants, basic_invariants, invariant_field, invariant_partials
+from .minkowski import wedge3
+from .surface import Domain, evaluate, first_true
 
 __all__ = [
     "REFINE_TOL",
@@ -66,7 +74,6 @@ __all__ = [
     "HESS_TOL",
     "PAIR_TOL",
     "H_INVARIANT",
-    "H_PHI",
     "SingularityClass",
     "SingularityDiagnostics",
     "SingularityReport",
@@ -94,11 +101,19 @@ D_TOL = 1e-4
 HESS_TOL = 1e-3
 #: The S1+ independence pair must exceed this in norm.
 PAIR_TOL = 1e-6
-#: Step for central differences of invariants (alpha_u, a1_v, ...).
+#: Step of the central-difference Jacobians of Newton's refinement.
 H_INVARIANT = 1e-5
-#: Step for the second differences of phi (phi already differentiates once,
-#: so a larger step keeps the noise floor ~1e-6).
-H_PHI = 1e-4
+#: Points per direction and radius of the torus on which classification
+#: reads its derivatives (:func:`_torus_read`).  N = 9 reads det Hess(phi)
+#: of the S1+- germs to rounding, where N = 8 leaves 1.3e-6 of it.
+_TORUS_N = 9
+_TORUS_R = 1e-2
+_TORUS_M = np.arange(_TORUS_N)  # Taylor powers along one circle
+_TORUS_Z = _TORUS_R * np.exp(2j * np.pi * _TORUS_M / _TORUS_N)  # r w^j
+_TORUS_ZU, _TORUS_ZV = np.meshgrid(_TORUS_Z, _TORUS_Z, indexing="ij")
+#: Torus point (j, k) is the conjugate of (-j, -k), where a field real at
+#: real points takes the conjugate value: only rows j <= N // 2 are evaluated.
+_TORUS_ROWS = _TORUS_N // 2 + 1
 
 InvariantField = Callable[[float, float], Invariants]
 FieldLike = Union[FramedSurface, InvariantField]
@@ -369,27 +384,12 @@ def _merge_roots(
     return sorted(zip(*kept[:len(iters)].T.tolist(), iters))
 
 
-def _require_c(q: Invariants, u, v, tol: float) -> None:
-    """Refuse at the first point (flat order of ``u, v``) where both
-    c-invariants vanish."""
-    k = first_true(np.hypot(q.c1, q.c2) <= tol)
-    if k is not None:
-        u, v, c1, c2 = (float(np.ravel(a)[k]) for a in (u, v, q.c1, q.c2))
-        raise CDegenerateError(f"both c-invariants vanish at ({u}, {v}): (c1, c2) = ({c1:.3e}, {c2:.3e})")
-
-
-def phi(
-    fs: FieldLike,
-    u: float,
-    v: float,
-    h: float = H_INVARIANT,
-    c_tol: float = CORANK_TOL,
-) -> float:
+def phi(fs: FieldLike, u: float, v: float, c_tol: float = CORANK_TOL) -> float:
     """The 3x3 degeneracy determinant at (u, v), floats or equal-shape arrays.
 
     Rows are the frame components of xi x, eta x and eta eta x, written
-    out in invariants (alpha/beta partials by central differences with
-    step ``h``):
+    out in invariants (alpha/beta partials from the torus of
+    :func:`_torus_read`):
 
         | a1 c1 + a2 c2   -beta   c1 beta_v - c2 beta_u + alpha (c1 e2 - c2 e1) |
         | b1 c1 + b2 c2   alpha   c2 alpha_u - c1 alpha_v + beta (c1 e2 - c2 e1) |
@@ -398,8 +398,7 @@ def phi(
     Raises :class:`CDegenerateError` when both c-invariants vanish within
     ``c_tol`` — the degenerate direction eta is undefined there.
     """
-    q, d = invariant_partials(_as_field(fs), u, v, h)
-    _require_c(q, u, v, c_tol)
+    q, d, _ = _torus_read(fs, u, v, c_tol)
     return _phi(q, d)
 
 
@@ -415,38 +414,59 @@ def _phi(q: Invariants, d: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.linalg.det(m.reshape(m.shape[:-1] + (3, 3)))
 
 
-def _read_point(
-    fs: FieldLike, u0, v0, h: float, h_phi: float, c_tol: float
-) -> tuple[Invariants, dict, np.ndarray]:
-    """What classifying (u0, v0), floats or 1-d arrays, reads from one field
-    call: the invariants and their partials at each point, and det Hess(phi)
-    by second differences of phi (step ``h_phi``) at the centre, u+-, v+- and
-    then the corners, on a last axis, each with its partials stencil: 45
-    points per point.  Refuses at the first of them where c1 = c2 = 0."""
-    up, um, vp, vm = u0 + h_phi, u0 - h_phi, v0 + h_phi, v0 - h_phi
-    us = np.stack([u0, up, um, u0, u0, up, up, um, um], axis=-1)
-    vs = np.stack([v0, v0, v0, vp, vm, vp, vm, vp, vm], axis=-1)
-    q, d = invariant_partials(_as_field(fs), us, vs, h)
-    _require_c(q, us, vs, c_tol)
-    center, pu, mu, pv, mv, pp, pm, mp, mm = np.moveaxis(_phi(q, d), -1, 0)
-    fuu = (pu - 2.0 * center + mu) / h_phi ** 2
-    fvv = (pv - 2.0 * center + mv) / h_phi ** 2
-    fuv = (pp - pm - mp + mm) / (4.0 * h_phi ** 2)
-    q0 = Invariants(**{f.name: getattr(q, f.name)[..., 0] for f in dataclasses.fields(q)})
-    return q0, {k: x[..., 0] for k, x in d.items()}, fuu * fvv - fuv ** 2
+def _full(f: np.ndarray) -> np.ndarray:
+    """Torus values on two last axes from their evaluated rows: row N - j is
+    row j conjugated, with k -> -k."""
+    return np.concatenate([f, np.conj(f[..., (_TORUS_N - 1) // 2:0:-1, -_TORUS_M % _TORUS_N])], axis=-2)
 
 
-def _row_dets(q: Invariants, d: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The four 2x2 determinants det(row_u c), det(row_v c) for rows a, b.
+def _spectral(f: np.ndarray, k: int) -> np.ndarray:
+    """Partial in u (``k`` = 0) or v (1) of torus values at the evaluated rows:
+    each circle's Taylor coefficients by FFT, times their powers, over r w^j."""
+    m, axis = (_TORUS_M[:, None], -2) if k == 0 else (_TORUS_M, -1)
+    df = np.fft.ifft(m * np.fft.fft(_full(f), axis=axis), axis=axis) / (_TORUS_ZU, _TORUS_ZV)[k]
+    return df[..., :_TORUS_ROWS, :]
 
-    det(a_u c) pairs the column vector (a1_u, a2_u) with (c1, c2).
-    """
-    return {
-        "au_c": d["a1_u"] * q.c2 - d["a2_u"] * q.c1,
-        "av_c": d["a1_v"] * q.c2 - d["a2_v"] * q.c1,
-        "bu_c": d["b1_u"] * q.c2 - d["b2_u"] * q.c1,
-        "bv_c": d["b1_v"] * q.c2 - d["b2_v"] * q.c1,
-    }
+
+def _torus_invariants(fs: FramedSurface, u0, v0, U, V) -> Invariants:
+    def jet(m):  # values, and closed first partials or spectral ones
+        x = evaluate(m.value, U, V)
+        if m.has_closed_firsts:
+            return x, evaluate(m.du, U, V), evaluate(m.dv, U, V)
+        return x, _spectral(x, 0), _spectral(x, 1)
+
+    (x, xu, xv), (n1, n1u, n1v), (n2, n2u, n2v) = map(jet, (fs.x, fs.nu1, fs.nu2))
+    return basic_invariants(FrameAt(u0, v0, x, n1, n2, wedge3(x, n1, n2), xu, xv, n1u, n1v, n2u, n2v))
+
+
+def _torus_read(fs: FieldLike, u0, v0, c_tol: float) -> tuple[Invariants, dict, np.ndarray]:
+    """The invariants at (u0, v0), floats or equal-shape arrays, their first
+    partials and det Hess(phi), in stages: the field at the points, a
+    refusal where c1 = c2 = 0 there, the torus of every point on two last
+    axes.  An array call refuses at the first point of the first stage that
+    refuses.  The torus values' Taylor coefficients c_mn r^(m + n) (one 2-d
+    FFT) give every invariant's partials c10, c01; spectral partials of
+    alpha and beta make phi there, and its coefficients det Hess(phi) =
+    4 c20 c02 - c11^2.  A framed surface's maps are read there by
+    :func:`basic_invariants`, whose refusals name the point."""
+    q = _as_field(fs)(u0, v0)
+    k = first_true(np.hypot(q.c1, q.c2) <= c_tol)
+    if k is not None:
+        u, v, c1, c2 = (float(np.ravel(a)[k]) for a in (u0, v0, q.c1, q.c2))
+        raise CDegenerateError(f"both c-invariants vanish at ({u}, {v}): (c1, c2) = ({c1:.3e}, {c2:.3e})")
+    u0, v0 = (np.broadcast_to(np.asarray(c, dtype=float)[..., None, None], np.shape(c) + (_TORUS_ROWS, _TORUS_N))
+              for c in (u0, v0))
+    U, V = u0 + _TORUS_ZU[:_TORUS_ROWS], v0 + _TORUS_ZV[:_TORUS_ROWS]
+    t = _torus_invariants(fs, u0, v0, U, V) if isinstance(fs, FramedSurface) else fs(U, V)
+    d = {}
+    for k in _INVARIANT_NAMES + ("alpha", "beta"):
+        c = np.fft.fft2(_full(np.broadcast_to(getattr(t, k), U.shape))).real[..., :2, :2] / (_TORUS_N ** 2 * _TORUS_R)
+        d[k + "_u"], d[k + "_v"] = c[..., 1, 0], c[..., 0, 1]
+    al, be = (np.broadcast_to(x, U.shape) for x in (t.alpha, t.beta))
+    ab = {"alpha_u": _spectral(al, 0), "alpha_v": _spectral(al, 1),
+          "beta_u": _spectral(be, 0), "beta_v": _spectral(be, 1)}
+    p = np.fft.fft2(_full(_phi(t, ab))).real / _TORUS_N ** 2
+    return q, d, (4.0 * p[..., 2, 0] * p[..., 0, 2] - p[..., 1, 1] ** 2) / _TORUS_R ** 4
 
 
 def classify_singularity(
@@ -457,30 +477,27 @@ def classify_singularity(
     d_tol: float = D_TOL,
     hess_tol: float = HESS_TOL,
     pair_tol: float = PAIR_TOL,
-    h: float = H_INVARIANT,
-    h_phi: float = H_PHI,
     refine_tol: float = REFINE_TOL,
     newton_iters=0,
 ) -> Union[SingularityReport, list[SingularityReport]]:
     """Classify (previously refined) singular points.
 
     ``u0, v0`` are floats, giving one report, or 1-d arrays, giving one
-    report per point in order; all points are read in one field call.
-    Decision ladder: corank-one screen, then |D| > ``d_tol`` for a cross
-    cap, then the sign of det Hess(phi) with the independence pair for
-    S1+/S1-; anything that straddles a threshold is ``unclassified``.
+    report per point in order; all points are read together, in the
+    stages of :func:`_torus_read`.  Decision ladder: corank-one screen,
+    then |D| > ``d_tol`` for a cross cap, then the sign of det Hess(phi)
+    with the independence pair for S1+/S1-; anything that straddles a
+    threshold is ``unclassified``.
     ``newton_iters`` (an int, or an array like ``u0``) is carried into the
     diagnostics verbatim so scan pipelines can stamp their refinement effort.
     On a horocyclic field the independence pair is
     (c1 a1_v + a1_u, c1 b1_v + b1_u).
     """
-    q, d, hess = _read_point(fs, u0, v0, h, h_phi, corank_tol)
-    dets = _row_dets(q, d)
-    D = dets["bu_c"] * dets["av_c"] - dets["bv_c"] * dets["au_c"]
-    pair = (
-        -q.c1 * dets["av_c"] + q.c2 * dets["au_c"],
-        q.c2 * dets["bu_c"] - q.c1 * dets["bv_c"],
-    )
+    q, d, hess = _torus_read(fs, u0, v0, corank_tol)
+    # det(a_u c) pairs the column vector (a1_u, a2_u) with (c1, c2)
+    au_c, av_c, bu_c, bv_c = (d[r + "1_" + z] * q.c2 - d[r + "2_" + z] * q.c1 for r in "ab" for z in "uv")
+    D = bu_c * av_c - bv_c * au_c
+    pair = (-q.c1 * av_c + q.c2 * au_c, q.c2 * bu_c - q.c1 * bv_c)
     corank_one = np.maximum.reduce([abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)]) <= corank_tol
     cols = np.broadcast_arrays(u0, v0, q.alpha, q.beta, q.a1, q.a2, q.b1, q.b2, q.c1, q.c2,
                                corank_one, D, hess, *pair, newton_iters)
@@ -513,7 +530,6 @@ def singularity_scan(
     fs: FieldLike,
     domain: Optional[Domain] = None,
     tol: float = REFINE_TOL,
-    **classify_kwargs,
 ) -> list[SingularityReport]:
     """find_singular_points followed by one classify_singularity call over
     every merged root (none when there are no roots).
@@ -528,7 +544,7 @@ def singularity_scan(
     if not roots:
         return []
     u, v, iters = map(np.array, zip(*roots))
-    return classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
+    return classify_singularity(fs, u, v, newton_iters=iters)
 
 
 def reports_to_json(

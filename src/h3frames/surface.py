@@ -22,8 +22,8 @@ complex-analytic numpy formulas of u and v: no ``math.`` functions, no
 part.  Only a partial taken inside another complex step is a central
 difference (:func:`_complex_step`).  ``ParametricMap4.h1`` is the step
 that :func:`fd_convergence_ratio` studies; nothing else reads it.  No
-map needs second partials: second-order information comes from
-differences of the invariants.
+map needs second partials: classification reads second-order information
+from the invariants on a complex torus (:mod:`h3frames.singularities`).
 
 Despite the name, the same machinery evaluates maps into R^3 (model
 transports use it); only :func:`check_on_h3` insists on four components.

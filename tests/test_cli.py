@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import h3frames
-from h3frames import frames
+from h3frames import frames, singularities
 from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
-from h3frames.singularities import singularity_scan
+from h3frames.singularities import _TORUS_N, _TORUS_ROWS, singularity_scan
 
 ALPHA_COL = 14  # u,v,a1..g2,alpha,beta
 BETA_COL = 15
@@ -98,8 +98,9 @@ def test_invariants_embeds_resolved_config(capsys):
     keys = {l.split(" = ")[0][2:] for l in header}
     for want in ("command", "example", "u_min", "u_max", "v_min", "v_max",
                  "nu", "nv", "frame_tol", "singular_tol", "classify_tol",
-                 "h1", "h2", "output", "tool_version"):
+                 "output", "tool_version"):
         assert want in keys
+    assert not keys & {"h1", "h2"}  # classification has no steps to record
     assert "# nu = 3" in header and "# nv = 3" in header
 
 
@@ -234,54 +235,61 @@ def test_singular_evaluates_no_single_points(name, capsys, monkeypatch):
 
 
 def test_singular_classifies_every_root_in_one_call(capsys, monkeypatch):
-    # the 45-point classification stencils of all 129 ruled_B roots are
-    # read in one field call; a loop over the roots would make 129
+    # the classification tori of all 129 ruled_B roots are read in one
+    # call; a loop over the roots would make 129
     shapes = []
-    original = frames.invariants_at
+    original = singularities.basic_invariants
 
-    def invariants_at(fs, u, v, *args, **kwargs):
-        shapes.append(np.shape(u))
-        return original(fs, u, v, *args, **kwargs)
+    def basic_invariants(frame, *args, **kwargs):
+        shapes.append(np.shape(frame.u))
+        return original(frame, *args, **kwargs)
 
-    monkeypatch.setattr(frames, "invariants_at", invariants_at)
+    monkeypatch.setattr(singularities, "basic_invariants", basic_invariants)
     code, out, _ = _run(capsys, ["singular", "--example", "ruled_B"])
     assert code == 0
     assert "points = 129" in out
-    assert [s for s in shapes if s[-2:] == (9, 5)] == [(129, 9, 5)]
+    assert shapes == [(129, _TORUS_ROWS, _TORUS_N)]
 
 
-def test_singular_h1_h2_set_the_classification_steps(capsys):
-    # --h1 and --h2 are the steps of the classification's differences:
-    # Newton finds the same two cross caps, and D is read anew
-    _, default, _ = _run(capsys, ["singular", "--example", "ruled_A"])
-    code, out, _ = _run(capsys, ["singular", "--example", "ruled_A", "--h1", "2e-5", "--h2", "2e-4"])
-    assert code == 0
-    values = lambda text, key: re.findall(rf"^{key} = (.+)$", text, flags=re.M)
-    assert values(out, "classification") == ["cross_cap", "cross_cap"]
-    assert values(out, "u") == values(default, "u") and values(out, "v") == values(default, "v")
-    assert values(out, "D") != values(default, "D")
+def test_singular_h1_h2_are_unknown(tmp_path, capsys):
+    # classification reads exact derivatives from a torus and has no steps
+    # to set: the flags and keys that set them are refused like any other
+    # unknown one
+    for key in ("h1", "h2"):
+        code, out, err = _run(capsys, ["singular", "--example", "ruled_A", f"--{key}", "2e-5"])
+        assert (code, out) == (4, "")
+        assert err == f"error: unrecognized arguments: --{key} 2e-5\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2e-5\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["singular", "--example", "ruled_A", "--config", str(cfg)])
+        assert (code, out) == (4, "")
+        assert err == f"error: {cfg}:1: unknown config key '{key}'\n"
     with pytest.raises(SystemExit):
         main(["singular", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "fd step" not in help_text
-    assert "--h1 H1 singular only: classification step of invariant partials" in help_text
+    help_text = capsys.readouterr().out
+    assert "--h1" not in help_text and "--h2" not in help_text
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("key", ["h1", "h2", "singular_tol", "classify_tol", "frame_tol"])
 def test_steps_and_tolerances_must_be_finite_and_positive(capsys, key, value):
+    # h1 and h2 were classification steps; their flags are gone, so every
+    # value of them is refused as an unrecognized argument
     flag = "--" + key.replace("_", "-")
     code, out, err = _run(capsys, ["singular", "--example", "cross_cap", flag, value])
     assert (code, out) == (4, "")
-    assert err.startswith(f"error: {key} must be finite and positive") and err.count("\n") == 1
+    if key in ("h1", "h2"):
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
+    else:
+        assert err.startswith(f"error: {key} must be finite and positive") and err.count("\n") == 1
 
 
 def test_config_file_step_must_be_positive(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("h1 = 0\n", encoding="utf-8")
+    cfg.write_text("singular_tol = 0\n", encoding="utf-8")
     code, out, err = _run(capsys, ["singular", "--example", "cross_cap", "--config", str(cfg)])
     assert (code, out) == (4, "")
-    assert err == "error: h1 must be finite and positive, got 0\n"
+    assert err == "error: singular_tol must be finite and positive, got 0\n"
 
 
 def test_singular_empty_for_regular_band(tmp_path, capsys):

@@ -30,47 +30,47 @@ POINT_ROWS = [(2.0 + k / 8, (k % 17 - 8) / 16, (k % 13 - 6) / 12) for k in range
 GOLDEN = {
     "singular_cross_cap": (
         ["singular", "--example", "cross_cap"],
-        "2e0f89991719d3108d4c48e4f0d623128ae750d24573cb2e7871365478d0853d",
+        "242906a627e85a2e6841af6ccdbcc367ad1f74077b0e986ecedbe4933265bd7e",
     ),
     "singular_corank_one": (
         ["singular", "--example", "corank_one"],
-        "2a9191b8d8c5f030c0ef3de973bf7ee3664d5894944d705ddb0de888faddf8d3",
+        "9524aa68144603b9b5585b8a0f1894db8fc9c872161ae44518e98c591c1d45c8",
     ),
     "singular_ruled_A": (
         ["singular", "--example", "ruled_A"],
-        "425800e326f74fd8fd827e8ba72e355d5f8983c0fee1397c9db30e7ee85d77e8",
+        "ff13937c19a3f575909846aae91a733c291015931aab99d762165f023685fba4",
     ),
     "singular_ruled_B": (
         ["singular", "--example", "ruled_B"],
-        "f4cea2d8a492545000a037e0312afb83c73ba80b42e61b4aae4915e37f10b0f0",
+        "3bc11a6430b5c42148a5871cc44c39c5747820641220b0e7b5f74b3ac7c2b0bf",
     ),
     "mesh_ruled_A_markers": (
         ["mesh", "--example", "ruled_A", "--markers"],
-        "b2c8e5825aa240fed882a741a86ed3e4529df22fb9f8e950ef0763f028aa8483",
+        "ec71c9f3ca94813c654a0f1d11bcd5873c32a2519d44810d092fd1ae185610c1",
     ),
     "invariants_cross_cap": (
         ["invariants", "--example", "cross_cap"],
-        "d2c6bd3406812854eb6a99e656a02e4fb90c36e1407377ca9fa04852ceb9bcca",
+        "c1e2eea046b625ca609a76ce2ec3edc5977fb28a00ecf9442a51558fd3dd18ec",
     ),
     "mesh_cross_cap": (
         ["mesh", "--example", "cross_cap"],
-        "26378c203956a5fbf41864d424c57c8b7f0dabd67c825c90b63af3a32b36320a",
+        "80c7c2e9fc19584d76c5f5b3f6146e1e1ce7ed396d62c6b22dee1ea524bef838",
     ),
     "project_r31_disc_file": (
         ["project", "--from", "r31", "--to", "disc", "--input", "points.txt"],
-        "8b949cde1ea0bfd1e24292c71676b31c7afb34d0ac7ef03fefe661417063b1a7",
+        "18a03cad246b26267bb65d24f530b8307c79522204df6a67f3bb7156f5de2549",
     ),
     "invariants_horocyclic": (
         ["invariants", "--example", "horocyclic:planted.csv"],
-        "40ba54122ce32a2e9d0b798f87d57732f70522c8c2cce261d160a213fe544a78",
+        "eb402db3ebe559728115ac7b0468d0e23243330d0a92552b5ddd3873a52e76f1",
     ),
     "singular_horocyclic": (
         ["singular", "--example", "horocyclic:planted.csv", "--grid", "11", "11"],
-        "55850ffa406f23674fa45b7b43010c2f5ef3a26f6a5fc8a786cc6785b351af0c",
+        "34a051048bb84807ace3b270ecfc0333000cd139cbc79de8b380f41c6ce94e7f",
     ),
     "classify_profile": (
         ["classify", "--profile", "profile.csv"],
-        "4e8a0daaa514966d286495098f7d3f857f8a78e5ec96e10064dda42bd1878d5e",
+        "95f2b85d46680d8adb48d5e37316e4475f4b169a1ec47399f8c2f0adac7bd174",
     ),
 }
 

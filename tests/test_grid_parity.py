@@ -57,7 +57,7 @@ from h3frames.singularities import (
     reports_to_json,
     singularity_scan,
 )
-from h3frames.surface import Domain, ParametricMap4, components, first_partials
+from h3frames.surface import Domain, ParametricMap4, components, evaluate, first_partials
 
 NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", "g1", "g2", "alpha", "beta")
 
@@ -152,9 +152,31 @@ def _outcome(call):
     return rep
 
 
+def _one_point_surface(fs):
+    """``fs`` with maps that evaluate one point at a time (in flat order),
+    stacked: the per-point reference of the classification torus, whose
+    points are complex.  Each point goes in as a 1-element array, as one
+    point of a grid does."""
+
+    def one_point(fn):
+        def at(u, v):
+            u, v = np.broadcast_arrays(u, v)
+            pts = [evaluate(fn, np.array([a]), np.array([b]))[:, 0] for a, b in zip(u.ravel(), v.ravel())]
+            return np.stack(pts, axis=-1).reshape((-1,) + u.shape)
+
+        return at
+
+    def wrap(m):
+        if m.has_closed_firsts:
+            return ParametricMap4(value=one_point(m.value), du=one_point(m.du), dv=one_point(m.dv))
+        return ParametricMap4(value=one_point(m.value))
+
+    return FramedSurface(wrap(fs.x), wrap(fs.nu1), wrap(fs.nu2), fs.domain)
+
+
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
 def test_classify_singularity_equals_one_point_calls(name, fs):
-    ref = _one_point_field(fs)
+    ref = _one_point_surface(fs)
     points = find_singular_points(fs)[:3] + _nodes(_inner(fs.domain, nu=2, nv=2))
     for u, v in points:
         want = _outcome(lambda: classify_singularity(ref, u, v))
@@ -453,38 +475,41 @@ def _c_degenerate_cross_cap():
 
     def field(u, v):
         q = base(u, v)
-        on = np.where(np.asarray(u) > 0.40005, 0.0, 1.0)
+        on = np.where(np.real(u) > 0.40005, 0.0, 1.0)
         return dataclasses.replace(q, c1=q.c1 * on, c2=q.c2 * on)
 
     return field
 
 
 def test_classify_singularity_refuses_at_the_first_point_it_reads():
-    # nu2 stretched where u or v > 0.30005: classifying (0.3, 0.3) reads
-    # phi's points in the order centre, u+-, v+-, corners, so the first
-    # refused point is (0.3 + h_phi, 0.3), not (0.3, 0.3 + h_phi)
+    # nu2 stretched where Re u or Re v > 0.305: classifying (0.3, 0.3) reads
+    # the centre, which evaluates, and then its torus of radius 0.01, which
+    # crosses the stretch; the refusal names the centre, not a torus point
     cc = get_example("cross_cap").framed
     fs = _cross_cap_with(
-        nu2_value=lambda u, v: np.where((u > 0.30005) | (v > 0.30005), 1.01, 1.0) * cc.nu2.value(u, v)
+        nu2_value=lambda u, v: np.where((u.real > 0.305) | (v.real > 0.305), 1.01, 1.0) * cc.nu2.value(u, v)
     )
-    want = _outcome(lambda: classify_singularity(_one_point_field(fs), 0.3, 0.3))
+    want = _outcome(lambda: classify_singularity(_one_point_surface(fs), 0.3, 0.3))
     assert want[0] is DegenerateFrameError
-    assert want[1].startswith("frame at (0.3001, 0.3) ")
+    assert want[1].startswith("frame at (0.3, 0.3) has Gram residual")
     assert _outcome(lambda: classify_singularity(fs, 0.3, 0.3)) == want
 
-    # one call over several points refuses as a loop over them does, at its
-    # first refusal: a later point refused by the field, or c-degenerate
-    # (c vanishes from u = 0.4 + h_phi on, so not at the centre (0.4, 0))
+    # one call over several points reads every centre, checks c at them,
+    # then reads every torus, and refuses at the first point of the first
+    # stage that refuses: a torus refusal, as a loop over the points does;
+    # a later centre refused by the field, or c-degenerate, before it
     for field, pts, start in (
-        (fs, [(0.1, 0.1), (-0.2, 0.0), (0.3, 0.3), (0.5, -0.5)], "frame at (0.3001, 0.3) "),
-        (_c_degenerate_cross_cap(), [(0.1, 0.1), (-0.2, 0.0), (0.4, 0.0), (0.6, 0.2)],
-         "both c-invariants vanish at (0.4001, 0.0)"),
+        (fs, [(0.1, 0.1), (-0.2, 0.0), (0.3, 0.3), (0.2, -0.5)], "frame at (0.3, 0.3) "),
+        (fs, [(0.1, 0.1), (0.3, 0.3), (0.5, -0.5)], "frame at (0.5, -0.5) "),
+        (_c_degenerate_cross_cap(), [(0.1, 0.1), (-0.2, 0.0), (0.45, 0.0), (0.6, 0.2)],
+         "both c-invariants vanish at (0.45, 0.0)"),
     ):
         u, v = np.array(pts).T
-        want = _outcome(lambda: [classify_singularity(field, a, b) for a, b in pts])
-        assert want[0] in (DegenerateFrameError, CDegenerateError)
-        assert want[1].startswith(start)
-        assert _outcome(lambda: classify_singularity(field, u, v)) == want
+        got = _outcome(lambda: classify_singularity(field, u, v))
+        assert got[0] in (DegenerateFrameError, CDegenerateError)
+        assert got[1].startswith(start)
+        if start.startswith("frame at (0.3, 0.3)"):
+            assert got == _outcome(lambda: [classify_singularity(field, a, b) for a, b in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +545,11 @@ def _reference_merge_roots(records, domain):
     return sorted(tuple(r) for r in roots)
 
 
-def _per_root_scan(fs, domain, **classify_kwargs):
+def _per_root_scan(fs, domain):
     """singularity_scan with one classify_singularity call per merged root:
     the per-root reference of the one-call scan."""
     _, records = find_singular_points(fs, domain=domain, full_output=True)
-    return [classify_singularity(fs, u, v, newton_iters=iters, **classify_kwargs)
+    return [classify_singularity(fs, u, v, newton_iters=iters)
             for u, v, iters in _reference_merge_roots(records, domain)]
 
 
@@ -563,9 +588,6 @@ def test_singularity_scan_equals_per_root_scan(name):
         assert min(us) < dom.u_min + du and max(us) > dom.u_max - du
     got = singularity_scan(fs)
     assert [_fields(r) for r in got] == [_fields(r) for r in _per_root_scan(fs, dom)]
-    if name == "ruled_A":  # the classification steps pass through
-        got = singularity_scan(fs, h=2e-5, h_phi=2e-4)
-        assert [_fields(r) for r in got] == [_fields(r) for r in _per_root_scan(fs, dom, h=2e-5, h_phi=2e-4)]
 
 
 def test_scan_without_roots_makes_no_classification_call(monkeypatch):

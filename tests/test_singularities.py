@@ -3,11 +3,12 @@
 The built-in surfaces only exhibit cross caps and a degenerate singular
 line, so the S1+/S1- and unclassified branches are driven by synthetic
 invariant fields: classification reads nothing but the twelve invariants
-(and their differences), so a callable (u, v) -> Invariants is a complete
+(and their derivatives), so a callable (u, v) -> Invariants is a complete
 test double.  Each synthetic field's alpha/beta/phi are simple
 polynomials worked out by hand in the comments.
 """
 
+import io
 import json
 import math
 
@@ -16,21 +17,20 @@ import pytest
 
 from h3frames import __version__
 from h3frames.errors import CDegenerateError
-from h3frames.examples import get_example
+from h3frames.examples import corank_one_surface, get_example
 from h3frames.frames import (
     FramedSurface,
     Invariants,
     frame_from_normal,
     invariant_field,
-    invariant_partials,
     invariants_at,
     rotate_frame,
 )
-from h3frames.horocyclic import horocyclic_invariants, integrate_frame_curves
+from h3frames.horocyclic import horocyclic_example_from_profile, horocyclic_invariants, integrate_frame_curves
+from h3frames.projections import transport_to_disc, transport_to_h3
 from h3frames.singularities import (
     CORANK_TOL,
     D_TOL,
-    H_INVARIANT,
     HESS_TOL,
     PAIR_TOL,
     RefinementRecord,
@@ -41,6 +41,7 @@ from h3frames.singularities import (
     reports_to_json,
     singularity_scan,
 )
+from h3frames.singularities import _TORUS_N, _TORUS_ROWS, _torus_read
 from h3frames.minkowski import wedge3
 from h3frames.surface import Domain, ParametricMap4, evaluate
 
@@ -155,7 +156,7 @@ def test_each_stage_makes_one_field_call():
 
     field = counted(_field(a2=lambda u, v: v + u * u, b2=lambda u, v: u * u + v * v))  # S1+ below
     classify_singularity(field, 0.0, 0.0)
-    assert shapes == [(9, 5)]  # 9 phi points, 5 stencil points each
+    assert shapes == [(), (_TORUS_ROWS, _TORUS_N)]  # the point, then the half of its torus it evaluates
     shapes.clear()
     # alpha = v, beta = u: the screen seeds 16 cells, and Newton reaches
     # the root from each in one step
@@ -257,12 +258,14 @@ def test_classify_cross_cap_example():
 def test_classify_ruled_b_line_point_unclassified():
     # On the singular line everything degenerates: D = 0 and the Hessian
     # of phi vanishes (phi ~ -alpha^2 * smooth with alpha ~ v), so the
-    # classifier must decline rather than guess.
+    # classifier must decline rather than guess, at every root of the scan.
     fs = get_example("ruled_B").framed
-    rep = classify_singularity(fs, 0.37, 0.0)
-    assert rep.classification is SingularityClass.UNCLASSIFIED
-    assert abs(rep.diagnostics.D) < 1e-4
-    assert abs(rep.diagnostics.hess_phi) < 1e-3
+    reps = [classify_singularity(fs, 0.37, 0.0)] + singularity_scan(fs)
+    assert len(reps) == 1 + 129
+    for rep in reps:
+        assert rep.classification is SingularityClass.UNCLASSIFIED, (rep.u, rep.v)
+        assert abs(rep.diagnostics.D) < 1e-4
+        assert abs(rep.diagnostics.hess_phi) < 1e-6
 
 
 def test_classify_regular_point_not_corank_one():
@@ -291,6 +294,103 @@ def test_classify_s1_plus_synthetic():
     assert rep.classification is SingularityClass.S1_PLUS
     assert rep.diagnostics.hess_phi == pytest.approx(-4.0, abs=1e-5)
     assert rep.diagnostics.independence_pair == pytest.approx((1.0, 0.0), abs=1e-9)
+
+
+def _s1_germ(k):
+    """Mond's S1+- germ (u, v^2, v^3 + k u^2 v) as a corank-one surface:
+    det Hess(phi) = -48 k at the origin (derived in
+    test_s1_germ_hess_phi_exact_derivation)."""
+    return corank_one_surface(
+        f=lambda u, v: v * v, g=lambda u, v: v * v * v + k * u * u * v,
+        f_u=lambda u, v: 0.0, f_v=lambda u, v: 2.0 * v,
+        g_u=lambda u, v: 2.0 * k * u * v, g_v=lambda u, v: 3.0 * v * v + k * u * u,
+    )
+
+
+@pytest.mark.parametrize("k", [1, -1, 10, -10, 100, -100])
+def test_classify_s1_germs_at_the_origin(k):
+    rep = classify_singularity(_s1_germ(k), 0.0, 0.0)
+    assert rep.classification is (SingularityClass.S1_PLUS if k > 0 else SingularityClass.S1_MINUS)
+    assert rep.diagnostics.hess_phi == pytest.approx(-48.0 * k, rel=1e-9, abs=0.0)
+    assert abs(rep.diagnostics.D) < 1e-12
+
+
+def test_s1_germ_hess_phi_exact_derivation():
+    """det Hess(phi) at the origin of the germs, derived exactly: -48 k.
+
+    The germ's x, nu1 and nu2 are restated from ``corank_one_surface`` as
+    truncated series in (u, v) with coefficients polynomial in k: the maps
+    to degree 4, so the invariants (the pseudo inner products of
+    ``frames.py``, with <y, nu3> = det(y, x, nu1, nu2)) hold to degree 3 and
+    phi (the determinant of ``singularities.phi``) to degree 2, enough for
+    its Hessian at the origin.  Square roots are binomial series about 1.
+    """
+    sp = pytest.importorskip("sympy")
+    R, u, v, k = sp.ring("u v k", sp.QQ)
+
+    def trunc(p, n):
+        return R({m: c for m, c in p.items() if m[0] + m[1] <= n})
+
+    def power(p, e, n=4):  # p^e for p = 1 + w, w(0) = 0
+        out, term, w = R(1), R(1), p - 1
+        for j in range(1, n // 2 + 1):  # w has no linear term here
+            term = trunc(term * w, n) * (e - j + 1) / j
+            out += term
+        return out
+
+    f, g = v ** 2, v ** 3 + k * u ** 2 * v
+    fu, gu = f.diff(u), g.diff(u)
+    sq_s = power(trunc(u * u + f * f + g * g + 1, 4), sp.Rational(1, 2))
+    x = [sq_s, u, f, g]
+    q = trunc((g - u * gu) ** 2 + gu * gu + 1, 4)
+    bar2 = [trunc((u * gu - g) * xi, 4) + c for xi, c in zip(x, (0, gu, 0, -1))]
+    bar1 = [trunc((f - u * fu) * sq_s, 4), u * f - (1 + u * u) * fu, 1 + f * f - u * f * fu, f * g - u * g * fu]
+    kq = trunc((-(g * f + gu * fu) + u * (gu * f + g * fu) - u * u * fu * gu) * power(q, sp.Integer(-1)), 4)
+    r1, r2, r3 = f - u * fu, g - u * gu, fu * g - gu * f
+    p = trunc(r1 * r1 + r2 * r2 + r3 * r3 + fu * fu + gu * gu + 1, 4)
+    scale = trunc(power(q, sp.Rational(1, 2)) * power(p, -sp.Rational(1, 2)), 4)
+    nu1 = [trunc(scale * (b1 - trunc(kq * b2, 4)), 4) for b1, b2 in zip(bar1, bar2)]
+    nu2 = [trunc(b * power(q, -sp.Rational(1, 2)), 4) for b in bar2]
+
+    # The series are the program's maps, up to their truncation.
+    fs = _s1_germ(3)
+    for u0, v0 in ((sp.Rational(1, 100), sp.Rational(-2, 100)), (sp.Rational(-3, 200), sp.Rational(1, 200))):
+        for sym, m in ((x, fs.x), (nu1, fs.nu1), (nu2, fs.nu2)):
+            got = [float(R(c)(u0, v0, 3)) for c in sym]
+            assert np.allclose(got, m.value(float(u0), float(v0)), rtol=0.0, atol=1e-8)
+
+    def det3(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    def dot(a, b):
+        return trunc(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3], 3)
+
+    def dot_nu3(y):  # det(y, x, nu1, nu2) along its first column
+        minors = [det3(*[[trunc(m[j], 3) for j in range(4) if j != i] for m in (x, nu1, nu2)]) for i in range(4)]
+        return trunc(sum((-1) ** i * y[i] * trunc(minors[i], 3) for i in range(4)), 3)
+
+    def d(vec, z):
+        return [R(c).diff(z) for c in vec]
+
+    xu, xv = d(x, u), d(x, v)
+    a1, a2, b1, b2 = dot(xu, nu1), dot(xv, nu1), dot(xu, nu2), dot(xv, nu2)
+    c1, c2 = dot_nu3(xu), dot_nu3(xv)
+    e1, e2 = dot(d(nu1, u), nu2), dot(d(nu1, v), nu2)
+    f1, f2, g1, g2 = (dot_nu3(d(n, z)) for n in (nu1, nu2) for z in (u, v))
+    al, be = trunc(b1 * c2 - b2 * c1, 3), trunc(c1 * a2 - c2 * a1, 3)
+    ce = c1 * e2 - c2 * e1
+    phi = trunc(det3(
+        [a1 * c1 + a2 * c2, b1 * c1 + b2 * c2, c1 * c1 + c2 * c2],
+        [-be, al, R(0)],
+        [c1 * be.diff(v) - c2 * be.diff(u) + al * ce, c2 * al.diff(u) - c1 * al.diff(v) + be * ce,
+         be * (c1 * f2 - c2 * f1) + al * (c2 * g1 - c1 * g2)],
+    ), 2)
+
+    def coeff(i, j):
+        return R({(0, 0, m[2]): c for m, c in phi.items() if m[:2] == (i, j)})  # a polynomial in k
+
+    assert 4 * coeff(2, 0) * coeff(0, 2) - coeff(1, 1) ** 2 == -48 * k
 
 
 def test_classify_degenerate_hessian_unclassified():
@@ -349,15 +449,45 @@ def test_frame_from_normal_keeps_singular_points_and_classes(name):
         return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
     got = singularity_scan(frame_from_normal(fs.x, ParametricMap4(value=nu3), fs.domain))
-    if name == "ruled_B":
-        # a singular line: its sample stays on v = 0; its S1+- labels are
-        # noise of the Hessian step and are not compared
+    if name == "ruled_B":  # a singular line: its sample stays on v = 0, unclassified
         assert got and max(abs(r.v) for r in got) <= 1e-9
+        assert {r.classification for r in got} == {SingularityClass.UNCLASSIFIED}
         return
     want = singularity_scan(fs)
     assert [r.classification for r in got] == [r.classification for r in want]
     for a, b in zip(got, want):
         assert math.hypot(a.u - b.u, a.v - b.v) <= 1e-9
+
+
+def _planted_horocyclic():
+    """The planted cross-cap profile of the golden CLI runs, as a surface."""
+    from test_golden_cli import PLANTED_ROWS
+
+    text = "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(map(repr, row)) + "\n" for row in PLANTED_ROWS)
+    return horocyclic_example_from_profile(io.StringIO(text)).framed
+
+
+@pytest.mark.parametrize("name", ["cross_cap", "corank_one", "ruled_A", "ruled_B", "planted"])
+def test_classes_do_not_depend_on_the_representation(name):
+    # A class is an A-equivalence invariant: rotating the normal pair, or
+    # sending the surface to the ball model and back, moves neither the
+    # singular points nor their classes.
+    fs = _planted_horocyclic() if name == "planted" else get_example(name).framed
+    want = singularity_scan(fs)
+    assert want
+    for other in (
+        rotate_frame(fs, lambda u, v: 0.7 + 0.3 * u - 0.2 * v + 0.1 * u * v),
+        transport_to_h3(transport_to_disc(fs)),
+    ):
+        got = singularity_scan(other)
+        if name == "ruled_B":  # a singular line, unclassified everywhere
+            for reps in (want, got):
+                assert {r.classification for r in reps} == {SingularityClass.UNCLASSIFIED}
+                assert max(abs(r.v) for r in reps) <= 1e-9
+            continue
+        assert [r.classification for r in got] == [r.classification for r in want]
+        for a, b in zip(got, want):
+            assert math.hypot(a.u - b.u, a.v - b.v) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +508,15 @@ def _horocyclic_like(a1, b1, c1=0.7):
     return at
 
 
-def _reference_horocyclic(field, u0, v0, hess):
+def _reference_horocyclic(field, u0, v0):
     """Class, D and independence pair by the paper's horocyclic criterion:
     a point is singular when a1 = b1 = 0, a cross cap when the bracket
     a1_u b1_v - a1_v b1_u clears ``D_TOL`` (D is minus the bracket), and
-    S1+/S1- by det Hess(phi) (``hess``, which the criterion shares) with
-    the pair (c1 a1_v + a1_u, c1 b1_v + b1_u): the reference of the one
-    classification ladder on fields with a2 = b2 = 0 and c2 = -1."""
-    q, d = invariant_partials(field, u0, v0, H_INVARIANT)
+    S1+/S1- by det Hess(phi) with the pair (c1 a1_v + a1_u, c1 b1_v + b1_u):
+    the reference of the one classification ladder on fields with
+    a2 = b2 = 0 and c2 = -1.  It reads the invariants, their partials and
+    det Hess(phi) as the classifier does, from the torus."""
+    q, d, hess = _torus_read(field, u0, v0, CORANK_TOL)
     bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
     pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
     if max(abs(q.a1), abs(q.b1)) > CORANK_TOL:
@@ -405,7 +536,7 @@ def _classify_as_reference(field, u0, v0):
     """classify_singularity at (u0, v0), checked bit for bit against the
     horocyclic reference."""
     rep = classify_singularity(field, u0, v0)
-    tag, D, pair = _reference_horocyclic(field, u0, v0, rep.diagnostics.hess_phi)
+    tag, D, pair = _reference_horocyclic(field, u0, v0)
     assert rep.classification is tag, (u0, v0)
     assert rep.diagnostics.D == D and rep.diagnostics.independence_pair == pair, (u0, v0)
     return rep
