@@ -177,9 +177,12 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--grid", nargs=2, type=int, metavar=("NU", "NV"), help="samples per direction"
     )
-    common.add_argument("--frame-tol", dest="frame_tol", type=float)
-    common.add_argument("--singular-tol", dest="singular_tol", type=float)
-    common.add_argument("--classify-tol", dest="classify_tol", type=float)
+    common.add_argument("--frame-tol", dest="frame_tol", type=float,
+                        help="bound recorded for the residual footer; changes no computation")
+    common.add_argument("--singular-tol", dest="singular_tol", type=float,
+                        help="Newton stops, and a root is converged, below this |alpha| + |beta|")
+    common.add_argument("--classify-tol", dest="classify_tol", type=float,
+                        help="zero threshold of the flatness classification")
     common.add_argument("--output", help="output path (default stdout)")
 
     parser = _Parser(prog="h3frames", description=__doc__.splitlines()[0])
@@ -492,6 +495,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'no detail'}); try a smaller --grid", file=sys.stderr)
+        return 4
 
 
 def entry_point() -> None:

@@ -84,6 +84,8 @@ __all__ = [
 FRAME_TOL = 1e-8
 #: Pseudo-orthonormality residual beyond which invariant extraction refuses.
 GRAM_DEGENERATE_TOL = 1e-4
+#: Below this rho = sqrt(n2^2 + n3^2) a normal's spherical angles are undefined.
+_ANGLE_TOL = 1e-12
 
 INVARIANT_CSV_HEADER = "u,v,a1,a2,b1,b2,c1,c2,e1,e2,f1,f2,g1,g2,alpha,beta"
 
@@ -191,12 +193,12 @@ def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
     )
 
 
-def basic_invariants(frame: FrameAt, gram_tol: float = GRAM_DEGENERATE_TOL) -> Invariants:
+def basic_invariants(frame: FrameAt) -> Invariants:
     """Extract the twelve invariants from a frame by pseudo inner products.
 
     Raises :class:`DegenerateFrameError` at the first point (v-major) where
-    the frame fails pseudo-orthonormality beyond ``gram_tol`` or is not
-    finite - extracted coefficients would be meaningless.
+    the frame fails pseudo-orthonormality beyond ``GRAM_DEGENERATE_TOL`` or
+    is not finite - extracted coefficients would be meaningless.
     """
     n1, n2, n3 = frame.nu1, frame.nu2, frame.nu3
     q = np.array([
@@ -214,29 +216,28 @@ def basic_invariants(frame: FrameAt, gram_tol: float = GRAM_DEGENERATE_TOL) -> I
         minkowski_dot4(frame.nu2v, n3),
     ])
     resid = frame.gram_residual()
-    ok = (resid <= gram_tol) & np.isfinite(q).all(axis=0)
+    ok = (resid <= GRAM_DEGENERATE_TOL) & np.isfinite(q).all(axis=0)
     if not ok.all():
         k = first_true(~ok)
         u, v, r = (np.asarray(a).flat[k] for a in (frame.u, frame.v, resid))
-        what = f"has Gram residual {r:.3e} > {gram_tol:.3e}" if r > gram_tol else "is not finite"
+        bad = r > GRAM_DEGENERATE_TOL
+        what = f"has Gram residual {r:.3e} > {GRAM_DEGENERATE_TOL:.3e}" if bad else "is not finite"
         raise DegenerateFrameError(f"frame at ({u}, {v}) {what}")
     return Invariants(*q)
 
 
-def invariants_at(fs: FramedSurface, u: float, v: float, gram_tol: float = GRAM_DEGENERATE_TOL) -> Invariants:
-    return basic_invariants(frame_at(fs, u, v), gram_tol=gram_tol)
+def invariants_at(fs: FramedSurface, u: float, v: float) -> Invariants:
+    return basic_invariants(frame_at(fs, u, v))
 
 
-def invariants_grid(
-    fs: FramedSurface, domain: Optional[Domain] = None, gram_tol: float = GRAM_DEGENERATE_TOL
-) -> Invariants:
+def invariants_grid(fs: FramedSurface, domain: Optional[Domain] = None) -> Invariants:
     """The twelve invariants as ``(nv, nu)`` arrays over the sampling grid."""
-    return invariants_at(fs, *(domain or fs.domain).mesh(), gram_tol=gram_tol)
+    return invariants_at(fs, *(domain or fs.domain).mesh())
 
 
-def invariant_field(fs: FramedSurface, gram_tol: float = GRAM_DEGENERATE_TOL) -> Callable[[float, float], Invariants]:
+def invariant_field(fs: FramedSurface) -> Callable[[float, float], Invariants]:
     """Invariants as a function of (u, v), floats or equal-shape arrays."""
-    return lambda u, v: invariants_at(fs, u, v, gram_tol=gram_tol)
+    return lambda u, v: invariants_at(fs, u, v)
 
 
 def invariant_partials(
@@ -313,7 +314,6 @@ def integrability_residuals(
     fs: FramedSurface,
     domain: Optional[Domain] = None,
     h: float = 1e-5,
-    gram_tol: float = GRAM_DEGENERATE_TOL,
 ) -> IntegrabilityResiduals:
     """Evaluate the six integrability residuals over the sampling grid.
 
@@ -324,7 +324,7 @@ def integrability_residuals(
     if h <= 0:
         raise ValueError("step h must be positive")
     dom = domain or fs.domain
-    q, d = invariant_partials(invariant_field(fs, gram_tol), *dom.mesh(), h)
+    q, d = invariant_partials(invariant_field(fs), *dom.mesh(), h)
     out = (
         (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
         (d["b1_v"] + q.a1 * q.e2 - q.c1 * q.g2) - (d["b2_u"] + q.a2 * q.e1 - q.c2 * q.g1),
@@ -464,8 +464,6 @@ def frame_from_normal(
     x: ParametricMap4,
     nu: ParametricMap4,
     domain: Optional[Domain] = None,
-    tol: float = FRAME_TOL,
-    angle_tol: float = 1e-12,
 ) -> FramedSurface:
     """Framed surface whose normal pair splits the unit normal field ``nu``.
 
@@ -478,12 +476,12 @@ def frame_from_normal(
     value-only maps: they broadcast and are complex-analytic, so their
     partials come from :func:`first_partials` like any map's.
 
-    Preconditions, checked within ``tol`` on the grid of ``domain``
+    Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``
     (default: x's, then nu's): x on the upper hyperboloid sheet, nu unit
     spacelike with <x, nu> = 0.  A violation raises
     :class:`PreconditionError` at the first failing point (v-major).
     Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
-    first point where the spherical angles are undefined, rho <= ``angle_tol``,
+    first point where the spherical angles are undefined, rho <= ``_ANGLE_TOL``,
     or where the second tangent candidate degenerates.
     """
     dom = domain or x.domain or nu.domain
@@ -492,8 +490,8 @@ def frame_from_normal(
     U, V = dom.mesh()
     xg, ng = evaluate(x.value, U, V), evaluate(nu.value, U, V)
     xx, nn, xn = minkowski_dot4(xg, xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
-    sheet = (abs(xx + 1.0) <= tol) & (xg[0] > 0)
-    unit, orth = abs(nn - 1.0) <= tol, abs(xn) <= tol
+    sheet = (abs(xx + 1.0) <= FRAME_TOL) & (xg[0] > 0)
+    unit, orth = abs(nn - 1.0) <= FRAME_TOL, abs(xn) <= FRAME_TOL
     k = first_true(~(sheet & unit & orth))
     if k is not None:
         u, v = U.flat[k], V.flat[k]
@@ -522,14 +520,14 @@ def frame_from_normal(
             bar2 = components(0.0, cp, -sp, 0.0)
             t2 = bar2 + minkowski_dot4(bar2, p) * p - minkowski_dot4(bar2, t1) / n1sq * t1
             n2sq = minkowski_dot4(t2, t2)
-        bad = (rho.real <= angle_tol) | (n2sq.real <= 0)
+        bad = (rho.real <= _ANGLE_TOL) | (n2sq.real <= 0)
         k = first_true(bad)
         if k is not None:
             u, v = (np.real(np.broadcast_to(a, bad.shape)).flat[k] for a in (u, v))
             r, q = np.ravel(rho.real)[k], np.ravel(n2sq.real)[k]
             raise DegenerateAnglesError(
                 f"spherical angles undefined at ({u}, {v}): normal has n2 = n3 = 0 (rho = {r:.3e})"
-                if r <= angle_tol
+                if r <= _ANGLE_TOL
                 else f"second tangent candidate degenerates at ({u}, {v}): <t2,t2> = {q:.3e}"
             )
         return t1 / np.sqrt(n1sq), t2 / np.sqrt(n2sq)
@@ -567,28 +565,29 @@ _REDUCTION_LADDER = (
 )
 
 
-def _reduction_arrays(inv: Invariants, tol: float):
+def _reduction_arrays(inv: Invariants):
     """Index into ``_REDUCTION_LADDER`` and rotation angle (0 unless
-    rotatable), elementwise over scalar or grid invariants."""
-    small = {k: abs(getattr(inv, k)) <= tol for k in ("a1", "a2", "b1", "b2")}
+    rotatable), elementwise over scalar or grid invariants; zero means
+    within ``FRAME_TOL``."""
+    small = {k: abs(getattr(inv, k)) <= FRAME_TOL for k in ("a1", "a2", "b1", "b2")}
     tests = (
         small["a2"] & small["b2"],
         small["a1"] & small["b1"],
         small["a1"] & small["a2"],
         small["b1"] & small["b2"],
-        inv.constraint_residual() <= tol,
+        inv.constraint_residual() <= FRAME_TOL,
         True,
     )
     index = np.select(tests, range(len(tests)))
     theta = np.where(
-        np.hypot(inv.a1, inv.b1) > tol,
+        np.hypot(inv.a1, inv.b1) > FRAME_TOL,
         np.arctan2(inv.a1, inv.b1),
-        np.where(np.hypot(inv.a2, inv.b2) > tol, np.arctan2(inv.a2, inv.b2), 0.0),
+        np.where(np.hypot(inv.a2, inv.b2) > FRAME_TOL, np.arctan2(inv.a2, inv.b2), 0.0),
     )
     return index, np.where(index == 4, theta, 0.0)
 
 
-def reduction_type(inv: Invariants, tol: float = FRAME_TOL) -> ReductionResult:
+def reduction_type(inv: Invariants) -> ReductionResult:
     """Classify which reduced form the invariants already have.
 
     The one-parameter family conditions are the most specific
@@ -603,21 +602,19 @@ def reduction_type(inv: Invariants, tol: float = FRAME_TOL) -> ReductionResult:
     theta that kills the rotated a-row is reported; anything else is
     generic.
     """
-    index, theta = _reduction_arrays(inv, tol)
+    index, theta = _reduction_arrays(inv)
     tag = _REDUCTION_LADDER[int(index)]
     return ReductionResult(tag, float(theta) if tag is ReductionType.ROTATABLE_TO_FRAMED else None)
 
 
-def reduction_type_grid(
-    fs: FramedSurface, domain: Optional[Domain] = None, tol: float = FRAME_TOL
-):
+def reduction_type_grid(fs: FramedSurface, domain: Optional[Domain] = None):
     """Reduction tags and rotation angles over the grid.
 
     The rotation angle is only defined modulo pi; to make the returned
     field usable as a continuous rotation, each grid row (fixed v) is
     unwrapped by multiples of pi against its left neighbour.
     """
-    index, theta = _reduction_arrays(invariants_grid(fs, domain), tol)
+    index, theta = _reduction_arrays(invariants_grid(fs, domain))
     turns = np.zeros(theta.shape)
     turns[:, 1:] = np.round((theta[:, :-1] - theta[:, 1:]) / math.pi)
     tags = [[_REDUCTION_LADDER[i] for i in row] for row in index.tolist()]
@@ -640,18 +637,18 @@ class FamilyCurvature:
     B: float
 
 
-def family_curvatures(inv: Invariants, direction: str, tol: float = FRAME_TOL):
+def family_curvatures(inv: Invariants, direction: str):
     """Relabel the invariants as one-parameter family data.
 
-    ``direction='u'`` requires a1 = b1 = 0 within ``tol`` (the u-lines are
+    ``direction='u'`` requires a1 = b1 = 0 within ``FRAME_TOL`` (the u-lines are
     the degenerate direction); ``direction='v'`` requires a2 = b2 = 0.
     With these labels alpha = -m Q, beta = m P for the u-direction and
     alpha = m Q, beta = -m P for the v-direction.
     """
     if direction == "u":
-        if abs(inv.a1) > tol or abs(inv.b1) > tol:
+        if abs(inv.a1) > FRAME_TOL or abs(inv.b1) > FRAME_TOL:
             raise PreconditionError(
-                f"u-family needs a1 = b1 = 0 within {tol}, got "
+                f"u-family needs a1 = b1 = 0 within {FRAME_TOL}, got "
                 f"a1 = {inv.a1:.3e}, b1 = {inv.b1:.3e}"
             )
         return FamilyCurvature(
@@ -659,9 +656,9 @@ def family_curvatures(inv: Invariants, direction: str, tol: float = FRAME_TOL):
             P=inv.a2, Q=inv.b2, M=inv.c2, N=inv.e2, A=inv.f2, B=inv.g2,
         )
     if direction == "v":
-        if abs(inv.a2) > tol or abs(inv.b2) > tol:
+        if abs(inv.a2) > FRAME_TOL or abs(inv.b2) > FRAME_TOL:
             raise PreconditionError(
-                f"v-family needs a2 = b2 = 0 within {tol}, got "
+                f"v-family needs a2 = b2 = 0 within {FRAME_TOL}, got "
                 f"a2 = {inv.a2:.3e}, b2 = {inv.b2:.3e}"
             )
         return FamilyCurvature(

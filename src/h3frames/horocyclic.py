@@ -145,20 +145,18 @@ def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def build_horocyclic(
-    data: HorocyclicData, domain: Domain, tol: float = ORTHONORMAL_TOL
-) -> FramedSurface:
+def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
     """Sweep the curve frame into a framed surface over ``domain``.
 
-    The curve-frame axioms are checked on the domain's u grid first;
-    violation raises :class:`DegenerateFrameError`.  All three surface
-    maps carry closed firsts, from one frame evaluation per call (see
-    :func:`_swept_map`).
+    The curve-frame axioms are checked within ``ORTHONORMAL_TOL`` on the
+    domain's u grid first; violation raises :class:`DegenerateFrameError`.
+    All three surface maps carry closed firsts, from one frame evaluation
+    per call (see :func:`_swept_map`).
     """
     res = verify_horocyclic_data(data, domain.u_grid())
-    if res > tol:
+    if res > ORTHONORMAL_TOL:
         raise DegenerateFrameError(
-            f"curve frame Gram residual {res:.3e} exceeds {tol} on the u grid"
+            f"curve frame Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL} on the u grid"
         )
     return FramedSurface(
         x=_swept_map(data, (0, 1, 2), lambda v: (1.0 + v * v / 2.0, v, v * v / 2.0),
@@ -252,10 +250,8 @@ def extract_h(
     a1: Curve4,
     a2: Curve4,
     u: float,
-    h: float = H_STEP,
-    tol: float = ORTHONORMAL_TOL,
 ) -> tuple[float, float, float, float, float, float]:
-    """Read off h1..h6 at u by central differences of step ``h``.
+    """Read off h1..h6 at u by central differences of step ``H_STEP``.
 
     h1 = <a0', a1>, h2 = <a0', a2>, h3 = <a0', a3>, h4 = <a1', a2>,
     h5 = <a1', a3>, h6 = <a2', a3>.  The derivative always comes from the
@@ -267,16 +263,16 @@ def extract_h(
     w2 = np.asarray(a2.value(u), dtype=float)
     w3 = wedge3(w0, w1, w2)
     res = frame_gram_residual(w0, w1, w2, w3)
-    if res > tol:
+    if res > ORTHONORMAL_TOL:
         raise DegenerateFrameError(
-            f"curve frame Gram residual {res:.3e} at u = {u} exceeds {tol}"
+            f"curve frame Gram residual {res:.3e} at u = {u} exceeds {ORTHONORMAL_TOL}"
         )
 
     def diff(c: Curve4) -> np.ndarray:
         return (
-            np.asarray(c.value(u + h), dtype=float)
-            - np.asarray(c.value(u - h), dtype=float)
-        ) / (2.0 * h)
+            np.asarray(c.value(u + H_STEP), dtype=float)
+            - np.asarray(c.value(u - H_STEP), dtype=float)
+        ) / (2.0 * H_STEP)
 
     d0, d1, d2 = diff(a0), diff(a1), diff(a2)
     return (

@@ -116,7 +116,7 @@ class LightconeCandidate:
 # ---------------------------------------------------------------------------
 
 
-def to_poincare(x, tol: float = ON_H3_TOL) -> np.ndarray:
+def to_poincare(x) -> np.ndarray:
     """Ball-model image (x2, x3, x4) / (x1 + 1) of a hyperboloid point.
 
     Also takes a component-first stack of points; the first point off the
@@ -124,11 +124,11 @@ def to_poincare(x, tol: float = ON_H3_TOL) -> np.ndarray:
     """
     x = np.asarray(x)
     q = minkowski_dot4(x, x).real
-    off = ~(abs(q + 1.0) <= tol)
+    off = ~(abs(q + 1.0) <= ON_H3_TOL)
     k = first_true(off | ~(x[0].real > 0.0))
     if k is not None:
         if off.flat[k]:
-            raise OffHyperboloidError(f"<x,x> = {q.flat[k]:.6e}, expected -1 within {tol}")
+            raise OffHyperboloidError(f"<x,x> = {q.flat[k]:.6e}, expected -1 within {ON_H3_TOL}")
         raise OffHyperboloidError(f"x1 = {x[0].real.flat[k]:.6e} is not on the upper branch")
     return x[1:] / (x[0] + 1.0)
 
@@ -388,7 +388,6 @@ def lift_from_r31(
     domain: Optional[Domain] = None,
     lplus: Optional[Vec3Fn] = None,
     lminus: Optional[Vec3Fn] = None,
-    margin: float = LIFT_MARGIN,
 ) -> tuple[ParametricMap4, ParametricMap4]:
     """Insert the positive square root sqrt(x1^2 - x2^2 - x3^2 - 1).
 
@@ -416,7 +415,7 @@ def lift_from_r31(
 
     p = evaluate(xt.value, *dom.mesh())
     worst = np.min(p[0] * p[0] - p[1] * p[1] - p[2] * p[2])
-    if not worst > 1.0 + margin:
+    if not worst > 1.0 + LIFT_MARGIN:
         raise PreconditionError(
             f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}"
         )

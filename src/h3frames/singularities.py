@@ -384,7 +384,7 @@ def _merge_roots(
     return sorted(zip(*kept[:len(iters)].T.tolist(), iters))
 
 
-def phi(fs: FieldLike, u: float, v: float, c_tol: float = CORANK_TOL) -> float:
+def phi(fs: FieldLike, u: float, v: float) -> float:
     """The 3x3 degeneracy determinant at (u, v), floats or equal-shape arrays.
 
     Rows are the frame components of xi x, eta x and eta eta x, written
@@ -396,9 +396,9 @@ def phi(fs: FieldLike, u: float, v: float, c_tol: float = CORANK_TOL) -> float:
         | c1^2 + c2^2       0     beta (c1 f2 - c2 f1) + alpha (c2 g1 - c1 g2)   |
 
     Raises :class:`CDegenerateError` when both c-invariants vanish within
-    ``c_tol`` — the degenerate direction eta is undefined there.
+    ``CORANK_TOL`` — the degenerate direction eta is undefined there.
     """
-    q, d, _ = _torus_read(fs, u, v, c_tol)
+    q, d, _ = _torus_read(fs, u, v)
     return _phi(q, d)
 
 
@@ -439,18 +439,18 @@ def _torus_invariants(fs: FramedSurface, u0, v0, U, V) -> Invariants:
     return basic_invariants(FrameAt(u0, v0, x, n1, n2, wedge3(x, n1, n2), xu, xv, n1u, n1v, n2u, n2v))
 
 
-def _torus_read(fs: FieldLike, u0, v0, c_tol: float) -> tuple[Invariants, dict, np.ndarray]:
+def _torus_read(fs: FieldLike, u0, v0) -> tuple[Invariants, dict, np.ndarray]:
     """The invariants at (u0, v0), floats or equal-shape arrays, their first
     partials and det Hess(phi), in stages: the field at the points, a
-    refusal where c1 = c2 = 0 there, the torus of every point on two last
-    axes.  An array call refuses at the first point of the first stage that
-    refuses.  The torus values' Taylor coefficients c_mn r^(m + n) (one 2-d
+    refusal where c1 = c2 = 0 (within ``CORANK_TOL``) there, the torus of
+    every point on two last axes.  An array call refuses at the first point
+    of the first stage that refuses.  The torus values' Taylor coefficients c_mn r^(m + n) (one 2-d
     FFT) give every invariant's partials c10, c01; spectral partials of
     alpha and beta make phi there, and its coefficients det Hess(phi) =
     4 c20 c02 - c11^2.  A framed surface's maps are read there by
     :func:`basic_invariants`, whose refusals name the point."""
     q = _as_field(fs)(u0, v0)
-    k = first_true(np.hypot(q.c1, q.c2) <= c_tol)
+    k = first_true(np.hypot(q.c1, q.c2) <= CORANK_TOL)
     if k is not None:
         u, v, c1, c2 = (float(np.ravel(a)[k]) for a in (u0, v0, q.c1, q.c2))
         raise CDegenerateError(f"both c-invariants vanish at ({u}, {v}): (c1, c2) = ({c1:.3e}, {c2:.3e})")
@@ -473,10 +473,6 @@ def classify_singularity(
     fs: FieldLike,
     u0,
     v0,
-    corank_tol: float = CORANK_TOL,
-    d_tol: float = D_TOL,
-    hess_tol: float = HESS_TOL,
-    pair_tol: float = PAIR_TOL,
     refine_tol: float = REFINE_TOL,
     newton_iters=0,
 ) -> Union[SingularityReport, list[SingularityReport]]:
@@ -484,21 +480,22 @@ def classify_singularity(
 
     ``u0, v0`` are floats, giving one report, or 1-d arrays, giving one
     report per point in order; all points are read together, in the
-    stages of :func:`_torus_read`.  Decision ladder: corank-one screen,
-    then |D| > ``d_tol`` for a cross cap, then the sign of det Hess(phi)
-    with the independence pair for S1+/S1-; anything that straddles a
-    threshold is ``unclassified``.
+    stages of :func:`_torus_read`.  Decision ladder: corank-one screen
+    (``CORANK_TOL``), then |D| > ``D_TOL`` for a cross cap, then the sign
+    of det Hess(phi) beyond ``HESS_TOL`` with the independence pair beyond
+    ``PAIR_TOL`` for S1+/S1-; anything that straddles a threshold is
+    ``unclassified``.  ``converged`` means |alpha| + |beta| < ``refine_tol``.
     ``newton_iters`` (an int, or an array like ``u0``) is carried into the
     diagnostics verbatim so scan pipelines can stamp their refinement effort.
     On a horocyclic field the independence pair is
     (c1 a1_v + a1_u, c1 b1_v + b1_u).
     """
-    q, d, hess = _torus_read(fs, u0, v0, corank_tol)
+    q, d, hess = _torus_read(fs, u0, v0)
     # det(a_u c) pairs the column vector (a1_u, a2_u) with (c1, c2)
     au_c, av_c, bu_c, bv_c = (d[r + "1_" + z] * q.c2 - d[r + "2_" + z] * q.c1 for r in "ab" for z in "uv")
     D = bu_c * av_c - bv_c * au_c
     pair = (-q.c1 * av_c + q.c2 * au_c, q.c2 * bu_c - q.c1 * bv_c)
-    corank_one = np.maximum.reduce([abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)]) <= corank_tol
+    corank_one = np.maximum.reduce([abs(q.a1), abs(q.a2), abs(q.b1), abs(q.b2)]) <= CORANK_TOL
     cols = np.broadcast_arrays(u0, v0, q.alpha, q.beta, q.a1, q.a2, q.b1, q.b2, q.c1, q.c2,
                                corank_one, D, hess, *pair, newton_iters)
     reports = []
@@ -506,11 +503,11 @@ def classify_singularity(
     for u, v, al, be, a1, a2, b1, b2, c1, c2, cr, dd, hs, p1, p2, iters in rows:
         if not cr:
             tag = SingularityClass.NOT_CORANK_ONE
-        elif abs(dd) > d_tol:
+        elif abs(dd) > D_TOL:
             tag = SingularityClass.CROSS_CAP
-        elif hs < -hess_tol and math.hypot(p1, p2) > pair_tol:
+        elif hs < -HESS_TOL and math.hypot(p1, p2) > PAIR_TOL:
             tag = SingularityClass.S1_PLUS
-        elif hs > hess_tol:
+        elif hs > HESS_TOL:
             tag = SingularityClass.S1_MINUS
         else:
             tag = SingularityClass.UNCLASSIFIED
@@ -532,7 +529,8 @@ def singularity_scan(
     tol: float = REFINE_TOL,
 ) -> list[SingularityReport]:
     """find_singular_points followed by one classify_singularity call over
-    every merged root (none when there are no roots).
+    every merged root (none when there are no roots); ``tol`` is both the
+    Newton tolerance and the ``refine_tol`` of ``converged``.
 
     Each report's ``newton_iters`` is the fewest iterations among the
     Newton runs that the deduplication merged into its point.
@@ -544,24 +542,11 @@ def singularity_scan(
     if not roots:
         return []
     u, v, iters = map(np.array, zip(*roots))
-    return classify_singularity(fs, u, v, newton_iters=iters)
+    return classify_singularity(fs, u, v, refine_tol=tol, newton_iters=iters)
 
 
-def reports_to_json(
-    reports: Sequence[SingularityReport],
-    tolerances: Optional[Mapping[str, float]] = None,
-) -> str:
-    """Serialize reports (plus the tolerances used) as a JSON document."""
-    tols = dict(tolerances) if tolerances is not None else {
-        "refine": REFINE_TOL,
-        "corank": CORANK_TOL,
-        "D": D_TOL,
-        "hess": HESS_TOL,
-        "pair": PAIR_TOL,
-    }
-    doc = {
-        "tool_version": __version__,
-        "tolerances": tols,
-        "reports": [r.as_dict() for r in reports],
-    }
+def reports_to_json(reports: Sequence[SingularityReport]) -> str:
+    """Serialize reports (plus the module's tolerances) as a JSON document."""
+    tols = {"refine": REFINE_TOL, "corank": CORANK_TOL, "D": D_TOL, "hess": HESS_TOL, "pair": PAIR_TOL}
+    doc = {"tool_version": __version__, "tolerances": tols, "reports": [r.as_dict() for r in reports]}
     return json.dumps(doc, indent=2, sort_keys=True)

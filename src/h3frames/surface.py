@@ -86,11 +86,11 @@ class Domain:
     u_period: Optional[float] = None
 
     def __post_init__(self):
+        box = f"[{self.u_min}, {self.u_max}] x [{self.v_min}, {self.v_max}]"
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
-            raise ValueError(
-                f"empty domain: [{self.u_min}, {self.u_max}] x "
-                f"[{self.v_min}, {self.v_max}]"
-            )
+            raise ValueError(f"empty domain: {box}")
+        if not np.isfinite([self.u_min, self.u_max, self.v_min, self.v_max]).all():
+            raise ValueError(f"domain bounds must be finite: {box}")
         if self.nu < 2 or self.nv < 2:
             raise ValueError(f"grid needs at least 2x2 points, got {self.nu}x{self.nv}")
         if self.u_period is not None and self.u_period <= 0:

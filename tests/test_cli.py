@@ -17,6 +17,7 @@ from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
 from h3frames.singularities import _TORUS_N, _TORUS_ROWS, singularity_scan
+from h3frames.surface import Domain
 
 ALPHA_COL = 14  # u,v,a1..g2,alpha,beta
 BETA_COL = 15
@@ -198,6 +199,15 @@ def test_singular_ruled_a_two_cross_caps(capsys):
     for key in ("alpha", "beta", "D", "hess_phi", "independence_pair",
                 "newton_iters", "converged", "# tolerances:"):
         assert key in out
+
+
+def test_singular_loose_tolerance_marks_accepted_roots_converged(capsys):
+    # --singular-tol is both the Newton tolerance and the bound of
+    # "converged", so every root the scan accepts at 1e-3 reads converged
+    code, out, _ = _run(capsys, ["singular", "--example", "ruled_A", "--singular-tol", "1e-3"])
+    assert code == 0
+    assert "# tolerances: refine = 0.001," in out and "points = 2" in out
+    assert re.findall(r"^converged = (\w+)$", out, flags=re.M) == ["true", "true"]
 
 
 def test_singular_ruled_b_window_conservative_tags(capsys):
@@ -610,6 +620,27 @@ def test_exit_code_usage(capsys):
                          "--point", "1", "0"])[0] == 4
     assert _run(capsys, ["invariants"])[0] == 4  # no example anywhere
     assert _run(capsys, ["nonsense"])[0] == 4
+
+
+@pytest.mark.parametrize("bound", ["--u-max=inf", "--u-min=-inf", "--v-max=inf"])
+def test_infinite_domain_bound_exit_4(capsys, bound):
+    # refused when the domain is built, before any point is evaluated
+    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", bound])
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.startswith("error: domain bounds must be finite: [")
+
+
+def test_out_of_memory_exit_4(capsys, monkeypatch):
+    # an oversized grid fails to allocate in Domain.mesh; simulated here, so
+    # the test allocates nothing large
+    def mesh(self):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(Domain, "mesh", mesh)
+    code, out, err = _run(capsys, ["mesh", "--example", "cross_cap", "--grid", "100000", "100000"])
+    assert (code, out) == (4, "")
+    assert err == ("error: out of memory (Unable to allocate 74.5 GiB for an array with shape "
+                   "(100000, 100000)); try a smaller --grid\n")
 
 
 def test_exit_code_bad_config_key(tmp_path, capsys):

@@ -516,7 +516,7 @@ def _reference_horocyclic(field, u0, v0):
     the reference of the one classification ladder on fields with
     a2 = b2 = 0 and c2 = -1.  It reads the invariants, their partials and
     det Hess(phi) as the classifier does, from the torus."""
-    q, d, hess = _torus_read(field, u0, v0, CORANK_TOL)
+    q, d, hess = _torus_read(field, u0, v0)
     bracket = d["a1_u"] * d["b1_v"] - d["a1_v"] * d["b1_u"]
     pair = (q.c1 * d["a1_v"] + d["a1_u"], q.c1 * d["b1_v"] + d["b1_u"])
     if max(abs(q.a1), abs(q.b1)) > CORANK_TOL:
