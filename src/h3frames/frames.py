@@ -38,9 +38,7 @@ from .minkowski import (
     wedge3,
 )
 from .fmt import fmt_rows
-from .surface import (
-    Domain, ParametricMap4, _complex_step, _partial, components, evaluate, first_partials, first_true
-)
+from .surface import Domain, ParametricMap4, components, evaluate, first_partials, first_true
 
 __all__ = [
     "FRAME_TOL",
@@ -392,51 +390,26 @@ def rotated_invariants(
     )
 
 
-def rotate_frame(
-    fs: FramedSurface,
-    theta: Callable[[float, float], float],
-    theta_u: Optional[Callable[[float, float], float]] = None,
-    theta_v: Optional[Callable[[float, float], float]] = None,
-) -> FramedSurface:
-    """Framed surface with the normal pair rotated pointwise by theta(u, v).
+def rotate_frame(fs: FramedSurface, theta: Callable[[float, float], float]) -> FramedSurface:
+    """Framed surface with the normal pair rotated pointwise by theta(u, v):
+    nu1 -> cos(theta) nu1 - sin(theta) nu2, nu2 -> sin(theta) nu1 + cos(theta) nu2.
 
     The base map is untouched; nu3 is unchanged by construction.  The
-    rotated maps carry first partials by the product rule: a partial in u
-    (or v) reads the original normals' values and their partials in u (or
-    v) alone, and theta's; a missing theta partial comes from the complex
-    step, like a map's.  ``theta`` and its partials must broadcast like
-    the maps.
+    rotated normals are value-only maps on the normals' domains, so their
+    partials, theta's included, come from the complex step like any
+    derived map's.  ``theta`` must therefore be a complex-analytic numpy
+    formula that broadcasts like a map.
     """
 
-    def theta_step(k):
-        return lambda u, v: _complex_step(lambda u, v: components(theta(u, v)), k, u, v)[0]
-
-    theta_d = (theta_u or theta_step(0), theta_v or theta_step(1))
-
-    def rotated(first: bool, base: ParametricMap4) -> ParametricMap4:
-        # a nu1 + b nu2 with (a, b) = (cos t, -sin t) or (sin t, cos t)
-        def coefs(u, v):
+    def rotated(a, b, base: ParametricMap4) -> ParametricMap4:
+        def value(u, v):  # a(theta) nu1 + b(theta) nu2
             t = theta(u, v)
-            c, s = np.cos(t), np.sin(t)
-            return ((c, -s), (-s, -c)) if first else ((s, c), (c, -s))  # and d/dt
+            return a(t) * evaluate(fs.nu1.value, u, v) + b(t) * evaluate(fs.nu2.value, u, v)
 
-        def value(u, v):
-            (a, b), _ = coefs(u, v)
-            return a * evaluate(fs.nu1.value, u, v) + b * evaluate(fs.nu2.value, u, v)
+        return ParametricMap4(value=value, domain=base.domain)
 
-        def partial(i):
-            def d(u, v):
-                (a, b), (da, db) = coefs(u, v)
-                n1, n2 = (evaluate(m.value, u, v) for m in (fs.nu1, fs.nu2))
-                d1, d2 = (_partial(m, i, u, v) for m in (fs.nu1, fs.nu2))
-                return a * d1 + b * d2 + theta_d[i](u, v) * (da * n1 + db * n2)
-
-            return d
-
-        return ParametricMap4(value=value, du=partial(0), dv=partial(1), domain=base.domain)
-
-    m1, m2 = rotated(True, fs.nu1), rotated(False, fs.nu2)
-    return FramedSurface(x=fs.x, nu1=m1, nu2=m2, domain=fs.domain)
+    nu1 = rotated(np.cos, lambda t: -np.sin(t), fs.nu1)
+    return FramedSurface(x=fs.x, nu1=nu1, nu2=rotated(np.sin, np.cos, fs.nu2), domain=fs.domain)
 
 
 def reparametrize_invariants(inv: Invariants, jac) -> Invariants:

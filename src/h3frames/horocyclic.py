@@ -58,7 +58,6 @@ from .surface import Domain, ParametricMap4, _complex_step, evaluate, first_true
 __all__ = [
     "ORTHONORMAL_TOL",
     "CLASS_TOL",
-    "H_STEP",
     "Curve4",
     "HorocyclicData",
     "HoroTag",
@@ -81,9 +80,6 @@ ORTHONORMAL_TOL = 1e-8
 
 #: Default tolerance for the flatness classification conditions.
 CLASS_TOL = 1e-7
-
-#: Central-difference step of :func:`extract_h`.
-H_STEP = 1e-5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,12 +247,11 @@ def extract_h(
     a2: Curve4,
     u: float,
 ) -> tuple[float, float, float, float, float, float]:
-    """Read off h1..h6 at u by central differences of step ``H_STEP``.
+    """Read off h1..h6 at u from the curves' complex-step derivatives
+    (:meth:`Curve4.derivative`).
 
     h1 = <a0', a1>, h2 = <a0', a2>, h3 = <a0', a3>, h4 = <a1', a2>,
-    h5 = <a1', a3>, h6 = <a2', a3>.  The derivative always comes from the
-    symmetric difference of the curve values (the step is part of the
-    contract).
+    h5 = <a1', a3>, h6 = <a2', a3>.
     """
     w0 = np.asarray(a0.value(u), dtype=float)
     w1 = np.asarray(a1.value(u), dtype=float)
@@ -268,13 +263,7 @@ def extract_h(
             f"curve frame Gram residual {res:.3e} at u = {u} exceeds {ORTHONORMAL_TOL}"
         )
 
-    def diff(c: Curve4) -> np.ndarray:
-        return (
-            np.asarray(c.value(u + H_STEP), dtype=float)
-            - np.asarray(c.value(u - H_STEP), dtype=float)
-        ) / (2.0 * H_STEP)
-
-    d0, d1, d2 = diff(a0), diff(a1), diff(a2)
+    d0, d1, d2 = a0.derivative(u), a1.derivative(u), a2.derivative(u)
     return (
         minkowski_dot4(d0, w1),
         minkowski_dot4(d0, w2),
@@ -404,24 +393,50 @@ class HoroClass:
     two_vertex_ratio: Optional[float] = None
 
 
-def _fit_ratio(num: np.ndarray, den: np.ndarray) -> Optional[float]:
-    """Least-squares lambda with num ~ lambda * den; None when den is null."""
-    d2 = float(np.dot(den, den))
-    if d2 <= 0.0:
-        return None
-    return float(np.dot(num, den) / d2)
+def _zero(tol: float, *cols) -> bool:
+    """Every sample of every column within ``tol`` of zero."""
+    return all(float(np.max(np.abs(c))) <= tol for c in cols)
+
+
+def _nonzero(tol: float, col) -> bool:
+    """Every sample of the column beyond ``tol``."""
+    return float(np.min(np.abs(col))) > tol
+
+
+def _flatness_ladder(cone: bool, conical: bool, r, s, flat: bool, tol: float) -> HoroClass:
+    """The flatness class from a classifier's own conditions, tried from
+    most to least specific: conical horosphere, horo-cone with two vertices
+    (r = lambda s for one constant lambda: the least-squares fit is accepted
+    only when its residual stays within ``tol``), with a single vertex
+    (r = 0, s != 0), generalized horo-cone, horo-flat, generic.  ``cone``,
+    ``conical`` and ``flat`` are the classifier's tests of those classes,
+    and r, s its samples of h5 and h6."""
+    if conical:
+        return HoroClass(HoroTag.CONICAL_HOROSPHERE)
+    if cone and _nonzero(tol, r):
+        d2 = float(np.dot(s, s))
+        if d2 > 0.0:
+            lam = float(np.dot(r, s) / d2)
+            if float(np.max(np.abs(r - lam * s))) <= tol:
+                return HoroClass(HoroTag.HORO_CONE_TWO_VERTICES, two_vertex_ratio=lam)
+    if cone and _zero(tol, r) and _nonzero(tol, s):
+        return HoroClass(HoroTag.HORO_CONE_SINGLE_VERTEX)
+    if cone:
+        return HoroClass(HoroTag.GENERALIZED_HORO_CONE)
+    if flat:
+        return HoroClass(HoroTag.HORO_FLAT)
+    return HoroClass(HoroTag.GENERIC)
 
 
 def classify_horocyclic(h_samples, tol: float = CLASS_TOL) -> HoroClass:
     """Most specific flatness class holding at every sample.
 
     ``h_samples`` is an (n, 6) array of h1..h6 values along the curve.
-    Classes are tried from most to least specific; "= 0" means every
-    sample within ``tol``, "!= 0" means every sample beyond ``tol`` (the
-    source conditions quantify over all of I, we can only check the
-    samples).  The two-vertex ratio must be a single constant: the
-    least-squares fit is accepted only when its residual stays below
-    ``tol``.
+    "= 0" means every sample within ``tol``, "!= 0" means every sample
+    beyond ``tol`` (the source conditions quantify over all of I, we can
+    only check the samples): h1 = .. = h4 = 0 is a horo-cone, one with
+    h6 = 0 and h5 != 0 a conical horosphere, and h2 = h4 - h1 = 0 a
+    horo-flat surface (:func:`_flatness_ladder`).
     """
     h = np.asarray(h_samples, dtype=float)
     if h.ndim != 2 or h.shape[1] != 6:
@@ -429,27 +444,9 @@ def classify_horocyclic(h_samples, tol: float = CLASS_TOL) -> HoroClass:
     if h.shape[0] < 2:
         raise ValueError("need at least 2 samples along the curve")
     h1, h2, h3, h4, h5, h6 = (h[:, j] for j in range(6))
-
-    def zero(*cols) -> bool:
-        return all(float(np.max(np.abs(c))) <= tol for c in cols)
-
-    def nonzero(col) -> bool:
-        return float(np.min(np.abs(col))) > tol
-
-    cone = zero(h1, h2, h3, h4)
-    if cone and zero(h6) and nonzero(h5):
-        return HoroClass(HoroTag.CONICAL_HOROSPHERE)
-    if cone and nonzero(h5):
-        lam = _fit_ratio(h5, h6)
-        if lam is not None and float(np.max(np.abs(h5 - lam * h6))) <= tol:
-            return HoroClass(HoroTag.HORO_CONE_TWO_VERTICES, two_vertex_ratio=lam)
-    if cone and zero(h5) and nonzero(h6):
-        return HoroClass(HoroTag.HORO_CONE_SINGLE_VERTEX)
-    if cone:
-        return HoroClass(HoroTag.GENERALIZED_HORO_CONE)
-    if zero(h2, h4 - h1):
-        return HoroClass(HoroTag.HORO_FLAT)
-    return HoroClass(HoroTag.GENERIC)
+    cone = _zero(tol, h1, h2, h3, h4)
+    conical = cone and _zero(tol, h6) and _nonzero(tol, h5)
+    return _flatness_ladder(cone, conical, h5, h6, _zero(tol, h2, h4 - h1), tol)
 
 
 _HORO_CONSTANTS = {"a2": 0.0, "b2": 0.0, "c2": -1.0, "e2": 0.0, "f2": 0.0, "g2": 1.0}
@@ -492,27 +489,9 @@ def invariant_form_classify(
     bracket = (v * v + 2.0) * a1 - v * v * e1 - 2.0 * v * f1
     s = a1 - e1  # = h3 + h6
     r = f1 - v * s  # = h5
-
-    def zero(*cols) -> bool:
-        return all(float(np.max(np.abs(c))) <= tol for c in cols)
-
-    def nonzero(col) -> bool:
-        return float(np.min(np.abs(col))) > tol
-
-    cone = zero(c1, g1, b1, bracket)
-    if zero(c1, g1, b1, s, e1 - v * f1) and nonzero(f1):
-        return HoroClass(HoroTag.CONICAL_HOROSPHERE)
-    if cone and nonzero(r):
-        lam = _fit_ratio(r, s)
-        if lam is not None and float(np.max(np.abs(r - lam * s))) <= tol:
-            return HoroClass(HoroTag.HORO_CONE_TWO_VERTICES, two_vertex_ratio=lam)
-    if cone and zero(r) and nonzero(s):
-        return HoroClass(HoroTag.HORO_CONE_SINGLE_VERTEX)
-    if cone:
-        return HoroClass(HoroTag.GENERALIZED_HORO_CONE)
-    if zero(c1 + g1, b1):
-        return HoroClass(HoroTag.HORO_FLAT)
-    return HoroClass(HoroTag.GENERIC)
+    cone = _zero(tol, c1, g1, b1, bracket)
+    conical = _zero(tol, c1, g1, b1, s, e1 - v * f1) and _nonzero(tol, f1)
+    return _flatness_ladder(cone, conical, r, s, _zero(tol, c1 + g1, b1), tol)
 
 
 # ---------------------------------------------------------------------------

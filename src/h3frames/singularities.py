@@ -141,6 +141,7 @@ class SingularityDiagnostics:
     independence_pair: tuple[float, float]
     newton_iters: int
     converged: bool
+    refine_tol: float  # the bound that ``converged`` was judged against
 
     def as_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
@@ -515,6 +516,7 @@ def classify_singularity(
         diag = SingularityDiagnostics(
             alpha=al, beta=be, a_pair=(a1, a2), b_pair=(b1, b2), c_pair=(c1, c2), D=dd, hess_phi=hs,
             independence_pair=(p1, p2), newton_iters=iters, converged=abs(al) + abs(be) < refine_tol,
+            refine_tol=refine_tol,
         )
         reports.append(SingularityReport(u=u, v=v, classification=tag, diagnostics=diag))
     return reports if np.ndim(u0) else reports[0]
@@ -546,7 +548,13 @@ def singularity_scan(
 
 
 def reports_to_json(reports: Sequence[SingularityReport]) -> str:
-    """Serialize reports (plus the module's tolerances) as a JSON document."""
-    tols = {"refine": REFINE_TOL, "corank": CORANK_TOL, "D": D_TOL, "hess": HESS_TOL, "pair": PAIR_TOL}
+    """Serialize reports (plus the tolerances they were judged against) as a
+    JSON document.  ``refine`` is the reports' ``refine_tol``, or
+    ``REFINE_TOL`` when there are none; reports judged against different
+    ones raise ``ValueError``."""
+    refine = {r.diagnostics.refine_tol for r in reports} or {REFINE_TOL}
+    if len(refine) > 1:
+        raise ValueError(f"reports judged against different refine tolerances: {sorted(refine)}")
+    tols = {"refine": refine.pop(), "corank": CORANK_TOL, "D": D_TOL, "hess": HESS_TOL, "pair": PAIR_TOL}
     doc = {"tool_version": __version__, "tolerances": tols, "reports": [r.as_dict() for r in reports]}
     return json.dumps(doc, indent=2, sort_keys=True)

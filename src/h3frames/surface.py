@@ -20,10 +20,11 @@ map is defined, up to its boundary.  So map values must be
 complex-analytic numpy formulas of u and v: no ``math.`` functions, no
 ``abs``, ``np.hypot`` or float casts, and refusal checks read the real
 part.  Only a partial taken inside another complex step is a central
-difference (:func:`_complex_step`).  ``ParametricMap4.h1`` is the step
-that :func:`fd_convergence_ratio` studies; nothing else reads it.  No
-map needs second partials: classification reads second-order information
-from the invariants on a complex torus (:mod:`h3frames.singularities`).
+difference (:func:`_complex_step`); the fallback normal of
+:func:`h3frames.projections.lift_from_r31` is the one map that takes
+one.  No map needs second partials: classification reads second-order
+information from the invariants on a complex torus
+(:mod:`h3frames.singularities`).
 
 Despite the name, the same machinery evaluates maps into R^3 (model
 transports use it); only :func:`check_on_h3` insists on four components.
@@ -42,7 +43,6 @@ import numpy as np
 from .minkowski import minkowski_dot4
 
 __all__ = [
-    "H1_DEFAULT",
     "Domain",
     "ParametricMap4",
     "OnH3Report",
@@ -55,9 +55,11 @@ __all__ = [
     "fd_convergence_ratio",
 ]
 
-#: Default central-difference step of :func:`fd_convergence_ratio`, and
-#: the step of a partial taken inside a complex step.
-H1_DEFAULT = 1e-5
+#: Step of a central-difference partial taken inside a complex step.
+_H_NESTED = 1e-5
+
+#: Central-difference step that :func:`fd_convergence_ratio` halves.
+_FD_STEP = 1e-3
 
 #: Imaginary step of the complex-step derivative.  Its product with any
 #: derivative is far below the rounding of the value, so the imaginary
@@ -142,12 +144,9 @@ class ParametricMap4:
     value: VecFn
     du: Optional[VecFn] = None
     dv: Optional[VecFn] = None
-    h1: float = H1_DEFAULT
     domain: Optional[Domain] = None
 
     def __post_init__(self):
-        if not 0.0 < self.h1 < np.inf:
-            raise ValueError(f"finite-difference step must be finite and positive, got {self.h1}")
         if (self.du is None) != (self.dv is None):
             raise ValueError("supply both first partials or neither")
 
@@ -200,11 +199,11 @@ def _complex_step(fn, k: int, *args) -> np.ndarray:
     One imaginary unit carries one derivative, so complex steps do not
     nest: inside one (a map whose value takes partials, being itself
     differentiated) the partial is a central difference of step
-    :data:`H1_DEFAULT`, and the outer derivative is good to about 1e-10."""
+    :data:`_H_NESTED`, and the outer derivative is good to about 1e-10."""
     if any(np.iscomplexobj(a) for a in args):
         hi, lo = list(args), list(args)
-        hi[k], lo[k] = args[k] + H1_DEFAULT, args[k] - H1_DEFAULT
-        return (evaluate(fn, *hi) - evaluate(fn, *lo)) / (2.0 * H1_DEFAULT)
+        hi[k], lo[k] = args[k] + _H_NESTED, args[k] - _H_NESTED
+        return (evaluate(fn, *hi) - evaluate(fn, *lo)) / (2.0 * _H_NESTED)
     pts = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = pts[0].shape
     pts = [p.reshape(shape or (1,)) for p in pts]
@@ -258,23 +257,20 @@ def check_on_h3(m: ParametricMap4, u: float, v: float) -> OnH3Report:
     )
 
 
-def fd_convergence_ratio(m: ParametricMap4, u: float, v: float, order: int = 1):
-    """Error-reduction factor of central-difference first partials when the
-    step ``h1`` is halved.
+def fd_convergence_ratio(m: ParametricMap4, u: float, v: float):
+    """Error-reduction factor of central-difference first partials when
+    the step is halved, from 1e-3 to 5e-4.
 
-    Takes the 2-point stencil of the map's values at its configured step
-    and at half that step, against the map's closed-form first partials.
-    Returns the max-norm error ratio err(h) / err(h/2); the 2-point stencil
-    gives ratios near 4 while truncation dominates.  ``order`` must be 1,
-    the only derivative order a map carries.
+    Takes the 2-point stencil of the map's values at both steps against
+    the map's closed-form first partials, and returns the max-norm error
+    ratio err(h) / err(h/2); the 2-point stencil gives ratios near 4
+    while truncation dominates.
     """
-    if order != 1:
-        raise ValueError(f"order must be 1, got {order}")
     if not m.has_closed_firsts:
         raise ValueError("need closed-form first partials as reference")
     exact = np.concatenate((m.du(u, v), m.dv(u, v)))
     err = []
-    for h in (m.h1, m.h1 / 2.0):
+    for h in (_FD_STEP, _FD_STEP / 2.0):
         xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)
         xv = (evaluate(m.value, u, v + h) - evaluate(m.value, u, v - h)) / (2.0 * h)
         err.append(float(np.max(np.abs(np.concatenate((xu, xv)) - exact))))

@@ -230,8 +230,7 @@ def test_criterion_06_rotation_consistency(gate):
         entry = get_example("cross_cap")
         fs = entry.framed
         theta = lambda u, v: u + v
-        one = lambda u, v: 1.0
-        rotated = rotate_frame(fs, theta, one, one)
+        rotated = rotate_frame(fs, theta)
         re_extracted = invariant_field(rotated)
         field = invariant_field(fs)
         dom = Domain(-0.9, 0.9, -0.9, 0.9, nu=11, nv=11)
@@ -429,7 +428,8 @@ def test_criterion_11_property_suite(gate):
             worst = max(worst, abs(minkowski_dot4(x, wedge3(a, b, c)) - det))
         assert worst < 1e-12
 
-        # step chosen so truncation dominates rounding in the halving ratio
+        # the studied steps (1e-3, 5e-4) let truncation dominate rounding
+        # in the halving ratio
         smooth = ParametricMap4(
             value=lambda u, v: np.array(
                 [math.sin(u + 2.0 * v), u * u * v, math.cos(u), math.exp(0.3 * v)]
@@ -440,18 +440,12 @@ def test_criterion_11_property_suite(gate):
             dv=lambda u, v: np.array(
                 [2.0 * math.cos(u + 2.0 * v), u * u, 0.0, 0.3 * math.exp(0.3 * v)]
             ),
-            h1=1e-3,
         )
         for u, v in ((0.3, -0.2), (-0.7, 0.4)):
-            assert 3.5 <= fd_convergence_ratio(smooth, u, v, order=1) <= 4.5
+            assert 3.5 <= fd_convergence_ratio(smooth, u, v) <= 4.5
 
         entry = get_example("ruled_A")
-        rotated = rotate_frame(
-            entry.framed,
-            lambda u, v: 0.7 * u,
-            lambda u, v: 0.7,
-            lambda u, v: 0.0,
-        )
+        rotated = rotate_frame(entry.framed, lambda u, v: 0.7 * u)
         for u, v in find_singular_points(entry.framed):
             before = classify_singularity(entry.framed, u, v).classification
             after = classify_singularity(rotated, u, v).classification

@@ -81,7 +81,7 @@ def test_examples_satisfy_framed_axioms(name):
 
 def test_degenerate_frame_refuses_extraction():
     fs = get_example("cross_cap").framed
-    bad_nu2 = ParametricMap4(value=lambda u, v: 1.01 * fs.nu2.value(u, v), h1=fs.nu2.h1)
+    bad_nu2 = ParametricMap4(value=lambda u, v: 1.01 * fs.nu2.value(u, v))
     bad = FramedSurface(x=fs.x, nu1=fs.nu1, nu2=bad_nu2, domain=fs.domain)
     with pytest.raises(DegenerateFrameError):
         invariants_at(bad, 0.3, 0.2)
@@ -123,7 +123,6 @@ def test_reflect_matches_reflected_frame_extraction(variant):
             value=lambda u, v: sign * m.value(u, v),
             du=(lambda u, v: sign * m.du(u, v)) if m.has_closed_firsts else None,
             dv=(lambda u, v: sign * m.dv(u, v)) if m.has_closed_firsts else None,
-            h1=m.h1,
         )
 
     if variant is ReflectVariant.NEG_NU1:
@@ -174,10 +173,7 @@ def test_rotation_round_trip(inv, theta, theta_u, theta_v):
 def test_rotate_frame_two_routes_agree():
     """Rotating the frame then extracting == extracting then rotating."""
     fs = get_example("cross_cap").framed
-    theta = lambda u, v: u + v
-    one = lambda u, v: 1.0
-    fs_rot = rotate_frame(fs, theta, one, one)
-    assert fs_rot.nu1.has_closed_firsts  # product-rule derivatives attached
+    fs_rot = rotate_frame(fs, lambda u, v: u + v)
     for u, v in ((0.4, 0.2), (-0.3, 0.5), (0.6, -0.6)):
         via_invariants = rotated_invariants(invariants_at(fs, u, v), u + v, 1.0, 1.0)
         via_frame = invariants_at(fs_rot, u, v)
@@ -185,8 +181,8 @@ def test_rotate_frame_two_routes_agree():
             assert val == pytest.approx(via_invariants.as_dict()[k], abs=1e-9), k
 
 
-def test_rotate_frame_fd_theta_fallback():
-    """Without explicit theta partials the rotation differences them."""
+def test_rotate_frame_complex_steps_theta():
+    """theta's partials come from the complex step of the rotated normals."""
     fs = get_example("cross_cap").framed
     fs_rot = rotate_frame(fs, lambda u, v: 0.5 * u * u - v)
     inv = invariants_at(fs_rot, 0.4, 0.2)
@@ -195,9 +191,10 @@ def test_rotate_frame_fd_theta_fallback():
         assert val == pytest.approx(want.as_dict()[k], abs=1e-7), k
 
 
-def test_rotate_frame_reads_each_partial_once():
-    # each rotated normal's u-partial reads the normals' u-partials only,
-    # and likewise in v: one frame reads each original partial twice
+def test_rotate_frame_reads_no_partial_of_the_normals():
+    # the rotated normals are value-only maps, differentiated by the
+    # complex step of their values: a rotated frame reads none of the
+    # original normals' closed firsts
     fs = get_example("cross_cap").framed
     calls = collections.Counter()
 
@@ -214,8 +211,7 @@ def test_rotate_frame_reads_each_partial_once():
     counted_fs = dataclasses.replace(fs, nu1=counted("nu1", fs.nu1), nu2=counted("nu2", fs.nu2))
     theta = lambda u, v: 0.7 + 0.3 * u - 0.2 * v
     fr = frame_at(rotate_frame(counted_fs, theta), 0.4, 0.2)
-    assert set(calls) == {(n, k) for n in ("nu1", "nu2") for k in ("du", "dv")}
-    assert max(calls.values()) <= 2, calls
+    assert not calls, calls
     want = frame_at(rotate_frame(fs, theta), 0.4, 0.2)
     for k in ("nu1", "nu2", "nu1u", "nu1v", "nu2u", "nu2v"):
         assert np.array_equal(getattr(fr, k), getattr(want, k)), k
@@ -412,14 +408,13 @@ def _sheared_rotated_ruled_b(theta):
             value=lambda p, q: m.value(p + q, q),
             du=lambda p, q: m.du(p + q, q),
             dv=lambda p, q: m.du(p + q, q) + m.dv(p + q, q),
-            h1=m.h1,
         )
 
     # offset so no grid point has sin(0.7 p) = 0 (there the rotated a-row
     # would vanish exactly and the tag would honestly drop to framed_a_zero)
     dom = Domain(-2.99, 3.01, 0.5, 1.0, nu=25, nv=3)
     sheared = FramedSurface(remap(fs.x), remap(fs.nu1), remap(fs.nu2), dom)
-    return rotate_frame(sheared, theta, lambda p, q: 0.7, lambda p, q: 0.0)
+    return rotate_frame(sheared, theta)
 
 
 def test_reduction_grid_unwraps_rotation_angle():
@@ -443,7 +438,7 @@ def test_rotation_leaves_reduction_tags_alone_on_families():
     """A pointwise rotation cannot change a family_v tag: the (a2, b2)
     column transforms among itself."""
     fs = get_example("ruled_A").framed
-    fs_rot = rotate_frame(fs, lambda u, v: 0.7 * u, lambda u, v: 0.7, lambda u, v: 0.0)
+    fs_rot = rotate_frame(fs, lambda u, v: 0.7 * u)
     for u, v in ((0.0, 0.0), (1.3, -0.8), (-2.1, 0.4)):
         before = reduction_type(invariants_at(fs, u, v)).tag
         after = reduction_type(invariants_at(fs_rot, u, v)).tag

@@ -86,7 +86,7 @@ def _surfaces():
     out = {name: get_example(name).framed for name in ("cross_cap", "corank_one", "ruled_A", "ruled_B")}
     out["horocyclic"] = _horocyclic()
     cc = out["cross_cap"]
-    out["rotate_frame"] = rotate_frame(cc, lambda u, v: 0.7 * u - v * v, lambda u, v: 0.7, lambda u, v: -2.0 * v)
+    out["rotate_frame"] = rotate_frame(cc, lambda u, v: 0.7 * u - v * v)
     out["rotate_frame_fd"] = rotate_frame(cc, lambda u, v: np.sin(u + v))
     return out
 

@@ -106,7 +106,7 @@ def test_extract_h_helix():
     data = _helix_data()
     for u in (-0.8, 0.0, 0.3, 1.1):
         got = extract_h(data.a0, data.a1, data.a2, u)
-        assert np.allclose(got, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(got, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-14)
 
 
 def test_extract_h_constant_frame_is_zero():

@@ -33,6 +33,7 @@ from h3frames.singularities import (
     D_TOL,
     HESS_TOL,
     PAIR_TOL,
+    REFINE_TOL,
     RefinementRecord,
     SingularityClass,
     classify_singularity,
@@ -402,12 +403,7 @@ def test_classify_degenerate_hessian_unclassified():
 
 def test_classification_is_rotation_invariant():
     fs = get_example("cross_cap").framed
-    fs_rot = rotate_frame(
-        fs,
-        lambda u, v: 0.3 * u - 0.2 * v,
-        lambda u, v: 0.3,
-        lambda u, v: -0.2,
-    )
+    fs_rot = rotate_frame(fs, lambda u, v: 0.3 * u - 0.2 * v)
     base = classify_singularity(fs, 0.0, 0.0)
     rot = classify_singularity(fs_rot, 0.0, 0.0)
     assert rot.classification is base.classification is SingularityClass.CROSS_CAP
@@ -424,7 +420,6 @@ def test_classification_survives_coordinate_swap():
             value=lambda u, v: m.value(v, u),
             du=lambda u, v: m.dv(v, u),
             dv=lambda u, v: m.du(v, u),
-            h1=m.h1,
         )
 
     dom = Domain(-1.0, 1.0, -0.5, 3.5, nu=11, nv=21)
@@ -475,15 +470,15 @@ def test_classes_do_not_depend_on_the_representation(name):
     fs = _planted_horocyclic() if name == "planted" else get_example(name).framed
     want = singularity_scan(fs)
     assert want
-    for other in (
-        rotate_frame(fs, lambda u, v: 0.7 + 0.3 * u - 0.2 * v + 0.1 * u * v),
-        transport_to_h3(transport_to_disc(fs)),
-    ):
+    rotated = rotate_frame(fs, lambda u, v: 0.7 + 0.3 * u - 0.2 * v + 0.1 * u * v)
+    for other in (rotated, transport_to_h3(transport_to_disc(fs))):
         got = singularity_scan(other)
         if name == "ruled_B":  # a singular line, unclassified everywhere
             for reps in (want, got):
                 assert {r.classification for r in reps} == {SingularityClass.UNCLASSIFIED}
                 assert max(abs(r.v) for r in reps) <= 1e-9
+            if other is rotated:  # det Hess phi vanishes on the line
+                assert max(abs(r.diagnostics.hess_phi) for r in got) <= 1e-6
             continue
         assert [r.classification for r in got] == [r.classification for r in want]
         for a, b in zip(got, want):
@@ -606,3 +601,13 @@ def test_singularity_scan_and_json_roundtrip():
         assert key in diag
     # serialization is deterministic
     assert reports_to_json(reports) == reports_to_json(reports)
+
+
+def test_reports_to_json_records_the_refine_tolerance_of_its_reports():
+    reports = singularity_scan(get_example("ruled_A").framed, tol=1e-3)
+    assert reports and all(r.diagnostics.refine_tol == 1e-3 for r in reports)
+    assert json.loads(reports_to_json(reports))["tolerances"]["refine"] == 1e-3
+    assert json.loads(reports_to_json([]))["tolerances"]["refine"] == REFINE_TOL
+    strict = singularity_scan(get_example("ruled_A").framed)
+    with pytest.raises(ValueError):
+        reports_to_json(reports + strict)
