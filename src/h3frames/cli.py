@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import os
 import sys
 from pathlib import Path
@@ -30,11 +29,9 @@ from .examples import get_example
 from .fmt import fmt, fmt_rows
 from .frames import FRAME_TOL, invariant_field, verify_framed, write_invariants_csv
 from .horocyclic import (
-    _INITIAL_FRAME,
     CLASS_TOL,
     build_horocyclic,
     classify_horocyclic,
-    integrate_frame_curves,
     invariant_form_classify,
     load_h_profile,
 )
@@ -140,7 +137,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise _UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -211,51 +208,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _merged(args: argparse.Namespace, key: str, file_values: dict, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return file_values[key]
-    return default
-
-
-def _resolve_config(
-    args: argparse.Namespace, file_values: dict, default_domain: Optional[Domain]
-) -> RunConfig:
-    grid = getattr(args, "grid", None)
-    nu_flag, nv_flag = (grid if grid else (None, None))
-
-    dom = default_domain
-    u_min = _merged(args, "u_min", file_values, dom.u_min if dom else None)
-    u_max = _merged(args, "u_max", file_values, dom.u_max if dom else None)
-    v_min = _merged(args, "v_min", file_values, dom.v_min if dom else None)
-    v_max = _merged(args, "v_max", file_values, dom.v_max if dom else None)
-    nu = nu_flag if nu_flag is not None else file_values.get("nu", dom.nu if dom else 21)
-    nv = nv_flag if nv_flag is not None else file_values.get("nv", dom.nv if dom else 21)
-    if None in (u_min, u_max, v_min, v_max):
-        raise _UsageError("no domain available: give --u-min/--u-max/--v-min/--v-max")
-
-    tols = {
-        key: _merged(args, key, file_values, default)
-        for key, default in _TOL_DEFAULTS.items()
+def _resolve_config(args: argparse.Namespace, dom: Domain) -> RunConfig:
+    """The run configuration from the flags and config-file values already
+    in ``args``; what neither sets comes from the default domain ``dom``
+    and the module tolerance constants."""
+    vals = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    defaults = {
+        "u_min": dom.u_min, "u_max": dom.u_max, "v_min": dom.v_min, "v_max": dom.v_max,
+        "nu": dom.nu, "nv": dom.nv, **_TOL_DEFAULTS,
     }
-    for key, val in tols.items():
-        if not 0.0 < val < np.inf:  # a zero, negative or non-finite tolerance breaks the run
-            raise _UsageError(f"{key} must be finite and positive, got {fmt(val)}")
-    return RunConfig(
-        command=args.command,
-        example=_merged(args, "example", file_values),
-        profile=_merged(args, "profile", file_values),
-        u_min=float(u_min),
-        u_max=float(u_max),
-        v_min=float(v_min),
-        v_max=float(v_max),
-        nu=int(nu),
-        nv=int(nv),
-        output=_merged(args, "output", file_values),
-        **tols,
-    )
+    for key, default in defaults.items():
+        if vals[key] is None:
+            vals[key] = default
+    for key in _TOL_DEFAULTS:
+        if not 0.0 < vals[key] < np.inf:  # a zero, negative or non-finite tolerance breaks the run
+            raise _UsageError(f"{key} must be finite and positive, got {fmt(vals[key])}")
+    return RunConfig(**vals)
 
 
 def _config_domain(cfg: RunConfig, template: Optional[Domain]) -> Domain:
@@ -266,20 +234,18 @@ def _config_domain(cfg: RunConfig, template: Optional[Domain]) -> Domain:
     )
 
 
-def _load_example(args: argparse.Namespace, file_values: dict):
+def _load_example(args: argparse.Namespace):
     """The example must be known before defaults resolve (domain comes from it)."""
-    name = _merged(args, "example", file_values)
-    if not name:
+    if not args.example:
         raise _UsageError("an example name is required (--example)")
     try:
-        return get_example(name)
+        return get_example(args.example)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0]))
 
 
-def _emit(text, output: Optional[str]) -> None:
-    """Write the output text, one string or a list of blocks."""
-    blocks = [text] if isinstance(text, str) else text
+def _emit(blocks: Sequence[str], output: Optional[str]) -> None:
+    """Write the output blocks to ``output``, or to stdout when it is None."""
     if output is None:
         sys.stdout.writelines(blocks)
         return
@@ -297,7 +263,11 @@ def _emit(text, output: Optional[str]) -> None:
 
 
 class _Blocks(list):
-    """Text sink for large outputs: blocks are emitted one by one, never joined."""
+    """Output text: the resolved configuration as '# key = value' lines,
+    then blocks written one by one and emitted without joining."""
+
+    def __init__(self, cfg: RunConfig, extra: Sequence[tuple[str, object]] = ()):
+        super().__init__(f"# {line}\n" for line in cfg.header_lines(extra))
 
     write = list.append
 
@@ -305,8 +275,8 @@ class _Blocks(list):
 def cmd_invariants(cfg: RunConfig, entry) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
     summary = verify_framed(entry.framed, dom)  # before the CSV text holds memory
-    out = _Blocks()
-    write_invariants_csv(out, entry.framed, dom, header_comments=cfg.header_lines())
+    out = _Blocks(cfg)
+    write_invariants_csv(out, entry.framed, dom)
     out.write(
         "# residuals: max_gram = %s, max_offspan = %s, max_constraint = %s\n"
         % (
@@ -321,31 +291,29 @@ def cmd_invariants(cfg: RunConfig, entry) -> _Blocks:
 _DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
 
 
-def cmd_singular(cfg: RunConfig, entry) -> str:
+def cmd_singular(cfg: RunConfig, entry) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
     reports = sorted(singularity_scan(entry.framed, dom, tol=cfg.singular_tol), key=lambda r: (r.u, r.v))
-    buf = io.StringIO()
-    for line in cfg.header_lines():
-        buf.write(f"# {line}\n")
-    buf.write(
+    out = _Blocks(cfg)
+    out.write(
         "# tolerances: refine = %s, corank = %s, D = %s, hess = %s, pair = %s\n"
         % tuple(fmt(t) for t in (cfg.singular_tol, CORANK_TOL, D_TOL, HESS_TOL, PAIR_TOL))
     )
-    buf.write(f"points = {len(reports)}\n")
+    out.write(f"points = {len(reports)}\n")
     for k, rep in enumerate(reports, 1):
         d = rep.diagnostics
-        buf.write(f"\n[{k}]\n")
-        buf.write(f"u = {fmt(rep.u)}\n")
-        buf.write(f"v = {fmt(rep.v)}\n")
-        buf.write(f"classification = {rep.classification.value}\n")
+        out.write(f"\n[{k}]\n")
+        out.write(f"u = {fmt(rep.u)}\n")
+        out.write(f"v = {fmt(rep.v)}\n")
+        out.write(f"classification = {rep.classification.value}\n")
         for name in _DIAG_SCALARS:
-            buf.write(f"{name} = {fmt(getattr(d, name))}\n")
+            out.write(f"{name} = {fmt(getattr(d, name))}\n")
         for name in ("a_pair", "b_pair", "c_pair", "independence_pair"):
             pair = getattr(d, name)
-            buf.write(f"{name} = {fmt(pair[0])} {fmt(pair[1])}\n")
-        buf.write(f"newton_iters = {d.newton_iters}\n")
-        buf.write(f"converged = {'true' if d.converged else 'false'}\n")
-    return buf.getvalue()
+            out.write(f"{name} = {fmt(pair[0])} {fmt(pair[1])}\n")
+        out.write(f"newton_iters = {d.newton_iters}\n")
+        out.write(f"converged = {'true' if d.converged else 'false'}\n")
+    return out
 
 
 def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
@@ -353,37 +321,28 @@ def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
     marker_pts = None
     if markers:
         marker_pts = find_singular_points(entry.framed, dom, tol=cfg.singular_tol)
-    out = _Blocks()
-    write_disc_mesh(
-        out,
-        entry.framed,
-        dom,
-        markers=marker_pts,
-        header_comments=cfg.header_lines(extra=[("markers", markers)]),
-    )
+    out = _Blocks(cfg, [("markers", markers)])
+    write_disc_mesh(out, entry.framed, dom, markers=marker_pts)
     return out
 
 
-def cmd_classify(cfg: RunConfig, profile) -> str:
+def cmd_classify(cfg: RunConfig, profile) -> _Blocks:
     h_form = classify_horocyclic(profile.values, tol=cfg.classify_tol)
 
-    data = integrate_frame_curves(profile.h_funcs, *_INITIAL_FRAME, profile.u_min, profile.u_max)
     dom = _config_domain(cfg, None)
-    fs = build_horocyclic(data, dom)
+    fs = build_horocyclic(profile.curve_frame(), dom)
     inv_form = invariant_form_classify(
         invariant_field(fs), dom, tol=cfg.classify_tol
     )
 
-    buf = io.StringIO()
-    for line in cfg.header_lines():
-        buf.write(f"# {line}\n")
-    buf.write(f"h_form = {h_form.tag.value}\n")
-    buf.write(f"invariant_form = {inv_form.tag.value}\n")
+    out = _Blocks(cfg)
+    out.write(f"h_form = {h_form.tag.value}\n")
+    out.write(f"invariant_form = {inv_form.tag.value}\n")
     agree = h_form.tag is inv_form.tag
-    buf.write(f"agree = {'true' if agree else 'false'}\n")
+    out.write(f"agree = {'true' if agree else 'false'}\n")
     if h_form.two_vertex_ratio is not None:
-        buf.write(f"two_vertex_ratio = {fmt(h_form.two_vertex_ratio)}\n")
-    return buf.getvalue()
+        out.write(f"two_vertex_ratio = {fmt(h_form.two_vertex_ratio)}\n")
+    return out
 
 
 def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
@@ -413,7 +372,7 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
     return x
 
 
-def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> str:
+def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> _Blocks:
     frm, to = args.frm, args.to
     if frm == to:
         raise _UsageError("--from and --to must differ")
@@ -445,8 +404,9 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> str:
         raise _UsageError(f"{where}: non-finite coordinate in {rows[k]}")
 
     extra = [("from", frm), ("to", to), ("axis", axis.name.lower()), ("input", args.input), ("points", len(rows))]
-    head = "".join(f"# {line}\n" for line in cfg.header_lines(extra=extra))
-    return head + "".join(fmt_rows(_convert_points(coords.T, frm, to, axis).T))
+    out = _Blocks(cfg, extra)
+    out.extend(fmt_rows(_convert_points(coords.T, frm, to, axis).T))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,31 +417,33 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        file_values = _read_config_file(args.config) if args.config else {}
+        args.nu, args.nv = args.grid or (None, None)
+        if args.config:  # file values fill what no flag set
+            for key, val in _read_config_file(args.config).items():
+                if getattr(args, key, None) is None:
+                    setattr(args, key, val)
         if args.command in ("invariants", "singular", "mesh"):
-            entry = _load_example(args, file_values)
-            cfg = _resolve_config(args, file_values, entry.framed.domain)
+            entry = _load_example(args)
+            cfg = _resolve_config(args, entry.framed.domain)
             if args.command == "invariants":
-                text = cmd_invariants(cfg, entry)
+                out = cmd_invariants(cfg, entry)
             elif args.command == "singular":
-                text = cmd_singular(cfg, entry)
+                out = cmd_singular(cfg, entry)
             else:
-                text = cmd_mesh(cfg, entry, _merged(args, "markers", file_values, False))
+                out = cmd_mesh(cfg, entry, bool(args.markers))
         elif args.command == "classify":
-            profile_path = _merged(args, "profile", file_values)
-            if not profile_path:
+            if not args.profile:
                 raise _UsageError("classify needs an h-profile (--profile)")
-            prof = load_h_profile(profile_path)
-            cfg = _resolve_config(args, file_values, prof.domain())
-            text = cmd_classify(cfg, prof)
+            prof = load_h_profile(args.profile)
+            cfg = _resolve_config(args, prof.domain())
+            out = cmd_classify(cfg, prof)
         elif args.command == "project":
             unit = Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)  # unused placeholder
-            cfg = _resolve_config(args, file_values, unit)
-            axis = Axis[_merged(args, "axis", file_values, "x4").upper()]
-            text = cmd_project(cfg, args, axis)
+            cfg = _resolve_config(args, unit)
+            out = cmd_project(cfg, args, Axis[(args.axis or "x4").upper()])
         else:  # pragma: no cover - argparse enforces the choices
             raise _UsageError(f"unknown command {args.command!r}")
-        _emit(text, cfg.output)
+        _emit(out, cfg.output)
         return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,7 +59,7 @@ def _cc_W(u, v):
     return u * u + v ** 4 + u * u * v * v + 1.0
 
 
-def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
+def cross_cap_surface() -> FramedSurface:
     """The standard cross cap with closed-form first derivatives."""
 
     def sW(u, v):  # sqrt(W), powers written as products
@@ -106,12 +106,11 @@ def cross_cap_surface(domain: Optional[Domain] = None) -> FramedSurface:
         Q3 = (v * v + 1.0) * np.sqrt(v * v + 1.0)
         return components(0.0, 1.0 / Q3, 0.0, v / Q3)
 
-    dom = domain or Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)
     return FramedSurface(
         x=ParametricMap4(value=x, du=xu, dv=xv),
         nu1=ParametricMap4(value=n1, du=n1u, dv=n1v),
         nu2=ParametricMap4(value=n2, du=zero4, dv=n2v),
-        domain=dom,
+        domain=Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21),
     )
 
 
@@ -158,19 +157,17 @@ def corank_one_surface(
     f_v: Callable[[float, float], float],
     g_u: Callable[[float, float], float],
     g_v: Callable[[float, float], float],
-    domain: Optional[Domain] = None,
-    check_origin: bool = True,
 ) -> FramedSurface:
     """Corank-one family for user functions f, g.
 
     The construction assumes f_v(0,0) = g_v(0,0) = 0 (so the origin is a
-    singular point of the base map); this is checked unless
-    ``check_origin=False``.  Normal fields carry no closed-form derivatives
-    - the e/f/g invariants come out through complex-step partials.  The six
+    singular point of the base map); this is checked.  Normal fields
+    carry no closed-form derivatives - the e/f/g invariants come out
+    through complex-step partials.  The six
     callables must broadcast over arrays like the surface maps (a
     constant may return a float).
     """
-    if check_origin and (abs(f_v(0.0, 0.0)) > 1e-12 or abs(g_v(0.0, 0.0)) > 1e-12):
+    if abs(f_v(0.0, 0.0)) > 1e-12 or abs(g_v(0.0, 0.0)) > 1e-12:
         raise PreconditionError(
             "corank-one family needs f_v(0,0) = g_v(0,0) = 0, got "
             f"f_v = {f_v(0.0, 0.0):.3e}, g_v = {g_v(0.0, 0.0):.3e}"
@@ -229,12 +226,11 @@ def corank_one_surface(
         # nu1 = sqrt(Q)/sqrt(p) (bar1 - k bar2) with bar2 unnormalized.
         return np.sqrt(_Q(u, v)) / np.sqrt(_p(u, v)) * (_bar1(u, v) - _k(u, v) * _bar2(u, v))
 
-    dom = domain or Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)
     return FramedSurface(
         x=ParametricMap4(value=x, du=xu, dv=xv),
         nu1=ParametricMap4(value=n1),
         nu2=ParametricMap4(value=n2),
-        domain=dom,
+        domain=Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21),
     )
 
 
@@ -266,20 +262,6 @@ def corank_one_alpha_beta(
         )
 
     return ab
-
-
-def _default_corank_one() -> tuple[FramedSurface, Callable]:
-    # f = v^2, g = u v reproduces the cross cap.
-    f = lambda u, v: v * v
-    g = lambda u, v: u * v
-    f_u = lambda u, v: 0.0
-    f_v = lambda u, v: 2.0 * v
-    g_u = lambda u, v: v
-    g_v = lambda u, v: u
-    return (
-        corank_one_surface(f, g, f_u, f_v, g_u, g_v),
-        corank_one_alpha_beta(f, g, f_u, f_v, g_u, g_v),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +354,7 @@ def _delta_b_p(u):
     return components(0.0, SQ3 * np.sin(2.0 * u), -SQ3 * np.cos(2.0 * u), 0.0)
 
 
-def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p, domain) -> FramedSurface:
+def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p) -> FramedSurface:
     def x(u, v):
         return np.cosh(v) * _gamma(u) + np.sinh(v) * delta(u)
 
@@ -390,19 +372,13 @@ def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p, domain) -> FramedSurf
         nu2=ParametricMap4(
             value=lambda u, v: nu2(u), du=lambda u, v: nu2_p(u), dv=zero4
         ),
-        domain=domain,
+        domain=Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2.0 * math.pi),
     )
 
 
-_RULED_DOMAIN = Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2.0 * math.pi)
-
-
-def ruled_a_surface(domain: Optional[Domain] = None) -> FramedSurface:
+def ruled_a_surface() -> FramedSurface:
     """Ruled surface with two isolated cross cap singular points."""
-    return _ruled_surface(
-        _delta_a, _delta_a_p, _nu1_ruled, _nu1_ruled_p, _delta_b, _delta_b_p,
-        domain or _RULED_DOMAIN,
-    )
+    return _ruled_surface(_delta_a, _delta_a_p, _nu1_ruled, _nu1_ruled_p, _delta_b, _delta_b_p)
 
 
 def ruled_a_oracle(u: float, v: float) -> Invariants:
@@ -430,12 +406,9 @@ def ruled_a_oracle(u: float, v: float) -> Invariants:
     )
 
 
-def ruled_b_surface(domain: Optional[Domain] = None) -> FramedSurface:
+def ruled_b_surface() -> FramedSurface:
     """Ruled surface whose singular set is the whole line v = 0."""
-    return _ruled_surface(
-        _delta_b, _delta_b_p, _nu1_ruled, _nu1_ruled_p, _delta_a, _delta_a_p,
-        domain or _RULED_DOMAIN,
-    )
+    return _ruled_surface(_delta_b, _delta_b_p, _nu1_ruled, _nu1_ruled_p, _delta_a, _delta_a_p)
 
 
 def ruled_b_oracle(u: float, v: float) -> Invariants:
@@ -467,63 +440,68 @@ def example_names() -> tuple[str, ...]:
     return ("cross_cap", "corank_one", "ruled_A", "ruled_B", "horocyclic:<profile.csv>")
 
 
-def get_example(name: str, **kwargs) -> ExampleEntry:
+def _alpha_beta(oracle: Callable[[float, float], Invariants]):
+    """(alpha, beta) from one evaluation of an invariants oracle."""
+
+    def ab(u, v):
+        inv = oracle(u, v)
+        return inv.alpha, inv.beta
+
+    return ab
+
+
+def get_example(name: str) -> ExampleEntry:
     """Look up a built-in example by CLI name.
 
-    ``corank_one`` accepts keyword callables (f, g, f_u, f_v, g_u, g_v) to
-    override the default instance f = v^2, g = u v.  ``horocyclic:<path>``
-    loads an h-profile CSV and integrates the generating curves.
-    Unknown names raise ``KeyError``.
+    ``horocyclic:<path>`` loads an h-profile CSV and integrates the
+    generating curves.  Unknown names raise ``KeyError``.
     """
     if name == "cross_cap":
         return ExampleEntry(
             name=name,
-            framed=cross_cap_surface(kwargs.get("domain")),
+            framed=cross_cap_surface(),
             oracle_invariants=cross_cap_oracle,
             oracle_alpha_beta=cross_cap_alpha_beta,
             known_singularities=((0.0, 0.0, "cross_cap"),),
         )
     if name == "corank_one":
-        if "f" in kwargs:
-            fns = {k: kwargs[k] for k in ("f", "g", "f_u", "f_v", "g_u", "g_v")}
-            framed = corank_one_surface(**fns, domain=kwargs.get("domain"))
-            ab = corank_one_alpha_beta(**fns)
-        else:
-            framed, ab = _default_corank_one()
+        # f = v^2, g = u v (and f_u, f_v, g_u, g_v) reproduces the cross cap.
+        fns = (
+            lambda u, v: v * v,
+            lambda u, v: u * v,
+            lambda u, v: 0.0,
+            lambda u, v: 2.0 * v,
+            lambda u, v: v,
+            lambda u, v: u,
+        )
         return ExampleEntry(
             name=name,
-            framed=framed,
-            oracle_alpha_beta=ab,
+            framed=corank_one_surface(*fns),
+            oracle_alpha_beta=corank_one_alpha_beta(*fns),
             known_singularities=((0.0, 0.0, "cross_cap"),),
             notes="default instance f = v^2, g = u v coincides with cross_cap",
         )
     if name == "ruled_A":
         return ExampleEntry(
             name=name,
-            framed=ruled_a_surface(kwargs.get("domain")),
+            framed=ruled_a_surface(),
             oracle_invariants=ruled_a_oracle,
-            oracle_alpha_beta=lambda u, v: (
-                ruled_a_oracle(u, v).alpha,
-                ruled_a_oracle(u, v).beta,
-            ),
+            oracle_alpha_beta=_alpha_beta(ruled_a_oracle),
             known_singularities=((0.0, 0.0, "cross_cap"), (math.pi, 0.0, "cross_cap")),
         )
     if name == "ruled_B":
         return ExampleEntry(
             name=name,
-            framed=ruled_b_surface(kwargs.get("domain")),
+            framed=ruled_b_surface(),
             oracle_invariants=ruled_b_oracle,
-            oracle_alpha_beta=lambda u, v: (
-                ruled_b_oracle(u, v).alpha,
-                ruled_b_oracle(u, v).beta,
-            ),
+            oracle_alpha_beta=_alpha_beta(ruled_b_oracle),
             known_singularities=(),
             notes="singular along the whole line v = 0 (not isolated points)",
         )
     if name.startswith("horocyclic:"):
         from .horocyclic import horocyclic_example_from_profile
 
-        return horocyclic_example_from_profile(name.split(":", 1)[1], **kwargs)
+        return horocyclic_example_from_profile(name.split(":", 1)[1])
     raise KeyError(
         f"unknown example {name!r}; available: {', '.join(example_names())}"
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -791,23 +791,18 @@ def integrate_frame_along_line(
     return FrameTrajectory(t=ts, frames=frames, max_gram_drift=drift)
 
 
-def write_invariants_csv(
-    target,
-    fs: FramedSurface,
-    domain: Optional[Domain] = None,
-    header_comments: Sequence[str] = (),
-) -> None:
-    """Write the invariant field over the grid as CSV.
+def write_invariants_csv(target, fs: FramedSurface, domain: Optional[Domain] = None) -> None:
+    """Write the invariant field over the grid as CSV: the column header,
+    then one row per grid point.
 
     Rows run v-major (v in the outer loop, u inner); values are printed
     with 17 significant digits so the file round-trips doubles exactly.
-    ``header_comments`` lines are emitted first, each prefixed with '# '.
     """
     dom = domain or fs.domain
     U, V = dom.mesh()
     inv = invariants_grid(fs, dom)
     cols = [U, V] + [getattr(inv, k) for k in _INVARIANT_NAMES] + [inv.alpha, inv.beta]
-    head = "".join(f"# {line}\n" for line in header_comments) + INVARIANT_CSV_HEADER + "\n"
+    head = INVARIANT_CSV_HEADER + "\n"
     body = fmt_rows(np.stack(cols, axis=-1).reshape(-1, len(cols)), sep=",")
     if hasattr(target, "write"):
         target.write(head)

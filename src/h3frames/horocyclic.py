@@ -541,6 +541,11 @@ class HProfile:
 
         return tuple(h(j) for j in range(6))
 
+    def curve_frame(self) -> HorocyclicData:
+        """The curve frame integrated from the standard initial frame
+        (a0, a1, a2) = (e1, e2, e3) over the profile's u range."""
+        return integrate_frame_curves(self.h_funcs, *np.eye(4)[:3], self.u_min, self.u_max)
+
 
 def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
     """Read an h-profile CSV with header ``u,h1,h2,h3,h4,h5,h6``.
@@ -616,33 +621,22 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return s
 
 
-_INITIAL_FRAME = (
-    np.array([1.0, 0.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0, 0.0]),
-    np.array([0.0, 0.0, 1.0, 0.0]),
-)
-
-
-def horocyclic_example_from_profile(path, domain: Optional[Domain] = None):
+def horocyclic_example_from_profile(path):
     """Example-registry entry for ``horocyclic:<profile.csv>`` names.
 
-    Integrates the curve frame from the standard initial frame over the
-    profile's u range and sweeps the surface over ``domain``, by default
+    Sweeps the profile's curve frame (:meth:`HProfile.curve_frame`) over
     :meth:`HProfile.domain`.  The closed-form invariant field doubles as
     the oracle.
     """
     from .examples import ExampleEntry
 
     profile = load_h_profile(path)
-    data = integrate_frame_curves(profile.h_funcs, *_INITIAL_FRAME, profile.u_min, profile.u_max)
-    dom = domain or profile.domain()
-    oracle = horocyclic_invariants(data)
-    ab = horocyclic_alpha_beta(data)
+    data = profile.curve_frame()
     return ExampleEntry(
         name=f"horocyclic:{path}",
-        framed=build_horocyclic(data, dom),
-        oracle_invariants=oracle,
-        oracle_alpha_beta=ab,
+        framed=build_horocyclic(data, profile.domain()),
+        oracle_invariants=horocyclic_invariants(data),
+        oracle_alpha_beta=horocyclic_alpha_beta(data),
         known_singularities=(),
         notes="curve frame integrated from the h-profile; oracle is the closed form",
     )

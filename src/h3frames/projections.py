@@ -458,7 +458,6 @@ def write_disc_mesh(
     fs: FramedSurface,
     domain: Optional[Domain] = None,
     markers: Optional[Sequence[tuple[float, float]]] = None,
-    header_comments: Sequence[str] = (),
 ) -> None:
     """Write the ball-model image of the surface as a plain polygon mesh.
 
@@ -467,20 +466,19 @@ def write_disc_mesh(
     triangles wound counterclockwise as seen from outside the ball (the
     outward side is decided per triangle against its centroid direction).
     Marker parameter points, when given, are appended as extra vertices
-    referenced from ``p`` lines.  ``header_comments`` lines come first,
-    each prefixed with '# '.
+    referenced from ``p`` lines.
 
     ``dest`` may be a path or a writable text stream.
     """
     dom = domain or fs.domain
     if hasattr(dest, "write"):
-        _write_disc_mesh(dest, fs, dom, markers or (), header_comments)
+        _write_disc_mesh(dest, fs, dom, markers or ())
     else:
         with open(dest, "w", encoding="ascii") as fh:
-            _write_disc_mesh(fh, fs, dom, markers or (), header_comments)
+            _write_disc_mesh(fh, fs, dom, markers or ())
 
 
-def _write_disc_mesh(fh, fs, dom, markers, header_comments=()) -> None:
+def _write_disc_mesh(fh, fs, dom, markers) -> None:
     U, V = dom.mesh()
     nv, nu = U.shape
     pts = to_poincare(evaluate(fs.x.value, U, V)).reshape(3, -1)  # v-major vertices
@@ -497,7 +495,6 @@ def _write_disc_mesh(fh, fs, dom, markers, header_comments=()) -> None:
     flip = euclid_dot(euclid_cross(b - a, c - a), (a + b + c) / 3.0) < 0.0
     tri[flip, 1:] = tri[flip, :0:-1]
 
-    fh.write("".join(f"# {line}\n" for line in header_comments))
     for block in (*fmt_rows(pts.T, prefix="v "), *fmt_rows(tri + 1, prefix="f ")):
         fh.write(block)
     if markers:

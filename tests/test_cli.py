@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import h3frames
-from h3frames import frames, singularities
+from h3frames import cli, frames, singularities
 from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
@@ -171,6 +171,73 @@ def test_config_file_and_profile_read_once(tmp_path, capsys, monkeypatch):
     cfg.write_text("example = cross_cap\nnu = 3\nnv = 3\n")
     assert _run(capsys, ["invariants", "--config", str(cfg)])[0] == 0
     assert calls == ["_read_config_file"]
+
+
+def test_config_file_bad_boolean_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("markers = maybe\n")
+    code, out, err = _run(capsys, ["mesh", "--example", "cross_cap", "--config", str(cfg)])
+    assert (code, out) == (4, "")
+    assert err == f"error: {cfg}:1: bad value for markers: expected a boolean, got 'maybe'\n"
+
+
+_INV = ["invariants", "--example", "cross_cap", "--grid", "3", "3"]
+
+#: Per config key: the arguments it is tried with, a value A for the config
+#: file, the flags that set A, and another value B.  {a} and {b} stand for
+#: two h-profile paths.
+_KEY_CASES = {
+    "example": (["invariants", "--grid", "3", "3"], "cross_cap", ["--example", "cross_cap"], "ruled_A"),
+    "profile": (["classify", "--grid", "5", "5"], "{a}", ["--profile", "{a}"], "{b}"),
+    "u_min": (_INV, "-0.5", ["--u-min", "-0.5"], "-0.3"),
+    "u_max": (_INV, "0.5", ["--u-max", "0.5"], "0.3"),
+    "v_min": (_INV, "-0.5", ["--v-min", "-0.5"], "-0.3"),
+    "v_max": (_INV, "0.5", ["--v-max", "0.5"], "0.3"),
+    "nu": (["invariants", "--example", "cross_cap"], "3", ["--grid", "3", "21"], "4"),
+    "nv": (["invariants", "--example", "cross_cap"], "3", ["--grid", "21", "3"], "4"),
+    "frame_tol": (_INV, "1e-6", ["--frame-tol", "1e-6"], "1e-7"),
+    "singular_tol": (["singular", "--example", "cross_cap", "--grid", "5", "5"], "1e-8",
+                     ["--singular-tol", "1e-8"], "1e-9"),
+    "classify_tol": (["classify", "--profile", "{a}", "--grid", "5", "5"], "1e-6",
+                     ["--classify-tol", "1e-6"], "1e-7"),
+    "output": (_INV, "a.csv", ["--output", "a.csv"], "b.csv"),
+    "markers": (["mesh", "--example", "cross_cap", "--grid", "3", "3"], "true", ["--markers"], "false"),
+    "axis": (["project", "--from", "r31", "--to", "h3", "--point", "1.5", "0.5", "0.5"], "x2",
+             ["--axis", "x2"], "x3"),
+}
+
+
+@pytest.mark.parametrize("key", list(cli._KEY_TYPES))
+def test_config_file_line_equals_its_flag_and_a_flag_beats_the_file(key, tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    monkeypatch.setenv("H3FRAMES_OUT_DIR", str(outdir))
+    paths = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
+    _write_profile(paths["a"], (0, 0, 0, 0, 2, 1))
+    _write_profile(paths["b"], (0, 0, 0, 0, 1, 0))
+    base, a, flag_a, b = (
+        [arg.format(**paths) for arg in x] if isinstance(x, list) else x.format(**paths)
+        for x in _KEY_CASES[key]
+    )
+    cfg = tmp_path / "run.cfg"
+
+    def outcome(value, flags):
+        argv = base + flags
+        if value is not None:
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        files = {}
+        for path in outdir.iterdir():
+            files[path.name] = path.read_text()
+            path.unlink()
+        return out, files
+
+    by_flag = outcome(None, flag_a)
+    assert outcome(a, []) == by_flag
+    assert outcome(b, flag_a) == by_flag
+    assert outcome(b, []) != by_flag
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Every public name a module of the package declares is importable, and
-its tolerance and step knobs are the allowed ones."""
+its tolerance and step knobs and its defaulted parameters are the allowed
+ones."""
 
 import ast
 import importlib
@@ -92,3 +93,77 @@ def test_public_tolerance_and_step_knobs_are_the_allowed_ones():
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _knobs(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == KNOBS
+
+
+#: Every parameter with a default value, and every ``**kwargs``, of the
+#: public functions and methods, as module.function(parameter).  An option
+#: that no caller sets is dead weight: a new one must be added here on
+#: purpose, with a caller.
+OPTIONS = {
+    "cli.RunConfig.header_lines(extra)",
+    "cli.main(argv)",
+    "fmt.fmt_rows(prefix)",
+    "fmt.fmt_rows(sep)",
+    "frames.frame_from_normal(domain)",
+    "frames.integrability_residuals(domain)",
+    "frames.integrability_residuals(h)",
+    "frames.invariants_grid(domain)",
+    "frames.reduction_type_grid(domain)",
+    "frames.verify_framed(domain)",
+    "frames.write_invariants_csv(domain)",
+    "horocyclic.classify_horocyclic(tol)",
+    "horocyclic.integrate_frame_curves(step)",
+    "horocyclic.invariant_form_classify(tol)",
+    "minkowski.causal_character(tol)",
+    "projections.lift_from_r31(domain)",
+    "projections.lift_from_r31(lminus)",
+    "projections.lift_from_r31(lplus)",
+    "projections.lightcone_residual(domain)",
+    "projections.project_to_r31(domain)",
+    "projections.verify_disc_framed(domain)",
+    "projections.write_disc_mesh(domain)",
+    "projections.write_disc_mesh(markers)",
+    "singularities.classify_singularity(newton_iters)",
+    "singularities.classify_singularity(refine_tol)",
+    "singularities.find_singular_points(domain)",
+    "singularities.find_singular_points(full_output)",
+    "singularities.find_singular_points(tol)",
+    "singularities.singularity_scan(domain)",
+    "singularities.singularity_scan(tol)",
+    "surface.Domain.contains(margin)",
+}
+
+
+def _options(module: str, tree: ast.Module) -> set[str]:
+    public = next(
+        (ast.literal_eval(n.value) for n in tree.body
+         if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets)),
+        [],
+    )
+    functions = []
+    for node in tree.body:
+        if getattr(node, "name", None) not in public:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{item.name}", item) for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    found = set()
+    for owner, fn in functions:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):]
+        defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        found |= {f"{module}.{owner}({arg.arg})" for arg in defaulted}
+        if a.kwarg:
+            found.add(f"{module}.{owner}(**{a.kwarg.arg})")
+    return found
+
+
+def test_public_defaulted_parameters_are_the_allowed_ones():
+    found = set()
+    for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
+        found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert found == OPTIONS
+    assert len(OPTIONS) == 31

@@ -555,12 +555,10 @@ def test_write_invariants_csv_layout_and_roundtrip():
     fs = get_example("cross_cap").framed
     dom = Domain(-0.4, 0.4, -0.2, 0.2, nu=3, nv=2)
     buf = io.StringIO()
-    write_invariants_csv(buf, fs, domain=dom, header_comments=("tool = test", "grid = 3x2"))
+    write_invariants_csv(buf, fs, domain=dom)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# tool = test"
-    assert lines[1] == "# grid = 3x2"
-    assert lines[2] == INVARIANT_CSV_HEADER
-    rows = [line.split(",") for line in lines[3:]]
+    assert lines[0] == INVARIANT_CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 6
     # v-major: the first nu rows share v = v_min while u sweeps
     assert [float(r[1]) for r in rows[:3]] == [-0.2, -0.2, -0.2]
