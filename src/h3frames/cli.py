@@ -10,43 +10,58 @@ Everything is deterministic: identical resolved configuration produces
 byte-identical output, and every output starts with the resolved
 configuration as '# key = value' comment lines.  Exit codes: 0 success,
 2 geometric precondition failure, 3 I/O failure, 4 bad arguments.
+
+Library modules execute on first use, so a subcommand executes only the
+modules its computation reads, and ``--version`` none but ``errors``.
+Importing this module still registers all of them in ``sys.modules``,
+unexecuted: the benchmark's tracer wraps functions only on modules it
+finds there.  This module reads library code through module attributes
+at call time (``singularities.singularity_scan(...)``), never through
+names bound at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import os
 import sys
+import types
+import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import CLASS_TOL, FRAME_TOL, REFINE_TOL, __version__
 from .errors import GeometryError, PreconditionError
-from .examples import get_example
-from .fmt import fmt, fmt_rows
-from .frames import FRAME_TOL, invariant_field, verify_framed, write_invariants_csv
-from .horocyclic import (
-    CLASS_TOL,
-    build_horocyclic,
-    classify_horocyclic,
-    invariant_form_classify,
-    load_h_profile,
-)
-from .minkowski import minkowski_dot3, minkowski_dot4
-from .projections import ON_H3_TOL, Axis, from_poincare, to_poincare, write_disc_mesh
-from .singularities import (
-    CORANK_TOL,
-    D_TOL,
-    HESS_TOL,
-    PAIR_TOL,
-    REFINE_TOL,
-    find_singular_points,
-    singularity_scan,
-)
-from .surface import Domain, components, first_true
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """Module ``name``, put in ``sys.modules`` now but executed when one of
+    its attributes is first read (unless it was imported before)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+# Literal names: run as ``python -m h3frames.cli``, this module is __main__.
+minkowski = _lazy("h3frames.minkowski")
+surface = _lazy("h3frames.surface")
+fmt = _lazy("h3frames.fmt")
+frames = _lazy("h3frames.frames")
+examples = _lazy("h3frames.examples")
+singularities = _lazy("h3frames.singularities")
+projections = _lazy("h3frames.projections")
+horocyclic = _lazy("h3frames.horocyclic")
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
@@ -93,7 +108,7 @@ class RunConfig:
             if isinstance(val, bool):
                 txt = "true" if val else "false"
             elif isinstance(val, float):
-                txt = fmt(val)
+                txt = fmt.fmt(val)
             elif val is None:
                 txt = "none"
             else:
@@ -208,7 +223,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, dom: Domain) -> RunConfig:
+def _resolve_config(args: argparse.Namespace, dom: surface.Domain) -> RunConfig:
     """The run configuration from the flags and config-file values already
     in ``args``; what neither sets comes from the default domain ``dom``
     and the module tolerance constants."""
@@ -222,13 +237,13 @@ def _resolve_config(args: argparse.Namespace, dom: Domain) -> RunConfig:
             vals[key] = default
     for key in _TOL_DEFAULTS:
         if not 0.0 < vals[key] < np.inf:  # a zero, negative or non-finite tolerance breaks the run
-            raise _UsageError(f"{key} must be finite and positive, got {fmt(vals[key])}")
+            raise _UsageError(f"{key} must be finite and positive, got {fmt.fmt(vals[key])}")
     return RunConfig(**vals)
 
 
-def _config_domain(cfg: RunConfig, template: Optional[Domain]) -> Domain:
+def _config_domain(cfg: RunConfig, template: Optional[surface.Domain]) -> surface.Domain:
     period = template.u_period if template is not None else None
-    return Domain(
+    return surface.Domain(
         cfg.u_min, cfg.u_max, cfg.v_min, cfg.v_max,
         nu=cfg.nu, nv=cfg.nv, u_period=period,
     )
@@ -239,7 +254,7 @@ def _load_example(args: argparse.Namespace):
     if not args.example:
         raise _UsageError("an example name is required (--example)")
     try:
-        return get_example(args.example)
+        return examples.get_example(args.example)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0]))
 
@@ -274,15 +289,15 @@ class _Blocks(list):
 
 def cmd_invariants(cfg: RunConfig, entry) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
-    summary = verify_framed(entry.framed, dom)  # before the CSV text holds memory
+    summary = frames.verify_framed(entry.framed, dom)  # before the CSV text holds memory
     out = _Blocks(cfg)
-    write_invariants_csv(out, entry.framed, dom)
+    frames.write_invariants_csv(out, entry.framed, dom)
     out.write(
         "# residuals: max_gram = %s, max_offspan = %s, max_constraint = %s\n"
         % (
-            fmt(summary.max_gram_residual),
-            fmt(summary.max_offspan_residual),
-            fmt(summary.max_constraint_residual),
+            fmt.fmt(summary.max_gram_residual),
+            fmt.fmt(summary.max_offspan_residual),
+            fmt.fmt(summary.max_constraint_residual),
         )
     )
     return out
@@ -293,24 +308,26 @@ _DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
 
 def cmd_singular(cfg: RunConfig, entry) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
-    reports = sorted(singularity_scan(entry.framed, dom, tol=cfg.singular_tol), key=lambda r: (r.u, r.v))
+    reports = sorted(singularities.singularity_scan(entry.framed, dom, tol=cfg.singular_tol),
+                     key=lambda r: (r.u, r.v))
     out = _Blocks(cfg)
     out.write(
         "# tolerances: refine = %s, corank = %s, D = %s, hess = %s, pair = %s\n"
-        % tuple(fmt(t) for t in (cfg.singular_tol, CORANK_TOL, D_TOL, HESS_TOL, PAIR_TOL))
+        % tuple(fmt.fmt(t) for t in (cfg.singular_tol, singularities.CORANK_TOL, singularities.D_TOL,
+                                     singularities.HESS_TOL, singularities.PAIR_TOL))
     )
     out.write(f"points = {len(reports)}\n")
     for k, rep in enumerate(reports, 1):
         d = rep.diagnostics
         out.write(f"\n[{k}]\n")
-        out.write(f"u = {fmt(rep.u)}\n")
-        out.write(f"v = {fmt(rep.v)}\n")
+        out.write(f"u = {fmt.fmt(rep.u)}\n")
+        out.write(f"v = {fmt.fmt(rep.v)}\n")
         out.write(f"classification = {rep.classification.value}\n")
         for name in _DIAG_SCALARS:
-            out.write(f"{name} = {fmt(getattr(d, name))}\n")
+            out.write(f"{name} = {fmt.fmt(getattr(d, name))}\n")
         for name in ("a_pair", "b_pair", "c_pair", "independence_pair"):
             pair = getattr(d, name)
-            out.write(f"{name} = {fmt(pair[0])} {fmt(pair[1])}\n")
+            out.write(f"{name} = {fmt.fmt(pair[0])} {fmt.fmt(pair[1])}\n")
         out.write(f"newton_iters = {d.newton_iters}\n")
         out.write(f"converged = {'true' if d.converged else 'false'}\n")
     return out
@@ -320,19 +337,19 @@ def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
     dom = _config_domain(cfg, entry.framed.domain)
     marker_pts = None
     if markers:
-        marker_pts = find_singular_points(entry.framed, dom, tol=cfg.singular_tol)
+        marker_pts = singularities.find_singular_points(entry.framed, dom, tol=cfg.singular_tol)
     out = _Blocks(cfg, [("markers", markers)])
-    write_disc_mesh(out, entry.framed, dom, markers=marker_pts)
+    projections.write_disc_mesh(out, entry.framed, dom, markers=marker_pts)
     return out
 
 
 def cmd_classify(cfg: RunConfig, profile) -> _Blocks:
-    h_form = classify_horocyclic(profile.values, tol=cfg.classify_tol)
+    h_form = horocyclic.classify_horocyclic(profile.values, tol=cfg.classify_tol)
 
     dom = _config_domain(cfg, None)
-    fs = build_horocyclic(profile.curve_frame(), dom)
-    inv_form = invariant_form_classify(
-        invariant_field(fs), dom, tol=cfg.classify_tol
+    fs = horocyclic.build_horocyclic(profile.curve_frame(), dom)
+    inv_form = horocyclic.invariant_form_classify(
+        frames.invariant_field(fs), dom, tol=cfg.classify_tol
     )
 
     out = _Blocks(cfg)
@@ -341,71 +358,104 @@ def cmd_classify(cfg: RunConfig, profile) -> _Blocks:
     agree = h_form.tag is inv_form.tag
     out.write(f"agree = {'true' if agree else 'false'}\n")
     if h_form.two_vertex_ratio is not None:
-        out.write(f"two_vertex_ratio = {fmt(h_form.two_vertex_ratio)}\n")
+        out.write(f"two_vertex_ratio = {fmt.fmt(h_form.two_vertex_ratio)}\n")
     return out
 
 
-def _convert_points(x: np.ndarray, frm: str, to: str, axis: Axis) -> np.ndarray:
+def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) -> np.ndarray:
     """Convert a component-first stack of points between models."""
     if frm == "disc":
-        x = from_poincare(x)
+        x = projections.from_poincare(x)
     elif frm == "r31":
         i = axis.index
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
-            q = -minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
-            lifted = components(*x[:i], np.sqrt(q - 1.0), *x[i:])
-            r = minkowski_dot4(lifted, lifted)  # -1 up to rounding, which grows with x1^2
-        k = first_true(~(np.isfinite(q) & (q > 1.0) & (abs(r + 1.0) <= ON_H3_TOL)))
+            q = -minkowski.minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
+            lifted = surface.components(*x[:i], np.sqrt(q - 1.0), *x[i:])
+            r = minkowski.minkowski_dot4(lifted, lifted)  # -1 up to rounding, which grows with x1^2
+        on_h3 = abs(r + 1.0) <= projections.ON_H3_TOL
+        k = surface.first_true(~(np.isfinite(q) & (q > 1.0) & on_h3))
         if k is not None:
             raise PreconditionError(
-                f"point does not lift: ({' '.join(map(fmt, x[:, k]))}) has x1^2 - x2^2 - x3^2 = "
-                f"{fmt(q[k])} and lifts to <x,x> = {fmt(r[k])}, not a finite number > 1 "
-                f"and -1 within {ON_H3_TOL}"
+                f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has x1^2 - x2^2 - x3^2 = "
+                f"{fmt.fmt(q[k])} and lifts to <x,x> = {fmt.fmt(r[k])}, not a finite number > 1 "
+                f"and -1 within {projections.ON_H3_TOL}"
             )
         x = lifted
     elif to != "disc":
-        to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target
+        projections.to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target
     if to == "disc":
-        return to_poincare(x)
+        return projections.to_poincare(x)
     if to == "r31":
         return np.delete(x, axis.index, axis=0)
     return x
 
 
-def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: Axis) -> _Blocks:
+def _checked_points(rows: Sequence[Sequence[float]], frm: str, where: Callable[[int], str]) -> np.ndarray:
+    """The rows as an (n, arity) array of ``frm`` points; ``where(k)`` names
+    row k in the message that refuses a non-finite coordinate."""
+    arity = _MODEL_ARITY[frm]
+    for row in rows:
+        if len(row) != arity:
+            raise _UsageError(f"{frm} points have {arity} coordinates, got {row}")
+    coords = np.array(rows, dtype=float).reshape(-1, arity)
+    k = surface.first_true(~np.isfinite(coords).all(axis=1))
+    if k is not None:
+        raise _UsageError(f"{where(k)}: non-finite coordinate in {rows[k]}")
+    return coords
+
+
+def _parse_points(lines: Sequence[str], path: str, frm: str) -> np.ndarray:
+    """The points of a file's lines, one line at a time with ``float``:
+    every message names the line at fault."""
+    rows, linenos = [], []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(c) for c in line.split()])
+        except ValueError:
+            raise _UsageError(f"{path}:{lineno}: malformed point")
+        linenos.append(lineno)
+    return _checked_points(rows, frm, lambda k: f"{path}:{linenos[k]}")
+
+
+def _read_points(path: str, frm: str) -> np.ndarray:
+    """The points of a file, read once.  ``np.loadtxt`` parses well-formed
+    lines in bulk; lines it refuses, or whose rows are none or would be
+    refused, go through :func:`_parse_points`, which gives the same values
+    and names the line at fault.  loadtxt gets the lines, never the path:
+    given a path it would fetch URLs and open compressed siblings."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            coords = np.loadtxt(lines, comments="#", ndmin=2)
+        except ValueError:
+            coords = None
+    if coords is None or not (
+        len(coords) and coords.shape[1] == _MODEL_ARITY[frm] and np.isfinite(coords).all()
+    ):
+        return _parse_points(lines, path, frm)
+    return coords
+
+
+def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: projections.Axis) -> _Blocks:
     frm, to = args.frm, args.to
     if frm == to:
         raise _UsageError("--from and --to must differ")
     if (args.point is None) == (args.input is None):
         raise _UsageError("give exactly one of --point or --input")
 
-    arity = _MODEL_ARITY[frm]
-    rows, linenos = [], []
     if args.point is not None:
-        rows.append(list(args.point))
+        coords = _checked_points([list(args.point)], frm, lambda k: "--point")
     else:
-        with open(args.input, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(c) for c in line.split()])
-                except ValueError:
-                    raise _UsageError(f"{args.input}:{lineno}: malformed point")
-                linenos.append(lineno)
-    for row in rows:
-        if len(row) != arity:
-            raise _UsageError(f"{frm} points have {arity} coordinates, got {row}")
-    coords = np.array(rows, dtype=float).reshape(-1, arity)
-    k = first_true(~np.isfinite(coords).all(axis=1))
-    if k is not None:
-        where = "--point" if args.point is not None else f"{args.input}:{linenos[k]}"
-        raise _UsageError(f"{where}: non-finite coordinate in {rows[k]}")
+        coords = _read_points(args.input, frm)
 
-    extra = [("from", frm), ("to", to), ("axis", axis.name.lower()), ("input", args.input), ("points", len(rows))]
+    extra = [("from", frm), ("to", to), ("axis", axis.name.lower()), ("input", args.input), ("points", len(coords))]
     out = _Blocks(cfg, extra)
-    out.extend(fmt_rows(_convert_points(coords.T, frm, to, axis).T))
+    out.extend(fmt.fmt_rows(_convert_points(coords.T, frm, to, axis).T))
     return out
 
 
@@ -434,13 +484,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "classify":
             if not args.profile:
                 raise _UsageError("classify needs an h-profile (--profile)")
-            prof = load_h_profile(args.profile)
+            prof = horocyclic.load_h_profile(args.profile)
             cfg = _resolve_config(args, prof.domain())
             out = cmd_classify(cfg, prof)
         elif args.command == "project":
-            unit = Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)  # unused placeholder
+            unit = surface.Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)  # unused placeholder
             cfg = _resolve_config(args, unit)
-            out = cmd_project(cfg, args, Axis[(args.axis or "x4").upper()])
+            out = cmd_project(cfg, args, projections.Axis[(args.axis or "x4").upper()])
         else:  # pragma: no cover - argparse enforces the choices
             raise _UsageError(f"unknown command {args.command!r}")
         _emit(out, cfg.output)

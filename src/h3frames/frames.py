@@ -31,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import FRAME_TOL
 from .errors import DegenerateAnglesError, DegenerateFrameError, PreconditionError
 from .minkowski import (
     frame_gram_residual,
@@ -78,8 +79,6 @@ __all__ = [
     "write_invariants_csv",
 ]
 
-#: Default tolerance for frame-quality comparisons.
-FRAME_TOL = 1e-8
 #: Pseudo-orthonormality residual beyond which invariant extraction refuses.
 GRAM_DEGENERATE_TOL = 1e-4
 #: Below this rho = sqrt(n2^2 + n3^2) a normal's spherical angles are undefined.

@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import CLASS_TOL
 from .errors import DegenerateFrameError, NotHorocyclicError, PreconditionError
 from .frames import (
     FrameAt,
@@ -77,9 +78,6 @@ __all__ = [
 
 #: Allowed Gram residual of the curve frame {a0, a1, a2, a3}.
 ORTHONORMAL_TOL = 1e-8
-
-#: Default tolerance for the flatness classification conditions.
-CLASS_TOL = 1e-7
 
 
 @dataclasses.dataclass(frozen=True)

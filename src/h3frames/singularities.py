@@ -60,7 +60,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
 from .frames import _INVARIANT_NAMES
 from .frames import FrameAt, FramedSurface, Invariants, basic_invariants, invariant_field, invariant_partials
@@ -86,8 +86,6 @@ __all__ = [
     "reports_to_json",
 ]
 
-#: Newton convergence: |alpha| + |beta| below this at the refined root.
-REFINE_TOL = 1e-10
 #: Max Newton iterations before a candidate is abandoned.
 MAX_NEWTON_ITERS = 50
 #: Jacobian singular values below this fraction of the largest count as

@@ -1,14 +1,22 @@
 """The benchmark's traced run (``perfbench/tracing.py``) wraps library
 functions named in its ``PROBES`` table.  A renamed or deleted target only
 makes the tracer warn and drop that layer's metrics, so every target must
-resolve here."""
+resolve here, through the modules ``import h3frames.cli`` registers, and a
+traced run of each workload must report every declared per-layer metric."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _probes(monkeypatch):
@@ -28,3 +36,42 @@ def test_every_benchmark_probe_target_resolves(monkeypatch):
         if not callable(owner):
             missing.append(f"{probe.layer}: {probe.module}.{probe.attr}")
     assert missing == []
+
+
+def test_cli_import_alone_registers_every_probed_module(monkeypatch):
+    # the tracer wraps only modules already in sys.modules, so a module that
+    # cli imported on first use would lose its layers from a traced run
+    targets = [(p.module, p.attr) for p in _probes(monkeypatch)]
+    code = (
+        "import json, sys\n"
+        "import h3frames.cli\n"
+        "targets = json.loads(sys.argv[1])\n"
+        "unregistered = sorted({m for m, _ in targets} - set(sys.modules))\n"
+        "unresolved = []\n"
+        "for module, attr in targets:\n"
+        "    owner = sys.modules.get(module)\n"
+        "    for part in attr.split('.'):\n"
+        "        owner = getattr(owner, part, None)\n"
+        "    if not callable(owner):\n"
+        "        unresolved.append(module + '.' + attr)\n"
+        "print(json.dumps([unregistered, unresolved]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(targets)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], []]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_run_reports_every_per_layer_metric(workload):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "is gone" not in done.stderr and "no longer exists" not in done.stdout
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in BENCHMARK["per_layer"])

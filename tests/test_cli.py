@@ -1,15 +1,19 @@
 """End-to-end checks of the command-line front door."""
 
+import gzip
 import math
 import os
 import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import h3frames
 from h3frames import cli, frames, singularities
@@ -53,6 +57,38 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.strip() == "[]"
+
+
+#: The library modules ``import h3frames.cli`` registers without executing.
+_LAZY = ("minkowski", "surface", "fmt", "frames", "examples", "singularities",
+         "projections", "horocyclic")
+
+
+@pytest.mark.parametrize("argv, unexecuted", [
+    (["--version"], _LAZY),
+    (["singular", "--example", "ruled_A"], ("projections", "horocyclic")),
+    (["project", "--from", "h3", "--to", "disc", "--point", "1.4142135623730951", "1", "0", "0"],
+     ("examples", "singularities", "horocyclic")),
+    (["invariants", "--example", "cross_cap"], ("singularities", "projections", "horocyclic")),
+], ids=["version", "singular", "project", "invariants"])
+def test_subcommand_executes_only_the_modules_it_runs(argv, unexecuted):
+    # a registered module executes on its first attribute read, and then its
+    # class turns from the lazy subclass into types.ModuleType
+    src = str(Path(h3frames.__file__).resolve().parents[1])
+    code = (
+        "import sys, types\n"
+        "sys.argv = ['h3frames', *sys.argv[1:]]\n"
+        "try:\n"
+        "    import runpy; runpy.run_module('h3frames.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print(sorted(n[9:] for n, m in sys.modules.items() if n.startswith('h3frames.')\n"
+        "                 and type(m) is not types.ModuleType), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == str(sorted(unexecuted))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +191,12 @@ def test_config_file_axis_key_and_flag_override(tmp_path, capsys):
 
 def test_config_file_and_profile_read_once(tmp_path, capsys, monkeypatch):
     import h3frames.cli as cli
+    import h3frames.horocyclic as horocyclic
 
     calls = []
-    for name in ("_read_config_file", "load_h_profile"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda path, real=real, name=name: calls.append(name) or real(path))
+    for owner, name in ((cli, "_read_config_file"), (horocyclic, "load_h_profile")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda path, real=real, name=name: calls.append(name) or real(path))
     prof = tmp_path / "prof.csv"
     _write_profile(prof, (0, 0, 0, 0, 1, 0))
     cfg = tmp_path / "run.cfg"
@@ -614,6 +651,82 @@ def test_project_rejects_non_finite_file_row(tmp_path, capsys):
     assert code == 4
     assert err.startswith(f"error: {src}:3: non-finite coordinate")
     assert out == ""
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
+def test_project_file_without_points_prints_zero_points(tmp_path, capsys, text):
+    src = tmp_path / "pts.txt"
+    src.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a file with no data
+        code, out, err = _run(capsys, ["project", "--from", "h3", "--to", "disc", "--input", str(src)])
+    assert (code, err) == (0, "")
+    assert out.endswith("# points = 0\n# tool_version = 0.1.0\n")
+
+
+#: Tokens ``float`` takes or refuses that ``np.loadtxt`` may judge otherwise.
+_ODD_TOKENS = ["1_0", "nan", "-inf", "+Infinity", "1e400", ".5", "5.", "-0", "0x1p3", "1d5",
+               "abc", "1,2", "\u0661", "\ufeff1", "\"1\"", "1;"]
+_SEPARATORS = [" ", "   ", "\t", " \t", "\x0b", "\x0c", "\xa0", "\u2003", "\x1c", "\x85"]
+
+
+@st.composite
+def _point_files(draw):
+    """Text of a points file: rows of one width with a few odd lines among
+    them, comments, blank lines and one kind of line end."""
+    width = draw(st.integers(1, 5))
+    numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.integers(-10**20, 10**20).map(str))
+    row = st.lists(numbers, min_size=width, max_size=width)
+    ragged = st.lists(st.one_of(numbers, st.sampled_from(_ODD_TOKENS)), min_size=1, max_size=6)
+    lines = []
+    for tokens in draw(st.lists(st.one_of(row, row, row, ragged, st.just([])), max_size=8)):
+        sep = draw(st.sampled_from(_SEPARATORS))
+        tail = draw(st.sampled_from(["", " ", " # note", "#", "\t"]))
+        lines.append(sep.join(tokens) + tail)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _read_outcome(read, path, frm):
+    try:
+        coords = read(path, frm)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return coords.shape, coords.tobytes()
+
+
+def _read_points_by_line(path, frm):
+    with open(path, encoding="utf-8") as fh:
+        return cli._parse_points(fh, path, frm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_point_files(), frm=st.sampled_from(["h3", "r31"]))
+@example(text="1_0 2 3 4\n", frm="h3")
+@example(text="1 2 3\r\n4 5 6\r\n", frm="r31")
+@example(text="1 2 3\nnan 5 6\n", frm="r31")
+@example(text="1\t2 3\n4 5\n", frm="r31")
+def test_bulk_point_reader_agrees_with_the_line_reader(tmp_path_factory, text, frm):
+    path = str(tmp_path_factory.getbasetemp() / "points.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    bulk = _read_outcome(cli._read_points, path, frm)
+    assert bulk == _read_outcome(_read_points_by_line, path, frm)
+
+
+def test_project_input_is_the_named_file_only(tmp_path, capsys):
+    # np.loadtxt, given a path, would decompress a missing file's .gz sibling
+    src = tmp_path / "pts.txt"
+    with gzip.open(tmp_path / "pts.txt.gz", "wt") as fh:
+        fh.write("1 0 0 0\n")
+    argv = ["project", "--from", "h3", "--to", "disc", "--input", str(src)]
+    code, out, _ = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    # ... and decompress a compressed file, which is no text file of points
+    src.write_bytes((tmp_path / "pts.txt.gz").read_bytes())
+    code, out, _ = _run(capsys, argv)
+    assert (code, out) == (4, "")
 
 
 @pytest.mark.parametrize("to", ["disc", "r31"])

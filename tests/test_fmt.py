@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import h3frames.fmt as fmt_module
+from h3frames import frames
 from h3frames.cli import main
 from h3frames.fmt import fmt_rows
 
@@ -94,9 +95,28 @@ def _count_fallbacks(monkeypatch):
 
 
 def test_no_fallback_on_the_default_cross_cap_table(monkeypatch, capsys):
-    calls = _count_fallbacks(monkeypatch)
+    # count fmt calls only inside the table writer's fmt_rows: cli formats
+    # its header values with fmt itself, and those are no fallbacks
+    calls, tables = [], []
+    real_fmt, real_rows = fmt_module.fmt, frames.fmt_rows
+
+    def counted_fmt(x):
+        if tables and tables[-1]:
+            calls.append(x)
+        return real_fmt(x)
+
+    def counted_rows(*args, **kwargs):
+        tables.append(True)
+        try:
+            yield from real_rows(*args, **kwargs)
+        finally:
+            tables[-1] = False
+
+    monkeypatch.setattr(fmt_module, "fmt", counted_fmt)
+    monkeypatch.setattr(frames, "fmt_rows", counted_rows)
     assert main(["invariants", "--example", "cross_cap"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 21 * 21
+    assert tables == [False]  # the table went through fmt_rows once
     assert calls == []
 
 
