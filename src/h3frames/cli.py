@@ -6,10 +6,12 @@ flatness classifications, ball-model meshes, and convert points between
 the hyperboloid, the ball model and the three-space obtained by dropping
 a spacelike coordinate.
 
-Everything is deterministic: identical resolved configuration produces
-byte-identical output, and every output starts with the resolved
-configuration as '# key = value' comment lines.  Exit codes: 0 success,
-2 geometric precondition failure, 3 I/O failure, 4 bad arguments.
+Each subcommand accepts only the settings its computation reads.  Every
+output is deterministic and starts with '# key = value' comment lines:
+the subcommand, each of its settings as resolved, facts of the run (the
+config-file keys it ignored among them) and the tool version.  Exit
+codes: 0 success, 2 geometric precondition failure, 3 I/O failure, 4 bad
+arguments.
 
 Library modules execute on first use, so a subcommand executes only the
 modules its computation reads, and ``--version`` none but ``errors``.
@@ -23,14 +25,15 @@ names bound at import.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
+import itertools
 import os
+import re
 import sys
 import types
 import warnings
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +66,7 @@ singularities = _lazy("h3frames.singularities")
 projections = _lazy("h3frames.projections")
 horocyclic = _lazy("h3frames.horocyclic")
 
-__all__ = ["RunConfig", "main", "entry_point"]
+__all__ = ["main", "entry_point"]
 
 #: Environment variable naming the default directory for relative outputs.
 OUTPUT_DIR_ENV = "H3FRAMES_OUT_DIR"
@@ -78,81 +81,83 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses -1e-3, -inf and -1., which %.17g writes
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):  # argparse would sys.exit(2); we want 4
         raise _UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration; no field is left implicit."""
-
-    command: str
-    example: Optional[str]
-    profile: Optional[str]
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-    nu: int
-    nv: int
-    frame_tol: float
-    singular_tol: float
-    classify_tol: float
-    output: Optional[str]
-
-    def header_lines(self, extra: Sequence[tuple[str, object]] = ()) -> list[str]:
-        pairs = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
-        pairs += list(extra)
-        lines = []
-        for key, val in pairs:
-            if isinstance(val, bool):
-                txt = "true" if val else "false"
-            elif isinstance(val, float):
-                txt = fmt.fmt(val)
-            elif val is None:
-                txt = "none"
-            else:
-                txt = str(val)
-            lines.append(f"{key} = {txt}")
-        lines.append(f"tool_version = {__version__}")
-        return lines
-
-
 # ---------------------------------------------------------------------------
-# argument and config-file plumbing
+# settings: each declared once, for the subparsers, config files and headers
 # ---------------------------------------------------------------------------
 
-_KEY_TYPES = {
-    "example": str,
-    "profile": str,
-    "u_min": float,
-    "u_max": float,
-    "v_min": float,
-    "v_max": float,
-    "nu": int,
-    "nv": int,
-    "frame_tol": float,
-    "singular_tol": float,
-    "classify_tol": float,
-    "output": str,
-    "markers": bool,
-    "axis": str,
-}
 
-_TOL_DEFAULTS = {
-    "frame_tol": FRAME_TOL,
-    "singular_tol": REFINE_TOL,
-    "classify_tol": CLASS_TOL,
-}
+class _Setting:
+    """One setting: its flag with the options of ``add_argument``, the
+    subcommands whose computation reads it, and its value when neither the
+    flag nor the config file sets it.  The flag sets ``keys`` (by default
+    its own name; ``--grid NU NV`` sets ``nu`` and ``nv``), and each key is
+    an attribute of the run's settings, a '# key = value' header line and,
+    unless ``config`` is false, a config-file key.  A ``positive`` setting
+    must be finite and positive."""
+
+    def __init__(self, flag, commands, *, keys=None, default=None, config=True, positive=False,
+                 **options):
+        self.flag = flag
+        self.dest = flag[2:].replace("-", "_")
+        self.keys = (keys or self.dest).split()
+        self.commands = commands.split()
+        self.default = default
+        self.config = config
+        self.positive = positive
+        self.options = options
+
+    def parse(self, text: str):
+        """The value of the config-file line ``key = text``."""
+        if self.options.get("action") == "store_true":
+            if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+                raise ValueError(f"expected a boolean, got {text!r}")
+            return text.lower() in ("true", "1", "yes")
+        val = self.options.get("type", str)(text)
+        choices = self.options.get("choices")
+        if choices and val not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return val
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+_EXAMPLE = "invariants singular mesh"
+_SWEEP = _EXAMPLE + " classify"
+
+#: Every setting, in the order of the header lines.
+_SETTINGS = (
+    _Setting("--example", _EXAMPLE, help="built-in example name or horocyclic:<csv>"),
+    _Setting("--profile", "classify", help="h-profile CSV path"),
+    _Setting("--u-min", _SWEEP, type=float),
+    _Setting("--u-max", _SWEEP, type=float),
+    _Setting("--v-min", _SWEEP, type=float),
+    _Setting("--v-max", _SWEEP, type=float),
+    _Setting("--grid", _SWEEP, keys="nu nv", nargs=2, type=int, metavar=("NU", "NV"),
+             help="samples per direction"),
+    _Setting("--singular-tol", "singular mesh", default=REFINE_TOL, positive=True, type=float,
+             help="Newton stops, and a root is converged, below this |alpha| + |beta|"),
+    _Setting("--classify-tol", "classify", default=CLASS_TOL, positive=True, type=float,
+             help="zero threshold of the flatness classification"),
+    _Setting("--output", _SWEEP + " project", help="output path (default stdout)"),
+    _Setting("--markers", "mesh", default=False, action="store_true",
+             help="embed refined singular points as point markers"),
+    _Setting("--from", "project", config=False, required=True, choices=_MODELS),
+    _Setting("--to", "project", config=False, required=True, choices=_MODELS),
+    _Setting("--axis", "project", default="x4", choices=_AXES),
+    _Setting("--point", "project", config=False, nargs="+", type=float, help="one point inline"),
+    _Setting("--input", "project", config=False, help="file of whitespace-separated points"),
+)
+
+_CONFIG_KEYS = {key: s for s in _SETTINGS if s.config for key in s.keys}
 
 
 def _read_config_file(path: str) -> dict:
@@ -166,100 +171,92 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = (s.strip() for s in line.partition("="))
-            if key not in _KEY_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            caster = _parse_bool if _KEY_TYPES[key] is bool else _KEY_TYPES[key]
             try:
-                values[key] = caster(val)
+                values[key] = _CONFIG_KEYS[key].parse(val)
             except ValueError as exc:
                 raise _UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
-            if key == "axis" and val not in _AXES:
-                raise _UsageError(f"{path}:{lineno}: bad value for axis: expected one of {', '.join(_AXES)}")
     return values
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key = value defaults file")
-    common.add_argument("--example", help="built-in example name or horocyclic:<csv>")
-    common.add_argument("--u-min", dest="u_min", type=float)
-    common.add_argument("--u-max", dest="u_max", type=float)
-    common.add_argument("--v-min", dest="v_min", type=float)
-    common.add_argument("--v-max", dest="v_max", type=float)
-    common.add_argument(
-        "--grid", nargs=2, type=int, metavar=("NU", "NV"), help="samples per direction"
-    )
-    common.add_argument("--frame-tol", dest="frame_tol", type=float,
-                        help="bound recorded for the residual footer; changes no computation")
-    common.add_argument("--singular-tol", dest="singular_tol", type=float,
-                        help="Newton stops, and a root is converged, below this |alpha| + |beta|")
-    common.add_argument("--classify-tol", dest="classify_tol", type=float,
-                        help="zero threshold of the flatness classification")
-    common.add_argument("--output", help="output path (default stdout)")
-
     parser = _Parser(prog="h3frames", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"h3frames {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub.add_parser("invariants", parents=[common], help="invariant grid as CSV")
-    sub.add_parser("singular", parents=[common], help="singularity report")
-    mesh = sub.add_parser("mesh", parents=[common], help="ball-model polygon mesh")
-    mesh.add_argument(
-        "--markers",
-        action="store_true",
-        default=None,
-        help="embed refined singular points as point markers",
-    )
-    classify = sub.add_parser("classify", parents=[common], help="flatness classes")
-    classify.add_argument("--profile", help="h-profile CSV path")
-    project = sub.add_parser(
-        "project", parents=[common], help="convert points between models"
-    )
-    project.add_argument("--from", dest="frm", choices=_MODELS, required=True)
-    project.add_argument("--to", dest="to", choices=_MODELS, required=True)
-    project.add_argument("--axis", choices=_AXES)
-    project.add_argument("--point", nargs="+", type=float, help="one point inline")
-    project.add_argument("--input", help="file of whitespace-separated points")
+    for command, run in _COMMANDS.items():
+        # an unset flag stays out of the namespace, so the config file can fill it
+        p = sub.add_parser(command, help=run.__doc__, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key = value defaults file")
+        for s in _SETTINGS:
+            if command in s.commands:
+                p.add_argument(s.flag, **s.options)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, dom: surface.Domain) -> RunConfig:
-    """The run configuration from the flags and config-file values already
-    in ``args``; what neither sets comes from the default domain ``dom``
-    and the module tolerance constants."""
-    vals = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
-    defaults = {
-        "u_min": dom.u_min, "u_max": dom.u_max, "v_min": dom.v_min, "v_max": dom.v_max,
-        "nu": dom.nu, "nv": dom.nv, **_TOL_DEFAULTS,
-    }
-    for key, default in defaults.items():
-        if vals[key] is None:
-            vals[key] = default
-    for key in _TOL_DEFAULTS:
-        if not 0.0 < vals[key] < np.inf:  # a zero, negative or non-finite tolerance breaks the run
-            raise _UsageError(f"{key} must be finite and positive, got {fmt.fmt(vals[key])}")
-    return RunConfig(**vals)
+def _settings(argv: Optional[Sequence[str]]) -> tuple[argparse.Namespace, list[str]]:
+    """The subcommand and each setting its computation reads, in header
+    order: from its flag, else the config file, else the setting's default
+    (None for the window and grid, which the example or profile gives).
+    Also the config-file keys that only other subcommands read."""
+    given = vars(_build_parser().parse_args(argv))
+    command = given.pop("command")
+    values = _read_config_file(given.pop("config")) if "config" in given else {}
+    reads = [s for s in _SETTINGS if command in s.commands]
+    ignored = [key for key in values if not any(key in s.keys for s in reads)]
+    for s in reads:  # a flag beats the file
+        if s.dest in given:
+            values.update(zip(s.keys, given[s.dest] if len(s.keys) > 1 else [given[s.dest]]))
+    settings = argparse.Namespace(command=command)
+    for s in reads:
+        for key in s.keys:
+            val = values.get(key, s.default)
+            if s.positive and not 0.0 < val < np.inf:  # else the run breaks
+                raise _UsageError(f"{key} must be finite and positive, got {fmt.fmt(val)}")
+            setattr(settings, key, val)
+    return settings, ignored
 
 
-def _config_domain(cfg: RunConfig, template: Optional[surface.Domain]) -> surface.Domain:
-    period = template.u_period if template is not None else None
+def _text(val) -> str:
+    """A header value: floats with 17 digits, lists space-separated."""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, float):
+        return fmt.fmt(val)
+    if isinstance(val, list):
+        return " ".join(map(_text, val))
+    return "none" if val is None else str(val)
+
+
+def _header(settings: argparse.Namespace, facts: dict) -> list[str]:
+    """'# key = value' lines: the subcommand and its settings, the facts of
+    the run, the tool version."""
+    pairs = [*vars(settings).items(), *facts.items(), ("tool_version", __version__)]
+    return [f"# {key} = {_text(val)}\n" for key, val in pairs]
+
+
+def _domain(settings: argparse.Namespace, default: surface.Domain) -> surface.Domain:
+    """The sampled domain of the settings' window and grid; each one unset
+    is taken from ``default`` and recorded in the settings."""
+    for key in ("u_min", "u_max", "v_min", "v_max", "nu", "nv"):
+        if getattr(settings, key) is None:
+            setattr(settings, key, getattr(default, key))
     return surface.Domain(
-        cfg.u_min, cfg.u_max, cfg.v_min, cfg.v_max,
-        nu=cfg.nu, nv=cfg.nv, u_period=period,
+        settings.u_min, settings.u_max, settings.v_min, settings.v_max,
+        nu=settings.nu, nv=settings.nv, u_period=default.u_period,
     )
 
 
-def _load_example(args: argparse.Namespace):
-    """The example must be known before defaults resolve (domain comes from it)."""
-    if not args.example:
+def _load_example(settings: argparse.Namespace):
+    if not settings.example:
         raise _UsageError("an example name is required (--example)")
     try:
-        return examples.get_example(args.example)
+        return examples.get_example(settings.example)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0]))
 
 
-def _emit(blocks: Sequence[str], output: Optional[str]) -> None:
+def _emit(blocks: Iterable[str], output: Optional[str]) -> None:
     """Write the output blocks to ``output``, or to stdout when it is None."""
     if output is None:
         sys.stdout.writelines(blocks)
@@ -278,19 +275,23 @@ def _emit(blocks: Sequence[str], output: Optional[str]) -> None:
 
 
 class _Blocks(list):
-    """Output text: the resolved configuration as '# key = value' lines,
-    then blocks written one by one and emitted without joining."""
+    """Output text, written block by block and emitted without joining, and
+    the ``facts`` of the run that the header records after the settings."""
 
-    def __init__(self, cfg: RunConfig, extra: Sequence[tuple[str, object]] = ()):
-        super().__init__(f"# {line}\n" for line in cfg.header_lines(extra))
+    def __init__(self, **facts):
+        super().__init__()
+        self.facts = facts
 
     write = list.append
 
 
-def cmd_invariants(cfg: RunConfig, entry) -> _Blocks:
-    dom = _config_domain(cfg, entry.framed.domain)
+def cmd_invariants(settings: argparse.Namespace) -> _Blocks:
+    """invariant grid as CSV"""
+    entry = _load_example(settings)
+    dom = _domain(settings, entry.framed.domain)
     summary = frames.verify_framed(entry.framed, dom)  # before the CSV text holds memory
-    out = _Blocks(cfg)
+    # not a setting: the bound the residual footer is read against
+    out = _Blocks(frame_tol=FRAME_TOL)
     frames.write_invariants_csv(out, entry.framed, dom)
     out.write(
         "# residuals: max_gram = %s, max_offspan = %s, max_constraint = %s\n"
@@ -306,14 +307,16 @@ def cmd_invariants(cfg: RunConfig, entry) -> _Blocks:
 _DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
 
 
-def cmd_singular(cfg: RunConfig, entry) -> _Blocks:
-    dom = _config_domain(cfg, entry.framed.domain)
-    reports = sorted(singularities.singularity_scan(entry.framed, dom, tol=cfg.singular_tol),
+def cmd_singular(settings: argparse.Namespace) -> _Blocks:
+    """singularity report"""
+    entry = _load_example(settings)
+    dom = _domain(settings, entry.framed.domain)
+    reports = sorted(singularities.singularity_scan(entry.framed, dom, tol=settings.singular_tol),
                      key=lambda r: (r.u, r.v))
-    out = _Blocks(cfg)
+    out = _Blocks()
     out.write(
         "# tolerances: refine = %s, corank = %s, D = %s, hess = %s, pair = %s\n"
-        % tuple(fmt.fmt(t) for t in (cfg.singular_tol, singularities.CORANK_TOL, singularities.D_TOL,
+        % tuple(fmt.fmt(t) for t in (settings.singular_tol, singularities.CORANK_TOL, singularities.D_TOL,
                                      singularities.HESS_TOL, singularities.PAIR_TOL))
     )
     out.write(f"points = {len(reports)}\n")
@@ -333,26 +336,32 @@ def cmd_singular(cfg: RunConfig, entry) -> _Blocks:
     return out
 
 
-def cmd_mesh(cfg: RunConfig, entry, markers: bool) -> _Blocks:
-    dom = _config_domain(cfg, entry.framed.domain)
+def cmd_mesh(settings: argparse.Namespace) -> _Blocks:
+    """ball-model polygon mesh"""
+    entry = _load_example(settings)
+    dom = _domain(settings, entry.framed.domain)
     marker_pts = None
-    if markers:
-        marker_pts = singularities.find_singular_points(entry.framed, dom, tol=cfg.singular_tol)
-    out = _Blocks(cfg, [("markers", markers)])
+    if settings.markers:
+        marker_pts = singularities.find_singular_points(entry.framed, dom, tol=settings.singular_tol)
+    out = _Blocks()
     projections.write_disc_mesh(out, entry.framed, dom, markers=marker_pts)
     return out
 
 
-def cmd_classify(cfg: RunConfig, profile) -> _Blocks:
-    h_form = horocyclic.classify_horocyclic(profile.values, tol=cfg.classify_tol)
+def cmd_classify(settings: argparse.Namespace) -> _Blocks:
+    """flatness classes"""
+    if not settings.profile:
+        raise _UsageError("classify needs an h-profile (--profile)")
+    profile = horocyclic.load_h_profile(settings.profile)
+    h_form = horocyclic.classify_horocyclic(profile.values, tol=settings.classify_tol)
 
-    dom = _config_domain(cfg, None)
+    dom = _domain(settings, profile.domain())
     fs = horocyclic.build_horocyclic(profile.curve_frame(), dom)
     inv_form = horocyclic.invariant_form_classify(
-        frames.invariant_field(fs), dom, tol=cfg.classify_tol
+        frames.invariant_field(fs), dom, tol=settings.classify_tol
     )
 
-    out = _Blocks(cfg)
+    out = _Blocks()
     out.write(f"h_form = {h_form.tag.value}\n")
     out.write(f"invariant_form = {inv_form.tag.value}\n")
     agree = h_form.tag is inv_form.tag
@@ -441,22 +450,27 @@ def _read_points(path: str, frm: str) -> np.ndarray:
     return coords
 
 
-def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: projections.Axis) -> _Blocks:
-    frm, to = args.frm, args.to
+def cmd_project(settings: argparse.Namespace) -> _Blocks:
+    """convert points between models"""
+    frm, to = getattr(settings, "from"), settings.to  # 'from' is a keyword
     if frm == to:
         raise _UsageError("--from and --to must differ")
-    if (args.point is None) == (args.input is None):
+    if (settings.point is None) == (settings.input is None):
         raise _UsageError("give exactly one of --point or --input")
 
-    if args.point is not None:
-        coords = _checked_points([list(args.point)], frm, lambda k: "--point")
+    if settings.point is not None:
+        coords = _checked_points([settings.point], frm, lambda k: "--point")
     else:
-        coords = _read_points(args.input, frm)
+        coords = _read_points(settings.input, frm)
 
-    extra = [("from", frm), ("to", to), ("axis", axis.name.lower()), ("input", args.input), ("points", len(coords))]
-    out = _Blocks(cfg, extra)
+    out = _Blocks(points=len(coords))
+    axis = projections.Axis[settings.axis.upper()]
     out.extend(fmt.fmt_rows(_convert_points(coords.T, frm, to, axis).T))
     return out
+
+
+_COMMANDS = {run.__name__[4:]: run for run in (cmd_invariants, cmd_singular, cmd_mesh, cmd_classify,
+                                                cmd_project)}
 
 
 # ---------------------------------------------------------------------------
@@ -466,34 +480,15 @@ def cmd_project(cfg: RunConfig, args: argparse.Namespace, axis: projections.Axis
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        args.nu, args.nv = args.grid or (None, None)
-        if args.config:  # file values fill what no flag set
-            for key, val in _read_config_file(args.config).items():
-                if getattr(args, key, None) is None:
-                    setattr(args, key, val)
-        if args.command in ("invariants", "singular", "mesh"):
-            entry = _load_example(args)
-            cfg = _resolve_config(args, entry.framed.domain)
-            if args.command == "invariants":
-                out = cmd_invariants(cfg, entry)
-            elif args.command == "singular":
-                out = cmd_singular(cfg, entry)
-            else:
-                out = cmd_mesh(cfg, entry, bool(args.markers))
-        elif args.command == "classify":
-            if not args.profile:
-                raise _UsageError("classify needs an h-profile (--profile)")
-            prof = horocyclic.load_h_profile(args.profile)
-            cfg = _resolve_config(args, prof.domain())
-            out = cmd_classify(cfg, prof)
-        elif args.command == "project":
-            unit = surface.Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)  # unused placeholder
-            cfg = _resolve_config(args, unit)
-            out = cmd_project(cfg, args, projections.Axis[(args.axis or "x4").upper()])
-        else:  # pragma: no cover - argparse enforces the choices
-            raise _UsageError(f"unknown command {args.command!r}")
-        _emit(out, cfg.output)
+        # a failed run writes its one error line, not the warnings on the way
+        with warnings.catch_warnings(record=True) as caught:
+            settings, ignored = _settings(argv)
+            out = _COMMANDS[settings.command](settings)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if ignored:
+            out.facts["ignored"] = ", ".join(ignored)
+        _emit(itertools.chain(_header(settings, out.facts), out), settings.output)
         return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

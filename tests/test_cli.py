@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line front door."""
 
+import argparse
+import contextlib
 import gzip
+import io
 import math
 import os
 import re
@@ -9,10 +12,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import h3frames
@@ -134,10 +138,10 @@ def test_invariants_embeds_resolved_config(capsys):
     header = [l for l in out.splitlines() if l.startswith("# ")]
     keys = {l.split(" = ")[0][2:] for l in header}
     for want in ("command", "example", "u_min", "u_max", "v_min", "v_max",
-                 "nu", "nv", "frame_tol", "singular_tol", "classify_tol",
-                 "output", "tool_version"):
+                 "nu", "nv", "frame_tol", "output", "tool_version"):
         assert want in keys
-    assert not keys & {"h1", "h2"}  # classification has no steps to record
+    # classification has no steps to record, and invariants reads no tolerance
+    assert not keys & {"h1", "h2", "singular_tol", "classify_tol"}
     assert "# nu = 3" in header and "# nv = 3" in header
 
 
@@ -218,47 +222,128 @@ def test_config_file_bad_boolean_names_file_and_line(tmp_path, capsys):
     assert err == f"error: {cfg}:1: bad value for markers: expected a boolean, got 'maybe'\n"
 
 
-_INV = ["invariants", "--example", "cross_cap", "--grid", "3", "3"]
+#: The settings each subcommand's computation reads, as its header records
+#: them.  A new flag or config key is added here on purpose.
+READS = {
+    "invariants": {"example", "u_min", "u_max", "v_min", "v_max", "nu", "nv", "output"},
+    "singular": {"example", "u_min", "u_max", "v_min", "v_max", "nu", "nv", "singular_tol", "output"},
+    "mesh": {"example", "u_min", "u_max", "v_min", "v_max", "nu", "nv", "singular_tol", "output",
+             "markers"},
+    "classify": {"profile", "u_min", "u_max", "v_min", "v_max", "nu", "nv", "classify_tol", "output"},
+    "project": {"from", "to", "axis", "point", "input", "output"},
+}
 
-#: Per config key: the arguments it is tried with, a value A for the config
-#: file, the flags that set A, and another value B.  {a} and {b} stand for
-#: two h-profile paths.
-_KEY_CASES = {
-    "example": (["invariants", "--grid", "3", "3"], "cross_cap", ["--example", "cross_cap"], "ruled_A"),
-    "profile": (["classify", "--grid", "5", "5"], "{a}", ["--profile", "{a}"], "{b}"),
-    "u_min": (_INV, "-0.5", ["--u-min", "-0.5"], "-0.3"),
-    "u_max": (_INV, "0.5", ["--u-max", "0.5"], "0.3"),
-    "v_min": (_INV, "-0.5", ["--v-min", "-0.5"], "-0.3"),
-    "v_max": (_INV, "0.5", ["--v-max", "0.5"], "0.3"),
-    "nu": (["invariants", "--example", "cross_cap"], "3", ["--grid", "3", "21"], "4"),
-    "nv": (["invariants", "--example", "cross_cap"], "3", ["--grid", "21", "3"], "4"),
-    "frame_tol": (_INV, "1e-6", ["--frame-tol", "1e-6"], "1e-7"),
-    "singular_tol": (["singular", "--example", "cross_cap", "--grid", "5", "5"], "1e-8",
-                     ["--singular-tol", "1e-8"], "1e-9"),
-    "classify_tol": (["classify", "--profile", "{a}", "--grid", "5", "5"], "1e-6",
-                     ["--classify-tol", "1e-6"], "1e-7"),
-    "output": (_INV, "a.csv", ["--output", "a.csv"], "b.csv"),
-    "markers": (["mesh", "--example", "cross_cap", "--grid", "3", "3"], "true", ["--markers"], "false"),
-    "axis": (["project", "--from", "r31", "--to", "h3", "--point", "1.5", "0.5", "0.5"], "x2",
-             ["--axis", "x2"], "x3"),
+#: The flags of each subcommand (43 in all).
+_WINDOW_FLAGS = {"--config", "--u-min", "--u-max", "--v-min", "--v-max", "--grid", "--output"}
+FLAGS = {
+    "invariants": _WINDOW_FLAGS | {"--example"},
+    "singular": _WINDOW_FLAGS | {"--example", "--singular-tol"},
+    "mesh": _WINDOW_FLAGS | {"--example", "--singular-tol", "--markers"},
+    "classify": _WINDOW_FLAGS | {"--profile", "--classify-tol"},
+    "project": {"--config", "--from", "--to", "--axis", "--point", "--input", "--output"},
+}
+
+#: The keys a config file may set (13).
+CONFIG_KEYS = {"example", "profile", "u_min", "u_max", "v_min", "v_max", "nu", "nv",
+               "singular_tol", "classify_tol", "output", "markers", "axis"}
+
+#: Header lines that record no setting: facts of the run.
+FACTS = {"invariants": {"frame_tol"}, "project": {"points"}}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {command: {flag for action in parser._actions for flag in action.option_strings}
+             - {"-h", "--help"} for command, parser in sub.choices.items()}
+    assert found == FLAGS
+    assert sum(map(len, found.values())) == 43
+    assert set(cli._CONFIG_KEYS) == CONFIG_KEYS and len(CONFIG_KEYS) == 13
+
+
+#: A run of each subcommand; the default grid of every example and profile
+#: used below is 21 x 21.  {a} and {b} stand for two h-profile paths.
+_BASE = {
+    "invariants": ["invariants", "--example", "cross_cap", "--grid", "3", "3"],
+    "singular": ["singular", "--example", "cross_cap", "--grid", "5", "5"],
+    "mesh": ["mesh", "--example", "cross_cap", "--grid", "5", "5", "--markers"],
+    "classify": ["classify", "--profile", "{a}", "--grid", "5", "5"],
+    "project": ["project", "--from", "r31", "--to", "h3", "--point", "1.5", "0.5", "0.5"],
 }
 
 
-@pytest.mark.parametrize("key", list(cli._KEY_TYPES))
-def test_config_file_line_equals_its_flag_and_a_flag_beats_the_file(key, tmp_path, capsys, monkeypatch):
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    monkeypatch.setenv("H3FRAMES_OUT_DIR", str(outdir))
+def _profiles(tmp_path):
     paths = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
     _write_profile(paths["a"], (0, 0, 0, 0, 2, 1))
     _write_profile(paths["b"], (0, 0, 0, 0, 1, 0))
-    base, a, flag_a, b = (
-        [arg.format(**paths) for arg in x] if isinstance(x, list) else x.format(**paths)
-        for x in _KEY_CASES[key]
-    )
-    cfg = tmp_path / "run.cfg"
+    return paths
 
-    def outcome(value, flags):
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_header_records_exactly_the_settings_the_run_reads(command, tmp_path, capsys, monkeypatch):
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    settings_of = cli._settings
+
+    def recorded(argv):
+        settings, ignored = settings_of(argv)
+        return Recorder(**vars(settings)), ignored
+
+    monkeypatch.setattr(cli, "_settings", recorded)
+    code, out, err = _run(capsys, [arg.format(**_profiles(tmp_path)) for arg in _BASE[command]])
+    assert (code, err) == (0, "")
+    header = set(re.findall(r"^# (\w+) = ", out, flags=re.M))
+    recorded_keys = header - {"command", "tool_version"} - FACTS.get(command, set())
+    assert recorded_keys == reads - {"command"} == READS[command]
+
+
+#: Per config key: a value A for the config file, the flags that set A, and
+#: another value B.
+_KEY_CASES = {
+    "example": ("cross_cap", ["--example", "cross_cap"], "ruled_A"),
+    "profile": ("{a}", ["--profile", "{a}"], "{b}"),
+    "u_min": ("-0.5", ["--u-min", "-0.5"], "-0.3"),
+    "u_max": ("0.5", ["--u-max", "0.5"], "0.3"),
+    "v_min": ("-0.5", ["--v-min", "-0.5"], "-0.3"),
+    "v_max": ("0.5", ["--v-max", "0.5"], "0.3"),
+    "nu": ("3", ["--grid", "3", "21"], "4"),
+    "nv": ("3", ["--grid", "21", "3"], "4"),
+    "singular_tol": ("1e-8", ["--singular-tol", "1e-8"], "1e-9"),
+    "classify_tol": ("1e-6", ["--classify-tol", "1e-6"], "1e-7"),
+    "output": ("a.csv", ["--output", "a.csv"], "b.csv"),
+    "markers": ("true", ["--markers"], "false"),
+    "axis": ("x2", ["--axis", "x2"], "x3"),
+}
+
+
+def _without(argv, flag):
+    """``argv`` without ``flag`` and the values after it."""
+    if flag not in argv:
+        return argv
+    i = j = argv.index(flag)
+    while j + 1 < len(argv) and not argv[j + 1].startswith("--"):
+        j += 1
+    return argv[:i] + argv[j + 1:]
+
+
+@pytest.mark.parametrize("key", list(cli._CONFIG_KEYS))
+def test_config_file_line_equals_its_flag_and_a_flag_beats_the_file(key, tmp_path, capsys, monkeypatch):
+    # on every subcommand that reads the key
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    monkeypatch.setenv("H3FRAMES_OUT_DIR", str(outdir))
+    paths = _profiles(tmp_path)
+    a, flag_a, b = (x.format(**paths) if isinstance(x, str) else [arg.format(**paths) for arg in x]
+                    for x in _KEY_CASES[key])
+    cfg = tmp_path / "run.cfg"
+    setting = cli._CONFIG_KEYS[key]
+
+    def outcome(base, value, flags):
         argv = base + flags
         if value is not None:
             cfg.write_text(f"{key} = {value}\n")
@@ -271,10 +356,60 @@ def test_config_file_line_equals_its_flag_and_a_flag_beats_the_file(key, tmp_pat
             path.unlink()
         return out, files
 
-    by_flag = outcome(None, flag_a)
-    assert outcome(a, []) == by_flag
-    assert outcome(b, flag_a) == by_flag
-    assert outcome(b, []) != by_flag
+    for command in setting.commands:
+        base = [arg.format(**paths) for arg in _without(_BASE[command], setting.flag)]
+        by_flag = outcome(base, None, flag_a)
+        assert outcome(base, a, []) == by_flag
+        assert outcome(base, b, flag_a) == by_flag
+        assert outcome(base, b, []) != by_flag
+
+
+def test_config_key_of_another_subcommand_is_listed_as_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("example = cross_cap\nprofile = nowhere.csv\nnu = 3\nnv = 3\n"
+                   "markers = true\naxis = x2\n")
+    code, out, err = _run(capsys, ["invariants", "--config", str(cfg)])
+    assert (code, err) == (0, "")
+    header = [l for l in out.splitlines() if l.startswith("# ")]
+    assert header.count("# ignored = profile, markers, axis") == 1
+    assert not [l for l in header if l.startswith(("# profile", "# markers", "# axis"))]
+    assert "# nu = 3" in header
+    # a key that no subcommand reads is still refused
+    cfg.write_text("example = cross_cap\nframe_tol = 1e-8\n")
+    code, out, err = _run(capsys, ["invariants", "--config", str(cfg)])
+    assert (code, out) == (4, "")
+    assert err == f"error: {cfg}:2: unknown config key 'frame_tol'\n"
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["project", "--from", "h3", "--to", "disc", "--point", "1", "0", "0", "0",
+      "--example", "ruled_A"], "--example ruled_A"),
+    (["invariants", "--example", "cross_cap", "--classify-tol", "1e-6"], "--classify-tol 1e-6"),
+    (["classify", "--profile", "p.csv", "--example", "cross_cap", "--singular-tol", "1e-6"],
+     "--example cross_cap --singular-tol 1e-6"),
+    (["singular", "--example", "cross_cap", "--markers", "--axis", "x2"], "--markers --axis x2"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_unrecognized(capsys, argv, unread):
+    assert _run(capsys, argv) == (4, "", f"error: unrecognized arguments: {unread}\n")
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-1.", "-.5", "-1E+00", "-0.25"])
+def test_negative_numbers_in_every_form_are_values(capsys, value):
+    # argparse's own pattern takes -1e-1 or -1. for an option; %.17g writes such values
+    argv = ["singular", "--example", "cross_cap", "--grid", "5", "5"]
+    spaced = _run(capsys, argv + ["--u-min", value])
+    assert spaced[0] == 0
+    assert _run(capsys, argv + [f"--u-min={value}"]) == spaced
+    point = ["project", "--from", "r31", "--to", "h3", "--point", "2"]
+    spaced = _run(capsys, point + [value, "0"])
+    assert spaced[0] == 0
+    assert spaced == _run(capsys, point + [repr(float(value)), "0"])
+
+
+def test_negative_non_finite_point_is_refused_as_a_value(capsys):
+    code, out, err = _run(capsys, ["project", "--from", "disc", "--to", "h3", "--point", "-nan", "0", "0"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: --point: non-finite coordinate")
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):
@@ -386,13 +521,19 @@ def test_singular_h1_h2_are_unknown(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("key", ["h1", "h2", "singular_tol", "classify_tol", "frame_tol"])
-def test_steps_and_tolerances_must_be_finite_and_positive(capsys, key, value):
-    # h1 and h2 were classification steps; their flags are gone, so every
-    # value of them is refused as an unrecognized argument
+def test_steps_and_tolerances_must_be_finite_and_positive(capsys, tmp_path, key, value):
+    # h1 and h2 were classification steps, and frame_tol a bound no
+    # computation read; their flags are gone, so every value of them is
+    # refused as an unrecognized argument.  Each tolerance is tried on a
+    # subcommand that reads it.
     flag = "--" + key.replace("_", "-")
-    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", flag, value])
+    prof = tmp_path / "prof.csv"
+    _write_profile(prof, (0, 0, 0, 0, 1, 0))
+    run = (["classify", "--profile", str(prof)] if key == "classify_tol"
+           else ["singular", "--example", "cross_cap"])
+    code, out, err = _run(capsys, [*run, flag, value])
     assert (code, out) == (4, "")
-    if key in ("h1", "h2"):
+    if key in ("h1", "h2", "frame_tol"):
         assert err == f"error: unrecognized arguments: {flag} {value}\n"
     else:
         assert err.startswith(f"error: {key} must be finite and positive") and err.count("\n") == 1
@@ -802,10 +943,10 @@ def test_exit_code_usage(capsys):
     assert _run(capsys, ["nonsense"])[0] == 4
 
 
-@pytest.mark.parametrize("bound", ["--u-max=inf", "--u-min=-inf", "--v-max=inf"])
+@pytest.mark.parametrize("bound", ["--u-max=inf", "--u-min=-inf", "--v-max=inf", "--u-min -inf"])
 def test_infinite_domain_bound_exit_4(capsys, bound):
     # refused when the domain is built, before any point is evaluated
-    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", bound])
+    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", *bound.split()])
     assert (code, out) == (4, "")
     assert err.count("\n") == 1 and err.startswith("error: domain bounds must be finite: [")
 
@@ -828,3 +969,123 @@ def test_exit_code_bad_config_key(tmp_path, capsys):
     cfg.write_text("example = cross_cap\nwibble = 3\n")
     code, _, err = _run(capsys, ["invariants", "--config", str(cfg)])
     assert code == 4 and "wibble" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz
+# ---------------------------------------------------------------------------
+
+
+def _number(x):
+    return "%.17g" % x  # the CLI's own format: -1e-05, not -0.00001
+
+
+def _mostly(valid, invalid):
+    """``valid`` about seven times in eight."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else invalid)
+
+
+_NUMBERS = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-4, 1e-4)).map(_number)
+_BAD = st.sampled_from(["", "nope", "nan", "-inf", "0", "-1", "1e-8", "maybe", "x5", "no_dir/out.txt"])
+#: Values each config key may hold, those no subcommand reads included.
+_KEY_VALUES = {
+    "example": st.sampled_from(["cross_cap", "corank_one", "ruled_A", "ruled_B",
+                                "horocyclic:{dir}/profile.csv"]),
+    "profile": st.just("{dir}/profile.csv"),
+    "u_min": _NUMBERS, "u_max": _NUMBERS, "v_min": _NUMBERS, "v_max": _NUMBERS,
+    "nu": st.integers(2, 12).map(str), "nv": st.integers(2, 12).map(str),
+    "singular_tol": st.sampled_from(["1e-10", "1e-3"]),
+    "classify_tol": st.sampled_from(["1e-7", "1e-3"]),
+    "output": st.just("out.txt"),
+    "markers": st.sampled_from(["true", "false", "no"]),
+    "axis": st.sampled_from(["x2", "x3", "x4"]),
+    "frame_tol": st.just("1e-8"), "h1": st.just("1e-5"), "wibble": st.just("3"),
+}
+_CONFIG_LINES = st.one_of(
+    *(st.builds(f"{key} = {{}}".format, values) for key, values in _KEY_VALUES.items()),
+    st.sampled_from(["# comment", ""]),
+)
+_BAD_CONFIG_LINES = st.one_of(st.sampled_from(sorted(_KEY_VALUES)).map("{} = ".format),
+                              _BAD.map("nu = {}".format), st.just("no equals sign"))
+
+
+def _spoiled(draw, lines, bad):
+    """``lines``, one of them replaced by a draw of ``bad`` one time in eight."""
+    if lines and draw(_mostly(st.just(False), st.just(True))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(bad)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _cli_runs(draw):
+    """Arguments of one run, with the text of the files they name; {dir}
+    stands for their directory."""
+    command = draw(st.sampled_from(sorted(READS)))
+    files = {"run.cfg": _spoiled(draw, draw(st.lists(_CONFIG_LINES, max_size=5)), _BAD_CONFIG_LINES)}
+    us = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6, unique=True)))
+    rows = [",".join(map(repr, [u, *draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))]))
+            for u in us]
+    bad_row = st.sampled_from(["nan", "inf", "x", "1,2"]).map(lambda cell: rows[-1] + "," + cell)
+    files["profile.csv"] = _spoiled(draw, ["u,h1,h2,h3,h4,h5,h6", *rows], bad_row | st.just("u,h"))
+    files["points.txt"] = draw(_point_files())
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--config", "{dir}/run.cfg"]
+    if command == "project":
+        frm, to = draw(st.permutations(["h3", "disc", "r31"]))[:2]
+        argv += ["--from", frm, "--to", draw(_mostly(st.just(to), st.just(frm)))]
+        if draw(st.booleans()):
+            arity = cli._MODEL_ARITY[frm]
+            size = draw(_mostly(st.just(arity), st.integers(1, 5)))
+            argv += ["--point", *draw(st.lists(_NUMBERS, min_size=size, max_size=size))]
+        else:
+            argv += ["--input", "{dir}/points.txt"]
+        return argv, files
+    # a grid by flag always: the config file cannot make a run large
+    grid = st.lists(st.integers(2, 12), min_size=2, max_size=2)
+    argv += ["--grid", *map(str, draw(_mostly(grid, st.just([1, 5]))))]
+    for lo, hi in (("--u-min", "--u-max"), ("--v-min", "--v-max")):
+        bounds = sorted(draw(st.lists(_NUMBERS.map(float), min_size=2, max_size=2)))
+        for flag, x in zip((lo, hi), draw(_mostly(st.just(bounds), st.just(bounds[::-1])))):
+            if draw(st.booleans()):
+                argv += [flag, _number(x)]
+    if command == "classify":
+        argv += ["--profile", "{dir}/profile.csv"]
+        if draw(st.booleans()):
+            argv += ["--classify-tol", draw(_mostly(_KEY_VALUES["classify_tol"], _BAD))]
+        return argv, files
+    example = draw(_mostly(_KEY_VALUES["example"], st.sampled_from(["nope", None])))
+    if example is not None:
+        argv += ["--example", example]
+    if command != "invariants" and draw(st.booleans()):
+        argv += ["--singular-tol", draw(_mostly(_KEY_VALUES["singular_tol"], _BAD))]
+    if command == "mesh" and draw(st.booleans()):
+        argv += ["--markers"]
+    return argv, files
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_cli_runs())
+@example(run=(["singular", "--example", "cross_cap", "--grid", "5", "5", "--u-min", "-1e-05"], {}))
+@example(run=(["classify", "--grid", "2", "2", "--profile", "{dir}/steep.csv"], {
+    # numpy warns on the way to refusing this profile's frame
+    "steep.csv": "u,h1,h2,h3,h4,h5,h6\n-1,0,0,0,0,0,0\n0,0,0,0,0,0,0\n0.00390625,0,0,1,0,0,0\n"}))
+def test_fuzzed_runs_exit_0_2_3_or_4_with_one_error_line(tmp_path_factory, run):
+    argv, files = run
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (work / name).write_text(text.replace("{dir}", str(work)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"H3FRAMES_OUT_DIR": str(work)}), \
+            warnings.catch_warnings(record=True) as shown, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")  # as in a process of its own, which would print them
+        code = main([arg.replace("{dir}", str(work)) for arg in argv])
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == "" and shown == []
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

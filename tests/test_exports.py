@@ -35,9 +35,6 @@ def test_all_names_resolve_and_star_import_works(name):
 #: module.function(parameter) or module.Class.field.  A new one must be
 #: added here on purpose: a knob that no caller sets belongs in a constant.
 KNOBS = {
-    "cli.RunConfig.classify_tol",
-    "cli.RunConfig.frame_tol",
-    "cli.RunConfig.singular_tol",
     "frames.IntegrabilityResiduals.h",
     "frames.integrability_residuals(h)",
     "frames.integrate_frame_along_line(step)",
@@ -100,7 +97,6 @@ def test_public_tolerance_and_step_knobs_are_the_allowed_ones():
 #: that no caller sets is dead weight: a new one must be added here on
 #: purpose, with a caller.
 OPTIONS = {
-    "cli.RunConfig.header_lines(extra)",
     "cli.main(argv)",
     "fmt.fmt_rows(prefix)",
     "fmt.fmt_rows(sep)",
@@ -166,4 +162,4 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == OPTIONS
-    assert len(OPTIONS) == 31
+    assert len(OPTIONS) == 30

@@ -30,47 +30,47 @@ POINT_ROWS = [(2.0 + k / 8, (k % 17 - 8) / 16, (k % 13 - 6) / 12) for k in range
 GOLDEN = {
     "singular_cross_cap": (
         ["singular", "--example", "cross_cap"],
-        "242906a627e85a2e6841af6ccdbcc367ad1f74077b0e986ecedbe4933265bd7e",
+        "2c278d6f619a0ac3208a57de28bda06f2430f08b84ca8cc11a8ef10908cc9723",
     ),
     "singular_corank_one": (
         ["singular", "--example", "corank_one"],
-        "9524aa68144603b9b5585b8a0f1894db8fc9c872161ae44518e98c591c1d45c8",
+        "3a9bf5eb40a0832b4a280d05326cc3739147e426f29dac666c7d2b71043428d2",
     ),
     "singular_ruled_A": (
         ["singular", "--example", "ruled_A"],
-        "ff13937c19a3f575909846aae91a733c291015931aab99d762165f023685fba4",
+        "fad4f5ab64b16e8b574fa5417670202709e0e11a1b5677fdca8850795d372772",
     ),
     "singular_ruled_B": (
         ["singular", "--example", "ruled_B"],
-        "3bc11a6430b5c42148a5871cc44c39c5747820641220b0e7b5f74b3ac7c2b0bf",
+        "62d43be9b132c962811ddbdaa9b997cb40dae2685d6992b212ba15f375e249ec",
     ),
     "mesh_ruled_A_markers": (
         ["mesh", "--example", "ruled_A", "--markers"],
-        "ec71c9f3ca94813c654a0f1d11bcd5873c32a2519d44810d092fd1ae185610c1",
+        "b79a66f237f7f92122393b63b41a1048f2242783c1d826ece2e837fe0b5f313e",
     ),
     "invariants_cross_cap": (
         ["invariants", "--example", "cross_cap"],
-        "c1e2eea046b625ca609a76ce2ec3edc5977fb28a00ecf9442a51558fd3dd18ec",
+        "26c754605907c616415e5dade294da13855192affce709d6c203f8ff36f97f52",
     ),
     "mesh_cross_cap": (
         ["mesh", "--example", "cross_cap"],
-        "80c7c2e9fc19584d76c5f5b3f6146e1e1ce7ed396d62c6b22dee1ea524bef838",
+        "9f2bd9ed4327a620610a7c514a4f9cc49324c94cdf2aed775e337203c3cf6959",
     ),
     "project_r31_disc_file": (
         ["project", "--from", "r31", "--to", "disc", "--input", "points.txt"],
-        "18a03cad246b26267bb65d24f530b8307c79522204df6a67f3bb7156f5de2549",
+        "ed8a19333258e0ff2b051a076c5b25fab7e1f5ebd8727f59981feda61a3131b0",
     ),
     "invariants_horocyclic": (
         ["invariants", "--example", "horocyclic:planted.csv"],
-        "eb402db3ebe559728115ac7b0468d0e23243330d0a92552b5ddd3873a52e76f1",
+        "4dc741bdcd1885ff8235ec714327b0593311e2f5d3ac4bdd778b47a29a83c7cd",
     ),
     "singular_horocyclic": (
         ["singular", "--example", "horocyclic:planted.csv", "--grid", "11", "11"],
-        "34a051048bb84807ace3b270ecfc0333000cd139cbc79de8b380f41c6ce94e7f",
+        "388f55b2b51e8c9d79656bba108f9e629ffe6e4a5f60aba3dce304f5812bc1ca",
     ),
     "classify_profile": (
         ["classify", "--profile", "profile.csv"],
-        "95f2b85d46680d8adb48d5e37316e4475f4b169a1ec47399f8c2f0adac7bd174",
+        "d546d9e0473c0a0b19e925bacc2e935fb7192a26eaf62b851db95adc67380e76",
     ),
 }
 
