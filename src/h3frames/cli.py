@@ -13,13 +13,17 @@ config-file keys it ignored among them) and the tool version.  Exit
 codes: 0 success, 2 geometric precondition failure, 3 I/O failure, 4 bad
 arguments.
 
-Library modules execute on first use, so a subcommand executes only the
-modules its computation reads, and ``--version`` none but ``errors``.
-Importing this module still registers all of them in ``sys.modules``,
-unexecuted: the benchmark's tracer wraps functions only on modules it
-finds there.  This module reads library code through module attributes
-at call time (``singularities.singularity_scan(...)``), never through
-names bound at import.
+Library modules and numpy execute on first use, so a subcommand executes
+only the modules its computation reads.  The front end -- argument
+parsing, config files, settings, ``--help``, ``--version`` and the usage
+errors they find -- executes none of them but ``errors`` (and ``fmt``,
+with numpy, to print a tolerance it refuses); numpy executes with the
+first library module a computation reads.  Importing this module still
+registers all of them in ``sys.modules``, unexecuted: the benchmark's
+tracer wraps functions only on modules it finds there.  This module reads
+library code through module attributes at call time
+(``singularities.singularity_scan(...)``), never through names bound at
+import.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import itertools
+import math
 import os
 import re
 import sys
@@ -34,8 +39,6 @@ import types
 import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import CLASS_TOL, FRAME_TOL, REFINE_TOL, __version__
 from .errors import GeometryError, PreconditionError
@@ -52,11 +55,13 @@ def _lazy(name: str) -> types.ModuleType:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     package, _, child = name.rpartition(".")
-    setattr(sys.modules[package], child, module)
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 
 # Literal names: run as ``python -m h3frames.cli``, this module is __main__.
+np = _lazy("numpy")
 minkowski = _lazy("h3frames.minkowski")
 surface = _lazy("h3frames.surface")
 fmt = _lazy("h3frames.fmt")
@@ -211,7 +216,7 @@ def _settings(argv: Optional[Sequence[str]]) -> tuple[argparse.Namespace, list[s
     for s in reads:
         for key in s.keys:
             val = values.get(key, s.default)
-            if s.positive and not 0.0 < val < np.inf:  # else the run breaks
+            if s.positive and not 0.0 < val < math.inf:  # else the run breaks
                 raise _UsageError(f"{key} must be finite and positive, got {fmt.fmt(val)}")
             setattr(settings, key, val)
     return settings, ignored

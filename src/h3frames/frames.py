@@ -715,9 +715,10 @@ def _expm(a) -> np.ndarray:
     e = eye + a / _EXPM_DEGREE
     for k in range(_EXPM_DEGREE - 1, 0, -1):
         e = eye + (a @ e) / k
-    for j in range(int(s.max(initial=0))):
-        more = s > j
-        e[more] = e[more] @ e[more]
+    with np.errstate(all="ignore"):  # a non-finite frame is refused downstream
+        for j in range(int(s.max(initial=0))):
+            more = s > j
+            e[more] = e[more] @ e[more]
     return e
 
 
@@ -784,9 +785,10 @@ def integrate_frame_along_line(
 
     frames = np.empty((len(ts), 4, 4))
     frames[0] = y = np.vstack([initial.x, initial.nu1, initial.nu2, initial.nu3])
-    for k, e in enumerate(steps, 1):
-        frames[k] = y = e @ y
-    drift = float(np.max(frame_gram_residual(*frames.transpose(1, 2, 0))))
+    with np.errstate(all="ignore"):  # a non-finite frame is refused downstream
+        for k, e in enumerate(steps, 1):
+            frames[k] = y = e @ y
+        drift = float(np.max(frame_gram_residual(*frames.transpose(1, 2, 0))))
     return FrameTrajectory(t=ts, frames=frames, max_gram_drift=drift)
 
 

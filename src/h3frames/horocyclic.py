@@ -131,7 +131,8 @@ def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
     """Max Gram residual of {a0, a1, a2, a3} over the given u samples (nan
     where a frame vector is not finite)."""
     f = data.at(np.asarray(us, dtype=float))
-    return float(np.max(frame_gram_residual(*f, wedge3(*f)), initial=0.0))
+    with np.errstate(all="ignore"):
+        return float(np.max(frame_gram_residual(*f, wedge3(*f)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +149,9 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
     per call (see :func:`_swept_map`).
     """
     res = verify_horocyclic_data(data, domain.u_grid())
-    if res > ORTHONORMAL_TOL:
-        raise DegenerateFrameError(
-            f"curve frame Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL} on the u grid"
-        )
+    if not res <= ORTHONORMAL_TOL:
+        what = "is not finite" if np.isnan(res) else f"Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
+        raise DegenerateFrameError(f"curve frame {what} on the u grid")
     return FramedSurface(
         x=_swept_map(data, (0, 1, 2), lambda v: (1.0 + v * v / 2.0, v, v * v / 2.0),
                      lambda v: (v, 1.0, v)),
@@ -332,6 +332,9 @@ def integrate_frame_curves(
     )
     traj = integrate_frame_along_line(field, start, fixed_v(0.0), u_end - u_start, step)
     us = traj.t
+    k = first_true(~np.isfinite(traj.frames).all(axis=(1, 2)))
+    if k is not None:
+        raise DegenerateFrameError(f"curve frame at u = {us[k]} is not finite")
     rows = np.stack([np.broadcast_to(hi(us), us.shape) for hi in h_funcs], -1)
     if not np.isfinite(rows).all():
         raise PreconditionError("non-finite curvature function at an integration node")
@@ -341,12 +344,13 @@ def integrate_frame_curves(
         """(a0, a1, a2) at u, shape ``(3, 4, *shape(u))``: Gram-Schmidt on
         one spline value of the node states (stacked component-first)."""
         s = np.moveaxis(_hermite(us, traj.frames, slopes, u), (-2, -1), (0, 1))
-        b0 = s[0] / np.sqrt(-minkowski_dot4(s[0], s[0]))
-        w = s[1] + minkowski_dot4(s[1], b0) * b0
-        b1 = w / np.sqrt(minkowski_dot4(w, w))
-        w = s[2] + minkowski_dot4(s[2], b0) * b0
-        w = w - minkowski_dot4(w, b1) * b1
-        return np.stack((b0, b1, w / np.sqrt(minkowski_dot4(w, w))))
+        with np.errstate(all="ignore"):  # a non-finite frame is refused downstream
+            b0 = s[0] / np.sqrt(-minkowski_dot4(s[0], s[0]))
+            w = s[1] + minkowski_dot4(s[1], b0) * b0
+            b1 = w / np.sqrt(minkowski_dot4(w, w))
+            w = s[2] + minkowski_dot4(s[2], b0) * b0
+            w = w - minkowski_dot4(w, b1) * b1
+            return np.stack((b0, b1, w / np.sqrt(minkowski_dot4(w, w))))
 
     return HorocyclicData(frame=frame, h=tuple(h_funcs))
 

@@ -44,6 +44,7 @@ from .minkowski import minkowski_dot4
 
 __all__ = [
     "Domain",
+    "MAX_GRID_POINTS",
     "ParametricMap4",
     "OnH3Report",
     "components",
@@ -54,6 +55,11 @@ __all__ = [
     "check_on_h3",
     "fd_convergence_ratio",
 ]
+
+#: Most points a :class:`Domain` grid may have (2048 x 2048); a sweep holds
+#: several arrays of that size, so a larger grid is refused before any is
+#: allocated.
+MAX_GRID_POINTS = 1 << 22
 
 #: Step of a central-difference partial taken inside a complex step.
 _H_NESTED = 1e-5
@@ -73,7 +79,8 @@ VecFn = Callable[[float, float], np.ndarray]
 class Domain:
     """Closed rectangle [u_min, u_max] x [v_min, v_max] with a sampling grid.
 
-    ``nu`` / ``nv`` are the number of grid points per direction (>= 2).
+    ``nu`` / ``nv`` are the number of grid points per direction (>= 2,
+    at most :data:`MAX_GRID_POINTS` in all).
     ``u_period``, when set, declares that the surface is periodic in u with
     that period; downstream consumers use it to identify period-equivalent
     points (it does not affect evaluation).
@@ -95,6 +102,10 @@ class Domain:
             raise ValueError(f"domain bounds must be finite: {box}")
         if self.nu < 2 or self.nv < 2:
             raise ValueError(f"grid needs at least 2x2 points, got {self.nu}x{self.nv}")
+        if self.nu * self.nv > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of {self.nu}x{self.nv} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
         if self.u_period is not None and self.u_period <= 0:
             raise ValueError(f"u_period must be positive, got {self.u_period}")
 

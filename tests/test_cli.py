@@ -25,7 +25,7 @@ from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
 from h3frames.singularities import _TORUS_N, _TORUS_ROWS, singularity_scan
-from h3frames.surface import Domain
+from h3frames.surface import MAX_GRID_POINTS, Domain
 
 ALPHA_COL = 14  # u,v,a1..g2,alpha,beta
 BETA_COL = 15
@@ -66,18 +66,28 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 #: The library modules ``import h3frames.cli`` registers without executing.
 _LAZY = ("minkowski", "surface", "fmt", "frames", "examples", "singularities",
          "projections", "horocyclic")
+#: What the front end (parsing, config files, settings, usage errors)
+#: leaves unexecuted: numpy and every library module.
+_FRONT_END = ("numpy", *_LAZY)
 
 
-@pytest.mark.parametrize("argv, unexecuted", [
-    (["--version"], _LAZY),
-    (["singular", "--example", "ruled_A"], ("projections", "horocyclic")),
+@pytest.mark.parametrize("argv, exit_code, unexecuted", [
+    (["--version"], 0, _FRONT_END),
+    (["--help"], 0, _FRONT_END),
+    (["singular", "--bogus"], 4, _FRONT_END),
+    (["invariants", "--config", "{cfg}"], 4, _FRONT_END),
+    (["singular", "--example", "ruled_A"], 0, ("projections", "horocyclic")),
     (["project", "--from", "h3", "--to", "disc", "--point", "1.4142135623730951", "1", "0", "0"],
-     ("examples", "singularities", "horocyclic")),
-    (["invariants", "--example", "cross_cap"], ("singularities", "projections", "horocyclic")),
-], ids=["version", "singular", "project", "invariants"])
-def test_subcommand_executes_only_the_modules_it_runs(argv, unexecuted):
+     0, ("examples", "singularities", "horocyclic")),
+    (["invariants", "--example", "cross_cap"], 0, ("singularities", "projections", "horocyclic")),
+], ids=["version", "help", "unknown-flag", "unknown-config-key", "singular", "project", "invariants"])
+def test_subcommand_executes_only_the_modules_it_runs(argv, exit_code, unexecuted, tmp_path):
     # a registered module executes on its first attribute read, and then its
-    # class turns from the lazy subclass into types.ModuleType
+    # class turns from the lazy subclass into types.ModuleType.  The front
+    # end runs without numpy; every computation executes it.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("example = cross_cap\nwibble = 3\n")
+    argv = [a.format(cfg=cfg) for a in argv]
     src = str(Path(h3frames.__file__).resolve().parents[1])
     code = (
         "import sys, types\n"
@@ -85,14 +95,28 @@ def test_subcommand_executes_only_the_modules_it_runs(argv, unexecuted):
         "try:\n"
         "    import runpy; runpy.run_module('h3frames.cli', run_name='__main__')\n"
         "finally:\n"
-        "    print(sorted(n[9:] for n, m in sys.modules.items() if n.startswith('h3frames.')\n"
+        "    print(sorted(n.removeprefix('h3frames.') for n, m in sys.modules.items()\n"
+        "                 if (n == 'numpy' or n.startswith('h3frames.'))\n"
         "                 and type(m) is not types.ModuleType), file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
+    assert done.returncode == exit_code, done.stderr
+    assert done.stderr.splitlines()[-1] == str(sorted(unexecuted))
+
+
+def test_cli_import_after_numpy_keeps_the_real_numpy():
+    src = str(Path(h3frames.__file__).resolve().parents[1])
+    code = (
+        "import sys, types, numpy\n"
+        "import h3frames.cli\n"
+        "assert sys.modules['numpy'] is numpy and h3frames.cli.np is numpy\n"
+        "assert type(numpy) is types.ModuleType\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.strip() == str(sorted(unexecuted))
 
 
 # ---------------------------------------------------------------------------
@@ -955,13 +979,26 @@ def test_out_of_memory_exit_4(capsys, monkeypatch):
     # an oversized grid fails to allocate in Domain.mesh; simulated here, so
     # the test allocates nothing large
     def mesh(self):
-        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+        raise MemoryError("Unable to allocate 32.0 MiB for an array with shape (2048, 2048)")
 
     monkeypatch.setattr(Domain, "mesh", mesh)
-    code, out, err = _run(capsys, ["mesh", "--example", "cross_cap", "--grid", "100000", "100000"])
+    code, out, err = _run(capsys, ["mesh", "--example", "cross_cap", "--grid", "2048", "2048"])
     assert (code, out) == (4, "")
-    assert err == ("error: out of memory (Unable to allocate 74.5 GiB for an array with shape "
-                   "(100000, 100000)); try a smaller --grid\n")
+    assert err == ("error: out of memory (Unable to allocate 32.0 MiB for an array with shape "
+                   "(2048, 2048)); try a smaller --grid\n")
+
+
+def test_grid_above_the_point_bound_exit_4(capsys, monkeypatch):
+    # refused when the domain is built; should the bound fail, the patched
+    # grids fail the test before anything large is allocated
+    def no_grid(self):
+        raise AssertionError("the grid was built")
+
+    for name in ("u_grid", "v_grid", "mesh"):
+        monkeypatch.setattr(Domain, name, no_grid)
+    code, out, err = _run(capsys, ["singular", "--example", "cross_cap", "--grid", "2", "100000000"])
+    assert (code, out) == (4, "")
+    assert err == f"error: grid of 2x100000000 points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}\n"
 
 
 def test_exit_code_bad_config_key(tmp_path, capsys):

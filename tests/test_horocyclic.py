@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -549,6 +550,23 @@ def test_profile_loader_validation():
         want = f"h-profile spline overflows on the u span [0.0, {u[-1]!r}]"
         with pytest.raises(ValueError, match=re.escape(want)):
             load_h_profile(io.StringIO(_profile_csv(table)))
+
+
+@pytest.mark.parametrize("h3", [1.0, 1000.0], ids=["lightlike-spline", "overflow"])
+def test_profile_with_a_non_finite_frame_is_refused_quietly(h3):
+    # h3 = 1 takes the spline of the node frames through a null a0 (a
+    # division by zero in the Gram-Schmidt), h3 = 1000 overflows the
+    # integration; each is refused without a numpy warning
+    table = np.zeros((3, 7))
+    table[:, 0] = (-1.0, 0.0, 0.00390625)
+    table[2, 3] = h3
+    prof = load_h_profile(io.StringIO(_profile_csv(table)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateFrameError, match="is not finite"):
+            dom = prof.domain()
+            fs = build_horocyclic(prof.curve_frame(), dom)
+            invariant_form_classify(invariant_field(fs), dom)
 
 
 def test_example_from_profile(tmp_path):

@@ -49,6 +49,15 @@ def test_domain_validation():
         Domain(0.0, 1.0, 0.0, 1.0, u_period=-1.0)
 
 
+def test_domain_refuses_a_grid_above_the_point_bound():
+    # refused on the sizes alone: a Domain allocates nothing
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        Domain(0, 1, 0, 1, nu=2, nv=100_000_000)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        Domain(0, 1, 0, 1, nu=2049, nv=2048)
+    Domain(0, 1, 0, 1, nu=2048, nv=2048)
+
+
 def test_domain_grid_and_cell():
     d = Domain(0.0, 1.0, -1.0, 1.0, nu=11, nv=21)
     assert d.u_grid().shape == (11,)
