@@ -294,10 +294,9 @@ def cmd_invariants(settings: argparse.Namespace) -> _Blocks:
     """invariant grid as CSV"""
     entry = _load_example(settings)
     dom = _domain(settings, entry.framed.domain)
-    summary = frames.verify_framed(entry.framed, dom)  # before the CSV text holds memory
     # not a setting: the bound the residual footer is read against
     out = _Blocks(frame_tol=FRAME_TOL)
-    frames.write_invariants_csv(out, entry.framed, dom)
+    summary = frames.write_invariants_csv(out, entry.framed, dom)
     out.write(
         "# residuals: max_gram = %s, max_offspan = %s, max_constraint = %s\n"
         % (

@@ -277,7 +277,10 @@ def verify_framed(fs: FramedSurface, domain: Optional[Domain] = None) -> FramedR
     invariants, so it cross-checks the constraint residual.
     """
     fr = frame_at(fs, *(domain or fs.domain).mesh())
-    inv = basic_invariants(fr)
+    return _residual_summary(fr, basic_invariants(fr))
+
+
+def _residual_summary(fr: FrameAt, inv: Invariants) -> FramedResidualSummary:
     off = abs(minkowski_dot4(wedge3(fr.x, fr.xu, fr.xv), fr.nu3))
     return FramedResidualSummary(
         float(np.max(fr.gram_residual())),
@@ -792,16 +795,20 @@ def integrate_frame_along_line(
     return FrameTrajectory(t=ts, frames=frames, max_gram_drift=drift)
 
 
-def write_invariants_csv(target, fs: FramedSurface, domain: Optional[Domain] = None) -> None:
+def write_invariants_csv(target, fs: FramedSurface, domain: Optional[Domain] = None) -> FramedResidualSummary:
     """Write the invariant field over the grid as CSV: the column header,
-    then one row per grid point.
+    then one row per grid point.  Returns what :func:`verify_framed` would,
+    read from the same frame evaluation.
 
     Rows run v-major (v in the outer loop, u inner); values are printed
     with 17 significant digits so the file round-trips doubles exactly.
     """
     dom = domain or fs.domain
     U, V = dom.mesh()
-    inv = invariants_grid(fs, dom)
+    fr = frame_at(fs, U, V)
+    inv = basic_invariants(fr)
+    summary = _residual_summary(fr, inv)
+    del fr  # the frame arrays go before the CSV text is built
     cols = [U, V] + [getattr(inv, k) for k in _INVARIANT_NAMES] + [inv.alpha, inv.beta]
     head = INVARIANT_CSV_HEADER + "\n"
     body = fmt_rows(np.stack(cols, axis=-1).reshape(-1, len(cols)), sep=",")
@@ -813,3 +820,4 @@ def write_invariants_csv(target, fs: FramedSurface, domain: Optional[Domain] = N
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(head)
             fh.writelines(body)
+    return summary

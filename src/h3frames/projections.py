@@ -485,14 +485,18 @@ def _write_disc_mesh(fh, fs, dom, markers) -> None:
 
     # Each grid quad gives the triangles (00, 10, 11) and (00, 11, 01); a
     # triangle whose normal points into the ball against its centroid is
-    # flipped.  Vertex numbers are integers, exact in the number formatter.
+    # flipped, unless its plane passes through the centre: there the sign is
+    # rounding noise (|dot| <= 1e-12 |normal| |centroid|), and grid order
+    # stays.  Vertex numbers are integers, exact in the number formatter.
     i00 = (np.arange(nv - 1)[:, None] * nu + np.arange(nu - 1)).ravel()
     tri = np.stack(
         [np.stack([i00, i00 + 1, i00 + nu + 1], -1), np.stack([i00, i00 + nu + 1, i00 + nu], -1)],
         axis=1,
     ).reshape(-1, 3)
     a, b, c = (pts[:, tri[:, j]] for j in range(3))
-    flip = euclid_dot(euclid_cross(b - a, c - a), (a + b + c) / 3.0) < 0.0
+    normal, centroid = euclid_cross(b - a, c - a), (a + b + c) / 3.0
+    tie = 1e-12 * np.linalg.norm(normal, axis=0) * np.linalg.norm(centroid, axis=0)
+    flip = euclid_dot(normal, centroid) < -tie
     tri[flip, 1:] = tri[flip, :0:-1]
 
     for block in (*fmt_rows(pts.T, prefix="v "), *fmt_rows(tri + 1, prefix="f ")):

@@ -233,9 +233,10 @@ def _newton_refine(
     stencil or step cannot be evaluated.
 
     All seeds step together: each iteration makes one field call over the
-    Jacobian stencils of the running seeds, each halving one over the seeds
-    still waiting for a lower residual, and the tangent test one over the
-    converged roots.  Each seed takes the steps a run of its own would.
+    running seeds' Jacobian stencils and one pseudo-inverse of their stack,
+    each halving one call over the seeds still waiting for a lower residual,
+    and the tangent test one call and one SVD over the converged roots.
+    Each seed takes the steps a run of its own would.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 2)
     p = seeds.copy()
@@ -249,10 +250,9 @@ def _newton_refine(
         idx = np.flatnonzero(running)
         if not idx.size:
             break
-        steps = np.full((idx.size, 2), np.nan)
-        for k, (i, j) in enumerate(zip(idx, _rows(_jacobians, field, p[idx, 0], p[idx, 1], 4))):
-            if np.all(np.isfinite(j)):
-                steps[k] = np.linalg.lstsq(j.reshape(2, 2), -f[i], rcond=RANK_TOL)[0]
+        jac = _rows(_jacobians, field, p[idx, 0], p[idx, 1], 4).reshape(-1, 2, 2)
+        steps = np.einsum("nij,nj->ni", np.linalg.pinv(np.nan_to_num(jac), rcond=RANK_TOL), -f[idx])
+        steps[np.isnan(jac[:, 0, 0])] = np.nan  # _rows marks a whole row nan
         ok = np.isfinite(steps).all(axis=1)
         running[idx[~ok]] = False
         idx, steps = idx[ok], steps[ok]
@@ -271,16 +271,15 @@ def _newton_refine(
             idx, steps = idx[~lower], steps[~lower]
             lam *= 0.5
         running[idx] = False  # no useful step at any damping; give up on these seeds
-    tangents = [None] * len(p)
+    tangents = np.full((len(p), 2), np.nan)
     roots = np.flatnonzero((res < tol) & find_tangent)
-    for i, j in zip(roots, _rows(_jacobians, field, p[roots, 0], p[roots, 1], 4)):
-        if np.all(np.isfinite(j)):
-            _, sv, vt = np.linalg.svd(j.reshape(2, 2))
-            if sv[1] <= RANK_TOL * sv[0]:
-                tangents[i] = (float(vt[1, 0]), float(vt[1, 1]))
+    jac = _rows(_jacobians, field, p[roots, 0], p[roots, 1], 4).reshape(-1, 2, 2)
+    _, sv, vt = np.linalg.svd(np.nan_to_num(jac))
+    flat = (sv[:, 1] <= RANK_TOL * sv[:, 0]) & ~np.isnan(jac[:, 0, 0])
+    tangents[roots[flat]] = vt[flat, 1]
     return [
-        RefinementRecord(*s, *x, r, k, r < tol, t)
-        for s, x, r, k, t in zip(seeds.tolist(), p.tolist(), res.tolist(), iters.tolist(), tangents)
+        RefinementRecord(*s, *x, r, k, r < tol, None if math.isnan(t[0]) else tuple(t))
+        for s, x, r, k, t in zip(seeds.tolist(), p.tolist(), res.tolist(), iters.tolist(), tangents.tolist())
     ]
 
 

@@ -132,6 +132,25 @@ def test_invariants_grid_row_count(capsys):
     assert len(rows) == 1 + 441  # header + 21*21
 
 
+@pytest.mark.parametrize("example", ["cross_cap", "horocyclic:profile.csv"])
+def test_invariants_evaluates_its_frame_once(example, capsys, monkeypatch, tmp_path):
+    # the CSV and its residual footer read one grid frame evaluation
+    monkeypatch.chdir(tmp_path)
+    _write_profile(tmp_path / "profile.csv", (0.3, 0.7, 0.2, -0.1, 0.5, 0.4))
+    grids = []
+    frame_at = frames.frame_at
+
+    def counted(fs, u, v):
+        grids.append(np.shape(u))
+        return frame_at(fs, u, v)
+
+    monkeypatch.setattr(frames, "frame_at", counted)
+    code, out, _ = _run(capsys, ["invariants", "--example", example, "--grid", "21", "11"])
+    assert code == 0
+    assert grids == [(11, 21)]
+    assert "# residuals: max_gram = " in out
+
+
 def test_invariants_alpha_zero_at_origin(capsys):
     # 3-point grids hit u = v = 0 exactly (odd default grids only get to ~1e-16)
     code, out, _ = _run(capsys, ["invariants", "--example", "cross_cap",

@@ -336,7 +336,8 @@ def _reference_newton(field, u0, v0, tol, find_tangent=True):
         jac = _finite_or_none(lambda: jacobian(p))
         if jac is None:
             break
-        step = np.linalg.lstsq(jac, -f, rcond=RANK_TOL)[0]
+        # the batched refinement's minimum-norm step, on a batch of one
+        step = np.einsum("nij,nj->ni", np.linalg.pinv(jac[None], rcond=RANK_TOL), -f[None])[0]
         if not np.all(np.isfinite(step)):
             break
         lam = 1.0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h3frames import projections
 from h3frames.errors import (
     NonSpacelikeNormalError,
     NormalizationError,
@@ -392,10 +393,33 @@ def test_write_disc_mesh_layout(tmp_path):
         i, j, k = (int(t) for t in l.split()[1:])
         assert len({i, j, k}) == 3 and 1 <= min(i, j, k) and max(i, j, k) <= 12
         a, b, c = coords[i - 1], coords[j - 1], coords[k - 1]
-        # counterclockwise from outside: outward normal against centroid
-        assert np.dot(np.cross(b - a, c - a), (a + b + c) / 3.0) >= 0.0
+        # counterclockwise from outside: outward normal against centroid,
+        # unless the face's plane passes through the centre (an exact tie,
+        # whose sign is rounding noise)
+        normal, centroid = np.cross(b - a, c - a), (a + b + c) / 3.0
+        dot = np.dot(normal, centroid)
+        assert dot > 0.0 or abs(dot) <= 1e-12 * np.linalg.norm(normal) * np.linalg.norm(centroid)
 
     # deterministic output, stream and file identical
     path = tmp_path / "mesh.obj"
     write_disc_mesh(path, fs, domain=dom, markers=[(0.0, 0.0)])
     assert path.read_text(encoding="ascii") == buf.getvalue()
+
+
+@pytest.mark.parametrize("name", ["ruled_A", "cross_cap"])
+def test_disc_mesh_winding_survives_last_digit_vertex_changes(name, monkeypatch):
+    # both grids hold faces whose plane passes through the centre (80 of
+    # ruled_A's 1,600, 78 of cross_cap's 800): their winding is grid order,
+    # not the sign of a dot product at rounding level
+    fs = get_example(name).framed
+
+    def faces():
+        buf = io.StringIO()
+        write_disc_mesh(buf, fs)
+        return [l for l in buf.getvalue().splitlines() if l.startswith("f ")]
+
+    want = faces()
+    sign = np.random.default_rng(7).choice([-1.0, 1.0], size=(3,) + fs.domain.mesh()[0].shape)
+    exact = projections.to_poincare
+    monkeypatch.setattr(projections, "to_poincare", lambda x: exact(x) + 1e-16 * sign)
+    assert faces() == want

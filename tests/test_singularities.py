@@ -42,7 +42,7 @@ from h3frames.singularities import (
     reports_to_json,
     singularity_scan,
 )
-from h3frames.singularities import _TORUS_N, _TORUS_ROWS, _torus_read
+from h3frames.singularities import RANK_TOL, _TORUS_N, _TORUS_ROWS, _jacobians, _newton_refine, _torus_read
 from h3frames.minkowski import wedge3
 from h3frames.surface import Domain, ParametricMap4, evaluate
 
@@ -167,6 +167,55 @@ def test_each_stage_makes_one_field_call():
     assert [r.iterations for r in records] == [1] * 16
     # the screen, then Newton: start values, Jacobians, trial step, tangent test
     assert shapes == [(9, 9), (16,), (16, 5), (16,), (16, 5)]
+
+
+@pytest.mark.parametrize("n", [1, 100])
+def test_newton_linear_algebra_is_one_pinv_per_stage_and_one_svd(n, monkeypatch):
+    # every seed's step comes from one batched pseudo-inverse per stage, and
+    # the tangent test from one batched SVD, however many seeds run
+    calls = []
+
+    def counted(name):
+        base = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return base(*args, **kwargs)
+
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    for name in ("pinv", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    seeds = np.random.default_rng(3).uniform(-0.05, 0.05, size=(n, 2))
+    records = _newton_refine(invariant_field(get_example("cross_cap").framed), seeds, REFINE_TOL)
+    assert all(r.converged for r in records)  # so each stage steps every running seed
+    stages = max(r.iterations for r in records)
+    assert stages > 1
+    assert calls == ["pinv"] * stages + ["svd"]
+
+
+def test_ruled_b_roots_keep_their_tangents():
+    # the batched SVD flags the same roots, with the same null direction up
+    # to sign, as one SVD per root of that root's Jacobian
+    fs = get_example("ruled_B").framed
+    field = invariant_field(fs)
+    _, records = find_singular_points(fs, full_output=True)
+    flagged = [r for r in records if r.tangent is not None]
+    grid = records[:len(records) - 2 * len(flagged)]  # the curve seeds come last, two per tangent
+    assert len(flagged) == 154
+    for r in grid:
+        if not r.converged:
+            assert r.tangent is None
+            continue
+        _, sv, vt = np.linalg.svd(_jacobians(field, np.array([r.u]), np.array([r.v])).reshape(2, 2))
+        assert (r.tangent is not None) == (sv[1] <= RANK_TOL * sv[0]), (r.u, r.v)
+        if r.tangent is not None:
+            assert min(np.abs(np.subtract(r.tangent, vt[1])).max(),
+                       np.abs(np.add(r.tangent, vt[1])).max()) <= 1e-12, (r.u, r.v)
 
 
 # ---------------------------------------------------------------------------
