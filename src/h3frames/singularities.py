@@ -283,24 +283,6 @@ def _newton_refine(
     ]
 
 
-def _canonicalize_u(u: float, dom: Domain, snap: float = 0.0) -> float:
-    """Fold a refined u into (u_min, u_min + period] using the declared period.
-
-    A root within ``snap`` of the left seam is the same physical point as
-    the right edge when the window spans a whole period; it is re-expressed
-    on the right so duplicate pairs like (-pi, 0) / (pi, 0) collapse.
-    """
-    if dom.u_period is None:
-        return u
-    period = dom.u_period
-    u = dom.u_min + math.fmod(u - dom.u_min, period)
-    if u <= dom.u_min:
-        u += period
-    if u < dom.u_min + snap and u + period <= dom.u_max + snap:
-        u += period
-    return u
-
-
 def find_singular_points(
     fs: FieldLike,
     domain: Optional[Domain] = None,
@@ -319,8 +301,10 @@ def find_singular_points(
     window first.  A root on a singular curve (a record with a ``tangent``)
     seeds two more Newton runs half a cell along the curve to either side,
     so the curve sample has no gap wider than a cell.  Returns the sorted
-    (u, v) list, plus every :class:`RefinementRecord` (one per grid seed,
-    v-major, then the curve seeds) when ``full_output``.
+    (u, v) list; with ``full_output``, the sorted (u, v, newton_iters)
+    triples of :func:`_merge_roots` instead, and every
+    :class:`RefinementRecord` (one per grid seed, v-major, then the curve
+    seeds).
     """
     if domain is None:
         if not isinstance(fs, FramedSurface):
@@ -344,10 +328,10 @@ def find_singular_points(
                    for r in records if r.tangent is not None for s in (-0.5, 0.5)]
     records += _newton_refine(field, curve_seeds, tol, find_tangent=False)
 
-    points = [(u, v) for u, v, _ in _merge_roots(records, domain)]
+    roots = _merge_roots(records, domain)
     if full_output:
-        return points, records
-    return points
+        return roots, records
+    return [(u, v) for u, v, _ in roots]
 
 
 def _merge_roots(
@@ -355,31 +339,40 @@ def _merge_roots(
 ) -> list[tuple[float, float, int]]:
     """Deduplicate converged roots into sorted (u, v, newton_iters) triples.
 
-    Roots within a tenth of a cell (periodically in u) are one point;
-    ``newton_iters`` is the fewest iterations among the merged records.
+    The roots are taken in (u, v) order.  u is folded into (u_min, u_min +
+    period]; when the window spans a whole period, a root within a tenth of
+    a cell of the left seam is re-expressed on the right, so pairs like
+    (-pi, 0) / (pi, 0) collapse.  Roots outside the domain (beyond a 1e-9
+    margin) are dropped.  The first root not yet merged is a point, and
+    takes in every unmerged root within a tenth of a cell of it
+    (periodically in u); ``newton_iters`` is the fewest iterations among
+    them.  The loop runs once per point, not once per record.
     """
     du, dv = domain.cell()
     dedup_dist = min(du, dv) / 10.0
-    kept = np.empty((len(records), 2))  # (u, v) of the roots kept so far
-    iters: list[int] = []
-    for rec in sorted(records, key=lambda r: (r.u, r.v)):
-        if not rec.converged:
-            continue
-        u = _canonicalize_u(rec.u, domain, snap=dedup_dist)
-        v = rec.v
-        if not domain.contains(u, v, margin=-1e-9):
-            continue
-        n = len(iters)
-        d_u = np.abs(kept[:n, 0] - u)
-        if domain.u_period is not None:
-            d_u = np.minimum(d_u, domain.u_period - d_u)
-        k = first_true(np.hypot(d_u, kept[:n, 1] - v) <= dedup_dist)
-        if k is None:
-            kept[n] = u, v
-            iters.append(rec.iterations)
-        else:
-            iters[k] = min(iters[k], rec.iterations)
-    return sorted(zip(*kept[:len(iters)].T.tolist(), iters))
+    u, v, iters = np.array([(r.u, r.v, r.iterations) for r in records if r.converged]).reshape(-1, 3).T
+    order = np.lexsort((v, u))
+    u, v, iters = u[order], v[order], iters[order]
+    period = domain.u_period
+    if period is not None:
+        u = domain.u_min + np.fmod(u - domain.u_min, period)
+        u = np.where(u <= domain.u_min, u + period, u)
+        u = np.where((u < domain.u_min + dedup_dist) & (u + period <= domain.u_max + dedup_dist), u + period, u)
+    m = -1e-9  # Domain.contains(u, v, margin=m), on arrays
+    inside = ((domain.u_min + m <= u) & (u <= domain.u_max - m)
+              & (domain.v_min + m <= v) & (v <= domain.v_max - m))
+    u, v, iters = u[inside], v[inside], iters[inside]
+    free = np.ones(len(u), dtype=bool)
+    points = []
+    while free.any():
+        i = int(np.argmax(free))
+        d_u = np.abs(u - u[i])
+        if period is not None:
+            d_u = np.minimum(d_u, period - d_u)
+        near = free & (np.hypot(d_u, v - v[i]) <= dedup_dist)
+        points.append((float(u[i]), float(v[i]), int(iters[near].min())))
+        free &= ~near
+    return sorted(points)
 
 
 def phi(fs: FieldLike, u: float, v: float) -> float:
@@ -532,12 +525,10 @@ def singularity_scan(
     Newton tolerance and the ``refine_tol`` of ``converged``.
 
     Each report's ``newton_iters`` is the fewest iterations among the
-    Newton runs that the deduplication merged into its point.
+    Newton runs that the deduplication merged into its point; the roots
+    are merged once, in :func:`find_singular_points`.
     """
-    if domain is None and isinstance(fs, FramedSurface):
-        domain = fs.domain
-    _, records = find_singular_points(fs, domain=domain, tol=tol, full_output=True)
-    roots = _merge_roots(records, domain)
+    roots, _ = find_singular_points(fs, domain=domain, tol=tol, full_output=True)
     if not roots:
         return []
     u, v, iters = map(np.array, zip(*roots))

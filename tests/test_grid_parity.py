@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from h3frames import singularities
 from h3frames.errors import (
@@ -49,7 +51,6 @@ from h3frames.singularities import (
     REFINE_TOL,
     RefinementRecord,
     _alpha_beta,
-    _canonicalize_u,
     _merge_roots,
     _rows,
     classify_singularity,
@@ -518,6 +519,24 @@ def test_classify_singularity_refuses_at_the_first_point_it_reads():
 # ---------------------------------------------------------------------------
 
 
+def _canonicalize_u(u, dom, snap=0.0):
+    """Fold a refined u into (u_min, u_min + period] using the declared period.
+
+    A root within ``snap`` of the left seam is the same physical point as
+    the right edge when the window spans a whole period; it is re-expressed
+    on the right so duplicate pairs like (-pi, 0) / (pi, 0) collapse.
+    """
+    if dom.u_period is None:
+        return u
+    period = dom.u_period
+    u = dom.u_min + math.fmod(u - dom.u_min, period)
+    if u <= dom.u_min:
+        u += period
+    if u < dom.u_min + snap and u + period <= dom.u_max + snap:
+        u += period
+    return u
+
+
 def _reference_merge_roots(records, domain):
     """Root merging by a generator scan of the kept roots for each record:
     the reference of the array comparison of ``_merge_roots``."""
@@ -589,6 +608,63 @@ def test_singularity_scan_equals_per_root_scan(name):
         assert min(us) < dom.u_min + du and max(us) > dom.u_max - du
     got = singularity_scan(fs)
     assert [_fields(r) for r in got] == [_fields(r) for r in _per_root_scan(fs, dom)]
+
+
+MERGE_DOMAINS = (
+    Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2 * math.pi),  # one whole period
+    Domain(0.0, 3.0, -1.0, 1.0, nu=31, nv=11, u_period=2 * math.pi),  # part of a period
+    Domain(-0.5, 0.5, -0.25, 0.75, nu=21, nv=11),
+)
+
+
+@st.composite
+def _merge_cases(draw):
+    """Newton records around a few anchors, with unconverged runs, copies at
+    exactly the merge distance and just past it, copies a period away, and
+    anchors at the domain's edges, its -1e-9 margin and the u seam."""
+    dom = draw(st.sampled_from(MERGE_DOMAINS))
+    du, dv = dom.cell()
+    dist = min(du, dv) / 10.0
+
+    def coord(lo, hi):
+        if draw(st.booleans()):
+            return draw(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+        edge = draw(st.sampled_from([lo, hi]))
+        return edge + draw(st.sampled_from([0.0, -1e-9, 1e-9, -2e-9, 2e-9, -0.5 * dist, 0.5 * dist]))
+
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        u, v = coord(dom.u_min, dom.u_max), coord(dom.v_min, dom.v_max)
+        points.append((u, v))
+        for _ in range(draw(st.integers(0, 4))):
+            r = dist * draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.5, 2.0]))
+            angle = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0)) * math.pi
+            shift = draw(st.sampled_from([-1, 0, 0, 1])) * (dom.u_period or 0.0)
+            points.append((u + shift + r * math.cos(angle), v + r * math.sin(angle)))
+    records = [RefinementRecord(0.0, 0.0, u, v, 0.0, draw(st.integers(0, 50)), draw(st.booleans()) or k == 0)
+               for k, (u, v) in enumerate(points)]
+    return draw(st.permutations(records)), dom
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_merge_cases())
+# one root kept by the margin past the right seam, one a tenth of a cell
+# right of the left seam: within reach only across the seam
+@example(case=([RefinementRecord(0.0, 0.0, math.pi + 5e-10, 0.0, 0.0, 3, True),
+                RefinementRecord(0.0, 0.0, -math.pi + 0.01 + 2e-10, 0.0, 0.0, 7, True)], MERGE_DOMAINS[0]))
+def test_merge_roots_equals_the_record_loop(case):
+    records, dom = case
+    assert _merge_roots(records, dom) == _reference_merge_roots(records, dom)
+
+
+@pytest.mark.parametrize("name", ("ruled_B", "horocyclic"))
+def test_singularity_scan_merges_once(monkeypatch, name):
+    calls = []
+    merge = singularities._merge_roots
+    monkeypatch.setattr(singularities, "_merge_roots", lambda *a: calls.append(a) or merge(*a))
+    reports = singularity_scan(_surfaces()[name])
+    assert len(calls) == 1
+    assert [(r.u, r.v, r.diagnostics.newton_iters) for r in reports] == merge(*calls[0])
 
 
 def test_scan_without_roots_makes_no_classification_call(monkeypatch):
