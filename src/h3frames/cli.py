@@ -512,10 +512,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry_point() -> None:
-    # OpenBLAS starts a thread per CPU as numpy loads, which costs CPU and
-    # buys nothing for stacks of 2x2 to 4x4 matrices.  Set before main()
-    # loads numpy; library users and test runners keep their environment.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

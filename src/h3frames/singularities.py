@@ -358,9 +358,7 @@ def _merge_roots(
         u = domain.u_min + np.fmod(u - domain.u_min, period)
         u = np.where(u <= domain.u_min, u + period, u)
         u = np.where((u < domain.u_min + dedup_dist) & (u + period <= domain.u_max + dedup_dist), u + period, u)
-    m = -1e-9  # Domain.contains(u, v, margin=m), on arrays
-    inside = ((domain.u_min + m <= u) & (u <= domain.u_max - m)
-              & (domain.v_min + m <= v) & (v <= domain.v_max - m))
+    inside = domain.contains(u, v, margin=-1e-9)
     u, v, iters = u[inside], v[inside], iters[inside]
     free = np.ones(len(u), dtype=bool)
     points = []

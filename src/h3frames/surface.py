@@ -126,10 +126,11 @@ class Domain:
             (self.v_max - self.v_min) / (self.nv - 1),
         )
 
-    def contains(self, u: float, v: float, margin: float = 0.0) -> bool:
+    def contains(self, u, v, margin: float = 0.0):
+        """Whether (u, v) lies in the box pulled in by ``margin``; floats or arrays."""
         return (
-            self.u_min + margin <= u <= self.u_max - margin
-            and self.v_min + margin <= v <= self.v_max - margin
+            (self.u_min + margin <= u) & (u <= self.u_max - margin)
+            & (self.v_min + margin <= v) & (v <= self.v_max - margin)
         )
 
     def shrunk(self, margin_u: float, margin_v: float) -> "Domain":

@@ -119,56 +119,6 @@ def test_cli_import_after_numpy_keeps_the_real_numpy():
     assert done.returncode == 0, done.stderr
 
 
-def test_main_leaves_the_environment_alone(capsys, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # restored after the test
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    before = dict(os.environ)
-    code, _, _ = _run(capsys, ["singular", "--example", "cross_cap"])
-    assert code == 0
-    assert dict(os.environ) == before
-
-
-@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")], ids=["unset", "set"])
-def test_entry_point_defaults_blas_threads_to_one(monkeypatch, given, want):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", given or "")  # restored after the test
-    if given is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    seen = []
-    monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
-    with pytest.raises(SystemExit) as done:
-        cli.entry_point()
-    assert done.value.code == 0
-    assert seen == [want]
-
-
-def _openblas() -> bool:
-    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
-@pytest.mark.skipif(not (sys.platform == "linux" and (os.cpu_count() or 1) >= 2 and _openblas()),
-                    reason="counts the threads of an OpenBLAS numpy in /proc/self/task on Linux")
-@pytest.mark.parametrize("threads, want", [(None, 1), ("2", 2)], ids=["unset", "2"])
-def test_cli_process_runs_on_one_thread(threads, want):
-    # with the variable unset, OpenBLAS would start one thread per CPU
-    src = str(Path(h3frames.__file__).resolve().parents[1])
-    code = (
-        "import os, sys\n"
-        "sys.argv = ['h3frames', 'singular', '--example', 'cross_cap']\n"
-        "try:\n"
-        "    import h3frames.cli; h3frames.cli.entry_point()\n"
-        "finally:\n"
-        "    print(len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == str(want)
-
-
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -10,14 +10,9 @@ structure holds is a change of digits, not of points or classes.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import h3frames
 from h3frames.cli import main
 
 # (u, h1, ..., h6): a two-vertex horo-cone (h1..h4 = 0, h5 = 2 h6) whose
@@ -134,18 +129,3 @@ def test_golden_structure(name, tmp_path, monkeypatch, capsys):
     got = list(zip(value["classification"], map(int, value["newton_iters"])))
     assert value["points"] == [str(len(got))]
     assert got == STRUCTURE[name]
-
-
-@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
-def test_golden_stdout_of_a_cli_process_under_any_blas_threads(threads, tmp_path):
-    # a CLI process defaults OPENBLAS_NUM_THREADS to 1 unless it is set;
-    # the output is the golden either way
-    argv, digest = GOLDEN["singular_ruled_B"]
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(h3frames.__file__).resolve().parents[1])
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    done = subprocess.run([sys.executable, "-m", "h3frames.cli", *argv], env=env, cwd=tmp_path,
-                          capture_output=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert hashlib.sha256(done.stdout).hexdigest() == digest
