@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionError
-from .frames import FramedSurface, Invariants
+from .frames import FramedSurface, Invariants, _alpha_beta
 from .surface import Domain, ParametricMap4, components, zero4
 
 __all__ = [
@@ -173,58 +173,49 @@ def corank_one_surface(
             f"f_v = {f_v(0.0, 0.0):.3e}, g_v = {g_v(0.0, 0.0):.3e}"
         )
 
-    def S(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
-        return u * u + fv_ * fv_ + gv_ * gv_ + 1.0
+    def root_s(u, fv_, gv_):  # sqrt(S), S = u^2 + f^2 + g^2 + 1
+        return np.sqrt(u * u + fv_ * fv_ + gv_ * gv_ + 1.0)
 
     def x(u, v):
-        return components(np.sqrt(S(u, v)), u, f(u, v), g(u, v))
+        fv_, gv_ = f(u, v), g(u, v)
+        return components(root_s(u, fv_, gv_), u, fv_, gv_)
 
     def xu(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
-        return components((u + fv_ * fu_ + gv_ * gu_) / np.sqrt(S(u, v)), 1.0, fu_, gu_)
+        return components((u + fv_ * fu_ + gv_ * gu_) / root_s(u, fv_, gv_), 1.0, fu_, gu_)
 
     def xv(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fvv, gvv = f_v(u, v), g_v(u, v)
-        return components((fv_ * fvv + gv_ * gvv) / np.sqrt(S(u, v)), 0.0, fvv, gvv)
+        return components((fv_ * fvv + gv_ * gvv) / root_s(u, fv_, gv_), 0.0, fvv, gvv)
 
-    def _Q(u, v):
-        r = g(u, v) - u * g_u(u, v)
-        return r * r + g_u(u, v) * g_u(u, v) + 1.0
-
-    def _bar2(u, v):  # unnormalized nu2
-        return (u * g_u(u, v) - g(u, v)) * x(u, v) + components(0.0, g_u(u, v), 0.0, -1.0)
+    def nu2_parts(u, fv_, gv_, gu_):
+        """sqrt(S), Q = (g - u g_u)^2 + g_u^2 + 1 and the unnormalized nu2,
+        bar2 = (u g_u - g) x + (0, g_u, 0, -1), from one reading of f, g, g_u."""
+        sS = root_s(u, fv_, gv_)
+        r = gv_ - u * gu_
+        bar2 = (u * gu_ - gv_) * components(sS, u, fv_, gv_) + components(0.0, gu_, 0.0, -1.0)
+        return sS, r * r + gu_ * gu_ + 1.0, bar2
 
     def n2(u, v):
-        return _bar2(u, v) / np.sqrt(_Q(u, v))
+        _, Q, bar2 = nu2_parts(u, f(u, v), g(u, v), g_u(u, v))
+        return bar2 / np.sqrt(Q)
 
-    def _bar1(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
-        fu_ = f_u(u, v)
-        return components(
-            (fv_ - u * fu_) * np.sqrt(S(u, v)),
+    def n1(u, v):
+        # nu1 = sqrt(Q)/sqrt(p) (bar1 - k bar2) with bar2 unnormalized.
+        fv_, gv_, fu_, gu_ = f(u, v), g(u, v), f_u(u, v), g_u(u, v)
+        sS, Q, bar2 = nu2_parts(u, fv_, gv_, gu_)
+        bar1 = components(
+            (fv_ - u * fu_) * sS,
             u * fv_ - (1.0 + u * u) * fu_,
             1.0 + fv_ * fv_ - u * fv_ * fu_,
             fv_ * gv_ - u * gv_ * fu_,
         )
-
-    def _k(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
-        fu_, gu_ = f_u(u, v), g_u(u, v)
-        num = -(gv_ * fv_ + gu_ * fu_) + u * (gu_ * fv_ + gv_ * fu_) - u * u * fu_ * gu_
-        return num / _Q(u, v)
-
-    def _p(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
-        fu_, gu_ = f_u(u, v), g_u(u, v)
+        k = (-(gv_ * fv_ + gu_ * fu_) + u * (gu_ * fv_ + gv_ * fu_) - u * u * fu_ * gu_) / Q
         r1, r2, r3 = fv_ - u * fu_, gv_ - u * gu_, fu_ * gv_ - gu_ * fv_
-        return r1 * r1 + r2 * r2 + r3 * r3 + fu_ * fu_ + gu_ * gu_ + 1.0
-
-    def n1(u, v):
-        # nu1 = sqrt(Q)/sqrt(p) (bar1 - k bar2) with bar2 unnormalized.
-        return np.sqrt(_Q(u, v)) / np.sqrt(_p(u, v)) * (_bar1(u, v) - _k(u, v) * _bar2(u, v))
+        p = r1 * r1 + r2 * r2 + r3 * r3 + fu_ * fu_ + gu_ * gu_ + 1.0
+        return np.sqrt(Q) / np.sqrt(p) * (bar1 - k * bar2)
 
     return FramedSurface(
         x=ParametricMap4(value=x, du=xu, dv=xv),
@@ -438,16 +429,6 @@ def ruled_b_oracle(u: float, v: float) -> Invariants:
 
 def example_names() -> tuple[str, ...]:
     return ("cross_cap", "corank_one", "ruled_A", "ruled_B", "horocyclic:<profile.csv>")
-
-
-def _alpha_beta(oracle: Callable[[float, float], Invariants]):
-    """(alpha, beta) from one evaluation of an invariants oracle."""
-
-    def ab(u, v):
-        inv = oracle(u, v)
-        return inv.alpha, inv.beta
-
-    return ab
 
 
 def get_example(name: str) -> ExampleEntry:

@@ -84,7 +84,9 @@ GRAM_DEGENERATE_TOL = 1e-4
 #: Below this rho = sqrt(n2^2 + n3^2) a normal's spherical angles are undefined.
 _ANGLE_TOL = 1e-12
 
-INVARIANT_CSV_HEADER = "u,v,a1,a2,b1,b2,c1,c2,e1,e2,f1,f2,g1,g2,alpha,beta"
+_INVARIANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", "g1", "g2")
+
+INVARIANT_CSV_HEADER = ",".join(("u", "v") + _INVARIANT_NAMES + ("alpha", "beta"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,9 +168,6 @@ class Invariants:
         return d
 
 
-_INVARIANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", "g1", "g2")
-
-
 def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
     """Evaluate the moving frame and its first derivatives at (u, v)."""
     x, xu, xv = first_partials(fs.x, u, v)
@@ -235,6 +234,17 @@ def invariants_grid(fs: FramedSurface, domain: Optional[Domain] = None) -> Invar
 def invariant_field(fs: FramedSurface) -> Callable[[float, float], Invariants]:
     """Invariants as a function of (u, v), floats or equal-shape arrays."""
     return lambda u, v: invariants_at(fs, u, v)
+
+
+def _alpha_beta(field: Callable[[float, float], Invariants]):
+    """(alpha, beta) as a function of (u, v), from one evaluation of the
+    invariant field."""
+
+    def ab(u, v):
+        inv = field(u, v)
+        return inv.alpha, inv.beta
+
+    return ab
 
 
 def invariant_partials(
@@ -397,21 +407,21 @@ def rotate_frame(fs: FramedSurface, theta: Callable[[float, float], float]) -> F
     nu1 -> cos(theta) nu1 - sin(theta) nu2, nu2 -> sin(theta) nu1 + cos(theta) nu2.
 
     The base map is untouched; nu3 is unchanged by construction.  The
-    rotated normals are value-only maps on the normals' domains, so their
-    partials, theta's included, come from the complex step like any
-    derived map's.  ``theta`` must therefore be a complex-analytic numpy
-    formula that broadcasts like a map.
+    rotated normals are value-only maps, so their partials, theta's
+    included, come from the complex step like any derived map's.
+    ``theta`` must therefore be a complex-analytic numpy formula that
+    broadcasts like a map.
     """
 
-    def rotated(a, b, base: ParametricMap4) -> ParametricMap4:
+    def rotated(a, b) -> ParametricMap4:
         def value(u, v):  # a(theta) nu1 + b(theta) nu2
             t = theta(u, v)
             return a(t) * evaluate(fs.nu1.value, u, v) + b(t) * evaluate(fs.nu2.value, u, v)
 
-        return ParametricMap4(value=value, domain=base.domain)
+        return ParametricMap4(value=value)
 
-    nu1 = rotated(np.cos, lambda t: -np.sin(t), fs.nu1)
-    return FramedSurface(x=fs.x, nu1=nu1, nu2=rotated(np.sin, np.cos, fs.nu2), domain=fs.domain)
+    nu1 = rotated(np.cos, lambda t: -np.sin(t))
+    return FramedSurface(x=fs.x, nu1=nu1, nu2=rotated(np.sin, np.cos), domain=fs.domain)
 
 
 def reparametrize_invariants(inv: Invariants, jac) -> Invariants:
@@ -435,11 +445,7 @@ def reparametrize_invariants(inv: Invariants, jac) -> Invariants:
     return Invariants(**out)
 
 
-def frame_from_normal(
-    x: ParametricMap4,
-    nu: ParametricMap4,
-    domain: Optional[Domain] = None,
-) -> FramedSurface:
+def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> FramedSurface:
     """Framed surface whose normal pair splits the unit normal field ``nu``.
 
     Writes nu = (n1, n2, n3, n4) in spherical angles for its spatial part,
@@ -451,18 +457,15 @@ def frame_from_normal(
     value-only maps: they broadcast and are complex-analytic, so their
     partials come from :func:`first_partials` like any map's.
 
-    Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``
-    (default: x's, then nu's): x on the upper hyperboloid sheet, nu unit
-    spacelike with <x, nu> = 0.  A violation raises
+    Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``,
+    which the framed surface keeps as its own: x on the upper hyperboloid
+    sheet, nu unit spacelike with <x, nu> = 0.  A violation raises
     :class:`PreconditionError` at the first failing point (v-major).
     Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
     first point where the spherical angles are undefined, rho <= ``_ANGLE_TOL``,
     or where the second tangent candidate degenerates.
     """
-    dom = domain or x.domain or nu.domain
-    if dom is None:
-        raise ValueError("an explicit domain is required when the maps carry none")
-    U, V = dom.mesh()
+    U, V = domain.mesh()
     xg, ng = evaluate(x.value, U, V), evaluate(nu.value, U, V)
     xx, nn, xn = minkowski_dot4(xg, xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
     sheet = (abs(xx + 1.0) <= FRAME_TOL) & (xg[0] > 0)
@@ -509,9 +512,9 @@ def frame_from_normal(
 
     return FramedSurface(
         x=x,
-        nu1=ParametricMap4(value=lambda u, v: pair(u, v)[0], domain=dom),
-        nu2=ParametricMap4(value=lambda u, v: pair(u, v)[1], domain=dom),
-        domain=dom,
+        nu1=ParametricMap4(value=lambda u, v: pair(u, v)[0]),
+        nu2=ParametricMap4(value=lambda u, v: pair(u, v)[1]),
+        domain=domain,
     )
 
 

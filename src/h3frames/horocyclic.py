@@ -49,6 +49,7 @@ from .frames import (
     FrameAt,
     FramedSurface,
     Invariants,
+    _alpha_beta,
     _frame_ode_matrix,
     fixed_v,
     integrate_frame_along_line,
@@ -130,9 +131,26 @@ class HorocyclicData:
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
     """Max Gram residual of {a0, a1, a2, a3} over the given u samples (nan
     where a frame vector is not finite)."""
-    f = data.at(np.asarray(us, dtype=float))
+    return _gram_residual(data.at(np.asarray(us, dtype=float)))
+
+
+def _gram_residual(frame) -> float:
+    """Max Gram residual of {a0, a1, a2, a0 ^ a1 ^ a2} over a stack
+    (a0, a1, a2) at one u or many: nan where a vector is not finite, with
+    no numpy warning on the way."""
     with np.errstate(all="ignore"):
-        return float(np.max(frame_gram_residual(*f, wedge3(*f)), initial=0.0))
+        return float(np.max(frame_gram_residual(*frame, wedge3(*frame)), initial=0.0))
+
+
+def _check_curve_frame(frame, where: str) -> None:
+    """Refuse the curve frame stack (a0, a1, a2) with
+    :class:`DegenerateFrameError` when its Gram residual exceeds
+    ``ORTHONORMAL_TOL`` or is nan (a vector is not finite); ``where`` ends
+    the message."""
+    res = _gram_residual(frame)
+    if not res <= ORTHONORMAL_TOL:
+        what = "is not finite" if np.isnan(res) else f"Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
+        raise DegenerateFrameError(f"curve frame {what} {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +166,7 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
     All three surface maps carry closed firsts, from one frame evaluation
     per call (see :func:`_swept_map`).
     """
-    res = verify_horocyclic_data(data, domain.u_grid())
-    if not res <= ORTHONORMAL_TOL:
-        what = "is not finite" if np.isnan(res) else f"Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
-        raise DegenerateFrameError(f"curve frame {what} on the u grid")
+    _check_curve_frame(data.at(domain.u_grid()), "on the u grid")
     return FramedSurface(
         x=_swept_map(data, (0, 1, 2), lambda v: (1.0 + v * v / 2.0, v, v * v / 2.0),
                      lambda v: (v, 1.0, v)),
@@ -224,14 +239,9 @@ def horocyclic_invariants(data: HorocyclicData) -> Callable[[float, float], Inva
 
 
 def horocyclic_alpha_beta(data: HorocyclicData) -> Callable[[float, float], tuple[float, float]]:
-    """alpha = v h1 - h2 - v h4,  beta = (1 + v^2/2) h3 + v h5 + (v^2/2) h6."""
-
-    def ab(u: float, v: float) -> tuple[float, float]:
-        h1, h2, h3, h4, h5, h6 = (hi(u) for hi in data.h)
-        w = v * v / 2.0
-        return (v * h1 - h2 - v * h4, (1.0 + w) * h3 + v * h5 + w * h6)
-
-    return ab
+    """(alpha, beta) of :func:`horocyclic_invariants`: alpha = -b1 =
+    v h1 - h2 - v h4 and beta = a1 = (1 + v^2/2) h3 + v h5 + (v^2/2) h6."""
+    return _alpha_beta(horocyclic_invariants(data))
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +259,13 @@ def extract_h(
     (:meth:`Curve4.derivative`).
 
     h1 = <a0', a1>, h2 = <a0', a2>, h3 = <a0', a3>, h4 = <a1', a2>,
-    h5 = <a1', a3>, h6 = <a2', a3>.
+    h5 = <a1', a3>, h6 = <a2', a3>.  A frame at u that fails its axioms
+    within ``ORTHONORMAL_TOL``, or is not finite, raises
+    :class:`DegenerateFrameError`.
     """
-    w0 = np.asarray(a0.value(u), dtype=float)
-    w1 = np.asarray(a1.value(u), dtype=float)
-    w2 = np.asarray(a2.value(u), dtype=float)
+    w0, w1, w2 = (np.asarray(a.value(u), dtype=float) for a in (a0, a1, a2))
+    _check_curve_frame((w0, w1, w2), f"at u = {u}")
     w3 = wedge3(w0, w1, w2)
-    res = frame_gram_residual(w0, w1, w2, w3)
-    if res > ORTHONORMAL_TOL:
-        raise DegenerateFrameError(
-            f"curve frame Gram residual {res:.3e} at u = {u} exceeds {ORTHONORMAL_TOL}"
-        )
 
     d0, d1, d2 = a0.derivative(u), a1.derivative(u), a2.derivative(u)
     return (
@@ -304,19 +310,9 @@ def integrate_frame_curves(
     if not (u_end > u_start):
         raise ValueError(f"need u_end > u_start, got [{u_start}, {u_end}]")
 
-    y = np.vstack(
-        [
-            np.asarray(a0_init, dtype=float),
-            np.asarray(a1_init, dtype=float),
-            np.asarray(a2_init, dtype=float),
-            wedge3(a0_init, a1_init, a2_init),
-        ]
-    )
-    res = frame_gram_residual(*y)
-    if res > ORTHONORMAL_TOL:
-        raise DegenerateFrameError(
-            f"initial curve frame Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
-        )
+    w = np.array([a0_init, a1_init, a2_init], dtype=float)
+    _check_curve_frame(w, f"at the start u = {u_start}")
+    y = np.vstack([w, wedge3(*w)])
 
     def field(u, v) -> Invariants:
         h1, h2, h3, h4, h5, h6 = (hi(u) for hi in h_funcs)

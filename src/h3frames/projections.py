@@ -385,7 +385,7 @@ def _fallback_normal(x, xu, xv) -> np.ndarray:
 def lift_from_r31(
     xt: ParametricMap4,
     axis: Axis,
-    domain: Optional[Domain] = None,
+    domain: Domain,
     lplus: Optional[Vec3Fn] = None,
     lminus: Optional[Vec3Fn] = None,
 ) -> tuple[ParametricMap4, ParametricMap4]:
@@ -393,7 +393,7 @@ def lift_from_r31(
 
     Returns ``(x, nu)``: the lifted base map and one unit spacelike normal
     satisfying <nu, x> = <nu, x ^ x_u ^ x_v> = 0, which is exactly what
-    the frame-existence theorem needs.  ``frame_from_normal(x, nu)``
+    the frame-existence theorem needs.  ``frame_from_normal(x, nu, domain)``
     (:func:`h3frames.frames.frame_from_normal`) splits nu into a normal
     pair when a full framed surface is wanted.
 
@@ -403,17 +403,13 @@ def lift_from_r31(
     pseudo-normalized.  Otherwise nu falls back to the wedge construction
     of :func:`_fallback_normal`.
 
-    The precondition x1^2 - x2^2 - x3^2 > 1 is grid-checked on ``domain``
-    (default: the map's own); violation raises
-    :class:`~h3frames.errors.PreconditionError` reporting the minimum.
+    The precondition x1^2 - x2^2 - x3^2 > 1 is grid-checked on ``domain``;
+    violation raises :class:`~h3frames.errors.PreconditionError` reporting
+    the minimum.
     """
     if (lplus is None) != (lminus is None):
         raise ValueError("supply both lightcone maps or neither")
-    dom = domain or xt.domain
-    if dom is None:
-        raise ValueError("an explicit domain is required when the map carries none")
-
-    p = evaluate(xt.value, *dom.mesh())
+    p = evaluate(xt.value, *domain.mesh())
     worst = np.min(p[0] * p[0] - p[1] * p[1] - p[2] * p[2])
     if not worst > 1.0 + LIFT_MARGIN:
         raise PreconditionError(
@@ -428,7 +424,7 @@ def lift_from_r31(
         p, x4 = inserted(u, v)
         return _insert(p, x4, axis)
 
-    x_map = ParametricMap4(value=x_value, domain=dom)
+    x_map = ParametricMap4(value=x_value)
 
     if lplus is not None:
 
@@ -444,8 +440,7 @@ def lift_from_r31(
             x, xu, xv = first_partials(x_map, u, v)
             return _fallback_normal(x, xu, xv)
 
-    nu_map = ParametricMap4(value=nu_value, domain=dom)
-    return x_map, nu_map
+    return x_map, ParametricMap4(value=nu_value)
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,10 @@ def _merge_roots(
     """Deduplicate converged roots into sorted (u, v, newton_iters) triples.
 
     The roots are taken in (u, v) order.  u is folded into (u_min, u_min +
-    period]; when the window spans a whole period, a root within a tenth of
-    a cell of the left seam is re-expressed on the right, so pairs like
-    (-pi, 0) / (pi, 0) collapse.  Roots outside the domain (beyond a 1e-9
-    margin) are dropped.  The first root not yet merged is a point, and
+    period]; a root within a tenth of a cell of the left seam is
+    re-expressed on the right when that keeps it inside the window (within
+    the domain test's 1e-9 margin), so pairs like (-pi, 0) / (pi, 0)
+    collapse.  Roots outside the domain (beyond a 1e-9 margin) are dropped.  The first root not yet merged is a point, and
     takes in every unmerged root within a tenth of a cell of it
     (periodically in u); ``newton_iters`` is the fewest iterations among
     them.  The loop runs once per point, not once per record.
@@ -357,7 +357,7 @@ def _merge_roots(
     if period is not None:
         u = domain.u_min + np.fmod(u - domain.u_min, period)
         u = np.where(u <= domain.u_min, u + period, u)
-        u = np.where((u < domain.u_min + dedup_dist) & (u + period <= domain.u_max + dedup_dist), u + period, u)
+        u = np.where((u < domain.u_min + dedup_dist) & (u + period <= domain.u_max + 1e-9), u + period, u)
     inside = domain.contains(u, v, margin=-1e-9)
     u, v, iters = u[inside], v[inside], iters[inside]
     free = np.ones(len(u), dtype=bool)

@@ -146,17 +146,11 @@ class Domain:
 
 @dataclasses.dataclass(frozen=True)
 class ParametricMap4:
-    """Point evaluator with optional closed-form first partials.
-
-    ``domain`` is where the map is meant to be evaluated (a lift takes it
-    as its default grid); maps given by globally valid formulas leave it
-    ``None``.
-    """
+    """Point evaluator with optional closed-form first partials."""
 
     value: VecFn
     du: Optional[VecFn] = None
     dv: Optional[VecFn] = None
-    domain: Optional[Domain] = None
 
     def __post_init__(self):
         if (self.du is None) != (self.dv is None):

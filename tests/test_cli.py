@@ -527,8 +527,8 @@ def test_singular_evaluates_no_single_points(name, capsys, monkeypatch):
 
 
 def test_singular_classifies_every_root_in_one_call(capsys, monkeypatch):
-    # the classification tori of all 129 ruled_B roots are read in one
-    # call; a loop over the roots would make 129
+    # the classification tori of all 130 ruled_B roots are read in one
+    # call; a loop over the roots would make 130
     shapes = []
     original = singularities.basic_invariants
 
@@ -539,8 +539,8 @@ def test_singular_classifies_every_root_in_one_call(capsys, monkeypatch):
     monkeypatch.setattr(singularities, "basic_invariants", basic_invariants)
     code, out, _ = _run(capsys, ["singular", "--example", "ruled_B"])
     assert code == 0
-    assert "points = 129" in out
-    assert shapes == [(129, _TORUS_ROWS, _TORUS_N)]
+    assert "points = 130" in out
+    assert shapes == [(130, _TORUS_ROWS, _TORUS_N)]
 
 
 def test_singular_h1_h2_are_unknown(tmp_path, capsys):

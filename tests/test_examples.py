@@ -232,6 +232,32 @@ def test_corank_one_custom_instance_alpha_beta():
         assert inv.beta == pytest.approx(beta, abs=1e-9)
 
 
+def test_corank_one_normals_read_each_user_function_once():
+    # one nu1 or nu2 evaluation, at a point or on a grid, calls each of
+    # f, g, f_u, g_u at most once (the v-partials only enter x_v)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(u, v):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(u, v)
+
+        return wrapped
+
+    fns = [counted(name, fn) for name, fn in zip(
+        ("f", "g", "f_u", "f_v", "g_u", "g_v"),
+        (lambda u, v: v * v + u * v, lambda u, v: u * v, lambda u, v: v,
+         lambda u, v: 2.0 * v + u, lambda u, v: v, lambda u, v: u),
+    )]
+    fs = corank_one_surface(*fns)
+    U, V = fs.domain.mesh()
+    for m in (fs.nu1, fs.nu2):
+        for point in ((0.3, -0.2), (U, V)):
+            calls.clear()
+            m.value(*point)
+            assert calls and max(calls.values()) == 1, calls
+
+
 def test_known_singularities_kill_alpha_beta():
     """At every advertised singular point the wedge coefficients vanish."""
     for name in ("cross_cap", "ruled_A"):

@@ -100,7 +100,6 @@ OPTIONS = {
     "cli.main(argv)",
     "fmt.fmt_rows(prefix)",
     "fmt.fmt_rows(sep)",
-    "frames.frame_from_normal(domain)",
     "frames.integrability_residuals(domain)",
     "frames.integrability_residuals(h)",
     "frames.invariants_grid(domain)",
@@ -111,7 +110,6 @@ OPTIONS = {
     "horocyclic.integrate_frame_curves(step)",
     "horocyclic.invariant_form_classify(tol)",
     "minkowski.causal_character(tol)",
-    "projections.lift_from_r31(domain)",
     "projections.lift_from_r31(lminus)",
     "projections.lift_from_r31(lplus)",
     "projections.lightcone_residual(domain)",
@@ -162,4 +160,4 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == OPTIONS
-    assert len(OPTIONS) == 30
+    assert len(OPTIONS) == 28

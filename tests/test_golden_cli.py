@@ -46,7 +46,7 @@ GOLDEN = {
     ),
     "singular_ruled_B": (
         ["singular", "--example", "ruled_B"],
-        "12132e531fc875223a41818ea400285bbb82078259e5991055e447fc91f64fa6",
+        "9dd09c7b4e328d3fe9b771c66d3e6e88e293ece265b480f18ce3b0fde5122c57",
     ),
     "mesh_ruled_A_markers": (
         ["mesh", "--example", "ruled_A", "--markers"],
@@ -79,13 +79,13 @@ GOLDEN = {
 }
 
 
-# newton_iters of ruled_B's 129 points on its singular line, in u order
+# newton_iters of ruled_B's 130 points on its singular line, in u order
 RULED_B_ITERS = (
-    2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 2, 0, 0, 2, 0, 2, 0, 2, 0,
-    2, 0, 3, 0, 2, 0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 0,
-    0, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 2, 0, 0, 2, 0, 3, 0, 2,
-    0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2,
-    0,
+    0, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 2, 0, 0, 2, 0, 2, 0, 2,
+    0, 2, 0, 3, 0, 2, 0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2,
+    0, 0, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 3, 2, 0, 0, 2, 0, 0, 2, 0, 3, 0,
+    2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0, 2, 3, 0, 0,
+    2, 0,
 )
 
 # singular: each point's (classification, newton_iters), in printed order;

@@ -522,9 +522,9 @@ def test_classify_singularity_refuses_at_the_first_point_it_reads():
 def _canonicalize_u(u, dom, snap=0.0):
     """Fold a refined u into (u_min, u_min + period] using the declared period.
 
-    A root within ``snap`` of the left seam is the same physical point as
-    the right edge when the window spans a whole period; it is re-expressed
-    on the right so duplicate pairs like (-pi, 0) / (pi, 0) collapse.
+    A root within ``snap`` of the left seam is re-expressed on the right
+    when that keeps it inside the window (within the 1e-9 margin of the
+    domain test), so duplicate pairs like (-pi, 0) / (pi, 0) collapse.
     """
     if dom.u_period is None:
         return u
@@ -532,7 +532,7 @@ def _canonicalize_u(u, dom, snap=0.0):
     u = dom.u_min + math.fmod(u - dom.u_min, period)
     if u <= dom.u_min:
         u += period
-    if u < dom.u_min + snap and u + period <= dom.u_max + snap:
+    if u < dom.u_min + snap and u + period <= dom.u_max + 1e-9:
         u += period
     return u
 
@@ -582,12 +582,12 @@ def _fields(rep):
 
 @pytest.mark.parametrize("name", SCANNED)
 def test_broadcast_classifiers_equal_one_point_calls(name):
-    # every default root (129 on ruled_B's line), with its Newton
+    # every default root (130 on ruled_B's line), with its Newton
     # iterations, and the nodes of a 2 x 2 grid inside the domain
     fs = _surfaces()[name]
     _, records = find_singular_points(fs, full_output=True)
     pts = _merge_roots(records, fs.domain) + [(u, v, 0) for u, v in _nodes(_inner(fs.domain, nu=2, nv=2))]
-    assert len(pts) == {"ruled_A": 6, "ruled_B": 133}.get(name, 5)
+    assert len(pts) == {"ruled_A": 6, "ruled_B": 134}.get(name, 5)
     u, v, iters = (np.array(c) for c in zip(*pts))
     got = classify_singularity(fs, u, v, newton_iters=iters)
     want = [classify_singularity(fs, a, b, newton_iters=k) for a, b, k in pts]
@@ -652,9 +652,18 @@ def _merge_cases(draw):
 # right of the left seam: within reach only across the seam
 @example(case=([RefinementRecord(0.0, 0.0, math.pi + 5e-10, 0.0, 0.0, 3, True),
                 RefinementRecord(0.0, 0.0, -math.pi + 0.01 + 2e-10, 0.0, 0.0, 7, True)], MERGE_DOMAINS[0]))
+# one root half a tenth of a cell right of the left seam, alone
+@example(case=([RefinementRecord(0.0, 0.0, -math.pi + 0.005, 0.0, 0.0, 2, True)], MERGE_DOMAINS[0]))
 def test_merge_roots_equals_the_record_loop(case):
     records, dom = case
     assert _merge_roots(records, dom) == _reference_merge_roots(records, dom)
+
+
+def test_merge_roots_keeps_a_root_just_right_of_the_seam():
+    # its image a period on lies past u_max, so the root stays where it is
+    # rather than being moved out of the window and dropped
+    record = RefinementRecord(0.0, 0.0, -math.pi + 0.005, 0.0, 0.0, 2, True)
+    assert _merge_roots([record], MERGE_DOMAINS[0]) == [(-math.pi + 0.005, 0.0, 2)]
 
 
 @pytest.mark.parametrize("name", ("ruled_B", "horocyclic"))

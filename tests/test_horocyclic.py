@@ -121,8 +121,24 @@ def test_extract_h_rejects_degenerate_frame():
     a0 = Curve4(value=lambda u: E0.copy())
     bad = Curve4(value=lambda u: 2.0 * E1)  # not unit
     a2 = Curve4(value=lambda u: E2.copy())
-    with pytest.raises(DegenerateFrameError):
+    with pytest.raises(DegenerateFrameError, match=re.escape("exceeds 1e-08 at u = 0.0")):
         extract_h(a0, bad, a2, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_curve_frame_with_a_non_finite_vector_is_refused(bad):
+    # a nan Gram residual fails the axiom check like a large one does, and
+    # an infinite vector is refused without a numpy warning on the way
+    vec = np.array([bad, 1.0, 0.0, 0.0])
+    a0, a2 = Curve4(value=lambda u: E0.copy()), Curve4(value=lambda u: E2.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateFrameError, match=re.escape("curve frame is not finite at u = 0.5")):
+            extract_h(a0, Curve4(value=lambda u: vec.copy()), a2, 0.5)
+        with pytest.raises(DegenerateFrameError, match=re.escape("is not finite at the start u = 0.0")):
+            integrate_frame_curves(_const_h(GENERIC_H), E0, vec, E2, 0.0, 1.0)
+        with pytest.raises(DegenerateFrameError, match=re.escape("curve frame is not finite on the u grid")):
+            build_horocyclic(HorocyclicData(frame=_const_frame(E0, vec, E2), h=_const_h(GENERIC_H)), DOMAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +197,22 @@ def test_closed_form_invariants_match_extraction():
         assert worst < ORACLE_TOL
 
 
-def test_alpha_beta_closed_form():
-    data = _integrated(_const_h(GENERIC_H))
-    ab = horocyclic_alpha_beta(data)
-    oracle = horocyclic_invariants(data)
-    for u in (-0.7, 0.1, 0.9):
-        for v in (-1.0, 0.0, 0.8):
-            a, b = ab(u, v)
-            q = oracle(u, v)
-            assert a == pytest.approx(q.alpha, abs=1e-14)
-            assert b == pytest.approx(q.beta, abs=1e-14)
-    # spot value: alpha = v h1 - h2 - v h4 at v = 1
-    h1, h2, _, h4, _, _ = GENERIC_H
-    assert ab(0.0, 1.0)[0] == pytest.approx(h1 - h2 - h4, abs=1e-12)
+@settings(max_examples=100, deadline=None)
+@given(
+    h=st.tuples(*[st.floats(-3.0, 3.0)] * 6),
+    u=st.floats(-1.0, 1.0),
+    v=st.floats(-1.5, 1.5),
+)
+def test_alpha_beta_closed_form(h, u, v):
+    # (alpha, beta) are those of the closed-form invariants, exactly, and
+    # equal alpha = v h1 - h2 - v h4, beta = (1 + v^2/2) h3 + v h5 + (v^2/2) h6
+    data = HorocyclicData(frame=_const_frame(E0, E1, E2), h=_const_h(h))
+    q = horocyclic_invariants(data)(u, v)
+    assert horocyclic_alpha_beta(data)(u, v) == (q.alpha, q.beta)
+    h1, h2, h3, h4, h5, h6 = h
+    w = v * v / 2.0
+    assert q.alpha == pytest.approx(v * h1 - h2 - v * h4, abs=1e-12)
+    assert q.beta == pytest.approx((1.0 + w) * h3 + v * h5 + w * h6, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

@@ -84,15 +84,13 @@ def test_first_partials_closed_form_exact():
 
 
 def test_complex_step_partials_exact_at_the_boundary():
-    # A map with a domain and no closed firsts is differentiated exactly
-    # on the whole closed domain, corners and edges included: the complex
-    # step leaves the domain by nothing.
-    d = Domain(0.0, 1.0, 0.0, 1.0)
+    # A map with no closed firsts is differentiated exactly on the whole
+    # closed window [0, 1]^2, corners and edges included: the complex step
+    # leaves the window by nothing.
     m = ParametricMap4(
         value=lambda u, v: components(
             np.sin(u + 2 * v), np.cos(u - v), np.sin(3 * u) * np.cos(v), u * v
         ),
-        domain=d,
     )
     exact = _trig_map()
     for u, v in [(0.0, 0.0), (1e-6, 0.5), (0.5, 1.0 - 1e-6), (1.0, 1.0), (0.0, 1.0)]:
