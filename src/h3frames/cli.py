@@ -293,7 +293,7 @@ class _Blocks(list):
 def cmd_invariants(settings: argparse.Namespace) -> _Blocks:
     """invariant grid as CSV"""
     entry = _load_example(settings)
-    dom = _domain(settings, entry.framed.domain)
+    dom = _domain(settings, entry.domain)
     # not a setting: the bound the residual footer is read against
     out = _Blocks(frame_tol=FRAME_TOL)
     summary = frames.write_invariants_csv(out, entry.framed, dom)
@@ -314,7 +314,7 @@ _DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
 def cmd_singular(settings: argparse.Namespace) -> _Blocks:
     """singularity report"""
     entry = _load_example(settings)
-    dom = _domain(settings, entry.framed.domain)
+    dom = _domain(settings, entry.domain)
     reports = sorted(singularities.singularity_scan(entry.framed, dom, tol=settings.singular_tol),
                      key=lambda r: (r.u, r.v))
     out = _Blocks()
@@ -343,7 +343,7 @@ def cmd_singular(settings: argparse.Namespace) -> _Blocks:
 def cmd_mesh(settings: argparse.Namespace) -> _Blocks:
     """ball-model polygon mesh"""
     entry = _load_example(settings)
-    dom = _domain(settings, entry.framed.domain)
+    dom = _domain(settings, entry.domain)
     marker_pts = None
     if settings.markers:
         marker_pts = singularities.find_singular_points(entry.framed, dom, tol=settings.singular_tol)

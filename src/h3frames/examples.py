@@ -1,11 +1,12 @@
 """Built-in example surfaces with closed-form frames and oracle invariants.
 
-Each entry bundles a framed surface over a default domain with, where
-available, closed-form oracle callables for the twelve invariants and for
-(alpha, beta), plus the locations of known isolated singular points.  The
-long expressions are transcribed in exactly one place - here - and the test
-suite checks them against their defining properties (unit normals, pseudo
-orthogonality, frame reconstruction) rather than trusting them blindly.
+Each entry bundles a framed surface with its default sampling window and,
+where available, closed-form oracle callables for the twelve invariants
+and for (alpha, beta), plus the locations of known isolated singular
+points.  The long expressions are transcribed in exactly one place - here -
+and the test suite checks them against their defining properties (unit
+normals, pseudo orthogonality, frame reconstruction) rather than trusting
+them blindly.
 
 Registry names: ``cross_cap``, ``corank_one``, ``ruled_A``, ``ruled_B`` and
 ``horocyclic:<profile.csv>`` (curve data loaded from an h-profile file).
@@ -44,10 +45,10 @@ SQ3 = math.sqrt(3.0)
 class ExampleEntry:
     name: str
     framed: FramedSurface
+    domain: Domain  # the default window of the calls that sample it
     oracle_invariants: Optional[Callable[[float, float], Invariants]] = None
     oracle_alpha_beta: Optional[Callable[[float, float], tuple[float, float]]] = None
     known_singularities: tuple[tuple[float, float, str], ...] = ()
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,6 @@ def cross_cap_surface() -> FramedSurface:
         x=ParametricMap4(value=x, du=xu, dv=xv),
         nu1=ParametricMap4(value=n1, du=n1u, dv=n1v),
         nu2=ParametricMap4(value=n2, du=zero4, dv=n2v),
-        domain=Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21),
     )
 
 
@@ -221,7 +221,6 @@ def corank_one_surface(
         x=ParametricMap4(value=x, du=xu, dv=xv),
         nu1=ParametricMap4(value=n1),
         nu2=ParametricMap4(value=n2),
-        domain=Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21),
     )
 
 
@@ -363,7 +362,6 @@ def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p) -> FramedSurface:
         nu2=ParametricMap4(
             value=lambda u, v: nu2(u), du=lambda u, v: nu2_p(u), dv=zero4
         ),
-        domain=Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2.0 * math.pi),
     )
 
 
@@ -427,8 +425,52 @@ def ruled_b_oracle(u: float, v: float) -> Invariants:
 # ---------------------------------------------------------------------------
 
 
+_BOX = Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)  # cross_cap and corank_one
+_RULED = Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2.0 * math.pi)
+
+# f = v^2, g = u v (and f_u, f_v, g_u, g_v) reproduces the cross cap.
+_CORANK_ONE_FNS = (
+    lambda u, v: v * v,
+    lambda u, v: u * v,
+    lambda u, v: 0.0,
+    lambda u, v: 2.0 * v,
+    lambda u, v: v,
+    lambda u, v: u,
+)
+
+
+def _horocyclic_entry(name: str) -> ExampleEntry:
+    from .horocyclic import horocyclic_example_from_profile
+
+    return horocyclic_example_from_profile(name.split(":", 1)[1])
+
+
+#: The entry of each registry name, made from the name looked up;
+#: ``horocyclic:<profile.csv>`` stands for every ``horocyclic:`` name.
+_REGISTRY: dict[str, Callable[[str], ExampleEntry]] = {
+    "cross_cap": lambda name: ExampleEntry(
+        name, cross_cap_surface(), _BOX, cross_cap_oracle, cross_cap_alpha_beta,
+        known_singularities=((0.0, 0.0, "cross_cap"),),
+    ),
+    "corank_one": lambda name: ExampleEntry(
+        name, corank_one_surface(*_CORANK_ONE_FNS), _BOX,
+        oracle_alpha_beta=corank_one_alpha_beta(*_CORANK_ONE_FNS),
+        known_singularities=((0.0, 0.0, "cross_cap"),),
+    ),
+    "ruled_A": lambda name: ExampleEntry(
+        name, ruled_a_surface(), _RULED, ruled_a_oracle, _alpha_beta(ruled_a_oracle),
+        known_singularities=((0.0, 0.0, "cross_cap"), (math.pi, 0.0, "cross_cap")),
+    ),
+    # singular along the whole line v = 0, not at isolated points
+    "ruled_B": lambda name: ExampleEntry(
+        name, ruled_b_surface(), _RULED, ruled_b_oracle, _alpha_beta(ruled_b_oracle)
+    ),
+    "horocyclic:<profile.csv>": _horocyclic_entry,
+}
+
+
 def example_names() -> tuple[str, ...]:
-    return ("cross_cap", "corank_one", "ruled_A", "ruled_B", "horocyclic:<profile.csv>")
+    return tuple(_REGISTRY)
 
 
 def get_example(name: str) -> ExampleEntry:
@@ -437,52 +479,7 @@ def get_example(name: str) -> ExampleEntry:
     ``horocyclic:<path>`` loads an h-profile CSV and integrates the
     generating curves.  Unknown names raise ``KeyError``.
     """
-    if name == "cross_cap":
-        return ExampleEntry(
-            name=name,
-            framed=cross_cap_surface(),
-            oracle_invariants=cross_cap_oracle,
-            oracle_alpha_beta=cross_cap_alpha_beta,
-            known_singularities=((0.0, 0.0, "cross_cap"),),
-        )
-    if name == "corank_one":
-        # f = v^2, g = u v (and f_u, f_v, g_u, g_v) reproduces the cross cap.
-        fns = (
-            lambda u, v: v * v,
-            lambda u, v: u * v,
-            lambda u, v: 0.0,
-            lambda u, v: 2.0 * v,
-            lambda u, v: v,
-            lambda u, v: u,
-        )
-        return ExampleEntry(
-            name=name,
-            framed=corank_one_surface(*fns),
-            oracle_alpha_beta=corank_one_alpha_beta(*fns),
-            known_singularities=((0.0, 0.0, "cross_cap"),),
-            notes="default instance f = v^2, g = u v coincides with cross_cap",
-        )
-    if name == "ruled_A":
-        return ExampleEntry(
-            name=name,
-            framed=ruled_a_surface(),
-            oracle_invariants=ruled_a_oracle,
-            oracle_alpha_beta=_alpha_beta(ruled_a_oracle),
-            known_singularities=((0.0, 0.0, "cross_cap"), (math.pi, 0.0, "cross_cap")),
-        )
-    if name == "ruled_B":
-        return ExampleEntry(
-            name=name,
-            framed=ruled_b_surface(),
-            oracle_invariants=ruled_b_oracle,
-            oracle_alpha_beta=_alpha_beta(ruled_b_oracle),
-            known_singularities=(),
-            notes="singular along the whole line v = 0 (not isolated points)",
-        )
-    if name.startswith("horocyclic:"):
-        from .horocyclic import horocyclic_example_from_profile
-
-        return horocyclic_example_from_profile(name.split(":", 1)[1])
-    raise KeyError(
-        f"unknown example {name!r}; available: {', '.join(example_names())}"
-    )
+    key = "horocyclic:<profile.csv>" if name.startswith("horocyclic:") else name
+    if key not in _REGISTRY:
+        raise KeyError(f"unknown example {name!r}; available: {', '.join(example_names())}")
+    return _REGISTRY[key](name)

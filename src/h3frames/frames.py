@@ -91,12 +91,11 @@ INVARIANT_CSV_HEADER = ",".join(("u", "v") + _INVARIANT_NAMES + ("alpha", "beta"
 
 @dataclasses.dataclass(frozen=True)
 class FramedSurface:
-    """Surface map plus the two normal fields and the working domain."""
+    """Surface map plus the two normal fields."""
 
     x: ParametricMap4
     nu1: ParametricMap4
     nu2: ParametricMap4
-    domain: Domain
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,9 +225,9 @@ def invariants_at(fs: FramedSurface, u: float, v: float) -> Invariants:
     return basic_invariants(frame_at(fs, u, v))
 
 
-def invariants_grid(fs: FramedSurface, domain: Optional[Domain] = None) -> Invariants:
-    """The twelve invariants as ``(nv, nu)`` arrays over the sampling grid."""
-    return invariants_at(fs, *(domain or fs.domain).mesh())
+def invariants_grid(fs: FramedSurface, domain: Domain) -> Invariants:
+    """The twelve invariants as ``(nv, nu)`` arrays over the grid of ``domain``."""
+    return invariants_at(fs, *domain.mesh())
 
 
 def invariant_field(fs: FramedSurface) -> Callable[[float, float], Invariants]:
@@ -278,15 +277,15 @@ class FramedResidualSummary:
     max_constraint_residual: float  # |a1 b2 - a2 b1|
 
 
-def verify_framed(fs: FramedSurface, domain: Optional[Domain] = None) -> FramedResidualSummary:
-    """Check the framed-surface axioms on the sampling grid.
+def verify_framed(fs: FramedSurface, domain: Domain) -> FramedResidualSummary:
+    """Check the framed-surface axioms on the grid of ``domain``.
 
     The off-span residual measures the nu3-component of x ^ x_u ^ x_v,
     which must vanish: the derivative wedge lies in span{nu1, nu2}.  It is
     computed from the raw derivatives, independently of the extracted
     invariants, so it cross-checks the constraint residual.
     """
-    fr = frame_at(fs, *(domain or fs.domain).mesh())
+    fr = frame_at(fs, *domain.mesh())
     return _residual_summary(fr, basic_invariants(fr))
 
 
@@ -322,10 +321,10 @@ class IntegrabilityResiduals:
 
 def integrability_residuals(
     fs: FramedSurface,
-    domain: Optional[Domain] = None,
+    domain: Domain,
     h: float = 1e-5,
 ) -> IntegrabilityResiduals:
-    """Evaluate the six integrability residuals over the sampling grid.
+    """Evaluate the six integrability residuals over the grid of ``domain``.
 
     Invariant derivatives are 2-point central differences with step ``h``
     (:func:`invariant_partials`); the grid must be evaluable with that
@@ -333,8 +332,7 @@ def integrability_residuals(
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    dom = domain or fs.domain
-    q, d = invariant_partials(invariant_field(fs), *dom.mesh(), h)
+    q, d = invariant_partials(invariant_field(fs), *domain.mesh(), h)
     out = (
         (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
         (d["b1_v"] + q.a1 * q.e2 - q.c1 * q.g2) - (d["b2_u"] + q.a2 * q.e1 - q.c2 * q.g1),
@@ -343,7 +341,7 @@ def integrability_residuals(
         (d["f1_v"] + q.e1 * q.g2 + q.a1 * q.c2) - (d["f2_u"] + q.e2 * q.g1 + q.a2 * q.c1),
         (d["g1_v"] - q.e1 * q.f2 + q.b1 * q.c2) - (d["g2_u"] - q.e2 * q.f1 + q.b2 * q.c1),
     )
-    return IntegrabilityResiduals(u=dom.u_grid(), v=dom.v_grid(), r=out, h=h)
+    return IntegrabilityResiduals(u=domain.u_grid(), v=domain.v_grid(), r=out, h=h)
 
 
 class ReflectVariant(enum.Enum):
@@ -421,7 +419,7 @@ def rotate_frame(fs: FramedSurface, theta: Callable[[float, float], float]) -> F
         return ParametricMap4(value=value)
 
     nu1 = rotated(np.cos, lambda t: -np.sin(t))
-    return FramedSurface(x=fs.x, nu1=nu1, nu2=rotated(np.sin, np.cos), domain=fs.domain)
+    return FramedSurface(x=fs.x, nu1=nu1, nu2=rotated(np.sin, np.cos))
 
 
 def reparametrize_invariants(inv: Invariants, jac) -> Invariants:
@@ -457,8 +455,8 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
     value-only maps: they broadcast and are complex-analytic, so their
     partials come from :func:`first_partials` like any map's.
 
-    Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``,
-    which the framed surface keeps as its own: x on the upper hyperboloid
+    Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``
+    only (the framed surface carries no window): x on the upper hyperboloid
     sheet, nu unit spacelike with <x, nu> = 0.  A violation raises
     :class:`PreconditionError` at the first failing point (v-major).
     Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
@@ -514,7 +512,6 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
         x=x,
         nu1=ParametricMap4(value=lambda u, v: pair(u, v)[0]),
         nu2=ParametricMap4(value=lambda u, v: pair(u, v)[1]),
-        domain=domain,
     )
 
 
@@ -585,8 +582,8 @@ def reduction_type(inv: Invariants) -> ReductionResult:
     return ReductionResult(tag, float(theta) if tag is ReductionType.ROTATABLE_TO_FRAMED else None)
 
 
-def reduction_type_grid(fs: FramedSurface, domain: Optional[Domain] = None):
-    """Reduction tags and rotation angles over the grid.
+def reduction_type_grid(fs: FramedSurface, domain: Domain):
+    """Reduction tags and rotation angles over the grid of ``domain``.
 
     The rotation angle is only defined modulo pi; to make the returned
     field usable as a continuous rotation, each grid row (fixed v) is
@@ -798,16 +795,15 @@ def integrate_frame_along_line(
     return FrameTrajectory(t=ts, frames=frames, max_gram_drift=drift)
 
 
-def write_invariants_csv(target, fs: FramedSurface, domain: Optional[Domain] = None) -> FramedResidualSummary:
-    """Write the invariant field over the grid as CSV: the column header,
-    then one row per grid point.  Returns what :func:`verify_framed` would,
-    read from the same frame evaluation.
+def write_invariants_csv(target, fs: FramedSurface, domain: Domain) -> FramedResidualSummary:
+    """Write the invariant field over the grid of ``domain`` as CSV: the
+    column header, then one row per grid point.  Returns what
+    :func:`verify_framed` would, read from the same frame evaluation.
 
     Rows run v-major (v in the outer loop, u inner); values are printed
     with 17 significant digits so the file round-trips doubles exactly.
     """
-    dom = domain or fs.domain
-    U, V = dom.mesh()
+    U, V = domain.mesh()
     fr = frame_at(fs, U, V)
     inv = basic_invariants(fr)
     summary = _residual_summary(fr, inv)

@@ -159,10 +159,11 @@ def _check_curve_frame(frame, where: str) -> None:
 
 
 def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
-    """Sweep the curve frame into a framed surface over ``domain``.
+    """Sweep the curve frame into a framed surface.
 
-    The curve-frame axioms are checked within ``ORTHONORMAL_TOL`` on the
-    domain's u grid first; violation raises :class:`DegenerateFrameError`.
+    The curve-frame axioms are checked within ``ORTHONORMAL_TOL`` on the u
+    grid of ``domain`` first, and only there: the surface keeps no window.
+    A violation raises :class:`DegenerateFrameError`.
     All three surface maps carry closed firsts, from one frame evaluation
     per call (see :func:`_swept_map`).
     """
@@ -173,7 +174,6 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
         nu1=_swept_map(data, (3,), lambda v: (1.0,)),
         nu2=_swept_map(data, (0, 1, 2), lambda v: (-(v * v / 2.0), -v, 1.0 - v * v / 2.0),
                        lambda v: (-v, -1.0, -v)),
-        domain=domain,
     )
 
 
@@ -629,12 +629,11 @@ def horocyclic_example_from_profile(path):
     from .examples import ExampleEntry
 
     profile = load_h_profile(path)
-    data = profile.curve_frame()
+    data, dom = profile.curve_frame(), profile.domain()
     return ExampleEntry(
         name=f"horocyclic:{path}",
-        framed=build_horocyclic(data, profile.domain()),
+        framed=build_horocyclic(data, dom),
+        domain=dom,
         oracle_invariants=horocyclic_invariants(data),
         oracle_alpha_beta=horocyclic_alpha_beta(data),
-        known_singularities=(),
-        notes="curve frame integrated from the h-profile; oracle is the closed form",
     )

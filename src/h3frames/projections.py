@@ -94,15 +94,15 @@ class DiscFramedSurface:
     xbar: ParametricMap4
     nubar1: ParametricMap4
     nubar2: ParametricMap4
-    domain: Domain
 
 
 @dataclasses.dataclass(frozen=True)
 class LightconeCandidate:
     """Projected base surface and the unit spacelike direction certifying it.
 
-    The defining residual <xt_u ^ xt_v, t> vanishes identically for exact
-    input; :func:`lightcone_residual` measures it on a grid.
+    ``domain`` is the window whose grid :func:`project_to_r31` checked.  The
+    defining residual <xt_u ^ xt_v, t> vanishes identically for exact
+    input; :func:`lightcone_residual` measures it on that grid.
     """
 
     xtilde: ParametricMap4
@@ -174,8 +174,8 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
     with weights proportional to the original (alpha, beta).  A vanishing
     direction cannot occur for valid input (it would force <x, nu> != 0),
     so :class:`NormalizationError` here means the input was not framed.
-    The transported maps carry values only; their first partials come
-    from the complex step.
+    The transported maps carry values only, and no window; their first
+    partials come from the complex step.
     """
     x_m, n1_m, n2_m = fs.x, fs.nu1, fs.nu2
 
@@ -193,7 +193,6 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
         xbar=ParametricMap4(value=xbar_value),
         nubar1=ParametricMap4(value=nub_value_factory(n1_m)),
         nubar2=ParametricMap4(value=nub_value_factory(n2_m)),
-        domain=fs.domain,
     )
 
 
@@ -220,6 +219,7 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
     spacelike for valid input (asserted positivity of -p^2+q^2+r^2+s^2).
     Round trips reproduce the base surface exactly; the normal pair is
     only guaranteed back up to an in-plane rotation, so compare spans.
+    No window goes in or comes out: the calls that sample take one.
     """
     xb_m, n1_m, n2_m = dfs.xbar, dfs.nubar1, dfs.nubar2
 
@@ -237,7 +237,6 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
         x=ParametricMap4(value=x_value),
         nu1=ParametricMap4(value=nu_value_factory(n1_m)),
         nu2=ParametricMap4(value=nu_value_factory(n2_m)),
-        domain=dfs.domain,
     )
 
 
@@ -260,10 +259,9 @@ class DiscResidualSummary:
     max_off_span: float  # max |(xbar_u x xbar_v) . (nubar1 x nubar2)|
 
 
-def verify_disc_framed(
-    dfs: DiscFramedSurface, domain: Optional[Domain] = None
-) -> DiscResidualSummary:
-    U, V = (domain or dfs.domain).mesh()
+def verify_disc_framed(dfs: DiscFramedSurface, domain: Domain) -> DiscResidualSummary:
+    """The ball-model axioms' worst residuals over the grid of ``domain``."""
+    U, V = domain.mesh()
     p, pu, pv = first_partials(dfs.xbar, U, V)
     n1 = evaluate(dfs.nubar1.value, U, V)
     n2 = evaluate(dfs.nubar2.value, U, V)
@@ -294,19 +292,16 @@ def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
     return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
 
-def project_to_r31(
-    fs: FramedSurface, axis: Axis, domain: Optional[Domain] = None
-) -> LightconeCandidate:
+def project_to_r31(fs: FramedSurface, axis: Axis, domain: Domain) -> LightconeCandidate:
     """Drop one spacelike coordinate, keeping the projected binormal as t.
 
     The spacelike precondition on the projected binormal is checked at the
-    grid points of ``domain`` (default: the surface's own) only — nothing
-    is certified between samples.  Failure raises
+    grid points of ``domain`` only — nothing is certified between samples —
+    and the candidate keeps that window.  Failure raises
     :class:`NonSpacelikeNormalError` carrying the first offending point
     (v-major) and its causal character.
     """
-    dom = domain or fs.domain
-    U, V = dom.mesh()
+    U, V = domain.mesh()
     w = _drop(_nu3_value(fs, U, V), axis)
     k = first_true(~(minkowski_dot3(w, w) > CAUSAL_TOL))
     if k is not None:
@@ -331,16 +326,15 @@ def project_to_r31(
     return LightconeCandidate(
         xtilde=ParametricMap4(value=xt_value),
         t=ParametricMap4(value=t_value),
-        domain=dom,
+        domain=domain,
         axis=axis,
     )
 
 
-def lightcone_residual(
-    lc: LightconeCandidate, domain: Optional[Domain] = None
-) -> float:
-    """Grid max of |<xt_u ^ xt_v, t>|, the defining identity of the output."""
-    U, V = (domain or lc.domain).mesh()
+def lightcone_residual(lc: LightconeCandidate) -> float:
+    """Max of |<xt_u ^ xt_v, t>|, the defining identity of the output, over
+    the grid that :func:`project_to_r31` checked."""
+    U, V = lc.domain.mesh()
     _, xu, xv = first_partials(lc.xtilde, U, V)
     t = evaluate(lc.t.value, U, V)
     return float(np.max(abs(minkowski_dot3(wedge2_r31(xu, xv), t))))
@@ -451,26 +445,26 @@ def lift_from_r31(
 def write_disc_mesh(
     dest,
     fs: FramedSurface,
-    domain: Optional[Domain] = None,
+    domain: Domain,
     markers: Optional[Sequence[tuple[float, float]]] = None,
 ) -> None:
     """Write the ball-model image of the surface as a plain polygon mesh.
 
-    Vertices are the grid samples projected through the ball map, written
-    v-major as ``v x y z`` lines; every grid quad is split into two
-    triangles wound counterclockwise as seen from outside the ball (the
-    outward side is decided per triangle against its centroid direction).
+    Vertices are the samples of the grid of ``domain`` projected through
+    the ball map, written v-major as ``v x y z`` lines; every grid quad is
+    split into two triangles wound counterclockwise as seen from outside
+    the ball (the outward side is decided per triangle against its
+    centroid direction).
     Marker parameter points, when given, are appended as extra vertices
     referenced from ``p`` lines.
 
     ``dest`` may be a path or a writable text stream.
     """
-    dom = domain or fs.domain
     if hasattr(dest, "write"):
-        _write_disc_mesh(dest, fs, dom, markers or ())
+        _write_disc_mesh(dest, fs, domain, markers or ())
     else:
         with open(dest, "w", encoding="ascii") as fh:
-            _write_disc_mesh(fh, fs, dom, markers or ())
+            _write_disc_mesh(fh, fs, domain, markers or ())
 
 
 def _write_disc_mesh(fh, fs, dom, markers) -> None:

@@ -34,8 +34,7 @@ its own; ``horocyclic_classify_singularity`` is kept as another name of
 Invariant fields broadcast like maps, and so does the classifier: ``(u, v)``
 are floats or equal-shape arrays, and constant components are allowed.
 Each stage is one field call: the screen over the whole grid, each Newton
-stage over every seed (the Jacobians through
-:func:`h3frames.frames.invariant_partials`, over all their stencils at
+stage over every seed (the Jacobians over all their four-point stencils at
 once), and the classification of a scan over every root and its torus.
 
 Values that straddle a threshold are reported ``unclassified`` rather
@@ -63,7 +62,7 @@ import numpy as np
 from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
 from .frames import _INVARIANT_NAMES
-from .frames import FrameAt, FramedSurface, Invariants, basic_invariants, invariant_field, invariant_partials
+from .frames import FrameAt, FramedSurface, Invariants, basic_invariants, invariant_field
 from .minkowski import wedge3
 from .surface import Domain, evaluate, first_true
 
@@ -192,9 +191,11 @@ def _alpha_beta(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarr
 def _jacobians(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Central-difference Jacobians of (alpha, beta) at the points (u, v),
     one row (alpha_u, alpha_v, beta_u, beta_v) per point, from one field
-    call over their stencils."""
-    _, d = invariant_partials(field, u, v, H_INVARIANT)
-    return np.stack([d["alpha_u"], d["alpha_v"], d["beta_u"], d["beta_v"]], axis=-1)
+    call over their stencils (u + h, v), (u - h, v), (u, v + h), (u, v - h)."""
+    h = H_INVARIANT
+    U, V = np.stack([u + h, u - h, u, u], axis=-1), np.stack([v, v, v + h, v - h], axis=-1)
+    f = _alpha_beta(field, U, V)
+    return np.stack([f[:, 0] - f[:, 1], f[:, 2] - f[:, 3]], axis=-1).reshape(-1, 4) / (2.0 * h)
 
 
 def _rows(fn: Callable, field: InvariantField, u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
@@ -285,11 +286,11 @@ def _newton_refine(
 
 def find_singular_points(
     fs: FieldLike,
-    domain: Optional[Domain] = None,
+    domain: Domain,
     tol: float = REFINE_TOL,
     full_output: bool = False,
 ):
-    """Grid-scan for zeros of (alpha, beta), refine, deduplicate.
+    """Grid-scan ``domain`` for zeros of (alpha, beta), refine, deduplicate.
 
     A grid cell seeds a Newton run from its centre when, for alpha and beta
     separately, the smallest corner magnitude is at most the corner-to-corner
@@ -306,10 +307,6 @@ def find_singular_points(
     :class:`RefinementRecord` (one per grid seed, v-major, then the curve
     seeds).
     """
-    if domain is None:
-        if not isinstance(fs, FramedSurface):
-            raise ValueError("an explicit domain is required for a bare invariant field")
-        domain = fs.domain
     field = _as_field(fs)
 
     U, V = domain.mesh()
@@ -515,7 +512,7 @@ horocyclic_classify_singularity = classify_singularity
 
 def singularity_scan(
     fs: FieldLike,
-    domain: Optional[Domain] = None,
+    domain: Domain,
     tol: float = REFINE_TOL,
 ) -> list[SingularityReport]:
     """find_singular_points followed by one classify_singularity call over
@@ -526,7 +523,7 @@ def singularity_scan(
     Newton runs that the deduplication merged into its point; the roots
     are merged once, in :func:`find_singular_points`.
     """
-    roots, _ = find_singular_points(fs, domain=domain, tol=tol, full_output=True)
+    roots, _ = find_singular_points(fs, domain, tol=tol, full_output=True)
     if not roots:
         return []
     u, v, iters = map(np.array, zip(*roots))

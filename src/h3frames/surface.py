@@ -79,8 +79,9 @@ VecFn = Callable[[float, float], np.ndarray]
 class Domain:
     """Closed rectangle [u_min, u_max] x [v_min, v_max] with a sampling grid.
 
-    ``nu`` / ``nv`` are the number of grid points per direction (>= 2,
-    at most :data:`MAX_GRID_POINTS` in all).
+    A window is an argument of each call that samples; maps and framed
+    surfaces carry none.  ``nu`` / ``nv`` are the number of grid points per
+    direction (>= 2, at most :data:`MAX_GRID_POINTS` in all).
     ``u_period``, when set, declares that the surface is periodic in u with
     that period; downstream consumers use it to identify period-equivalent
     points (it does not affect evaluation).

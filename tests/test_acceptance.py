@@ -111,7 +111,7 @@ def _field_gap(field_a, field_b, points):
 def test_criterion_01_cross_cap_oracle(gate):
     def body():
         entry = get_example("cross_cap")
-        dom = entry.framed.domain
+        dom = entry.domain
         assert (dom.nu, dom.nv) == (21, 21)
         pts = _grid(dom)
 
@@ -130,7 +130,6 @@ def test_criterion_01_cross_cap_oracle(gate):
             x=entry.framed.x.without_derivatives(),
             nu1=entry.framed.nu1.without_derivatives(),
             nu2=entry.framed.nu2.without_derivatives(),
-            domain=dom,
         )
         fd_field = invariant_field(fd)
         assert _field_gap(fd_field, entry.oracle_invariants, pts) < 1e-6
@@ -140,7 +139,7 @@ def test_criterion_01_cross_cap_oracle(gate):
 
 def _ruled_a_roots():
     entry = get_example("ruled_A")
-    pts = find_singular_points(entry.framed)
+    pts = find_singular_points(entry.framed, entry.domain)
     return entry, pts
 
 
@@ -148,7 +147,7 @@ def test_criterion_02_ruled_a_locations_and_classes(gate):
     def body():
         entry, pts = _ruled_a_roots()
         assert len(pts) == 2
-        period = entry.framed.domain.u_period
+        period = entry.domain.u_period
 
         def dist(p, target):
             du = abs(p[0] - target[0])
@@ -190,7 +189,7 @@ def test_criterion_03_ruled_b_alpha_beta_reduction(gate):
         field = invariant_field(entry.framed)
         worst_beta = 0.0
         worst_alpha = 0.0
-        for u, v in _grid(entry.framed.domain):
+        for u, v in _grid(entry.domain):
             q = field(u, v)
             worst_beta = max(worst_beta, abs(q.beta))
             formula = math.sqrt(432.0 * math.sin(u) ** 2 + 75.0) * math.sinh(v) / 5.0
@@ -205,7 +204,8 @@ def test_criterion_03_ruled_b_alpha_beta_reduction(gate):
 def test_criterion_04_frame_identities(gate):
     def body():
         for name in _builtin_names():
-            summary = verify_framed(get_example(name).framed)
+            entry = get_example(name)
+            summary = verify_framed(entry.framed, entry.domain)
             assert summary.max_gram_residual < 1e-10, name
             assert summary.max_offspan_residual < 1e-8, name
             assert summary.max_constraint_residual < 1e-8, name
@@ -216,10 +216,11 @@ def test_criterion_04_frame_identities(gate):
 def test_criterion_05_integrability(gate):
     def body():
         for name in _builtin_names():
-            fs = get_example(name).framed
-            assert integrability_residuals(fs, h=1e-5).max_overall < 1e-5, name
-            base = integrability_residuals(fs, h=1e-3).max_overall
-            half = integrability_residuals(fs, h=5e-4).max_overall
+            entry = get_example(name)
+            fs, dom = entry.framed, entry.domain
+            assert integrability_residuals(fs, dom, h=1e-5).max_overall < 1e-5, name
+            base = integrability_residuals(fs, dom, h=1e-3).max_overall
+            half = integrability_residuals(fs, dom, h=5e-4).max_overall
             assert base / half >= 3.5, name
 
     gate(5, "integrability residuals", body)
@@ -276,14 +277,14 @@ def test_criterion_07_ball_round_trips_and_transport(gate):
             worst = max(worst, float(np.max(np.abs(back - p))))
         assert worst < 1e-12
 
-        fs = get_example("cross_cap").framed
-        dfs = transport_to_disc(fs)
-        assert verify_disc_framed(dfs).max_off_span < 1e-8
+        entry = get_example("cross_cap")
+        dfs = transport_to_disc(entry.framed)
+        assert verify_disc_framed(dfs, entry.domain).max_off_span < 1e-8
 
         again = transport_to_disc(transport_to_h3(dfs))
         worst = max(
             float(np.max(np.abs(again.xbar.value(u, v) - dfs.xbar.value(u, v))))
-            for u, v in _grid(fs.domain)
+            for u, v in _grid(entry.domain)
         )
         assert worst < 1e-10
 
@@ -391,7 +392,7 @@ def test_criterion_09_horocyclic_suite(gate):
         sfs = build_horocyclic(
             integrate_frame_curves(h_funcs, E0, E1, E2, -1.0, 1.0), sdom
         )
-        pts = find_singular_points(sfs)
+        pts = find_singular_points(sfs, sdom)
         assert pts
         sfield = invariant_field(sfs)
         for u, v in pts:
@@ -446,7 +447,7 @@ def test_criterion_11_property_suite(gate):
 
         entry = get_example("ruled_A")
         rotated = rotate_frame(entry.framed, lambda u, v: 0.7 * u)
-        for u, v in find_singular_points(entry.framed):
+        for u, v in find_singular_points(entry.framed, entry.domain):
             before = classify_singularity(entry.framed, u, v).classification
             after = classify_singularity(rotated, u, v).classification
             assert before is after

@@ -632,7 +632,7 @@ def test_mesh_markers_coincide_with_refined_singularities(capsys):
                   for i in marker_ids]
 
     entry = get_example("ruled_A")
-    reports = sorted(singularity_scan(entry.framed), key=lambda r: (r.u, r.v))
+    reports = sorted(singularity_scan(entry.framed, entry.domain), key=lambda r: (r.u, r.v))
     assert len(reports) == 2
     for got, rep in zip(marker_xyz, reports):
         want = to_poincare(entry.framed.x.value(rep.u, rep.v))

@@ -21,11 +21,13 @@ from h3frames.examples import (
 from h3frames.frames import invariants_at, invariants_grid
 from h3frames.minkowski import minkowski_dot4
 from h3frames.singularities import classify_singularity
+from h3frames.surface import Domain
 
 CLOSED_VS_STEP_TOL = 1e-13
 ORACLE_TOL = 1e-10
 
 GRID_EXAMPLES = ("cross_cap", "corank_one", "ruled_A", "ruled_B")
+BOX = Domain(-0.9, 0.9, -0.9, 0.9)  # the default window of cross_cap and corank_one
 
 
 def _sample_points(domain, n=5, margin=0.05):
@@ -48,7 +50,7 @@ def test_closed_firsts_match_complex_step(name):
     for label, m in (("x", fs.x), ("nu1", fs.nu1), ("nu2", fs.nu2)):
         if not m.has_closed_firsts:
             continue
-        for u, v in _sample_points(fs.domain):
+        for u, v in _sample_points(ex.domain):
             du_cs, dv_cs = _complex_step_firsts(m.value, u, v)
             assert np.max(np.abs(m.du(u, v) - du_cs)) < CLOSED_VS_STEP_TOL, (
                 f"{name}.{label} du mismatch at {(u, v)}"
@@ -60,7 +62,7 @@ def test_closed_firsts_match_complex_step(name):
 
 def test_cross_cap_base_point_form():
     fs = cross_cap_surface()
-    for u, v in _sample_points(fs.domain):
+    for u, v in _sample_points(BOX):
         x = fs.x.value(u, v)
         W = u * u + v ** 4 + u * u * v * v + 1.0
         assert np.allclose(x, [math.sqrt(W), u, v * v, u * v], atol=1e-15)
@@ -95,8 +97,9 @@ def test_ruled_generators_are_pseudo_orthonormal(name):
     ),
 )
 def test_extracted_invariants_match_oracle(name, oracle):
-    fs = get_example(name).framed
-    for u, v in _sample_points(fs.domain, n=7):
+    ex = get_example(name)
+    fs = ex.framed
+    for u, v in _sample_points(ex.domain, n=7):
         got = invariants_at(fs, u, v).as_dict()
         want = oracle(u, v).as_dict()
         for k in got:
@@ -111,7 +114,7 @@ def test_alpha_beta_oracles_match_field():
         if ex.oracle_alpha_beta is None:
             continue
         fs = ex.framed
-        for u, v in _sample_points(fs.domain, n=4):
+        for u, v in _sample_points(ex.domain, n=4):
             inv = invariants_at(fs, u, v)
             alpha, beta = ex.oracle_alpha_beta(u, v)
             assert inv.alpha == pytest.approx(alpha, abs=ORACLE_TOL)
@@ -184,7 +187,7 @@ def test_frozen_oracle_rows(key):
 def test_default_corank_one_is_the_cross_cap():
     cc = get_example("cross_cap")
     co = get_example("corank_one")
-    for u, v in _sample_points(cc.framed.domain, n=4):
+    for u, v in _sample_points(cc.domain, n=4):
         assert np.max(np.abs(cc.framed.x.value(u, v) - co.framed.x.value(u, v))) < 1e-14
         a_cc, b_cc = cc.oracle_alpha_beta(u, v)
         a_co, b_co = co.oracle_alpha_beta(u, v)
@@ -196,9 +199,8 @@ def test_corank_one_invariants_equal_the_cross_cap_oracle():
     # the default corank-one surface is the cross cap, and its normals have
     # no closed firsts: complex-step partials make its invariants exact to
     # rounding (central differences missed the oracle by 1.2e-10)
-    fs = get_example("corank_one").framed
-    dom = dataclasses.replace(fs.domain, nu=31, nv=31)
-    got = invariants_grid(fs, dom).as_dict()
+    dom = dataclasses.replace(BOX, nu=31, nv=31)
+    got = invariants_grid(get_example("corank_one").framed, dom).as_dict()
     U, V = dom.mesh()
     for k, (u, v) in enumerate(zip(U.ravel(), V.ravel())):
         for name, want in cross_cap_oracle(float(u), float(v)).as_dict().items():
@@ -223,7 +225,7 @@ def test_corank_one_custom_instance_alpha_beta():
     g_v = lambda u, v: u
     fs = corank_one_surface(f, g, f_u, f_v, g_u, g_v)
     ab = corank_one_alpha_beta(f, g, f_u, f_v, g_u, g_v)
-    for u, v in _sample_points(fs.domain, n=4):
+    for u, v in _sample_points(BOX, n=4):
         inv = invariants_at(fs, u, v)
         alpha, beta = ab(u, v)
         # e/f/g come through complex-step partials of the normal maps, but
@@ -250,7 +252,7 @@ def test_corank_one_normals_read_each_user_function_once():
          lambda u, v: 2.0 * v + u, lambda u, v: v, lambda u, v: u),
     )]
     fs = corank_one_surface(*fns)
-    U, V = fs.domain.mesh()
+    U, V = BOX.mesh()
     for m in (fs.nu1, fs.nu2):
         for point in ((0.3, -0.2), (U, V)):
             calls.clear()
@@ -372,3 +374,14 @@ def test_registry_names_and_unknown():
         assert required in names
     with pytest.raises(KeyError):
         get_example("moebius_band")
+
+
+def test_registry_names_are_the_entries_it_builds():
+    # one table gives the names and the entries; a horocyclic name is a pattern
+    names = example_names()
+    assert names[-1] == "horocyclic:<profile.csv>"
+    for name in names[:-1]:
+        entry = get_example(name)
+        assert entry.name == name and isinstance(entry.domain, Domain)
+    assert get_example("ruled_A").domain.u_period == 2.0 * math.pi
+    assert get_example("corank_one").domain == get_example("cross_cap").domain == BOX

@@ -3,6 +3,7 @@ its tolerance and step knobs and its defaulted parameters are the allowed
 ones."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import h3frames
+from h3frames.frames import FramedSurface
+from h3frames.projections import DiscFramedSurface
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(h3frames.__path__, "h3frames."))
 
@@ -100,29 +103,18 @@ OPTIONS = {
     "cli.main(argv)",
     "fmt.fmt_rows(prefix)",
     "fmt.fmt_rows(sep)",
-    "frames.integrability_residuals(domain)",
     "frames.integrability_residuals(h)",
-    "frames.invariants_grid(domain)",
-    "frames.reduction_type_grid(domain)",
-    "frames.verify_framed(domain)",
-    "frames.write_invariants_csv(domain)",
     "horocyclic.classify_horocyclic(tol)",
     "horocyclic.integrate_frame_curves(step)",
     "horocyclic.invariant_form_classify(tol)",
     "minkowski.causal_character(tol)",
     "projections.lift_from_r31(lminus)",
     "projections.lift_from_r31(lplus)",
-    "projections.lightcone_residual(domain)",
-    "projections.project_to_r31(domain)",
-    "projections.verify_disc_framed(domain)",
-    "projections.write_disc_mesh(domain)",
     "projections.write_disc_mesh(markers)",
     "singularities.classify_singularity(newton_iters)",
     "singularities.classify_singularity(refine_tol)",
-    "singularities.find_singular_points(domain)",
     "singularities.find_singular_points(full_output)",
     "singularities.find_singular_points(tol)",
-    "singularities.singularity_scan(domain)",
     "singularities.singularity_scan(tol)",
     "surface.Domain.contains(margin)",
 }
@@ -160,4 +152,10 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == OPTIONS
-    assert len(OPTIONS) == 28
+    assert len(OPTIONS) == 17
+
+
+def test_framed_surfaces_are_their_three_maps():
+    # the sampling window is an argument of each call that samples
+    assert [f.name for f in dataclasses.fields(FramedSurface)] == ["x", "nu1", "nu2"]
+    assert [f.name for f in dataclasses.fields(DiscFramedSurface)] == ["xbar", "nubar1", "nubar2"]

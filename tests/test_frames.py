@@ -72,8 +72,8 @@ invariants_strategy = st.builds(
 
 @pytest.mark.parametrize("name", ALL_EXAMPLES)
 def test_examples_satisfy_framed_axioms(name):
-    fs = get_example(name).framed
-    summary = verify_framed(fs)
+    ex = get_example(name)
+    summary = verify_framed(ex.framed, ex.domain)
     assert summary.max_gram_residual < GRAM_TOL
     assert summary.max_offspan_residual < OFFSPAN_TOL
     assert summary.max_constraint_residual < CONSTRAINT_TOL
@@ -82,7 +82,7 @@ def test_examples_satisfy_framed_axioms(name):
 def test_degenerate_frame_refuses_extraction():
     fs = get_example("cross_cap").framed
     bad_nu2 = ParametricMap4(value=lambda u, v: 1.01 * fs.nu2.value(u, v))
-    bad = FramedSurface(x=fs.x, nu1=fs.nu1, nu2=bad_nu2, domain=fs.domain)
+    bad = FramedSurface(x=fs.x, nu1=fs.nu1, nu2=bad_nu2)
     with pytest.raises(DegenerateFrameError):
         invariants_at(bad, 0.3, 0.2)
 
@@ -98,9 +98,9 @@ def test_integrability_residuals_small_on_cross_cap():
 
 
 def test_integrability_residuals_reject_bad_step():
-    fs = get_example("cross_cap").framed
+    ex = get_example("cross_cap")
     with pytest.raises(ValueError):
-        integrability_residuals(fs, h=0.0)
+        integrability_residuals(ex.framed, ex.domain, h=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +126,11 @@ def test_reflect_matches_reflected_frame_extraction(variant):
         )
 
     if variant is ReflectVariant.NEG_NU1:
-        fs2 = FramedSurface(fs.x, flip(fs.nu1, -1.0), fs.nu2, fs.domain)
+        fs2 = FramedSurface(fs.x, flip(fs.nu1, -1.0), fs.nu2)
     elif variant is ReflectVariant.NEG_BOTH:
-        fs2 = FramedSurface(fs.x, flip(fs.nu1, -1.0), flip(fs.nu2, -1.0), fs.domain)
+        fs2 = FramedSurface(fs.x, flip(fs.nu1, -1.0), flip(fs.nu2, -1.0))
     else:
-        fs2 = FramedSurface(fs.x, fs.nu2, fs.nu1, fs.domain)
+        fs2 = FramedSurface(fs.x, fs.nu2, fs.nu1)
 
     for u, v in ((0.4, 0.2), (-0.5, 0.6), (0.1, -0.7)):
         want = reflect(invariants_at(fs, u, v), variant)
@@ -255,25 +255,26 @@ def _nu3_map(fs):
     return ParametricMap4(value=nu3)
 
 
-def _rotation_angle(fs, other):
+def _rotation_angle(fs, other, domain):
     """theta with other.nu1 = cos(theta) fs.nu1 - sin(theta) fs.nu2 over the
-    grid of ``fs``, and its partials, from complex steps of cos and sin."""
+    grid of ``domain``, and its partials, from complex steps of cos and sin."""
 
     def cos_sin(u, v):
         n = evaluate(other.nu1.value, u, v)
         return components(minkowski_dot4(n, evaluate(fs.nu1.value, u, v)),
                           -minkowski_dot4(n, evaluate(fs.nu2.value, u, v)))
 
-    (c, s), (c_u, s_u), (c_v, s_v) = first_partials(ParametricMap4(value=cos_sin), *fs.domain.mesh())
+    (c, s), (c_u, s_u), (c_v, s_v) = first_partials(ParametricMap4(value=cos_sin), *domain.mesh())
     return np.arctan2(s, c), c * s_u - s * c_u, c * s_v - s * c_v
 
 
 def test_frame_from_normal_reproduces_normal():
-    fs = get_example("cross_cap").framed
-    nf = frame_from_normal(fs.x, _nu3_map(fs), fs.domain)
-    assert nf.x is fs.x and nf.domain == fs.domain
+    ex = get_example("cross_cap")
+    fs = ex.framed
+    nf = frame_from_normal(fs.x, _nu3_map(fs), ex.domain)
+    assert nf.x is fs.x
     assert not nf.nu1.has_closed_firsts and not nf.nu2.has_closed_firsts
-    U, V = fs.domain.mesh()
+    U, V = ex.domain.mesh()
     fr = frame_at(nf, U, V)
     assert np.max(fr.gram_residual()) < 1e-12
     assert np.max(np.abs(fr.nu3 - _nu3_map(fs).value(U, V))) < 1e-12
@@ -284,9 +285,10 @@ def test_frame_from_normal_reproduces_normal():
 
 
 def test_frame_from_normal_precondition_errors():
-    fs = get_example("cross_cap").framed
+    ex = get_example("cross_cap")
+    fs = ex.framed
     nu3 = _nu3_map(fs)
-    U, V = fs.domain.mesh()
+    U, V = ex.domain.mesh()
     bad = (U > 0.5) & (V > 0.0)
     k = np.flatnonzero(bad)[0]  # the first bad point, v-major
     at = f"at ({U.flat[k]}, {V.flat[k]})"
@@ -303,7 +305,7 @@ def test_frame_from_normal_precondition_errors():
     )
     for x_map, nu_map, message in cases:
         with pytest.raises(PreconditionError, match=re.escape(message)):
-            frame_from_normal(x_map, nu_map, fs.domain)
+            frame_from_normal(x_map, nu_map, ex.domain)
 
 
 def test_frame_from_normal_degenerate_angles():
@@ -311,8 +313,9 @@ def test_frame_from_normal_degenerate_angles():
     # line v = 0: the spherical angles have rho = 0 there
     x_map = ParametricMap4(value=lambda u, v: components(np.cosh(u), np.sinh(u), 0.0, 0.0))
     nu_map = ParametricMap4(value=lambda u, v: components(0.0, 0.0, np.sin(v), np.cos(v)))
-    nf = frame_from_normal(x_map, nu_map, Domain(-0.5, 0.5, -1.0, 1.0, nu=5, nv=5))
-    U, V = nf.domain.mesh()
+    dom = Domain(-0.5, 0.5, -1.0, 1.0, nu=5, nv=5)
+    nf = frame_from_normal(x_map, nu_map, dom)
+    U, V = dom.mesh()
     for m in (nf.nu1, nf.nu2):
         with pytest.raises(DegenerateAnglesError, match=re.escape("undefined at (-0.5, 0.0)")):
             evaluate(m.value, U, V)
@@ -325,10 +328,11 @@ def test_frame_from_normal_degenerate_angles():
 def test_frame_from_normal_rotates_the_built_in_pair(name):
     # the two pairs differ by a rotation theta(u, v): the a/b and f/g rows
     # rotate, c stays and e shifts by the partials of theta
-    fs = get_example(name).framed
-    nf = frame_from_normal(fs.x, _nu3_map(fs), fs.domain)
-    U, V = fs.domain.mesh()
-    want = rotated_invariants(invariants_at(fs, U, V), *_rotation_angle(fs, nf))
+    ex = get_example(name)
+    fs = ex.framed
+    nf = frame_from_normal(fs.x, _nu3_map(fs), ex.domain)
+    U, V = ex.domain.mesh()
+    want = rotated_invariants(invariants_at(fs, U, V), *_rotation_angle(fs, nf, ex.domain))
     got = invariants_at(nf, U, V)
     for k, val in got.as_dict().items():
         assert np.max(np.abs(val - want.as_dict()[k])) <= 1e-10, k
@@ -343,9 +347,10 @@ def test_frame_from_normal_depends_only_on_x_and_nu3(name, t):
     # rotating the pair changes nu3 by rounding only; the split magnifies
     # that by its condition number |nu| / rho (rho = |(n2, n3)|), which
     # is 1 on cross_cap and corank_one and reaches ~44 on ruled_B
-    fs = get_example(name).framed
+    ex = get_example(name)
+    fs = ex.framed
     rot = rotate_frame(fs, lambda u, v: t[0] + t[1] * u + t[2] * v)
-    dom = dataclasses.replace(fs.domain, nu=7, nv=7)
+    dom = dataclasses.replace(ex.domain, nu=7, nv=7)
     U, V = dom.mesh()
     want = frame_at(frame_from_normal(fs.x, _nu3_map(fs), dom), U, V)
     got = frame_at(frame_from_normal(fs.x, _nu3_map(rot), dom), U, V)
@@ -392,6 +397,11 @@ def test_reduction_tags_synthetic_fallthrough():
     assert reduction_type(generic).tag is ReductionType.GENERIC
 
 
+# offset so no grid point has sin(0.7 p) = 0 (there the rotated a-row
+# would vanish exactly and the tag would honestly drop to framed_a_zero)
+_SHEARED_WINDOW = Domain(-2.99, 3.01, 0.5, 1.0, nu=25, nv=3)
+
+
 def _sheared_rotated_ruled_b(theta):
     """Ruled surface B reparametrized by (u, v) = (p + q, q), then rotated.
 
@@ -408,16 +418,12 @@ def _sheared_rotated_ruled_b(theta):
             dv=lambda p, q: m.du(p + q, q) + m.dv(p + q, q),
         )
 
-    # offset so no grid point has sin(0.7 p) = 0 (there the rotated a-row
-    # would vanish exactly and the tag would honestly drop to framed_a_zero)
-    dom = Domain(-2.99, 3.01, 0.5, 1.0, nu=25, nv=3)
-    sheared = FramedSurface(remap(fs.x), remap(fs.nu1), remap(fs.nu2), dom)
-    return rotate_frame(sheared, theta)
+    return rotate_frame(FramedSurface(remap(fs.x), remap(fs.nu1), remap(fs.nu2)), theta)
 
 
 def test_reduction_grid_unwraps_rotation_angle():
     fs = _sheared_rotated_ruled_b(lambda p, q: 0.7 * p)
-    tags, thetas = reduction_type_grid(fs)
+    tags, thetas = reduction_type_grid(fs, _SHEARED_WINDOW)
     for row in tags:
         assert all(t is ReductionType.ROTATABLE_TO_FRAMED for t in row)
     # the raw angle is only defined mod pi; unwrapped it must be continuous
@@ -425,7 +431,7 @@ def test_reduction_grid_unwraps_rotation_angle():
     assert jumps < math.pi / 2.0
     # and rotating by the reported angle still kills the a-row
     field = invariant_field(fs)
-    ug, vg = fs.domain.u_grid(), fs.domain.v_grid()
+    ug, vg = _SHEARED_WINDOW.u_grid(), _SHEARED_WINDOW.v_grid()
     for iv in (0, 2):
         for iu in (0, 12, 24):
             rot = rotated_invariants(field(ug[iu], vg[iv]), thetas[iv, iu], 0.0, 0.0)

@@ -75,16 +75,20 @@ def _inner(dom, nu=9, nv=7):
     return Domain(dom.u_min + du, dom.u_max - 2 * du, dom.v_min + dv, dom.v_max - du, nu=nu, nv=nv)
 
 
+EXAMPLES = ("cross_cap", "corank_one", "ruled_A", "ruled_B")
+HOROCYCLIC_WINDOW = Domain(-0.9, 0.9, -1.2, 1.2, nu=7, nv=5)
+
+
 def _horocyclic():
     h = (lambda u: 0.3, lambda u: 0.0, lambda u: 0.2 * u, lambda u: 0.1,
          lambda u: 0.5, lambda u: -0.4)
     e = np.eye(4)
     data = integrate_frame_curves(h, e[0], e[1], e[2], -1.0, 1.0, step=1e-2)
-    return build_horocyclic(data, Domain(-0.9, 0.9, -1.2, 1.2, nu=7, nv=5))
+    return build_horocyclic(data, HOROCYCLIC_WINDOW)
 
 
 def _surfaces():
-    out = {name: get_example(name).framed for name in ("cross_cap", "corank_one", "ruled_A", "ruled_B")}
+    out = {name: get_example(name).framed for name in EXAMPLES}
     out["horocyclic"] = _horocyclic()
     cc = out["cross_cap"]
     out["rotate_frame"] = rotate_frame(cc, lambda u, v: 0.7 * u - v * v)
@@ -92,9 +96,15 @@ def _surfaces():
     return out
 
 
+#: The window each surface of :func:`_surfaces` is sampled on by default.
+WINDOWS = {name: get_example(name).domain for name in EXAMPLES}
+WINDOWS["horocyclic"] = HOROCYCLIC_WINDOW
+WINDOWS["rotate_frame"] = WINDOWS["rotate_frame_fd"] = WINDOWS["cross_cap"]
+
+
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
 def test_invariants_grid_equals_one_point_calls(name, fs):
-    dom = _inner(fs.domain)
+    dom = _inner(WINDOWS[name])
     grid = invariants_grid(fs, dom)
     for k, (u, v) in enumerate(_nodes(dom)):
         one = invariants_at(fs, u, v)
@@ -172,13 +182,14 @@ def _one_point_surface(fs):
             return ParametricMap4(value=one_point(m.value), du=one_point(m.du), dv=one_point(m.dv))
         return ParametricMap4(value=one_point(m.value))
 
-    return FramedSurface(wrap(fs.x), wrap(fs.nu1), wrap(fs.nu2), fs.domain)
+    return FramedSurface(wrap(fs.x), wrap(fs.nu1), wrap(fs.nu2))
 
 
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
 def test_classify_singularity_equals_one_point_calls(name, fs):
     ref = _one_point_surface(fs)
-    points = find_singular_points(fs)[:3] + _nodes(_inner(fs.domain, nu=2, nv=2))
+    dom = WINDOWS[name]
+    points = find_singular_points(fs, dom)[:3] + _nodes(_inner(dom, nu=2, nv=2))
     for u, v in points:
         want = _outcome(lambda: classify_singularity(ref, u, v))
         assert _outcome(lambda: classify_singularity(fs, u, v)) == want, (name, u, v)
@@ -186,14 +197,14 @@ def test_classify_singularity_equals_one_point_calls(name, fs):
 
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
 def test_find_singular_points_equals_one_point_calls(name, fs):
-    want = find_singular_points(_one_point_field(fs), fs.domain, full_output=True)
-    assert find_singular_points(fs, full_output=True) == want, name
+    want = find_singular_points(_one_point_field(fs), WINDOWS[name], full_output=True)
+    assert find_singular_points(fs, WINDOWS[name], full_output=True) == want, name
 
 
 @pytest.mark.parametrize("name", ["horocyclic", "cross_cap"])
 def test_invariant_form_classify_equals_one_point_calls(name):
     fs = _surfaces()[name]
-    dom = _inner(fs.domain, nu=5, nv=4)
+    dom = _inner(WINDOWS[name], nu=5, nv=4)
     want = _outcome(lambda: invariant_form_classify(_one_point_field(fs), dom))
     assert _outcome(lambda: invariant_form_classify(invariant_field(fs), dom)) == want
     refused = isinstance(want, tuple) and want[0] is NotHorocyclicError
@@ -245,23 +256,27 @@ def _first_error(points, call, kind):
     raise AssertionError("the reference loop raised nothing")
 
 
+#: The grid the refusals of :func:`_cross_cap_with` surfaces are read on.
+SWEPT = Domain(-0.9, 0.9, -0.9, 0.9, nu=5, nv=5)
+
+
 def _cross_cap_with(nu2_value=None, x_value=None):
     cc = get_example("cross_cap").framed
     x = cc.x if x_value is None else ParametricMap4(value=x_value, du=cc.x.du, dv=cc.x.dv)
     nu2 = cc.nu2 if nu2_value is None else ParametricMap4(value=nu2_value)
-    return FramedSurface(x, cc.nu1, nu2, Domain(-0.9, 0.9, -0.9, 0.9, nu=5, nv=5))
+    return FramedSurface(x, cc.nu1, nu2)
 
 
 class _Sink(list):
     write = list.append
 
 
-def _grid_sweeps(fs):
+def _grid_sweeps(fs, dom):
     return {
-        "invariants_grid": lambda: invariants_grid(fs),
-        "verify_framed": lambda: verify_framed(fs),
-        "write_invariants_csv": lambda: write_invariants_csv(_Sink(), fs),
-        "reduction_type_grid": lambda: reduction_type_grid(fs),
+        "invariants_grid": lambda: invariants_grid(fs, dom),
+        "verify_framed": lambda: verify_framed(fs, dom),
+        "write_invariants_csv": lambda: write_invariants_csv(_Sink(), fs, dom),
+        "reduction_type_grid": lambda: reduction_type_grid(fs, dom),
     }
 
 
@@ -272,12 +287,12 @@ def test_degenerate_frame_grid_names_first_point(case):
         fs = _cross_cap_with(nu2_value=lambda u, v: np.where(u > 0.2, 1.01, 1.0) * cc.nu2.value(u, v))
     else:  # x is nan where u > 0.5
         fs = _cross_cap_with(x_value=lambda u, v: np.where(u > 0.5, np.nan, cc.x.value(u, v)))
-    want = _first_error(_nodes(fs.domain), lambda u, v: invariants_at(fs, u, v), DegenerateFrameError)
+    want = _first_error(_nodes(SWEPT), lambda u, v: invariants_at(fs, u, v), DegenerateFrameError)
     if case == "gram":
         assert want.startswith("frame at (0.45000000000000007, -0.9) has Gram residual")
     else:
         assert want == "frame at (0.9, -0.9) is not finite"
-    for name, sweep in _grid_sweeps(fs).items():
+    for name, sweep in _grid_sweeps(fs, SWEPT).items():
         with pytest.raises(DegenerateFrameError) as exc:
             sweep()
         assert str(exc.value) == want, name
@@ -287,12 +302,12 @@ def test_degenerate_frame_grid_names_first_point(case):
     h = 1e-5
     stencil = [
         (u + du, v + dv)
-        for u, v in _nodes(fs.domain)
+        for u, v in _nodes(SWEPT)
         for du, dv in ((0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
     ]
     want = _first_error(stencil, lambda u, v: invariants_at(fs, u, v), DegenerateFrameError)
     with pytest.raises(DegenerateFrameError) as exc:
-        integrability_residuals(fs, h=h)
+        integrability_residuals(fs, SWEPT, h=h)
     assert str(exc.value) == want
 
 
@@ -388,7 +403,7 @@ def _refusing_cross_caps():
 
 
 def _newton_cases():
-    out = {name: (fs, fs.domain) for name, fs in _surfaces().items()}  # ruled_B on its default domain
+    out = {name: (fs, WINDOWS[name]) for name, fs in _surfaces().items()}  # ruled_B on its default domain
     out["double_zero"] = (_double_zero, Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9))
     for name, field in _refusing_cross_caps().items():  # the screen grid stays where they evaluate
         out["cross_cap_" + name] = (field, Domain(-0.9, 0.5, -0.9, 0.9, nu=8, nv=9))
@@ -568,7 +583,7 @@ def _reference_merge_roots(records, domain):
 def _per_root_scan(fs, domain):
     """singularity_scan with one classify_singularity call per merged root:
     the per-root reference of the one-call scan."""
-    _, records = find_singular_points(fs, domain=domain, full_output=True)
+    _, records = find_singular_points(fs, domain, full_output=True)
     return [classify_singularity(fs, u, v, newton_iters=iters)
             for u, v, iters in _reference_merge_roots(records, domain)]
 
@@ -584,9 +599,9 @@ def _fields(rep):
 def test_broadcast_classifiers_equal_one_point_calls(name):
     # every default root (130 on ruled_B's line), with its Newton
     # iterations, and the nodes of a 2 x 2 grid inside the domain
-    fs = _surfaces()[name]
-    _, records = find_singular_points(fs, full_output=True)
-    pts = _merge_roots(records, fs.domain) + [(u, v, 0) for u, v in _nodes(_inner(fs.domain, nu=2, nv=2))]
+    fs, dom = _surfaces()[name], WINDOWS[name]
+    _, records = find_singular_points(fs, dom, full_output=True)
+    pts = _merge_roots(records, dom) + [(u, v, 0) for u, v in _nodes(_inner(dom, nu=2, nv=2))]
     assert len(pts) == {"ruled_A": 6, "ruled_B": 134}.get(name, 5)
     u, v, iters = (np.array(c) for c in zip(*pts))
     got = classify_singularity(fs, u, v, newton_iters=iters)
@@ -598,15 +613,14 @@ def test_broadcast_classifiers_equal_one_point_calls(name):
 
 @pytest.mark.parametrize("name", SCANNED)
 def test_singularity_scan_equals_per_root_scan(name):
-    fs = _surfaces()[name]
-    dom = fs.domain
-    _, records = find_singular_points(fs, full_output=True)
+    fs, dom = _surfaces()[name], WINDOWS[name]
+    _, records = find_singular_points(fs, dom, full_output=True)
     assert _merge_roots(records, dom) == _reference_merge_roots(records, dom)
     if dom.u_period is not None:  # roots on both sides of the seam u = +-pi
         du = dom.cell()[0]
         us = [r.u for r in records if r.converged]
         assert min(us) < dom.u_min + du and max(us) > dom.u_max - du
-    got = singularity_scan(fs)
+    got = singularity_scan(fs, dom)
     assert [_fields(r) for r in got] == [_fields(r) for r in _per_root_scan(fs, dom)]
 
 
@@ -671,7 +685,7 @@ def test_singularity_scan_merges_once(monkeypatch, name):
     calls = []
     merge = singularities._merge_roots
     monkeypatch.setattr(singularities, "_merge_roots", lambda *a: calls.append(a) or merge(*a))
-    reports = singularity_scan(_surfaces()[name])
+    reports = singularity_scan(_surfaces()[name], WINDOWS[name])
     assert len(calls) == 1
     assert [(r.u, r.v, r.diagnostics.newton_iters) for r in reports] == merge(*calls[0])
 

@@ -158,7 +158,7 @@ def test_built_surface_lies_on_hyperboloid():
 
 def test_built_surface_is_properly_framed():
     fs = build_horocyclic(_helix_data(), DOMAIN)
-    summary = verify_framed(fs)
+    summary = verify_framed(fs, DOMAIN)
     assert summary.max_gram_residual < 1e-10
     assert summary.max_offspan_residual < 1e-8
     assert summary.max_constraint_residual < 1e-8
@@ -446,7 +446,7 @@ def test_singular_point_location_and_classifier_agreement():
     dom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
     fs = build_horocyclic(_integrated(h_funcs), dom)
 
-    pts = find_singular_points(fs)
+    pts = find_singular_points(fs, dom)
     assert len(pts) == 1
     u0, v0 = pts[0]
     assert math.hypot(u0 - 0.0, v0 - (2.0 - math.sqrt(2.0))) < 1e-8
@@ -593,12 +593,13 @@ def test_example_from_profile(tmp_path):
     path.write_text(_profile_text())
     entry = get_example(f"horocyclic:{path}")
 
-    summary = verify_framed(entry.framed)
+    dom = entry.domain
+    assert dom == load_h_profile(path).domain()
+    summary = verify_framed(entry.framed, dom)
     assert summary.max_gram_residual < 1e-10
     assert summary.max_offspan_residual < 1e-8
     assert summary.max_constraint_residual < 1e-8
 
-    dom = entry.framed.domain
     field = invariant_field(entry.framed)
     worst = 0.0
     for u in dom.u_grid()[::4]:

@@ -62,10 +62,7 @@ def _constant_frame_surface():
     def const(w):
         return ParametricMap4(value=lambda u, v: w, du=zero, dv=zero)
 
-    return FramedSurface(
-        x=const(e[0]), nu1=const(e[1]), nu2=const(e[2]),
-        domain=Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3),
-    )
+    return FramedSurface(x=const(e[0]), nu1=const(e[1]), nu2=const(e[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +129,8 @@ def test_from_poincare_rejects_outside():
 
 
 def test_transport_to_disc_cross_cap_residuals():
-    dfs = transport_to_disc(get_example("cross_cap").framed)
-    res = verify_disc_framed(dfs)
+    ex = get_example("cross_cap")
+    res = verify_disc_framed(transport_to_disc(ex.framed), ex.domain)
     assert res.max_radius < 1.0
     assert res.max_unit < 1e-10
     assert res.max_orth < 1e-10
@@ -167,9 +164,10 @@ def test_disc_alpha_beta_proportional_to_invariants():
 
 
 def test_transport_round_trip_base_and_normal_plane():
-    fs = get_example("cross_cap").framed
+    ex = get_example("cross_cap")
+    fs = ex.framed
     back = transport_to_h3(transport_to_disc(fs))
-    assert verify_framed(back).max_gram_residual < 1e-10
+    assert verify_framed(back, ex.domain).max_gram_residual < 1e-10
     for u in np.linspace(-0.9, 0.9, 5):
         for v in np.linspace(-0.9, 0.9, 5):
             assert np.max(np.abs(back.x.value(u, v) - fs.x.value(u, v))) < 1e-8
@@ -207,7 +205,6 @@ def test_transport_to_h3_flat_patch():
             value=lambda u, v: np.array([0.0, 0.0, 1.0]), du=zero3, dv=zero3
         ),
         nubar2=ParametricMap4(value=n2_value, du=n2_du, dv=n2_dv),
-        domain=dom,
     )
     fs = transport_to_h3(dfs)
     for u in np.linspace(0.1, 0.4, 4):
@@ -217,16 +214,14 @@ def test_transport_to_h3_flat_patch():
                 nu = nu_m.value(u, v)
                 assert abs(minkowski_dot4(x, nu)) < 1e-12
                 assert minkowski_dot4(nu, nu) == pytest.approx(1.0, abs=1e-12)
-    assert verify_framed(fs).max_gram_residual < 1e-10
+    assert verify_framed(fs, dom).max_gram_residual < 1e-10
 
 
 def test_transport_to_h3_rejects_degenerate_normal():
-    dom = Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3)
     dfs = DiscFramedSurface(
         xbar=ParametricMap4(value=lambda u, v: np.array([0.2, 0.0, 0.0])),
         nubar1=ParametricMap4(value=lambda u, v: np.zeros(3)),
         nubar2=ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 1.0])),
-        domain=dom,
     )
     with pytest.raises(NormalizationError):
         transport_to_h3(dfs).nu1.value(0.5, 0.5)
@@ -253,7 +248,7 @@ def test_project_to_r31_residual_and_first_coordinate():
 
 def test_project_to_r31_nonspacelike_error():
     with pytest.raises(NonSpacelikeNormalError) as exc:
-        project_to_r31(_constant_frame_surface(), Axis.X4)
+        project_to_r31(_constant_frame_surface(), Axis.X4, Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3))
     err = exc.value
     assert (err.u, err.v) == (0.0, 0.0)
     assert err.character.value == "lightlike"
@@ -348,7 +343,7 @@ def test_project_lift_and_split_give_a_full_frame():
         x_map, nu_map = lift_from_r31(project_to_r31(fs, axis, domain=dom).xtilde, axis, domain=dom)
         U, V = dom.mesh()
         assert np.max(np.abs(x_map.value(U, V) - fs.x.value(U, V))) <= ROUND_TRIP_TOL
-        residuals = dataclasses.astuple(verify_framed(frame_from_normal(x_map, nu_map, dom)))
+        residuals = dataclasses.astuple(verify_framed(frame_from_normal(x_map, nu_map, dom), dom))
         assert max(residuals) <= ROUND_TRIP_TOL, (axis, residuals)
 
 
@@ -409,15 +404,15 @@ def test_disc_mesh_winding_survives_last_digit_vertex_changes(name, monkeypatch)
     # both grids hold faces whose plane passes through the centre (80 of
     # ruled_A's 1,600, 78 of cross_cap's 800): their winding is grid order,
     # not the sign of a dot product at rounding level
-    fs = get_example(name).framed
+    ex = get_example(name)
 
     def faces():
         buf = io.StringIO()
-        write_disc_mesh(buf, fs)
+        write_disc_mesh(buf, ex.framed, ex.domain)
         return [l for l in buf.getvalue().splitlines() if l.startswith("f ")]
 
     want = faces()
-    sign = np.random.default_rng(7).choice([-1.0, 1.0], size=(3,) + fs.domain.mesh()[0].shape)
+    sign = np.random.default_rng(7).choice([-1.0, 1.0], size=(3,) + ex.domain.mesh()[0].shape)
     exact = projections.to_poincare
     monkeypatch.setattr(projections, "to_poincare", lambda x: exact(x) + 1e-16 * sign)
     assert faces() == want

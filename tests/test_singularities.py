@@ -8,7 +8,6 @@ test double.  Each synthetic field's alpha/beta/phi are simple
 polynomials worked out by hand in the comments.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -78,8 +77,8 @@ def _field(a2=None, b2=None, a1=None, b1=None, c=(1.0, 0.0), e1=0.0, e2=0.0):
 
 
 def test_find_singular_points_ruled_a_two_cross_cap_locations():
-    fs = get_example("ruled_A").framed
-    pts = find_singular_points(fs)
+    ex = get_example("ruled_A")
+    pts = find_singular_points(ex.framed, ex.domain)
     assert len(pts) == 2
     (u0, v0), (u1, v1) = pts
     assert math.hypot(u0 - 0.0, v0) < 1e-8
@@ -87,8 +86,8 @@ def test_find_singular_points_ruled_a_two_cross_cap_locations():
 
 
 def test_find_singular_points_cross_cap_origin():
-    fs = get_example("cross_cap").framed
-    pts, records = find_singular_points(fs, full_output=True)
+    ex = get_example("cross_cap")
+    pts, records = find_singular_points(ex.framed, ex.domain, full_output=True)
     assert len(pts) == 1
     assert math.hypot(*pts[0][:2]) < 1e-8
     assert any(isinstance(r, RefinementRecord) and r.converged for r in records)
@@ -101,18 +100,19 @@ def test_find_singular_points_cross_cap_origin():
 def test_screen_seeds_only_cells_near_the_zeros(name, max_seeds):
     # ruled_A's 40x20 grid has 800 cells and cross_cap's 400; only the
     # few around each isolated root need a Newton run.
-    _, records = find_singular_points(get_example(name).framed, full_output=True)
+    ex = get_example(name)
+    _, records = find_singular_points(ex.framed, ex.domain, full_output=True)
     assert 0 < len(records) <= max_seeds
 
 
 def test_find_singular_points_samples_the_ruled_b_line():
-    fs = get_example("ruled_B").framed
-    pts = find_singular_points(fs)
+    ex = get_example("ruled_B")
+    dom = ex.domain
+    pts = find_singular_points(ex.framed, dom)
     assert len(pts) > 50  # a whole line of zeros, sampled
     assert max(abs(v) for _, v in pts) < 1e-8
     us = sorted(u for u, _ in pts)
     assert us[0] < -2.5 and us[-1] > 2.5  # spread across the u-window
-    dom = fs.domain
     gaps = [b - a for a, b in zip(us, us[1:])]
     gaps.append(us[0] - dom.u_min + dom.u_max - us[-1])  # across the periodic seam
     assert max(gaps) <= dom.cell()[0]
@@ -126,7 +126,7 @@ def test_find_singular_points_empty_on_regular_band():
 
 def test_find_singular_points_bare_field_needs_domain():
     field = _field(a2=lambda u, v: v, b2=lambda u, v: u)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the window is a required argument
         find_singular_points(field)
     dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
     pts = find_singular_points(field, domain=dom)
@@ -169,7 +169,7 @@ def test_each_stage_makes_one_field_call():
     _, records = find_singular_points(field, domain=dom, full_output=True)
     assert [r.iterations for r in records] == [1] * 16
     # the screen, then Newton: start values, Jacobians, trial step, tangent test
-    assert shapes == [(9, 9), (16,), (16, 5), (16,), (16, 5)]
+    assert shapes == [(9, 9), (16,), (16, 4), (16,), (16, 4)]
 
 
 @pytest.mark.parametrize("n", [1, 100])
@@ -204,9 +204,9 @@ def test_newton_linear_algebra_is_one_pinv_per_stage_and_one_svd(n, monkeypatch)
 def test_ruled_b_roots_keep_their_tangents():
     # the batched SVD flags the same roots, with the same null direction up
     # to sign, as one SVD per root of that root's Jacobian
-    fs = get_example("ruled_B").framed
-    field = invariant_field(fs)
-    _, records = find_singular_points(fs, full_output=True)
+    ex = get_example("ruled_B")
+    field = invariant_field(ex.framed)
+    _, records = find_singular_points(ex.framed, ex.domain, full_output=True)
     flagged = [r for r in records if r.tangent is not None]
     grid = records[:len(records) - 2 * len(flagged)]  # the curve seeds come last, two per tangent
     assert len(flagged) == 154
@@ -312,8 +312,8 @@ def test_classify_ruled_b_line_point_unclassified():
     # On the singular line everything degenerates: D = 0 and the Hessian
     # of phi vanishes (phi ~ -alpha^2 * smooth with alpha ~ v), so the
     # classifier must decline rather than guess, at every root of the scan.
-    fs = get_example("ruled_B").framed
-    reps = [classify_singularity(fs, 0.37, 0.0)] + singularity_scan(fs)
+    ex = get_example("ruled_B")
+    reps = [classify_singularity(ex.framed, 0.37, 0.0)] + singularity_scan(ex.framed, ex.domain)
     assert len(reps) == 1 + 130
     for rep in reps:
         assert rep.classification is SingularityClass.UNCLASSIFIED, (rep.u, rep.v)
@@ -358,6 +358,18 @@ def _s1_germ(k):
         f_u=lambda u, v: 0.0, f_v=lambda u, v: 2.0 * v,
         g_u=lambda u, v: 2.0 * k * u * v, g_v=lambda u, v: 3.0 * v * v + k * u * u,
     )
+
+
+@pytest.mark.xfail(strict=True, reason="Newton stops 1e-6 to 1e-5 short of the degenerate S1+- "
+                   "root (rank-one Jacobian), where k = +-10 and +-100 read as cross caps")
+@pytest.mark.parametrize("k", [1, -1, 10, -10, 100, -100])
+def test_s1_germ_scans_to_one_point_at_the_origin(k):
+    # the scan of the unit box finds the germ's one singular point where it
+    # is, and classes it there; a deflated Newton step must make this pass
+    reps = singularity_scan(_s1_germ(k), Domain(-1.0, 1.0, -1.0, 1.0))
+    assert len(reps) == 1, [(r.u, r.v) for r in reps]
+    assert math.hypot(reps[0].u, reps[0].v) <= 1e-9, (reps[0].u, reps[0].v)
+    assert reps[0].classification is (SingularityClass.S1_PLUS if k > 0 else SingularityClass.S1_MINUS)
 
 
 @pytest.mark.parametrize("k", [1, -1, 10, -10, 100, -100])
@@ -475,8 +487,8 @@ def test_classification_survives_coordinate_swap():
         )
 
     dom = Domain(-1.0, 1.0, -0.5, 3.5, nu=11, nv=21)
-    swapped = FramedSurface(swap(fs.x), swap(fs.nu1), swap(fs.nu2), dom)
-    pts = find_singular_points(swapped)
+    swapped = FramedSurface(swap(fs.x), swap(fs.nu1), swap(fs.nu2))
+    pts = find_singular_points(swapped, dom)
     assert len(pts) == 2
     by_v = sorted(pts, key=lambda p: p[1])
     assert math.hypot(by_v[0][0], by_v[0][1]) < 1e-8
@@ -490,28 +502,29 @@ def test_classification_survives_coordinate_swap():
 def test_frame_from_normal_keeps_singular_points_and_classes(name):
     # the singular set and the classes depend on x and nu3 alone, so the
     # pair split from nu3 scans like the built-in pair
-    fs = get_example(name).framed
+    ex = get_example(name)
+    fs, dom = ex.framed, ex.domain
 
     def nu3(u, v):
         return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
-    got = singularity_scan(frame_from_normal(fs.x, ParametricMap4(value=nu3), fs.domain))
+    got = singularity_scan(frame_from_normal(fs.x, ParametricMap4(value=nu3), dom), dom)
     if name == "ruled_B":  # a singular line: its sample stays on v = 0, unclassified
         assert got and max(abs(r.v) for r in got) <= 1e-9
         assert {r.classification for r in got} == {SingularityClass.UNCLASSIFIED}
         return
-    want = singularity_scan(fs)
+    want = singularity_scan(fs, dom)
     assert [r.classification for r in got] == [r.classification for r in want]
     for a, b in zip(got, want):
         assert math.hypot(a.u - b.u, a.v - b.v) <= 1e-9
 
 
 def _planted_horocyclic():
-    """The planted cross-cap profile of the golden CLI runs, as a surface."""
+    """The planted cross-cap profile of the golden CLI runs, as an example entry."""
     from test_golden_cli import PLANTED_ROWS
 
     text = "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(map(repr, row)) + "\n" for row in PLANTED_ROWS)
-    return horocyclic_example_from_profile(io.StringIO(text)).framed
+    return horocyclic_example_from_profile(io.StringIO(text))
 
 
 @pytest.mark.parametrize("name", ["cross_cap", "corank_one", "ruled_A", "ruled_B", "planted"])
@@ -519,12 +532,13 @@ def test_classes_do_not_depend_on_the_representation(name):
     # A class is an A-equivalence invariant: rotating the normal pair, or
     # sending the surface to the ball model and back, moves neither the
     # singular points nor their classes.
-    fs = _planted_horocyclic() if name == "planted" else get_example(name).framed
-    want = singularity_scan(fs)
+    ex = _planted_horocyclic() if name == "planted" else get_example(name)
+    fs = ex.framed
+    want = singularity_scan(fs, ex.domain)
     assert want
     rotated = rotate_frame(fs, lambda u, v: 0.7 + 0.3 * u - 0.2 * v + 0.1 * u * v)
     for other in (rotated, transport_to_h3(transport_to_disc(fs))):
-        got = singularity_scan(other)
+        got = singularity_scan(other, ex.domain)
         if name == "ruled_B":  # a singular line, unclassified everywhere
             for reps in (want, got):
                 assert {r.classification for r in reps} == {SingularityClass.UNCLASSIFIED}
@@ -562,10 +576,10 @@ def test_planted_cross_cap_is_found_under_transforms(dom, t):
     # + c v, and sent to the ball model and back.  The S1+- germs are left
     # out (Newton stops short of their degenerate roots) and so are the
     # horocyclic profiles, whose singular sets have no closed form yet.
-    fs = dataclasses.replace(_cross_cap_germ(), domain=dom)
+    fs = _cross_cap_germ()
     rotated = rotate_frame(fs, lambda u, v: t[0] + t[1] * u + t[2] * v)
     for surface in (fs, rotated, transport_to_h3(transport_to_disc(fs))):
-        reps = singularity_scan(surface)
+        reps = singularity_scan(surface, dom)
         assert len(reps) == 1, [(r.u, r.v) for r in reps]
         assert math.hypot(reps[0].u, reps[0].v) <= 1e-9
         assert reps[0].classification is SingularityClass.CROSS_CAP
@@ -666,8 +680,8 @@ def test_classifier_matches_horocyclic_formulas_on_closed_form_field():
 
 
 def test_singularity_scan_and_json_roundtrip():
-    fs = get_example("cross_cap").framed
-    reports = singularity_scan(fs)
+    ex = get_example("cross_cap")
+    reports = singularity_scan(ex.framed, ex.domain)
     assert len(reports) == 1
     rep = reports[0]
     assert rep.classification is SingularityClass.CROSS_CAP
@@ -690,10 +704,11 @@ def test_singularity_scan_and_json_roundtrip():
 
 
 def test_reports_to_json_records_the_refine_tolerance_of_its_reports():
-    reports = singularity_scan(get_example("ruled_A").framed, tol=1e-3)
+    ex = get_example("ruled_A")
+    reports = singularity_scan(ex.framed, ex.domain, tol=1e-3)
     assert reports and all(r.diagnostics.refine_tol == 1e-3 for r in reports)
     assert json.loads(reports_to_json(reports))["tolerances"]["refine"] == 1e-3
     assert json.loads(reports_to_json([]))["tolerances"]["refine"] == REFINE_TOL
-    strict = singularity_scan(get_example("ruled_A").framed)
+    strict = singularity_scan(ex.framed, ex.domain)
     with pytest.raises(ValueError):
         reports_to_json(reports + strict)
