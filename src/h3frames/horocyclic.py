@@ -20,10 +20,11 @@ cubic Hermite spline of the node states, whose node slopes come from the
 frame system, made pseudo-orthonormal pointwise.  Each swept map is a fixed
 combination sum_k c_k(v) a_k(u), so one frame evaluation gives its value,
 and its u-partial comes from the frame system itself,
-a_k' = sum_j M_kj(h(u)) a_j (a3' by the product rule).  The h functions,
-like frames and surface maps, broadcast: an array of u values gives a
-component-first ``(3, 4, *shape)`` frame, so the swept surface evaluates
-whole grids.
+a_k' = sum_j M_kj(h(u)) a_j (a3' by the product rule).  The curvature
+functions are one callable too, u -> (h1, .., h6) stacked component-first,
+read once per evaluation.  Frames and h, like surface maps, broadcast: an
+array of u values gives a component-first ``(3, 4, *shape)`` frame and
+``(6, *shape)`` h, so the swept surface evaluates whole grids.
 
 An h-profile CSV gives h1..h6 as the C^2 cubic spline through its samples
 (:class:`HProfile`).  Both splines are a few lines of numpy: one Hermite
@@ -94,23 +95,21 @@ class Curve4:
         return _complex_step(self.value, 0, u)
 
 
-HFuncs = tuple[Callable[[float], float], ...]  # h1..h6
-
-
 @dataclasses.dataclass(frozen=True)
 class HorocyclicData:
     """Curve frame plus its six curvature functions.
 
     ``frame(u)`` gives (a0, a1, a2) stacked component-first, of shape
-    ``(3, 4, *shape(u))``; a constant frame may return one ``(3, 4)``
-    stack, which :meth:`at` broadcasts.  ``h`` must be the frame's own
-    curvature functions: the swept maps take every u-derivative from the
-    frame system they define.  ``a0``, ``a1`` and ``a2`` are read-only
-    :class:`Curve4` views of the frame.
+    ``(3, 4, *shape(u))``, and ``h(u)`` gives (h1, .., h6), of shape
+    ``(6, *shape(u))``; a constant may return one ``(3, 4)`` stack or
+    ``(6,)`` vector, which :meth:`at` or :func:`evaluate` broadcasts.
+    ``h`` must be the frame's own curvature functions: the swept maps take
+    every u-derivative from the frame system they define.  ``a0``, ``a1``
+    and ``a2`` are read-only :class:`Curve4` views of the frame.
     """
 
     frame: Callable[[float], np.ndarray]
-    h: HFuncs
+    h: Callable[[float], np.ndarray]
 
     a0, a1, a2 = (property(lambda self, k=k: Curve4(lambda u: self.at(u)[k])) for k in range(3))
 
@@ -123,9 +122,6 @@ class HorocyclicData:
         if f.shape[2:] != shape:  # one constant frame for the whole grid
             f = np.broadcast_to(f.reshape(f.shape[:2] + (1,) * len(shape)), f.shape[:2] + shape)
         return f
-
-    def a3(self, u: float) -> np.ndarray:
-        return wedge3(*self.at(u))
 
 
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
@@ -182,7 +178,7 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
     (``c(v)`` gives their coefficients in that order), with closed firsts
     du = sum_k c_k a_k' and dv = sum_k c_k' a_k, where c' = ``dc(v)`` (the
     zero map when ``dc`` is None).  a0', a1' and a2' are rows of the frame
-    system, read with one call of each h:
+    system, read with one call of h:
     a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
     a2' = h2 a0 - h4 a1 + h6 a3; a3' is the product rule on a0 ^ a1 ^ a2.
     Each sum starts from its first term (not from 0, which would turn a
@@ -195,7 +191,7 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
     def slopes(u):
         w0, w1, w2 = data.at(u)
         w3 = wedge3(w0, w1, w2)
-        h1, h2, h3, h4, h5, h6 = (hi(u) for hi in data.h)
+        h1, h2, h3, h4, h5, h6 = evaluate(data.h, u)
         d0 = h1 * w1 + h2 * w2 + h3 * w3
         d1 = h1 * w0 + h4 * w2 + h5 * w3
         d2 = h2 * w0 - h4 * w1 + h6 * w3
@@ -215,10 +211,10 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
 
 def horocyclic_invariants(data: HorocyclicData) -> Callable[[float, float], Invariants]:
     """Closed-form invariant field of the swept surface in terms of h1..h6;
-    it broadcasts over arrays ``u, v`` when the h functions do."""
+    it broadcasts over arrays ``u, v`` when ``data.h`` does."""
 
     def field(u: float, v: float) -> Invariants:
-        h1, h2, h3, h4, h5, h6 = (hi(u) for hi in data.h)
+        h1, h2, h3, h4, h5, h6 = evaluate(data.h, u)
         w = v * v / 2.0
         return Invariants(
             a1=(1.0 + w) * h3 + v * h5 + w * h6,
@@ -284,7 +280,7 @@ def extract_h(
 
 
 def integrate_frame_curves(
-    h_funcs: Sequence[Callable[[float], float]],
+    h_funcs: Callable[[float], np.ndarray],
     a0_init,
     a1_init,
     a2_init,
@@ -298,15 +294,18 @@ def integrate_frame_curves(
     (a, b, c, e, f, g) = (h1, .., h6), so one call of
     :func:`h3frames.frames.integrate_frame_along_line` integrates it over
     the whole span; its Magnus steps keep every node frame
-    pseudo-orthonormal to rounding.  The h functions must broadcast over an
-    array of u (a constant may return a float).  The returned frame
+    pseudo-orthonormal to rounding.  ``h_funcs`` is one callable, u ->
+    (h1, .., h6) of shape ``(6, *shape(u))`` like :attr:`HorocyclicData.h`,
+    that broadcasts over an array of u (a constant may return one ``(6,)``
+    vector); any other shape raises ``ValueError``.  The returned frame
     interpolates the node states with a cubic Hermite spline whose node
     derivatives come from the ODE itself, M(u_k) Y_k, and is made
     pseudo-orthonormal pointwise, so the frame axioms hold to rounding at
     *every* u, not just the nodes.
     """
-    if len(h_funcs) != 6:
-        raise ValueError(f"expected 6 curvature functions, got {len(h_funcs)}")
+    shape = evaluate(h_funcs, u_start).shape
+    if shape != (6,):
+        raise ValueError(f"expected h1..h6 as one (6,) vector at u = {u_start}, got shape {shape}")
     if not (u_end > u_start):
         raise ValueError(f"need u_end > u_start, got [{u_start}, {u_end}]")
 
@@ -315,7 +314,7 @@ def integrate_frame_curves(
     y = np.vstack([w, wedge3(*w)])
 
     def field(u, v) -> Invariants:
-        h1, h2, h3, h4, h5, h6 = (hi(u) for hi in h_funcs)
+        h1, h2, h3, h4, h5, h6 = evaluate(h_funcs, u)
         return Invariants(
             a1=h1, a2=0.0, b1=h2, b2=0.0, c1=h3, c2=0.0,
             e1=h4, e2=0.0, f1=h5, f2=0.0, g1=h6, g2=0.0,
@@ -331,7 +330,7 @@ def integrate_frame_curves(
     k = first_true(~np.isfinite(traj.frames).all(axis=(1, 2)))
     if k is not None:
         raise DegenerateFrameError(f"curve frame at u = {us[k]} is not finite")
-    rows = np.stack([np.broadcast_to(hi(us), us.shape) for hi in h_funcs], -1)
+    rows = np.moveaxis(evaluate(h_funcs, us), 0, -1)
     if not np.isfinite(rows).all():
         raise PreconditionError("non-finite curvature function at an integration node")
     slopes = _frame_ode_matrix(rows) @ traj.frames
@@ -348,7 +347,7 @@ def integrate_frame_curves(
             w = w - minkowski_dot4(w, b1) * b1
             return np.stack((b0, b1, w / np.sqrt(minkowski_dot4(w, w))))
 
-    return HorocyclicData(frame=frame, h=tuple(h_funcs))
+    return HorocyclicData(frame=frame, h=h_funcs)
 
 
 def _hermite(x, y, dy, u) -> np.ndarray:
@@ -503,7 +502,8 @@ _PROFILE_HEADER = ["u", "h1", "h2", "h3", "h4", "h5", "h6"]
 class HProfile:
     """Sampled curvature functions h1..h6 and the C^2 cubic spline through
     them, stored as its node slopes: not-a-knot ends for four or more
-    samples, natural ends for two or three."""
+    samples, natural ends for two or three.  :meth:`h_funcs` evaluates it,
+    in the shape of :attr:`HorocyclicData.h`."""
 
     u: np.ndarray
     values: np.ndarray  # shape (n, 6)
@@ -522,22 +522,10 @@ class HProfile:
         [-1.5, 1.5], 21 x 21 points."""
         return Domain(self.u_min, self.u_max, -1.5, 1.5, nu=21, nv=21)
 
-    def at(self, u) -> np.ndarray:
-        """h1..h6 at u, shape ``(*shape(u), 6)``."""
-        return _hermite(self.u, self.values, self.slopes, u)
-
-    @property
-    def h_funcs(self) -> HFuncs:
-        """h1..h6 as functions of u, a float or an array."""
-
-        def h(j):
-            def hj(u):
-                out = _hermite(self.u, self.values[:, j], self.slopes[:, j], u)
-                return float(out) if isinstance(u, float) else out
-
-            return hj
-
-        return tuple(h(j) for j in range(6))
+    def h_funcs(self, u) -> np.ndarray:
+        """h1..h6 at u, a float or an array, stacked component-first: shape
+        ``(6, *shape(u))``, from one spline evaluation of the whole table."""
+        return np.moveaxis(_hermite(self.u, self.values, self.slopes, u), -1, 0)
 
     def curve_frame(self) -> HorocyclicData:
         """The curve frame integrated from the standard initial frame

@@ -61,7 +61,6 @@ import numpy as np
 
 from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
-from .frames import _INVARIANT_NAMES
 from .frames import FrameAt, FramedSurface, Invariants, basic_invariants, invariant_field
 from .minkowski import wedge3
 from .surface import Domain, evaluate, first_true
@@ -426,15 +425,17 @@ def _torus_invariants(fs: FramedSurface, u0, v0, U, V) -> Invariants:
 
 
 def _torus_read(fs: FieldLike, u0, v0) -> tuple[Invariants, dict, np.ndarray]:
-    """The invariants at (u0, v0), floats or equal-shape arrays, their first
-    partials and det Hess(phi), in stages: the field at the points, a
+    """The invariants at (u0, v0), floats or equal-shape arrays, the first
+    partials of the ones classification reads (a1, a2, b1, b2, alpha and
+    beta) and det Hess(phi), in stages: the field at the points, a
     refusal where c1 = c2 = 0 (within ``CORANK_TOL``) there, the torus of
     every point on two last axes.  An array call refuses at the first point
-    of the first stage that refuses.  The torus values' Taylor coefficients c_mn r^(m + n) (one 2-d
-    FFT) give every invariant's partials c10, c01; spectral partials of
-    alpha and beta make phi there, and its coefficients det Hess(phi) =
-    4 c20 c02 - c11^2.  A framed surface's maps are read there by
-    :func:`basic_invariants`, whose refusals name the point."""
+    of the first stage that refuses.  The torus values' Taylor coefficients
+    c_mn r^(m + n) (one 2-d FFT per quantity) give the partials c10, c01;
+    spectral partials of alpha and beta make phi there, and its
+    coefficients det Hess(phi) = 4 c20 c02 - c11^2.  A framed surface's
+    maps are read there by :func:`basic_invariants`, whose refusals name
+    the point."""
     q = _as_field(fs)(u0, v0)
     k = first_true(np.hypot(q.c1, q.c2) <= CORANK_TOL)
     if k is not None:
@@ -445,7 +446,7 @@ def _torus_read(fs: FieldLike, u0, v0) -> tuple[Invariants, dict, np.ndarray]:
     U, V = u0 + _TORUS_ZU[:_TORUS_ROWS], v0 + _TORUS_ZV[:_TORUS_ROWS]
     t = _torus_invariants(fs, u0, v0, U, V) if isinstance(fs, FramedSurface) else fs(U, V)
     d = {}
-    for k in _INVARIANT_NAMES + ("alpha", "beta"):
+    for k in ("a1", "a2", "b1", "b2", "alpha", "beta"):
         c = np.fft.fft2(_full(np.broadcast_to(getattr(t, k), U.shape))).real[..., :2, :2] / (_TORUS_N ** 2 * _TORUS_R)
         d[k + "_u"], d[k + "_v"] = c[..., 1, 0], c[..., 0, 1]
     al, be = (np.broadcast_to(x, U.shape) for x in (t.alpha, t.beta))

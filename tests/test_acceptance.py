@@ -53,6 +53,7 @@ from h3frames.surface import (
     Domain,
     ParametricMap4,
     components,
+    evaluate,
     fd_convergence_ratio,
     first_partials,
 )
@@ -331,7 +332,7 @@ def test_criterion_08_r31_bridge(gate):
 
 
 def _const_h(values):
-    return tuple((lambda c: lambda u: float(c))(c) for c in values)
+    return lambda u: components(*values)
 
 
 def test_criterion_09_horocyclic_suite(gate):
@@ -339,8 +340,7 @@ def test_criterion_09_horocyclic_suite(gate):
         dom = Domain(-1.0, 1.0, -1.2, 1.2, nu=9, nv=9)
         profiles = {
             "horo_flat": _const_h((1, 0, 0.4, 1, 0.3, 0.5)),
-            "generalized_horo_cone": _const_h((0, 0, 0, 0))
-            + (lambda u: np.sin(u) + 2.0, lambda u: 1.0),
+            "generalized_horo_cone": lambda u: components(0, 0, 0, 0, np.sin(u) + 2.0, 1),
             "single_vertex": _const_h((0, 0, 0, 0, 0, 1)),
             "two_vertices": _const_h((0, 0, 0, 0, 2, 1)),
             "conical_horosphere": _const_h((0, 0, 0, 0, 1, 0)),
@@ -359,7 +359,7 @@ def test_criterion_09_horocyclic_suite(gate):
             field = invariant_field(fs)
             worst_bridge = 0.0
             for u in dom.u_grid()[::2]:
-                hs = [f(u) for f in h_funcs]
+                hs = h_funcs(u)
                 for v in dom.v_grid()[::2]:
                     q = field(u, v)
                     checks = (
@@ -373,21 +373,14 @@ def test_criterion_09_horocyclic_suite(gate):
                     worst_bridge = max(worst_bridge, max(abs(c) for c in checks))
             assert worst_bridge < 1e-7, name
 
-            samples = np.array([[f(u) for f in h_funcs] for u in dom.u_grid()])
+            samples = evaluate(h_funcs, dom.u_grid()).T
             assert (
                 classify_horocyclic(samples).tag
                 is invariant_form_classify(field, dom).tag
             ), name
 
         # singular sweep: every refined point classified identically both ways
-        h_funcs = (
-            lambda u: 0.0,
-            lambda u: u,
-            lambda u: 0.5,
-            lambda u: 0.0,
-            lambda u: -1.0,
-            lambda u: 0.0,
-        )
+        h_funcs = lambda u: components(0.0, u, 0.5, 0.0, -1.0, 0.0)
         sdom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
         sfs = build_horocyclic(
             integrate_frame_curves(h_funcs, E0, E1, E2, -1.0, 1.0), sdom

@@ -80,8 +80,7 @@ HOROCYCLIC_WINDOW = Domain(-0.9, 0.9, -1.2, 1.2, nu=7, nv=5)
 
 
 def _horocyclic():
-    h = (lambda u: 0.3, lambda u: 0.0, lambda u: 0.2 * u, lambda u: 0.1,
-         lambda u: 0.5, lambda u: -0.4)
+    h = lambda u: components(0.3, 0.0, 0.2 * u, 0.1, 0.5, -0.4)
     e = np.eye(4)
     data = integrate_frame_curves(h, e[0], e[1], e[2], -1.0, 1.0, step=1e-2)
     return build_horocyclic(data, HOROCYCLIC_WINDOW)

@@ -1,5 +1,6 @@
 """Horocyclic sweeps: construction, h extraction, flatness classes."""
 
+import functools
 import io
 import math
 import re
@@ -34,14 +35,14 @@ from h3frames.horocyclic import (
     load_h_profile,
     verify_horocyclic_data,
 )
-from h3frames.minkowski import minkowski_dot4
+from h3frames.minkowski import minkowski_dot4, wedge3
 from h3frames.projections import transport_to_disc
 from h3frames.singularities import (
     SingularityClass,
     classify_singularity,
     find_singular_points,
 )
-from h3frames.surface import Domain, evaluate, first_partials
+from h3frames.surface import Domain, components, evaluate, first_partials
 
 ON_H3_TOL = 1e-12
 BRIDGE_TOL = 1e-7
@@ -62,9 +63,7 @@ def _helix_data():
         c, s, z = np.cosh(u), np.sinh(u), 0.0 * u
         return np.array([[c, s, z, z], [s, c, z, z], [z, z, z + 1.0, z]])
 
-    one = lambda u: 1.0
-    zero = lambda u: 0.0
-    return HorocyclicData(frame=frame, h=(one, zero, zero, zero, zero, zero))
+    return HorocyclicData(frame=frame, h=_const_h((1, 0, 0, 0, 0, 0)))
 
 
 def _const_frame(a0, a1, a2):
@@ -72,7 +71,7 @@ def _const_frame(a0, a1, a2):
 
 
 def _const_h(values):
-    return tuple((lambda c: lambda u: float(c))(c) for c in values)
+    return lambda u: components(*values)
 
 
 GENERIC_H = (0.3, 0.7, 0.2, -0.1, 0.5, 0.4)
@@ -82,7 +81,7 @@ GENERIC_H = (0.3, 0.7, 0.2, -0.1, 0.5, 0.4)
 PROFILES = {
     "horo_flat": (_const_h((1, 0, 0.4, 1, 0.3, 0.5)), HoroTag.HORO_FLAT),
     "generalized_horo_cone": (
-        _const_h((0, 0, 0, 0)) + (lambda u: np.sin(u) + 2.0, lambda u: 1.0),
+        lambda u: components(0, 0, 0, 0, np.sin(u) + 2.0, 1),
         HoroTag.GENERALIZED_HORO_CONE,
     ),
     "single_vertex": (_const_h((0, 0, 0, 0, 0, 1)), HoroTag.HORO_CONE_SINGLE_VERTEX),
@@ -215,6 +214,76 @@ def test_alpha_beta_closed_form(h, u, v):
     assert q.beta == pytest.approx((1.0 + w) * h3 + v * h5 + w * h6, abs=1e-12)
 
 
+@functools.cache
+def _derived_horocyclic():
+    """The swept maps and the twelve invariants of a horocyclic surface,
+    derived exactly with sympy and lambdified over (h1, .., h6, v).
+
+    Vectors are coefficient rows over the curve frame (a0, a1, a2, a3),
+    whose metric is diag(-1, 1, 1, 1).  The u-partial of a row c is
+    c_u + c M(h), with the rows a0', a1', a2' of the frame system and the
+    row a3' taken from <a3', a_k> = -<a3, a_k'>; nu3 = x ^ nu1 ^ nu2 is
+    ``wedge3`` of the rows, with the sign that makes a0 ^ a1 ^ a2 = a3.
+    Returns ``rows`` (x, nu1, nu2 and their u- and v-partials, in the
+    order of :func:`first_partials`) and ``invariants`` (in
+    ``INVARIANT_NAMES`` order)."""
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    hs = h1, h2, h3, h4, h5, h6 = sp.symbols("h1:7", real=True)
+    metric = sp.diag(-1, 1, 1, 1)
+
+    def dot(c, d):
+        return (c * metric * d.T)[0, 0]
+
+    m = sp.Matrix([[0, h1, h2, h3], [h1, 0, h4, h5], [h2, -h4, 0, h6]])
+    a3 = sp.Matrix([[0, 0, 0, 1]])
+    m = m.col_join(sp.Matrix([[-metric[k, k] * dot(a3, m[k, :]) for k in range(3)] + [0]]))
+    sign = int(wedge3(*np.eye(4, dtype=int)[:3])[3])  # e0 ^ e1 ^ e2 = sign e3, and sign^2 = 1
+    w = v * v / 2
+    x = sp.Matrix([[1 + w, v, w, 0]])
+    nu1 = a3
+    nu2 = sp.Matrix([[-w, -v, 1 - w, 0]])
+    nu3 = sign * sp.Matrix([list(wedge3(list(x), list(nu1), list(nu2)))])
+
+    def du(c):
+        return c.diff(u) + c * m
+
+    rows = [r for c in (x, nu1, nu2) for r in (c, du(c), c.diff(v))]
+    invariants = [
+        dot(d(c), n)
+        for c, n in ((x, nu1), (x, nu2), (x, nu3), (nu1, nu2), (nu1, nu3), (nu2, nu3))
+        for d in (du, lambda c: c.diff(v))
+    ]
+    args = (*hs, v)
+    return (
+        sp.lambdify(args, [list(r) for r in rows], "math"),
+        sp.lambdify(args, [sp.expand(q) for q in invariants], "math"),
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    h=st.tuples(*[st.floats(-3.0, 3.0)] * 6),
+    u=st.floats(-1.0, 1.0),
+    v=st.floats(-1.5, 1.5),
+)
+def test_closed_forms_match_exact_derivation(h, u, v):
+    # on the constant frame (e0, e1, e2) a swept map's value and closed
+    # partials are its coefficient rows times the frame (e0, e1, e2, a3),
+    # so the maps of build_horocyclic are checked against the rows the
+    # derivation starts from
+    rows, invariants = _derived_horocyclic()
+    data = HorocyclicData(frame=_const_frame(E0, E1, E2), h=_const_h(h))
+    fs = build_horocyclic(data, DOMAIN)
+    scale = 1.0 + max(abs(c) for c in h) * (1.0 + v * v)
+    got = [r for m in (fs.x, fs.nu1, fs.nu2) for r in first_partials(m, u, v)]
+    derived = np.array(rows(*h, v), dtype=float) @ np.vstack([E0, E1, E2, wedge3(E0, E1, E2)])
+    assert np.max(np.abs(np.array(got) - derived)) <= 1e-14 * scale
+    q = horocyclic_invariants(data)(u, v)
+    for name, want in zip(INVARIANT_NAMES, invariants(*h, v)):
+        assert abs(getattr(q, name) - want) <= 1e-14 * scale, name
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     h=st.tuples(*([st.floats(-3, 3)] * 6)),
@@ -240,7 +309,7 @@ def test_bridge_identities_on_built_surface():
     field = invariant_field(fs)
     worst = 0.0
     for u in DOMAIN.u_grid()[::2]:
-        hs = [f(u) for f in h_funcs]
+        hs = h_funcs(u)
         for v in DOMAIN.v_grid()[::2]:
             q = field(u, v)
             checks = (
@@ -260,19 +329,12 @@ def test_bridge_identities_on_built_surface():
 
 
 def test_integrate_then_extract_recovers_h():
-    h_funcs = (
-        lambda u: 0.3 * np.sin(u) + 0.1,
-        lambda u: 0.7,
-        lambda u: 0.2 * u,
-        lambda u: -0.1,
-        lambda u: 0.5 * np.cos(u),
-        lambda u: 0.4,
-    )
+    h_funcs = lambda u: components(0.3 * np.sin(u) + 0.1, 0.7, 0.2 * u, -0.1, 0.5 * np.cos(u), 0.4)
     data = _integrated(h_funcs)
     worst = 0.0
     for u in np.linspace(-0.95, 0.95, 9):
         got = extract_h(data.a0, data.a1, data.a2, u)
-        worst = max(worst, max(abs(g - f(u)) for g, f in zip(got, h_funcs)))
+        worst = max(worst, max(abs(g - h) for g, h in zip(got, h_funcs(u))))
     assert worst < ROUND_TRIP_TOL
 
 
@@ -295,7 +357,7 @@ def test_long_integration_keeps_node_frames_orthonormal(monkeypatch):
 
     monkeypatch.setattr(horocyclic, "integrate_frame_along_line", spy)
     h6 = lambda u: 0.5 + 0.2 * u * u
-    integrate_frame_curves(_const_h((0, 0, 0, 0)) + (lambda u: 2.0 * h6(u), h6), E0, E1, E2, -4.0, 4.0)
+    integrate_frame_curves(lambda u: components(0, 0, 0, 0, 2.0 * h6(u), h6(u)), E0, E1, E2, -4.0, 4.0)
     (traj,) = runs
     assert len(traj.t) == 8001
     assert traj.max_gram_drift <= 1e-13  # worst Gram residual over the nodes
@@ -344,7 +406,7 @@ def test_complex_step_through_integrated_curves():
 def test_one_frame_evaluation_per_map_call(monkeypatch):
     # one grid frame_at on a profile-driven surface: each of the eight maps
     # that are not identically zero evaluates the node-frame spline once,
-    # and each of the three u-partials reads h1..h6 once
+    # and each of the three u-partials reads the (n, 6) h table once
     prof = load_h_profile(io.StringIO(_profile_text()))
     data = integrate_frame_curves(prof.h_funcs, E0, E1, E2, prof.u_min, prof.u_max)
     fs = build_horocyclic(data, DOMAIN)
@@ -352,13 +414,13 @@ def test_one_frame_evaluation_per_map_call(monkeypatch):
     hermite = horocyclic._hermite
 
     def spy(x, y, dy, u):
-        calls.append(y.ndim)  # 3 for the (n, 4, 4) node stack, 1 for an h column
+        calls.append(y.shape[1:])  # (4, 4) for the node stack, (6,) for the h table
         return hermite(x, y, dy, u)
 
     monkeypatch.setattr(horocyclic, "_hermite", spy)
     frames.frame_at(fs, *DOMAIN.mesh())
-    assert 0 < calls.count(3) <= 8
-    assert 0 < calls.count(1) <= 18
+    assert 0 < calls.count((4, 4)) <= 8
+    assert calls.count((6,)) == 3
 
 
 def test_integrate_rejects_bad_inputs():
@@ -368,7 +430,7 @@ def test_integrate_rejects_bad_inputs():
         integrate_frame_curves(_const_h(GENERIC_H), E0, E1, E2, 1.0, 1.0)
     with pytest.raises(DegenerateFrameError):
         integrate_frame_curves(_const_h(GENERIC_H), E0, 2.0 * E1, E2, 0.0, 1.0)
-    holed = (lambda u: np.where(u > 0.5, np.nan, 0.3),) + _const_h(GENERIC_H[1:])
+    holed = lambda u: components(np.where(u > 0.5, np.nan, 0.3), *GENERIC_H[1:])
     with pytest.raises(PreconditionError, match=r"non-finite invariants at \(0\.5\d*, 0\.0\): "
                        r"\(nan, 0\.7, 0\.2, -0\.1, 0\.5, 0\.4\)$"):
         integrate_frame_curves(holed, E0, E1, E2, 0.0, 1.0, step=0.25)
@@ -383,7 +445,7 @@ def test_integrate_rejects_bad_inputs():
 def test_classify_h_form(name):
     h_funcs, want = PROFILES[name]
     us = np.linspace(-1.0, 1.0, 11)
-    samples = np.array([[f(u) for f in h_funcs] for u in us])
+    samples = evaluate(h_funcs, us).T
     got = classify_horocyclic(samples)
     assert got.tag is want
     if want is HoroTag.HORO_CONE_TWO_VERTICES:
@@ -435,14 +497,7 @@ def test_horoclass_is_plain_dataclass():
 def test_singular_point_location_and_classifier_agreement():
     # b1 = h2 = u vanishes on u = 0; a1 = 0.5 (1 + v^2/2) - v vanishes at
     # v = 2 - sqrt(2); the bracket a1_u b1_v - a1_v b1_u is nonzero there.
-    h_funcs = (
-        lambda u: 0.0,
-        lambda u: u,
-        lambda u: 0.5,
-        lambda u: 0.0,
-        lambda u: -1.0,
-        lambda u: 0.0,
-    )
+    h_funcs = lambda u: components(0.0, u, 0.5, 0.0, -1.0, 0.0)
     dom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
     fs = build_horocyclic(_integrated(h_funcs), dom)
 
@@ -507,9 +562,9 @@ def test_profile_loader_reproduces_nodes():
     prof = load_h_profile(io.StringIO(_profile_text()))
     assert prof.u_min == -1.0 and prof.u_max == 1.0
     for i, u in enumerate(prof.u):
-        assert np.allclose(prof.at(u), prof.values[i], atol=1e-14)
+        assert np.allclose(prof.h_funcs(u), prof.values[i], atol=1e-14)
     # spline of a smooth function: mid-sample error stays small
-    assert prof.h_funcs[4](0.37) == pytest.approx(0.5 * math.cos(0.37), abs=1e-6)
+    assert prof.h_funcs(0.37)[4] == pytest.approx(0.5 * math.cos(0.37), abs=1e-6)
 
 
 def _profile_csv(table):
@@ -531,7 +586,7 @@ def test_profile_spline_matches_cubic_spline(n, knots):
     dx = np.diff(x)
     # nodes, between nodes, and half an end piece beyond either end
     u = np.concatenate([x, x[:-1] + 0.37 * dx, [x[0] - 0.5 * dx[0], x[-1] + 0.5 * dx[-1]]])
-    for got, want in ((prof.slopes, ref(x, 1)), (prof.at(u), ref(u))):
+    for got, want in ((prof.slopes, ref(x, 1)), (prof.h_funcs(u).T, ref(u))):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -46,7 +46,7 @@ from h3frames.singularities import (
 )
 from h3frames.singularities import RANK_TOL, _TORUS_N, _TORUS_ROWS, _jacobians, _newton_refine, _torus_read
 from h3frames.minkowski import wedge3
-from h3frames.surface import Domain, ParametricMap4, evaluate
+from h3frames.surface import Domain, ParametricMap4, components, evaluate
 
 # |D| at the ruled_A cross caps, ~10.8080; derived exactly from the defining
 # maps in test_examples.py::test_ruled_a_cross_cap_d_exact_derivation.
@@ -663,9 +663,7 @@ def test_horocyclic_never_cross_cap_when_a1_b1_identically_zero():
 def test_classifier_matches_horocyclic_formulas_on_closed_form_field():
     # h1 - h4 = 0.8 and h2 = 0 make alpha = 0.8 v, and h3 = 0.75 (u - 0.13)
     # makes beta = h3 on v = 0: one cross cap, at (0.13, 0)
-    h = (1.0, 0.0, lambda u: 0.75 * (u - 0.13), 0.2, lambda u: 0.15 - 0.2 * u,
-         lambda u: 0.1 + 0.25 * u)
-    h_funcs = [hi if callable(hi) else (lambda u, c=hi: c) for hi in h]
+    h_funcs = lambda u: components(1.0, 0.0, 0.75 * (u - 0.13), 0.2, 0.15 - 0.2 * u, 0.1 + 0.25 * u)
     field = horocyclic_invariants(integrate_frame_curves(h_funcs, *np.eye(4)[:3], -1.0, 1.0))
     dom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
     (root,) = find_singular_points(field, domain=dom)
