@@ -9,7 +9,9 @@ normals, pseudo orthogonality, frame reconstruction) rather than trusting
 them blindly.
 
 Registry names: ``cross_cap``, ``corank_one``, ``ruled_A``, ``ruled_B`` and
-``horocyclic:<profile.csv>`` (curve data loaded from an h-profile file).
+``horocyclic:<profile.csv>`` (curve data loaded from an h-profile file);
+:func:`get_example` builds every entry, the horocyclic one from the loader,
+sweep and closed forms of :mod:`h3frames.horocyclic`.
 """
 
 from __future__ import annotations
@@ -440,9 +442,15 @@ _CORANK_ONE_FNS = (
 
 
 def _horocyclic_entry(name: str) -> ExampleEntry:
-    from .horocyclic import horocyclic_example_from_profile
+    """``horocyclic:<path>``: the profile's curve frame swept over its
+    default domain; the closed-form invariant field doubles as the oracle."""
+    from .horocyclic import build_horocyclic, horocyclic_alpha_beta, horocyclic_invariants, load_h_profile
 
-    return horocyclic_example_from_profile(name.split(":", 1)[1])
+    profile = load_h_profile(name.split(":", 1)[1])
+    data, dom = profile.curve_frame(), profile.domain()
+    return ExampleEntry(
+        name, build_horocyclic(data, dom), dom, horocyclic_invariants(data), horocyclic_alpha_beta(data)
+    )
 
 
 #: The entry of each registry name, made from the name looked up;

@@ -167,25 +167,16 @@ class Invariants:
         return d
 
 
+def _assemble(u, v, x_jet, nu1_jet, nu2_jet) -> FrameAt:
+    """The frame at (u, v) from the jets (value, u-partial, v-partial) of
+    x, nu1 and nu2, with nu3 = x ^ nu1 ^ nu2."""
+    (x, xu, xv), (n1, n1u, n1v), (n2, n2u, n2v) = x_jet, nu1_jet, nu2_jet
+    return FrameAt(u, v, x, n1, n2, wedge3(x, n1, n2), xu, xv, n1u, n1v, n2u, n2v)
+
+
 def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
     """Evaluate the moving frame and its first derivatives at (u, v)."""
-    x, xu, xv = first_partials(fs.x, u, v)
-    n1, n1u, n1v = first_partials(fs.nu1, u, v)
-    n2, n2u, n2v = first_partials(fs.nu2, u, v)
-    return FrameAt(
-        u=u,
-        v=v,
-        x=x,
-        nu1=n1,
-        nu2=n2,
-        nu3=wedge3(x, n1, n2),
-        xu=xu,
-        xv=xv,
-        nu1u=n1u,
-        nu1v=n1v,
-        nu2u=n2u,
-        nu2v=n2v,
-    )
+    return _assemble(u, v, *(first_partials(m, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
 
 def basic_invariants(frame: FrameAt) -> Invariants:
@@ -620,27 +611,17 @@ def family_curvatures(inv: Invariants, direction: str):
     With these labels alpha = -m Q, beta = m P for the u-direction and
     alpha = m Q, beta = -m P for the v-direction.
     """
-    if direction == "u":
-        if abs(inv.a1) > FRAME_TOL or abs(inv.b1) > FRAME_TOL:
-            raise PreconditionError(
-                f"u-family needs a1 = b1 = 0 within {FRAME_TOL}, got "
-                f"a1 = {inv.a1:.3e}, b1 = {inv.b1:.3e}"
-            )
-        return FamilyCurvature(
-            m=inv.c1, n=inv.e1, a=inv.f1, b=inv.g1,
-            P=inv.a2, Q=inv.b2, M=inv.c2, N=inv.e2, A=inv.f2, B=inv.g2,
+    if direction not in ("u", "v"):
+        raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
+    k = 1 if direction == "u" else 2
+    a, b, c, e, f, g = inv.row(k)
+    if abs(a) > FRAME_TOL or abs(b) > FRAME_TOL:
+        raise PreconditionError(
+            f"{direction}-family needs a{k} = b{k} = 0 within {FRAME_TOL}, got "
+            f"a{k} = {a:.3e}, b{k} = {b:.3e}"
         )
-    if direction == "v":
-        if abs(inv.a2) > FRAME_TOL or abs(inv.b2) > FRAME_TOL:
-            raise PreconditionError(
-                f"v-family needs a2 = b2 = 0 within {FRAME_TOL}, got "
-                f"a2 = {inv.a2:.3e}, b2 = {inv.b2:.3e}"
-            )
-        return FamilyCurvature(
-            m=inv.c2, n=inv.e2, a=inv.f2, b=inv.g2,
-            P=inv.a1, Q=inv.b1, M=inv.c1, N=inv.e1, A=inv.f1, B=inv.g1,
-        )
-    raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
+    P, Q, M, N, A, B = inv.row(3 - k)
+    return FamilyCurvature(m=c, n=e, a=f, b=g, P=P, Q=Q, M=M, N=N, A=A, B=B)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,7 +28,9 @@ array of u values gives a component-first ``(3, 4, *shape)`` frame and
 
 An h-profile CSV gives h1..h6 as the C^2 cubic spline through its samples
 (:class:`HProfile`).  Both splines are a few lines of numpy: one Hermite
-evaluator, and one tridiagonal sweep for the profile's node slopes.
+evaluator, and one tridiagonal sweep for the profile's node slopes.  The
+registry entry ``horocyclic:<path>`` is built by ``get_example`` from these
+parts; this module knows no registry.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ import numpy as np
 from . import CLASS_TOL
 from .errors import DegenerateFrameError, NotHorocyclicError, PreconditionError
 from .frames import (
-    FrameAt,
     FramedSurface,
     Invariants,
     _alpha_beta,
+    _assemble,
     _frame_ode_matrix,
     fixed_v,
     integrate_frame_along_line,
@@ -74,7 +76,6 @@ __all__ = [
     "classify_horocyclic",
     "invariant_form_classify",
     "load_h_profile",
-    "horocyclic_example_from_profile",
     "verify_horocyclic_data",
 ]
 
@@ -117,11 +118,7 @@ class HorocyclicData:
         """``frame(u)`` as a float (or, at complex u, complex) array of
         shape ``(3, 4, *shape(u))``."""
         f = np.asarray(self.frame(u))
-        f = f.astype(np.result_type(f, float), copy=False)  # integers become float
-        shape = getattr(u, "shape", ())
-        if f.shape[2:] != shape:  # one constant frame for the whole grid
-            f = np.broadcast_to(f.reshape(f.shape[:2] + (1,) * len(shape)), f.shape[:2] + shape)
-        return f
+        return evaluate(lambda u: f.reshape((12,) + f.shape[2:]), u).reshape((3, 4) + np.shape(u))
 
 
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
@@ -311,7 +308,6 @@ def integrate_frame_curves(
 
     w = np.array([a0_init, a1_init, a2_init], dtype=float)
     _check_curve_frame(w, f"at the start u = {u_start}")
-    y = np.vstack([w, wedge3(*w)])
 
     def field(u, v) -> Invariants:
         h1, h2, h3, h4, h5, h6 = evaluate(h_funcs, u)
@@ -320,11 +316,8 @@ def integrate_frame_curves(
             e1=h4, e2=0.0, f1=h5, f2=0.0, g1=h6, g2=0.0,
         )
 
-    zero4 = np.zeros(4)
-    start = FrameAt(
-        u=u_start, v=0.0, x=y[0], nu1=y[1], nu2=y[2], nu3=y[3],
-        xu=zero4, xv=zero4, nu1u=zero4, nu1v=zero4, nu2u=zero4, nu2v=zero4,
-    )
+    zero = np.zeros(4)
+    start = _assemble(u_start, 0.0, *((a, zero, zero) for a in w))
     traj = integrate_frame_along_line(field, start, fixed_v(0.0), u_end - u_start, step)
     us = traj.t
     k = first_true(~np.isfinite(traj.frames).all(axis=(1, 2)))
@@ -606,22 +599,3 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
     return s
 
-
-def horocyclic_example_from_profile(path):
-    """Example-registry entry for ``horocyclic:<profile.csv>`` names.
-
-    Sweeps the profile's curve frame (:meth:`HProfile.curve_frame`) over
-    :meth:`HProfile.domain`.  The closed-form invariant field doubles as
-    the oracle.
-    """
-    from .examples import ExampleEntry
-
-    profile = load_h_profile(path)
-    data, dom = profile.curve_frame(), profile.domain()
-    return ExampleEntry(
-        name=f"horocyclic:{path}",
-        framed=build_horocyclic(data, dom),
-        domain=dom,
-        oracle_invariants=horocyclic_invariants(data),
-        oracle_alpha_beta=horocyclic_alpha_beta(data),
-    )

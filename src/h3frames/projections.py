@@ -4,7 +4,8 @@ Three bridges, all pointwise and all broadcasting over grids:
 
 * the ball-model diffeomorphism pi and its inverse, lifted to whole framed
   surfaces by explicit component formulas for the transported normal pair
-  (``transport_to_disc`` / ``transport_to_h3``);
+  (``transport_to_disc`` / ``transport_to_h3``, each one push of the three
+  maps: the base through the point map, each normal along its direction);
 * coordinate-dropping projections into Lorentz-Minkowski 3-space, which
   send a framed surface to a lightcone framed base surface whenever the
   projected binormal stays spacelike (``project_to_r31``);
@@ -149,6 +150,20 @@ def from_poincare(p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _pushed(maps, point, direction, normalize) -> tuple[ParametricMap4, ...]:
+    """Value-only images of the maps (base, normal, normal) of a framed
+    surface under a change of model: the base goes through ``point``, and
+    each normal through ``normalize(direction(base value, normal value))``."""
+    base, *normals = maps
+
+    def normal(n):
+        return ParametricMap4(
+            value=lambda u, v: normalize(direction(evaluate(base.value, u, v), evaluate(n.value, u, v)))
+        )
+
+    return (ParametricMap4(value=lambda u, v: point(evaluate(base.value, u, v))), *map(normal, normals))
+
+
 def _disc_direction(x, y):
     """Unnormalized transported normal y1 * x_spatial - (x1 + 1) * y_spatial."""
     return y[0] * x[1:] - (x[0] + 1.0) * y[1:]
@@ -177,23 +192,10 @@ def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
     The transported maps carry values only, and no window; their first
     partials come from the complex step.
     """
-    x_m, n1_m, n2_m = fs.x, fs.nu1, fs.nu2
-
-    def xbar_value(u, v):
-        return to_poincare(evaluate(x_m.value, u, v))
-
-    def nub_value_factory(n_m):
-        def value(u, v):
-            w = _disc_direction(evaluate(x_m.value, u, v), evaluate(n_m.value, u, v))
-            return _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm {:.3e}")
-
-        return value
-
-    return DiscFramedSurface(
-        xbar=ParametricMap4(value=xbar_value),
-        nubar1=ParametricMap4(value=nub_value_factory(n1_m)),
-        nubar2=ParametricMap4(value=nub_value_factory(n2_m)),
-    )
+    return DiscFramedSurface(*_pushed(
+        (fs.x, fs.nu1, fs.nu2), to_poincare, _disc_direction,
+        lambda w: _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm {:.3e}"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +223,10 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
     only guaranteed back up to an in-plane rotation, so compare spans.
     No window goes in or comes out: the calls that sample take one.
     """
-    xb_m, n1_m, n2_m = dfs.xbar, dfs.nubar1, dfs.nubar2
-
-    def x_value(u, v):
-        return from_poincare(evaluate(xb_m.value, u, v))
-
-    def nu_value_factory(n_m):
-        def value(u, v):
-            w = _h3_direction(evaluate(xb_m.value, u, v), evaluate(n_m.value, u, v))
-            return _normalize_minkowski(w, "transport_to_h3")
-
-        return value
-
-    return FramedSurface(
-        x=ParametricMap4(value=x_value),
-        nu1=ParametricMap4(value=nu_value_factory(n1_m)),
-        nu2=ParametricMap4(value=nu_value_factory(n2_m)),
-    )
+    return FramedSurface(*_pushed(
+        (dfs.xbar, dfs.nubar1, dfs.nubar2), from_poincare, _h3_direction,
+        lambda w: _normalize_minkowski(w, "transport_to_h3"),
+    ))
 
 
 def disc_alpha_beta(dfs: DiscFramedSurface, u: float, v: float) -> tuple[float, float]:

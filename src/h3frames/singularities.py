@@ -23,7 +23,9 @@ Classification reads these derivatives on a torus of complex points
 (u0 + r w^j, v0 + r w^k), w = exp(2 pi i / N), around each point: map
 values are analytic, so one FFT (the trapezoid rule of the Cauchy
 integral; Lyness & Moler 1967, Bornemann 2011) gives Taylor coefficients
-to rounding, with no difference step to choose.
+to rounding, with no difference step to choose.  The torus frame is
+assembled, and (alpha, beta) read, by the same code as any frame's in
+:mod:`h3frames.frames`.
 
 This one ladder classifies every field.  On a horocyclic field
 (a2 = b2 = 0, c2 = -1) D is minus the paper's bracket
@@ -61,8 +63,8 @@ import numpy as np
 
 from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
-from .frames import FrameAt, FramedSurface, Invariants, basic_invariants, invariant_field
-from .minkowski import wedge3
+from .frames import FramedSurface, Invariants, _assemble, basic_invariants, invariant_field
+from .frames import _alpha_beta as _alpha_beta_field
 from .surface import Domain, evaluate, first_true
 
 __all__ = [
@@ -183,8 +185,7 @@ def _as_field(fs: FieldLike) -> InvariantField:
 
 def _alpha_beta(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(alpha, beta) at the points (u, v), one row per point."""
-    inv = field(u, v)
-    return np.stack([np.broadcast_to(inv.alpha, u.shape), np.broadcast_to(inv.beta, u.shape)], axis=-1)
+    return np.stack([np.broadcast_to(c, u.shape) for c in _alpha_beta_field(field)(u, v)], axis=-1)
 
 
 def _jacobians(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -420,8 +421,7 @@ def _torus_invariants(fs: FramedSurface, u0, v0, U, V) -> Invariants:
             return x, evaluate(m.du, U, V), evaluate(m.dv, U, V)
         return x, _spectral(x, 0), _spectral(x, 1)
 
-    (x, xu, xv), (n1, n1u, n1v), (n2, n2u, n2v) = map(jet, (fs.x, fs.nu1, fs.nu2))
-    return basic_invariants(FrameAt(u0, v0, x, n1, n2, wedge3(x, n1, n2), xu, xv, n1u, n1v, n2u, n2v))
+    return basic_invariants(_assemble(u0, v0, *map(jet, (fs.x, fs.nu1, fs.nu2))))
 
 
 def _torus_read(fs: FieldLike, u0, v0) -> tuple[Invariants, dict, np.ndarray]:

@@ -80,14 +80,19 @@ _FRONT_END = ("numpy", *_LAZY)
     (["project", "--from", "h3", "--to", "disc", "--point", "1.4142135623730951", "1", "0", "0"],
      0, ("examples", "singularities", "horocyclic")),
     (["invariants", "--example", "cross_cap"], 0, ("singularities", "projections", "horocyclic")),
-], ids=["version", "help", "unknown-flag", "unknown-config-key", "singular", "project", "invariants"])
+    (["classify", "--profile", "{prof}"], 0, ("examples", "projections", "singularities")),
+    (["singular", "--example", "horocyclic:{prof}", "--grid", "5", "5"], 0, ("projections",)),
+], ids=["version", "help", "unknown-flag", "unknown-config-key", "singular", "project", "invariants",
+        "classify-profile", "singular-horocyclic"])
 def test_subcommand_executes_only_the_modules_it_runs(argv, exit_code, unexecuted, tmp_path):
     # a registered module executes on its first attribute read, and then its
     # class turns from the lazy subclass into types.ModuleType.  The front
     # end runs without numpy; every computation executes it.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("example = cross_cap\nwibble = 3\n")
-    argv = [a.format(cfg=cfg) for a in argv]
+    prof = tmp_path / "prof.csv"
+    _write_profile(prof, (0.3, 0.7, 0.2, -0.1, 0.5, 0.4))
+    argv = [a.format(cfg=cfg, prof=prof) for a in argv]
     src = str(Path(h3frames.__file__).resolve().parents[1])
     code = (
         "import sys, types\n"

@@ -2,15 +2,19 @@
 consistency, and the closed-form invariant oracles."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h3frames.errors import PreconditionError
 from h3frames.examples import (
     corank_one_alpha_beta,
     corank_one_surface,
+    cross_cap_alpha_beta,
     cross_cap_oracle,
     cross_cap_surface,
     example_names,
@@ -18,7 +22,7 @@ from h3frames.examples import (
     ruled_a_oracle,
     ruled_b_oracle,
 )
-from h3frames.frames import invariants_at, invariants_grid
+from h3frames.frames import Invariants, invariants_at, invariants_grid
 from h3frames.minkowski import minkowski_dot4
 from h3frames.singularities import classify_singularity
 from h3frames.surface import Domain
@@ -269,6 +273,57 @@ def test_known_singularities_kill_alpha_beta():
             alpha, beta = ex.oracle_alpha_beta(u0, v0)
             assert abs(alpha) < 1e-12 and abs(beta) < 1e-12, (name, u0, v0)
             assert tag == "cross_cap"
+
+
+#: What the cross-cap oracles give: the twelve invariants, then (alpha, beta).
+_CROSS_CAP_NAMES = tuple(f.name for f in dataclasses.fields(Invariants)) + ("alpha", "beta")
+
+
+@functools.cache
+def _derived_cross_cap():
+    """The twelve invariants and (alpha, beta) of the cross cap, derived
+    exactly with sympy and lambdified to mpmath over (u, v).
+
+    x = (sqrt(W), u, v^2, u v) with W = u^2 + v^4 + u^2 v^2 + 1, and the
+    normals as ``cross_cap_surface`` defines them.  The invariants follow
+    their definitions in ``frames.py``: x_u = a1 nu1 + b1 nu2 + c1 nu3,
+    nu1_u = a1 x + e1 nu2 + f1 nu3, nu2_u = b1 x - e1 nu1 + g1 nu3 (index
+    2 for v), with nu3 = x ^ nu1 ^ nu2, i.e. <y, nu3> = det(y, x, nu1, nu2);
+    alpha = b1 c2 - b2 c1 and beta = c1 a2 - c2 a1.  Returns them in
+    ``_CROSS_CAP_NAMES`` order."""
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    sW, P, Q = sp.sqrt(u**2 + v**4 + u**2 * v**2 + 1), sp.sqrt(v**4 + 1), sp.sqrt(v**2 + 1)
+    x = sp.Matrix([sW, u, v**2, u * v])
+    nu1 = sp.Matrix([v**2 * sW / P, u * v**2 / P, P, u * v**3 / P])
+    nu2 = sp.Matrix([0, v / Q, 0, -1 / Q])
+
+    def dot(a, b):
+        return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+    def dot3(y):  # <y, nu3>
+        return sp.Matrix.hstack(y, x, nu1, nu2).det(method="laplace")
+
+    q = {}
+    for k, s in ((1, u), (2, v)):
+        xs, n1s, n2s = x.diff(s), nu1.diff(s), nu2.diff(s)
+        q |= {f"a{k}": dot(xs, nu1), f"b{k}": dot(xs, nu2), f"c{k}": dot3(xs),
+              f"e{k}": dot(n1s, nu2), f"f{k}": dot3(n1s), f"g{k}": dot3(n2s)}
+    q["alpha"], q["beta"] = q["b1"] * q["c2"] - q["b2"] * q["c1"], q["c1"] * q["a2"] - q["c2"] * q["a1"]
+    return sp.lambdify((u, v), [q[n] for n in _CROSS_CAP_NAMES], "mpmath")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(u=st.floats(BOX.u_min, BOX.u_max), v=st.floats(BOX.v_min, BOX.v_max))
+def test_cross_cap_oracles_match_exact_derivation(u, v):
+    mpmath = pytest.importorskip("mpmath")
+    derived = _derived_cross_cap()
+    with mpmath.workdps(40):
+        want = [float(e) for e in derived(mpmath.mpf(u), mpmath.mpf(v))]
+    got = [*dataclasses.astuple(cross_cap_oracle(u, v)), *cross_cap_alpha_beta(u, v)]
+    scale = 1.0 + max(abs(w) for w in want)
+    for name, g, w in zip(_CROSS_CAP_NAMES, got, want):
+        assert abs(g - w) <= 1e-14 * scale, (name, u, v, g, w)
 
 
 def test_ruled_a_cross_cap_d_exact_derivation():

@@ -4,6 +4,7 @@ ones."""
 
 import ast
 import dataclasses
+import graphlib
 import importlib
 import pkgutil
 from pathlib import Path
@@ -159,3 +160,35 @@ def test_framed_surfaces_are_their_three_maps():
     # the sampling window is an argument of each call that samples
     assert [f.name for f in dataclasses.fields(FramedSurface)] == ["x", "nu1", "nu2"]
     assert [f.name for f in dataclasses.fields(DiscFramedSurface)] == ["xbar", "nubar1", "nubar2"]
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Modules of the package that a module imports anywhere in its source,
+    inside functions too: ``from . import x`` names the module ``x`` when
+    there is one, and the package otherwise."""
+    package = h3frames.__name__
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = ".".join([package] + ([node.module] if node.module else []))
+            elif (node.module or "").split(".")[0] == package:
+                base = node.module
+            else:
+                continue
+            subs = {f"{base}.{a.name}" for a in node.names} & set(MODULES)
+            found |= subs or {base}
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.split(".")[0] == package}
+    return found
+
+
+def test_package_imports_have_no_cycle():
+    # a cycle makes the import order matter and hides which module owns
+    # what; prepare() raises CycleError naming the cycle
+    graph = {
+        f"{h3frames.__name__}.{path.stem}".removesuffix(".__init__"):
+            _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(h3frames.__path__[0]).glob("*.py"))
+    }
+    graphlib.TopologicalSorter(graph).prepare()

@@ -477,6 +477,17 @@ def test_family_curvatures_preconditions():
         family_curvatures(inv, "v")
     with pytest.raises(ValueError):
         family_curvatures(inv, "w")
+    # each direction refuses with its own row index, and only beyond FRAME_TOL
+    inv = Invariants(a1=0.25, a2=-3e-8, b1=-2e-3, b2=0.0, c1=1.0, c2=1.0,
+                     e1=0.0, e2=0.0, f1=0.0, f2=0.0, g1=0.0, g2=0.0)
+    for direction, message in (
+        ("u", "u-family needs a1 = b1 = 0 within 1e-08, got a1 = 2.500e-01, b1 = -2.000e-03"),
+        ("v", "v-family needs a2 = b2 = 0 within 1e-08, got a2 = -3.000e-08, b2 = 0.000e+00"),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            family_curvatures(inv, direction)
+        assert str(err.value) == message
+    assert family_curvatures(dataclasses.replace(inv, a2=1e-8), "v").P == 0.25
 
 
 # ---------------------------------------------------------------------------

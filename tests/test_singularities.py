@@ -8,7 +8,6 @@ test double.  Each synthetic field's alpha/beta/phi are simple
 polynomials worked out by hand in the comments.
 """
 
-import io
 import json
 import math
 
@@ -28,7 +27,7 @@ from h3frames.frames import (
     invariants_at,
     rotate_frame,
 )
-from h3frames.horocyclic import horocyclic_example_from_profile, horocyclic_invariants, integrate_frame_curves
+from h3frames.horocyclic import horocyclic_invariants, integrate_frame_curves
 from h3frames.projections import transport_to_disc, transport_to_h3
 from h3frames.singularities import (
     CORANK_TOL,
@@ -519,20 +518,21 @@ def test_frame_from_normal_keeps_singular_points_and_classes(name):
         assert math.hypot(a.u - b.u, a.v - b.v) <= 1e-9
 
 
-def _planted_horocyclic():
+def _planted_horocyclic(tmp_path):
     """The planted cross-cap profile of the golden CLI runs, as an example entry."""
     from test_golden_cli import PLANTED_ROWS
 
-    text = "u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(map(repr, row)) + "\n" for row in PLANTED_ROWS)
-    return horocyclic_example_from_profile(io.StringIO(text))
+    path = tmp_path / "planted.csv"
+    path.write_text("u,h1,h2,h3,h4,h5,h6\n" + "".join(",".join(map(repr, row)) + "\n" for row in PLANTED_ROWS))
+    return get_example(f"horocyclic:{path}")
 
 
 @pytest.mark.parametrize("name", ["cross_cap", "corank_one", "ruled_A", "ruled_B", "planted"])
-def test_classes_do_not_depend_on_the_representation(name):
+def test_classes_do_not_depend_on_the_representation(name, tmp_path):
     # A class is an A-equivalence invariant: rotating the normal pair, or
     # sending the surface to the ball model and back, moves neither the
     # singular points nor their classes.
-    ex = _planted_horocyclic() if name == "planted" else get_example(name)
+    ex = _planted_horocyclic(tmp_path) if name == "planted" else get_example(name)
     fs = ex.framed
     want = singularity_scan(fs, ex.domain)
     assert want
