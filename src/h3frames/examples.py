@@ -1,12 +1,13 @@
 """Built-in example surfaces with closed-form frames and oracle invariants.
 
 Each entry bundles a framed surface with its default sampling window and,
-where available, closed-form oracle callables for the twelve invariants
-and for (alpha, beta), plus the locations of known isolated singular
-points.  The long expressions are transcribed in exactly one place - here -
-and the test suite checks them against their defining properties (unit
-normals, pseudo orthogonality, frame reconstruction) rather than trusting
-them blindly.
+where available, closed-form oracle fields for the twelve invariants and
+for (alpha, beta), plus the locations of known isolated singular points.
+The oracles are invariant fields like any other: complex-analytic numpy
+formulas that broadcast (a constant invariant stays a constant).  An
+(alpha, beta) oracle is read from the entry's invariant oracle where it
+has one.  Each formula is written once, here, and the test suite derives
+the oracles exactly from the maps rather than trusting them blindly.
 
 Registry names: ``cross_cap``, ``corank_one``, ``ruled_A``, ``ruled_B`` and
 ``horocyclic:<profile.csv>`` (curve data loaded from an h-profile file);
@@ -58,37 +59,34 @@ class ExampleEntry:
 # ---------------------------------------------------------------------------
 
 
-def _cc_W(u, v):
-    return u * u + v ** 4 + u * u * v * v + 1.0
+def _cc_sqrt_w(u, v):  # sqrt(W), powers written as products
+    return np.sqrt(u * u + v * v * v * v + u * u * v * v + 1.0)
 
 
 def cross_cap_surface() -> FramedSurface:
     """The standard cross cap with closed-form first derivatives."""
 
-    def sW(u, v):  # sqrt(W), powers written as products
-        return np.sqrt(u * u + v * v * v * v + u * u * v * v + 1.0)
-
     def x(u, v):
-        return components(sW(u, v), u, v * v, u * v)
+        return components(_cc_sqrt_w(u, v), u, v * v, u * v)
 
     def xu(u, v):
-        return components(u * (1.0 + v * v) / sW(u, v), 1.0, 0.0, v)
+        return components(u * (1.0 + v * v) / _cc_sqrt_w(u, v), 1.0, 0.0, v)
 
     def xv(u, v):
-        return components((2.0 * v * v * v + u * u * v) / sW(u, v), 0.0, 2.0 * v, u)
+        return components((2.0 * v * v * v + u * u * v) / _cc_sqrt_w(u, v), 0.0, 2.0 * v, u)
 
     def n1(u, v):
         P = np.sqrt(v * v * v * v + 1.0)
-        return components(v * v * sW(u, v) / P, u * v * v / P, P, u * v * v * v / P)
+        return components(v * v * _cc_sqrt_w(u, v) / P, u * v * v / P, P, u * v * v * v / P)
 
     def n1u(u, v):
         P = np.sqrt(v * v * v * v + 1.0)
         return components(
-            u * v * v * (1.0 + v * v) / (sW(u, v) * P), v * v / P, 0.0, v * v * v / P
+            u * v * v * (1.0 + v * v) / (_cc_sqrt_w(u, v) * P), v * v / P, 0.0, v * v * v / P
         )
 
     def n1v(u, v):
-        s = sW(u, v)
+        s = _cc_sqrt_w(u, v)
         P2 = v * v * v * v + 1.0
         P = np.sqrt(P2)
         P3 = P2 * P
@@ -116,13 +114,13 @@ def cross_cap_surface() -> FramedSurface:
     )
 
 
-def cross_cap_oracle(u: float, v: float) -> Invariants:
-    """Closed-form invariants of the cross cap."""
-    W = _cc_W(u, v)
-    sW = math.sqrt(W)
-    P = math.sqrt(v ** 4 + 1.0)
-    Q = math.sqrt(v * v + 1.0)
-    poly = 1.0 - v ** 4 - 2.0 * v * v
+def cross_cap_oracle(u, v) -> Invariants:
+    """Closed-form invariant field of the cross cap."""
+    sW = _cc_sqrt_w(u, v)
+    v4 = v * v * v * v
+    P = np.sqrt(v4 + 1.0)
+    Q = np.sqrt(v * v + 1.0)
+    poly = 1.0 - v4 - 2.0 * v * v
     return Invariants(
         a1=0.0,
         a2=2.0 * v / P,
@@ -133,23 +131,35 @@ def cross_cap_oracle(u: float, v: float) -> Invariants:
         e1=0.0,
         e2=-u * v * v / (P * Q),
         f1=v * v * Q / sW,
-        f2=u * v ** 3 * poly / ((v ** 4 + 1.0) * sW * Q),
+        f2=u * v * v * v * poly / ((v4 + 1.0) * sW * Q),
         g1=0.0,
         g2=sW / ((v * v + 1.0) * P),
     )
 
 
-def cross_cap_alpha_beta(u: float, v: float) -> tuple[float, float]:
-    sW = math.sqrt(_cc_W(u, v))
-    return (
-        u * math.sqrt(v ** 4 + 1.0) / sW,
-        2.0 * v * math.sqrt(v * v + 1.0) / sW,
-    )
+# ---------------------------------------------------------------------------
+# Corank-one family:  x = (sqrt(S), u, f, g),  S = u^2 + f^2 + g^2 + 1.
+# The normals and the (alpha, beta) oracle read S, Q, p and the numerator
+# of k below from the values of f, g, f_u and g_u at the points.
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Corank-one family:  x = (sqrt(u^2 + f^2 + g^2 + 1), u, f, g).
-# ---------------------------------------------------------------------------
+def _corank_root_s(u, f, g):  # sqrt(S)
+    return np.sqrt(u * u + f * f + g * g + 1.0)
+
+
+def _corank_Q(u, g, g_u):  # (g - u g_u)^2 + g_u^2 + 1
+    r = g - u * g_u
+    return r * r + g_u * g_u + 1.0
+
+
+def _corank_p(u, f, g, f_u, g_u):
+    r1, r2, r3 = f - u * f_u, g - u * g_u, f_u * g - g_u * f
+    return r1 * r1 + r2 * r2 + r3 * r3 + f_u * f_u + g_u * g_u + 1.0
+
+
+def _corank_k_numerator(u, f, g, f_u, g_u):  # k Q
+    return -(g * f + g_u * f_u) + u * (g_u * f + g * f_u) - u * u * f_u * g_u
 
 
 def corank_one_surface(
@@ -175,30 +185,26 @@ def corank_one_surface(
             f"f_v = {f_v(0.0, 0.0):.3e}, g_v = {g_v(0.0, 0.0):.3e}"
         )
 
-    def root_s(u, fv_, gv_):  # sqrt(S), S = u^2 + f^2 + g^2 + 1
-        return np.sqrt(u * u + fv_ * fv_ + gv_ * gv_ + 1.0)
-
     def x(u, v):
         fv_, gv_ = f(u, v), g(u, v)
-        return components(root_s(u, fv_, gv_), u, fv_, gv_)
+        return components(_corank_root_s(u, fv_, gv_), u, fv_, gv_)
 
     def xu(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
-        return components((u + fv_ * fu_ + gv_ * gu_) / root_s(u, fv_, gv_), 1.0, fu_, gu_)
+        return components((u + fv_ * fu_ + gv_ * gu_) / _corank_root_s(u, fv_, gv_), 1.0, fu_, gu_)
 
     def xv(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fvv, gvv = f_v(u, v), g_v(u, v)
-        return components((fv_ * fvv + gv_ * gvv) / root_s(u, fv_, gv_), 0.0, fvv, gvv)
+        return components((fv_ * fvv + gv_ * gvv) / _corank_root_s(u, fv_, gv_), 0.0, fvv, gvv)
 
     def nu2_parts(u, fv_, gv_, gu_):
-        """sqrt(S), Q = (g - u g_u)^2 + g_u^2 + 1 and the unnormalized nu2,
-        bar2 = (u g_u - g) x + (0, g_u, 0, -1), from one reading of f, g, g_u."""
-        sS = root_s(u, fv_, gv_)
-        r = gv_ - u * gu_
+        """sqrt(S), Q and the unnormalized nu2, bar2 = (u g_u - g) x +
+        (0, g_u, 0, -1), from one reading of f, g, g_u."""
+        sS = _corank_root_s(u, fv_, gv_)
         bar2 = (u * gu_ - gv_) * components(sS, u, fv_, gv_) + components(0.0, gu_, 0.0, -1.0)
-        return sS, r * r + gu_ * gu_ + 1.0, bar2
+        return sS, _corank_Q(u, gv_, gu_), bar2
 
     def n2(u, v):
         _, Q, bar2 = nu2_parts(u, f(u, v), g(u, v), g_u(u, v))
@@ -214,9 +220,8 @@ def corank_one_surface(
             1.0 + fv_ * fv_ - u * fv_ * fu_,
             fv_ * gv_ - u * gv_ * fu_,
         )
-        k = (-(gv_ * fv_ + gu_ * fu_) + u * (gu_ * fv_ + gv_ * fu_) - u * u * fu_ * gu_) / Q
-        r1, r2, r3 = fv_ - u * fu_, gv_ - u * gu_, fu_ * gv_ - gu_ * fv_
-        p = r1 * r1 + r2 * r2 + r3 * r3 + fu_ * fu_ + gu_ * gu_ + 1.0
+        k = _corank_k_numerator(u, fv_, gv_, fu_, gu_) / Q
+        p = _corank_p(u, fv_, gv_, fu_, gu_)
         return np.sqrt(Q) / np.sqrt(p) * (bar1 - k * bar2)
 
     return FramedSurface(
@@ -229,29 +234,16 @@ def corank_one_surface(
 def corank_one_alpha_beta(
     f, g, f_u, f_v, g_u, g_v
 ) -> Callable[[float, float], tuple[float, float]]:
-    """Closed-form (alpha, beta) for the corank-one family."""
+    """Closed-form (alpha, beta) field of the corank-one family."""
 
     def ab(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
         fvv, gvv = f_v(u, v), g_v(u, v)
-        S = u * u + fv_ * fv_ + gv_ * gv_ + 1.0
-        Q = (gv_ - u * gu_) ** 2 + gu_ * gu_ + 1.0
-        p = (
-            (fv_ - u * fu_) ** 2
-            + (gv_ - u * gu_) ** 2
-            + (fu_ * gv_ - gu_ * fv_) ** 2
-            + fu_ * fu_
-            + gu_ * gu_
-            + 1.0
-        )
-        q = gvv * (
-            -(gv_ * fv_ + gu_ * fu_) + u * (gu_ * fv_ + gv_ * fu_) - u * u * fu_ * gu_
-        ) + fvv * Q
-        return (
-            gvv * math.sqrt(p) / (math.sqrt(S) * math.sqrt(Q)),
-            q / (math.sqrt(S) * math.sqrt(Q)),
-        )
+        Q = _corank_Q(u, gv_, gu_)
+        sSQ = _corank_root_s(u, fv_, gv_) * np.sqrt(Q)
+        q = gvv * _corank_k_numerator(u, fv_, gv_, fu_, gu_) + fvv * Q
+        return gvv * np.sqrt(_corank_p(u, fv_, gv_, fu_, gu_)) / sSQ, q / sSQ
 
     return ab
 
@@ -259,9 +251,6 @@ def corank_one_alpha_beta(
 # ---------------------------------------------------------------------------
 # Hyperbolic ruled surfaces over the closed spherical curve gamma.
 # ---------------------------------------------------------------------------
-
-
-# The maps below broadcast; the oracles keep the scalar ``math`` forms.
 
 
 def _gamma(u):
@@ -282,13 +271,14 @@ def _gamma_p(u):
     )
 
 
-def _w(u):
-    return 144.0 * math.sin(u) ** 2 + 25.0
-
-
-def _w_map(u):  # _w, written to broadcast
+def _w(u):  # 144 sin^2 u + 25
     s = np.sin(u)
     return 144.0 * (s * s) + 25.0
+
+
+def _w_and_r(u):  # w, and the ruled oracles' r = sqrt(432 sin^2 u + 75) = sqrt(3 w)
+    w = _w(u)
+    return w, np.sqrt(3.0 * w)
 
 
 def _w_p(u):
@@ -307,7 +297,7 @@ def _delta_a_numerator(u):
 
 def _delta_a(u):
     # Spacelike director of the first ruled surface: N(u) / (5 sqrt(w)).
-    return _delta_a_numerator(u) / (5.0 * np.sqrt(_w_map(u)))
+    return _delta_a_numerator(u) / (5.0 * np.sqrt(_w(u)))
 
 
 def _delta_a_p(u):
@@ -319,8 +309,8 @@ def _delta_a_p(u):
         -50.0 * np.sin(2.0 * u) - 576.0 * (s * s * s) * np.cos(u),
         -72.0 * SQ3 * np.cos(2.0 * u),
     )
-    d = 5.0 * np.sqrt(_w_map(u))
-    dp = 5.0 * _w_p(u) / (2.0 * np.sqrt(_w_map(u)))
+    d = 5.0 * np.sqrt(_w(u))
+    dp = 5.0 * _w_p(u) / (2.0 * np.sqrt(_w(u)))
     return Np / d - N * dp / (d * d)
 
 
@@ -329,12 +319,12 @@ def _nu1_numerator(u):
 
 
 def _nu1_ruled(u):
-    return _nu1_numerator(u) / (2.0 * np.sqrt(_w_map(u)))
+    return _nu1_numerator(u) / (2.0 * np.sqrt(_w(u)))
 
 
 def _nu1_ruled_p(u):
     Ap = components(-24.0 * np.sin(u), -26.0 * np.sin(2.0 * u), 26.0 * np.cos(2.0 * u), 0.0)
-    w = _w_map(u)
+    w = _w(u)
     return Ap / (2.0 * np.sqrt(w)) - _nu1_numerator(u) * _w_p(u) / (4.0 * (w * np.sqrt(w)))
 
 
@@ -372,27 +362,27 @@ def ruled_a_surface() -> FramedSurface:
     return _ruled_surface(_delta_a, _delta_a_p, _nu1_ruled, _nu1_ruled_p, _delta_b, _delta_b_p)
 
 
-def ruled_a_oracle(u: float, v: float) -> Invariants:
-    """Closed-form invariants of the first ruled surface.
+def ruled_a_oracle(u, v) -> Invariants:
+    """Closed-form invariant field of the first ruled surface.
 
     The a1 (and hence beta) denominator is the full 144 sin^2 u + 25, not
     its square root; the squared version fails the frame reconstruction
     identity, see the unit tests pinning a1(pi/2, v) = -(5/13) sinh v.
     """
-    w = _w(u)
-    r = math.sqrt(432.0 * math.sin(u) ** 2 + 75.0)
+    w, r = _w_and_r(u)
+    s, ch, sh = 12.0 * SQ3 * np.sin(u), np.cosh(v), np.sinh(v)
     return Invariants(
-        a1=-65.0 * math.sinh(v) / w,
+        a1=-65.0 * sh / w,
         a2=0.0,
-        b1=(-12.0 * SQ3 * math.sin(u) * math.cosh(v) + math.sinh(v) * r) / 5.0,
+        b1=(-s * ch + sh * r) / 5.0,
         b2=0.0,
         c1=0.0,
         c2=1.0,
         e1=0.0,
         e2=0.0,
-        f1=65.0 * math.cosh(v) / w,
+        f1=65.0 * ch / w,
         f2=0.0,
-        g1=(12.0 * SQ3 * math.sin(u) * math.sinh(v) - math.cosh(v) * r) / 5.0,
+        g1=(s * sh - ch * r) / 5.0,
         g2=0.0,
     )
 
@@ -402,22 +392,21 @@ def ruled_b_surface() -> FramedSurface:
     return _ruled_surface(_delta_b, _delta_b_p, _nu1_ruled, _nu1_ruled_p, _delta_a, _delta_a_p)
 
 
-def ruled_b_oracle(u: float, v: float) -> Invariants:
-    """Closed-form invariants of the second ruled surface."""
-    w = _w(u)
-    r = math.sqrt(432.0 * math.sin(u) ** 2 + 75.0)
+def ruled_b_oracle(u, v) -> Invariants:
+    """Closed-form invariant field of the second ruled surface."""
+    w, r = _w_and_r(u)
     return Invariants(
         a1=0.0,
         a2=0.0,
-        b1=-r * math.sinh(v) / 5.0,
+        b1=-r * np.sinh(v) / 5.0,
         b2=0.0,
-        c1=12.0 * SQ3 * math.sin(u) / 5.0,
+        c1=12.0 * SQ3 * np.sin(u) / 5.0,
         c2=-1.0,
         e1=65.0 / w,
         e2=0.0,
         f1=0.0,
         f2=0.0,
-        g1=-r * math.cosh(v) / 5.0,
+        g1=-r * np.cosh(v) / 5.0,
         g2=0.0,
     )
 
@@ -444,20 +433,19 @@ _CORANK_ONE_FNS = (
 def _horocyclic_entry(name: str) -> ExampleEntry:
     """``horocyclic:<path>``: the profile's curve frame swept over its
     default domain; the closed-form invariant field doubles as the oracle."""
-    from .horocyclic import build_horocyclic, horocyclic_alpha_beta, horocyclic_invariants, load_h_profile
+    from .horocyclic import build_horocyclic, horocyclic_invariants, load_h_profile
 
     profile = load_h_profile(name.split(":", 1)[1])
     data, dom = profile.curve_frame(), profile.domain()
-    return ExampleEntry(
-        name, build_horocyclic(data, dom), dom, horocyclic_invariants(data), horocyclic_alpha_beta(data)
-    )
+    oracle = horocyclic_invariants(data)
+    return ExampleEntry(name, build_horocyclic(data, dom), dom, oracle, _alpha_beta(oracle))
 
 
 #: The entry of each registry name, made from the name looked up;
 #: ``horocyclic:<profile.csv>`` stands for every ``horocyclic:`` name.
 _REGISTRY: dict[str, Callable[[str], ExampleEntry]] = {
     "cross_cap": lambda name: ExampleEntry(
-        name, cross_cap_surface(), _BOX, cross_cap_oracle, cross_cap_alpha_beta,
+        name, cross_cap_surface(), _BOX, cross_cap_oracle, _alpha_beta(cross_cap_oracle),
         known_singularities=((0.0, 0.0, "cross_cap"),),
     ),
     "corank_one": lambda name: ExampleEntry(

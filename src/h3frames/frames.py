@@ -226,6 +226,15 @@ def invariant_field(fs: FramedSurface) -> Callable[[float, float], Invariants]:
     return lambda u, v: invariants_at(fs, u, v)
 
 
+def _field_at(field: Callable[[float, float], Invariants], u, v) -> Invariants:
+    """``field(u, v)`` with every component broadcast to the points' shape,
+    as :func:`~h3frames.surface.evaluate` does for maps: a field may return
+    any component as a constant."""
+    q, shape = field(u, v), getattr(u, "shape", ())
+    cs = (getattr(q, k) for k in _INVARIANT_NAMES)
+    return Invariants(*(c if getattr(c, "shape", ()) == shape else np.broadcast_to(c, shape) for c in cs))
+
+
 def _alpha_beta(field: Callable[[float, float], Invariants]):
     """(alpha, beta) as a function of (u, v), from one evaluation of the
     invariant field."""
@@ -246,12 +255,13 @@ def invariant_partials(
     ``u, v`` are floats or equal-shape arrays.  The field is called once on
     the stencil (u, v), (u + h, v), (u - h, v), (u, v + h), (u, v - h),
     stacked on a last axis, so a refusal names the first stencil point in
-    that order; components the field returns as constants are broadcast.
+    that order; it is read by :func:`_field_at`, so constant components
+    come out as arrays like the others.
     """
     U = np.stack([u, u + h, u - h, u, u], axis=-1)
     V = np.stack([v, v, v, v + h, v - h], axis=-1)
-    inv = field(U, V)
-    cols = {k: np.broadcast_to(getattr(inv, k), U.shape) for k in _INVARIANT_NAMES + ("alpha", "beta")}
+    inv = _field_at(field, U, V)
+    cols = {k: getattr(inv, k) for k in _INVARIANT_NAMES + ("alpha", "beta")}
     d = {}
     for k, c in cols.items():
         d[k + "_u"] = (c[..., 1] - c[..., 2]) / (2.0 * h)
@@ -752,9 +762,7 @@ def integrate_frame_along_line(
     tg = ts[:-1, None] + dts[:, None] * (0.5 + _GAUSS)  # (n, 2) Gauss points
     fixed = np.full(tg.shape, line.value)
     u, v = (tg, fixed) if along_u else (fixed, tg)
-    rows = np.stack(
-        [np.broadcast_to(c, tg.shape) for c in inv_field(u, v).row(1 if along_u else 2)], -1
-    )
+    rows = np.stack(_field_at(inv_field, u, v).row(1 if along_u else 2), -1)
     k = first_true(~np.isfinite(rows).all(axis=-1))
     if k is not None:
         raise PreconditionError(

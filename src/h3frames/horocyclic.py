@@ -53,6 +53,7 @@ from .frames import (
     Invariants,
     _alpha_beta,
     _assemble,
+    _field_at,
     _frame_ode_matrix,
     fixed_v,
     integrate_frame_along_line,
@@ -457,13 +458,9 @@ def invariant_form_classify(
     f1 - v (a1 - e1) = h5, (v^2 + 2) a1 - v^2 e1 - 2 v f1 = 2 h3.
     """
     U, V = domain.mesh()
-    q = inv_field(U, V)
-
-    def col(name):  # v-major, constants broadcast
-        return np.broadcast_to(getattr(q, name), U.shape).ravel()
-
+    q = _field_at(inv_field, U, V)
     names, wants = list(_HORO_CONSTANTS), list(_HORO_CONSTANTS.values())
-    got = np.stack([col(name) for name in names])
+    got = np.stack([getattr(q, name).ravel() for name in names])  # v-major
     bad = np.abs(got - np.array(wants)[:, None]) > tol
     k = first_true(bad.any(axis=0))  # the first node, v-major
     if k is not None:
@@ -473,7 +470,7 @@ def invariant_form_classify(
             f"expected the horocyclic constant {wants[j]}"
         )
 
-    c1, g1, b1, a1, e1, f1 = (col(name) for name in ("c1", "g1", "b1", "a1", "e1", "f1"))
+    c1, g1, b1, a1, e1, f1 = (getattr(q, name).ravel() for name in ("c1", "g1", "b1", "a1", "e1", "f1"))
     v = V.ravel()
 
     bracket = (v * v + 2.0) * a1 - v * v * e1 - 2.0 * v * f1

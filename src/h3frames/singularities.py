@@ -34,7 +34,10 @@ its own; ``horocyclic_classify_singularity`` is kept as another name of
 :func:`classify_singularity`.
 
 Invariant fields broadcast like maps, and so does the classifier: ``(u, v)``
-are floats or equal-shape arrays, and constant components are allowed.
+are floats or equal-shape arrays, and constant components are allowed;
+every stage reads the field through :func:`h3frames.frames._field_at`,
+which broadcasts them, so the closed-form oracles of
+:mod:`h3frames.examples` scan like any field.
 Each stage is one field call: the screen over the whole grid, each Newton
 stage over every seed (the Jacobians over all their four-point stencils at
 once), and the classification of a scan over every root and its torus.
@@ -63,8 +66,7 @@ import numpy as np
 
 from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
-from .frames import FramedSurface, Invariants, _assemble, basic_invariants, invariant_field
-from .frames import _alpha_beta as _alpha_beta_field
+from .frames import FramedSurface, Invariants, _assemble, _field_at, basic_invariants, invariant_field
 from .surface import Domain, evaluate, first_true
 
 __all__ = [
@@ -185,7 +187,8 @@ def _as_field(fs: FieldLike) -> InvariantField:
 
 def _alpha_beta(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(alpha, beta) at the points (u, v), one row per point."""
-    return np.stack([np.broadcast_to(c, u.shape) for c in _alpha_beta_field(field)(u, v)], axis=-1)
+    q = _field_at(field, u, v)
+    return np.stack([q.alpha, q.beta], axis=-1)
 
 
 def _jacobians(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -310,8 +313,8 @@ def find_singular_points(
     field = _as_field(fs)
 
     U, V = domain.mesh()
-    inv = field(U, V)
-    alpha, beta = np.broadcast_to(inv.alpha, U.shape), np.broadcast_to(inv.beta, U.shape)
+    inv = _field_at(field, U, V)
+    alpha, beta = inv.alpha, inv.beta
 
     def candidate(g: np.ndarray) -> np.ndarray:
         corners = np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]])
@@ -436,7 +439,7 @@ def _torus_read(fs: FieldLike, u0, v0) -> tuple[Invariants, dict, np.ndarray]:
     coefficients det Hess(phi) = 4 c20 c02 - c11^2.  A framed surface's
     maps are read there by :func:`basic_invariants`, whose refusals name
     the point."""
-    q = _as_field(fs)(u0, v0)
+    q = _field_at(_as_field(fs), u0, v0)
     k = first_true(np.hypot(q.c1, q.c2) <= CORANK_TOL)
     if k is not None:
         u, v, c1, c2 = (float(np.ravel(a)[k]) for a in (u0, v0, q.c1, q.c2))
@@ -444,12 +447,12 @@ def _torus_read(fs: FieldLike, u0, v0) -> tuple[Invariants, dict, np.ndarray]:
     u0, v0 = (np.broadcast_to(np.asarray(c, dtype=float)[..., None, None], np.shape(c) + (_TORUS_ROWS, _TORUS_N))
               for c in (u0, v0))
     U, V = u0 + _TORUS_ZU[:_TORUS_ROWS], v0 + _TORUS_ZV[:_TORUS_ROWS]
-    t = _torus_invariants(fs, u0, v0, U, V) if isinstance(fs, FramedSurface) else fs(U, V)
+    t = _torus_invariants(fs, u0, v0, U, V) if isinstance(fs, FramedSurface) else _field_at(fs, U, V)
     d = {}
     for k in ("a1", "a2", "b1", "b2", "alpha", "beta"):
-        c = np.fft.fft2(_full(np.broadcast_to(getattr(t, k), U.shape))).real[..., :2, :2] / (_TORUS_N ** 2 * _TORUS_R)
+        c = np.fft.fft2(_full(getattr(t, k))).real[..., :2, :2] / (_TORUS_N ** 2 * _TORUS_R)
         d[k + "_u"], d[k + "_v"] = c[..., 1, 0], c[..., 0, 1]
-    al, be = (np.broadcast_to(x, U.shape) for x in (t.alpha, t.beta))
+    al, be = t.alpha, t.beta
     ab = {"alpha_u": _spectral(al, 0), "alpha_v": _spectral(al, 1),
           "beta_u": _spectral(be, 0), "beta_v": _spectral(be, 1)}
     p = np.fft.fft2(_full(_phi(t, ab))).real / _TORUS_N ** 2

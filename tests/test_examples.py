@@ -14,7 +14,6 @@ from h3frames.errors import PreconditionError
 from h3frames.examples import (
     corank_one_alpha_beta,
     corank_one_surface,
-    cross_cap_alpha_beta,
     cross_cap_oracle,
     cross_cap_surface,
     example_names,
@@ -32,12 +31,25 @@ ORACLE_TOL = 1e-10
 
 GRID_EXAMPLES = ("cross_cap", "corank_one", "ruled_A", "ruled_B")
 BOX = Domain(-0.9, 0.9, -0.9, 0.9)  # the default window of cross_cap and corank_one
+RULED = Domain(-math.pi, math.pi, -1.0, 1.0)  # and of ruled_A and ruled_B
+
+#: What an invariant oracle gives: the twelve invariants, then (alpha, beta).
+_ORACLE_NAMES = tuple(f.name for f in dataclasses.fields(Invariants)) + ("alpha", "beta")
 
 
 def _sample_points(domain, n=5, margin=0.05):
     us = np.linspace(domain.u_min + margin, domain.u_max - margin, n)
     vs = np.linspace(domain.v_min + margin, domain.v_max - margin, n)
     return [(u, v) for u in us for v in vs]
+
+
+def _sample_arrays(domain, n):
+    """The points of :func:`_sample_points` as two arrays, for one field call."""
+    return np.array(_sample_points(domain, n)).T
+
+
+def _max_gap(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)))
 
 
 def _complex_step_firsts(value, u, v, h=1e-20):
@@ -102,14 +114,11 @@ def test_ruled_generators_are_pseudo_orthonormal(name):
 )
 def test_extracted_invariants_match_oracle(name, oracle):
     ex = get_example(name)
-    fs = ex.framed
-    for u, v in _sample_points(ex.domain, n=7):
-        got = invariants_at(fs, u, v).as_dict()
-        want = oracle(u, v).as_dict()
-        for k in got:
-            assert got[k] == pytest.approx(want[k], abs=ORACLE_TOL), (
-                f"{name} {k} at {(u, v)}"
-            )
+    u, v = _sample_arrays(ex.domain, n=7)
+    got = invariants_at(ex.framed, u, v).as_dict()
+    want = oracle(u, v).as_dict()
+    for k in got:
+        assert _max_gap(got[k], want[k]) <= ORACLE_TOL, f"{name} {k}"
 
 
 def test_alpha_beta_oracles_match_field():
@@ -117,12 +126,43 @@ def test_alpha_beta_oracles_match_field():
         ex = get_example(name)
         if ex.oracle_alpha_beta is None:
             continue
-        fs = ex.framed
-        for u, v in _sample_points(ex.domain, n=4):
-            inv = invariants_at(fs, u, v)
-            alpha, beta = ex.oracle_alpha_beta(u, v)
-            assert inv.alpha == pytest.approx(alpha, abs=ORACLE_TOL)
-            assert inv.beta == pytest.approx(beta, abs=ORACLE_TOL)
+        u, v = _sample_arrays(ex.domain, n=4)
+        inv = invariants_at(ex.framed, u, v)
+        alpha, beta = ex.oracle_alpha_beta(u, v)
+        assert _max_gap(inv.alpha, alpha) <= ORACLE_TOL, name
+        assert _max_gap(inv.beta, beta) <= ORACLE_TOL, name
+
+
+def test_every_oracle_is_an_invariant_field(tmp_path):
+    # Over every registry entry: an oracle broadcasts over an (nv, nu) grid
+    # (a component may be a constant), and at complex points it is
+    # complex-analytic: its imaginary part over the step is the central
+    # difference of its real values, in u and in v.
+    from test_singularities import _planted_horocyclic
+
+    h, step = 1e-20, 1e-6
+    for name in example_names():
+        ex = _planted_horocyclic(tmp_path) if name.startswith("horocyclic:") else get_example(name)
+        U, V = ex.domain.shrunk(2 * step, 2 * step).mesh()
+        for oracle in (ex.oracle_invariants, ex.oracle_alpha_beta):
+            if oracle is None:
+                continue
+
+            def parts(u, v):  # every component a grid array, or a constant
+                out = oracle(u, v)
+                out = [getattr(out, k) for k in _ORACLE_NAMES] if isinstance(out, Invariants) else out
+                assert all(np.shape(c) in ((), U.shape) for c in out), name
+                return [np.broadcast_to(c, U.shape) for c in out]
+
+            real = parts(U, V)
+            assert all(np.isfinite(c).all() and c.dtype.kind == "f" for c in real), name
+            for du, dv in ((1, 0), (0, 1)):
+                cs = parts(U + 1j * h * du, V + 1j * h * dv)
+                fd = zip(parts(U + step * du, V + step * dv), parts(U - step * du, V - step * dv))
+                for c, r, (hi, lo) in zip(cs, real, fd):
+                    assert _max_gap(c.real, r) <= 1e-13 * (1.0 + np.max(np.abs(r))), name
+                    d = (hi - lo) / (2.0 * step)
+                    assert _max_gap(c.imag / h, d) <= 1e-6 * (1.0 + np.max(np.abs(d))), name
 
 
 # Frozen oracle rows.  These literals were produced by the closed forms at
@@ -191,12 +231,10 @@ def test_frozen_oracle_rows(key):
 def test_default_corank_one_is_the_cross_cap():
     cc = get_example("cross_cap")
     co = get_example("corank_one")
-    for u, v in _sample_points(cc.domain, n=4):
-        assert np.max(np.abs(cc.framed.x.value(u, v) - co.framed.x.value(u, v))) < 1e-14
-        a_cc, b_cc = cc.oracle_alpha_beta(u, v)
-        a_co, b_co = co.oracle_alpha_beta(u, v)
-        assert a_cc == pytest.approx(a_co, abs=1e-13)
-        assert b_cc == pytest.approx(b_co, abs=1e-13)
+    u, v = _sample_arrays(cc.domain, n=4)
+    assert _max_gap(cc.framed.x.value(u, v), co.framed.x.value(u, v)) < 1e-14
+    for got, want in zip(cc.oracle_alpha_beta(u, v), co.oracle_alpha_beta(u, v)):
+        assert _max_gap(got, want) <= 1e-13
 
 
 def test_corank_one_invariants_equal_the_cross_cap_oracle():
@@ -205,10 +243,8 @@ def test_corank_one_invariants_equal_the_cross_cap_oracle():
     # rounding (central differences missed the oracle by 1.2e-10)
     dom = dataclasses.replace(BOX, nu=31, nv=31)
     got = invariants_grid(get_example("corank_one").framed, dom).as_dict()
-    U, V = dom.mesh()
-    for k, (u, v) in enumerate(zip(U.ravel(), V.ravel())):
-        for name, want in cross_cap_oracle(float(u), float(v)).as_dict().items():
-            assert abs(got[name].flat[k] - want) < 1e-14, (name, u, v)
+    for name, want in cross_cap_oracle(*dom.mesh()).as_dict().items():
+        assert _max_gap(got[name], want) < 1e-14, name
 
 
 def test_corank_one_rejects_nonsingular_origin():
@@ -229,13 +265,13 @@ def test_corank_one_custom_instance_alpha_beta():
     g_v = lambda u, v: u
     fs = corank_one_surface(f, g, f_u, f_v, g_u, g_v)
     ab = corank_one_alpha_beta(f, g, f_u, f_v, g_u, g_v)
-    for u, v in _sample_points(BOX, n=4):
-        inv = invariants_at(fs, u, v)
-        alpha, beta = ab(u, v)
-        # e/f/g come through complex-step partials of the normal maps, but
-        # alpha/beta only involve a, b, c - closed-form accurate.
-        assert inv.alpha == pytest.approx(alpha, abs=1e-9)
-        assert inv.beta == pytest.approx(beta, abs=1e-9)
+    u, v = _sample_arrays(BOX, n=4)
+    inv = invariants_at(fs, u, v)
+    alpha, beta = ab(u, v)
+    # e/f/g come through complex-step partials of the normal maps, but
+    # alpha/beta only involve a, b, c - closed-form accurate.
+    assert _max_gap(inv.alpha, alpha) <= 1e-9
+    assert _max_gap(inv.beta, beta) <= 1e-9
 
 
 def test_corank_one_normals_read_each_user_function_once():
@@ -275,72 +311,21 @@ def test_known_singularities_kill_alpha_beta():
             assert tag == "cross_cap"
 
 
-#: What the cross-cap oracles give: the twelve invariants, then (alpha, beta).
-_CROSS_CAP_NAMES = tuple(f.name for f in dataclasses.fields(Invariants)) + ("alpha", "beta")
-
-
 @functools.cache
-def _derived_cross_cap():
-    """The twelve invariants and (alpha, beta) of the cross cap, derived
-    exactly with sympy and lambdified to mpmath over (u, v).
+def _exact_maps(name):
+    """(u, v, x, nu1, nu2) of a built-in example restated in sympy, as
+    ``examples.py`` defines the maps.
 
-    x = (sqrt(W), u, v^2, u v) with W = u^2 + v^4 + u^2 v^2 + 1, and the
-    normals as ``cross_cap_surface`` defines them.  The invariants follow
-    their definitions in ``frames.py``: x_u = a1 nu1 + b1 nu2 + c1 nu3,
-    nu1_u = a1 x + e1 nu2 + f1 nu3, nu2_u = b1 x - e1 nu1 + g1 nu3 (index
-    2 for v), with nu3 = x ^ nu1 ^ nu2, i.e. <y, nu3> = det(y, x, nu1, nu2);
-    alpha = b1 c2 - b2 c1 and beta = c1 a2 - c2 a1.  Returns them in
-    ``_CROSS_CAP_NAMES`` order."""
+    cross_cap: x = (sqrt(W), u, v^2, u v) with W = u^2 + v^4 + u^2 v^2 + 1.
+    ruled_A and ruled_B: x = cosh v gamma + sinh v delta over the closed
+    curve gamma, with w = 144 sin^2 u + 25; ruled_A takes delta = delta_A
+    and nu2 = delta_B, ruled_B the two the other way round."""
     sp = pytest.importorskip("sympy")
     u, v = sp.symbols("u v", real=True)
-    sW, P, Q = sp.sqrt(u**2 + v**4 + u**2 * v**2 + 1), sp.sqrt(v**4 + 1), sp.sqrt(v**2 + 1)
-    x = sp.Matrix([sW, u, v**2, u * v])
-    nu1 = sp.Matrix([v**2 * sW / P, u * v**2 / P, P, u * v**3 / P])
-    nu2 = sp.Matrix([0, v / Q, 0, -1 / Q])
-
-    def dot(a, b):
-        return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-    def dot3(y):  # <y, nu3>
-        return sp.Matrix.hstack(y, x, nu1, nu2).det(method="laplace")
-
-    q = {}
-    for k, s in ((1, u), (2, v)):
-        xs, n1s, n2s = x.diff(s), nu1.diff(s), nu2.diff(s)
-        q |= {f"a{k}": dot(xs, nu1), f"b{k}": dot(xs, nu2), f"c{k}": dot3(xs),
-              f"e{k}": dot(n1s, nu2), f"f{k}": dot3(n1s), f"g{k}": dot3(n2s)}
-    q["alpha"], q["beta"] = q["b1"] * q["c2"] - q["b2"] * q["c1"], q["c1"] * q["a2"] - q["c2"] * q["a1"]
-    return sp.lambdify((u, v), [q[n] for n in _CROSS_CAP_NAMES], "mpmath")
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(u=st.floats(BOX.u_min, BOX.u_max), v=st.floats(BOX.v_min, BOX.v_max))
-def test_cross_cap_oracles_match_exact_derivation(u, v):
-    mpmath = pytest.importorskip("mpmath")
-    derived = _derived_cross_cap()
-    with mpmath.workdps(40):
-        want = [float(e) for e in derived(mpmath.mpf(u), mpmath.mpf(v))]
-    got = [*dataclasses.astuple(cross_cap_oracle(u, v)), *cross_cap_alpha_beta(u, v)]
-    scale = 1.0 + max(abs(w) for w in want)
-    for name, g, w in zip(_CROSS_CAP_NAMES, got, want):
-        assert abs(g - w) <= 1e-14 * scale, (name, u, v, g, w)
-
-
-def test_ruled_a_cross_cap_d_exact_derivation():
-    """D at the two ruled_A cross caps, derived exactly from the maps.
-
-    gamma, delta_A, nu1 and nu2 = delta_B are restated in sympy.  The
-    invariants follow their definitions in ``frames.py``: a1 = <x_u, nu1>,
-    b1 = <x_u, nu2>, (a2, b2) likewise with x_v, and c = <x_{u,v}, nu3>
-    with nu3 = x ^ nu1 ^ nu2, i.e. <y, nu3> = det(y, x, nu1, nu2).  D is
-    the determinant pairing of ``singularities.py``.  At (0, 0) and
-    (pi, 0) this gives c = (0, 1),
-    (a1_u, a1_v, b1_u, b1_v) = (0, -13/5, -+12 sqrt(3)/5, sqrt(3)) and
-    D = +-156 sqrt(3)/25.  Only values at the two points are simplified,
-    never the general expressions, which keeps this to about a second.
-    """
-    sp = pytest.importorskip("sympy")
-    u, v = sp.symbols("u v", real=True)
+    if name == "cross_cap":
+        sW, P, Q = sp.sqrt(u**2 + v**4 + u**2 * v**2 + 1), sp.sqrt(v**4 + 1), sp.sqrt(v**2 + 1)
+        x = sp.Matrix([sW, u, v**2, u * v])
+        return u, v, x, sp.Matrix([v**2 * sW / P, u * v**2 / P, P, u * v**3 / P]), sp.Matrix([0, v / Q, 0, -1 / Q])
     s3 = sp.sqrt(3)
     w = 144 * sp.sin(u) ** 2 + 25
     gamma = sp.Matrix(
@@ -362,14 +347,87 @@ def test_ruled_a_cross_cap_d_exact_derivation():
     nu1 = sp.Matrix(
         [24 * sp.cos(u), 13 * sp.cos(2 * u), 13 * sp.sin(2 * u), 13 * s3]
     ) / (2 * sp.sqrt(w))
-    nu2 = sp.Matrix([0, -s3 / 2 * sp.cos(2 * u), -s3 / 2 * sp.sin(2 * u), sp.Rational(1, 2)])
-    x = sp.cosh(v) * gamma + sp.sinh(v) * delta_a
+    delta_b = sp.Matrix([0, -s3 / 2 * sp.cos(2 * u), -s3 / 2 * sp.sin(2 * u), sp.Rational(1, 2)])
+    delta, nu2 = (delta_a, delta_b) if name == "ruled_A" else (delta_b, delta_a)
+    return u, v, sp.cosh(v) * gamma + sp.sinh(v) * delta, nu1, nu2
+
+
+def _dot(a, b):
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _derive(u, v, x, nu1, nu2):
+    """The twelve invariants and (alpha, beta) of the framed surface with
+    the sympy maps (x, nu1, nu2) over (u, v), derived exactly and
+    lambdified to mpmath, in ``_ORACLE_NAMES`` order.
+
+    The invariants follow their definitions in ``frames.py``: x_u = a1 nu1
+    + b1 nu2 + c1 nu3, nu1_u = a1 x + e1 nu2 + f1 nu3, nu2_u = b1 x - e1 nu1
+    + g1 nu3 (index 2 for v), with nu3 = x ^ nu1 ^ nu2, i.e. <y, nu3> =
+    det(y, x, nu1, nu2), taken by Laplace expansion; alpha = b1 c2 - b2 c1
+    and beta = c1 a2 - c2 a1.  Nothing is simplified."""
+    sp = pytest.importorskip("sympy")
+
+    def dot3(y):  # <y, nu3>
+        return sp.Matrix.hstack(y, x, nu1, nu2).det(method="laplace")
+
+    q = {}
+    for k, s in ((1, u), (2, v)):
+        xs, n1s, n2s = x.diff(s), nu1.diff(s), nu2.diff(s)
+        q |= {f"a{k}": _dot(xs, nu1), f"b{k}": _dot(xs, nu2), f"c{k}": dot3(xs),
+              f"e{k}": _dot(n1s, nu2), f"f{k}": dot3(n1s), f"g{k}": dot3(n2s)}
+    q["alpha"], q["beta"] = q["b1"] * q["c2"] - q["b2"] * q["c1"], q["c1"] * q["a2"] - q["c2"] * q["a1"]
+    return sp.lambdify((u, v), [q[n] for n in _ORACLE_NAMES], "mpmath")
+
+
+@functools.cache
+def _derived(name):
+    return _derive(*_exact_maps(name))
+
+
+def _assert_oracles_match_derivation(name, u, v):
+    # both oracles of the entry, to 1e-14 of the largest derived value
+    mpmath = pytest.importorskip("mpmath")
+    ex = get_example(name)
+    with mpmath.workdps(40):
+        want = [float(e) for e in _derived(name)(mpmath.mpf(u), mpmath.mpf(v))]
+    got = [*dataclasses.astuple(ex.oracle_invariants(u, v)), *ex.oracle_alpha_beta(u, v)]
+    scale = 1.0 + max(abs(w) for w in want)
+    for n, g, w in zip(_ORACLE_NAMES, got, want):
+        assert abs(g - w) <= 1e-14 * scale, (name, n, u, v, g, w)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(u=st.floats(BOX.u_min, BOX.u_max), v=st.floats(BOX.v_min, BOX.v_max))
+def test_cross_cap_oracles_match_exact_derivation(u, v):
+    _assert_oracles_match_derivation("cross_cap", u, v)
+
+
+@pytest.mark.parametrize("name", ("ruled_A", "ruled_B"))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(u=st.floats(RULED.u_min, RULED.u_max), v=st.floats(RULED.v_min, RULED.v_max))
+def test_ruled_oracles_match_exact_derivation(name, u, v):
+    _assert_oracles_match_derivation(name, u, v)
+
+
+def test_ruled_a_cross_cap_d_exact_derivation():
+    """D at the two ruled_A cross caps, derived exactly from the maps.
+
+    gamma, delta_A, nu1 and nu2 = delta_B are restated in sympy
+    (:func:`_exact_maps`).  The invariants follow their definitions in ``frames.py``: a1 = <x_u, nu1>,
+    b1 = <x_u, nu2>, (a2, b2) likewise with x_v, and c = <x_{u,v}, nu3>
+    with nu3 = x ^ nu1 ^ nu2, i.e. <y, nu3> = det(y, x, nu1, nu2).  D is
+    the determinant pairing of ``singularities.py``.  At (0, 0) and
+    (pi, 0) this gives c = (0, 1),
+    (a1_u, a1_v, b1_u, b1_v) = (0, -13/5, -+12 sqrt(3)/5, sqrt(3)) and
+    D = +-156 sqrt(3)/25.  Only values at the two points are simplified,
+    never the general expressions, which keeps this to about a second.
+    """
+    sp = pytest.importorskip("sympy")
+    s3 = sp.sqrt(3)
+    u, v, x, nu1, nu2 = _exact_maps("ruled_A")
     xu, xv = x.diff(u), x.diff(v)
-
-    def dot(a, b):
-        return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-    rows = {"a1": dot(xu, nu1), "a2": dot(xv, nu1), "b1": dot(xu, nu2), "b2": dot(xv, nu2)}
+    rows = {"a1": _dot(xu, nu1), "a2": _dot(xv, nu1), "b1": _dot(xu, nu2), "b2": _dot(xv, nu2)}
     fs = get_example("ruled_A").framed
     for u0, sign in ((0, 1), (sp.pi, -1)):
         at = {u: u0, v: 0}
@@ -388,7 +446,7 @@ def test_ruled_a_cross_cap_d_exact_derivation():
         for i, p in enumerate(frame):
             for j, q in enumerate(frame[i:], start=i):
                 want = (-1 if i == 0 else 1) if i == j else 0
-                assert exact(dot(p, q)) == want, (u0, i, j)
+                assert exact(_dot(p, q)) == want, (u0, i, j)
 
         c = tuple(exact(sp.Matrix.hstack(y, X, N1, N2).T.det()) for y in (Xu, Xv))
         assert c == (0, 1)

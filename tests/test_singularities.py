@@ -531,13 +531,15 @@ def _planted_horocyclic(tmp_path):
 def test_classes_do_not_depend_on_the_representation(name, tmp_path):
     # A class is an A-equivalence invariant: rotating the normal pair, or
     # sending the surface to the ball model and back, moves neither the
-    # singular points nor their classes.
+    # singular points nor their classes.  Nor does scanning the example's
+    # closed-form invariant oracle instead of its frames (corank_one has none).
     ex = _planted_horocyclic(tmp_path) if name == "planted" else get_example(name)
     fs = ex.framed
     want = singularity_scan(fs, ex.domain)
     assert want
     rotated = rotate_frame(fs, lambda u, v: 0.7 + 0.3 * u - 0.2 * v + 0.1 * u * v)
-    for other in (rotated, transport_to_h3(transport_to_disc(fs))):
+    others = (rotated, transport_to_h3(transport_to_disc(fs)), ex.oracle_invariants)
+    for other in filter(None, others):
         got = singularity_scan(other, ex.domain)
         if name == "ruled_B":  # a singular line, unclassified everywhere
             for reps in (want, got):
@@ -545,6 +547,8 @@ def test_classes_do_not_depend_on_the_representation(name, tmp_path):
                 assert max(abs(r.v) for r in reps) <= 1e-9
             if other is rotated:  # det Hess phi vanishes on the line
                 assert max(abs(r.diagnostics.hess_phi) for r in got) <= 1e-6
+            if other is ex.oracle_invariants:  # the same sample of the line
+                assert len(got) == len(want)
             continue
         assert [r.classification for r in got] == [r.classification for r in want]
         for a, b in zip(got, want):
