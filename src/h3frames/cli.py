@@ -344,11 +344,12 @@ def cmd_mesh(settings: argparse.Namespace) -> _Blocks:
     """ball-model polygon mesh"""
     entry = _load_example(settings)
     dom = _domain(settings, entry.domain)
-    marker_pts = None
+    markers = None
     if settings.markers:
-        marker_pts = singularities.find_singular_points(entry.framed, dom, tol=settings.singular_tol)
+        roots, _ = singularities.find_singular_points(entry.framed, dom, tol=settings.singular_tol)
+        markers = [(u, v) for u, v, _ in roots]
     out = _Blocks()
-    projections.write_disc_mesh(out, entry.framed, dom, markers=marker_pts)
+    projections.write_disc_mesh(out, entry.framed, dom, markers=markers)
     return out
 
 

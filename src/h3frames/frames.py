@@ -54,9 +54,6 @@ __all__ = [
     "FamilyCurvature",
     "FramedResidualSummary",
     "IntegrabilityResiduals",
-    "Line",
-    "fixed_u",
-    "fixed_v",
     "FrameTrajectory",
     "frame_at",
     "basic_invariants",
@@ -635,22 +632,6 @@ def family_curvatures(inv: Invariants, direction: str):
 
 
 @dataclasses.dataclass(frozen=True)
-class Line:
-    """Coordinate line: u varies at fixed v, or v varies at fixed u."""
-
-    kind: str  # "fixed_u" | "fixed_v"
-    value: float
-
-
-def fixed_u(u0: float) -> Line:
-    return Line("fixed_u", u0)
-
-
-def fixed_v(v0: float) -> Line:
-    return Line("fixed_v", v0)
-
-
-@dataclasses.dataclass(frozen=True)
 class FrameTrajectory:
     """Result of integrating the frame ODE along a coordinate line."""
 
@@ -719,19 +700,20 @@ def _expm(a) -> np.ndarray:
 def integrate_frame_along_line(
     inv_field: Callable[[float, float], Invariants],
     initial: FrameAt,
-    line: Line,
+    along: str,
     span: float,
     step: float,
 ) -> FrameTrajectory:
     """Integrate the linear frame system along a coordinate line with
     fourth-order Magnus steps.
 
-    ``initial`` provides the starting frame; its (u, v) must sit on the
-    line.  The span is covered by full steps plus one remainder, which is
-    dropped when it is below rounding of the span unless it is the only
-    step; a span of more than :data:`MAX_STEPS` full steps raises
-    ``ValueError``.  Each step
-    multiplies the frame rows by exp(Omega) with
+    ``initial`` is the starting frame and fixes the line: ``along="u"``
+    varies u from ``initial.u`` at v = ``initial.v``, ``along="v"`` varies
+    v from ``initial.v`` at u = ``initial.u``; any other ``along`` raises
+    ``ValueError``.  The span is covered by full steps plus one remainder,
+    which is dropped when it is below rounding of the span unless it is the
+    only step; a span of more than :data:`MAX_STEPS` full steps raises
+    ``ValueError``.  Each step multiplies the frame rows by exp(Omega) with
 
         Omega = dt/2 (M1 + M2) + sqrt(3)/12 dt^2 [M2, M1]
 
@@ -744,9 +726,9 @@ def integrate_frame_along_line(
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    if line.kind not in ("fixed_u", "fixed_v"):
-        raise ValueError(f"unknown line kind {line.kind!r}")
-    along_u = line.kind == "fixed_v"
+    if along not in ("u", "v"):
+        raise ValueError(f"along must be 'u' or 'v', got {along!r}")
+    along_u = along == "u"
 
     n_full, rem = divmod(abs(span), step)
     if not math.isfinite(n_full):
@@ -760,7 +742,7 @@ def integrate_frame_along_line(
     dts = np.array(dts)
 
     tg = ts[:-1, None] + dts[:, None] * (0.5 + _GAUSS)  # (n, 2) Gauss points
-    fixed = np.full(tg.shape, line.value)
+    fixed = np.full(tg.shape, initial.v if along_u else initial.u)
     u, v = (tg, fixed) if along_u else (fixed, tg)
     rows = np.stack(_field_at(inv_field, u, v).row(1 if along_u else 2), -1)
     k = first_true(~np.isfinite(rows).all(axis=-1))
@@ -784,10 +766,11 @@ def integrate_frame_along_line(
     return FrameTrajectory(t=ts, frames=frames, max_gram_drift=drift)
 
 
-def write_invariants_csv(target, fs: FramedSurface, domain: Domain) -> FramedResidualSummary:
-    """Write the invariant field over the grid of ``domain`` as CSV: the
-    column header, then one row per grid point.  Returns what
-    :func:`verify_framed` would, read from the same frame evaluation.
+def write_invariants_csv(out, fs: FramedSurface, domain: Domain) -> FramedResidualSummary:
+    """Write the invariant field over the grid of ``domain`` as CSV to the
+    text stream ``out``, which the caller opens: the column header, then
+    one row per grid point.  Returns what :func:`verify_framed` would,
+    read from the same frame evaluation.
 
     Rows run v-major (v in the outer loop, u inner); values are printed
     with 17 significant digits so the file round-trips doubles exactly.
@@ -798,14 +781,7 @@ def write_invariants_csv(target, fs: FramedSurface, domain: Domain) -> FramedRes
     summary = _residual_summary(fr, inv)
     del fr  # the frame arrays go before the CSV text is built
     cols = [U, V] + [getattr(inv, k) for k in _INVARIANT_NAMES] + [inv.alpha, inv.beta]
-    head = INVARIANT_CSV_HEADER + "\n"
-    body = fmt_rows(np.stack(cols, axis=-1).reshape(-1, len(cols)), sep=",")
-    if hasattr(target, "write"):
-        target.write(head)
-        for block in body:
-            target.write(block)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(head)
-            fh.writelines(body)
+    out.write(INVARIANT_CSV_HEADER + "\n")
+    for block in fmt_rows(np.stack(cols, axis=-1).reshape(-1, len(cols)), sep=","):
+        out.write(block)
     return summary

@@ -55,7 +55,6 @@ from .frames import (
     _assemble,
     _field_at,
     _frame_ode_matrix,
-    fixed_v,
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
@@ -290,8 +289,8 @@ def integrate_frame_curves(
 
     The frame ODE has exactly the shape of the surface frame system with
     (a, b, c, e, f, g) = (h1, .., h6), so one call of
-    :func:`h3frames.frames.integrate_frame_along_line` integrates it over
-    the whole span; its Magnus steps keep every node frame
+    :func:`h3frames.frames.integrate_frame_along_line` integrates it along
+    u over the whole span; its Magnus steps keep every node frame
     pseudo-orthonormal to rounding.  ``h_funcs`` is one callable, u ->
     (h1, .., h6) of shape ``(6, *shape(u))`` like :attr:`HorocyclicData.h`,
     that broadcasts over an array of u (a constant may return one ``(6,)``
@@ -319,7 +318,7 @@ def integrate_frame_curves(
 
     zero = np.zeros(4)
     start = _assemble(u_start, 0.0, *((a, zero, zero) for a in w))
-    traj = integrate_frame_along_line(field, start, fixed_v(0.0), u_end - u_start, step)
+    traj = integrate_frame_along_line(field, start, "u", u_end - u_start, step)
     us = traj.t
     k = first_true(~np.isfinite(traj.frames).all(axis=(1, 2)))
     if k is not None:

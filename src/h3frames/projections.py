@@ -432,12 +432,13 @@ def lift_from_r31(
 
 
 def write_disc_mesh(
-    dest,
+    out,
     fs: FramedSurface,
     domain: Domain,
     markers: Optional[Sequence[tuple[float, float]]] = None,
 ) -> None:
-    """Write the ball-model image of the surface as a plain polygon mesh.
+    """Write the ball-model image of the surface as a plain polygon mesh to
+    the text stream ``out``, which the caller opens.
 
     Vertices are the samples of the grid of ``domain`` projected through
     the ball map, written v-major as ``v x y z`` lines; every grid quad is
@@ -446,18 +447,8 @@ def write_disc_mesh(
     centroid direction).
     Marker parameter points, when given, are appended as extra vertices
     referenced from ``p`` lines.
-
-    ``dest`` may be a path or a writable text stream.
     """
-    if hasattr(dest, "write"):
-        _write_disc_mesh(dest, fs, domain, markers or ())
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            _write_disc_mesh(fh, fs, domain, markers or ())
-
-
-def _write_disc_mesh(fh, fs, dom, markers) -> None:
-    U, V = dom.mesh()
+    U, V = domain.mesh()
     nv, nu = U.shape
     pts = to_poincare(evaluate(fs.x.value, U, V)).reshape(3, -1)  # v-major vertices
 
@@ -478,11 +469,11 @@ def _write_disc_mesh(fh, fs, dom, markers) -> None:
     tri[flip, 1:] = tri[flip, :0:-1]
 
     for block in (*fmt_rows(pts.T, prefix="v "), *fmt_rows(tri + 1, prefix="f ")):
-        fh.write(block)
+        out.write(block)
     if markers:
         mu, mv = np.asarray(markers, dtype=float).T
         marks = to_poincare(evaluate(fs.x.value, mu, mv)).T
         base = nv * nu
-        fh.write("".join(
+        out.write("".join(
             f"v {' '.join(map(fmt, p))}\np {base + k + 1}\n" for k, p in enumerate(marks)
         ))

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import math
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -291,8 +290,7 @@ def find_singular_points(
     fs: FieldLike,
     domain: Domain,
     tol: float = REFINE_TOL,
-    full_output: bool = False,
-):
+) -> tuple[list[tuple[float, float, int]], list[RefinementRecord]]:
     """Grid-scan ``domain`` for zeros of (alpha, beta), refine, deduplicate.
 
     A grid cell seeds a Newton run from its centre when, for alpha and beta
@@ -304,11 +302,10 @@ def find_singular_points(
     the domain are dropped; period-equivalent u values are folded into one
     window first.  A root on a singular curve (a record with a ``tangent``)
     seeds two more Newton runs half a cell along the curve to either side,
-    so the curve sample has no gap wider than a cell.  Returns the sorted
-    (u, v) list; with ``full_output``, the sorted (u, v, newton_iters)
-    triples of :func:`_merge_roots` instead, and every
-    :class:`RefinementRecord` (one per grid seed, v-major, then the curve
-    seeds).
+    so the curve sample has no gap wider than a cell.  Returns
+    ``(roots, records)``: the sorted (u, v, newton_iters) triples of
+    :func:`_merge_roots`, and every :class:`RefinementRecord` (one per grid
+    seed, v-major, then the curve seeds).
     """
     field = _as_field(fs)
 
@@ -328,10 +325,7 @@ def find_singular_points(
                    for r in records if r.tangent is not None for s in (-0.5, 0.5)]
     records += _newton_refine(field, curve_seeds, tol, find_tangent=False)
 
-    roots = _merge_roots(records, domain)
-    if full_output:
-        return roots, records
-    return [(u, v) for u, v, _ in roots]
+    return _merge_roots(records, domain), records
 
 
 def _merge_roots(
@@ -340,16 +334,21 @@ def _merge_roots(
     """Deduplicate converged roots into sorted (u, v, newton_iters) triples.
 
     The roots are taken in (u, v) order.  u is folded into (u_min, u_min +
-    period]; a root within a tenth of a cell of the left seam is
+    period]; a root within the merge distance of the left seam is
     re-expressed on the right when that keeps it inside the window (within
     the domain test's 1e-9 margin), so pairs like (-pi, 0) / (pi, 0)
-    collapse.  Roots outside the domain (beyond a 1e-9 margin) are dropped.  The first root not yet merged is a point, and
-    takes in every unmerged root within a tenth of a cell of it
-    (periodically in u); ``newton_iters`` is the fewest iterations among
-    them.  The loop runs once per point, not once per record.
+    collapse.  Roots outside the domain (beyond that margin) are dropped.
+
+    The first root not yet merged is a point, and takes in every unmerged
+    root within the merge distance of it (periodically in u);
+    ``newton_iters`` is the fewest iterations among them.  The loop runs
+    once per point, not once per record.  The merge distance is a tenth of
+    a cell, floored at the 1e-9 margin: in a narrower window a tenth of a
+    cell is finer than Newton's accuracy, so one root would count as several.
     """
+    margin = 1e-9
     du, dv = domain.cell()
-    dedup_dist = min(du, dv) / 10.0
+    dedup_dist = max(min(du, dv) / 10.0, margin)
     u, v, iters = np.array([(r.u, r.v, r.iterations) for r in records if r.converged]).reshape(-1, 3).T
     order = np.lexsort((v, u))
     u, v, iters = u[order], v[order], iters[order]
@@ -357,8 +356,8 @@ def _merge_roots(
     if period is not None:
         u = domain.u_min + np.fmod(u - domain.u_min, period)
         u = np.where(u <= domain.u_min, u + period, u)
-        u = np.where((u < domain.u_min + dedup_dist) & (u + period <= domain.u_max + 1e-9), u + period, u)
-    inside = domain.contains(u, v, margin=-1e-9)
+        u = np.where((u < domain.u_min + dedup_dist) & (u + period <= domain.u_max + margin), u + period, u)
+    inside = domain.contains(u, v, margin=-margin)
     u, v, iters = u[inside], v[inside], iters[inside]
     free = np.ones(len(u), dtype=bool)
     points = []
@@ -527,7 +526,7 @@ def singularity_scan(
     Newton runs that the deduplication merged into its point; the roots
     are merged once, in :func:`find_singular_points`.
     """
-    roots, _ = find_singular_points(fs, domain, tol=tol, full_output=True)
+    roots, _ = find_singular_points(fs, domain, tol=tol)
     if not roots:
         return []
     u, v, iters = map(np.array, zip(*roots))
@@ -539,6 +538,8 @@ def reports_to_json(reports: Sequence[SingularityReport]) -> str:
     JSON document.  ``refine`` is the reports' ``refine_tol``, or
     ``REFINE_TOL`` when there are none; reports judged against different
     ones raise ``ValueError``."""
+    import json  # only this serializer needs it; a scan does not
+
     refine = {r.diagnostics.refine_tol for r in reports} or {REFINE_TOL}
     if len(refine) > 1:
         raise ValueError(f"reports judged against different refine tolerances: {sorted(refine)}")

@@ -15,7 +15,6 @@ from h3frames.examples import example_names, get_example
 from h3frames.frames import (
     FramedSurface,
     ReductionType,
-    fixed_u,
     frame_at,
     integrability_residuals,
     integrate_frame_along_line,
@@ -133,8 +132,8 @@ def test_criterion_01_cross_cap_oracle(gate):
 
 def _ruled_a_roots():
     entry = get_example("ruled_A")
-    pts = find_singular_points(entry.framed, entry.domain)
-    return entry, pts
+    roots, _ = find_singular_points(entry.framed, entry.domain)
+    return entry, [(u, v) for u, v, _ in roots]
 
 
 def test_criterion_02_ruled_a_locations_and_classes(gate):
@@ -378,10 +377,10 @@ def test_criterion_09_horocyclic_suite(gate):
         sfs = build_horocyclic(
             integrate_frame_curves(h_funcs, E0, E1, E2, -1.0, 1.0), sdom
         )
-        pts = find_singular_points(sfs, sdom)
+        pts, _ = find_singular_points(sfs, sdom)
         assert pts
         sfield = invariant_field(sfs)
-        for u, v in pts:
+        for u, v, _ in pts:
             generic = classify_singularity(sfs, u, v)
             horo = horocyclic_classify_singularity(sfield, u, v)
             assert generic.classification is horo.classification
@@ -393,13 +392,13 @@ def test_criterion_10_frame_integration_uniqueness(gate):
     def body():
         fs = get_example("ruled_B").framed
         start = frame_at(fs, 0.37, -0.5)
-        traj = integrate_frame_along_line(
-            invariant_field(fs), start, fixed_u(0.37), 1.0, 1e-3
-        )
-        terminal = frame_at(fs, 0.37, 0.5)
-        want = np.vstack([terminal.x, terminal.nu1, terminal.nu2, terminal.nu3])
-        assert float(np.max(np.abs(traj.final - want))) < 1e-6
-        assert traj.max_gram_drift < 1e-8
+        # each line runs through the start frame: u = 0.37 along v, v = -0.5 along u
+        for along, end in (("v", (0.37, 0.5)), ("u", (1.37, -0.5))):
+            traj = integrate_frame_along_line(invariant_field(fs), start, along, 1.0, 1e-3)
+            terminal = frame_at(fs, *end)
+            want = np.vstack([terminal.x, terminal.nu1, terminal.nu2, terminal.nu3])
+            assert float(np.max(np.abs(traj.final - want))) < 1e-6, along
+            assert traj.max_gram_drift < 1e-8, along
 
     gate(10, "frame integration uniqueness", body)
 
@@ -433,7 +432,7 @@ def test_criterion_11_property_suite(gate):
 
         entry = get_example("ruled_A")
         rotated = rotate_frame(entry.framed, lambda u, v: 0.7 * u)
-        for u, v in find_singular_points(entry.framed, entry.domain):
+        for u, v, _ in find_singular_points(entry.framed, entry.domain)[0]:
             before = classify_singularity(entry.framed, u, v).classification
             after = classify_singularity(rotated, u, v).classification
             assert before is after

@@ -19,12 +19,16 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _probes(monkeypatch):
+def _tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up there
     spec.loader.exec_module(module)
-    return module.PROBES
+    return module
+
+
+def _probes(monkeypatch):
+    return _tracing(monkeypatch).PROBES
 
 
 def test_every_benchmark_probe_target_resolves(monkeypatch):
@@ -75,3 +79,23 @@ def test_traced_run_reports_every_per_layer_metric(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert sorted(result["metrics"]) == sorted(m["name"] for m in BENCHMARK["per_layer"])
+
+
+def test_traced_mesh_markers_counts_its_scan(monkeypatch, capsys):
+    # the scan behind the markers returns (roots, records), which the
+    # tracer's scan hook counts: one seed per Newton record
+    import h3frames.cli as cli
+    from h3frames.examples import get_example
+    from h3frames.singularities import find_singular_points
+
+    tracer = _tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        assert cli.main(["mesh", "--example", "ruled_A", "--markers"]) == 0
+    finally:
+        tracer.uninstall()
+    (counts,) = tracer.op_counts
+    entry = get_example("ruled_A")
+    _, records = find_singular_points(entry.framed, entry.domain)
+    assert counts["singularities.seeds"] == len(records) > 0

@@ -63,6 +63,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert done.stderr.strip() == "[]"
 
 
+def test_singular_leaves_json_unloaded():
+    # only reports_to_json serializes to JSON; a singular run prints text,
+    # so it does not import json
+    src = str(Path(h3frames.__file__).resolve().parents[1])
+    code = (
+        "import sys, runpy\n"
+        "sys.argv = ['h3frames', 'singular', '--example', 'ruled_A']\n"
+        "try:\n"
+        "    runpy.run_module('h3frames.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print('json' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "False"
+
+
 #: The library modules ``import h3frames.cli`` registers without executing.
 _LAZY = ("minkowski", "surface", "fmt", "frames", "examples", "singularities",
          "projections", "horocyclic")

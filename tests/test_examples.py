@@ -255,16 +255,22 @@ def test_corank_one_rejects_nonsingular_origin():
         corank_one_surface(f, zero, zero, f_v, zero, zero)
 
 
+#: f = v^2 + u v, g = u v and (f_u, f_v, g_u, g_v): a corank-one instance
+#: that is not the cross cap.
+_CUSTOM_CORANK_FNS = (
+    lambda u, v: v * v + u * v,
+    lambda u, v: u * v,
+    lambda u, v: v,
+    lambda u, v: 2.0 * v + u,
+    lambda u, v: v,
+    lambda u, v: u,
+)
+
+
 def test_corank_one_custom_instance_alpha_beta():
     """f = v^2 + u v, g = u v: alpha/beta closed forms vs extraction."""
-    f = lambda u, v: v * v + u * v
-    g = lambda u, v: u * v
-    f_u = lambda u, v: v
-    f_v = lambda u, v: 2.0 * v + u
-    g_u = lambda u, v: v
-    g_v = lambda u, v: u
-    fs = corank_one_surface(f, g, f_u, f_v, g_u, g_v)
-    ab = corank_one_alpha_beta(f, g, f_u, f_v, g_u, g_v)
+    fs = corank_one_surface(*_CUSTOM_CORANK_FNS)
+    ab = corank_one_alpha_beta(*_CUSTOM_CORANK_FNS)
     u, v = _sample_arrays(BOX, n=4)
     inv = invariants_at(fs, u, v)
     alpha, beta = ab(u, v)
@@ -408,6 +414,62 @@ def test_cross_cap_oracles_match_exact_derivation(u, v):
 @given(u=st.floats(RULED.u_min, RULED.u_max), v=st.floats(RULED.v_min, RULED.v_max))
 def test_ruled_oracles_match_exact_derivation(name, u, v):
     _assert_oracles_match_derivation(name, u, v)
+
+
+@functools.cache
+def _custom_corank_one_derived():
+    """The custom corank-one instance (f = v^2 + u v, g = u v) restated in
+    sympy as ``examples.py`` defines it, lambdified to mpmath: a function
+    of (u, v) giving x, nu1, nu2 (each a 4-vector) and (alpha, beta).
+
+    x = (sqrt(S), u, f, g) with S = u^2 + f^2 + g^2 + 1; nu2 = bar2 /
+    sqrt(Q) with bar2 = (u g_u - g) x + (0, g_u, 0, -1) and Q = (g -
+    u g_u)^2 + g_u^2 + 1; nu1 = sqrt(Q) / sqrt(p) (bar1 - k bar2) with
+    bar1 = ((f - u f_u) sqrt(S), u f - (1 + u^2) f_u, 1 + f^2 - u f f_u,
+    f g - u g f_u), k Q = -(g f + g_u f_u) + u (g_u f + g f_u) - u^2 f_u
+    g_u and p = (f - u f_u)^2 + (g - u g_u)^2 + (f_u g - g_u f)^2 + f_u^2
+    + g_u^2 + 1.  (alpha, beta) follow the definitions of :func:`_derive`
+    and need only a, b and c, so only x is differentiated."""
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    f, g = v**2 + u * v, u * v
+    f_u, g_u = f.diff(u), g.diff(u)
+    sS = sp.sqrt(u**2 + f**2 + g**2 + 1)
+    x = sp.Matrix([sS, u, f, g])
+    Q = (g - u * g_u) ** 2 + g_u**2 + 1
+    p = (f - u * f_u) ** 2 + (g - u * g_u) ** 2 + (f_u * g - g_u * f) ** 2 + f_u**2 + g_u**2 + 1
+    bar2 = (u * g_u - g) * x + sp.Matrix([0, g_u, 0, -1])
+    bar1 = sp.Matrix([(f - u * f_u) * sS, u * f - (1 + u**2) * f_u, 1 + f**2 - u * f * f_u, f * g - u * g * f_u])
+    k = (-(g * f + g_u * f_u) + u * (g_u * f + g * f_u) - u**2 * f_u * g_u) / Q
+    nu1, nu2 = sp.sqrt(Q) / sp.sqrt(p) * (bar1 - k * bar2), bar2 / sp.sqrt(Q)
+    q = {}
+    for n, s in ((1, u), (2, v)):
+        xs = x.diff(s)
+        q[f"a{n}"], q[f"b{n}"] = _dot(xs, nu1), _dot(xs, nu2)
+        q[f"c{n}"] = sp.Matrix.hstack(xs, x, nu1, nu2).det(method="laplace")  # <x_s, nu3>
+    ab = [q["b1"] * q["c2"] - q["b2"] * q["c1"], q["c1"] * q["a2"] - q["c2"] * q["a1"]]
+    return sp.lambdify((u, v), [list(x), list(nu1), list(nu2), ab], "mpmath")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(u=st.floats(BOX.u_min, BOX.u_max), v=st.floats(BOX.v_min, BOX.v_max))
+def test_corank_one_alpha_beta_matches_exact_derivation(u, v):
+    # the restated maps are a frame and are the program's maps, and the
+    # closed-form (alpha, beta) is theirs, to 1e-14 of the largest value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, nu1, nu2, ab = _custom_corank_one_derived()(mpmath.mpf(u), mpmath.mpf(v))
+        for a, b, want in ((x, x, -1), (nu1, nu1, 1), (nu2, nu2, 1), (x, nu1, 0), (x, nu2, 0), (nu1, nu2, 0)):
+            assert abs(_dot(a, b) - want) < 1e-30
+        maps = [float(e) for m in (x, nu1, nu2) for e in m]
+        want = [float(e) for e in ab]
+    fs = corank_one_surface(*_CUSTOM_CORANK_FNS)
+    got = np.concatenate([m.value(u, v) for m in (fs.x, fs.nu1, fs.nu2)])
+    assert _max_gap(got, maps) <= 1e-14 * (1.0 + max(map(abs, maps)))
+    got = corank_one_alpha_beta(*_CUSTOM_CORANK_FNS)(u, v)
+    scale = 1.0 + max(map(abs, want))
+    for n, g, w in zip(("alpha", "beta"), got, want):
+        assert abs(g - w) <= 1e-14 * scale, (n, u, v, g, w)
 
 
 def test_ruled_a_cross_cap_d_exact_derivation():

@@ -114,7 +114,6 @@ OPTIONS = {
     "projections.write_disc_mesh(markers)",
     "singularities.classify_singularity(newton_iters)",
     "singularities.classify_singularity(refine_tol)",
-    "singularities.find_singular_points(full_output)",
     "singularities.find_singular_points(tol)",
     "singularities.singularity_scan(tol)",
     "surface.Domain.contains(margin)",
@@ -153,7 +152,7 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == OPTIONS
-    assert len(OPTIONS) == 17
+    assert len(OPTIONS) == 16
 
 
 def test_framed_surfaces_are_their_three_maps():

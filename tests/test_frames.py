@@ -28,8 +28,6 @@ from h3frames.frames import (
     _expm,
     _frame_ode_matrix,
     family_curvatures,
-    fixed_u,
-    fixed_v,
     frame_at,
     frame_from_normal,
     integrability_residuals,
@@ -499,7 +497,7 @@ def test_integrate_frame_reaches_closed_form_frame():
     fs = get_example("cross_cap").framed
     field = invariant_field(fs)
     start = frame_at(fs, -0.5, 0.0)
-    traj = integrate_frame_along_line(field, start, fixed_v(0.0), span=1.0, step=1e-3)
+    traj = integrate_frame_along_line(field, start, "u", span=1.0, step=1e-3)
     want = frame_at(fs, 0.5, 0.0)
     final = traj.final
     for got, ref in zip(final, (want.x, want.nu1, want.nu2, want.nu3)):
@@ -512,7 +510,7 @@ def test_integrate_frame_partial_last_step_and_direction():
     fs = get_example("cross_cap").framed
     field = invariant_field(fs)
     start = frame_at(fs, 0.0, 0.3)
-    traj = integrate_frame_along_line(field, start, fixed_u(0.0), span=-0.55, step=0.1)
+    traj = integrate_frame_along_line(field, start, "v", span=-0.55, step=0.1)
     # 5 full steps of 0.1 plus a final 0.05, all in the negative direction
     assert traj.t[-1] == pytest.approx(-0.25, abs=1e-12)
     assert len(traj.t) == 7
@@ -529,7 +527,7 @@ def test_integrate_frame_calls_field_once():
         shapes.append(np.shape(u))
         return field(u, v)
 
-    integrate_frame_along_line(counting, frame_at(fs, 0.0, 0.3), fixed_u(0.0), span=-0.55, step=0.1)
+    integrate_frame_along_line(counting, frame_at(fs, 0.0, 0.3), "v", span=-0.55, step=0.1)
     # one array call on the two Gauss points of each of the 6 steps
     assert shapes == [(6, 2)]
 
@@ -538,7 +536,14 @@ def test_integrate_frame_rejects_bad_step():
     fs = get_example("cross_cap").framed
     start = frame_at(fs, 0.0, 0.0)
     with pytest.raises(ValueError):
-        integrate_frame_along_line(invariant_field(fs), start, fixed_v(0.0), 1.0, 0.0)
+        integrate_frame_along_line(invariant_field(fs), start, "u", 1.0, 0.0)
+
+
+@pytest.mark.parametrize("along", ["fixed_v", "U", "", None])
+def test_integrate_frame_rejects_unknown_direction(along):
+    fs = get_example("cross_cap").framed
+    with pytest.raises(ValueError, match="along"):
+        integrate_frame_along_line(invariant_field(fs), frame_at(fs, 0.0, 0.0), along, 1.0, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -585,16 +590,6 @@ def test_write_invariants_csv_layout_and_roundtrip():
     assert float(last[6]) == inv.c1
     assert float(last[14]) == inv.alpha
     assert float(last[15]) == inv.beta
-
-
-def test_write_invariants_csv_to_path(tmp_path):
-    fs = get_example("cross_cap").framed
-    dom = Domain(-0.1, 0.1, -0.1, 0.1, nu=2, nv=2)
-    target = tmp_path / "inv.csv"
-    write_invariants_csv(target, fs, domain=dom)
-    text = target.read_text(encoding="utf-8")
-    assert text.splitlines()[0] == INVARIANT_CSV_HEADER
-    assert len(text.splitlines()) == 5
 
 
 def test_invariant_partials_one_call_broadcasting_constants():

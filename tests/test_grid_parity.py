@@ -188,7 +188,8 @@ def _one_point_surface(fs):
 def test_classify_singularity_equals_one_point_calls(name, fs):
     ref = _one_point_surface(fs)
     dom = WINDOWS[name]
-    points = find_singular_points(fs, dom)[:3] + _nodes(_inner(dom, nu=2, nv=2))
+    roots, _ = find_singular_points(fs, dom)
+    points = [(u, v) for u, v, _ in roots[:3]] + _nodes(_inner(dom, nu=2, nv=2))
     for u, v in points:
         want = _outcome(lambda: classify_singularity(ref, u, v))
         assert _outcome(lambda: classify_singularity(fs, u, v)) == want, (name, u, v)
@@ -196,8 +197,8 @@ def test_classify_singularity_equals_one_point_calls(name, fs):
 
 @pytest.mark.parametrize("name, fs", list(_surfaces().items()))
 def test_find_singular_points_equals_one_point_calls(name, fs):
-    want = find_singular_points(_one_point_field(fs), WINDOWS[name], full_output=True)
-    assert find_singular_points(fs, WINDOWS[name], full_output=True) == want, name
+    want = find_singular_points(_one_point_field(fs), WINDOWS[name])
+    assert find_singular_points(fs, WINDOWS[name]) == want, name
 
 
 @pytest.mark.parametrize("name", ["horocyclic", "cross_cap"])
@@ -412,10 +413,10 @@ def _newton_cases():
 @pytest.mark.parametrize("name, case", list(_newton_cases().items()))
 def test_batched_newton_equals_per_seed_runs(name, case, monkeypatch):
     fs, dom = case
-    got = find_singular_points(fs, dom, full_output=True)
+    got = find_singular_points(fs, dom)
     assert got[1], name
     monkeypatch.setattr(singularities, "_newton_refine", _per_seed_newton)
-    assert got == find_singular_points(fs, dom, full_output=True), name
+    assert got == find_singular_points(fs, dom), name
 
 
 @pytest.mark.parametrize("name", ["nan_x", "raises"])
@@ -553,9 +554,10 @@ def _canonicalize_u(u, dom, snap=0.0):
 
 def _reference_merge_roots(records, domain):
     """Root merging by a generator scan of the kept roots for each record:
-    the reference of the array comparison of ``_merge_roots``."""
+    the reference of the array comparison of ``_merge_roots``.  The merge
+    distance is a tenth of a cell, floored at the 1e-9 domain margin."""
     du, dv = domain.cell()
-    dedup_dist = min(du, dv) / 10.0
+    dedup_dist = max(min(du, dv) / 10.0, 1e-9)
 
     def dist(u1, v1, u2, v2):
         d_u = abs(u1 - u2)
@@ -582,7 +584,7 @@ def _reference_merge_roots(records, domain):
 def _per_root_scan(fs, domain):
     """singularity_scan with one classify_singularity call per merged root:
     the per-root reference of the one-call scan."""
-    _, records = find_singular_points(fs, domain, full_output=True)
+    _, records = find_singular_points(fs, domain)
     return [classify_singularity(fs, u, v, newton_iters=iters)
             for u, v, iters in _reference_merge_roots(records, domain)]
 
@@ -599,7 +601,7 @@ def test_broadcast_classifiers_equal_one_point_calls(name):
     # every default root (130 on ruled_B's line), with its Newton
     # iterations, and the nodes of a 2 x 2 grid inside the domain
     fs, dom = _surfaces()[name], WINDOWS[name]
-    _, records = find_singular_points(fs, dom, full_output=True)
+    _, records = find_singular_points(fs, dom)
     pts = _merge_roots(records, dom) + [(u, v, 0) for u, v in _nodes(_inner(dom, nu=2, nv=2))]
     assert len(pts) == {"ruled_A": 6, "ruled_B": 134}.get(name, 5)
     u, v, iters = (np.array(c) for c in zip(*pts))
@@ -613,7 +615,7 @@ def test_broadcast_classifiers_equal_one_point_calls(name):
 @pytest.mark.parametrize("name", SCANNED)
 def test_singularity_scan_equals_per_root_scan(name):
     fs, dom = _surfaces()[name], WINDOWS[name]
-    _, records = find_singular_points(fs, dom, full_output=True)
+    _, records = find_singular_points(fs, dom)
     assert _merge_roots(records, dom) == _reference_merge_roots(records, dom)
     if dom.u_period is not None:  # roots on both sides of the seam u = +-pi
         du = dom.cell()[0]

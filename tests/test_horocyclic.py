@@ -501,9 +501,9 @@ def test_singular_point_location_and_classifier_agreement():
     dom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
     fs = build_horocyclic(_integrated(h_funcs), dom)
 
-    pts = find_singular_points(fs, dom)
+    pts, _ = find_singular_points(fs, dom)
     assert len(pts) == 1
-    u0, v0 = pts[0]
+    u0, v0, _ = pts[0]
     assert math.hypot(u0 - 0.0, v0 - (2.0 - math.sqrt(2.0))) < 1e-8
 
     generic = classify_singularity(fs, u0, v0)

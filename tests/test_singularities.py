@@ -77,16 +77,16 @@ def _field(a2=None, b2=None, a1=None, b1=None, c=(1.0, 0.0), e1=0.0, e2=0.0):
 
 def test_find_singular_points_ruled_a_two_cross_cap_locations():
     ex = get_example("ruled_A")
-    pts = find_singular_points(ex.framed, ex.domain)
+    pts, _ = find_singular_points(ex.framed, ex.domain)
     assert len(pts) == 2
-    (u0, v0), (u1, v1) = pts
+    (u0, v0, _), (u1, v1, _) = pts
     assert math.hypot(u0 - 0.0, v0) < 1e-8
     assert math.hypot(u1 - math.pi, v1) < 1e-8
 
 
 def test_find_singular_points_cross_cap_origin():
     ex = get_example("cross_cap")
-    pts, records = find_singular_points(ex.framed, ex.domain, full_output=True)
+    pts, records = find_singular_points(ex.framed, ex.domain)
     assert len(pts) == 1
     assert math.hypot(*pts[0][:2]) < 1e-8
     assert any(isinstance(r, RefinementRecord) and r.converged for r in records)
@@ -100,17 +100,17 @@ def test_screen_seeds_only_cells_near_the_zeros(name, max_seeds):
     # ruled_A's 40x20 grid has 800 cells and cross_cap's 400; only the
     # few around each isolated root need a Newton run.
     ex = get_example(name)
-    _, records = find_singular_points(ex.framed, ex.domain, full_output=True)
+    _, records = find_singular_points(ex.framed, ex.domain)
     assert 0 < len(records) <= max_seeds
 
 
 def test_find_singular_points_samples_the_ruled_b_line():
     ex = get_example("ruled_B")
     dom = ex.domain
-    pts = find_singular_points(ex.framed, dom)
+    pts, _ = find_singular_points(ex.framed, dom)
     assert len(pts) > 50  # a whole line of zeros, sampled
-    assert max(abs(v) for _, v in pts) < 1e-8
-    us = sorted(u for u, _ in pts)
+    assert max(abs(v) for _, v, _ in pts) < 1e-8
+    us = sorted(u for u, _, _ in pts)
     assert us[0] < -2.5 and us[-1] > 2.5  # spread across the u-window
     gaps = [b - a for a, b in zip(us, us[1:])]
     gaps.append(us[0] - dom.u_min + dom.u_max - us[-1])  # across the periodic seam
@@ -120,7 +120,7 @@ def test_find_singular_points_samples_the_ruled_b_line():
 def test_find_singular_points_empty_on_regular_band():
     fs = get_example("ruled_A").framed
     band = Domain(-math.pi, math.pi, 0.2, 1.0, nu=21, nv=9, u_period=2.0 * math.pi)
-    assert find_singular_points(fs, domain=band) == []
+    assert find_singular_points(fs, domain=band)[0] == []
 
 
 def test_find_singular_points_bare_field_needs_domain():
@@ -128,8 +128,19 @@ def test_find_singular_points_bare_field_needs_domain():
     with pytest.raises(TypeError):  # the window is a required argument
         find_singular_points(field)
     dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
-    pts = find_singular_points(field, domain=dom)
-    assert len(pts) == 1 and math.hypot(*pts[0]) < 1e-8
+    pts, _ = find_singular_points(field, domain=dom)
+    assert len(pts) == 1 and math.hypot(*pts[0][:2]) < 1e-8
+
+
+def test_find_singular_points_narrow_window_merges_one_root():
+    # on u in [-1e-12, 1e-12] a tenth of a cell is 1e-14, finer than where
+    # Newton leaves the origin; the 1e-9 floor of the merge distance keeps
+    # the cross cap one point (the merge without it gave 3)
+    ex = get_example("cross_cap")
+    dom = Domain(-1e-12, 1e-12, ex.domain.v_min, ex.domain.v_max, nu=ex.domain.nu, nv=ex.domain.nv)
+    pts, records = find_singular_points(ex.framed, dom)
+    assert sum(r.converged for r in records) > 1
+    assert len(pts) == 1 and math.hypot(*pts[0][:2]) < 1e-11
 
 
 def test_find_singular_points_double_zero_inside_a_cell():
@@ -139,9 +150,9 @@ def test_find_singular_points_double_zero_inside_a_cell():
     # linearly onto a double zero: |alpha| < 1e-10 puts v within 1e-5.
     field = _field(a2=lambda u, v: u - 0.02, b2=lambda u, v: (v - 0.125) ** 2)
     dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
-    pts = find_singular_points(field, domain=dom)
+    pts, _ = find_singular_points(field, domain=dom)
     assert len(pts) == 1
-    (u0, v0), = pts
+    (u0, v0, _), = pts
     assert abs(u0 - 0.02) < 1e-8 and abs(v0 - 0.125) < 1e-5
 
 
@@ -165,7 +176,7 @@ def test_each_stage_makes_one_field_call():
     # the root from each in one step
     field = counted(_field(a2=lambda u, v: u, b2=lambda u, v: -v))
     dom = Domain(-1.0, 1.0, -1.0, 1.0, nu=9, nv=9)
-    _, records = find_singular_points(field, domain=dom, full_output=True)
+    _, records = find_singular_points(field, domain=dom)
     assert [r.iterations for r in records] == [1] * 16
     # the screen, then Newton: start values, Jacobians, trial step, tangent test
     assert shapes == [(9, 9), (16,), (16, 4), (16,), (16, 4)]
@@ -205,7 +216,7 @@ def test_ruled_b_roots_keep_their_tangents():
     # to sign, as one SVD per root of that root's Jacobian
     ex = get_example("ruled_B")
     field = invariant_field(ex.framed)
-    _, records = find_singular_points(ex.framed, ex.domain, full_output=True)
+    _, records = find_singular_points(ex.framed, ex.domain)
     flagged = [r for r in records if r.tangent is not None]
     grid = records[:len(records) - 2 * len(flagged)]  # the curve seeds come last, two per tangent
     assert len(flagged) == 154
@@ -487,7 +498,7 @@ def test_classification_survives_coordinate_swap():
 
     dom = Domain(-1.0, 1.0, -0.5, 3.5, nu=11, nv=21)
     swapped = FramedSurface(swap(fs.x), swap(fs.nu1), swap(fs.nu2))
-    pts = find_singular_points(swapped, dom)
+    pts = [(u, v) for u, v, _ in find_singular_points(swapped, dom)[0]]
     assert len(pts) == 2
     by_v = sorted(pts, key=lambda p: p[1])
     assert math.hypot(by_v[0][0], by_v[0][1]) < 1e-8
@@ -670,8 +681,8 @@ def test_classifier_matches_horocyclic_formulas_on_closed_form_field():
     h_funcs = lambda u: components(1.0, 0.0, 0.75 * (u - 0.13), 0.2, 0.15 - 0.2 * u, 0.1 + 0.25 * u)
     field = horocyclic_invariants(integrate_frame_curves(h_funcs, *np.eye(4)[:3], -1.0, 1.0))
     dom = Domain(-1.0, 1.0, -1.5, 1.5, nu=21, nv=21)
-    (root,) = find_singular_points(field, domain=dom)
-    assert _classify_as_reference(field, *root).classification is SingularityClass.CROSS_CAP
+    ((u0, v0, _),), _ = find_singular_points(field, domain=dom)
+    assert _classify_as_reference(field, u0, v0).classification is SingularityClass.CROSS_CAP
     for u, v in zip(*(g.ravel()[::7] for g in Domain(-0.9, 0.9, -1.4, 1.4, nu=5, nv=5).mesh())):
         _classify_as_reference(field, u, v)
 
