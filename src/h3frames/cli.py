@@ -381,13 +381,8 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) ->
     if frm == "disc":
         x = projections.from_poincare(x)
     elif frm == "r31":
-        i = axis.index
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
-            q = -minkowski.minkowski_dot3(x, x)  # x1^2 - x2^2 - x3^2
-            lifted = surface.components(*x[:i], np.sqrt(q - 1.0), *x[i:])
-            r = minkowski.minkowski_dot4(lifted, lifted)  # -1 up to rounding, which grows with x1^2
-        on_h3 = abs(r + 1.0) <= projections.ON_H3_TOL
-        k = surface.first_true(~(np.isfinite(q) & (q > 1.0) & on_h3))
+        q, lifted, r, on_h3 = projections._lift(x, axis)
+        k = surface.first_true(~((q > 1.0) & on_h3))
         if k is not None:
             raise PreconditionError(
                 f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has x1^2 - x2^2 - x3^2 = "

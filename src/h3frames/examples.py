@@ -69,28 +69,22 @@ def cross_cap_surface() -> FramedSurface:
     def x(u, v):
         return components(_cc_sqrt_w(u, v), u, v * v, u * v)
 
-    def xu(u, v):
-        return components(u * (1.0 + v * v) / _cc_sqrt_w(u, v), 1.0, 0.0, v)
-
-    def xv(u, v):
-        return components((2.0 * v * v * v + u * u * v) / _cc_sqrt_w(u, v), 0.0, 2.0 * v, u)
+    def x_firsts(u, v):
+        s = _cc_sqrt_w(u, v)
+        xu = components(u * (1.0 + v * v) / s, 1.0, 0.0, v)
+        return xu, components((2.0 * v * v * v + u * u * v) / s, 0.0, 2.0 * v, u)
 
     def n1(u, v):
         P = np.sqrt(v * v * v * v + 1.0)
         return components(v * v * _cc_sqrt_w(u, v) / P, u * v * v / P, P, u * v * v * v / P)
 
-    def n1u(u, v):
-        P = np.sqrt(v * v * v * v + 1.0)
-        return components(
-            u * v * v * (1.0 + v * v) / (_cc_sqrt_w(u, v) * P), v * v / P, 0.0, v * v * v / P
-        )
-
-    def n1v(u, v):
+    def n1_firsts(u, v):
         s = _cc_sqrt_w(u, v)
         P2 = v * v * v * v + 1.0
         P = np.sqrt(P2)
         P3 = P2 * P
-        return components(
+        n1u = components(u * v * v * (1.0 + v * v) / (s * P), v * v / P, 0.0, v * v * v / P)
+        return n1u, components(
             2.0 * v * s / P
             + v * v * (2.0 * v * v * v + u * u * v) / (s * P)
             - 2.0 * v * v * v * v * v * s / P3,
@@ -103,14 +97,14 @@ def cross_cap_surface() -> FramedSurface:
         Q = np.sqrt(v * v + 1.0)
         return components(0.0, v / Q, 0.0, -1.0 / Q)
 
-    def n2v(u, v):
+    def n2_firsts(u, v):
         Q3 = (v * v + 1.0) * np.sqrt(v * v + 1.0)
-        return components(0.0, 1.0 / Q3, 0.0, v / Q3)
+        return zero4(u, v), components(0.0, 1.0 / Q3, 0.0, v / Q3)
 
     return FramedSurface(
-        x=ParametricMap4(value=x, du=xu, dv=xv),
-        nu1=ParametricMap4(value=n1, du=n1u, dv=n1v),
-        nu2=ParametricMap4(value=n2, du=zero4, dv=n2v),
+        x=ParametricMap4(value=x, firsts=x_firsts),
+        nu1=ParametricMap4(value=n1, firsts=n1_firsts),
+        nu2=ParametricMap4(value=n2, firsts=n2_firsts),
     )
 
 
@@ -189,15 +183,13 @@ def corank_one_surface(
         fv_, gv_ = f(u, v), g(u, v)
         return components(_corank_root_s(u, fv_, gv_), u, fv_, gv_)
 
-    def xu(u, v):
+    def x_firsts(u, v):
         fv_, gv_ = f(u, v), g(u, v)
         fu_, gu_ = f_u(u, v), g_u(u, v)
-        return components((u + fv_ * fu_ + gv_ * gu_) / _corank_root_s(u, fv_, gv_), 1.0, fu_, gu_)
-
-    def xv(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
         fvv, gvv = f_v(u, v), g_v(u, v)
-        return components((fv_ * fvv + gv_ * gvv) / _corank_root_s(u, fv_, gv_), 0.0, fvv, gvv)
+        sS = _corank_root_s(u, fv_, gv_)
+        xu = components((u + fv_ * fu_ + gv_ * gu_) / sS, 1.0, fu_, gu_)
+        return xu, components((fv_ * fvv + gv_ * gvv) / sS, 0.0, fvv, gvv)
 
     def nu2_parts(u, fv_, gv_, gu_):
         """sqrt(S), Q and the unnormalized nu2, bar2 = (u g_u - g) x +
@@ -225,7 +217,7 @@ def corank_one_surface(
         return np.sqrt(Q) / np.sqrt(p) * (bar1 - k * bar2)
 
     return FramedSurface(
-        x=ParametricMap4(value=x, du=xu, dv=xv),
+        x=ParametricMap4(value=x, firsts=x_firsts),
         nu1=ParametricMap4(value=n1),
         nu2=ParametricMap4(value=n2),
     )
@@ -340,20 +332,15 @@ def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p) -> FramedSurface:
     def x(u, v):
         return np.cosh(v) * _gamma(u) + np.sinh(v) * delta(u)
 
-    def xu(u, v):
-        return np.cosh(v) * _gamma_p(u) + np.sinh(v) * delta_p(u)
+    def x_firsts(u, v):
+        ch, sh = np.cosh(v), np.sinh(v)
+        return ch * _gamma_p(u) + sh * delta_p(u), sh * _gamma(u) + ch * delta(u)
 
-    def xv(u, v):
-        return np.sinh(v) * _gamma(u) + np.cosh(v) * delta(u)
+    def along_u(n, n_p):  # a normal constant along each ruling
+        return ParametricMap4(value=lambda u, v: n(u), firsts=lambda u, v: (n_p(u), zero4(u, v)))
 
     return FramedSurface(
-        x=ParametricMap4(value=x, du=xu, dv=xv),
-        nu1=ParametricMap4(
-            value=lambda u, v: nu1(u), du=lambda u, v: nu1_p(u), dv=zero4
-        ),
-        nu2=ParametricMap4(
-            value=lambda u, v: nu2(u), du=lambda u, v: nu2_p(u), dv=zero4
-        ),
+        x=ParametricMap4(value=x, firsts=x_firsts), nu1=along_u(nu1, nu1_p), nu2=along_u(nu2, nu2_p)
     )
 
 

@@ -19,7 +19,8 @@ the whole span in one call).  Between the nodes the integrated frame is a
 cubic Hermite spline of the node states, whose node slopes come from the
 frame system, made pseudo-orthonormal pointwise.  Each swept map is a fixed
 combination sum_k c_k(v) a_k(u), so one frame evaluation gives its value,
-and its u-partial comes from the frame system itself,
+and one more gives both its first partials: the u-partial comes from the
+frame system itself,
 a_k' = sum_j M_kj(h(u)) a_j (a3' by the product rule).  The curvature
 functions are one callable too, u -> (h1, .., h6) stacked component-first,
 read once per evaluation.  Frames and h, like surface maps, broadcast: an
@@ -39,7 +40,6 @@ import csv
 import dataclasses
 import enum
 import functools
-import io
 import operator
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -58,7 +58,7 @@ from .frames import (
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
-from .surface import Domain, ParametricMap4, _complex_step, evaluate, first_true, zero4
+from .surface import Domain, ParametricMap4, _broadcast, _complex_step, evaluate, first_true, zero4
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -118,7 +118,7 @@ class HorocyclicData:
         """``frame(u)`` as a float (or, at complex u, complex) array of
         shape ``(3, 4, *shape(u))``."""
         f = np.asarray(self.frame(u))
-        return evaluate(lambda u: f.reshape((12,) + f.shape[2:]), u).reshape((3, 4) + np.shape(u))
+        return _broadcast(f.reshape((12,) + f.shape[2:]), u).reshape((3, 4) + np.shape(u))
 
 
 def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
@@ -157,8 +157,9 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
     The curve-frame axioms are checked within ``ORTHONORMAL_TOL`` on the u
     grid of ``domain`` first, and only there: the surface keeps no window.
     A violation raises :class:`DegenerateFrameError`.
-    All three surface maps carry closed firsts, from one frame evaluation
-    per call (see :func:`_swept_map`).
+    All three surface maps carry closed firsts; a map reads the frame
+    once for its value and once for both its first partials (see
+    :func:`_swept_map`).
     """
     _check_curve_frame(data.at(domain.u_grid()), "on the u grid")
     return FramedSurface(
@@ -173,9 +174,9 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
 def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
     """The map sum_k c_k(v) a_k(u) over the frame vectors a_k, k in ``ks``
     (``c(v)`` gives their coefficients in that order), with closed firsts
-    du = sum_k c_k a_k' and dv = sum_k c_k' a_k, where c' = ``dc(v)`` (the
-    zero map when ``dc`` is None).  a0', a1' and a2' are rows of the frame
-    system, read with one call of h:
+    x_u = sum_k c_k a_k' and x_v = sum_k c_k' a_k, where c' = ``dc(v)``
+    (x_v is zero when ``dc`` is None), from one frame evaluation.  a0', a1'
+    and a2' are rows of the frame system, read with one call of h:
     a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
     a2' = h2 a0 - h4 a1 + h6 a3; a3' is the product rule on a0 ^ a1 ^ a2.
     Each sum starts from its first term (not from 0, which would turn a
@@ -185,25 +186,19 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
         w = tuple(data.at(u))
         return w + (wedge3(*w),) if 3 in ks else w
 
-    def slopes(u):
-        w0, w1, w2 = data.at(u)
-        w3 = wedge3(w0, w1, w2)
-        h1, h2, h3, h4, h5, h6 = evaluate(data.h, u)
-        d0 = h1 * w1 + h2 * w2 + h3 * w3
-        d1 = h1 * w0 + h4 * w2 + h5 * w3
-        d2 = h2 * w0 - h4 * w1 + h6 * w3
-        if 3 not in ks:
-            return d0, d1, d2
-        return d0, d1, d2, wedge3(d0, w1, w2) + wedge3(w0, d1, w2) + wedge3(w0, w1, d2)
-
     def combine(coeffs, vecs):
         return functools.reduce(operator.add, (ck * vecs[k] for ck, k in zip(coeffs, ks)))
 
-    return ParametricMap4(
-        value=lambda u, v: combine(c(v), vectors(u)),
-        du=lambda u, v: combine(c(v), slopes(u)),
-        dv=zero4 if dc is None else (lambda u, v: combine(dc(v), vectors(u))),
-    )
+    def firsts(u, v):
+        w0, w1, w2 = w = data.at(u)
+        w3 = wedge3(w0, w1, w2)
+        h1, h2, h3, h4, h5, h6 = evaluate(data.h, u)
+        d = (h1 * w1 + h2 * w2 + h3 * w3, h1 * w0 + h4 * w2 + h5 * w3, h2 * w0 - h4 * w1 + h6 * w3)
+        if 3 in ks:
+            d += (wedge3(d[0], w1, w2) + wedge3(w0, d[1], w2) + wedge3(w0, w1, d[2]),)
+        return combine(c(v), d), zero4(u, v) if dc is None else combine(dc(v), w)
+
+    return ParametricMap4(value=lambda u, v: combine(c(v), vectors(u)), firsts=firsts)
 
 
 def horocyclic_invariants(data: HorocyclicData) -> Callable[[float, float], Invariants]:
@@ -522,19 +517,16 @@ class HProfile:
         return integrate_frame_curves(self.h_funcs, *np.eye(4)[:3], self.u_min, self.u_max)
 
 
-def load_h_profile(source: Union[str, Path, io.TextIOBase]) -> HProfile:
-    """Read an h-profile CSV with header ``u,h1,h2,h3,h4,h5,h6``.
+def load_h_profile(path: Union[str, Path]) -> HProfile:
+    """Read an h-profile CSV file with header ``u,h1,h2,h3,h4,h5,h6``.
 
     Every value must be finite and the u column strictly increasing.
     Fewer than four samples fall back to natural end conditions for the
     spline.  A profile whose spline overflows (a u span near the float
     limit) is refused.
     """
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, newline="", encoding="ascii") as fh:
-            rows = list(csv.reader(fh))
+    with open(path, newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
     rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
     if not rows or [c.strip() for c in rows[0]] != _PROFILE_HEADER:
         raise ValueError(

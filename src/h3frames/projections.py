@@ -277,6 +277,17 @@ def _insert(w3, value, axis: Axis) -> np.ndarray:
     return components(*w3[:i], value, *w3[i:])
 
 
+def _lift(p, axis: Axis):
+    """``(q, x, r, on_h3)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2,
+    the lift x with sqrt(q - 1) inserted at ``axis``, r = <x,x> (its rounding
+    grows with x1^2) and where x is finite and on H^3 within ``ON_H3_TOL``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -minkowski_dot3(p, p)
+        x = _insert(p, np.sqrt(q - 1.0), axis)
+        r = minkowski_dot4(x, x)
+    return q, x, r, abs(r + 1.0) <= ON_H3_TOL
+
+
 def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
     return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
 
@@ -388,31 +399,35 @@ def lift_from_r31(
 
     The precondition x1^2 - x2^2 - x3^2 > 1 is grid-checked on ``domain``;
     violation raises :class:`~h3frames.errors.PreconditionError` reporting
-    the minimum.
+    the minimum, and so does the first grid point (v-major) whose lift is
+    not finite or off H^3 (see :func:`_lift`).
     """
     if (lplus is None) != (lminus is None):
         raise ValueError("supply both lightcone maps or neither")
-    p = evaluate(xt.value, *domain.mesh())
-    worst = np.min(p[0] * p[0] - p[1] * p[1] - p[2] * p[2])
+    U, V = domain.mesh()
+    q, _, r, on_h3 = _lift(evaluate(xt.value, U, V), axis)
+    worst = np.min(q)
     if not worst > 1.0 + LIFT_MARGIN:
         raise PreconditionError(
             f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}"
         )
-
-    def inserted(u, v):
-        p = evaluate(xt.value, u, v)
-        return p, np.sqrt(p[0] * p[0] - p[1] * p[1] - p[2] * p[2] - 1.0)
+    k = first_true(~on_h3)
+    if k is not None:
+        raise PreconditionError(
+            f"lift at ({U.flat[k]}, {V.flat[k]}) is off H^3: <x,x> = {r.flat[k]:.6e}, "
+            f"expected -1 within {ON_H3_TOL}"
+        )
 
     def x_value(u, v):
-        p, x4 = inserted(u, v)
-        return _insert(p, x4, axis)
+        return _lift(evaluate(xt.value, u, v), axis)[1]
 
     x_map = ParametricMap4(value=x_value)
 
     if lplus is not None:
 
         def nu_value(u, v):
-            p, x4 = inserted(u, v)
+            p = evaluate(xt.value, u, v)
+            x4 = _lift(p, axis)[1][axis.index]
             lw = wedge2_r31(evaluate(lplus, u, v), evaluate(lminus, u, v))
             raw = _insert(x4 * lw, -minkowski_dot3(p, lw), axis)
             return _normalize_minkowski(raw, "lift_from_r31")
@@ -445,8 +460,9 @@ def write_disc_mesh(
     split into two triangles wound counterclockwise as seen from outside
     the ball (the outward side is decided per triangle against its
     centroid direction).
-    Marker parameter points, when given, are appended as extra vertices
-    referenced from ``p`` lines.
+    Marker parameter points ``(u, v)``, a sequence of pairs or an
+    ``(n, 2)`` array, are appended as extra vertices referenced from ``p``
+    lines; None or no points write none.
     """
     U, V = domain.mesh()
     nv, nu = U.shape
@@ -470,7 +486,7 @@ def write_disc_mesh(
 
     for block in (*fmt_rows(pts.T, prefix="v "), *fmt_rows(tri + 1, prefix="f ")):
         out.write(block)
-    if markers:
+    if markers is not None and len(markers):
         mu, mv = np.asarray(markers, dtype=float).T
         marks = to_poincare(evaluate(fs.x.value, mu, mv)).T
         base = nv * nu

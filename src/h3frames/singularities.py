@@ -66,7 +66,7 @@ import numpy as np
 from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
 from .frames import FramedSurface, Invariants, _assemble, _field_at, basic_invariants, invariant_field
-from .surface import Domain, evaluate, first_true
+from .surface import Domain, _broadcast, evaluate, first_true
 
 __all__ = [
     "REFINE_TOL",
@@ -417,10 +417,10 @@ def _spectral(f: np.ndarray, k: int) -> np.ndarray:
 
 
 def _torus_invariants(fs: FramedSurface, u0, v0, U, V) -> Invariants:
-    def jet(m):  # values, and closed first partials or spectral ones
+    def jet(m):  # values, and one call of the closed first partials or spectral ones
         x = evaluate(m.value, U, V)
         if m.has_closed_firsts:
-            return x, evaluate(m.du, U, V), evaluate(m.dv, U, V)
+            return (x, *(_broadcast(d, U) for d in m.firsts(U, V)))
         return x, _spectral(x, 0), _spectral(x, 1)
 
     return basic_invariants(_assemble(u0, v0, *map(jet, (fs.x, fs.nu1, fs.nu2))))

@@ -1,20 +1,20 @@
 """Parametric maps, first partials and rectangular domains.
 
-A :class:`ParametricMap4` wraps an evaluator ``(u, v) -> ndarray``
-together with optional closed-form first partials.  Evaluators
-broadcast: ``u`` and ``v`` are Python floats or arrays of one shape, and
-the result is component-first, of shape ``(k, *shape)`` - ``(k,)`` for
-floats.  Build results with :func:`components`, which accepts constant
+A :class:`ParametricMap4` wraps an evaluator ``(u, v) -> ndarray`` and,
+optionally, ``firsts(u, v) -> (x_u, x_v)``: its closed first partials,
+whose shared terms one call computes once.  Evaluators broadcast: ``u``
+and ``v`` are Python floats or arrays of one shape, and the result (and
+each partial) is component-first, of shape ``(k, *shape)`` - ``(k,)`` for
+floats, or one constant ``(k,)`` vector that evaluation broadcasts over
+the grid.  Build results with :func:`components`, which accepts constant
 components beside array ones, and write formulas with ``np.`` functions
-rather than ``math.``, and powers as products.  A map may also return
-one constant ``(k,)`` vector; :func:`evaluate` broadcasts it over the
-grid.  Every grid sweep evaluates a whole ``(nv, nu)`` grid
-(:meth:`Domain.mesh`, v-major) in one call, and a refusal names the
-first offending point in v-major order.
+rather than ``math.``, and powers as products.  Every grid sweep
+evaluates a whole ``(nv, nu)`` grid (:meth:`Domain.mesh`, v-major) in one
+call, and a refusal names the first offending point in v-major order.
 
-First partials are the map's closed forms when it has them, and
-otherwise complex-step derivatives Im f(u + ih, v) / h, with h far below
-rounding (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003): one
+First partials are one call of the map's ``firsts`` when it has them,
+and otherwise complex-step derivatives Im f(u + ih, v) / h, with h far
+below rounding (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003): one
 evaluation per direction, no subtraction, exact to rounding wherever the
 map is defined, up to its boundary.  So map values must be
 complex-analytic numpy formulas of u and v: no ``math.`` functions, no
@@ -147,23 +147,18 @@ class Domain:
 
 @dataclasses.dataclass(frozen=True)
 class ParametricMap4:
-    """Point evaluator with optional closed-form first partials."""
+    """Point evaluator with optional closed first partials ``firsts(u, v) -> (x_u, x_v)``."""
 
     value: VecFn
-    du: Optional[VecFn] = None
-    dv: Optional[VecFn] = None
-
-    def __post_init__(self):
-        if (self.du is None) != (self.dv is None):
-            raise ValueError("supply both first partials or neither")
+    firsts: Optional[Callable[[float, float], tuple]] = None
 
     @property
     def has_closed_firsts(self) -> bool:
-        return self.du is not None
+        return self.firsts is not None
 
     def without_derivatives(self) -> "ParametricMap4":
         """Copy whose first partials come from the complex step."""
-        return dataclasses.replace(self, du=None, dv=None)
+        return dataclasses.replace(self, firsts=None)
 
 
 def components(*values) -> np.ndarray:
@@ -183,8 +178,13 @@ def zero4(u, v) -> np.ndarray:
 def evaluate(fn: VecFn, u, *args) -> np.ndarray:
     """``fn(u, *args)`` as a float (or, at complex arguments, complex)
     array of shape ``(k, *shape(u))``."""
-    out = np.asarray(fn(u, *args))
-    out = out.astype(np.result_type(out, float), copy=False)  # integers become float
+    return _broadcast(fn(u, *args), u)
+
+
+def _broadcast(out, u) -> np.ndarray:
+    """A map's output at ``u`` in :func:`evaluate`'s float, grid-shaped form."""
+    out = np.asarray(out)
+    out = out.astype(np.result_type(out, float), copy=False)
     shape = getattr(u, "shape", ())  # np.shape costs a microsecond per float
     if out.shape[1:] != shape:  # one constant vector for the whole grid
         out = np.broadcast_to(out.reshape((-1,) + (1,) * len(shape)), out.shape[:1] + shape)
@@ -219,18 +219,13 @@ def _complex_step(fn, k: int, *args) -> np.ndarray:
     return d.reshape(d.shape[:1] + shape)
 
 
-def _partial(m: ParametricMap4, k: int, u, v) -> np.ndarray:
-    """The partial of ``m`` in u (``k`` = 0) or v (``k`` = 1) at (u, v):
-    its closed form when the map has one, the complex step otherwise."""
-    if m.has_closed_firsts:
-        return evaluate((m.du, m.dv)[k], u, v)
-    return _complex_step(m.value, k, u, v)
-
-
 def first_partials(m: ParametricMap4, u, v):
-    """(x, x_u, x_v) at (u, v): closed forms when the map has them,
-    complex-step derivatives otherwise."""
-    return evaluate(m.value, u, v), _partial(m, 0, u, v), _partial(m, 1, u, v)
+    """(x, x_u, x_v) at (u, v): one call of the map's closed ``firsts``
+    when it has them, complex-step derivatives otherwise."""
+    x = evaluate(m.value, u, v)
+    if m.firsts is None:
+        return x, _complex_step(m.value, 0, u, v), _complex_step(m.value, 1, u, v)
+    return (x, *(_broadcast(d, u) for d in m.firsts(u, v)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,7 +270,7 @@ def fd_convergence_ratio(m: ParametricMap4, u: float, v: float):
     """
     if not m.has_closed_firsts:
         raise ValueError("need closed-form first partials as reference")
-    exact = np.concatenate((m.du(u, v), m.dv(u, v)))
+    exact = np.concatenate(m.firsts(u, v))
     err = []
     for h in (_FD_STEP, _FD_STEP / 2.0):
         xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)

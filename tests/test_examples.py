@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h3frames import examples
 from h3frames.errors import PreconditionError
 from h3frames.examples import (
     corank_one_alpha_beta,
@@ -21,7 +22,7 @@ from h3frames.examples import (
     ruled_a_oracle,
     ruled_b_oracle,
 )
-from h3frames.frames import Invariants, invariants_at, invariants_grid
+from h3frames.frames import Invariants, frame_at, invariants_at, invariants_grid
 from h3frames.minkowski import minkowski_dot4
 from h3frames.singularities import classify_singularity
 from h3frames.surface import Domain
@@ -68,10 +69,11 @@ def test_closed_firsts_match_complex_step(name):
             continue
         for u, v in _sample_points(ex.domain):
             du_cs, dv_cs = _complex_step_firsts(m.value, u, v)
-            assert np.max(np.abs(m.du(u, v) - du_cs)) < CLOSED_VS_STEP_TOL, (
+            du, dv = m.firsts(u, v)
+            assert np.max(np.abs(du - du_cs)) < CLOSED_VS_STEP_TOL, (
                 f"{name}.{label} du mismatch at {(u, v)}"
             )
-            assert np.max(np.abs(m.dv(u, v) - dv_cs)) < CLOSED_VS_STEP_TOL, (
+            assert np.max(np.abs(dv - dv_cs)) < CLOSED_VS_STEP_TOL, (
                 f"{name}.{label} dv mismatch at {(u, v)}"
             )
 
@@ -94,7 +96,7 @@ def test_ruled_generators_are_pseudo_orthonormal(name):
     for u in np.linspace(-math.pi, math.pi, 17):
         gamma = fs.x.value(u, 0.0)
         # x_v at v = 0 is exactly delta.
-        delta = fs.x.dv(u, 0.0)
+        delta = fs.x.firsts(u, 0.0)[1]
         assert abs(minkowski_dot4(gamma, gamma) + 1.0) < 1e-12
         assert abs(minkowski_dot4(delta, delta) - 1.0) < 1e-12
         assert abs(minkowski_dot4(gamma, delta)) < 1e-12
@@ -265,6 +267,30 @@ _CUSTOM_CORANK_FNS = (
     lambda u, v: v,
     lambda u, v: u,
 )
+
+
+def test_corank_one_grid_frame_reads_the_user_functions_29_times():
+    # one grid frame_at: x reads f and g, its closed firsts read all six
+    # once, and each normal's value and two complex steps read f, g, f_u
+    # and g_u (nu1) or f, g and g_u (nu2): 2 + 6 + 3 * 4 + 3 * 3
+    calls = []
+
+    def counted(k, fn):
+        return lambda u, v: calls.append(k) or fn(u, v)
+
+    fs = corank_one_surface(*(counted(k, fn) for k, fn in enumerate(_CUSTOM_CORANK_FNS)))
+    calls.clear()  # the construction's check of f_v and g_v at the origin
+    frame_at(fs, *BOX.mesh())
+    assert len(calls) == 29
+
+
+def test_cross_cap_grid_frame_takes_sqrt_w_four_times(monkeypatch):
+    # once in each value of x and nu1, once in each of their closed firsts
+    calls = []
+    sqrt_w = examples._cc_sqrt_w
+    monkeypatch.setattr(examples, "_cc_sqrt_w", lambda u, v: calls.append(1) or sqrt_w(u, v))
+    frame_at(cross_cap_surface(), *BOX.mesh())
+    assert len(calls) == 4
 
 
 def test_corank_one_custom_instance_alpha_beta():

@@ -14,6 +14,7 @@ import pytest
 import h3frames
 from h3frames.frames import FramedSurface
 from h3frames.projections import DiscFramedSurface
+from h3frames.surface import ParametricMap4
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(h3frames.__path__, "h3frames."))
 
@@ -159,6 +160,11 @@ def test_framed_surfaces_are_their_three_maps():
     # the sampling window is an argument of each call that samples
     assert [f.name for f in dataclasses.fields(FramedSurface)] == ["x", "nu1", "nu2"]
     assert [f.name for f in dataclasses.fields(DiscFramedSurface)] == ["xbar", "nubar1", "nubar2"]
+
+
+def test_maps_are_a_value_and_its_closed_firsts():
+    # the two first partials are one callable, so they cannot come unpaired
+    assert [f.name for f in dataclasses.fields(ParametricMap4)] == ["value", "firsts"]
 
 
 def _package_imports(tree: ast.Module) -> set[str]:

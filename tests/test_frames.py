@@ -45,7 +45,7 @@ from h3frames.frames import (
     write_invariants_csv,
 )
 from h3frames.minkowski import minkowski_dot4, wedge3
-from h3frames.surface import Domain, ParametricMap4, _partial, components, evaluate, first_partials
+from h3frames.surface import Domain, ParametricMap4, _complex_step, components, evaluate, first_partials
 
 GRAM_TOL = 1e-10
 OFFSPAN_TOL = 1e-8
@@ -119,8 +119,7 @@ def test_reflect_matches_reflected_frame_extraction(variant):
     def flip(m, sign):
         return ParametricMap4(
             value=lambda u, v: sign * m.value(u, v),
-            du=(lambda u, v: sign * m.du(u, v)) if m.has_closed_firsts else None,
-            dv=(lambda u, v: sign * m.dv(u, v)) if m.has_closed_firsts else None,
+            firsts=(lambda u, v: tuple(sign * d for d in m.firsts(u, v))) if m.has_closed_firsts else None,
         )
 
     if variant is ReflectVariant.NEG_NU1:
@@ -204,7 +203,7 @@ def test_rotate_frame_reads_no_partial_of_the_normals():
 
             return f
 
-        return dataclasses.replace(m, du=wrap("du", m.du), dv=wrap("dv", m.dv))
+        return dataclasses.replace(m, firsts=wrap("firsts", m.firsts))
 
     counted_fs = dataclasses.replace(fs, nu1=counted("nu1", fs.nu1), nu2=counted("nu2", fs.nu2))
     theta = lambda u, v: 0.7 + 0.3 * u - 0.2 * v
@@ -318,7 +317,7 @@ def test_frame_from_normal_degenerate_angles():
         with pytest.raises(DegenerateAnglesError, match=re.escape("undefined at (-0.5, 0.0)")):
             evaluate(m.value, U, V)
         with pytest.raises(DegenerateAnglesError, match=re.escape("undefined at (0.25, 0.0)")):
-            _partial(m, 0, 0.25, 0.0)  # the complex step names the real point
+            _complex_step(m.value, 0, 0.25, 0.0)  # the complex step names the real point
     assert np.all(np.isfinite(frame_at(nf, U[:2], V[:2]).nu1u))  # v < 0 is fine
 
 
@@ -410,11 +409,11 @@ def _sheared_rotated_ruled_b(theta):
     fs = get_example("ruled_B").framed
 
     def remap(m):
-        return ParametricMap4(
-            value=lambda p, q: m.value(p + q, q),
-            du=lambda p, q: m.du(p + q, q),
-            dv=lambda p, q: m.du(p + q, q) + m.dv(p + q, q),
-        )
+        def firsts(p, q):
+            du, dv = m.firsts(p + q, q)
+            return du, du + dv
+
+        return ParametricMap4(value=lambda p, q: m.value(p + q, q), firsts=firsts)
 
     return rotate_frame(FramedSurface(remap(fs.x), remap(fs.nu1), remap(fs.nu2)), theta)
 

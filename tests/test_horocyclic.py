@@ -1,7 +1,6 @@
 """Horocyclic sweeps: construction, h extraction, flatness classes."""
 
 import functools
-import io
 import math
 import re
 import warnings
@@ -403,11 +402,11 @@ def test_complex_step_through_integrated_curves():
                 assert np.max(np.abs(got - want)) < tol
 
 
-def test_one_frame_evaluation_per_map_call(monkeypatch):
-    # one grid frame_at on a profile-driven surface: each of the eight maps
-    # that are not identically zero evaluates the node-frame spline once,
-    # and each of the three u-partials reads the (n, 6) h table once
-    prof = load_h_profile(io.StringIO(_profile_text()))
+def test_one_frame_evaluation_per_map_call(monkeypatch, tmp_path):
+    # one grid frame_at on a profile-driven surface: each of the three maps
+    # evaluates the node-frame spline once for its value and once for its
+    # closed firsts, which read the (n, 6) h table once
+    prof = _load_text(tmp_path, _profile_text())
     data = integrate_frame_curves(prof.h_funcs, E0, E1, E2, prof.u_min, prof.u_max)
     fs = build_horocyclic(data, DOMAIN)
     calls = []
@@ -419,7 +418,7 @@ def test_one_frame_evaluation_per_map_call(monkeypatch):
 
     monkeypatch.setattr(horocyclic, "_hermite", spy)
     frames.frame_at(fs, *DOMAIN.mesh())
-    assert 0 < calls.count((4, 4)) <= 8
+    assert calls.count((4, 4)) == 6
     assert calls.count((6,)) == 3
 
 
@@ -558,13 +557,20 @@ def _profile_text():
     return _PROFILE_TEXT
 
 
-def test_profile_loader_reproduces_nodes():
-    prof = load_h_profile(io.StringIO(_profile_text()))
+def test_profile_loader_reproduces_nodes(tmp_path):
+    prof = _load_text(tmp_path, _profile_text())
     assert prof.u_min == -1.0 and prof.u_max == 1.0
     for i, u in enumerate(prof.u):
         assert np.allclose(prof.h_funcs(u), prof.values[i], atol=1e-14)
     # spline of a smooth function: mid-sample error stays small
     assert prof.h_funcs(0.37)[4] == pytest.approx(0.5 * math.cos(0.37), abs=1e-6)
+
+
+def _load_text(tmp_path, text):
+    """load_h_profile of the CSV ``text``, written to a file first."""
+    path = tmp_path / "profile.csv"
+    path.write_text(text, encoding="ascii")
+    return load_h_profile(path)
 
 
 def _profile_csv(table):
@@ -575,13 +581,13 @@ def _profile_csv(table):
     "n,knots", [(2, "uneven"), (3, "uneven"), (4, "uneven"), (5, "uneven"), (21, "even"),
                 (21, "uneven"), (20000, "uneven")]
 )
-def test_profile_spline_matches_cubic_spline(n, knots):
+def test_profile_spline_matches_cubic_spline(n, knots, tmp_path):
     # scipy is the oracle: not-a-knot ends from four samples, natural below
     interpolate = pytest.importorskip("scipy.interpolate")
     rng = np.random.default_rng(n)
     x = np.linspace(-1.0, 1.0, n) if knots == "even" else np.cumsum(rng.uniform(0.05, 1.0, n))
     y = rng.normal(size=(n, 6))
-    prof = load_h_profile(io.StringIO(_profile_csv(np.column_stack([x, y]))))
+    prof = _load_text(tmp_path, _profile_csv(np.column_stack([x, y])))
     ref = interpolate.CubicSpline(x, y, bc_type="not-a-knot" if n >= 4 else "natural")
     dx = np.diff(x)
     # nodes, between nodes, and half an end piece beyond either end
@@ -605,36 +611,32 @@ def test_hermite_matches_cubic_hermite_spline():
         assert np.max(np.abs(got - ref(at))) <= 1e-14 * np.max(np.abs(ref(at)))
 
 
-def test_profile_loader_validation():
+def test_profile_loader_validation(tmp_path):
     with pytest.raises(ValueError, match="header"):
-        load_h_profile(io.StringIO("u,h1,h2,h3,h4,h5\n0,0,0,0,0,0\n1,0,0,0,0,0\n"))
+        _load_text(tmp_path, "u,h1,h2,h3,h4,h5\n0,0,0,0,0,0\n1,0,0,0,0,0\n")
     with pytest.raises(ValueError, match="increasing"):
-        load_h_profile(
-            io.StringIO("u,h1,h2,h3,h4,h5,h6\n1,0,0,0,0,0,0\n0,0,0,0,0,0,0\n")
-        )
+        _load_text(tmp_path, "u,h1,h2,h3,h4,h5,h6\n1,0,0,0,0,0,0\n0,0,0,0,0,0,0\n")
     with pytest.raises(ValueError, match="malformed"):
-        load_h_profile(
-            io.StringIO("u,h1,h2,h3,h4,h5,h6\n0,x,0,0,0,0,0\n1,0,0,0,0,0,0\n")
-        )
+        _load_text(tmp_path, "u,h1,h2,h3,h4,h5,h6\n0,x,0,0,0,0,0\n1,0,0,0,0,0,0\n")
     with pytest.raises(ValueError):
-        load_h_profile(io.StringIO("u,h1,h2,h3,h4,h5,h6\n0,0,0,0,0,0,0\n"))
+        _load_text(tmp_path, "u,h1,h2,h3,h4,h5,h6\n0,0,0,0,0,0,0\n")
     # spans whose spline set-up overflows (natural and not-a-knot ends)
     for u in ((0.0, 1e308), (0.0, 1e160, 2e160, 3e160)):
         table = np.column_stack([u, np.outer(np.arange(len(u)), np.arange(1, 7) / 10.0)])
         want = f"h-profile spline overflows on the u span [0.0, {u[-1]!r}]"
         with pytest.raises(ValueError, match=re.escape(want)):
-            load_h_profile(io.StringIO(_profile_csv(table)))
+            _load_text(tmp_path, _profile_csv(table))
 
 
 @pytest.mark.parametrize("h3", [1.0, 1000.0], ids=["lightlike-spline", "overflow"])
-def test_profile_with_a_non_finite_frame_is_refused_quietly(h3):
+def test_profile_with_a_non_finite_frame_is_refused_quietly(h3, tmp_path):
     # h3 = 1 takes the spline of the node frames through a null a0 (a
     # division by zero in the Gram-Schmidt), h3 = 1000 overflows the
     # integration; each is refused without a numpy warning
     table = np.zeros((3, 7))
     table[:, 0] = (-1.0, 0.0, 0.00390625)
     table[2, 3] = h3
-    prof = load_h_profile(io.StringIO(_profile_csv(table)))
+    prof = _load_text(tmp_path, _profile_csv(table))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateFrameError, match="is not finite"):

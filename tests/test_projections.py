@@ -26,6 +26,7 @@ from h3frames.minkowski import (
     wedge3,
 )
 from h3frames.projections import (
+    ON_H3_TOL,
     Axis,
     DiscFramedSurface,
     LightconeCandidate,
@@ -60,7 +61,7 @@ def _constant_frame_surface():
     zero = lambda u, v: np.zeros(4)
 
     def const(w):
-        return ParametricMap4(value=lambda u, v: w, du=zero, dv=zero)
+        return ParametricMap4(value=lambda u, v: w, firsts=lambda u, v: (zero(u, v), zero(u, v)))
 
     return FramedSurface(x=const(e[0]), nu1=const(e[1]), nu2=const(e[2]))
 
@@ -198,13 +199,12 @@ def test_transport_to_h3_flat_patch():
     dfs = DiscFramedSurface(
         xbar=ParametricMap4(
             value=lambda u, v: components(u, v, 0.0),
-            du=lambda u, v: np.array([1.0, 0.0, 0.0]),
-            dv=lambda u, v: np.array([0.0, 1.0, 0.0]),
+            firsts=lambda u, v: (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
         ),
         nubar1=ParametricMap4(
-            value=lambda u, v: np.array([0.0, 0.0, 1.0]), du=zero3, dv=zero3
+            value=lambda u, v: np.array([0.0, 0.0, 1.0]), firsts=lambda u, v: (zero3(u, v), zero3(u, v))
         ),
-        nubar2=ParametricMap4(value=n2_value, du=n2_du, dv=n2_dv),
+        nubar2=ParametricMap4(value=n2_value, firsts=lambda u, v: (n2_du(u, v), n2_dv(u, v))),
     )
     fs = transport_to_h3(dfs)
     for u in np.linspace(0.1, 0.4, 4):
@@ -264,8 +264,7 @@ def _sheet():
     r = lambda u, v: np.sqrt(2.0 + u * u + v * v)
     return ParametricMap4(
         value=lambda u, v: components(r(u, v), u, v),
-        du=lambda u, v: components(u / r(u, v), 1.0, 0.0),
-        dv=lambda u, v: components(v / r(u, v), 0.0, 1.0),
+        firsts=lambda u, v: (components(u / r(u, v), 1.0, 0.0), components(v / r(u, v), 0.0, 1.0)),
     )
 
 
@@ -357,6 +356,20 @@ def test_lift_precondition_and_argument_errors():
         lift_from_r31(_sheet(), Axis.X4, domain=dom, lplus=lambda u, v: np.ones(3))
 
 
+@pytest.mark.parametrize("x1, where, got", [
+    (1e154, "(0.0, 0.0)", "0.000000e+00"),  # <x,x> is all rounding
+    (1e200, "(0.0, 0.0)", "nan"),  # x1^2 overflows
+])
+def test_lift_refuses_a_grid_point_whose_lift_leaves_h3(x1, where, got):
+    # x1^2 - x2^2 - x3^2 passes the precondition, but the lift is not on
+    # H^3: the first such grid point is named, as the CLI's project refuses it
+    dom = Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3)
+    xt = ParametricMap4(value=lambda u, v: components(x1 + 0.0 * u, 1.0 + 0.0 * u, v))
+    with pytest.raises(PreconditionError) as exc:
+        lift_from_r31(xt, Axis.X4, domain=dom)
+    assert str(exc.value) == f"lift at {where} is off H^3: <x,x> = {got}, expected -1 within {ON_H3_TOL}"
+
+
 # ---------------------------------------------------------------------------
 # mesh export
 # ---------------------------------------------------------------------------
@@ -397,6 +410,26 @@ def test_write_disc_mesh_layout():
     again = io.StringIO()
     write_disc_mesh(again, fs, domain=dom, markers=[(0.0, 0.0)])
     assert again.getvalue() == buf.getvalue()
+
+
+def test_write_disc_mesh_markers_as_array():
+    # an (n, 2) array of markers writes what the same list of pairs does;
+    # None and an empty list write no p line
+    fs = get_example("cross_cap").framed
+    dom = Domain(-0.4, 0.4, -0.4, 0.4, nu=3, nv=4)
+
+    def mesh(markers):
+        buf = io.StringIO()
+        write_disc_mesh(buf, fs, domain=dom, markers=markers)
+        return buf.getvalue()
+
+    pairs = [(0.0, 0.0), (0.1, 0.1)]
+    got = mesh(np.array(pairs))
+    assert got == mesh(pairs)
+    assert [l for l in got.splitlines() if l.startswith("p ")] == ["p 13", "p 14"]
+    for empty in (None, []):
+        assert mesh(empty) == mesh(None)
+        assert not [l for l in mesh(empty).splitlines() if l.startswith("p ")]
 
 
 @pytest.mark.parametrize("name", ["ruled_A", "cross_cap"])

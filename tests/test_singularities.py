@@ -492,8 +492,7 @@ def test_classification_survives_coordinate_swap():
     def swap(m):
         return ParametricMap4(
             value=lambda u, v: m.value(v, u),
-            du=lambda u, v: m.dv(v, u),
-            dv=lambda u, v: m.du(v, u),
+            firsts=lambda u, v: m.firsts(v, u)[::-1],
         )
 
     dom = Domain(-1.0, 1.0, -0.5, 3.5, nu=11, nv=21)

@@ -19,8 +19,10 @@ def _poly_map():
     # Componentwise polynomial, all derivatives known exactly.
     return ParametricMap4(
         value=lambda u, v: np.array([u * u * v, u + v, v * v * v, 2.0 * u * v]),
-        du=lambda u, v: np.array([2.0 * u * v, 1.0, 0.0, 2.0 * v]),
-        dv=lambda u, v: np.array([u * u, 1.0, 3.0 * v * v, 2.0 * u]),
+        firsts=lambda u, v: (
+            np.array([2.0 * u * v, 1.0, 0.0, 2.0 * v]),
+            np.array([u * u, 1.0, 3.0 * v * v, 2.0 * u]),
+        ),
     )
 
 
@@ -29,11 +31,9 @@ def _trig_map():
         value=lambda u, v: np.array(
             [math.sin(u + 2 * v), math.cos(u - v), math.sin(3 * u) * math.cos(v), u * v]
         ),
-        du=lambda u, v: np.array(
-            [math.cos(u + 2 * v), -math.sin(u - v), 3 * math.cos(3 * u) * math.cos(v), v]
-        ),
-        dv=lambda u, v: np.array(
-            [2 * math.cos(u + 2 * v), math.sin(u - v), -math.sin(3 * u) * math.sin(v), u]
+        firsts=lambda u, v: (
+            np.array([math.cos(u + 2 * v), -math.sin(u - v), 3 * math.cos(3 * u) * math.cos(v), v]),
+            np.array([2 * math.cos(u + 2 * v), math.sin(u - v), -math.sin(3 * u) * math.sin(v), u]),
         ),
     )
 
@@ -70,17 +70,12 @@ def test_domain_grid_and_cell():
     assert (s.u_min, s.u_max, s.v_min, s.v_max) == (0.1, 0.9, -0.8, 0.8)
 
 
-def test_map_requires_paired_firsts():
-    with pytest.raises(ValueError):
-        ParametricMap4(value=lambda u, v: np.zeros(4), du=lambda u, v: np.zeros(4))
-
-
 def test_first_partials_closed_form_exact():
     m = _poly_map()
     x, xu, xv = first_partials(m, 0.7, -0.3)
     assert np.array_equal(x, m.value(0.7, -0.3))
-    assert np.array_equal(xu, m.du(0.7, -0.3))
-    assert np.array_equal(xv, m.dv(0.7, -0.3))
+    assert np.array_equal(xu, m.firsts(0.7, -0.3)[0])
+    assert np.array_equal(xv, m.firsts(0.7, -0.3)[1])
 
 
 def test_complex_step_partials_exact_at_the_boundary():
@@ -95,8 +90,9 @@ def test_complex_step_partials_exact_at_the_boundary():
     exact = _trig_map()
     for u, v in [(0.0, 0.0), (1e-6, 0.5), (0.5, 1.0 - 1e-6), (1.0, 1.0), (0.0, 1.0)]:
         x, xu, xv = first_partials(m, u, v)
-        np.testing.assert_allclose(xu, exact.du(u, v), rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(xv, exact.dv(u, v), rtol=0.0, atol=1e-15)
+        exact_u, exact_v = exact.firsts(u, v)
+        np.testing.assert_allclose(xu, exact_u, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(xv, exact_v, rtol=0.0, atol=1e-15)
 
 
 def test_fd_first_order_halving_ratio():
