@@ -1,17 +1,21 @@
-"""Moving frames and basic invariants of framed surfaces in H^3.
+"""Moving frames and basic invariants of framed surfaces in H^3 and R^3.
 
-A framed surface is a map ``x`` into the hyperboloid together with two
-spacelike unit normal fields ``nu1``, ``nu2`` such that
-``{x, nu1, nu2, nu3}`` with ``nu3 = x ^ nu1 ^ nu2`` is a pseudo-orthonormal
-moving frame.  The twelve basic invariants are the connection coefficients
-of that frame:
+A framed surface is a map ``x`` with two unit normal fields ``nu1``,
+``nu2``.  In H^3 (maps into R^4_1, x on the hyperboloid) the frame
+``{x, nu1, nu2, nu3}`` with ``nu3 = x ^ nu1 ^ nu2`` is pseudo-orthonormal;
+in Euclidean R^3 (maps with 3 components, such as the ball model's image)
+``{nu1, nu2, nu3}`` with ``nu3 = nu1 x nu2`` is orthonormal.
+:func:`_geometry` reads which from the maps' number of components.  The
+twelve basic invariants are the connection coefficients of that frame,
+the same inner products in both geometries:
 
     x_u   =  a1 nu1 + b1 nu2 + c1 nu3
     nu1_u =  a1 x + e1 nu2 + f1 nu3
     nu2_u =  b1 x - e1 nu1 + g1 nu3
     nu3_u =  c1 x - f1 nu1 - g1 nu2
 
-and the same with index 2 for v-derivatives.  The derived quantities
+(without the x terms in R^3) and the same with index 2 for
+v-derivatives.  The derived quantities
 
     alpha = b1 c2 - b2 c1,     beta = c1 a2 - c2 a1
 
@@ -34,6 +38,8 @@ import numpy as np
 from . import FRAME_TOL
 from .errors import DegenerateAnglesError, DegenerateFrameError, PreconditionError
 from .minkowski import (
+    euclid_cross,
+    euclid_dot,
     frame_gram_residual,
     minkowski_dot4,
     wedge3,
@@ -88,7 +94,8 @@ INVARIANT_CSV_HEADER = ",".join(("u", "v") + _INVARIANT_NAMES + ("alpha", "beta"
 
 @dataclasses.dataclass(frozen=True)
 class FramedSurface:
-    """Surface map plus the two normal fields."""
+    """Surface map plus the two normal fields, all into R^4_1 (a surface
+    in H^3) or all into R^3 (a Euclidean one)."""
 
     x: ParametricMap4
     nu1: ParametricMap4
@@ -113,7 +120,7 @@ class FrameAt:
     nu2v: np.ndarray
 
     def gram_residual(self) -> float:
-        return frame_gram_residual(self.x, self.nu1, self.nu2, self.nu3)
+        return _geometry(self.x)[2](self.x, self.nu1, self.nu2, self.nu3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,11 +171,38 @@ class Invariants:
         return d
 
 
+def _euclid_normal(x, a, b):
+    """a x b, orthogonal to a and b at any point x of R^3."""
+    return euclid_cross(a, b)
+
+
+def _euclid_gram_residual(x, n1, n2, n3):
+    """Max abs deviation of the Gram matrix of (n1, n2, n3) from the
+    identity; nan when a vector is not finite."""
+    vecs = (n1, n2, n3)
+    return np.array([
+        abs(euclid_dot(vecs[i], vecs[j]) - (i == j)) for i in range(3) for j in range(i, 3)
+    ]).max(axis=0)
+
+
+def _geometry(x):
+    """``(dot, normal, gram_residual)`` of the space of the points ``x``,
+    decided by their number of components: the Minkowski product, x ^ a ^ b
+    and the Gram residual of (x, nu1, nu2, nu3) for 4 (H^3); the Euclidean
+    product, a x b and the Gram residual of (nu1, nu2, nu3) for 3 (R^3).
+    ``normal(x, a, b)`` is orthogonal to the tangent vectors a, b at x."""
+    if len(x) == 4:
+        return minkowski_dot4, wedge3, frame_gram_residual
+    if len(x) != 3:
+        raise PreconditionError(f"a framed surface maps into R^4_1 or R^3, got {len(x)} components")
+    return euclid_dot, _euclid_normal, _euclid_gram_residual
+
+
 def _assemble(u, v, x_jet, nu1_jet, nu2_jet) -> FrameAt:
     """The frame at (u, v) from the jets (value, u-partial, v-partial) of
-    x, nu1 and nu2, with nu3 = x ^ nu1 ^ nu2."""
+    x, nu1 and nu2, with nu3 = x ^ nu1 ^ nu2 in H^3 and nu1 x nu2 in R^3."""
     (x, xu, xv), (n1, n1u, n1v), (n2, n2u, n2v) = x_jet, nu1_jet, nu2_jet
-    return FrameAt(u, v, x, n1, n2, wedge3(x, n1, n2), xu, xv, n1u, n1v, n2u, n2v)
+    return FrameAt(u, v, x, n1, n2, _geometry(x)[1](x, n1, n2), xu, xv, n1u, n1v, n2u, n2v)
 
 
 def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
@@ -177,27 +211,20 @@ def frame_at(fs: FramedSurface, u: float, v: float) -> FrameAt:
 
 
 def basic_invariants(frame: FrameAt) -> Invariants:
-    """Extract the twelve invariants from a frame by pseudo inner products.
+    """Extract the twelve invariants from a frame by the inner products of
+    its geometry (pseudo ones in H^3, Euclidean ones in R^3).
 
     Raises :class:`DegenerateFrameError` at the first point (v-major) where
-    the frame fails pseudo-orthonormality beyond ``GRAM_DEGENERATE_TOL`` or
-    is not finite - extracted coefficients would be meaningless.
+    the frame fails (pseudo-)orthonormality beyond ``GRAM_DEGENERATE_TOL``
+    or is not finite - extracted coefficients would be meaningless.
     """
     n1, n2, n3 = frame.nu1, frame.nu2, frame.nu3
-    q = np.array([
-        minkowski_dot4(frame.xu, n1),
-        minkowski_dot4(frame.xv, n1),
-        minkowski_dot4(frame.xu, n2),
-        minkowski_dot4(frame.xv, n2),
-        minkowski_dot4(frame.xu, n3),
-        minkowski_dot4(frame.xv, n3),
-        minkowski_dot4(frame.nu1u, n2),
-        minkowski_dot4(frame.nu1v, n2),
-        minkowski_dot4(frame.nu1u, n3),
-        minkowski_dot4(frame.nu1v, n3),
-        minkowski_dot4(frame.nu2u, n3),
-        minkowski_dot4(frame.nu2v, n3),
-    ])
+    dot = _geometry(frame.x)[0]
+    pairs = (  # a1, a2, b1, b2, c1, c2, e1, e2, f1, f2, g1, g2
+        (frame.xu, n1), (frame.xv, n1), (frame.xu, n2), (frame.xv, n2), (frame.xu, n3), (frame.xv, n3),
+        (frame.nu1u, n2), (frame.nu1v, n2), (frame.nu1u, n3), (frame.nu1v, n3), (frame.nu2u, n3), (frame.nu2v, n3),
+    )
+    q = np.array([dot(a, b) for a, b in pairs])
     resid = frame.gram_residual()
     ok = (resid <= GRAM_DEGENERATE_TOL) & np.isfinite(q).all(axis=0)
     if not ok.all():
@@ -271,24 +298,25 @@ class FramedResidualSummary:
     """Worst-case residuals of the framed-surface axioms over a grid."""
 
     max_gram_residual: float
-    max_offspan_residual: float  # |<x ^ x_u ^ x_v, nu3>|
+    max_offspan_residual: float  # |<x ^ x_u ^ x_v, nu3>| in H^3, |(x_u x x_v) . nu3| in R^3
     max_constraint_residual: float  # |a1 b2 - a2 b1|
 
 
 def verify_framed(fs: FramedSurface, domain: Domain) -> FramedResidualSummary:
     """Check the framed-surface axioms on the grid of ``domain``.
 
-    The off-span residual measures the nu3-component of x ^ x_u ^ x_v,
-    which must vanish: the derivative wedge lies in span{nu1, nu2}.  It is
-    computed from the raw derivatives, independently of the extracted
-    invariants, so it cross-checks the constraint residual.
+    The off-span residual measures the nu3-component of x ^ x_u ^ x_v (of
+    x_u x x_v in R^3), which must vanish: the derivative wedge lies in
+    span{nu1, nu2}.  It is computed from the raw derivatives, independently
+    of the extracted invariants, so it cross-checks the constraint residual.
     """
     fr = frame_at(fs, *domain.mesh())
     return _residual_summary(fr, basic_invariants(fr))
 
 
 def _residual_summary(fr: FrameAt, inv: Invariants) -> FramedResidualSummary:
-    off = abs(minkowski_dot4(wedge3(fr.x, fr.xu, fr.xv), fr.nu3))
+    dot, normal, _ = _geometry(fr.x)
+    off = abs(dot(normal(fr.x, fr.xu, fr.xv), fr.nu3))
     return FramedResidualSummary(
         float(np.max(fr.gram_residual())),
         float(np.max(off)),
@@ -326,10 +354,14 @@ def integrability_residuals(
 
     Invariant derivatives are 2-point central differences with step ``h``
     (:func:`invariant_partials`); the grid must be evaluable with that
-    margin.
+    margin.  The equations are those of H^3: a surface in R^3 raises
+    :class:`PreconditionError`.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
+    n = len(evaluate(fs.x.value, domain.u_min, domain.v_min))
+    if n != 4:
+        raise PreconditionError(f"integrability residuals are those of H^3; x has {n} components, not 4")
     q, d = invariant_partials(invariant_field(fs), *domain.mesh(), h)
     out = (
         (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),

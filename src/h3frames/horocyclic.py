@@ -42,7 +42,7 @@ import enum
 import functools
 import operator
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -76,7 +76,6 @@ __all__ = [
     "classify_horocyclic",
     "invariant_form_classify",
     "load_h_profile",
-    "verify_horocyclic_data",
 ]
 
 #: Allowed Gram residual of the curve frame {a0, a1, a2, a3}.
@@ -119,12 +118,6 @@ class HorocyclicData:
         shape ``(3, 4, *shape(u))``."""
         f = np.asarray(self.frame(u))
         return _broadcast(f.reshape((12,) + f.shape[2:]), u).reshape((3, 4) + np.shape(u))
-
-
-def verify_horocyclic_data(data: HorocyclicData, us: Sequence[float]) -> float:
-    """Max Gram residual of {a0, a1, a2, a3} over the given u samples (nan
-    where a frame vector is not finite)."""
-    return _gram_residual(data.at(np.asarray(us, dtype=float)))
 
 
 def _gram_residual(frame) -> float:

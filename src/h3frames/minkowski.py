@@ -2,11 +2,11 @@
 
 Vectors live in R^4_1 with signature (-+++) or in R^3_1 with signature
 (-++); the first coordinate is the timelike one in both cases.  Vectors are
-plain ``numpy`` arrays of shape ``(4,)`` or ``(3,)`` built through the
-validating constructors :func:`vec4` / :func:`vec3`.  The products also
+plain ``numpy`` arrays of shape ``(4,)`` or ``(3,)``.  The products also
 take component-first stacks of shape ``(4, *shape)`` / ``(3, *shape)`` and
 then work elementwise over the trailing grid axes, with the same
-summation order as for one vector.
+summation order as for one vector.  Euclidean R^3, where the ball model's
+framed surfaces live, has its dot and cross products here too.
 
 The pseudo vector products are expanded by cofactors rather than delegated
 to a generic determinant routine so the defining identity
@@ -25,50 +25,27 @@ import numpy as np
 __all__ = [
     "CausalCharacter",
     "CAUSAL_TOL",
-    "vec4",
-    "vec3",
     "minkowski_dot4",
     "minkowski_dot3",
-    "minkowski_norm",
     "wedge3",
     "wedge2_r31",
     "euclid_dot",
     "euclid_cross",
     "causal_character",
-    "gram_matrix",
     "frame_gram_residual",
 ]
 
 #: Default threshold separating the causal characters.
 CAUSAL_TOL = 1e-10
 
-#: Signature matrix diagonals, indexed by dimension.
-_SIGNATURE = {3: np.array([-1.0, 1.0, 1.0]), 4: np.array([-1.0, 1.0, 1.0, 1.0])}
+#: Diagonal of the signature matrix of R^4_1.
+_SIGNATURE = (-1.0, 1.0, 1.0, 1.0)
 
 
 class CausalCharacter(enum.Enum):
     SPACELIKE = "spacelike"
     TIMELIKE = "timelike"
     LIGHTLIKE = "lightlike"
-
-
-def _as_finite(values, n, name):
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} expects {n} components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} components must be finite, got {arr}")
-    return arr
-
-
-def vec4(x1, x2, x3, x4) -> np.ndarray:
-    """Build a vector of R^4_1; x1 is the timelike component."""
-    return _as_finite((x1, x2, x3, x4), 4, "vec4")
-
-
-def vec3(x1, x2, x3) -> np.ndarray:
-    """Build a vector of R^3_1; x1 is the timelike component."""
-    return _as_finite((x1, x2, x3), 3, "vec3")
 
 
 def minkowski_dot4(a, b) -> float:
@@ -79,15 +56,6 @@ def minkowski_dot4(a, b) -> float:
 def minkowski_dot3(a, b) -> float:
     """Pseudo scalar product -a1*b1 + a2*b2 + a3*b3 in R^3_1."""
     return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _pseudo_dot(a, b) -> float:
-    return minkowski_dot4(a, b) if len(a) == 4 else minkowski_dot3(a, b)
-
-
-def minkowski_norm(a) -> float:
-    """sqrt(|<a, a>|) for a vector of R^4_1 or R^3_1."""
-    return np.sqrt(abs(_pseudo_dot(a, a)))
 
 
 def _det3(r0, r1, r2) -> float:
@@ -148,22 +116,12 @@ def euclid_cross(a, b) -> np.ndarray:
 
 def causal_character(v, tol: float = CAUSAL_TOL) -> CausalCharacter:
     """Classify v as spacelike (<v,v> > tol), timelike (< -tol) or lightlike."""
-    q = _pseudo_dot(v, v)
+    q = minkowski_dot4(v, v) if len(v) == 4 else minkowski_dot3(v, v)
     if q > tol:
         return CausalCharacter.SPACELIKE
     if q < -tol:
         return CausalCharacter.TIMELIKE
     return CausalCharacter.LIGHTLIKE
-
-
-def gram_matrix(*vectors) -> np.ndarray:
-    """Matrix of pairwise pseudo scalar products of the given vectors."""
-    n = len(vectors)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = _pseudo_dot(vectors[i], vectors[j])
-    return g
 
 
 def frame_gram_residual(x, n1, n2, n3) -> float:
@@ -174,7 +132,7 @@ def frame_gram_residual(x, n1, n2, n3) -> float:
     """
     vecs = (x, n1, n2, n3)
     dev = [
-        abs(minkowski_dot4(vecs[i], vecs[j]) - (_SIGNATURE[4][i] if i == j else 0.0))
+        abs(minkowski_dot4(vecs[i], vecs[j]) - (_SIGNATURE[i] if i == j else 0.0))
         for i in range(4)
         for j in range(i, 4)
     ]

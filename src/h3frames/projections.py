@@ -5,7 +5,9 @@ Three bridges, all pointwise and all broadcasting over grids:
 * the ball-model diffeomorphism pi and its inverse, lifted to whole framed
   surfaces by explicit component formulas for the transported normal pair
   (``transport_to_disc`` / ``transport_to_h3``, each one push of the three
-  maps: the base through the point map, each normal along its direction);
+  maps: the base through the point map, each normal along its direction).
+  The ball side is a :class:`~h3frames.frames.FramedSurface` of maps into
+  R^3, which the frame extractor reads as a Euclidean framed surface;
 * coordinate-dropping projections into Lorentz-Minkowski 3-space, which
   send a framed surface to a lightcone framed base surface whenever the
   projected binormal stays spacelike (``project_to_r31``);
@@ -14,7 +16,7 @@ Three bridges, all pointwise and all broadcasting over grids:
   (``lift_from_r31``).
 
 ``ParametricMap4`` evaluation is dimension-agnostic, so the same container
-carries the 3-component disc and R^3_1 maps; only the name is ambient-4.
+carries the 3-component ball and R^3_1 maps; only the name is ambient-4.
 """
 
 from __future__ import annotations
@@ -51,14 +53,12 @@ __all__ = [
     "NORMALIZATION_TOL",
     "LIFT_MARGIN",
     "Axis",
-    "DiscFramedSurface",
     "DiscResidualSummary",
     "LightconeCandidate",
     "to_poincare",
     "from_poincare",
     "transport_to_disc",
     "transport_to_h3",
-    "disc_alpha_beta",
     "verify_disc_framed",
     "project_to_r31",
     "lightcone_residual",
@@ -86,15 +86,6 @@ class Axis(enum.Enum):
     @property
     def index(self) -> int:
         return self.value - 1
-
-
-@dataclasses.dataclass(frozen=True)
-class DiscFramedSurface:
-    """Surface in the unit ball with a Euclidean orthonormal normal pair."""
-
-    xbar: ParametricMap4
-    nubar1: ParametricMap4
-    nubar2: ParametricMap4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,19 +171,20 @@ def _normalize(w, n2, where: str, what: str):
     return w / np.sqrt(n2)
 
 
-def transport_to_disc(fs: FramedSurface) -> DiscFramedSurface:
-    """Push a framed surface through pi onto the ball.
+def transport_to_disc(fs: FramedSurface) -> FramedSurface:
+    """Push a framed surface in H^3 through pi onto the ball: a framed
+    surface of maps into R^3 with a Euclidean orthonormal normal pair.
 
     The transported pair is the normalized image of
     ``y1 * (x2,x3,x4) - (x1+1) * (y2,y3,y4)`` for each normal; the
-    construction keeps ``xbar_u x xbar_v`` inside span{nubar1, nubar2}
+    construction keeps ``x_u x x_v`` of the ball map inside span{nu1, nu2}
     with weights proportional to the original (alpha, beta).  A vanishing
     direction cannot occur for valid input (it would force <x, nu> != 0),
     so :class:`NormalizationError` here means the input was not framed.
     The transported maps carry values only, and no window; their first
     partials come from the complex step.
     """
-    return DiscFramedSurface(*_pushed(
+    return FramedSurface(*_pushed(
         (fs.x, fs.nu1, fs.nu2), to_poincare, _disc_direction,
         lambda w: _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm {:.3e}"),
     ))
@@ -213,8 +205,9 @@ def _normalize_minkowski(w, where: str):
     return _normalize(w, minkowski_dot4(w, w), where, "pseudo square {:.3e}, expected > 0")
 
 
-def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
-    """Lift a ball-model framed surface back to the hyperboloid.
+def transport_to_h3(dfs: FramedSurface) -> FramedSurface:
+    """Lift a ball-model framed surface (maps into R^3) back to the
+    hyperboloid.
 
     The base goes through the inverse ball map; each normal lifts to the
     normalized image of ``(2 p.y, (1-|p|^2) y + 2 (p.y) p)``, which is
@@ -224,36 +217,30 @@ def transport_to_h3(dfs: DiscFramedSurface) -> FramedSurface:
     No window goes in or comes out: the calls that sample take one.
     """
     return FramedSurface(*_pushed(
-        (dfs.xbar, dfs.nubar1, dfs.nubar2), from_poincare, _h3_direction,
+        (dfs.x, dfs.nu1, dfs.nu2), from_poincare, _h3_direction,
         lambda w: _normalize_minkowski(w, "transport_to_h3"),
     ))
-
-
-def disc_alpha_beta(dfs: DiscFramedSurface, u: float, v: float) -> tuple[float, float]:
-    """Weights of xbar_u x xbar_v on the orthonormal pair at one point."""
-    _, xu, xv = first_partials(dfs.xbar, u, v)
-    cr = euclid_cross(xu, xv)
-    n1 = evaluate(dfs.nubar1.value, u, v)
-    n2 = evaluate(dfs.nubar2.value, u, v)
-    return euclid_dot(cr, n1), euclid_dot(cr, n2)
 
 
 @dataclasses.dataclass(frozen=True)
 class DiscResidualSummary:
     """Grid maxima of the ball-model framed-surface axioms."""
 
-    max_radius: float  # max |xbar|; must stay < 1
-    max_unit: float  # max | |nubar_i| - 1 |
-    max_orth: float  # max |nubar1 . nubar2|
-    max_off_span: float  # max |(xbar_u x xbar_v) . (nubar1 x nubar2)|
+    max_radius: float  # max |x|; must stay < 1
+    max_unit: float  # max | |nu_i| - 1 |
+    max_orth: float  # max |nu1 . nu2|
+    max_off_span: float  # max |(x_u x x_v) . (nu1 x nu2)|
 
 
-def verify_disc_framed(dfs: DiscFramedSurface, domain: Domain) -> DiscResidualSummary:
-    """The ball-model axioms' worst residuals over the grid of ``domain``."""
+def verify_disc_framed(dfs: FramedSurface, domain: Domain) -> DiscResidualSummary:
+    """The ball-model axioms' worst residuals over the grid of ``domain``.
+    A surface in H^3 (maps into R^4_1) raises :class:`PreconditionError`."""
     U, V = domain.mesh()
-    p, pu, pv = first_partials(dfs.xbar, U, V)
-    n1 = evaluate(dfs.nubar1.value, U, V)
-    n2 = evaluate(dfs.nubar2.value, U, V)
+    p, pu, pv = first_partials(dfs.x, U, V)
+    if len(p) != 3:
+        raise PreconditionError(f"the ball model maps into R^3; x has {len(p)} components, not 3")
+    n1 = evaluate(dfs.nu1.value, U, V)
+    n2 = evaluate(dfs.nu2.value, U, V)
     unit = [abs(np.sqrt(euclid_dot(n, n)) - 1.0) for n in (n1, n2)]
     return DiscResidualSummary(
         float(np.max(np.sqrt(euclid_dot(p, p)))),
@@ -282,7 +269,7 @@ def _lift(p, axis: Axis):
     the lift x with sqrt(q - 1) inserted at ``axis``, r = <x,x> (its rounding
     grows with x1^2) and where x is finite and on H^3 within ``ON_H3_TOL``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = -minkowski_dot3(p, p)
+        q = p[0] * p[0] - p[1] * p[1] - p[2] * p[2]
         x = _insert(p, np.sqrt(q - 1.0), axis)
         r = minkowski_dot4(x, x)
     return q, x, r, abs(r + 1.0) <= ON_H3_TOL

@@ -26,8 +26,8 @@ one.  No map needs second partials: classification reads second-order
 information from the invariants on a complex torus
 (:mod:`h3frames.singularities`).
 
-Despite the name, the same machinery evaluates maps into R^3 (model
-transports use it); only :func:`check_on_h3` insists on four components.
+Despite the name, the same machinery evaluates maps into R^3: the ball
+model's framed surfaces are such maps.
 
 Partials are recomputed on every call - no caching, so perturbed
 evaluators behave predictably in convergence studies.
@@ -40,19 +40,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .minkowski import minkowski_dot4
-
 __all__ = [
     "Domain",
     "MAX_GRID_POINTS",
     "ParametricMap4",
-    "OnH3Report",
     "components",
     "evaluate",
     "first_true",
     "zero4",
     "first_partials",
-    "check_on_h3",
     "fd_convergence_ratio",
 ]
 
@@ -226,37 +222,6 @@ def first_partials(m: ParametricMap4, u, v):
     if m.firsts is None:
         return x, _complex_step(m.value, 0, u, v), _complex_step(m.value, 1, u, v)
     return (x, *(_broadcast(d, u) for d in m.firsts(u, v)))
-
-
-@dataclasses.dataclass(frozen=True)
-class OnH3Report:
-    """Residuals of the hyperboloid constraints at one point."""
-
-    on_h3_residual: float  # | <x,x> + 1 |
-    xu_tangency_residual: float  # | <x, x_u> |
-    xv_tangency_residual: float  # | <x, x_v> |
-    positive_branch: bool  # x1 > 0
-
-    def ok(self, tol: float) -> bool:
-        return (
-            self.positive_branch
-            and self.on_h3_residual <= tol
-            and self.xu_tangency_residual <= tol
-            and self.xv_tangency_residual <= tol
-        )
-
-
-def check_on_h3(m: ParametricMap4, u: float, v: float) -> OnH3Report:
-    """Residuals telling how far the map is from H^3 at (u, v)."""
-    x, xu, xv = first_partials(m, u, v)
-    if x.shape != (4,):
-        raise ValueError(f"check_on_h3 needs a map into R^4_1, got shape {x.shape}")
-    return OnH3Report(
-        on_h3_residual=abs(minkowski_dot4(x, x) + 1.0),
-        xu_tangency_residual=abs(minkowski_dot4(x, xu)),
-        xv_tangency_residual=abs(minkowski_dot4(x, xv)),
-        positive_branch=bool(x[0] > 0),
-    )
 
 
 def fd_convergence_ratio(m: ParametricMap4, u: float, v: float):

@@ -276,7 +276,7 @@ def test_criterion_07_ball_round_trips_and_transport(gate):
 
         again = transport_to_disc(transport_to_h3(dfs))
         worst = max(
-            float(np.max(np.abs(again.xbar.value(u, v) - dfs.xbar.value(u, v))))
+            float(np.max(np.abs(again.x.value(u, v) - dfs.x.value(u, v))))
             for u, v in _grid(entry.domain)
         )
         assert worst < 1e-10

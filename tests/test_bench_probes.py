@@ -67,6 +67,17 @@ def test_cli_import_alone_registers_every_probed_module(monkeypatch):
     assert json.loads(done.stdout) == [[], []]
 
 
+#: The count metrics of a traced run at seed 1, in BENCHMARK.json order:
+#: minkowski.dot4, frame_gram_residual, first_partials, invariants_at,
+#: integrator steps, screen evals, seeds, Newton evals, Newton iters,
+#: classify evals, to_poincare, curve_derivative.
+COUNTS_AT_SEED_1 = {
+    "grid_sweep": [97, 5, 11, 1, 0, 0, 0, 0, 0, 0, 5, 0],
+    "singular_scan": [1458, 66, 186, 62, 0, 6, 536, 52, 631, 4, 2, 0],
+    "horo_profiles": [1680, 48, 66, 22, 16000, 2, 29, 12, 58, 2, 0, 0],
+}
+
+
 @pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
 def test_traced_run_reports_every_per_layer_metric(workload):
     done = subprocess.run(
@@ -79,6 +90,9 @@ def test_traced_run_reports_every_per_layer_metric(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert sorted(result["metrics"]) == sorted(m["name"] for m in BENCHMARK["per_layer"])
+    # the machine-independent counts: a change to one is made on purpose here
+    counts = [m["name"] for m in BENCHMARK["per_layer"] if m["unit"] == "count"]
+    assert [result["metrics"][k]["value"] for k in counts] == COUNTS_AT_SEED_1[workload]
 
 
 def test_traced_mesh_markers_counts_its_scan(monkeypatch, capsys):

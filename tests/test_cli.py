@@ -964,6 +964,12 @@ def test_exit_code_geometry_failure(capsys):
     assert code == 2 and "does not lift" in err
 
 
+def test_project_r31_lift_refusal_prints_an_unsigned_zero(capsys):
+    # q = x1^2 - x2^2 - x3^2 is summed as written, so it is 0 here, not -0
+    code, _, err = _run(capsys, ["project", "--from", "r31", "--to", "h3", "--point", "1", "1", "0"])
+    assert code == 2 and "x1^2 - x2^2 - x3^2 = 0 " in err
+
+
 @pytest.mark.parametrize("to", ["h3", "disc"])
 def test_project_r31_overflow_does_not_lift(capsys, to):
     # x1^2 - x2^2 - x3^2 overflows to inf; that is no liftable point either

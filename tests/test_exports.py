@@ -13,7 +13,6 @@ import pytest
 
 import h3frames
 from h3frames.frames import FramedSurface
-from h3frames.projections import DiscFramedSurface
 from h3frames.surface import ParametricMap4
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(h3frames.__path__, "h3frames."))
@@ -54,7 +53,6 @@ KNOBS = {
     "singularities.find_singular_points(tol)",
     "singularities.singularity_scan(tol)",
     "surface.Domain.contains(margin)",
-    "surface.OnH3Report.ok(tol)",
 }
 
 
@@ -159,7 +157,6 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
 def test_framed_surfaces_are_their_three_maps():
     # the sampling window is an argument of each call that samples
     assert [f.name for f in dataclasses.fields(FramedSurface)] == ["x", "nu1", "nu2"]
-    assert [f.name for f in dataclasses.fields(DiscFramedSurface)] == ["xbar", "nubar1", "nubar2"]
 
 
 def test_maps_are_a_value_and_its_closed_firsts():

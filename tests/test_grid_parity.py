@@ -114,7 +114,8 @@ def test_invariants_grid_equals_one_point_calls(name, fs):
 def _maps_of_transports():
     cc = get_example("cross_cap").framed
     dfs = transport_to_disc(cc)
-    out = {"transport_to_disc." + k: getattr(dfs, k) for k in ("xbar", "nubar1", "nubar2")}
+    # the ball maps keep their bar names (x bar, nu bar) as labels
+    out = {"transport_to_disc." + k: m for k, m in zip(("xbar", "nubar1", "nubar2"), (dfs.x, dfs.nu1, dfs.nu2))}
     for axis, box in ((Axis.X2, (0.05, 0.3, 0.6, 0.9)), (Axis.X3, (0.2, 0.5, 0.2, 0.5))):
         lc = project_to_r31(cc, axis, Domain(*box, nu=5, nv=5))
         out[f"project_to_r31.{axis.name}.xtilde"] = lc.xtilde

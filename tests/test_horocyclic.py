@@ -32,9 +32,8 @@ from h3frames.horocyclic import (
     integrate_frame_curves,
     invariant_form_classify,
     load_h_profile,
-    verify_horocyclic_data,
 )
-from h3frames.minkowski import minkowski_dot4, wedge3
+from h3frames.minkowski import frame_gram_residual, minkowski_dot4, wedge3
 from h3frames.projections import transport_to_disc
 from h3frames.singularities import (
     SingularityClass,
@@ -341,8 +340,8 @@ def test_integrated_curves_stay_orthonormal_between_nodes():
     # sample off the integration nodes too: the pointwise polish must hold
     # everywhere, not just where the integrator stopped
     data = _integrated(_const_h(GENERIC_H))
-    us = np.linspace(-1.0, 1.0, 101) + 2.71e-4
-    assert verify_horocyclic_data(data, us[:-1]) < 1e-12
+    frame = data.at(np.linspace(-1.0, 1.0, 101)[:-1] + 2.71e-4)
+    assert np.max(frame_gram_residual(*frame, wedge3(*frame))) < 1e-12
 
 
 def test_long_integration_keeps_node_frames_orthonormal(monkeypatch):
@@ -383,10 +382,10 @@ def test_complex_step_through_integrated_curves():
     # through the Hermite pieces of the integrated curves; they must equal
     # the quotient rule on (x2, x3, x4) / (x1 + 1) with the frame system's
     # exact x_u, x_v (a Hermite evaluator that drops the imaginary part
-    # gives xbar_u = 0)
+    # gives x_u = 0 on the ball)
     fs = build_horocyclic(_integrated(_const_h(GENERIC_H)), DOMAIN)
     U, V = DOMAIN.mesh()
-    _, pu, pv = first_partials(transport_to_disc(fs).xbar, U, V)
+    _, pu, pv = first_partials(transport_to_disc(fs).x, U, V)
     x, xu, xv = first_partials(fs.x, U, V)
     for got, dx in ((pu, xu), (pv, xv)):
         want = (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / ((x[0] + 1.0) * (x[0] + 1.0))

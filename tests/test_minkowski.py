@@ -4,7 +4,6 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -14,12 +13,8 @@ from h3frames.minkowski import (
     euclid_cross,
     euclid_dot,
     frame_gram_residual,
-    gram_matrix,
     minkowski_dot3,
     minkowski_dot4,
-    minkowski_norm,
-    vec3,
-    vec4,
     wedge2_r31,
     wedge3,
 )
@@ -31,36 +26,21 @@ finite = st.floats(
     allow_infinity=False,
     allow_subnormal=False,
 )
-vec4s = st.builds(vec4, finite, finite, finite, finite)
-vec3s = st.builds(vec3, finite, finite, finite)
+vec4s = st.tuples(finite, finite, finite, finite).map(lambda c: np.array(c, dtype=float))
+vec3s = st.tuples(finite, finite, finite).map(lambda c: np.array(c, dtype=float))
 
-E1 = vec4(1, 0, 0, 0)
-E2 = vec4(0, 1, 0, 0)
-E3 = vec4(0, 0, 1, 0)
-E4 = vec4(0, 0, 0, 1)
-
-
-def test_vec4_rejects_nan_and_inf():
-    with pytest.raises(ValueError):
-        vec4(float("nan"), 0, 0, 0)
-    with pytest.raises(ValueError):
-        vec4(0, float("inf"), 0, 0)
-    with pytest.raises(ValueError):
-        vec3(0, 0, float("-inf"))
+E1 = np.array([1, 0, 0, 0], dtype=float)
+E2 = np.array([0, 1, 0, 0], dtype=float)
+E3 = np.array([0, 0, 1, 0], dtype=float)
+E4 = np.array([0, 0, 0, 1], dtype=float)
 
 
 def test_dot_signature():
     assert minkowski_dot4(E1, E1) == -1.0
     assert minkowski_dot4(E2, E2) == 1.0
     assert minkowski_dot4(E1, E2) == 0.0
-    assert minkowski_dot3(vec3(1, 0, 0), vec3(1, 0, 0)) == -1.0
-    assert minkowski_dot3(vec3(0, 2, 0), vec3(0, 3, 0)) == 6.0
-
-
-def test_norm_uses_absolute_value():
-    assert minkowski_norm(vec4(2, 0, 0, 0)) == 2.0
-    assert minkowski_norm(vec4(0, 0, 3, 0)) == 3.0
-    assert minkowski_norm(vec4(1, 1, 0, 0)) == 0.0
+    assert minkowski_dot3(np.array([1, 0, 0], dtype=float), np.array([1, 0, 0], dtype=float)) == -1.0
+    assert minkowski_dot3(np.array([0, 2, 0], dtype=float), np.array([0, 3, 0], dtype=float)) == 6.0
 
 
 def test_wedge3_basis_orientation():
@@ -72,7 +52,7 @@ def test_wedge3_basis_orientation():
 
 
 def test_wedge2_r31_basis_orientation():
-    f1, f2, f3 = vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)
+    f1, f2, f3 = np.eye(3)
     assert np.array_equal(wedge2_r31(f2, f3), -f1)
     assert np.array_equal(wedge2_r31(f1, f2), f3)
     assert np.array_equal(wedge2_r31(f1, f3), -f2)
@@ -99,7 +79,7 @@ def _leibniz_det(*rows):
 
 
 @given(vec4s, vec4s, vec4s, vec4s)
-@example(vec4(0, 0, 0, 0), vec4(1, 2, 3, 4), vec4(-2, 0.5, 1, 0), vec4(3, -1, 0, 2))
+@example(*np.array([[0, 0, 0, 0], [1, 2, 3, 4], [-2, 0.5, 1, 0], [3, -1, 0, 2]], dtype=float))
 def test_wedge3_determinant_identity(x, a, b, c):
     lhs = minkowski_dot4(x, wedge3(a, b, c))
     rhs = _leibniz_det(x, a, b, c)
@@ -107,7 +87,7 @@ def test_wedge3_determinant_identity(x, a, b, c):
 
 
 @given(vec3s, vec3s, vec3s)
-@example(vec3(0, 0, 0), vec3(1, 2, 3), vec3(-2, 0.5, 1))
+@example(*np.array([[0, 0, 0], [1, 2, 3], [-2, 0.5, 1]], dtype=float))
 def test_wedge2_determinant_identity(x, a, b):
     lhs = minkowski_dot3(x, wedge2_r31(a, b))
     rhs = _leibniz_det(x, a, b)
@@ -137,19 +117,17 @@ def test_euclid_ops():
 
 
 def test_causal_character_thresholds():
-    assert causal_character(vec4(0, 1, 0, 0)) is CausalCharacter.SPACELIKE
-    assert causal_character(vec4(1, 0, 0, 0)) is CausalCharacter.TIMELIKE
-    assert causal_character(vec4(1, 1, 0, 0)) is CausalCharacter.LIGHTLIKE
-    assert causal_character(vec3(0.5, 0.5, 0)) is CausalCharacter.LIGHTLIKE
+    assert causal_character(np.array([0, 1, 0, 0], dtype=float)) is CausalCharacter.SPACELIKE
+    assert causal_character(np.array([1, 0, 0, 0], dtype=float)) is CausalCharacter.TIMELIKE
+    assert causal_character(np.array([1, 1, 0, 0], dtype=float)) is CausalCharacter.LIGHTLIKE
+    assert causal_character(np.array([0.5, 0.5, 0], dtype=float)) is CausalCharacter.LIGHTLIKE
     # Boundary behaviour is set by tol.
-    v = vec4(0, 1e-6, 0, 0)  # <v,v> = 1e-12
+    v = np.array([0, 1e-6, 0, 0], dtype=float)  # <v,v> = 1e-12
     assert causal_character(v, tol=1e-13) is CausalCharacter.SPACELIKE
     assert causal_character(v, tol=1e-10) is CausalCharacter.LIGHTLIKE
 
 
 def test_gram_matrix_of_standard_frame():
-    g = gram_matrix(E1, E2, E3, E4)
-    assert np.array_equal(g, np.diag([-1.0, 1.0, 1.0, 1.0]))
     assert frame_gram_residual(E1, E2, E3, E4) == 0.0
 
 
@@ -159,10 +137,10 @@ def test_frame_gram_residual_orthonormalized_random_frame():
         # Boost + rotate the standard frame: stays pseudo-orthonormal.
         phi = rng.uniform(-1, 1)
         t = rng.uniform(0, 2 * math.pi)
-        x = vec4(math.cosh(phi), math.sinh(phi), 0, 0)
-        n1 = vec4(math.sinh(phi), math.cosh(phi), 0, 0)
-        n2 = vec4(0, 0, math.cos(t), math.sin(t))
-        n3 = vec4(0, 0, -math.sin(t), math.cos(t))
+        x = np.array([math.cosh(phi), math.sinh(phi), 0, 0], dtype=float)
+        n1 = np.array([math.sinh(phi), math.cosh(phi), 0, 0], dtype=float)
+        n2 = np.array([0, 0, math.cos(t), math.sin(t)], dtype=float)
+        n3 = np.array([0, 0, -math.sin(t), math.cos(t)], dtype=float)
         assert frame_gram_residual(x, n1, n2, n3) <= 1e-10
 
 

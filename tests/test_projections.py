@@ -18,7 +18,13 @@ from h3frames.errors import (
     PreconditionError,
 )
 from h3frames.examples import get_example
-from h3frames.frames import FramedSurface, frame_from_normal, invariants_at, verify_framed
+from h3frames.frames import (
+    FramedSurface,
+    frame_from_normal,
+    integrability_residuals,
+    invariants_at,
+    verify_framed,
+)
 from h3frames.minkowski import (
     minkowski_dot3,
     minkowski_dot4,
@@ -28,9 +34,7 @@ from h3frames.minkowski import (
 from h3frames.projections import (
     ON_H3_TOL,
     Axis,
-    DiscFramedSurface,
     LightconeCandidate,
-    disc_alpha_beta,
     from_poincare,
     lift_from_r31,
     lightcone_residual,
@@ -140,10 +144,10 @@ def test_transport_to_disc_cross_cap_residuals():
 
 def test_transport_to_disc_constant_frame():
     dfs = transport_to_disc(_constant_frame_surface())
-    assert dfs.xbar.value(0.5, 0.5) == pytest.approx((0.0, 0.0, 0.0))
-    assert dfs.nubar1.value(0.5, 0.5) == pytest.approx((-1.0, 0.0, 0.0))
-    n2 = dfs.nubar2.value(0.5, 0.5)
-    assert np.dot(dfs.nubar1.value(0.5, 0.5), n2) == pytest.approx(0.0, abs=1e-15)
+    assert dfs.x.value(0.5, 0.5) == pytest.approx((0.0, 0.0, 0.0))
+    assert dfs.nu1.value(0.5, 0.5) == pytest.approx((-1.0, 0.0, 0.0))
+    n2 = dfs.nu2.value(0.5, 0.5)
+    assert np.dot(dfs.nu1.value(0.5, 0.5), n2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_disc_alpha_beta_proportional_to_invariants():
@@ -154,7 +158,8 @@ def test_disc_alpha_beta_proportional_to_invariants():
             inv = invariants_at(fs, u, v)
             if inv.alpha**2 + inv.beta**2 <= 1e-6:
                 continue
-            ab = disc_alpha_beta(dfs, u, v)
+            disc = invariants_at(dfs, u, v)
+            ab = (disc.alpha, disc.beta)
             x = np.asarray(fs.x.value(u, v), dtype=float)
             for got, want, nu_m in ((ab[0], inv.alpha, fs.nu1), (ab[1], inv.beta, fs.nu2)):
                 y = np.asarray(nu_m.value(u, v), dtype=float)
@@ -196,15 +201,15 @@ def test_transport_to_h3_flat_patch():
         n = np.sqrt(u * u + v * v)
         return components(-u * u / n**3, -u * v / n**3, 0.0)
 
-    dfs = DiscFramedSurface(
-        xbar=ParametricMap4(
+    dfs = FramedSurface(
+        x=ParametricMap4(
             value=lambda u, v: components(u, v, 0.0),
             firsts=lambda u, v: (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
         ),
-        nubar1=ParametricMap4(
+        nu1=ParametricMap4(
             value=lambda u, v: np.array([0.0, 0.0, 1.0]), firsts=lambda u, v: (zero3(u, v), zero3(u, v))
         ),
-        nubar2=ParametricMap4(value=n2_value, firsts=lambda u, v: (n2_du(u, v), n2_dv(u, v))),
+        nu2=ParametricMap4(value=n2_value, firsts=lambda u, v: (n2_du(u, v), n2_dv(u, v))),
     )
     fs = transport_to_h3(dfs)
     for u in np.linspace(0.1, 0.4, 4):
@@ -215,16 +220,36 @@ def test_transport_to_h3_flat_patch():
                 assert abs(minkowski_dot4(x, nu)) < 1e-12
                 assert minkowski_dot4(nu, nu) == pytest.approx(1.0, abs=1e-12)
     assert verify_framed(fs, dom).max_gram_residual < 1e-10
+    # the patch itself is a Euclidean framed surface, nu3 = nu1 x nu2 =
+    # -(u, v, 0) / n, with closed-form invariants
+    U, V = dom.mesh()
+    n = np.sqrt(U * U + V * V)
+    inv = invariants_at(dfs, U, V)
+    want = {"a1": 0.0, "a2": 0.0, "b1": -V / n, "b2": U / n, "c1": -U / n, "c2": -V / n,
+            "e1": 0.0, "e2": 0.0, "f1": 0.0, "f2": 0.0, "g1": -V / (n * n), "g2": U / (n * n),
+            "alpha": 1.0, "beta": 0.0}
+    for key, value in want.items():
+        assert np.allclose(inv.as_dict()[key], value, rtol=0.0, atol=1e-14), key
 
 
 def test_transport_to_h3_rejects_degenerate_normal():
-    dfs = DiscFramedSurface(
-        xbar=ParametricMap4(value=lambda u, v: np.array([0.2, 0.0, 0.0])),
-        nubar1=ParametricMap4(value=lambda u, v: np.zeros(3)),
-        nubar2=ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 1.0])),
+    dfs = FramedSurface(
+        x=ParametricMap4(value=lambda u, v: np.array([0.2, 0.0, 0.0])),
+        nu1=ParametricMap4(value=lambda u, v: np.zeros(3)),
+        nu2=ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 1.0])),
     )
     with pytest.raises(NormalizationError):
         transport_to_h3(dfs).nu1.value(0.5, 0.5)
+
+
+def test_each_geometry_only_call_refuses_the_other():
+    # the H^3 integrability equations would give 0.36 on the ball cross cap,
+    # and the ball axioms a radius of 2.29 on the hyperboloid's
+    ex = get_example("cross_cap")
+    with pytest.raises(PreconditionError, match="3 components, not 4"):
+        integrability_residuals(transport_to_disc(ex.framed), ex.domain)
+    with pytest.raises(PreconditionError, match="4 components, not 3"):
+        verify_disc_framed(ex.framed, ex.domain)
 
 
 # ---------------------------------------------------------------------------

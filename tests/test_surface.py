@@ -8,7 +8,6 @@ import pytest
 from h3frames.surface import (
     Domain,
     ParametricMap4,
-    check_on_h3,
     components,
     fd_convergence_ratio,
     first_partials,
@@ -102,33 +101,3 @@ def test_fd_first_order_halving_ratio():
     for (u, v) in [(0.3, -0.4), (1.1, 0.6), (-0.8, 0.2)]:
         r = fd_convergence_ratio(m, u, v)
         assert 3.5 <= r <= 4.5
-
-
-def test_check_on_h3():
-    # Hyperboloid slice: x = (cosh u cosh v, sinh u cosh v, sinh v, 0).
-    good = ParametricMap4(
-        value=lambda u, v: components(
-            np.cosh(u) * np.cosh(v), np.sinh(u) * np.cosh(v), np.sinh(v), 0.0
-        )
-    )
-    rep = check_on_h3(good, 0.3, -0.7)
-    assert rep.ok(1e-9)
-    assert rep.positive_branch
-
-    off = ParametricMap4(value=lambda u, v: components(1.0 + u, v, 0.0, 0.0))
-    rep = check_on_h3(off, 0.2, 0.1)
-    assert not rep.ok(1e-9)
-    assert rep.on_h3_residual > 0.1
-
-    # Lower branch is flagged even though <x,x> = -1.
-    lower = ParametricMap4(
-        value=lambda u, v: components(
-            -np.cosh(u) * np.cosh(v), np.sinh(u) * np.cosh(v), np.sinh(v), 0.0
-        )
-    )
-    assert not check_on_h3(lower, 0.1, 0.1).positive_branch
-
-    with pytest.raises(ValueError):
-        check_on_h3(
-            ParametricMap4(value=lambda u, v: np.array([1.0, 0.0, 0.0])), 0.0, 0.0
-        )
