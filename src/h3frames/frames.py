@@ -5,9 +5,11 @@ A framed surface is a map ``x`` with two unit normal fields ``nu1``,
 ``{x, nu1, nu2, nu3}`` with ``nu3 = x ^ nu1 ^ nu2`` is pseudo-orthonormal;
 in Euclidean R^3 (maps with 3 components, such as the ball model's image)
 ``{nu1, nu2, nu3}`` with ``nu3 = nu1 x nu2`` is orthonormal.
-:func:`_geometry` reads which from the maps' number of components.  The
-twelve basic invariants are the connection coefficients of that frame,
-the same inner products in both geometries:
+:func:`_geometry` reads which from the maps' number of components.  Every
+call here takes either geometry but ``integrability_residuals``,
+``integrate_frame_along_line`` and ``frame_from_normal``, which refuse R^3
+(:func:`_in_space`).  The twelve basic invariants are the connection
+coefficients of that frame, the same inner products in both geometries:
 
     x_u   =  a1 nu1 + b1 nu2 + c1 nu3
     nu1_u =  a1 x + e1 nu2 + f1 nu3
@@ -38,6 +40,7 @@ import numpy as np
 from . import FRAME_TOL
 from .errors import DegenerateAnglesError, DegenerateFrameError, PreconditionError
 from .minkowski import (
+    _gram_deviation,
     euclid_cross,
     euclid_dot,
     frame_gram_residual,
@@ -171,31 +174,31 @@ class Invariants:
         return d
 
 
-def _euclid_normal(x, a, b):
-    """a x b, orthogonal to a and b at any point x of R^3."""
-    return euclid_cross(a, b)
-
-
-def _euclid_gram_residual(x, n1, n2, n3):
-    """Max abs deviation of the Gram matrix of (n1, n2, n3) from the
-    identity; nan when a vector is not finite."""
-    vecs = (n1, n2, n3)
-    return np.array([
-        abs(euclid_dot(vecs[i], vecs[j]) - (i == j)) for i in range(3) for j in range(i, 3)
-    ]).max(axis=0)
+#: The number of components of a point of each space a framed surface lives in.
+_SPACES = {"H^3": 4, "R^3": 3}
 
 
 def _geometry(x):
-    """``(dot, normal, gram_residual)`` of the space of the points ``x``,
-    decided by their number of components: the Minkowski product, x ^ a ^ b
-    and the Gram residual of (x, nu1, nu2, nu3) for 4 (H^3); the Euclidean
-    product, a x b and the Gram residual of (nu1, nu2, nu3) for 3 (R^3).
-    ``normal(x, a, b)`` is orthogonal to the tangent vectors a, b at x."""
-    if len(x) == 4:
+    """``(dot, normal, gram_residual)`` of the space of the points ``x`` by
+    :data:`_SPACES`: the Minkowski product, x ^ a ^ b and the Gram residual
+    of (x, nu1, nu2, nu3) in H^3; the Euclidean product, a x b and the Gram
+    residual of (nu1, nu2, nu3) in R^3.  ``normal(x, a, b)`` is orthogonal
+    to the tangent vectors a, b at x."""
+    n = len(x)  # no table of functions: a module attribute rebound later is still seen
+    if n == _SPACES["H^3"]:
         return minkowski_dot4, wedge3, frame_gram_residual
-    if len(x) != 3:
-        raise PreconditionError(f"a framed surface maps into R^4_1 or R^3, got {len(x)} components")
-    return euclid_dot, _euclid_normal, _euclid_gram_residual
+    if n == _SPACES["R^3"]:
+        return (euclid_dot, lambda x, a, b: euclid_cross(a, b),
+                lambda x, *nus: _gram_deviation(euclid_dot, nus, (1.0, 1.0, 1.0)))
+    raise PreconditionError(f"a framed surface maps into R^4_1 or R^3, got {n} components")
+
+
+def _in_space(where: str, x, space: str):
+    """The points ``x`` (one vector or a component-first stack) when they lie
+    in ``space`` ("H^3" or "R^3"); else a refusal that names the call ``where``."""
+    if len(x) != _SPACES[space]:
+        raise PreconditionError(f"{where} reads {space} only: got {len(x)} components, not {_SPACES[space]}")
+    return x
 
 
 def _assemble(u, v, x_jet, nu1_jet, nu2_jet) -> FrameAt:
@@ -359,9 +362,7 @@ def integrability_residuals(
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    n = len(evaluate(fs.x.value, domain.u_min, domain.v_min))
-    if n != 4:
-        raise PreconditionError(f"integrability residuals are those of H^3; x has {n} components, not 4")
+    _in_space("integrability_residuals", evaluate(fs.x.value, domain.u_min, domain.v_min), "H^3")
     q, d = invariant_partials(invariant_field(fs), *domain.mesh(), h)
     out = (
         (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
@@ -486,15 +487,15 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
     partials come from :func:`first_partials` like any map's.
 
     Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``
-    only (the framed surface carries no window): x on the upper hyperboloid
-    sheet, nu unit spacelike with <x, nu> = 0.  A violation raises
-    :class:`PreconditionError` at the first failing point (v-major).
+    only (the framed surface carries no window): x and nu map into R^4_1,
+    x on the upper hyperboloid sheet, nu unit spacelike with <x, nu> = 0.
+    A violation raises :class:`PreconditionError` at the first failing point.
     Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
     first point where the spherical angles are undefined, rho <= ``_ANGLE_TOL``,
     or where the second tangent candidate degenerates.
     """
     U, V = domain.mesh()
-    xg, ng = evaluate(x.value, U, V), evaluate(nu.value, U, V)
+    xg, ng = (_in_space("frame_from_normal", evaluate(m.value, U, V), "H^3") for m in (x, nu))
     xx, nn, xn = minkowski_dot4(xg, xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
     sheet = (abs(xx + 1.0) <= FRAME_TOL) & (xg[0] > 0)
     unit, orth = abs(nn - 1.0) <= FRAME_TOL, abs(xn) <= FRAME_TOL
@@ -756,6 +757,7 @@ def integrate_frame_along_line(
     the nodes is reported.  The field is called once, on the Gauss points
     of every step as one array, so it must broadcast over ``u, v``.
     """
+    _in_space("integrate_frame_along_line", initial.x, "H^3")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if along not in ("u", "v"):

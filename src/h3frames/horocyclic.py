@@ -120,20 +120,13 @@ class HorocyclicData:
         return _broadcast(f.reshape((12,) + f.shape[2:]), u).reshape((3, 4) + np.shape(u))
 
 
-def _gram_residual(frame) -> float:
-    """Max Gram residual of {a0, a1, a2, a0 ^ a1 ^ a2} over a stack
-    (a0, a1, a2) at one u or many: nan where a vector is not finite, with
-    no numpy warning on the way."""
-    with np.errstate(all="ignore"):
-        return float(np.max(frame_gram_residual(*frame, wedge3(*frame)), initial=0.0))
-
-
 def _check_curve_frame(frame, where: str) -> None:
-    """Refuse the curve frame stack (a0, a1, a2) with
-    :class:`DegenerateFrameError` when its Gram residual exceeds
-    ``ORTHONORMAL_TOL`` or is nan (a vector is not finite); ``where`` ends
-    the message."""
-    res = _gram_residual(frame)
+    """Refuse the curve frame stack (a0, a1, a2), at one u or many, with
+    :class:`DegenerateFrameError` when the Gram residual of {a0, a1, a2,
+    a0 ^ a1 ^ a2} exceeds ``ORTHONORMAL_TOL`` or is nan (a vector is not
+    finite, which warns nothing); ``where`` ends the message."""
+    with np.errstate(all="ignore"):
+        res = float(np.max(frame_gram_residual(*frame, wedge3(*frame)), initial=0.0))
     if not res <= ORTHONORMAL_TOL:
         what = "is not finite" if np.isnan(res) else f"Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
         raise DegenerateFrameError(f"curve frame {what} {where}")

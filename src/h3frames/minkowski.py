@@ -38,9 +38,6 @@ __all__ = [
 #: Default threshold separating the causal characters.
 CAUSAL_TOL = 1e-10
 
-#: Diagonal of the signature matrix of R^4_1.
-_SIGNATURE = (-1.0, 1.0, 1.0, 1.0)
-
 
 class CausalCharacter(enum.Enum):
     SPACELIKE = "spacelike"
@@ -124,16 +121,19 @@ def causal_character(v, tol: float = CAUSAL_TOL) -> CausalCharacter:
     return CausalCharacter.LIGHTLIKE
 
 
+def _gram_deviation(dot, vecs, diagonal) -> float:
+    """Max abs deviation of the Gram matrix of ``vecs`` under ``dot`` from
+    diag(``diagonal``); nan when a vector is not finite."""
+    n = len(vecs)
+    return np.array([
+        abs(dot(vecs[i], vecs[j]) - (diagonal[i] if i == j else 0.0)) for i in range(n) for j in range(i, n)
+    ]).max(axis=0)
+
+
 def frame_gram_residual(x, n1, n2, n3) -> float:
     """Max abs deviation of the frame's Gram matrix from diag(-1, 1, 1, 1).
 
     Zero exactly when {x, n1, n2, n3} is a pseudo-orthonormal frame with
     timelike x; nan when a vector is not finite.
     """
-    vecs = (x, n1, n2, n3)
-    dev = [
-        abs(minkowski_dot4(vecs[i], vecs[j]) - (_SIGNATURE[i] if i == j else 0.0))
-        for i in range(4)
-        for j in range(i, 4)
-    ]
-    return np.array(dev).max(axis=0)
+    return _gram_deviation(minkowski_dot4, (x, n1, n2, n3), (-1.0, 1.0, 1.0, 1.0))

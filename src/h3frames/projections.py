@@ -16,7 +16,11 @@ Three bridges, all pointwise and all broadcasting over grids:
   (``lift_from_r31``).
 
 ``ParametricMap4`` evaluation is dimension-agnostic, so the same container
-carries the 3-component ball and R^3_1 maps; only the name is ambient-4.
+carries the 3-component ball and R^3_1 maps.  ``to_poincare``,
+``transport_to_disc``, ``write_disc_mesh`` and ``project_to_r31`` take H^3,
+and ``from_poincare``, ``transport_to_h3`` and ``verify_disc_framed`` R^3;
+each refuses the other (the transports' maps when evaluated) through
+:func:`h3frames.frames._in_space`, which never sees R^3_1 points.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .fmt import fmt, fmt_rows
-from .frames import FramedSurface
+from .frames import FramedSurface, _in_space
 from .minkowski import (
     CAUSAL_TOL,
     causal_character,
@@ -111,10 +115,10 @@ class LightconeCandidate:
 def to_poincare(x) -> np.ndarray:
     """Ball-model image (x2, x3, x4) / (x1 + 1) of a hyperboloid point.
 
-    Also takes a component-first stack of points; the first point off the
-    upper sheet (non-finite ones included) is refused.
+    Also takes a component-first stack of points; points not in R^4_1, and
+    the first one off the upper sheet (non-finite ones included), are refused.
     """
-    x = np.asarray(x)
+    x = _in_space("to_poincare", np.asarray(x), "H^3")
     q = minkowski_dot4(x, x).real
     off = ~(abs(q + 1.0) <= ON_H3_TOL)
     k = first_true(off | ~(x[0].real > 0.0))
@@ -127,8 +131,8 @@ def to_poincare(x) -> np.ndarray:
 
 def from_poincare(p) -> np.ndarray:
     """Hyperboloid point (1 + |p|^2, 2p) / (1 - |p|^2) over a ball point (or
-    a component-first stack of them)."""
-    p = np.asarray(p)
+    a component-first stack of them); points not in R^3 are refused."""
+    p = _in_space("from_poincare", np.asarray(p), "R^3")
     s = euclid_dot(p, p)
     k = first_true(~(s.real < 1.0))
     if k is not None:
@@ -141,18 +145,18 @@ def from_poincare(p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pushed(maps, point, direction, normalize) -> tuple[ParametricMap4, ...]:
-    """Value-only images of the maps (base, normal, normal) of a framed
-    surface under a change of model: the base goes through ``point``, and
-    each normal through ``normalize(direction(base value, normal value))``."""
-    base, *normals = maps
+def _pushed(where, space, fs, point, direction, normalize) -> FramedSurface:
+    """Value-only images of the maps of a framed surface in ``space`` (each
+    refuses a base value of the other, naming ``where``): the base goes through
+    ``point``, each normal through ``normalize(direction(base, normal))``."""
+
+    def base(u, v):
+        return _in_space(where, evaluate(fs.x.value, u, v), space)
 
     def normal(n):
-        return ParametricMap4(
-            value=lambda u, v: normalize(direction(evaluate(base.value, u, v), evaluate(n.value, u, v)))
-        )
+        return ParametricMap4(value=lambda u, v: normalize(direction(base(u, v), evaluate(n.value, u, v))))
 
-    return (ParametricMap4(value=lambda u, v: point(evaluate(base.value, u, v))), *map(normal, normals))
+    return FramedSurface(ParametricMap4(value=lambda u, v: point(base(u, v))), normal(fs.nu1), normal(fs.nu2))
 
 
 def _disc_direction(x, y):
@@ -184,10 +188,10 @@ def transport_to_disc(fs: FramedSurface) -> FramedSurface:
     The transported maps carry values only, and no window; their first
     partials come from the complex step.
     """
-    return FramedSurface(*_pushed(
-        (fs.x, fs.nu1, fs.nu2), to_poincare, _disc_direction,
+    return _pushed(
+        "transport_to_disc", "H^3", fs, to_poincare, _disc_direction,
         lambda w: _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm {:.3e}"),
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +220,10 @@ def transport_to_h3(dfs: FramedSurface) -> FramedSurface:
     only guaranteed back up to an in-plane rotation, so compare spans.
     No window goes in or comes out: the calls that sample take one.
     """
-    return FramedSurface(*_pushed(
-        (dfs.x, dfs.nu1, dfs.nu2), from_poincare, _h3_direction,
+    return _pushed(
+        "transport_to_h3", "R^3", dfs, from_poincare, _h3_direction,
         lambda w: _normalize_minkowski(w, "transport_to_h3"),
-    ))
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,8 +241,7 @@ def verify_disc_framed(dfs: FramedSurface, domain: Domain) -> DiscResidualSummar
     A surface in H^3 (maps into R^4_1) raises :class:`PreconditionError`."""
     U, V = domain.mesh()
     p, pu, pv = first_partials(dfs.x, U, V)
-    if len(p) != 3:
-        raise PreconditionError(f"the ball model maps into R^3; x has {len(p)} components, not 3")
+    _in_space("verify_disc_framed", p, "R^3")
     n1 = evaluate(dfs.nu1.value, U, V)
     n2 = evaluate(dfs.nu2.value, U, V)
     unit = [abs(np.sqrt(euclid_dot(n, n)) - 1.0) for n in (n1, n2)]
@@ -276,7 +279,8 @@ def _lift(p, axis: Axis):
 
 
 def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
-    return wedge3(*(evaluate(m.value, u, v) for m in (fs.x, fs.nu1, fs.nu2)))
+    x = _in_space("project_to_r31", evaluate(fs.x.value, u, v), "H^3")
+    return wedge3(x, *(evaluate(m.value, u, v) for m in (fs.nu1, fs.nu2)))
 
 
 def project_to_r31(fs: FramedSurface, axis: Axis, domain: Domain) -> LightconeCandidate:
@@ -453,7 +457,8 @@ def write_disc_mesh(
     """
     U, V = domain.mesh()
     nv, nu = U.shape
-    pts = to_poincare(evaluate(fs.x.value, U, V)).reshape(3, -1)  # v-major vertices
+    x = _in_space("write_disc_mesh", evaluate(fs.x.value, U, V), "H^3")
+    pts = to_poincare(x).reshape(3, -1)  # v-major vertices
 
     # Each grid quad gives the triangles (00, 10, 11) and (00, 11, 01); a
     # triangle whose normal points into the ball against its centroid is

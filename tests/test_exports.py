@@ -119,7 +119,9 @@ OPTIONS = {
 }
 
 
-def _options(module: str, tree: ast.Module) -> set[str]:
+def _public_functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """``(name, node)`` of each function in ``__all__`` and each public
+    method of a class in it, the method named ``Class.method``."""
     public = next(
         (ast.literal_eval(n.value) for n in tree.body
          if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets)),
@@ -134,8 +136,12 @@ def _options(module: str, tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ClassDef):
             functions += [(f"{node.name}.{item.name}", item) for item in node.body
                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return functions
+
+
+def _options(module: str, tree: ast.Module) -> set[str]:
     found = set()
-    for owner, fn in functions:
+    for owner, fn in _public_functions(tree):
         a = fn.args
         positional = a.posonlyargs + a.args
         defaulted = positional[len(positional) - len(a.defaults):]
@@ -152,6 +158,65 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
         found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == OPTIONS
     assert len(OPTIONS) == 16
+
+
+#: The geometry of each public call that takes a framed surface, one of its
+#: frames or an invariant field like one (a parameter annotated
+#: ``FramedSurface``, ``FrameAt`` or ``FieldLike``): "either" for H^3 and
+#: R^3, or the one it reads, refusing the other.  A new such call must
+#: declare its geometry here; :data:`BY_HAND` adds the one-geometry calls
+#: that take maps or points instead.
+GEOMETRY = {
+    "frames.basic_invariants": "either",
+    "frames.frame_at": "either",
+    "frames.frame_from_normal": "H^3",
+    "frames.integrability_residuals": "H^3",
+    "frames.integrate_frame_along_line": "H^3",
+    "frames.invariant_field": "either",
+    "frames.invariants_at": "either",
+    "frames.invariants_grid": "either",
+    "frames.reduction_type_grid": "either",
+    "frames.rotate_frame": "either",
+    "frames.verify_framed": "either",
+    "frames.write_invariants_csv": "either",
+    "projections.from_poincare": "R^3",
+    "projections.project_to_r31": "H^3",
+    "projections.to_poincare": "H^3",
+    "projections.transport_to_disc": "H^3",
+    "projections.transport_to_h3": "R^3",
+    "projections.verify_disc_framed": "R^3",
+    "projections.write_disc_mesh": "H^3",
+    "singularities.classify_singularity": "either",
+    "singularities.find_singular_points": "either",
+    "singularities.phi": "either",
+    "singularities.singularity_scan": "either",
+}
+
+#: Entries of :data:`GEOMETRY` that no annotation finds: ``frame_from_normal``
+#: takes maps, the ball-model point maps take points.
+BY_HAND = {"frames.frame_from_normal", "projections.from_poincare", "projections.to_poincare"}
+
+_SURFACE_TYPES = {"FramedSurface", "FrameAt", "FieldLike"}
+
+
+def _surface_calls(module: str, tree: ast.Module) -> set[str]:
+    """The public functions and methods of ``module`` with a parameter
+    annotated by one of :data:`_SURFACE_TYPES`, alone or inside a type."""
+    found = set()
+    for owner, fn in _public_functions(tree):
+        a = fn.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs:
+            if arg.annotation and {getattr(n, "id", None) for n in ast.walk(arg.annotation)} & _SURFACE_TYPES:
+                found.add(f"{module}.{owner}")
+    return found
+
+
+def test_every_call_that_takes_a_framed_surface_declares_its_geometry():
+    found = set()
+    for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
+        found |= _surface_calls(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert found == GEOMETRY.keys() - BY_HAND
+    assert set(GEOMETRY.values()) == {"either", "H^3", "R^3"}
 
 
 def test_framed_surfaces_are_their_three_maps():

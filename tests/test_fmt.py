@@ -78,7 +78,7 @@ def test_integer_valued_floats_up_to_2_53():
     _assert_same(_table(ints.astype(float), 3))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 16), (4097, 3)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 16), (4097, 3), (3, 0)])
 def test_table_shapes(shape):
     rng = np.random.default_rng(11)
     table = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)

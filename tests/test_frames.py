@@ -281,6 +281,13 @@ def test_frame_from_normal_reproduces_normal():
         assert np.array_equal(getattr(one, k), getattr(fr, k)[:, 4, 7]), k
 
 
+def test_a_framed_surface_of_five_components_is_refused():
+    # a framed surface lives in H^3 (4 components) or R^3 (3)
+    five = ParametricMap4(value=lambda u, v: components(1.0, u, v, 0.0, 0.0))
+    with pytest.raises(PreconditionError, match=r"maps into R\^4_1 or R\^3, got 5 components$"):
+        invariants_at(FramedSurface(five, five, five), 0.3, 0.4)
+
+
 def test_frame_from_normal_precondition_errors():
     ex = get_example("cross_cap")
     fs = ex.framed

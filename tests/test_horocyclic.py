@@ -434,6 +434,14 @@ def test_integrate_rejects_bad_inputs():
         integrate_frame_curves(holed, E0, E1, E2, 0.0, 1.0, step=0.25)
 
 
+def test_integrate_refuses_an_h_that_is_not_finite_at_a_node_only():
+    # nan within 1e-9 of the node u = 0.5 but finite at every Gauss point:
+    # the frame steps across it, and the node table of h refuses it
+    pinched = lambda u: components(np.where(abs(u - 0.5) < 1e-9, np.nan, 0.3), *GENERIC_H[1:])
+    with pytest.raises(PreconditionError, match="^non-finite curvature function at an integration node$"):
+        integrate_frame_curves(pinched, E0, E1, E2, 0.0, 1.0, step=0.25)
+
+
 # ---------------------------------------------------------------------------
 # flatness classification
 # ---------------------------------------------------------------------------

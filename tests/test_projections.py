@@ -1,8 +1,11 @@
 """Ball-model transports, R^3_1 projections and lifts, mesh export."""
 
+import ast
 import dataclasses
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,11 @@ from h3frames.errors import (
 from h3frames.examples import get_example
 from h3frames.frames import (
     FramedSurface,
+    frame_at,
     frame_from_normal,
     integrability_residuals,
+    integrate_frame_along_line,
+    invariant_field,
     invariants_at,
     verify_framed,
 )
@@ -242,14 +248,48 @@ def test_transport_to_h3_rejects_degenerate_normal():
         transport_to_h3(dfs).nu1.value(0.5, 0.5)
 
 
+def _declared_geometry() -> dict[str, str]:
+    """The ``GEOMETRY`` table of test_exports.py, read from its source: a
+    test module is not importable by name under every import mode."""
+    tree = ast.parse(Path(__file__).with_name("test_exports.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(n.value) for n in tree.body
+                if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "GEOMETRY")
+
+
+#: One call of each one-geometry entry of that table on a framed surface and
+#: a window, reading the maps a transport returns.
+_ONE_GEOMETRY_CALLS = {
+    "frames.frame_from_normal": lambda fs, dom: frame_from_normal(fs.x, fs.nu1, dom).nu1.value(0.3, 0.4),
+    "frames.integrability_residuals": integrability_residuals,
+    "frames.integrate_frame_along_line": lambda fs, dom: integrate_frame_along_line(
+        invariant_field(fs), frame_at(fs, 0.3, 0.4), "u", 0.1, 0.05),
+    "projections.from_poincare": lambda fs, dom: from_poincare(fs.x.value(0.3, 0.4)),
+    "projections.project_to_r31": lambda fs, dom: project_to_r31(fs, Axis.X4, dom),
+    "projections.to_poincare": lambda fs, dom: to_poincare(fs.x.value(0.3, 0.4)),
+    "projections.transport_to_disc": lambda fs, dom: invariants_at(transport_to_disc(fs), 0.3, 0.4),
+    "projections.transport_to_h3": lambda fs, dom: invariants_at(transport_to_h3(fs), 0.3, 0.4),
+    "projections.verify_disc_framed": verify_disc_framed,
+    "projections.write_disc_mesh": lambda fs, dom: write_disc_mesh(io.StringIO(), fs, dom),
+}
+
+
 def test_each_geometry_only_call_refuses_the_other():
-    # the H^3 integrability equations would give 0.36 on the ball cross cap,
-    # and the ball axioms a radius of 2.29 on the hyperboloid's
+    # unchecked, the other geometry would give 0.36 from the H^3 integrability
+    # equations on the ball cross cap, a radius of 2.29 from the ball axioms on
+    # the hyperboloid's, and an IndexError, a numpy broadcast error or an
+    # OutsideDiscError from the other calls
     ex = get_example("cross_cap")
-    with pytest.raises(PreconditionError, match="3 components, not 4"):
-        integrability_residuals(transport_to_disc(ex.framed), ex.domain)
-    with pytest.raises(PreconditionError, match="4 components, not 3"):
-        verify_disc_framed(ex.framed, ex.domain)
+    surfaces = {"H^3": ex.framed, "R^3": transport_to_disc(ex.framed)}
+    components_of = {"H^3": 4, "R^3": 3}
+    one = {key: space for key, space in _declared_geometry().items() if space != "either"}
+    assert one.keys() == _ONE_GEOMETRY_CALLS.keys()
+    for key, space in one.items():
+        call, (other,) = _ONE_GEOMETRY_CALLS[key], surfaces.keys() - {space}
+        call(surfaces[space], _AXIS_WINDOWS[Axis.X4])  # its own geometry runs
+        message = (f"{key.split('.')[1]} reads {space} only: "
+                   f"got {components_of[other]} components, not {components_of[space]}")
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            call(surfaces[other], _AXIS_WINDOWS[Axis.X4])
 
 
 # ---------------------------------------------------------------------------

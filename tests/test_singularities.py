@@ -136,6 +136,11 @@ def test_find_singular_points_bare_field_needs_domain():
     assert len(pts) == 1 and math.hypot(*pts[0][:2]) < 1e-8
 
 
+def test_a_scan_refuses_what_is_neither_a_framed_surface_nor_a_field():
+    with pytest.raises(TypeError, match="expected a FramedSurface or an invariant field, got <class 'int'>"):
+        singularity_scan(42, Domain(-1.0, 1.0, -1.0, 1.0, nu=5, nv=5))
+
+
 def test_find_singular_points_narrow_window_merges_one_root():
     # on u in [-1e-12, 1e-12] a tenth of a cell is 1e-14, finer than where
     # Newton leaves the origin; the 1e-9 floor of the merge distance keeps
