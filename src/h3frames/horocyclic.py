@@ -55,6 +55,7 @@ from .frames import (
     _assemble,
     _field_at,
     _frame_ode_matrix,
+    _in_space,
     integrate_frame_along_line,
 )
 from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
@@ -233,11 +234,11 @@ def extract_h(
     (:meth:`Curve4.derivative`).
 
     h1 = <a0', a1>, h2 = <a0', a2>, h3 = <a0', a3>, h4 = <a1', a2>,
-    h5 = <a1', a3>, h6 = <a2', a3>.  A frame at u that fails its axioms
-    within ``ORTHONORMAL_TOL``, or is not finite, raises
-    :class:`DegenerateFrameError`.
+    h5 = <a1', a3>, h6 = <a2', a3>.  A curve of other than 4 components
+    raises :class:`PreconditionError`; a frame at u that fails its axioms
+    within ``ORTHONORMAL_TOL``, or is not finite, :class:`DegenerateFrameError`.
     """
-    w0, w1, w2 = (np.asarray(a.value(u), dtype=float) for a in (a0, a1, a2))
+    w0, w1, w2 = (_in_space("extract_h", np.asarray(a.value(u), dtype=float), "H^3") for a in (a0, a1, a2))
     _check_curve_frame((w0, w1, w2), f"at u = {u}")
     w3 = wedge3(w0, w1, w2)
 
@@ -275,11 +276,11 @@ def integrate_frame_curves(
     pseudo-orthonormal to rounding.  ``h_funcs`` is one callable, u ->
     (h1, .., h6) of shape ``(6, *shape(u))`` like :attr:`HorocyclicData.h`,
     that broadcasts over an array of u (a constant may return one ``(6,)``
-    vector); any other shape raises ``ValueError``.  The returned frame
+    vector); any other shape raises ``ValueError``, and a start vector of
+    other than 4 components :class:`PreconditionError`.  The returned frame
     interpolates the node states with a cubic Hermite spline whose node
     derivatives come from the ODE itself, M(u_k) Y_k, and is made
-    pseudo-orthonormal pointwise, so the frame axioms hold to rounding at
-    *every* u, not just the nodes.
+    pseudo-orthonormal pointwise: the axioms hold to rounding at *every* u.
     """
     shape = evaluate(h_funcs, u_start).shape
     if shape != (6,):
@@ -287,7 +288,7 @@ def integrate_frame_curves(
     if not (u_end > u_start):
         raise ValueError(f"need u_end > u_start, got [{u_start}, {u_end}]")
 
-    w = np.array([a0_init, a1_init, a2_init], dtype=float)
+    w = np.array([_in_space("integrate_frame_curves", a, "H^3") for a in (a0_init, a1_init, a2_init)], dtype=float)
     _check_curve_frame(w, f"at the start u = {u_start}")
 
     def field(u, v) -> Invariants:
@@ -297,8 +298,7 @@ def integrate_frame_curves(
             e1=h4, e2=0.0, f1=h5, f2=0.0, g1=h6, g2=0.0,
         )
 
-    zero = np.zeros(4)
-    start = _assemble(u_start, 0.0, *((a, zero, zero) for a in w))
+    start = _assemble(u_start, 0.0, *((a, np.zeros(4), np.zeros(4)) for a in w))
     traj = integrate_frame_along_line(field, start, "u", u_end - u_start, step)
     us = traj.t
     k = first_true(~np.isfinite(traj.frames).all(axis=(1, 2)))

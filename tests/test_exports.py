@@ -160,41 +160,16 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
     assert len(OPTIONS) == 16
 
 
-#: The geometry of each public call that takes a framed surface, one of its
-#: frames or an invariant field like one (a parameter annotated
-#: ``FramedSurface``, ``FrameAt`` or ``FieldLike``): "either" for H^3 and
-#: R^3, or the one it reads, refusing the other.  A new such call must
-#: declare its geometry here; :data:`BY_HAND` adds the one-geometry calls
-#: that take maps or points instead.
-GEOMETRY = {
-    "frames.basic_invariants": "either",
-    "frames.frame_at": "either",
-    "frames.frame_from_normal": "H^3",
-    "frames.integrability_residuals": "H^3",
-    "frames.integrate_frame_along_line": "H^3",
-    "frames.invariant_field": "either",
-    "frames.invariants_at": "either",
-    "frames.invariants_grid": "either",
-    "frames.reduction_type_grid": "either",
-    "frames.rotate_frame": "either",
-    "frames.verify_framed": "either",
-    "frames.write_invariants_csv": "either",
-    "projections.from_poincare": "R^3",
-    "projections.project_to_r31": "H^3",
-    "projections.to_poincare": "H^3",
-    "projections.transport_to_disc": "H^3",
-    "projections.transport_to_h3": "R^3",
-    "projections.verify_disc_framed": "R^3",
-    "projections.write_disc_mesh": "H^3",
-    "singularities.classify_singularity": "either",
-    "singularities.find_singular_points": "either",
-    "singularities.phi": "either",
-    "singularities.singularity_scan": "either",
+#: Entries of the ``geometry`` fixture's table (tests/conftest.py) that no
+#: annotation finds: ``frame_from_normal`` takes maps, the horocyclic calls
+#: take curves or vectors of a curve frame, the ball-model point maps points.
+BY_HAND = {
+    "frames.frame_from_normal",
+    "horocyclic.extract_h",
+    "horocyclic.integrate_frame_curves",
+    "projections.from_poincare",
+    "projections.to_poincare",
 }
-
-#: Entries of :data:`GEOMETRY` that no annotation finds: ``frame_from_normal``
-#: takes maps, the ball-model point maps take points.
-BY_HAND = {"frames.frame_from_normal", "projections.from_poincare", "projections.to_poincare"}
 
 _SURFACE_TYPES = {"FramedSurface", "FrameAt", "FieldLike"}
 
@@ -211,12 +186,13 @@ def _surface_calls(module: str, tree: ast.Module) -> set[str]:
     return found
 
 
-def test_every_call_that_takes_a_framed_surface_declares_its_geometry():
+def test_every_call_that_takes_a_framed_surface_declares_its_geometry(geometry):
     found = set()
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _surface_calls(path.stem, ast.parse(path.read_text(encoding="utf-8")))
-    assert found == GEOMETRY.keys() - BY_HAND
-    assert set(GEOMETRY.values()) == {"either", "H^3", "R^3"}
+    assert found == geometry.keys() - BY_HAND
+    assert BY_HAND <= geometry.keys()
+    assert set(geometry.values()) == {"either", "H^3", "R^3"}
 
 
 def test_framed_surfaces_are_their_three_maps():

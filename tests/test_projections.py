@@ -1,11 +1,9 @@
 """Ball-model transports, R^3_1 projections and lifts, mesh export."""
 
-import ast
 import dataclasses
 import io
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ from h3frames.frames import (
     invariants_at,
     verify_framed,
 )
+from h3frames.horocyclic import Curve4, extract_h, integrate_frame_curves
 from h3frames.minkowski import (
     minkowski_dot3,
     minkowski_dot4,
@@ -248,21 +247,18 @@ def test_transport_to_h3_rejects_degenerate_normal():
         transport_to_h3(dfs).nu1.value(0.5, 0.5)
 
 
-def _declared_geometry() -> dict[str, str]:
-    """The ``GEOMETRY`` table of test_exports.py, read from its source: a
-    test module is not importable by name under every import mode."""
-    tree = ast.parse(Path(__file__).with_name("test_exports.py").read_text(encoding="utf-8"))
-    return next(ast.literal_eval(n.value) for n in tree.body
-                if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "GEOMETRY")
-
-
-#: One call of each one-geometry entry of that table on a framed surface and
-#: a window, reading the maps a transport returns.
+#: One call of each one-geometry entry of the ``geometry`` fixture's table on
+#: a framed surface and a window, reading the maps a transport returns; the
+#: horocyclic calls read (x, nu1, nu2), a curve frame along u on H^3.
 _ONE_GEOMETRY_CALLS = {
     "frames.frame_from_normal": lambda fs, dom: frame_from_normal(fs.x, fs.nu1, dom).nu1.value(0.3, 0.4),
     "frames.integrability_residuals": integrability_residuals,
     "frames.integrate_frame_along_line": lambda fs, dom: integrate_frame_along_line(
         invariant_field(fs), frame_at(fs, 0.3, 0.4), "u", 0.1, 0.05),
+    "horocyclic.extract_h": lambda fs, dom: extract_h(
+        *(Curve4(value=lambda u, m=m: m.value(u, 0.4)) for m in (fs.x, fs.nu1, fs.nu2)), 0.3),
+    "horocyclic.integrate_frame_curves": lambda fs, dom: integrate_frame_curves(
+        lambda u: np.zeros(6), *(m.value(0.3, 0.4) for m in (fs.x, fs.nu1, fs.nu2)), 0.3, 0.4),
     "projections.from_poincare": lambda fs, dom: from_poincare(fs.x.value(0.3, 0.4)),
     "projections.project_to_r31": lambda fs, dom: project_to_r31(fs, Axis.X4, dom),
     "projections.to_poincare": lambda fs, dom: to_poincare(fs.x.value(0.3, 0.4)),
@@ -273,7 +269,7 @@ _ONE_GEOMETRY_CALLS = {
 }
 
 
-def test_each_geometry_only_call_refuses_the_other():
+def test_each_geometry_only_call_refuses_the_other(geometry):
     # unchecked, the other geometry would give 0.36 from the H^3 integrability
     # equations on the ball cross cap, a radius of 2.29 from the ball axioms on
     # the hyperboloid's, and an IndexError, a numpy broadcast error or an
@@ -281,7 +277,7 @@ def test_each_geometry_only_call_refuses_the_other():
     ex = get_example("cross_cap")
     surfaces = {"H^3": ex.framed, "R^3": transport_to_disc(ex.framed)}
     components_of = {"H^3": 4, "R^3": 3}
-    one = {key: space for key, space in _declared_geometry().items() if space != "either"}
+    one = {key: space for key, space in geometry.items() if space != "either"}
     assert one.keys() == _ONE_GEOMETRY_CALLS.keys()
     for key, space in one.items():
         call, (other,) = _ONE_GEOMETRY_CALLS[key], surfaces.keys() - {space}
