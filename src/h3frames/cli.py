@@ -223,7 +223,7 @@ def _settings(argv: Optional[Sequence[str]]) -> tuple[argparse.Namespace, list[s
 
 
 def _text(val) -> str:
-    """A header value: floats with 17 digits, lists space-separated."""
+    """A header or report value: floats with 17 digits, lists space-separated."""
     if isinstance(val, bool):
         return "true" if val else "false"
     if isinstance(val, float):
@@ -308,9 +308,6 @@ def cmd_invariants(settings: argparse.Namespace) -> _Blocks:
     return out
 
 
-_DIAG_SCALARS = ("alpha", "beta", "D", "hess_phi")
-
-
 def cmd_singular(settings: argparse.Namespace) -> _Blocks:
     """singularity report"""
     entry = _load_example(settings)
@@ -318,25 +315,15 @@ def cmd_singular(settings: argparse.Namespace) -> _Blocks:
     reports = sorted(singularities.singularity_scan(entry.framed, dom, tol=settings.singular_tol),
                      key=lambda r: (r.u, r.v))
     out = _Blocks()
-    out.write(
-        "# tolerances: refine = %s, corank = %s, D = %s, hess = %s, pair = %s\n"
-        % tuple(fmt.fmt(t) for t in (settings.singular_tol, singularities.CORANK_TOL, singularities.D_TOL,
-                                     singularities.HESS_TOL, singularities.PAIR_TOL))
-    )
+    tols = singularities._tolerances(settings.singular_tol).items()
+    out.write(f"# tolerances: {', '.join(f'{key} = {_text(val)}' for key, val in tols)}\n")
     out.write(f"points = {len(reports)}\n")
     for k, rep in enumerate(reports, 1):
-        d = rep.diagnostics
+        fields = rep.as_dict()
+        fields.update(fields.pop("diagnostics"))
+        del fields["refine_tol"]  # the header prints it
         out.write(f"\n[{k}]\n")
-        out.write(f"u = {fmt.fmt(rep.u)}\n")
-        out.write(f"v = {fmt.fmt(rep.v)}\n")
-        out.write(f"classification = {rep.classification.value}\n")
-        for name in _DIAG_SCALARS:
-            out.write(f"{name} = {fmt.fmt(getattr(d, name))}\n")
-        for name in ("a_pair", "b_pair", "c_pair", "independence_pair"):
-            pair = getattr(d, name)
-            out.write(f"{name} = {fmt.fmt(pair[0])} {fmt.fmt(pair[1])}\n")
-        out.write(f"newton_iters = {d.newton_iters}\n")
-        out.write(f"converged = {'true' if d.converged else 'false'}\n")
+        out.extend(f"{key} = {_text(val)}\n" for key, val in fields.items())
     return out
 
 
@@ -395,7 +382,7 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) ->
     if to == "disc":
         return projections.to_poincare(x)
     if to == "r31":
-        return np.delete(x, axis.index, axis=0)
+        return projections._drop(x, axis)
     return x
 
 

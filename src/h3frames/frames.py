@@ -53,6 +53,7 @@ from .surface import Domain, ParametricMap4, components, evaluate, first_partial
 __all__ = [
     "FRAME_TOL",
     "GRAM_DEGENERATE_TOL",
+    "H_INVARIANT",
     "MAX_STEPS",
     "FramedSurface",
     "FrameAt",
@@ -89,6 +90,8 @@ __all__ = [
 GRAM_DEGENERATE_TOL = 1e-4
 #: Below this rho = sqrt(n2^2 + n3^2) a normal's spherical angles are undefined.
 _ANGLE_TOL = 1e-12
+#: Step of every central difference of an invariant field (:func:`invariant_partials`).
+H_INVARIANT = 1e-5
 
 _INVARIANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "e1", "e2", "f1", "f2", "g1", "g2")
 
@@ -351,7 +354,7 @@ class IntegrabilityResiduals:
 def integrability_residuals(
     fs: FramedSurface,
     domain: Domain,
-    h: float = 1e-5,
+    h: float = H_INVARIANT,
 ) -> IntegrabilityResiduals:
     """Evaluate the six integrability residuals over the grid of ``domain``.
 
@@ -814,7 +817,7 @@ def write_invariants_csv(out, fs: FramedSurface, domain: Domain) -> FramedResidu
     inv = basic_invariants(fr)
     summary = _residual_summary(fr, inv)
     del fr  # the frame arrays go before the CSV text is built
-    cols = [U, V] + [getattr(inv, k) for k in _INVARIANT_NAMES] + [inv.alpha, inv.beta]
+    cols = [U, V, *inv.as_dict().values()]
     out.write(INVARIANT_CSV_HEADER + "\n")
     for block in fmt_rows(np.stack(cols, axis=-1).reshape(-1, len(cols)), sep=","):
         out.write(block)

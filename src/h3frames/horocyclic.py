@@ -188,6 +188,9 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
     return ParametricMap4(value=lambda u, v: combine(c(v), vectors(u)), firsts=firsts)
 
 
+_HORO_CONSTANTS = {"a2": 0.0, "b2": 0.0, "c2": -1.0, "e2": 0.0, "f2": 0.0, "g2": 1.0}
+
+
 def horocyclic_invariants(data: HorocyclicData) -> Callable[[float, float], Invariants]:
     """Closed-form invariant field of the swept surface in terms of h1..h6;
     it broadcasts over arrays ``u, v`` when ``data.h`` does."""
@@ -197,17 +200,12 @@ def horocyclic_invariants(data: HorocyclicData) -> Callable[[float, float], Inva
         w = v * v / 2.0
         return Invariants(
             a1=(1.0 + w) * h3 + v * h5 + w * h6,
-            a2=0.0,
             b1=-v * h1 + h2 + v * h4,
-            b2=0.0,
             c1=(w - 1.0) * h1 - v * h2 - w * h4,
-            c2=-1.0,
             e1=w * h3 + v * h5 + (w - 1.0) * h6,
-            e2=0.0,
             f1=v * h3 + h5 + v * h6,
-            f2=0.0,
             g1=-w * h1 + v * h2 + (1.0 + w) * h4,
-            g2=1.0,
+            **_HORO_CONSTANTS,
         )
 
     return field
@@ -418,9 +416,6 @@ def classify_horocyclic(h_samples, tol: float = CLASS_TOL) -> HoroClass:
     cone = _zero(tol, h1, h2, h3, h4)
     conical = cone and _zero(tol, h6) and _nonzero(tol, h5)
     return _flatness_ladder(cone, conical, h5, h6, _zero(tol, h2, h4 - h1), tol)
-
-
-_HORO_CONSTANTS = {"a2": 0.0, "b2": 0.0, "c2": -1.0, "e2": 0.0, "f2": 0.0, "g2": 1.0}
 
 
 def invariant_form_classify(

@@ -38,7 +38,7 @@ from .errors import (
     OutsideDiscError,
     PreconditionError,
 )
-from .fmt import fmt, fmt_rows
+from .fmt import fmt_rows
 from .frames import FramedSurface, _in_space
 from .minkowski import (
     CAUSAL_TOL,
@@ -479,9 +479,6 @@ def write_disc_mesh(
     for block in (*fmt_rows(pts.T, prefix="v "), *fmt_rows(tri + 1, prefix="f ")):
         out.write(block)
     if markers is not None and len(markers):
-        mu, mv = np.asarray(markers, dtype=float).T
-        marks = to_poincare(evaluate(fs.x.value, mu, mv)).T
-        base = nv * nu
-        out.write("".join(
-            f"v {' '.join(map(fmt, p))}\np {base + k + 1}\n" for k, p in enumerate(marks)
-        ))
+        marks = to_poincare(evaluate(fs.x.value, *np.asarray(markers, dtype=float).T))
+        lines = "".join(fmt_rows(marks.T, prefix="v ")).splitlines(keepends=True)
+        out.write("".join(f"{line}p {nv * nu + k}\n" for k, line in enumerate(lines, 1)))

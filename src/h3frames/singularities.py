@@ -39,8 +39,9 @@ every stage reads the field through :func:`h3frames.frames._field_at`,
 which broadcasts them, so the closed-form oracles of
 :mod:`h3frames.examples` scan like any field.
 Each stage is one field call: the screen over the whole grid, each Newton
-stage over every seed (the Jacobians over all their four-point stencils at
-once), and the classification of a scan over every root and its torus.
+stage over every seed (the Jacobians over all their stencils of
+:func:`~h3frames.frames.invariant_partials` at once), and the classification
+of a scan over every root and its torus.
 
 Values that straddle a threshold are reported ``unclassified`` rather
 than guessed.  The degenerate direction eta = c2 d/du - c1 d/dv and its
@@ -65,7 +66,8 @@ import numpy as np
 
 from . import REFINE_TOL, __version__
 from .errors import CDegenerateError
-from .frames import FramedSurface, Invariants, _assemble, _field_at, basic_invariants, invariant_field
+from .frames import (H_INVARIANT, FramedSurface, Invariants, _assemble, _field_at, basic_invariants,
+                     invariant_field, invariant_partials)
 from .surface import Domain, _broadcast, evaluate, first_true
 
 __all__ = [
@@ -100,8 +102,6 @@ D_TOL = 1e-4
 HESS_TOL = 1e-3
 #: The S1+ independence pair must exceed this in norm.
 PAIR_TOL = 1e-6
-#: Step of the central-difference Jacobians of Newton's refinement.
-H_INVARIANT = 1e-5
 #: Points per direction and radius of the torus on which classification
 #: reads its derivatives (:func:`_torus_read`).  N = 9 reads det Hess(phi)
 #: of the S1+- germs to rounding, where N = 8 leaves 1.3e-6 of it.
@@ -132,11 +132,11 @@ class SingularityDiagnostics:
 
     alpha: float
     beta: float
+    D: float
+    hess_phi: float
     a_pair: tuple[float, float]
     b_pair: tuple[float, float]
     c_pair: tuple[float, float]
-    D: float
-    hess_phi: float
     independence_pair: tuple[float, float]
     newton_iters: int
     converged: bool
@@ -191,13 +191,11 @@ def _alpha_beta(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarr
 
 
 def _jacobians(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians of (alpha, beta) at the points (u, v),
-    one row (alpha_u, alpha_v, beta_u, beta_v) per point, from one field
-    call over their stencils (u + h, v), (u - h, v), (u, v + h), (u, v - h)."""
-    h = H_INVARIANT
-    U, V = np.stack([u + h, u - h, u, u], axis=-1), np.stack([v, v, v + h, v - h], axis=-1)
-    f = _alpha_beta(field, U, V)
-    return np.stack([f[:, 0] - f[:, 1], f[:, 2] - f[:, 3]], axis=-1).reshape(-1, 4) / (2.0 * h)
+    """Jacobians of (alpha, beta) at the points (u, v), one row (alpha_u, alpha_v,
+    beta_u, beta_v) per point: the central differences of :func:`invariant_partials`
+    with step ``H_INVARIANT``, one field call over every point's five-point stencil."""
+    _, d = invariant_partials(field, u, v, H_INVARIANT)
+    return np.stack([d["alpha_u"], d["alpha_v"], d["beta_u"], d["beta_v"]], axis=-1)
 
 
 def _rows(fn: Callable, field: InvariantField, u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
@@ -224,7 +222,7 @@ def _rows(fn: Callable, field: InvariantField, u: np.ndarray, v: np.ndarray, wid
 def _newton_refine(
     field: InvariantField, seeds, tol: float, find_tangent: bool = True
 ) -> list[RefinementRecord]:
-    """Damped 2D Newton on (alpha, beta) with a finite-difference Jacobian,
+    """Damped 2D Newton on (alpha, beta) with the Jacobians of :func:`_jacobians`,
     from each (u, v) row of ``seeds``; one record per seed, in order.
 
     Steps are halved until the residual decreases, 25 times at most.  A
@@ -502,7 +500,7 @@ def classify_singularity(
             tag = SingularityClass.UNCLASSIFIED
 
         diag = SingularityDiagnostics(
-            alpha=al, beta=be, a_pair=(a1, a2), b_pair=(b1, b2), c_pair=(c1, c2), D=dd, hess_phi=hs,
+            alpha=al, beta=be, D=dd, hess_phi=hs, a_pair=(a1, a2), b_pair=(b1, b2), c_pair=(c1, c2),
             independence_pair=(p1, p2), newton_iters=iters, converged=abs(al) + abs(be) < refine_tol,
             refine_tol=refine_tol,
         )
@@ -533,6 +531,11 @@ def singularity_scan(
     return classify_singularity(fs, u, v, refine_tol=tol, newton_iters=iters)
 
 
+def _tolerances(refine: float) -> dict:
+    """The tolerances of reports whose ``refine_tol`` is ``refine``, in ``singular``'s header order."""
+    return {"refine": refine, "corank": CORANK_TOL, "D": D_TOL, "hess": HESS_TOL, "pair": PAIR_TOL}
+
+
 def reports_to_json(reports: Sequence[SingularityReport]) -> str:
     """Serialize reports (plus the tolerances they were judged against) as a
     JSON document.  ``refine`` is the reports' ``refine_tol``, or
@@ -543,6 +546,6 @@ def reports_to_json(reports: Sequence[SingularityReport]) -> str:
     refine = {r.diagnostics.refine_tol for r in reports} or {REFINE_TOL}
     if len(refine) > 1:
         raise ValueError(f"reports judged against different refine tolerances: {sorted(refine)}")
-    tols = {"refine": refine.pop(), "corank": CORANK_TOL, "D": D_TOL, "hess": HESS_TOL, "pair": PAIR_TOL}
-    doc = {"tool_version": __version__, "tolerances": tols, "reports": [r.as_dict() for r in reports]}
+    doc = {"tool_version": __version__, "tolerances": _tolerances(refine.pop()),
+           "reports": [r.as_dict() for r in reports]}
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import dataclasses
 import gzip
 import io
+import json
 import math
 import os
 import re
@@ -504,6 +506,38 @@ def test_singular_ruled_a_two_cross_caps(capsys):
     for key in ("alpha", "beta", "D", "hess_phi", "independence_pair",
                 "newton_iters", "converged", "# tolerances:"):
         assert key in out
+
+
+def _singular_blocks(out):
+    """The ``[k]`` blocks of a ``singular`` output, each as its (key, value) lines."""
+    return [[tuple(line.split(" = ", 1)) for line in block.splitlines()[1:]]
+            for block in out.split("\n\n")[1:]]
+
+
+def test_singular_prints_each_report_field_in_the_report_order(capsys):
+    # a block is the report's as_dict(), flattened, without the refine
+    # tolerance that the header prints: a new diagnostics field prints
+    # with no edit of the front end
+    code, out, _ = _run(capsys, ["singular", "--example", "ruled_A"])
+    assert code == 0
+    fields = [f.name for f in dataclasses.fields(singularities.SingularityDiagnostics)]
+    blocks = _singular_blocks(out)
+    assert len(blocks) == 2
+    for block in blocks:
+        assert [key for key, _ in block] == ["u", "v", "classification", *fields[:-1]]
+    assert fields[-1] == "refine_tol"
+
+
+def test_singular_header_tolerances_are_the_json_tolerances(capsys):
+    code, out, _ = _run(capsys, ["singular", "--example", "ruled_A", "--singular-tol", "1e-9"])
+    assert code == 0
+    line = next(l for l in out.splitlines() if l.startswith("# tolerances: "))
+    printed = [tuple(p.split(" = ")) for p in line.removeprefix("# tolerances: ").split(", ")]
+    entry = get_example("ruled_A")
+    reports = singularity_scan(entry.framed, entry.domain, tol=1e-9)
+    want = json.loads(singularities.reports_to_json(reports))["tolerances"]
+    assert {name: float(val) for name, val in printed} == want
+    assert len(printed) == len(want) and want["refine"] == 1e-9
 
 
 def test_singular_loose_tolerance_marks_accepted_roots_converged(capsys):
@@ -1013,6 +1047,19 @@ def test_exit_code_usage(capsys):
                          "--point", "1", "0"])[0] == 4
     assert _run(capsys, ["invariants"])[0] == 4  # no example anywhere
     assert _run(capsys, ["nonsense"])[0] == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["project", "--from", "h3", "--to", "disc"], "give exactly one of --point or --input"),
+    (["project", "--from", "h3", "--to", "disc", "--point", "1", "0", "0", "0", "--input", "{pts}"],
+     "give exactly one of --point or --input"),
+    (["classify"], "classify needs an h-profile (--profile)"),
+], ids=["project-no-points", "project-both-points", "classify-no-profile"])
+def test_a_missing_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1 0 0 0\n")
+    code, out, err = _run(capsys, [a.format(pts=pts) for a in argv])
+    assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("bound", ["--u-max=inf", "--u-min=-inf", "--v-max=inf", "--u-min -inf"])

@@ -112,6 +112,20 @@ def test_reflect_is_an_involution(inv, variant):
     assert twice == inv  # negation and swapping are exact on floats
 
 
+def test_reflect_refuses_what_is_not_a_variant():
+    # the variant's value is not the variant
+    inv = Invariants(*map(float, range(12)))
+    with pytest.raises(ValueError, match=re.escape("unknown reflect variant: 'swap'")):
+        reflect(inv, "swap")
+
+
+def test_invariants_row_refuses_an_index_other_than_1_or_2():
+    inv = Invariants(*map(float, range(12)))
+    assert inv.row(1) == (0.0, 2.0, 4.0, 6.0, 8.0, 10.0) and inv.row(2) == (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
+    with pytest.raises(ValueError, match="^index must be 1 or 2, got 3$"):
+        inv.row(3)
+
+
 @pytest.mark.parametrize("variant", list(ReflectVariant))
 def test_reflect_matches_reflected_frame_extraction(variant):
     fs = get_example("cross_cap").framed

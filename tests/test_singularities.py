@@ -188,7 +188,7 @@ def test_each_stage_makes_one_field_call():
     _, records = find_singular_points(field, domain=dom)
     assert [r.iterations for r in records] == [1] * 16
     # the screen, then Newton: start values, Jacobians, trial step, tangent test
-    assert shapes == [(9, 9), (16,), (16, 4), (16,), (16, 4)]
+    assert shapes == [(9, 9), (16,), (16, 5), (16,), (16, 5)]
 
 
 @pytest.mark.parametrize("n", [1, 100])

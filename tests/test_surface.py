@@ -101,3 +101,15 @@ def test_fd_first_order_halving_ratio():
     for (u, v) in [(0.3, -0.4), (1.1, 0.6), (-0.8, 0.2)]:
         r = fd_convergence_ratio(m, u, v)
         assert 3.5 <= r <= 4.5
+
+
+def test_fd_convergence_ratio_needs_closed_firsts_and_is_inf_without_error():
+    with pytest.raises(ValueError, match="^need closed-form first partials as reference$"):
+        fd_convergence_ratio(_trig_map().without_derivatives(), 0.3, -0.4)
+    # a linear map at the origin: both steps' differences are exact, so
+    # neither step has an error to reduce
+    linear = ParametricMap4(
+        value=lambda u, v: np.array([u, v, u + v, 2.0 * u - v]),
+        firsts=lambda u, v: (np.array([1.0, 0.0, 1.0, 2.0]), np.array([0.0, 1.0, 1.0, -1.0])),
+    )
+    assert fd_convergence_ratio(linear, 0.0, 0.0) == math.inf
