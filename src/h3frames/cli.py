@@ -368,13 +368,13 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) ->
     if frm == "disc":
         x = projections.from_poincare(x)
     elif frm == "r31":
-        q, lifted, r, on_h3 = projections._lift(x, axis)
-        k = surface.first_true(~((q > 1.0) & on_h3))
+        q, lifted, r, ok = projections._lift(x, axis)  # the rule of lift_from_r31
+        k = surface.first_true(~ok)
         if k is not None:
             raise PreconditionError(
-                f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has x1^2 - x2^2 - x3^2 = "
-                f"{fmt.fmt(q[k])} and lifts to <x,x> = {fmt.fmt(r[k])}, not a finite number > 1 "
-                f"and -1 within {projections.ON_H3_TOL}"
+                f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has q = x1^2 - x2^2 - x3^2 = "
+                f"{fmt.fmt(q[k])} and lifts to x1 = {fmt.fmt(x[0, k])}; a lift needs q - 1 = {q[k] - 1.0:.3e} > "
+                f"{projections.LIFT_MARGIN}, x1 > 0 and |<x,x> + 1| = {abs(r[k] + 1.0):.3e} <= {projections.ON_H3_TOL}"
             )
         x = lifted
     elif to != "disc":

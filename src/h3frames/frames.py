@@ -41,6 +41,8 @@ from . import FRAME_TOL
 from .errors import DegenerateAnglesError, DegenerateFrameError, PreconditionError
 from .minkowski import (
     _gram_deviation,
+    _h3_fault,
+    _on_h3,
     euclid_cross,
     euclid_dot,
     frame_gram_residual,
@@ -489,9 +491,9 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
     value-only maps: they broadcast and are complex-analytic, so their
     partials come from :func:`first_partials` like any map's.
 
-    Preconditions, checked within ``FRAME_TOL`` on the grid of ``domain``
-    only (the framed surface carries no window): x and nu map into R^4_1,
-    x on the upper hyperboloid sheet, nu unit spacelike with <x, nu> = 0.
+    Preconditions, checked on the grid of ``domain`` only (the framed surface
+    carries no window): x and nu map into R^4_1, x in H^3 (``minkowski._on_h3``),
+    nu unit spacelike with <x, nu> = 0 within ``FRAME_TOL``.
     A violation raises :class:`PreconditionError` at the first failing point.
     Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
     first point where the spherical angles are undefined, rho <= ``_ANGLE_TOL``,
@@ -499,24 +501,17 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
     """
     U, V = domain.mesh()
     xg, ng = (_in_space("frame_from_normal", evaluate(m.value, U, V), "H^3") for m in (x, nu))
-    xx, nn, xn = minkowski_dot4(xg, xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
-    sheet = (abs(xx + 1.0) <= FRAME_TOL) & (xg[0] > 0)
+    (xx, sheet), nn, xn = _on_h3(xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
     unit, orth = abs(nn - 1.0) <= FRAME_TOL, abs(xn) <= FRAME_TOL
     k = first_true(~(sheet & unit & orth))
     if k is not None:
         u, v = U.flat[k], V.flat[k]
         if not sheet.flat[k]:
-            raise PreconditionError(
-                f"base point at ({u}, {v}) is not on the upper hyperboloid: "
-                f"<x,x> = {xx.flat[k]:.6e}, x1 = {xg[0].flat[k]:.6e}"
-            )
+            raise PreconditionError(f"base point at ({u}, {v}) is not on the upper hyperboloid: "
+                                    + _h3_fault(xx.flat[k], xg[0].flat[k]))
         if not unit.flat[k]:
-            raise PreconditionError(
-                f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = {nn.flat[k]:.6e}"
-            )
-        raise PreconditionError(
-            f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = {xn.flat[k]:.6e}"
-        )
+            raise PreconditionError(f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = {nn.flat[k]:.6e}")
+        raise PreconditionError(f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = {xn.flat[k]:.6e}")
 
     def pair(u, v):
         p, n = evaluate(x.value, u, v), evaluate(nu.value, u, v)

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "CausalCharacter",
     "CAUSAL_TOL",
+    "ON_H3_TOL",
     "minkowski_dot4",
     "minkowski_dot3",
     "wedge3",
@@ -37,6 +38,9 @@ __all__ = [
 
 #: Default threshold separating the causal characters.
 CAUSAL_TOL = 1e-10
+
+#: Allowed |<x,x> + 1| for points claimed to lie on the hyperboloid.
+ON_H3_TOL = 1e-9
 
 
 class CausalCharacter(enum.Enum):
@@ -119,6 +123,20 @@ def causal_character(v, tol: float = CAUSAL_TOL) -> CausalCharacter:
     if q < -tol:
         return CausalCharacter.TIMELIKE
     return CausalCharacter.LIGHTLIKE
+
+
+def _on_h3(x):
+    """The one test of membership in H^3, the upper sheet: ``(<x,x>, ok)``, ok where
+    x1 > 0 and |<x,x> + 1| <= ``ON_H3_TOL`` (never at nan), read by real parts."""
+    r = minkowski_dot4(x, x).real
+    return r, (abs(r + 1.0) <= ON_H3_TOL) & (x[0].real > 0.0)
+
+
+def _h3_fault(r, x1) -> str:
+    """Why a point with <x,x> = ``r`` and first coordinate ``x1`` fails :func:`_on_h3`."""
+    if not x1 <= 0.0:
+        return f"<x,x> = {r:.6e}: |<x,x> + 1| = {abs(r + 1.0):.3e} is not within {ON_H3_TOL}"
+    return f"x1 = {x1:.6e} is not on the upper branch"
 
 
 def _gram_deviation(dot, vecs, diagonal) -> float:

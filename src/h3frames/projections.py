@@ -11,16 +11,17 @@ Three bridges, all pointwise and all broadcasting over grids:
 * coordinate-dropping projections into Lorentz-Minkowski 3-space, which
   send a framed surface to a lightcone framed base surface whenever the
   projected binormal stays spacelike (``project_to_r31``);
-* the square-root lifts going back up, which certify their output through
-  the two inner-product identities of the frame-existence theorem
-  (``lift_from_r31``).
+* the square-root lifts going back up (``lift_from_r31`` and ``project --from
+  r31``, one rule in :func:`_lift`), which certify their output through the
+  two inner-product identities of the frame-existence theorem.
 
 ``ParametricMap4`` evaluation is dimension-agnostic, so the same container
 carries the 3-component ball and R^3_1 maps.  ``to_poincare``,
 ``transport_to_disc``, ``write_disc_mesh`` and ``project_to_r31`` take H^3,
 and ``from_poincare``, ``transport_to_h3`` and ``verify_disc_framed`` R^3;
 each refuses the other (the transports' maps when evaluated) through
-:func:`h3frames.frames._in_space`, which never sees R^3_1 points.
+:func:`h3frames.frames._in_space`, which never sees R^3_1 points.  H^3 is the
+upper sheet, and :func:`h3frames.minkowski._on_h3` alone decides membership.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .fmt import fmt_rows
 from .frames import FramedSurface, _in_space
 from .minkowski import (
     CAUSAL_TOL,
+    ON_H3_TOL,  # re-exported
+    _h3_fault,
+    _on_h3,
     causal_character,
     euclid_cross,
     euclid_dot,
@@ -70,13 +74,10 @@ __all__ = [
     "write_disc_mesh",
 ]
 
-#: Allowed |<x,x> + 1| for points claimed to lie on the hyperboloid.
-ON_H3_TOL = 1e-9
-
 #: Below this squared norm a direction that must be normalized counts as zero.
 NORMALIZATION_TOL = 1e-12
 
-#: Strictness margin for the lift precondition x1^2 - x2^2 - x3^2 > 1.
+#: Strictness margin for the precondition x1^2 - x2^2 - x3^2 > 1 of every lift.
 LIFT_MARGIN = 1e-10
 
 
@@ -115,17 +116,14 @@ class LightconeCandidate:
 def to_poincare(x) -> np.ndarray:
     """Ball-model image (x2, x3, x4) / (x1 + 1) of a hyperboloid point.
 
-    Also takes a component-first stack of points; points not in R^4_1, and
-    the first one off the upper sheet (non-finite ones included), are refused.
+    Also takes a component-first stack of points; points not in R^4_1, and the
+    first one not in H^3 (``minkowski._on_h3``, non-finite ones too), are refused.
     """
     x = _in_space("to_poincare", np.asarray(x), "H^3")
-    q = minkowski_dot4(x, x).real
-    off = ~(abs(q + 1.0) <= ON_H3_TOL)
-    k = first_true(off | ~(x[0].real > 0.0))
+    r, ok = _on_h3(x)
+    k = first_true(~ok)
     if k is not None:
-        if off.flat[k]:
-            raise OffHyperboloidError(f"<x,x> = {q.flat[k]:.6e}, expected -1 within {ON_H3_TOL}")
-        raise OffHyperboloidError(f"x1 = {x[0].real.flat[k]:.6e} is not on the upper branch")
+        raise OffHyperboloidError(_h3_fault(r.flat[k], x[0].real.flat[k]))
     return x[1:] / (x[0] + 1.0)
 
 
@@ -268,14 +266,14 @@ def _insert(w3, value, axis: Axis) -> np.ndarray:
 
 
 def _lift(p, axis: Axis):
-    """``(q, x, r, on_h3)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2,
-    the lift x with sqrt(q - 1) inserted at ``axis``, r = <x,x> (its rounding
-    grows with x1^2) and where x is finite and on H^3 within ``ON_H3_TOL``."""
+    """``(q, x, r, ok)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2, the lift x
+    with sqrt(q - 1) inserted at ``axis``, r = <x,x> (its rounding grows with x1^2), and
+    ok where p lifts, the one rule of every lift: q > 1 + ``LIFT_MARGIN`` and x in H^3."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = p[0] * p[0] - p[1] * p[1] - p[2] * p[2]
         x = _insert(p, np.sqrt(q - 1.0), axis)
-        r = minkowski_dot4(x, x)
-    return q, x, r, abs(r + 1.0) <= ON_H3_TOL
+        r, on_h3 = _on_h3(x)
+    return q, x, r, (np.real(q) > 1.0 + LIFT_MARGIN) & on_h3
 
 
 def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
@@ -388,26 +386,22 @@ def lift_from_r31(
     pseudo-normalized.  Otherwise nu falls back to the wedge construction
     of :func:`_fallback_normal`.
 
-    The precondition x1^2 - x2^2 - x3^2 > 1 is grid-checked on ``domain``;
-    violation raises :class:`~h3frames.errors.PreconditionError` reporting
-    the minimum, and so does the first grid point (v-major) whose lift is
-    not finite or off H^3 (see :func:`_lift`).
+    Every grid point of ``domain`` must lift by the rule of :func:`_lift`,
+    which ``project --from r31`` shares; else :class:`PreconditionError`
+    reports the grid's minimum of x1^2 - x2^2 - x3^2 when that is not above
+    1 + ``LIFT_MARGIN``, or the first grid point (v-major) lifting off H^3.
     """
     if (lplus is None) != (lminus is None):
         raise ValueError("supply both lightcone maps or neither")
     U, V = domain.mesh()
-    q, _, r, on_h3 = _lift(evaluate(xt.value, U, V), axis)
-    worst = np.min(q)
-    if not worst > 1.0 + LIFT_MARGIN:
-        raise PreconditionError(
-            f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}"
-        )
-    k = first_true(~on_h3)
+    q, x, r, ok = _lift(evaluate(xt.value, U, V), axis)
+    k = first_true(~ok)
     if k is not None:
-        raise PreconditionError(
-            f"lift at ({U.flat[k]}, {V.flat[k]}) is off H^3: <x,x> = {r.flat[k]:.6e}, "
-            f"expected -1 within {ON_H3_TOL}"
-        )
+        worst = np.min(q)
+        if not worst > 1.0 + LIFT_MARGIN:  # the grid's minimum names a failed q rule
+            raise PreconditionError(f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}, "
+                                    f"and minimum - 1 = {worst - 1.0:.3e} is not above LIFT_MARGIN = {LIFT_MARGIN}")
+        raise PreconditionError(f"lift at ({U.flat[k]}, {V.flat[k]}) is off H^3: {_h3_fault(r.flat[k], x[0].flat[k])}")
 
     def x_value(u, v):
         return _lift(evaluate(xt.value, u, v), axis)[1]

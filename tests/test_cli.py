@@ -22,12 +22,13 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import h3frames
-from h3frames import cli, frames, singularities
+from h3frames import cli, frames, projections, singularities
+from h3frames.errors import PreconditionError
 from h3frames.cli import main
 from h3frames.examples import get_example
 from h3frames.projections import to_poincare
 from h3frames.singularities import _TORUS_N, _TORUS_ROWS, singularity_scan
-from h3frames.surface import MAX_GRID_POINTS, Domain
+from h3frames.surface import MAX_GRID_POINTS, Domain, ParametricMap4, components
 
 ALPHA_COL = 14  # u,v,a1..g2,alpha,beta
 BETA_COL = 15
@@ -975,7 +976,7 @@ def test_project_refuses_h3_input_off_the_upper_sheet(capsys, to):
     code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
                                    "--point", "2", "0", "0", "0"])
     assert (code, out) == (2, "")
-    assert err == "error: <x,x> = -4.000000e+00, expected -1 within 1e-09\n"
+    assert err == "error: <x,x> = -4.000000e+00: |<x,x> + 1| = 3.000e+00 is not within 1e-09\n"
     code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
                                    "--point", "-1.4142135623730951", "1", "0", "0"])
     assert (code, out) == (2, "")
@@ -1015,14 +1016,41 @@ def test_project_r31_overflow_does_not_lift(capsys, to):
 
 @pytest.mark.parametrize("to", ["h3", "disc"])
 @pytest.mark.parametrize("point, shown", [(("1e5", "0.5", "0.25"), "(100000 0.5 0.25)"),
-                                          (("1e154", "0", "0"), "(1e+154 0 0)")],
-                         ids=["1e5", "1e154"])
+                                          (("1e154", "0", "0"), "(1e+154 0 0)"),
+                                          (("-2", "0", "0"), "(-2 0 0)"),
+                                          (("1.000000000025", "0", "0"), "(1.000000000025 0 0)")],
+                         ids=["1e5", "1e154", "lower-sheet", "in-margin"])
 def test_project_r31_lift_off_h3_is_refused(capsys, to, point, shown):
     # x1^2 - x2^2 - x3^2 > 1 holds, but the lifted point's <x,x> rounds
-    # away from -1 (to -1.000002 and to 0); the refusal names the point given
+    # away from -1 (to -1.000002 and to 0), the lift is on the lower sheet,
+    # or q - 1 = 5e-11 is within LIFT_MARGIN, which lift_from_r31 refuses
+    # too; the refusal names the point given
     code, out, err = _run(capsys, ["project", "--from", "r31", "--to", to, "--point", *point])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: point does not lift: {shown} ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(x1=st.one_of(st.floats(-3.0, 3.0), st.floats(1.0, 1.0 + 1e-9), st.floats(9e4, 2e5)),
+       x2=st.floats(-1.0, 1.0), x3=st.floats(-1.0, 1.0))
+@example(x1=1.000000000025, x2=0.0, x3=0.0)
+@example(x1=-2.0, x2=0.0, x3=0.0)
+@example(x1=1e5, x2=0.5, x3=0.25)
+def test_project_and_lift_from_r31_lift_the_same_points(x1, x2, x3):
+    # both read the one lift rule of projections._lift
+    axis = projections.Axis.X4
+    p = np.array([x1, x2, x3])
+    xt = ParametricMap4(value=lambda u, v: components(*(c + 0.0 * u for c in p)))
+    outcomes = []
+    for lift in (lambda: cli._convert_points(p[:, None], "r31", "h3", axis),
+                 lambda: projections.lift_from_r31(xt, axis, Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2))):
+        try:
+            lift()
+            outcomes.append(True)
+        except PreconditionError:
+            outcomes.append(False)
+    event(f"lifts: {outcomes[0]}")
+    assert outcomes[0] == outcomes[1]
 
 
 def test_project_r31_moderate_point_still_lifts(capsys):

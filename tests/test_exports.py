@@ -235,3 +235,30 @@ def test_package_imports_have_no_cycle():
         for path in sorted(Path(h3frames.__path__[0]).glob("*.py"))
     }
     graphlib.TopologicalSorter(graph).prepare()
+
+
+def _comparing(name: str, tree: ast.Module) -> set[str]:
+    """The innermost functions (``<module>`` outside any) holding a
+    comparison that reads ``name``, as a variable or an attribute."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in ast.walk(child)
+            ):
+                found.add(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_h3_membership_is_decided_in_one_place():
+    # ON_H3_TOL is compared only in minkowski._on_h3, the one test of a
+    # point of H^3; a message may name it
+    found = set()
+    for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{owner}" for owner in _comparing("ON_H3_TOL", tree)}
+    assert found == {"minkowski._on_h3"}

@@ -316,6 +316,8 @@ def test_frame_from_normal_precondition_errors():
 
     cases = (
         (scaled(fs.x, 2.0), nu3, f"base point {at} is not on the upper hyperboloid"),
+        # |<x,x> + 1| = 5e-9: within FRAME_TOL, but not in H^3 as to_poincare reads it
+        (scaled(fs.x, 1 + 2.5e-9), nu3, f"base point {at} is not on the upper hyperboloid"),
         (fs.x, scaled(nu3, 1.5), f"normal {at} is not unit spacelike"),
         (fs.x, ParametricMap4(value=lambda u, v: np.where(bad, fs.nu1.value(0.9, 0.9)[:, None, None],
                                                           nu3.value(u, v))),

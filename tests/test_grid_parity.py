@@ -484,7 +484,8 @@ def test_lift_precondition_grid_reports_the_loop_minimum():
     with pytest.raises(PreconditionError) as exc:
         lift_from_r31(xt, Axis.X4, domain=dom)
     assert str(exc.value) == (
-        f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}"
+        f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}, "
+        f"and minimum - 1 = {worst - 1.0:.3e} is not above LIFT_MARGIN = 1e-10"
     )
 
 

@@ -428,7 +428,29 @@ def test_lift_refuses_a_grid_point_whose_lift_leaves_h3(x1, where, got):
     xt = ParametricMap4(value=lambda u, v: components(x1 + 0.0 * u, 1.0 + 0.0 * u, v))
     with pytest.raises(PreconditionError) as exc:
         lift_from_r31(xt, Axis.X4, domain=dom)
-    assert str(exc.value) == f"lift at {where} is off H^3: <x,x> = {got}, expected -1 within {ON_H3_TOL}"
+    assert str(exc.value) == (f"lift at {where} is off H^3: <x,x> = {got}: "
+                              f"|<x,x> + 1| = {abs(float(got) + 1.0):.3e} is not within {ON_H3_TOL}")
+
+
+def test_lift_refuses_a_map_onto_the_lower_sheet():
+    # x1 < 0 lifts onto <x,x> = -1 but not onto H^3, which frame_from_normal
+    # would refuse after the lift
+    dom = Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3)
+    xt = ParametricMap4(value=lambda u, v: components(-2.0 - u + 0.0 * v, 0.3 * u + 0.0 * v, 0.2 * v + 0.0 * u))
+    with pytest.raises(PreconditionError) as exc:
+        lift_from_r31(xt, Axis.X4, domain=dom)
+    assert str(exc.value) == "lift at (0.0, 0.0) is off H^3: x1 = -2.000000e+00 is not on the upper branch"
+
+
+def test_to_poincare_refusal_prints_the_deviation_it_judged():
+    # at distance 9 from the origin <x,x> prints as -1.000000e+00, and only
+    # |<x,x> + 1| shows why the point is refused
+    x = np.array([math.cosh(9.0), 0.6 * math.sinh(9.0), 0.8 * math.sinh(9.0), 0.0])
+    dev = abs(minkowski_dot4(x, x) + 1.0)
+    assert dev > ON_H3_TOL
+    with pytest.raises(OffHyperboloidError) as exc:
+        to_poincare(x)
+    assert str(exc.value) == f"<x,x> = -1.000000e+00: |<x,x> + 1| = {dev:.3e} is not within {ON_H3_TOL}"
 
 
 # ---------------------------------------------------------------------------
