@@ -312,8 +312,7 @@ def cmd_singular(settings: argparse.Namespace) -> _Blocks:
     """singularity report"""
     entry = _load_example(settings)
     dom = _domain(settings, entry.domain)
-    reports = sorted(singularities.singularity_scan(entry.framed, dom, tol=settings.singular_tol),
-                     key=lambda r: (r.u, r.v))
+    reports = singularities.singularity_scan(entry.framed, dom, tol=settings.singular_tol)
     out = _Blocks()
     tols = singularities._tolerances(settings.singular_tol).items()
     out.write(f"# tolerances: {', '.join(f'{key} = {_text(val)}' for key, val in tols)}\n")
@@ -368,14 +367,13 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) ->
     if frm == "disc":
         x = projections.from_poincare(x)
     elif frm == "r31":
-        q, lifted, r, ok = projections._lift(x, axis)  # the rule of lift_from_r31
+        q, lifted, r, (q_bound, h3_bound), _, ok = projections._lift(x, axis)  # the rule of lift_from_r31
         k = surface.first_true(~ok)
         if k is not None:
             raise PreconditionError(
                 f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has q = x1^2 - x2^2 - x3^2 = "
                 f"{fmt.fmt(q[k])} and lifts to x1 = {fmt.fmt(x[0, k])}; a lift needs q - 1 = {q[k] - 1.0:.3e} > "
-                f"{projections.LIFT_MARGIN}, x1 > 0 and |<x,x> + 1| = {abs(r[k] + 1.0):.3e} <= {projections.ON_H3_TOL}"
-            )
+                f"{q_bound[k]:.3e}, x1 > 0 and |<x,x> + 1| = {abs(r[k] + 1.0):.3e} <= {h3_bound[k]:.3e}")
         x = lifted
     elif to != "disc":
         projections.to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target

@@ -40,6 +40,7 @@ import numpy as np
 from . import FRAME_TOL
 from .errors import DegenerateAnglesError, DegenerateFrameError, PreconditionError
 from .minkowski import (
+    _bound,
     _gram_deviation,
     _h3_fault,
     _on_h3,
@@ -493,7 +494,7 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
 
     Preconditions, checked on the grid of ``domain`` only (the framed surface
     carries no window): x and nu map into R^4_1, x in H^3 (``minkowski._on_h3``),
-    nu unit spacelike with <x, nu> = 0 within ``FRAME_TOL``.
+    nu unit spacelike with <x, nu> = 0, each within ``_bound(FRAME_TOL, ...)`` of its vectors.
     A violation raises :class:`PreconditionError` at the first failing point.
     Evaluating nu1 or nu2 raises :class:`DegenerateAnglesError` at the
     first point where the spherical angles are undefined, rho <= ``_ANGLE_TOL``,
@@ -501,14 +502,14 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
     """
     U, V = domain.mesh()
     xg, ng = (_in_space("frame_from_normal", evaluate(m.value, U, V), "H^3") for m in (x, nu))
-    (xx, sheet), nn, xn = _on_h3(xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
-    unit, orth = abs(nn - 1.0) <= FRAME_TOL, abs(xn) <= FRAME_TOL
+    (xx, xx_bound, sheet), nn, xn = _on_h3(xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
+    unit, orth = abs(nn - 1.0) <= _bound(FRAME_TOL, ng), abs(xn) <= _bound(FRAME_TOL, xg, ng)
     k = first_true(~(sheet & unit & orth))
     if k is not None:
         u, v = U.flat[k], V.flat[k]
         if not sheet.flat[k]:
             raise PreconditionError(f"base point at ({u}, {v}) is not on the upper hyperboloid: "
-                                    + _h3_fault(xx.flat[k], xg[0].flat[k]))
+                                    + _h3_fault(xx.flat[k], xx_bound.flat[k], xg[0].flat[k]))
         if not unit.flat[k]:
             raise PreconditionError(f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = {nn.flat[k]:.6e}")
         raise PreconditionError(f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = {xn.flat[k]:.6e}")

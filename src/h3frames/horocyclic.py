@@ -58,7 +58,7 @@ from .frames import (
     _in_space,
     integrate_frame_along_line,
 )
-from .minkowski import frame_gram_residual, minkowski_dot4, wedge3
+from .minkowski import _bound, frame_gram_residual, minkowski_dot4, wedge3
 from .surface import Domain, ParametricMap4, _broadcast, _complex_step, evaluate, first_true, zero4
 
 __all__ = [
@@ -122,14 +122,15 @@ class HorocyclicData:
 
 
 def _check_curve_frame(frame, where: str) -> None:
-    """Refuse the curve frame stack (a0, a1, a2), at one u or many, with
-    :class:`DegenerateFrameError` when the Gram residual of {a0, a1, a2,
-    a0 ^ a1 ^ a2} exceeds ``ORTHONORMAL_TOL`` or is nan (a vector is not
-    finite, which warns nothing); ``where`` ends the message."""
+    """Refuse the curve frame (a0, a1, a2), at one u or many, with :class:`DegenerateFrameError` at the first
+    u where the Gram residual of {a0, a1, a2, a0 ^ a1 ^ a2} is not within its bound; ``where`` ends the message."""
     with np.errstate(all="ignore"):
-        res = float(np.max(frame_gram_residual(*frame, wedge3(*frame)), initial=0.0))
-    if not res <= ORTHONORMAL_TOL:
-        what = "is not finite" if np.isnan(res) else f"Gram residual {res:.3e} exceeds {ORTHONORMAL_TOL}"
+        vecs = (*frame, wedge3(*frame))
+        res, bound = frame_gram_residual(*vecs), _bound(ORTHONORMAL_TOL, *vecs)
+    k = first_true(~(res <= bound))
+    if k is not None:
+        r, b = res.flat[k], bound.flat[k]
+        what = "is not finite" if np.isnan(b) else f"Gram residual {r:.3e} exceeds {b:.3e}"
         raise DegenerateFrameError(f"curve frame {what} {where}")
 
 
@@ -141,8 +142,8 @@ def _check_curve_frame(frame, where: str) -> None:
 def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
     """Sweep the curve frame into a framed surface.
 
-    The curve-frame axioms are checked within ``ORTHONORMAL_TOL`` on the u
-    grid of ``domain`` first, and only there: the surface keeps no window.
+    The curve-frame axioms are checked by :func:`_check_curve_frame` on the
+    u grid of ``domain`` first, and only there: the surface keeps no window.
     A violation raises :class:`DegenerateFrameError`.
     All three surface maps carry closed firsts; a map reads the frame
     once for its value and once for both its first partials (see
@@ -234,7 +235,7 @@ def extract_h(
     h1 = <a0', a1>, h2 = <a0', a2>, h3 = <a0', a3>, h4 = <a1', a2>,
     h5 = <a1', a3>, h6 = <a2', a3>.  A curve of other than 4 components
     raises :class:`PreconditionError`; a frame at u that fails its axioms
-    within ``ORTHONORMAL_TOL``, or is not finite, :class:`DegenerateFrameError`.
+    (:func:`_check_curve_frame`), or is not finite, :class:`DegenerateFrameError`.
     """
     w0, w1, w2 = (_in_space("extract_h", np.asarray(a.value(u), dtype=float), "H^3") for a in (a0, a1, a2))
     _check_curve_frame((w0, w1, w2), f"at u = {u}")

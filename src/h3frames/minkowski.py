@@ -125,17 +125,24 @@ def causal_character(v, tol: float = CAUSAL_TOL) -> CausalCharacter:
     return CausalCharacter.LIGHTLIKE
 
 
+def _bound(tol, *vecs):
+    """``tol`` * max(1, s^2) per point, s the largest Euclidean norm of ``vecs`` (real parts); nan if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = np.max([euclid_dot(v.real, v.real) for v in vecs], axis=0)
+        return np.where(np.isfinite(s2), tol * np.maximum(1.0, s2), np.nan)
+
+
 def _on_h3(x):
-    """The one test of membership in H^3, the upper sheet: ``(<x,x>, ok)``, ok where
-    x1 > 0 and |<x,x> + 1| <= ``ON_H3_TOL`` (never at nan), read by real parts."""
-    r = minkowski_dot4(x, x).real
-    return r, (abs(r + 1.0) <= ON_H3_TOL) & (x[0].real > 0.0)
+    """The one test of membership in H^3, the upper sheet: ``(<x,x>, bound, ok)``, ok
+    where x1 > 0 and |<x,x> + 1| <= bound = ``_bound(ON_H3_TOL, x)``, by real parts."""
+    r, bound = minkowski_dot4(x, x).real, _bound(ON_H3_TOL, x)
+    return r, bound, (abs(r + 1.0) <= bound) & (x[0].real > 0.0)
 
 
-def _h3_fault(r, x1) -> str:
-    """Why a point with <x,x> = ``r`` and first coordinate ``x1`` fails :func:`_on_h3`."""
+def _h3_fault(r, bound, x1) -> str:
+    """Why a point with <x,x> = ``r``, its ``bound`` and first coordinate ``x1`` fails :func:`_on_h3`."""
     if not x1 <= 0.0:
-        return f"<x,x> = {r:.6e}: |<x,x> + 1| = {abs(r + 1.0):.3e} is not within {ON_H3_TOL}"
+        return f"<x,x> = {r:.6e}: |<x,x> + 1| = {abs(r + 1.0):.3e} is not within {bound:.3e}"
     return f"x1 = {x1:.6e} is not on the upper branch"
 
 

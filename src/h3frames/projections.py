@@ -44,6 +44,7 @@ from .frames import FramedSurface, _in_space
 from .minkowski import (
     CAUSAL_TOL,
     ON_H3_TOL,  # re-exported
+    _bound,
     _h3_fault,
     _on_h3,
     causal_character,
@@ -120,10 +121,10 @@ def to_poincare(x) -> np.ndarray:
     first one not in H^3 (``minkowski._on_h3``, non-finite ones too), are refused.
     """
     x = _in_space("to_poincare", np.asarray(x), "H^3")
-    r, ok = _on_h3(x)
+    r, bound, ok = _on_h3(x)
     k = first_true(~ok)
     if k is not None:
-        raise OffHyperboloidError(_h3_fault(r.flat[k], x[0].real.flat[k]))
+        raise OffHyperboloidError(_h3_fault(r.flat[k], bound.flat[k], x[0].real.flat[k]))
     return x[1:] / (x[0] + 1.0)
 
 
@@ -163,13 +164,11 @@ def _disc_direction(x, y):
 
 
 def _normalize(w, n2, where: str, what: str):
-    """w / sqrt(n2), refusing the first point where n2 is not clearly positive."""
-    k = first_true(~(np.real(n2) > NORMALIZATION_TOL))
+    """w / sqrt(n2), refusing the first point where n2 is not above ``_bound(NORMALIZATION_TOL, w)``."""
+    k = first_true(~(np.real(n2) > _bound(NORMALIZATION_TOL, w)))
     if k is not None:
-        raise NormalizationError(
-            f"{where}: direction has {what.format(np.real(n2).flat[k])}; "
-            "the input does not satisfy the framed-surface axioms"
-        )
+        raise NormalizationError(f"{where}: direction has {what.format(np.real(n2).flat[k])}; "
+                                 "the input does not satisfy the framed-surface axioms")
     return w / np.sqrt(n2)
 
 
@@ -266,14 +265,15 @@ def _insert(w3, value, axis: Axis) -> np.ndarray:
 
 
 def _lift(p, axis: Axis):
-    """``(q, x, r, ok)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2, the lift x
-    with sqrt(q - 1) inserted at ``axis``, r = <x,x> (its rounding grows with x1^2), and
-    ok where p lifts, the one rule of every lift: q > 1 + ``LIFT_MARGIN`` and x in H^3."""
+    """``(q, x, r, bounds, rises, ok)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2, the lift x with
+    sqrt(q - 1) at ``axis``, r = <x,x>, the bounds of q - 1 and |r + 1|, rises where q - 1 > ``_bound(LIFT_MARGIN,
+    (x2, x3))`` (the size of q's rounding where q nears 1), and ok, the one lift rule: rises and x in H^3."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = p[0] * p[0] - p[1] * p[1] - p[2] * p[2]
+        q, q_bound = p[0] * p[0] - p[1] * p[1] - p[2] * p[2], _bound(LIFT_MARGIN, p[1:])
         x = _insert(p, np.sqrt(q - 1.0), axis)
-        r, on_h3 = _on_h3(x)
-    return q, x, r, (np.real(q) > 1.0 + LIFT_MARGIN) & on_h3
+        r, h3_bound, on_h3 = _on_h3(x)
+        rises = np.real(q) - 1.0 > q_bound
+    return q, x, r, (q_bound, h3_bound), rises, rises & on_h3
 
 
 def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
@@ -292,17 +292,15 @@ def project_to_r31(fs: FramedSurface, axis: Axis, domain: Domain) -> LightconeCa
     """
     U, V = domain.mesh()
     w = _drop(_nu3_value(fs, U, V), axis)
-    k = first_true(~(minkowski_dot3(w, w) > CAUSAL_TOL))
+    bound = _bound(CAUSAL_TOL, w)
+    k = first_true(~(minkowski_dot3(w, w) > bound))
     if k is not None:
-        u, v = U.flat[k], V.flat[k]
-        wk = w.reshape(3, -1)[:, k]
-        ch = causal_character(wk)
+        u, v, tol, wk = U.flat[k], V.flat[k], bound.flat[k], w.reshape(3, -1)[:, k]
+        ch = causal_character(wk, tol)
         raise NonSpacelikeNormalError(
             f"projected binormal at ({u:.6g}, {v:.6g}) is {ch.value} "
-            f"(<w,w> = {minkowski_dot3(wk, wk):.3e}) for axis {axis.name}",
-            u=u,
-            v=v,
-            character=ch,
+            f"(<w,w> = {minkowski_dot3(wk, wk):.3e} is not above {tol:.3e}) for axis {axis.name}",
+            u=u, v=v, character=ch,
         )
 
     def xt_value(u, v):
@@ -387,21 +385,20 @@ def lift_from_r31(
     of :func:`_fallback_normal`.
 
     Every grid point of ``domain`` must lift by the rule of :func:`_lift`,
-    which ``project --from r31`` shares; else :class:`PreconditionError`
-    reports the grid's minimum of x1^2 - x2^2 - x3^2 when that is not above
-    1 + ``LIFT_MARGIN``, or the first grid point (v-major) lifting off H^3.
+    which ``project --from r31`` shares; else :class:`PreconditionError` reports the grid's minimum of
+    x1^2 - x2^2 - x3^2 where its q verdict fails, or the first grid point (v-major) lifting off H^3.
     """
     if (lplus is None) != (lminus is None):
         raise ValueError("supply both lightcone maps or neither")
     U, V = domain.mesh()
-    q, x, r, ok = _lift(evaluate(xt.value, U, V), axis)
+    q, x, r, (_, h3_bound), rises, ok = _lift(evaluate(xt.value, U, V), axis)
+    if not rises.all():
+        raise PreconditionError(f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {np.min(q):.6e}, "
+                                f"and minimum - 1 = {np.min(q) - 1.0:.3e} is not above LIFT_MARGIN = {LIFT_MARGIN}")
     k = first_true(~ok)
     if k is not None:
-        worst = np.min(q)
-        if not worst > 1.0 + LIFT_MARGIN:  # the grid's minimum names a failed q rule
-            raise PreconditionError(f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {worst:.6e}, "
-                                    f"and minimum - 1 = {worst - 1.0:.3e} is not above LIFT_MARGIN = {LIFT_MARGIN}")
-        raise PreconditionError(f"lift at ({U.flat[k]}, {V.flat[k]}) is off H^3: {_h3_fault(r.flat[k], x[0].flat[k])}")
+        raise PreconditionError(f"lift at ({U.flat[k]}, {V.flat[k]}) is off H^3: "
+                                + _h3_fault(r.flat[k], h3_bound.flat[k], x[0].flat[k]))
 
     def x_value(u, v):
         return _lift(evaluate(xt.value, u, v), axis)[1]

@@ -22,7 +22,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import h3frames
-from h3frames import cli, frames, projections, singularities
+from h3frames import cli, fmt, frames, projections, singularities
 from h3frames.errors import PreconditionError
 from h3frames.cli import main
 from h3frames.examples import get_example
@@ -976,7 +976,7 @@ def test_project_refuses_h3_input_off_the_upper_sheet(capsys, to):
     code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
                                    "--point", "2", "0", "0", "0"])
     assert (code, out) == (2, "")
-    assert err == "error: <x,x> = -4.000000e+00: |<x,x> + 1| = 3.000e+00 is not within 1e-09\n"
+    assert err == "error: <x,x> = -4.000000e+00: |<x,x> + 1| = 3.000e+00 is not within 4.000e-09\n"
     code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
                                    "--point", "-1.4142135623730951", "1", "0", "0"])
     assert (code, out) == (2, "")
@@ -1015,14 +1015,13 @@ def test_project_r31_overflow_does_not_lift(capsys, to):
 
 
 @pytest.mark.parametrize("to", ["h3", "disc"])
-@pytest.mark.parametrize("point, shown", [(("1e5", "0.5", "0.25"), "(100000 0.5 0.25)"),
-                                          (("1e154", "0", "0"), "(1e+154 0 0)"),
+@pytest.mark.parametrize("point, shown", [(("1e154", "0", "0"), "(1e+154 0 0)"),
                                           (("-2", "0", "0"), "(-2 0 0)"),
                                           (("1.000000000025", "0", "0"), "(1.000000000025 0 0)")],
-                         ids=["1e5", "1e154", "lower-sheet", "in-margin"])
+                         ids=["1e154", "lower-sheet", "in-margin"])
 def test_project_r31_lift_off_h3_is_refused(capsys, to, point, shown):
-    # x1^2 - x2^2 - x3^2 > 1 holds, but the lifted point's <x,x> rounds
-    # away from -1 (to -1.000002 and to 0), the lift is on the lower sheet,
+    # x1^2 - x2^2 - x3^2 > 1 holds, but the lifted point's <x,x> is all
+    # rounding (0) and its size overflows, the lift is on the lower sheet,
     # or q - 1 = 5e-11 is within LIFT_MARGIN, which lift_from_r31 refuses
     # too; the refusal names the point given
     code, out, err = _run(capsys, ["project", "--from", "r31", "--to", to, "--point", *point])
@@ -1051,6 +1050,26 @@ def test_project_and_lift_from_r31_lift_the_same_points(x1, x2, x3):
             outcomes.append(False)
     event(f"lifts: {outcomes[0]}")
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("to", ["h3", "disc"])
+def test_project_r31_far_lift_is_accepted(capsys, to):
+    # |<x,x> + 1| = 1.9e-6 at |x|^2 = 2e10 is rounding, within ON_H3_TOL
+    # times that size: the lift prints the correctly rounded point, whose
+    # q = 1e10 - 0.3125 and sqrt(q - 1) are exact and correctly rounded
+    code, out, _ = _run(capsys, ["project", "--from", "r31", "--to", to, "--point", "1e5", "0.5", "0.25"])
+    x = np.array([1e5, 0.5, 0.25, math.sqrt(9999999998.6875)])
+    want = x if to == "h3" else x[1:] / (x[0] + 1.0)
+    assert (code, _data_lines(out)) == (0, [" ".join(map(fmt.fmt, want))])
+
+
+@pytest.mark.parametrize("r", [9.0, 12.0, 15.0])
+def test_project_h3_far_point_reaches_the_disc(capsys, r):
+    # |<x,x> + 1| of the rounded point grows like its size, up to 2.4e-4 at
+    # r = 15, and stays within ON_H3_TOL times |x|^2
+    x = np.array([math.cosh(r), 0.6 * math.sinh(r), 0.8 * math.sinh(r), 0.0])
+    code, out, _ = _run(capsys, ["project", "--from", "h3", "--to", "disc", "--point", *(repr(float(c)) for c in x)])
+    assert (code, _data_lines(out)) == (0, [" ".join(map(fmt.fmt, x[1:] / (x[0] + 1.0)))])
 
 
 def test_project_r31_moderate_point_still_lifts(capsys):

@@ -237,28 +237,52 @@ def test_package_imports_have_no_cycle():
     graphlib.TopologicalSorter(graph).prepare()
 
 
-def _comparing(name: str, tree: ast.Module) -> set[str]:
-    """The innermost functions (``<module>`` outside any) holding a
-    comparison that reads ``name``, as a variable or an attribute."""
+#: Tolerances of geometric checks.  A comparison reads each only through
+#: ``minkowski._bound``, which holds it to the size of what is compared.
+_TOLERANCES = ("ON_H3_TOL", "LIFT_MARGIN", "ORTHONORMAL_TOL", "NORMALIZATION_TOL", "CAUSAL_TOL",
+               "FRAME_TOL", "GRAM_DEGENERATE_TOL")
+
+#: The comparisons that read a tolerance bare, each with its reason.
+_ABSOLUTE = {
+    ("frames.basic_invariants", "GRAM_DEGENERATE_TOL"):
+        "extraction is absolute: it bounds the error of the invariants it returns",
+    ("frames._reduction_arrays", "FRAME_TOL"): "an invariant tolerance, in units of the parameter scale",
+    ("frames.family_curvatures", "FRAME_TOL"): "an invariant tolerance, in units of the parameter scale",
+    ("projections._fallback_normal", "NORMALIZATION_TOL"): "a choice among candidates, not a refusal",
+}
+
+
+def _bare_reads(node) -> set[str]:
+    """Names read under ``node``, as variables or attributes, outside any
+    call of ``_bound``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bound":
+        return set()
+    own = {getattr(node, "id", None), getattr(node, "attr", None)} - {None}
+    return own.union(*(_bare_reads(child) for child in ast.iter_child_nodes(node)))
+
+
+def _comparing(names, tree: ast.Module) -> set[tuple[str, str]]:
+    """``(owner, name)`` for each of ``names`` that a comparison reads bare,
+    owner the innermost function (``<module>`` outside any) holding it."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Compare) and any(
-                getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in ast.walk(child)
-            ):
-                found.add(owner)
+            if isinstance(child, ast.Compare):
+                found.update((owner, name) for name in _bare_reads(child) & set(names))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, "<module>")
     return found
 
 
-def test_h3_membership_is_decided_in_one_place():
-    # ON_H3_TOL is compared only in minkowski._on_h3, the one test of a
-    # point of H^3; a message may name it
+def test_every_tolerance_is_compared_through_its_bound():
+    # every input precondition judges its residual against _bound(tol,
+    # ...), so H^3 membership, the lift, the normals' checks, the curve
+    # frame, the transports' normalization and the spacelike projection
+    # scale alike with the size of their inputs; _ABSOLUTE names the rest
     found = set()
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {f"{path.stem}.{owner}" for owner in _comparing("ON_H3_TOL", tree)}
-    assert found == {"minkowski._on_h3"}
+        found |= {(f"{path.stem}.{owner}", name) for owner, name in _comparing(_TOLERANCES, tree)}
+    assert found == set(_ABSOLUTE)

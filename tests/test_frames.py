@@ -35,6 +35,7 @@ from h3frames.frames import (
     invariant_field,
     invariant_partials,
     invariants_at,
+    invariants_grid,
     reduction_type,
     reduction_type_grid,
     reflect,
@@ -642,3 +643,23 @@ def test_invariant_partials_one_call_broadcasting_constants():
     assert not d["e1_u"].any() and not d["c2_v"].any()
     q, d = invariant_partials(field, 0.3, 0.1, 1e-5)  # one point: one call of five
     assert calls[-1] == (5,) and q.a1 == 0.3 * 0.3 * 0.1
+
+
+@pytest.mark.parametrize("name, r", [("cross_cap", 15.0), ("ruled_A", 12.0), ("ruled_A", 15.0)])
+def test_boosted_frames_whose_invariants_would_be_wrong_are_refused(name, r):
+    # GRAM_DEGENERATE_TOL stays absolute: it bounds the error of the
+    # invariants extraction returns, not the rounding of its input.  A boost
+    # along x2 leaves (a1, .., c2) unchanged, so any change is error: where
+    # the Gram residual passes (cross_cap at r = 12, ruled_A at r = 9) it is
+    # at most 1.2e-5 and 7.0e-7 over the grid; unchecked, these three frames
+    # return errors of 5.7e-3, 2.8e-4 and 9.5e-2, so they are refused
+    entry = get_example(name)
+    boost = np.eye(4)
+    boost[:2, :2] = [[math.cosh(r), math.sinh(r)], [math.sinh(r), math.cosh(r)]]
+
+    def boosted(m):
+        return ParametricMap4(value=lambda u, v: np.tensordot(boost, evaluate(m.value, u, v), axes=1))
+
+    fs = entry.framed
+    with pytest.raises(DegenerateFrameError, match="has Gram residual"):
+        invariants_grid(FramedSurface(boosted(fs.x), boosted(fs.nu1), boosted(fs.nu2)), entry.domain)

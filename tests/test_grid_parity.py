@@ -37,7 +37,7 @@ from h3frames.frames import (
     write_invariants_csv,
 )
 from h3frames.horocyclic import build_horocyclic, integrate_frame_curves, invariant_form_classify
-from h3frames.minkowski import causal_character, minkowski_dot3, wedge3
+from h3frames.minkowski import CAUSAL_TOL, causal_character, minkowski_dot3, wedge3
 from h3frames.projections import (
     Axis,
     lift_from_r31,
@@ -455,10 +455,11 @@ def _reference_nonspacelike(fs, axis, dom):
     """The per-point precondition loop of project_to_r31, written out."""
     for u, v in _nodes(dom):
         w = np.delete(wedge3(fs.x.value(u, v), fs.nu1.value(u, v), fs.nu2.value(u, v)), axis.index)
-        ch = causal_character(w)
+        bound = CAUSAL_TOL * max(1.0, float(np.dot(w, w)))
+        ch = causal_character(w, bound)
         if ch.value != "spacelike":
             msg = (f"projected binormal at ({u:.6g}, {v:.6g}) is {ch.value} "
-                   f"(<w,w> = {minkowski_dot3(w, w):.3e}) for axis {axis.name}")
+                   f"(<w,w> = {minkowski_dot3(w, w):.3e} is not above {bound:.3e}) for axis {axis.name}")
             return msg, u, v, ch
     raise AssertionError("every projected binormal is spacelike")
 

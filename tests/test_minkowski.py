@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from h3frames.minkowski import (
     CausalCharacter,
+    _bound,
     causal_character,
     euclid_cross,
     euclid_dot,
@@ -151,3 +152,14 @@ def test_causal_character_scaling_invariance(v):
     a = causal_character(v)
     b = causal_character(2.0 * v)
     assert CausalCharacter.LIGHTLIKE in (a, b) or a is b
+
+
+def test_bound_is_per_point_relative_and_nan_where_the_size_overflows():
+    # tol * max(1, s^2) with s the largest Euclidean norm among the vectors
+    # at each point, by real parts; nan (failing every comparison) where s^2
+    # is not finite, with no numpy warning on the way
+    a, b = np.zeros((2, 4, 4))  # four points each, component-first
+    a[0], b[1] = [0.5, 3.0, 1e155, np.nan], [0.5, 4.0, 0.0, 0.0]
+    got = _bound(1e-9, a, b)
+    assert got[:2].tolist() == [1e-9, 1e-9 * 16.0] and np.isnan(got[2:]).all()
+    assert _bound(1e-9, np.array([2.0 + 1e-20j, 0.0, 0.0, 0.0])) == 4e-9

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from h3frames import projections
@@ -423,13 +423,76 @@ def test_lift_precondition_and_argument_errors():
 ])
 def test_lift_refuses_a_grid_point_whose_lift_leaves_h3(x1, where, got):
     # x1^2 - x2^2 - x3^2 passes the precondition, but the lift is not on
-    # H^3: the first such grid point is named, as the CLI's project refuses it
+    # H^3: the first such grid point is named, as the CLI's project refuses
+    # it; the lift's squared size overflows, so its bound is nan
     dom = Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3)
     xt = ParametricMap4(value=lambda u, v: components(x1 + 0.0 * u, 1.0 + 0.0 * u, v))
     with pytest.raises(PreconditionError) as exc:
         lift_from_r31(xt, Axis.X4, domain=dom)
     assert str(exc.value) == (f"lift at {where} is off H^3: <x,x> = {got}: "
-                              f"|<x,x> + 1| = {abs(float(got) + 1.0):.3e} is not within {ON_H3_TOL}")
+                              f"|<x,x> + 1| = {abs(float(got) + 1.0):.3e} is not within nan")
+
+
+def test_lift_refused_by_the_relative_q_bound_alone_names_the_q_rule():
+    # q - 1 = 1e-9 clears LIFT_MARGIN = 1e-10 but not LIFT_MARGIN times
+    # |(x2, x3)|^2 = 100, the size whose rounding q carries; the lift itself
+    # is on H^3, so the q verdict alone refuses and chooses the message
+    x1 = math.sqrt(101.0 + 1e-9)
+    p = np.array([x1, 10.0, 0.0])
+    q, _, _, _, rises, ok = projections._lift(p, Axis.X4)
+    assert q - 1.0 > projections.LIFT_MARGIN and not rises and not ok
+    xt = ParametricMap4(value=lambda u, v: components(*(c + 0.0 * u for c in p)))
+    with pytest.raises(PreconditionError) as exc:
+        lift_from_r31(xt, Axis.X4, domain=Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2))
+    assert str(exc.value).startswith(f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {q:.6e}, ")
+
+
+def _boost(r, d):
+    """The Lorentz boost of rapidity ``r`` along the unit spatial direction ``d``."""
+    b = np.eye(4)
+    b[0, 0] = math.cosh(r)
+    b[0, 1:] = b[1:, 0] = math.sinh(r) * d
+    b[1:, 1:] += (math.cosh(r) - 1.0) * np.outer(d, d)
+    return b
+
+
+_J = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(r=st.floats(0.0, 15.0), t=st.floats(0.0, math.pi / 2), p=st.floats(0.0, 2 * math.pi),
+       b=st.floats(0.0, 2 * math.pi), c=st.floats(0.0, 2 * math.pi))
+@example(r=15.0, t=0.3, p=1.0, b=0.5, c=2.0)
+def test_boosted_inputs_are_judged_against_their_size(r, t, p, b, c):
+    # a point of H^3 and a unit normal orthogonal to it, boosted up to
+    # distance 15 from the origin, are accepted as they round; moved off
+    # H^3, unit length or orthogonality by a relative 1e-6 they are refused.
+    # v + 1e-6 J v moves <v,v> by 2e-6 |v|^2, whatever the size of v
+    a = 0.5
+    boost = _boost(r, np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]))
+    x = boost @ np.array([math.cosh(a), 0.0, 0.0, math.sinh(a)])
+    nu = boost @ (math.cos(b) * np.array([0.0, math.cos(c), math.sin(c), 0.0])
+                  + math.sin(b) * np.array([math.sinh(a), 0.0, 0.0, math.cosh(a)]))
+    dom = Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2)
+
+    def const(w):
+        return ParametricMap4(value=lambda u, v: components(*(wi + 0.0 * u for wi in w)))
+
+    to_poincare(x)
+    assert projections._lift(x[:3], Axis.X4)[-1]  # x4 >= sinh(a) > 0, so q - 1 >= 0.27
+    frame_from_normal(const(x), const(nu), dom)
+
+    off = x + 1e-6 * _J @ x
+    with pytest.raises(OffHyperboloidError):
+        to_poincare(off)
+    with pytest.raises(PreconditionError, match="is not on the upper hyperboloid"):
+        frame_from_normal(const(off), const(nu), dom)
+    with pytest.raises(PreconditionError, match="is not unit spacelike"):
+        frame_from_normal(const(x), const(nu + 1e-6 * _J @ nu), dom)
+    s = max(np.linalg.norm(x), np.linalg.norm(nu))
+    tilted = nu + 1e-6 * s * s / np.dot(x, x) * _J @ x  # <x, tilted> = 1e-6 s^2; <nu,nu> moves too
+    with pytest.raises(PreconditionError, match="normal at"):
+        frame_from_normal(const(x), const(tilted), dom)
 
 
 def test_lift_refuses_a_map_onto_the_lower_sheet():
@@ -443,14 +506,18 @@ def test_lift_refuses_a_map_onto_the_lower_sheet():
 
 
 def test_to_poincare_refusal_prints_the_deviation_it_judged():
-    # at distance 9 from the origin <x,x> prints as -1.000000e+00, and only
-    # |<x,x> + 1| shows why the point is refused
+    # at distance 9 from the origin |<x,x> + 1| = 3.7e-9 is rounding, within
+    # ON_H3_TOL times |x|^2; moved off H^3 by a relative 1e-6 the point is
+    # refused, and the refusal prints the deviation beside that bound
     x = np.array([math.cosh(9.0), 0.6 * math.sinh(9.0), 0.8 * math.sinh(9.0), 0.0])
-    dev = abs(minkowski_dot4(x, x) + 1.0)
-    assert dev > ON_H3_TOL
+    assert abs(minkowski_dot4(x, x) + 1.0) > ON_H3_TOL
+    assert np.array_equal(to_poincare(x), x[1:] / (x[0] + 1.0))
+    y = x * np.array([1.0 + 1e-6, 1.0, 1.0, 1.0])
+    r = minkowski_dot4(y, y)
     with pytest.raises(OffHyperboloidError) as exc:
-        to_poincare(x)
-    assert str(exc.value) == f"<x,x> = -1.000000e+00: |<x,x> + 1| = {dev:.3e} is not within {ON_H3_TOL}"
+        to_poincare(y)
+    assert str(exc.value) == (f"<x,x> = {r:.6e}: |<x,x> + 1| = {abs(r + 1.0):.3e} "
+                              f"is not within {ON_H3_TOL * np.dot(y, y):.3e}")
 
 
 # ---------------------------------------------------------------------------
