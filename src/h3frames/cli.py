@@ -367,13 +367,13 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) ->
     if frm == "disc":
         x = projections.from_poincare(x)
     elif frm == "r31":
-        q, lifted, r, (q_bound, h3_bound), _, ok = projections._lift(x, axis)  # the rule of lift_from_r31
+        q, lifted, r, bound, rises, ok = projections._lift(x, axis)  # the rule of lift_from_r31
         k = surface.first_true(~ok)
         if k is not None:
-            raise PreconditionError(
-                f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has q = x1^2 - x2^2 - x3^2 = "
-                f"{fmt.fmt(q[k])} and lifts to x1 = {fmt.fmt(x[0, k])}; a lift needs q - 1 = {q[k] - 1.0:.3e} > "
-                f"{q_bound[k]:.3e}, x1 > 0 and |<x,x> + 1| = {abs(r[k] + 1.0):.3e} <= {h3_bound[k]:.3e}")
+            why = (f"q - 1 = {q[k] - 1.0:.3e} is not above LIFT_MARGIN = {projections.LIFT_MARGIN}" if not rises[k]
+                   else "its lift is off H^3: " + minkowski._h3_fault(r[k], bound[k], lifted[0, k]))
+            raise PreconditionError(f"point does not lift: ({' '.join(map(fmt.fmt, x[:, k]))}) has q = x1^2 - x2^2 - "
+                                    f"x3^2 = {fmt.fmt(q[k])} and lifts to x1 = {fmt.fmt(x[0, k])}; {why}")
         x = lifted
     elif to != "disc":
         projections.to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target

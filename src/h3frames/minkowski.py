@@ -133,17 +133,19 @@ def _bound(tol, *vecs):
 
 
 def _on_h3(x):
-    """The one test of membership in H^3, the upper sheet: ``(<x,x>, bound, ok)``, ok
-    where x1 > 0 and |<x,x> + 1| <= bound = ``_bound(ON_H3_TOL, x)``, by real parts."""
+    """The one test of membership in H^3, the upper sheet: ``(<x,x>, bound, ok)``, ok where x1 > 0,
+    <x,x> < 0 (so |x_spatial| < x1) and |<x,x> + 1| <= bound = ``_bound(ON_H3_TOL, x)``, by real parts."""
     r, bound = minkowski_dot4(x, x).real, _bound(ON_H3_TOL, x)
-    return r, bound, (abs(r + 1.0) <= bound) & (x[0].real > 0.0)
+    return r, bound, (abs(r + 1.0) <= bound) & (r < 0.0) & (x[0].real > 0.0)
 
 
 def _h3_fault(r, bound, x1) -> str:
     """Why a point with <x,x> = ``r``, its ``bound`` and first coordinate ``x1`` fails :func:`_on_h3`."""
-    if not x1 <= 0.0:
-        return f"<x,x> = {r:.6e}: |<x,x> + 1| = {abs(r + 1.0):.3e} is not within {bound:.3e}"
-    return f"x1 = {x1:.6e} is not on the upper branch"
+    if x1 <= 0.0:
+        return f"x1 = {x1:.6e} is not on the upper branch"
+    why = ("|x|^2 is not finite" if np.isnan(bound) else "x is not timelike" if abs(r + 1.0) <= bound
+           else f"|<x,x> + 1| = {abs(r + 1.0):.3e} is not within {bound:.3e}")
+    return f"<x,x> = {r:.6e}: {why}"
 
 
 def _gram_deviation(dot, vecs, diagonal) -> float:

@@ -265,15 +265,14 @@ def _insert(w3, value, axis: Axis) -> np.ndarray:
 
 
 def _lift(p, axis: Axis):
-    """``(q, x, r, bounds, rises, ok)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2, the lift x with
-    sqrt(q - 1) at ``axis``, r = <x,x>, the bounds of q - 1 and |r + 1|, rises where q - 1 > ``_bound(LIFT_MARGIN,
-    (x2, x3))`` (the size of q's rounding where q nears 1), and ok, the one lift rule: rises and x in H^3."""
+    """``(q, x, r, bound, rises, ok)`` of the R^3_1 points ``p``: q = x1^2 - x2^2 - x3^2, the lift x with sqrt(q - 1)
+    at ``axis``, r = <x,x> and its bound, rises where q - 1 > ``LIFT_MARGIN``, and ok = rises and x in H^3."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q, q_bound = p[0] * p[0] - p[1] * p[1] - p[2] * p[2], _bound(LIFT_MARGIN, p[1:])
+        q = p[0] * p[0] - p[1] * p[1] - p[2] * p[2]
         x = _insert(p, np.sqrt(q - 1.0), axis)
-        r, h3_bound, on_h3 = _on_h3(x)
-        rises = np.real(q) - 1.0 > q_bound
-    return q, x, r, (q_bound, h3_bound), rises, rises & on_h3
+        r, bound, on_h3 = _on_h3(x)
+    rises = np.real(q) - 1.0 > LIFT_MARGIN
+    return q, x, r, bound, rises, rises & on_h3
 
 
 def _nu3_value(fs: FramedSurface, u, v) -> np.ndarray:
@@ -386,19 +385,19 @@ def lift_from_r31(
 
     Every grid point of ``domain`` must lift by the rule of :func:`_lift`,
     which ``project --from r31`` shares; else :class:`PreconditionError` reports the grid's minimum of
-    x1^2 - x2^2 - x3^2 where its q verdict fails, or the first grid point (v-major) lifting off H^3.
+    x1^2 - x2^2 - x3^2 where the q rule fails, or the first grid point (v-major) lifting off H^3.
     """
     if (lplus is None) != (lminus is None):
         raise ValueError("supply both lightcone maps or neither")
     U, V = domain.mesh()
-    q, x, r, (_, h3_bound), rises, ok = _lift(evaluate(xt.value, U, V), axis)
+    q, x, r, bound, rises, ok = _lift(evaluate(xt.value, U, V), axis)
     if not rises.all():
         raise PreconditionError(f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {np.min(q):.6e}, "
                                 f"and minimum - 1 = {np.min(q) - 1.0:.3e} is not above LIFT_MARGIN = {LIFT_MARGIN}")
     k = first_true(~ok)
     if k is not None:
         raise PreconditionError(f"lift at ({U.flat[k]}, {V.flat[k]}) is off H^3: "
-                                + _h3_fault(r.flat[k], h3_bound.flat[k], x[0].flat[k]))
+                                + _h3_fault(r.flat[k], bound.flat[k], x[0].flat[k]))
 
     def x_value(u, v):
         return _lift(evaluate(xt.value, u, v), axis)[1]

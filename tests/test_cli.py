@@ -983,6 +983,16 @@ def test_project_refuses_h3_input_off_the_upper_sheet(capsys, to):
     assert err == "error: x1 = -1.414214e+00 is not on the upper branch\n"
 
 
+@pytest.mark.parametrize("to", ["disc", "r31"])
+def test_project_refuses_spacelike_h3_input_within_the_bound(capsys, to):
+    # <x,x> = +1e11 is within ON_H3_TOL times |x|^2 = 2e20 of -1, but x is
+    # spacelike, not on H^3: its disc image would leave the ball
+    code, out, err = _run(capsys, ["project", "--from", "h3", "--to", to,
+                                   "--point", "1e10", "1.0000000005e10", "0", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: <x,x> = 1.000000e+11: x is not timelike\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -1027,6 +1037,22 @@ def test_project_r31_lift_off_h3_is_refused(capsys, to, point, shown):
     code, out, err = _run(capsys, ["project", "--from", "r31", "--to", to, "--point", *point])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: point does not lift: {shown} ")
+
+
+@pytest.mark.parametrize("point, why", [
+    (("1.000000000025", "0", "0"), "1.00000000005 and lifts to x1 = 1.000000000025; "
+                                   "q - 1 = 5.000e-11 is not above LIFT_MARGIN = 1e-10"),
+    (("-2", "0", "0"), "4 and lifts to x1 = -2; its lift is off H^3: x1 = -2.000000e+00 is not on the upper branch"),
+    (("1e154", "0", "0"), "1e+308 and lifts to x1 = 1e+154; "
+                          "its lift is off H^3: <x,x> = 0.000000e+00: |x|^2 is not finite"),
+], ids=["in-margin", "lower-sheet", "1e154"])
+def test_project_r31_refusal_names_the_rule_that_failed(capsys, point, why):
+    # the q rule's deviation beside LIFT_MARGIN, or the lift's H^3 fault as
+    # lift_from_r31 prints it
+    code, out, err = _run(capsys, ["project", "--from", "r31", "--to", "h3", "--point", *point])
+    assert (code, out) == (2, "")
+    assert err == f"error: point does not lift: ({' '.join(point).replace('1e154', '1e+154')}) has q = " \
+                  f"x1^2 - x2^2 - x3^2 = {why}\n"
 
 
 @settings(max_examples=200, deadline=None)

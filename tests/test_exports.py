@@ -249,6 +249,8 @@ _ABSOLUTE = {
     ("frames._reduction_arrays", "FRAME_TOL"): "an invariant tolerance, in units of the parameter scale",
     ("frames.family_curvatures", "FRAME_TOL"): "an invariant tolerance, in units of the parameter scale",
     ("projections._fallback_normal", "NORMALIZATION_TOL"): "a choice among candidates, not a refusal",
+    ("projections._lift", "LIFT_MARGIN"): "a margin on the lift's squared height q - 1; _on_h3 then judges the "
+        "lift relative to its size, and scaled by |(x2, x3)|^2 the margin refused lifts 500 times above q's rounding",
 }
 
 
@@ -278,9 +280,10 @@ def _comparing(names, tree: ast.Module) -> set[tuple[str, str]]:
 
 def test_every_tolerance_is_compared_through_its_bound():
     # every input precondition judges its residual against _bound(tol,
-    # ...), so H^3 membership, the lift, the normals' checks, the curve
-    # frame, the transports' normalization and the spacelike projection
-    # scale alike with the size of their inputs; _ABSOLUTE names the rest
+    # ...), so H^3 membership (of lifts too), the normals' checks, the
+    # curve frame, the transports' normalization and the spacelike
+    # projection scale alike with the size of their inputs; _ABSOLUTE
+    # names the rest
     found = set()
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -429,22 +429,21 @@ def test_lift_refuses_a_grid_point_whose_lift_leaves_h3(x1, where, got):
     xt = ParametricMap4(value=lambda u, v: components(x1 + 0.0 * u, 1.0 + 0.0 * u, v))
     with pytest.raises(PreconditionError) as exc:
         lift_from_r31(xt, Axis.X4, domain=dom)
-    assert str(exc.value) == (f"lift at {where} is off H^3: <x,x> = {got}: "
-                              f"|<x,x> + 1| = {abs(float(got) + 1.0):.3e} is not within nan")
+    assert str(exc.value) == f"lift at {where} is off H^3: <x,x> = {got}: |x|^2 is not finite"
 
 
-def test_lift_refused_by_the_relative_q_bound_alone_names_the_q_rule():
-    # q - 1 = 1e-9 clears LIFT_MARGIN = 1e-10 but not LIFT_MARGIN times
-    # |(x2, x3)|^2 = 100, the size whose rounding q carries; the lift itself
-    # is on H^3, so the q verdict alone refuses and chooses the message
-    x1 = math.sqrt(101.0 + 1e-9)
-    p = np.array([x1, 10.0, 0.0])
-    q, _, _, _, rises, ok = projections._lift(p, Axis.X4)
-    assert q - 1.0 > projections.LIFT_MARGIN and not rises and not ok
+@pytest.mark.parametrize("p", [(1000.0005, 1000.0, 0.0), (math.sqrt(101.0 + 1e-9), 10.0, 0.0)],
+                         ids=["1e3", "1e1"])
+def test_lift_margin_is_absolute(p):
+    # q - 1 = 2.5e-7 and 1e-9 clear LIFT_MARGIN = 1e-10 by far more than
+    # q's rounding (2e-10 and 2e-14): the lift rises, lies on H^3, and
+    # lift_from_r31 accepts the map, as project --from r31 does the point.
+    # A margin scaled by |(x2, x3)|^2 would refuse both
+    q, x, _, _, rises, ok = projections._lift(np.array(p), Axis.X4)
+    assert q - 1.0 > projections.LIFT_MARGIN and rises and ok
     xt = ParametricMap4(value=lambda u, v: components(*(c + 0.0 * u for c in p)))
-    with pytest.raises(PreconditionError) as exc:
-        lift_from_r31(xt, Axis.X4, domain=Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2))
-    assert str(exc.value).startswith(f"lift needs x1^2 - x2^2 - x3^2 > 1 on the grid; minimum is {q:.6e}, ")
+    x_map, _ = lift_from_r31(xt, Axis.X4, domain=Domain(0.0, 1.0, 0.0, 1.0, nu=2, nv=2))
+    assert np.array_equal(x_map.value(0.5, 0.5), x)
 
 
 def _boost(r, d):
