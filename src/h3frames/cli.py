@@ -377,8 +377,8 @@ def _convert_points(x: np.ndarray, frm: str, to: str, axis: projections.Axis) ->
         x = lifted
     elif to != "disc":
         projections.to_poincare(x)  # h3 input must lie on the upper sheet, whatever the target
-    if to == "disc":
-        return projections.to_poincare(x)
+    if to == "disc":  # a lift is in H^3 already: _lift's ok holds _on_h3
+        return projections._ball(x) if frm == "r31" else projections.to_poincare(x)
     if to == "r31":
         return projections._drop(x, axis)
     return x

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .frames import FramedSurface, Invariants, _alpha_beta
-from .surface import Domain, ParametricMap4, components, zero4
+from .surface import Domain, ParametricMap4, _broadcast, components, evaluate, zero4
 
 __all__ = [
     "ExampleEntry",
@@ -156,55 +156,53 @@ def _corank_k_numerator(u, f, g, f_u, g_u):  # k Q
     return -(g * f + g_u * f_u) + u * (g_u * f + g * f_u) - u * u * f_u * g_u
 
 
-def corank_one_surface(
-    f: Callable[[float, float], float],
-    g: Callable[[float, float], float],
-    f_u: Callable[[float, float], float],
-    f_v: Callable[[float, float], float],
-    g_u: Callable[[float, float], float],
-    g_v: Callable[[float, float], float],
-) -> FramedSurface:
-    """Corank-one family for user functions f, g.
+def _fg_jet(fg: ParametricMap4, u, v):
+    """(f, g, f_u, g_u, f_v, g_v) at (u, v): one value and one ``firsts`` call of ``fg``."""
+    f, g = evaluate(fg.value, u, v)
+    (f_u, g_u), (f_v, g_v) = (_broadcast(d, u) for d in fg.firsts(u, v))
+    return f, g, f_u, g_u, f_v, g_v
 
-    The construction assumes f_v(0,0) = g_v(0,0) = 0 (so the origin is a
-    singular point of the base map); this is checked.  Normal fields
-    carry no closed-form derivatives - the e/f/g invariants come out
-    through complex-step partials.  The six
-    callables must broadcast over arrays like the surface maps (a
-    constant may return a float).
+
+def corank_one_surface(fg: ParametricMap4) -> FramedSurface:
+    """Corank-one family for the user map ``fg``: (u, v) -> (f, g), stacked
+    component-first, with closed ``firsts`` ((f_u, g_u), (f_v, g_v)).
+
+    Refuses a map without closed firsts, and one with f_v(0,0) or g_v(0,0)
+    nonzero (the origin must be a singular point of the base map).  Normal
+    fields carry no closed-form derivatives - the e/f/g invariants come out
+    through complex-step partials.
     """
-    if abs(f_v(0.0, 0.0)) > 1e-12 or abs(g_v(0.0, 0.0)) > 1e-12:
-        raise PreconditionError(
-            "corank-one family needs f_v(0,0) = g_v(0,0) = 0, got "
-            f"f_v = {f_v(0.0, 0.0):.3e}, g_v = {g_v(0.0, 0.0):.3e}"
-        )
+    if fg.firsts is None:
+        raise PreconditionError("corank-one family needs the closed firsts ((f_u, g_u), (f_v, g_v)) of its (f, g) map")
+    f_v, g_v = fg.firsts(0.0, 0.0)[1]
+    if abs(f_v) > 1e-12 or abs(g_v) > 1e-12:
+        raise PreconditionError(f"corank-one family needs f_v(0,0) = g_v(0,0) = 0, got f_v = {f_v:.3e}, "
+                                f"g_v = {g_v:.3e}")
 
     def x(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
+        fv_, gv_ = evaluate(fg.value, u, v)
         return components(_corank_root_s(u, fv_, gv_), u, fv_, gv_)
 
     def x_firsts(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
-        fu_, gu_ = f_u(u, v), g_u(u, v)
-        fvv, gvv = f_v(u, v), g_v(u, v)
+        fv_, gv_, fu_, gu_, fvv, gvv = _fg_jet(fg, u, v)
         sS = _corank_root_s(u, fv_, gv_)
         xu = components((u + fv_ * fu_ + gv_ * gu_) / sS, 1.0, fu_, gu_)
         return xu, components((fv_ * fvv + gv_ * gvv) / sS, 0.0, fvv, gvv)
 
     def nu2_parts(u, fv_, gv_, gu_):
-        """sqrt(S), Q and the unnormalized nu2, bar2 = (u g_u - g) x +
-        (0, g_u, 0, -1), from one reading of f, g, g_u."""
+        """sqrt(S), Q and the unnormalized nu2, bar2 = (u g_u - g) x + (0, g_u, 0, -1)."""
         sS = _corank_root_s(u, fv_, gv_)
         bar2 = (u * gu_ - gv_) * components(sS, u, fv_, gv_) + components(0.0, gu_, 0.0, -1.0)
         return sS, _corank_Q(u, gv_, gu_), bar2
 
     def n2(u, v):
-        _, Q, bar2 = nu2_parts(u, f(u, v), g(u, v), g_u(u, v))
+        fv_, gv_, _, gu_, _, _ = _fg_jet(fg, u, v)
+        _, Q, bar2 = nu2_parts(u, fv_, gv_, gu_)
         return bar2 / np.sqrt(Q)
 
     def n1(u, v):
         # nu1 = sqrt(Q)/sqrt(p) (bar1 - k bar2) with bar2 unnormalized.
-        fv_, gv_, fu_, gu_ = f(u, v), g(u, v), f_u(u, v), g_u(u, v)
+        fv_, gv_, fu_, gu_, _, _ = _fg_jet(fg, u, v)
         sS, Q, bar2 = nu2_parts(u, fv_, gv_, gu_)
         bar1 = components(
             (fv_ - u * fu_) * sS,
@@ -223,15 +221,11 @@ def corank_one_surface(
     )
 
 
-def corank_one_alpha_beta(
-    f, g, f_u, f_v, g_u, g_v
-) -> Callable[[float, float], tuple[float, float]]:
-    """Closed-form (alpha, beta) field of the corank-one family."""
+def corank_one_alpha_beta(fg: ParametricMap4) -> Callable[[float, float], tuple[float, float]]:
+    """Closed-form (alpha, beta) field of ``corank_one_surface(fg)``."""
 
     def ab(u, v):
-        fv_, gv_ = f(u, v), g(u, v)
-        fu_, gu_ = f_u(u, v), g_u(u, v)
-        fvv, gvv = f_v(u, v), g_v(u, v)
+        fv_, gv_, fu_, gu_, fvv, gvv = _fg_jet(fg, u, v)
         Q = _corank_Q(u, gv_, gu_)
         sSQ = _corank_root_s(u, fv_, gv_) * np.sqrt(Q)
         q = gvv * _corank_k_numerator(u, fv_, gv_, fu_, gu_) + fvv * Q
@@ -406,14 +400,10 @@ def ruled_b_oracle(u, v) -> Invariants:
 _BOX = Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)  # cross_cap and corank_one
 _RULED = Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2.0 * math.pi)
 
-# f = v^2, g = u v (and f_u, f_v, g_u, g_v) reproduces the cross cap.
-_CORANK_ONE_FNS = (
-    lambda u, v: v * v,
-    lambda u, v: u * v,
-    lambda u, v: 0.0,
-    lambda u, v: 2.0 * v,
-    lambda u, v: v,
-    lambda u, v: u,
+# f = v^2, g = u v, with firsts ((0, v), (2 v, u)), reproduces the cross cap.
+_CORANK_ONE_FG = ParametricMap4(
+    value=lambda u, v: components(v * v, u * v),
+    firsts=lambda u, v: (components(0.0, v), components(2.0 * v, u)),
 )
 
 
@@ -436,8 +426,8 @@ _REGISTRY: dict[str, Callable[[str], ExampleEntry]] = {
         known_singularities=((0.0, 0.0, "cross_cap"),),
     ),
     "corank_one": lambda name: ExampleEntry(
-        name, corank_one_surface(*_CORANK_ONE_FNS), _BOX,
-        oracle_alpha_beta=corank_one_alpha_beta(*_CORANK_ONE_FNS),
+        name, corank_one_surface(_CORANK_ONE_FG), _BOX,
+        oracle_alpha_beta=corank_one_alpha_beta(_CORANK_ONE_FG),
         known_singularities=((0.0, 0.0, "cross_cap"),),
     ),
     "ruled_A": lambda name: ExampleEntry(

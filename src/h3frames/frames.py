@@ -503,7 +503,8 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
     U, V = domain.mesh()
     xg, ng = (_in_space("frame_from_normal", evaluate(m.value, U, V), "H^3") for m in (x, nu))
     (xx, xx_bound, sheet), nn, xn = _on_h3(xg), minkowski_dot4(ng, ng), minkowski_dot4(xg, ng)
-    unit, orth = abs(nn - 1.0) <= _bound(FRAME_TOL, ng), abs(xn) <= _bound(FRAME_TOL, xg, ng)
+    unit_bound, orth_bound = _bound(FRAME_TOL, ng), _bound(FRAME_TOL, xg, ng)
+    unit, orth = abs(nn - 1.0) <= unit_bound, abs(xn) <= orth_bound
     k = first_true(~(sheet & unit & orth))
     if k is not None:
         u, v = U.flat[k], V.flat[k]
@@ -511,8 +512,10 @@ def frame_from_normal(x: ParametricMap4, nu: ParametricMap4, domain: Domain) -> 
             raise PreconditionError(f"base point at ({u}, {v}) is not on the upper hyperboloid: "
                                     + _h3_fault(xx.flat[k], xx_bound.flat[k], xg[0].flat[k]))
         if not unit.flat[k]:
-            raise PreconditionError(f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = {nn.flat[k]:.6e}")
-        raise PreconditionError(f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = {xn.flat[k]:.6e}")
+            raise PreconditionError(f"normal at ({u}, {v}) is not unit spacelike: <nu,nu> = {nn.flat[k]:.6e}, "
+                                    f"|<nu,nu> - 1| is not within {unit_bound.flat[k]:.3e}")
+        raise PreconditionError(f"normal at ({u}, {v}) is not orthogonal to x: <x,nu> = {xn.flat[k]:.6e}, "
+                                f"|<x,nu>| is not within {orth_bound.flat[k]:.3e}")
 
     def pair(u, v):
         p, n = evaluate(x.value, u, v), evaluate(nu.value, u, v)

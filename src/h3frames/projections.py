@@ -125,6 +125,11 @@ def to_poincare(x) -> np.ndarray:
     k = first_true(~ok)
     if k is not None:
         raise OffHyperboloidError(_h3_fault(r.flat[k], bound.flat[k], x[0].real.flat[k]))
+    return _ball(x)
+
+
+def _ball(x) -> np.ndarray:
+    """:func:`to_poincare` of points already known to lie in H^3, unchecked."""
     return x[1:] / (x[0] + 1.0)
 
 
@@ -165,10 +170,11 @@ def _disc_direction(x, y):
 
 def _normalize(w, n2, where: str, what: str):
     """w / sqrt(n2), refusing the first point where n2 is not above ``_bound(NORMALIZATION_TOL, w)``."""
-    k = first_true(~(np.real(n2) > _bound(NORMALIZATION_TOL, w)))
+    bound = _bound(NORMALIZATION_TOL, w)
+    k = first_true(~(np.real(n2) > bound))
     if k is not None:
-        raise NormalizationError(f"{where}: direction has {what.format(np.real(n2).flat[k])}; "
-                                 "the input does not satisfy the framed-surface axioms")
+        raise NormalizationError(f"{where}: direction has {what} {np.real(n2).flat[k]:.3e}, not above "
+                                 f"{bound.flat[k]:.3e}; the input does not satisfy the framed-surface axioms")
     return w / np.sqrt(n2)
 
 
@@ -187,7 +193,7 @@ def transport_to_disc(fs: FramedSurface) -> FramedSurface:
     """
     return _pushed(
         "transport_to_disc", "H^3", fs, to_poincare, _disc_direction,
-        lambda w: _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm {:.3e}"),
+        lambda w: _normalize(w, euclid_dot(w, w), "transport_to_disc", "squared norm"),
     )
 
 
@@ -203,7 +209,7 @@ def _h3_direction(p, y):
 
 
 def _normalize_minkowski(w, where: str):
-    return _normalize(w, minkowski_dot4(w, w), where, "pseudo square {:.3e}, expected > 0")
+    return _normalize(w, minkowski_dot4(w, w), where, "pseudo square")
 
 
 def transport_to_h3(dfs: FramedSurface) -> FramedSurface:
@@ -330,8 +336,6 @@ def lightcone_residual(lc: LightconeCandidate) -> float:
 # lifts R^3_1 -> H^3
 # ---------------------------------------------------------------------------
 
-Vec3Fn = Callable[[float, float], Sequence[float]]
-
 _BASIS4 = np.eye(4)
 
 
@@ -366,8 +370,7 @@ def lift_from_r31(
     xt: ParametricMap4,
     axis: Axis,
     domain: Domain,
-    lplus: Optional[Vec3Fn] = None,
-    lminus: Optional[Vec3Fn] = None,
+    lightcone: Optional[Callable[[float, float], np.ndarray]] = None,
 ) -> tuple[ParametricMap4, ParametricMap4]:
     """Insert the positive square root sqrt(x1^2 - x2^2 - x3^2 - 1).
 
@@ -377,8 +380,8 @@ def lift_from_r31(
     (:func:`h3frames.frames.frame_from_normal`) splits nu into a normal
     pair when a full framed surface is wanted.
 
-    When the lightcone pair (lplus, lminus) of the source surface is
-    supplied, nu uses its explicit formula: spatial part x4 * (l+ ^ l-)
+    When ``lightcone``, the source surface's lightcone pair (u, v) -> (l+, l-) as one
+    ``(6, *shape)`` stack, is supplied, nu uses its explicit formula: spatial part x4 * (l+ ^ l-)
     arranged around the inserted slot, last component -<xt, l+ ^ l->,
     pseudo-normalized.  Otherwise nu falls back to the wedge construction
     of :func:`_fallback_normal`.
@@ -387,8 +390,6 @@ def lift_from_r31(
     which ``project --from r31`` shares; else :class:`PreconditionError` reports the grid's minimum of
     x1^2 - x2^2 - x3^2 where the q rule fails, or the first grid point (v-major) lifting off H^3.
     """
-    if (lplus is None) != (lminus is None):
-        raise ValueError("supply both lightcone maps or neither")
     U, V = domain.mesh()
     q, x, r, bound, rises, ok = _lift(evaluate(xt.value, U, V), axis)
     if not rises.all():
@@ -404,12 +405,12 @@ def lift_from_r31(
 
     x_map = ParametricMap4(value=x_value)
 
-    if lplus is not None:
+    if lightcone is not None:
 
         def nu_value(u, v):
             p = evaluate(xt.value, u, v)
             x4 = _lift(p, axis)[1][axis.index]
-            lw = wedge2_r31(evaluate(lplus, u, v), evaluate(lminus, u, v))
+            lw = wedge2_r31(*np.split(evaluate(lightcone, u, v), 2))
             raw = _insert(x4 * lw, -minkowski_dot3(p, lw), axis)
             return _normalize_minkowski(raw, "lift_from_r31")
 

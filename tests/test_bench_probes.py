@@ -72,7 +72,7 @@ def test_cli_import_alone_registers_every_probed_module(monkeypatch):
 #: integrator steps, screen evals, seeds, Newton evals, Newton iters,
 #: classify evals, to_poincare, curve_derivative.
 COUNTS_AT_SEED_1 = {
-    "grid_sweep": [97, 5, 11, 1, 0, 0, 0, 0, 0, 0, 5, 0],
+    "grid_sweep": [96, 5, 11, 1, 0, 0, 0, 0, 0, 0, 4, 0],
     "singular_scan": [1458, 66, 186, 62, 0, 6, 536, 52, 631, 4, 2, 0],
     "horo_profiles": [1680, 48, 66, 22, 16000, 2, 29, 12, 58, 2, 0, 0],
 }

@@ -25,7 +25,7 @@ from h3frames.examples import (
 from h3frames.frames import Invariants, frame_at, invariants_at, invariants_grid
 from h3frames.minkowski import minkowski_dot4
 from h3frames.singularities import classify_singularity
-from h3frames.surface import Domain
+from h3frames.surface import Domain, ParametricMap4, components
 
 CLOSED_VS_STEP_TOL = 1e-13
 ORACLE_TOL = 1e-10
@@ -250,38 +250,41 @@ def test_corank_one_invariants_equal_the_cross_cap_oracle():
 
 
 def test_corank_one_rejects_nonsingular_origin():
-    f = lambda u, v: v
-    f_v = lambda u, v: 1.0  # f_v(0,0) != 0: origin would not be singular
-    zero = lambda u, v: 0.0
+    # f = v: f_v(0,0) != 0, so the origin would not be singular
+    fg = ParametricMap4(value=lambda u, v: components(v, 0.0),
+                        firsts=lambda u, v: (components(0.0, 0.0), components(1.0, 0.0)))
     with pytest.raises(PreconditionError):
-        corank_one_surface(f, zero, zero, f_v, zero, zero)
+        corank_one_surface(fg)
 
 
-#: f = v^2 + u v, g = u v and (f_u, f_v, g_u, g_v): a corank-one instance
-#: that is not the cross cap.
-_CUSTOM_CORANK_FNS = (
-    lambda u, v: v * v + u * v,
-    lambda u, v: u * v,
-    lambda u, v: v,
-    lambda u, v: 2.0 * v + u,
-    lambda u, v: v,
-    lambda u, v: u,
+#: f = v^2 + u v, g = u v, with firsts ((f_u, g_u), (f_v, g_v)) = ((v, v),
+#: (2 v + u, u)): a corank-one instance that is not the cross cap.
+_CUSTOM_CORANK_FG = ParametricMap4(
+    value=lambda u, v: components(v * v + u * v, u * v),
+    firsts=lambda u, v: (components(v, v), components(2.0 * v + u, u)),
 )
 
 
-def test_corank_one_grid_frame_reads_the_user_functions_29_times():
-    # one grid frame_at: x reads f and g, its closed firsts read all six
-    # once, and each normal's value and two complex steps read f, g, f_u
-    # and g_u (nu1) or f, g and g_u (nu2): 2 + 6 + 3 * 4 + 3 * 3
+def test_corank_one_refuses_a_map_without_closed_firsts():
+    with pytest.raises(PreconditionError, match="closed firsts"):
+        corank_one_surface(_CUSTOM_CORANK_FG.without_derivatives())
+
+
+def _counted(fg, calls):
+    """``fg``, appending "value" or "firsts" to ``calls`` at each call."""
+    return ParametricMap4(value=lambda u, v: calls.append("value") or fg.value(u, v),
+                          firsts=lambda u, v: calls.append("firsts") or fg.firsts(u, v))
+
+
+def test_corank_one_grid_frame_reads_the_user_map_15_times():
+    # one grid frame_at: x's value calls fg's value, x's closed firsts its
+    # value and firsts, and each normal's value and two complex steps its
+    # value and firsts: 1 + 2 + 2 * 3 * 2, of them 8 value calls
     calls = []
-
-    def counted(k, fn):
-        return lambda u, v: calls.append(k) or fn(u, v)
-
-    fs = corank_one_surface(*(counted(k, fn) for k, fn in enumerate(_CUSTOM_CORANK_FNS)))
+    fs = corank_one_surface(_counted(_CUSTOM_CORANK_FG, calls))
     calls.clear()  # the construction's check of f_v and g_v at the origin
     frame_at(fs, *BOX.mesh())
-    assert len(calls) == 29
+    assert len(calls) == 15 and calls.count("value") == 8
 
 
 def test_cross_cap_grid_frame_takes_sqrt_w_four_times(monkeypatch):
@@ -295,8 +298,8 @@ def test_cross_cap_grid_frame_takes_sqrt_w_four_times(monkeypatch):
 
 def test_corank_one_custom_instance_alpha_beta():
     """f = v^2 + u v, g = u v: alpha/beta closed forms vs extraction."""
-    fs = corank_one_surface(*_CUSTOM_CORANK_FNS)
-    ab = corank_one_alpha_beta(*_CUSTOM_CORANK_FNS)
+    fs = corank_one_surface(_CUSTOM_CORANK_FG)
+    ab = corank_one_alpha_beta(_CUSTOM_CORANK_FG)
     u, v = _sample_arrays(BOX, n=4)
     inv = invariants_at(fs, u, v)
     alpha, beta = ab(u, v)
@@ -307,29 +310,16 @@ def test_corank_one_custom_instance_alpha_beta():
 
 
 def test_corank_one_normals_read_each_user_function_once():
-    # one nu1 or nu2 evaluation, at a point or on a grid, calls each of
-    # f, g, f_u, g_u at most once (the v-partials only enter x_v)
-    calls = {}
-
-    def counted(name, fn):
-        def wrapped(u, v):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(u, v)
-
-        return wrapped
-
-    fns = [counted(name, fn) for name, fn in zip(
-        ("f", "g", "f_u", "f_v", "g_u", "g_v"),
-        (lambda u, v: v * v + u * v, lambda u, v: u * v, lambda u, v: v,
-         lambda u, v: 2.0 * v + u, lambda u, v: v, lambda u, v: u),
-    )]
-    fs = corank_one_surface(*fns)
+    # one nu1 or nu2 evaluation, at a point or on a grid, makes one value
+    # call and one firsts call of the (f, g) map
+    calls = []
+    fs = corank_one_surface(_counted(_CUSTOM_CORANK_FG, calls))
     U, V = BOX.mesh()
     for m in (fs.nu1, fs.nu2):
         for point in ((0.3, -0.2), (U, V)):
             calls.clear()
             m.value(*point)
-            assert calls and max(calls.values()) == 1, calls
+            assert sorted(calls) == ["firsts", "value"], calls
 
 
 def test_known_singularities_kill_alpha_beta():
@@ -489,10 +479,10 @@ def test_corank_one_alpha_beta_matches_exact_derivation(u, v):
             assert abs(_dot(a, b) - want) < 1e-30
         maps = [float(e) for m in (x, nu1, nu2) for e in m]
         want = [float(e) for e in ab]
-    fs = corank_one_surface(*_CUSTOM_CORANK_FNS)
+    fs = corank_one_surface(_CUSTOM_CORANK_FG)
     got = np.concatenate([m.value(u, v) for m in (fs.x, fs.nu1, fs.nu2)])
     assert _max_gap(got, maps) <= 1e-14 * (1.0 + max(map(abs, maps)))
-    got = corank_one_alpha_beta(*_CUSTOM_CORANK_FNS)(u, v)
+    got = corank_one_alpha_beta(_CUSTOM_CORANK_FG)(u, v)
     scale = 1.0 + max(map(abs, want))
     for n, g, w in zip(("alpha", "beta"), got, want):
         assert abs(g - w) <= 1e-14 * scale, (n, u, v, g, w)

@@ -108,8 +108,7 @@ OPTIONS = {
     "horocyclic.integrate_frame_curves(step)",
     "horocyclic.invariant_form_classify(tol)",
     "minkowski.causal_character(tol)",
-    "projections.lift_from_r31(lminus)",
-    "projections.lift_from_r31(lplus)",
+    "projections.lift_from_r31(lightcone)",
     "projections.write_disc_mesh(markers)",
     "singularities.classify_singularity(newton_iters)",
     "singularities.classify_singularity(refine_tol)",
@@ -157,7 +156,7 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
     for path in sorted(Path(h3frames.__path__[0]).glob("*.py")):
         found |= _options(path.stem, ast.parse(path.read_text(encoding="utf-8")))
     assert found == OPTIONS
-    assert len(OPTIONS) == 16
+    assert len(OPTIONS) == 15
 
 
 #: Entries of the ``geometry`` fixture's table (tests/conftest.py) that no

@@ -315,14 +315,18 @@ def test_frame_from_normal_precondition_errors():
     def scaled(m, factor):
         return ParametricMap4(value=lambda u, v: np.where((u > 0.5) & (v > 0.0), factor, 1.0) * m.value(u, v))
 
+    def within(*vecs):  # the refusal's bound at the first bad point: FRAME_TOL held to the vectors' size
+        return f" is not within {FRAME_TOL * max(1.0, *(np.dot(w, w) for w in vecs)):.3e}"
+
+    x, nu1 = fs.x.value(U.flat[k], V.flat[k]), fs.nu1.value(0.9, 0.9)
     cases = (
         (scaled(fs.x, 2.0), nu3, f"base point {at} is not on the upper hyperboloid"),
         # |<x,x> + 1| = 5e-9: within FRAME_TOL, but not in H^3 as to_poincare reads it
         (scaled(fs.x, 1 + 2.5e-9), nu3, f"base point {at} is not on the upper hyperboloid"),
-        (fs.x, scaled(nu3, 1.5), f"normal {at} is not unit spacelike"),
-        (fs.x, ParametricMap4(value=lambda u, v: np.where(bad, fs.nu1.value(0.9, 0.9)[:, None, None],
-                                                          nu3.value(u, v))),
-         f"normal {at} is not orthogonal to x"),
+        (fs.x, scaled(nu3, 1.5), f"normal {at} is not unit spacelike: <nu,nu> = 2.250000e+00, |<nu,nu> - 1|"
+         + within(1.5 * nu3.value(U.flat[k], V.flat[k]))),
+        (fs.x, ParametricMap4(value=lambda u, v: np.where(bad, nu1[:, None, None], nu3.value(u, v))),
+         f"normal {at} is not orthogonal to x: <x,nu> = {minkowski_dot4(x, nu1):.6e}, |<x,nu>|" + within(x, nu1)),
     )
     for x_map, nu_map, message in cases:
         with pytest.raises(PreconditionError, match=re.escape(message)):

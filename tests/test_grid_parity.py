@@ -116,6 +116,7 @@ def _maps_of_transports():
     dfs = transport_to_disc(cc)
     # the ball maps keep their bar names (x bar, nu bar) as labels
     out = {"transport_to_disc." + k: m for k, m in zip(("xbar", "nubar1", "nubar2"), (dfs.x, dfs.nu1, dfs.nu2))}
+    lightcone = {}
     for axis, box in ((Axis.X2, (0.05, 0.3, 0.6, 0.9)), (Axis.X3, (0.2, 0.5, 0.2, 0.5))):
         lc = project_to_r31(cc, axis, Domain(*box, nu=5, nv=5))
         out[f"project_to_r31.{axis.name}.xtilde"] = lc.xtilde
@@ -123,7 +124,11 @@ def _maps_of_transports():
         x_map, nu_map = lift_from_r31(lc.xtilde, axis, domain=lc.domain)
         out[f"lift_from_r31.{axis.name}.x"] = x_map
         out[f"lift_from_r31.{axis.name}.nu"] = nu_map
-    return out
+        # a pair of null vectors of R^3_1, (1, cos u, sin u) and (1, -cos u, -sin u), as one map
+        null_pair = lambda u, v: components(1.0, np.cos(u), np.sin(u), 1.0, -np.cos(u), -np.sin(u))
+        _, nu_map = lift_from_r31(lc.xtilde, axis, domain=lc.domain, lightcone=null_pair)
+        lightcone[f"lift_from_r31.{axis.name}.nu_lightcone"] = nu_map
+    return out | lightcone
 
 
 @pytest.mark.parametrize("name, m", list(_maps_of_transports().items()))

@@ -243,7 +243,7 @@ def test_transport_to_h3_rejects_degenerate_normal():
         nu1=ParametricMap4(value=lambda u, v: np.zeros(3)),
         nu2=ParametricMap4(value=lambda u, v: np.array([0.0, 0.0, 1.0])),
     )
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match=re.escape("pseudo square 0.000e+00, not above 1.000e-12")):
         transport_to_h3(dfs).nu1.value(0.5, 0.5)
 
 
@@ -360,26 +360,20 @@ def test_lift_fallback_normal_partials():
 def test_lift_with_lightcone_pair():
     xt = _sheet()
 
-    def plane_angle(u, v):
+    def lightcone(u, v):  # (1, c, s) and (1, -c, -s), (c, s) the unit spatial direction of xt_u ^ xt_v
         _, xu, xv = first_partials(xt, u, v)
         m = wedge2_r31(xu, xv)
-        return math.atan2(m[2], m[1])
-
-    def lplus(u, v):
-        phi = plane_angle(u, v)
-        return np.array([1.0, math.cos(phi), math.sin(phi)])
-
-    def lminus(u, v):
-        phi = plane_angle(u, v)
-        return np.array([1.0, -math.cos(phi), -math.sin(phi)])
+        c, s = m[1:] / np.sqrt(m[1] * m[1] + m[2] * m[2])
+        return components(1.0, c, s, 1.0, -c, -s)
 
     dom = Domain(0.2, 0.8, 0.1, 0.6, nu=7, nv=7)
-    x_map, nu_map = lift_from_r31(xt, Axis.X4, domain=dom, lplus=lplus, lminus=lminus)
+    x_map, nu_map = lift_from_r31(xt, Axis.X4, domain=dom, lightcone=lightcone)
     for u in np.linspace(0.2, 0.8, 5):
         for v in np.linspace(0.1, 0.6, 5):
             x, xu, xv = first_partials(x_map, u, v)
             nu = nu_map.value(u, v)
-            assert minkowski_dot3(lplus(u, v), lplus(u, v)) == pytest.approx(0.0, abs=1e-14)
+            lplus = lightcone(u, v)[:3]
+            assert minkowski_dot3(lplus, lplus) == pytest.approx(0.0, abs=1e-14)
             assert abs(minkowski_dot4(nu, x)) < IDENTITY_TOL
             assert abs(minkowski_dot4(nu, wedge3(x, xu, xv))) < IDENTITY_TOL
             assert minkowski_dot4(nu, nu) == pytest.approx(1.0, abs=1e-12)
@@ -407,14 +401,12 @@ def test_project_lift_and_split_give_a_full_frame():
         assert max(residuals) <= ROUND_TRIP_TOL, (axis, residuals)
 
 
-def test_lift_precondition_and_argument_errors():
+def test_lift_precondition_errors():
     dom = Domain(0.0, 1.0, 0.0, 1.0, nu=3, nv=3)
     boundary = ParametricMap4(value=lambda u, v: np.array([1.0, 0.0, 0.0]))
     with pytest.raises(PreconditionError) as exc:
         lift_from_r31(boundary, Axis.X4, domain=dom)
     assert "1.000000e+00" in str(exc.value)
-    with pytest.raises(ValueError):
-        lift_from_r31(_sheet(), Axis.X4, domain=dom, lplus=lambda u, v: np.ones(3))
 
 
 @pytest.mark.parametrize("x1, where, got", [

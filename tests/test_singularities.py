@@ -372,11 +372,10 @@ def _s1_germ(k):
     """Mond's S1+- germ (u, v^2, v^3 + k u^2 v) as a corank-one surface:
     det Hess(phi) = -48 k at the origin (derived in
     test_s1_germ_hess_phi_exact_derivation)."""
-    return corank_one_surface(
-        f=lambda u, v: v * v, g=lambda u, v: v * v * v + k * u * u * v,
-        f_u=lambda u, v: 0.0, f_v=lambda u, v: 2.0 * v,
-        g_u=lambda u, v: 2.0 * k * u * v, g_v=lambda u, v: 3.0 * v * v + k * u * u,
-    )
+    return corank_one_surface(ParametricMap4(
+        value=lambda u, v: components(v * v, v * v * v + k * u * u * v),
+        firsts=lambda u, v: (components(0.0, 2.0 * k * u * v), components(2.0 * v, 3.0 * v * v + k * u * u)),
+    ))
 
 
 @pytest.mark.xfail(strict=True, reason="Newton stops 1e-6 to 1e-5 short of the degenerate S1+- "
@@ -621,8 +620,10 @@ def test_s1_germ_classes_agree_on_the_ball(k):
 
 def _cross_cap_germ():
     """Mond's cross cap (u, v^2, u v) through corank_one_surface."""
-    return corank_one_surface(lambda u, v: v * v, lambda u, v: u * v, lambda u, v: 0.0,
-                              lambda u, v: 2.0 * v, lambda u, v: v, lambda u, v: u)
+    return corank_one_surface(ParametricMap4(
+        value=lambda u, v: components(v * v, u * v),
+        firsts=lambda u, v: (components(0.0, v), components(2.0 * v, u)),
+    ))
 
 
 @st.composite
