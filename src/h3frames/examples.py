@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .frames import FramedSurface, Invariants, _alpha_beta
-from .surface import Domain, ParametricMap4, _broadcast, components, evaluate, zero4
+from .surface import Domain, ParametricMap4, _broadcast, components, zero4
 
 __all__ = [
     "ExampleEntry",
@@ -67,24 +67,17 @@ def cross_cap_surface() -> FramedSurface:
     """The standard cross cap with closed-form first derivatives."""
 
     def x(u, v):
-        return components(_cc_sqrt_w(u, v), u, v * v, u * v)
-
-    def x_firsts(u, v):
         s = _cc_sqrt_w(u, v)
         xu = components(u * (1.0 + v * v) / s, 1.0, 0.0, v)
-        return xu, components((2.0 * v * v * v + u * u * v) / s, 0.0, 2.0 * v, u)
+        return components(s, u, v * v, u * v), xu, components((2.0 * v * v * v + u * u * v) / s, 0.0, 2.0 * v, u)
 
     def n1(u, v):
-        P = np.sqrt(v * v * v * v + 1.0)
-        return components(v * v * _cc_sqrt_w(u, v) / P, u * v * v / P, P, u * v * v * v / P)
-
-    def n1_firsts(u, v):
         s = _cc_sqrt_w(u, v)
         P2 = v * v * v * v + 1.0
         P = np.sqrt(P2)
         P3 = P2 * P
         n1u = components(u * v * v * (1.0 + v * v) / (s * P), v * v / P, 0.0, v * v * v / P)
-        return n1u, components(
+        return components(v * v * s / P, u * v * v / P, P, u * v * v * v / P), n1u, components(
             2.0 * v * s / P
             + v * v * (2.0 * v * v * v + u * u * v) / (s * P)
             - 2.0 * v * v * v * v * v * s / P3,
@@ -95,17 +88,10 @@ def cross_cap_surface() -> FramedSurface:
 
     def n2(u, v):
         Q = np.sqrt(v * v + 1.0)
-        return components(0.0, v / Q, 0.0, -1.0 / Q)
+        Q3 = (v * v + 1.0) * Q
+        return components(0.0, v / Q, 0.0, -1.0 / Q), zero4(u, v), components(0.0, 1.0 / Q3, 0.0, v / Q3)
 
-    def n2_firsts(u, v):
-        Q3 = (v * v + 1.0) * np.sqrt(v * v + 1.0)
-        return zero4(u, v), components(0.0, 1.0 / Q3, 0.0, v / Q3)
-
-    return FramedSurface(
-        x=ParametricMap4(value=x, firsts=x_firsts),
-        nu1=ParametricMap4(value=n1, firsts=n1_firsts),
-        nu2=ParametricMap4(value=n2, firsts=n2_firsts),
-    )
+    return FramedSurface(x=ParametricMap4(jet=x), nu1=ParametricMap4(jet=n1), nu2=ParametricMap4(jet=n2))
 
 
 def cross_cap_oracle(u, v) -> Invariants:
@@ -157,37 +143,38 @@ def _corank_k_numerator(u, f, g, f_u, g_u):  # k Q
 
 
 def _fg_jet(fg: ParametricMap4, u, v):
-    """(f, g, f_u, g_u, f_v, g_v) at (u, v): one value and one ``firsts`` call of ``fg``."""
-    f, g = evaluate(fg.value, u, v)
-    (f_u, g_u), (f_v, g_v) = (_broadcast(d, u) for d in fg.firsts(u, v))
+    """(f, g, f_u, g_u, f_v, g_v) at (u, v): one jet call of ``fg``."""
+    (f, g), (f_u, g_u), (f_v, g_v) = (_broadcast(d, u) for d in fg.jet(u, v))
     return f, g, f_u, g_u, f_v, g_v
 
 
-def corank_one_surface(fg: ParametricMap4) -> FramedSurface:
-    """Corank-one family for the user map ``fg``: (u, v) -> (f, g), stacked
-    component-first, with closed ``firsts`` ((f_u, g_u), (f_v, g_v)).
-
-    Refuses a map without closed firsts, and one with f_v(0,0) or g_v(0,0)
-    nonzero (the origin must be a singular point of the base map).  Normal
-    fields carry no closed-form derivatives - the e/f/g invariants come out
-    through complex-step partials.
-    """
-    if fg.firsts is None:
-        raise PreconditionError("corank-one family needs the closed firsts ((f_u, g_u), (f_v, g_v)) of its (f, g) map")
-    f_v, g_v = fg.firsts(0.0, 0.0)[1]
+def _check_fg(fg: ParametricMap4) -> None:
+    """Refuse an (f, g) map without a closed jet, or with f_v(0,0) or
+    g_v(0,0) nonzero (the origin must be a singular point of the base map)."""
+    if fg.jet is None:
+        raise PreconditionError("corank-one family needs the closed jet of its (f, g) map")
+    f_v, g_v = fg.jet(0.0, 0.0)[2]
     if abs(f_v) > 1e-12 or abs(g_v) > 1e-12:
         raise PreconditionError(f"corank-one family needs f_v(0,0) = g_v(0,0) = 0, got f_v = {f_v:.3e}, "
                                 f"g_v = {g_v:.3e}")
 
-    def x(u, v):
-        fv_, gv_ = evaluate(fg.value, u, v)
-        return components(_corank_root_s(u, fv_, gv_), u, fv_, gv_)
 
-    def x_firsts(u, v):
+def corank_one_surface(fg: ParametricMap4) -> FramedSurface:
+    """Corank-one family for the user map ``fg``, whose closed jet gives
+    ((f, g), (f_u, g_u), (f_v, g_v)), each pair stacked component-first.
+
+    Refuses a map without a closed jet, and one with f_v(0,0) or g_v(0,0)
+    nonzero (:func:`_check_fg`).  Normal fields carry no closed-form
+    derivatives - the e/f/g invariants come out through complex-step
+    partials.
+    """
+    _check_fg(fg)
+
+    def x(u, v):
         fv_, gv_, fu_, gu_, fvv, gvv = _fg_jet(fg, u, v)
         sS = _corank_root_s(u, fv_, gv_)
         xu = components((u + fv_ * fu_ + gv_ * gu_) / sS, 1.0, fu_, gu_)
-        return xu, components((fv_ * fvv + gv_ * gvv) / sS, 0.0, fvv, gvv)
+        return components(sS, u, fv_, gv_), xu, components((fv_ * fvv + gv_ * gvv) / sS, 0.0, fvv, gvv)
 
     def nu2_parts(u, fv_, gv_, gu_):
         """sqrt(S), Q and the unnormalized nu2, bar2 = (u g_u - g) x + (0, g_u, 0, -1)."""
@@ -214,15 +201,13 @@ def corank_one_surface(fg: ParametricMap4) -> FramedSurface:
         p = _corank_p(u, fv_, gv_, fu_, gu_)
         return np.sqrt(Q) / np.sqrt(p) * (bar1 - k * bar2)
 
-    return FramedSurface(
-        x=ParametricMap4(value=x, firsts=x_firsts),
-        nu1=ParametricMap4(value=n1),
-        nu2=ParametricMap4(value=n2),
-    )
+    return FramedSurface(x=ParametricMap4(jet=x), nu1=ParametricMap4(n1), nu2=ParametricMap4(n2))
 
 
 def corank_one_alpha_beta(fg: ParametricMap4) -> Callable[[float, float], tuple[float, float]]:
-    """Closed-form (alpha, beta) field of ``corank_one_surface(fg)``."""
+    """Closed-form (alpha, beta) field of ``corank_one_surface(fg)``; refuses
+    the maps that :func:`corank_one_surface` refuses."""
+    _check_fg(fg)
 
     def ab(u, v):
         fv_, gv_, fu_, gu_, fvv, gvv = _fg_jet(fg, u, v)
@@ -324,18 +309,13 @@ def _delta_b_p(u):
 
 def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p) -> FramedSurface:
     def x(u, v):
-        return np.cosh(v) * _gamma(u) + np.sinh(v) * delta(u)
-
-    def x_firsts(u, v):
-        ch, sh = np.cosh(v), np.sinh(v)
-        return ch * _gamma_p(u) + sh * delta_p(u), sh * _gamma(u) + ch * delta(u)
+        ch, sh, g, d = np.cosh(v), np.sinh(v), _gamma(u), delta(u)
+        return ch * g + sh * d, ch * _gamma_p(u) + sh * delta_p(u), sh * g + ch * d
 
     def along_u(n, n_p):  # a normal constant along each ruling
-        return ParametricMap4(value=lambda u, v: n(u), firsts=lambda u, v: (n_p(u), zero4(u, v)))
+        return ParametricMap4(jet=lambda u, v: (n(u), n_p(u), zero4(u, v)))
 
-    return FramedSurface(
-        x=ParametricMap4(value=x, firsts=x_firsts), nu1=along_u(nu1, nu1_p), nu2=along_u(nu2, nu2_p)
-    )
+    return FramedSurface(x=ParametricMap4(jet=x), nu1=along_u(nu1, nu1_p), nu2=along_u(nu2, nu2_p))
 
 
 def ruled_a_surface() -> FramedSurface:
@@ -400,11 +380,9 @@ def ruled_b_oracle(u, v) -> Invariants:
 _BOX = Domain(-0.9, 0.9, -0.9, 0.9, nu=21, nv=21)  # cross_cap and corank_one
 _RULED = Domain(-math.pi, math.pi, -1.0, 1.0, nu=41, nv=21, u_period=2.0 * math.pi)
 
-# f = v^2, g = u v, with firsts ((0, v), (2 v, u)), reproduces the cross cap.
+# f = v^2, g = u v, with (f_u, g_u) = (0, v) and (f_v, g_v) = (2 v, u), reproduces the cross cap.
 _CORANK_ONE_FG = ParametricMap4(
-    value=lambda u, v: components(v * v, u * v),
-    firsts=lambda u, v: (components(0.0, v), components(2.0 * v, u)),
-)
+    jet=lambda u, v: (components(v * v, u * v), components(0.0, v), components(2.0 * v, u)))
 
 
 def _horocyclic_entry(name: str) -> ExampleEntry:

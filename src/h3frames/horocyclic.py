@@ -116,9 +116,9 @@ class HorocyclicData:
 
     def at(self, u) -> np.ndarray:
         """``frame(u)`` as a float (or, at complex u, complex) array of
-        shape ``(3, 4, *shape(u))``."""
+        shape ``(3, 4, *shape(u))``, or ``(3, k, *shape(u))`` for vectors of k components."""
         f = np.asarray(self.frame(u))
-        return _broadcast(f.reshape((12,) + f.shape[2:]), u).reshape((3, 4) + np.shape(u))
+        return _broadcast(f.reshape((-1,) + f.shape[2:]), u).reshape((3, -1) + np.shape(u))
 
 
 def _check_curve_frame(frame, where: str) -> None:
@@ -144,12 +144,14 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
 
     The curve-frame axioms are checked by :func:`_check_curve_frame` on the
     u grid of ``domain`` first, and only there: the surface keeps no window.
-    A violation raises :class:`DegenerateFrameError`.
-    All three surface maps carry closed firsts; a map reads the frame
-    once for its value and once for both its first partials (see
-    :func:`_swept_map`).
+    A frame of vectors with other than 4 components raises
+    :class:`PreconditionError`, and a violation :class:`DegenerateFrameError`.
+    All three surface maps are closed jets; a map reads the frame once for
+    its value and both its first partials (see :func:`_swept_map`).
     """
-    _check_curve_frame(data.at(domain.u_grid()), "on the u grid")
+    frame = data.at(domain.u_grid())
+    _in_space("build_horocyclic", frame[0], "H^3")
+    _check_curve_frame(frame, "on the u grid")
     return FramedSurface(
         x=_swept_map(data, (0, 1, 2), lambda v: (1.0 + v * v / 2.0, v, v * v / 2.0),
                      lambda v: (v, 1.0, v)),
@@ -161,8 +163,8 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
 
 def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
     """The map sum_k c_k(v) a_k(u) over the frame vectors a_k, k in ``ks``
-    (``c(v)`` gives their coefficients in that order), with closed firsts
-    x_u = sum_k c_k a_k' and x_v = sum_k c_k' a_k, where c' = ``dc(v)``
+    (``c(v)`` gives their coefficients in that order), as the closed jet
+    with x_u = sum_k c_k a_k' and x_v = sum_k c_k' a_k, where c' = ``dc(v)``
     (x_v is zero when ``dc`` is None), from one frame evaluation.  a0', a1'
     and a2' are rows of the frame system, read with one call of h:
     a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
@@ -170,23 +172,20 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
     Each sum starts from its first term (not from 0, which would turn a
     -0.0 into +0.0)."""
 
-    def vectors(u):
-        w = tuple(data.at(u))
-        return w + (wedge3(*w),) if 3 in ks else w
-
     def combine(coeffs, vecs):
         return functools.reduce(operator.add, (ck * vecs[k] for ck, k in zip(coeffs, ks)))
 
-    def firsts(u, v):
-        w0, w1, w2 = w = data.at(u)
+    def jet(u, v):
+        w0, w1, w2 = w = tuple(data.at(u))
         w3 = wedge3(w0, w1, w2)
         h1, h2, h3, h4, h5, h6 = evaluate(data.h, u)
         d = (h1 * w1 + h2 * w2 + h3 * w3, h1 * w0 + h4 * w2 + h5 * w3, h2 * w0 - h4 * w1 + h6 * w3)
         if 3 in ks:
             d += (wedge3(d[0], w1, w2) + wedge3(w0, d[1], w2) + wedge3(w0, w1, d[2]),)
-        return combine(c(v), d), zero4(u, v) if dc is None else combine(dc(v), w)
+        cv = c(v)
+        return combine(cv, w + (w3,)), combine(cv, d), zero4(u, v) if dc is None else combine(dc(v), w)
 
-    return ParametricMap4(value=lambda u, v: combine(c(v), vectors(u)), firsts=firsts)
+    return ParametricMap4(jet=jet)
 
 
 _HORO_CONSTANTS = {"a2": 0.0, "b2": 0.0, "c2": -1.0, "e2": 0.0, "f2": 0.0, "g2": 1.0}

@@ -389,6 +389,8 @@ def lift_from_r31(
     Every grid point of ``domain`` must lift by the rule of :func:`_lift`,
     which ``project --from r31`` shares; else :class:`PreconditionError` reports the grid's minimum of
     x1^2 - x2^2 - x3^2 where the q rule fails, or the first grid point (v-major) lifting off H^3.
+    ``lightcone`` is read once on that grid too, and refused with :class:`PreconditionError`
+    unless it returns a ``(6, *shape)`` stack (or one constant 6-vector).
     """
     U, V = domain.mesh()
     q, x, r, bound, rises, ok = _lift(evaluate(xt.value, U, V), axis)
@@ -406,6 +408,10 @@ def lift_from_r31(
     x_map = ParametricMap4(value=x_value)
 
     if lightcone is not None:
+        shape = np.shape(lightcone(U, V))
+        if shape[:1] != (6,) or shape[1:] not in ((), U.shape):
+            raise PreconditionError(f"lift_from_r31 reads the lightcone pair (l+, l-) as one (6, *shape) stack: "
+                                    f"got shape {shape} on a grid of shape {U.shape}")
 
         def nu_value(u, v):
             p = evaluate(xt.value, u, v)

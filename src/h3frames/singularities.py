@@ -415,10 +415,10 @@ def _spectral(f: np.ndarray, k: int) -> np.ndarray:
 
 
 def _torus_invariants(fs: FramedSurface, u0, v0, U, V) -> Invariants:
-    def jet(m):  # values, and one call of the closed first partials or spectral ones
+    def jet(m):  # one call of the map's jet, or its values and spectral partials
+        if m.jet is not None:
+            return tuple(_broadcast(d, U) for d in m.jet(U, V))
         x = evaluate(m.value, U, V)
-        if m.has_closed_firsts:
-            return (x, *(_broadcast(d, U) for d in m.firsts(U, V)))
         return x, _spectral(x, 0), _spectral(x, 1)
 
     return basic_invariants(_assemble(u0, v0, *map(jet, (fs.x, fs.nu1, fs.nu2))))

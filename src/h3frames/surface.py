@@ -1,28 +1,31 @@
 """Parametric maps, first partials and rectangular domains.
 
-A :class:`ParametricMap4` wraps an evaluator ``(u, v) -> ndarray`` and,
-optionally, ``firsts(u, v) -> (x_u, x_v)``: its closed first partials,
-whose shared terms one call computes once.  Evaluators broadcast: ``u``
-and ``v`` are Python floats or arrays of one shape, and the result (and
-each partial) is component-first, of shape ``(k, *shape)`` - ``(k,)`` for
-floats, or one constant ``(k,)`` vector that evaluation broadcasts over
-the grid.  Build results with :func:`components`, which accepts constant
-components beside array ones, and write formulas with ``np.`` functions
-rather than ``math.``, and powers as products.  Every grid sweep
-evaluates a whole ``(nv, nu)`` grid (:meth:`Domain.mesh`, v-major) in one
-call, and a refusal names the first offending point in v-major order.
+A :class:`ParametricMap4` wraps either a value ``(u, v) -> x`` or a
+closed-form jet ``(u, v) -> (x, x_u, x_v)``: the value and both first
+partials from one call, which computes their shared terms once.
+Evaluators broadcast: ``u`` and ``v`` are Python floats or arrays of one
+shape, and the value (and each partial) is component-first, of shape
+``(k, *shape)`` - ``(k,)`` for floats, or one constant ``(k,)`` vector
+that evaluation broadcasts over the grid.  Build results with
+:func:`components`, which accepts constant components beside array ones,
+and write formulas with ``np.`` functions rather than ``math.``, and
+powers as products.  Every grid sweep evaluates a whole ``(nv, nu)`` grid
+(:meth:`Domain.mesh`, v-major) in one call, and a refusal names the first
+offending point in v-major order.
 
-First partials are one call of the map's ``firsts`` when it has them,
-and otherwise complex-step derivatives Im f(u + ih, v) / h, with h far
+First partials are the map's one jet call when it has a jet, and
+otherwise complex-step derivatives Im f(u + ih, v) / h, with h far
 below rounding (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003): one
 evaluation per direction, no subtraction, exact to rounding wherever the
 map is defined, up to its boundary.  So map values must be
 complex-analytic numpy formulas of u and v: no ``math.`` functions, no
 ``abs``, ``np.hypot`` or float casts, and refusal checks read the real
-part.  Only a partial taken inside another complex step is a central
-difference (:func:`_complex_step`); the fallback normal of
-:func:`h3frames.projections.lift_from_r31` is the one map that takes
-one.  No map needs second partials: classification reads second-order
+part.  A value read of a jet map evaluates the whole jet, at complex
+points too, so its partials must be finite wherever its value is read.
+Only a partial taken inside another complex step is a central difference
+(:func:`_complex_step`); the fallback normal of
+:func:`h3frames.projections.lift_from_r31` is the one map that takes one.
+No map needs second partials: classification reads second-order
 information from the invariants on a complex torus
 (:mod:`h3frames.singularities`).
 
@@ -143,18 +146,27 @@ class Domain:
 
 @dataclasses.dataclass(frozen=True)
 class ParametricMap4:
-    """Point evaluator with optional closed first partials ``firsts(u, v) -> (x_u, x_v)``."""
+    """A map given by exactly one of its ``value(u, v) -> x`` or its closed
+    ``jet(u, v) -> (x, x_u, x_v)``; a jet map's value is its jet's first item."""
 
-    value: VecFn
-    firsts: Optional[Callable[[float, float], tuple]] = None
+    value: Optional[VecFn] = None
+    jet: Optional[Callable[[float, float], tuple]] = None
+
+    def __post_init__(self):
+        if (self.value is None) == (self.jet is None):
+            raise TypeError("a ParametricMap4 takes exactly one of value and jet")
+        if self.value is None:
+            jet = self.jet
+            object.__setattr__(self, "value", lambda u, v: jet(u, v)[0])
 
     @property
     def has_closed_firsts(self) -> bool:
-        return self.firsts is not None
+        """Whether the first partials are closed-form: the map has a jet."""
+        return self.jet is not None
 
     def without_derivatives(self) -> "ParametricMap4":
-        """Copy whose first partials come from the complex step."""
-        return dataclasses.replace(self, firsts=None)
+        """The value-only map, whose first partials come from the complex step."""
+        return ParametricMap4(self.value)
 
 
 def components(*values) -> np.ndarray:
@@ -216,12 +228,11 @@ def _complex_step(fn, k: int, *args) -> np.ndarray:
 
 
 def first_partials(m: ParametricMap4, u, v):
-    """(x, x_u, x_v) at (u, v): one call of the map's closed ``firsts``
-    when it has them, complex-step derivatives otherwise."""
-    x = evaluate(m.value, u, v)
-    if m.firsts is None:
-        return x, _complex_step(m.value, 0, u, v), _complex_step(m.value, 1, u, v)
-    return (x, *(_broadcast(d, u) for d in m.firsts(u, v)))
+    """(x, x_u, x_v) at (u, v): one call of the map's jet when it has one,
+    its value and complex-step derivatives otherwise."""
+    if m.jet is None:
+        return evaluate(m.value, u, v), _complex_step(m.value, 0, u, v), _complex_step(m.value, 1, u, v)
+    return tuple(_broadcast(d, u) for d in m.jet(u, v))
 
 
 def fd_convergence_ratio(m: ParametricMap4, u: float, v: float):
@@ -233,9 +244,9 @@ def fd_convergence_ratio(m: ParametricMap4, u: float, v: float):
     ratio err(h) / err(h/2); the 2-point stencil gives ratios near 4
     while truncation dominates.
     """
-    if not m.has_closed_firsts:
+    if m.jet is None:
         raise ValueError("need closed-form first partials as reference")
-    exact = np.concatenate(m.firsts(u, v))
+    exact = np.concatenate(m.jet(u, v)[1:])
     err = []
     for h in (_FD_STEP, _FD_STEP / 2.0):
         xu = (evaluate(m.value, u + h, v) - evaluate(m.value, u - h, v)) / (2.0 * h)

@@ -22,6 +22,7 @@ GEOMETRY = {
     "frames.rotate_frame": "either",
     "frames.verify_framed": "either",
     "frames.write_invariants_csv": "either",
+    "horocyclic.build_horocyclic": "H^3",
     "horocyclic.extract_h": "H^3",
     "horocyclic.integrate_frame_curves": "H^3",
     "projections.from_poincare": "R^3",

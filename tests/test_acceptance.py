@@ -307,7 +307,7 @@ def test_criterion_08_r31_bridge(gate):
         def sheet_dv(u, v):
             return components(v / np.sqrt(2.0 + u * u + v * v), 0.0, 1.0)
 
-        xt = ParametricMap4(value=sheet, firsts=lambda u, v: (sheet_du(u, v), sheet_dv(u, v)))
+        xt = ParametricMap4(jet=lambda u, v: (sheet(u, v), sheet_du(u, v), sheet_dv(u, v)))
         dom = Domain(0.2, 0.5, 0.2, 0.5, nu=7, nv=7)
         for axis in Axis:
             xm, num = lift_from_r31(xt, axis, domain=dom)
@@ -417,10 +417,8 @@ def test_criterion_11_property_suite(gate):
         # the studied steps (1e-3, 5e-4) let truncation dominate rounding
         # in the halving ratio
         smooth = ParametricMap4(
-            value=lambda u, v: np.array(
-                [math.sin(u + 2.0 * v), u * u * v, math.cos(u), math.exp(0.3 * v)]
-            ),
-            firsts=lambda u, v: (
+            jet=lambda u, v: (
+                np.array([math.sin(u + 2.0 * v), u * u * v, math.cos(u), math.exp(0.3 * v)]),
                 np.array([math.cos(u + 2.0 * v), 2.0 * u * v, -math.sin(u), 0.0]),
                 np.array([2.0 * math.cos(u + 2.0 * v), u * u, 0.0, 0.3 * math.exp(0.3 * v)]),
             ),

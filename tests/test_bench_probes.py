@@ -74,7 +74,7 @@ def test_cli_import_alone_registers_every_probed_module(monkeypatch):
 COUNTS_AT_SEED_1 = {
     "grid_sweep": [96, 5, 11, 1, 0, 0, 0, 0, 0, 0, 4, 0],
     "singular_scan": [1458, 66, 186, 62, 0, 6, 536, 52, 631, 4, 2, 0],
-    "horo_profiles": [1680, 48, 66, 22, 16000, 2, 29, 12, 58, 2, 0, 0],
+    "horo_profiles": [1248, 48, 66, 22, 16000, 2, 29, 12, 58, 2, 0, 0],
 }
 
 

@@ -69,7 +69,7 @@ def test_closed_firsts_match_complex_step(name):
             continue
         for u, v in _sample_points(ex.domain):
             du_cs, dv_cs = _complex_step_firsts(m.value, u, v)
-            du, dv = m.firsts(u, v)
+            _, du, dv = m.jet(u, v)
             assert np.max(np.abs(du - du_cs)) < CLOSED_VS_STEP_TOL, (
                 f"{name}.{label} du mismatch at {(u, v)}"
             )
@@ -96,7 +96,7 @@ def test_ruled_generators_are_pseudo_orthonormal(name):
     for u in np.linspace(-math.pi, math.pi, 17):
         gamma = fs.x.value(u, 0.0)
         # x_v at v = 0 is exactly delta.
-        delta = fs.x.firsts(u, 0.0)[1]
+        delta = fs.x.jet(u, 0.0)[2]
         assert abs(minkowski_dot4(gamma, gamma) + 1.0) < 1e-12
         assert abs(minkowski_dot4(delta, delta) - 1.0) < 1e-12
         assert abs(minkowski_dot4(gamma, delta)) < 1e-12
@@ -241,7 +241,7 @@ def test_default_corank_one_is_the_cross_cap():
 
 def test_corank_one_invariants_equal_the_cross_cap_oracle():
     # the default corank-one surface is the cross cap, and its normals have
-    # no closed firsts: complex-step partials make its invariants exact to
+    # no closed jet: complex-step partials make its invariants exact to
     # rounding (central differences missed the oracle by 1.2e-10)
     dom = dataclasses.replace(BOX, nu=31, nv=31)
     got = invariants_grid(get_example("corank_one").framed, dom).as_dict()
@@ -251,49 +251,47 @@ def test_corank_one_invariants_equal_the_cross_cap_oracle():
 
 def test_corank_one_rejects_nonsingular_origin():
     # f = v: f_v(0,0) != 0, so the origin would not be singular
-    fg = ParametricMap4(value=lambda u, v: components(v, 0.0),
-                        firsts=lambda u, v: (components(0.0, 0.0), components(1.0, 0.0)))
+    fg = ParametricMap4(jet=lambda u, v: (components(v, 0.0), components(0.0, 0.0), components(1.0, 0.0)))
     with pytest.raises(PreconditionError):
         corank_one_surface(fg)
 
 
-#: f = v^2 + u v, g = u v, with firsts ((f_u, g_u), (f_v, g_v)) = ((v, v),
-#: (2 v + u, u)): a corank-one instance that is not the cross cap.
+#: f = v^2 + u v, g = u v, with partials (f_u, g_u) = (v, v) and
+#: (f_v, g_v) = (2 v + u, u): a corank-one instance that is not the cross cap.
 _CUSTOM_CORANK_FG = ParametricMap4(
-    value=lambda u, v: components(v * v + u * v, u * v),
-    firsts=lambda u, v: (components(v, v), components(2.0 * v + u, u)),
+    jet=lambda u, v: (components(v * v + u * v, u * v), components(v, v), components(2.0 * v + u, u)),
 )
 
 
 def test_corank_one_refuses_a_map_without_closed_firsts():
-    with pytest.raises(PreconditionError, match="closed firsts"):
-        corank_one_surface(_CUSTOM_CORANK_FG.without_derivatives())
+    # both constructors refuse it when built, not at a first evaluation
+    for construct in (corank_one_surface, corank_one_alpha_beta):
+        with pytest.raises(PreconditionError, match="closed jet"):
+            construct(_CUSTOM_CORANK_FG.without_derivatives())
 
 
 def _counted(fg, calls):
-    """``fg``, appending "value" or "firsts" to ``calls`` at each call."""
-    return ParametricMap4(value=lambda u, v: calls.append("value") or fg.value(u, v),
-                          firsts=lambda u, v: calls.append("firsts") or fg.firsts(u, v))
+    """``fg``, appending one entry to ``calls`` at each call."""
+    return ParametricMap4(jet=lambda u, v: calls.append("jet") or fg.jet(u, v))
 
 
-def test_corank_one_grid_frame_reads_the_user_map_15_times():
-    # one grid frame_at: x's value calls fg's value, x's closed firsts its
-    # value and firsts, and each normal's value and two complex steps its
-    # value and firsts: 1 + 2 + 2 * 3 * 2, of them 8 value calls
+def test_corank_one_grid_frame_reads_the_user_map_7_times():
+    # one grid frame_at: x's jet calls fg's jet once, and each normal's
+    # value and two complex steps once each: 1 + 2 * 3
     calls = []
     fs = corank_one_surface(_counted(_CUSTOM_CORANK_FG, calls))
     calls.clear()  # the construction's check of f_v and g_v at the origin
     frame_at(fs, *BOX.mesh())
-    assert len(calls) == 15 and calls.count("value") == 8
+    assert len(calls) == 7
 
 
-def test_cross_cap_grid_frame_takes_sqrt_w_four_times(monkeypatch):
-    # once in each value of x and nu1, once in each of their closed firsts
+def test_cross_cap_grid_frame_takes_sqrt_w_twice(monkeypatch):
+    # once in each jet of x and nu1
     calls = []
     sqrt_w = examples._cc_sqrt_w
     monkeypatch.setattr(examples, "_cc_sqrt_w", lambda u, v: calls.append(1) or sqrt_w(u, v))
     frame_at(cross_cap_surface(), *BOX.mesh())
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_corank_one_custom_instance_alpha_beta():
@@ -310,8 +308,8 @@ def test_corank_one_custom_instance_alpha_beta():
 
 
 def test_corank_one_normals_read_each_user_function_once():
-    # one nu1 or nu2 evaluation, at a point or on a grid, makes one value
-    # call and one firsts call of the (f, g) map
+    # one nu1 or nu2 evaluation, at a point or on a grid, makes one jet
+    # call of the (f, g) map
     calls = []
     fs = corank_one_surface(_counted(_CUSTOM_CORANK_FG, calls))
     U, V = BOX.mesh()
@@ -319,7 +317,7 @@ def test_corank_one_normals_read_each_user_function_once():
         for point in ((0.3, -0.2), (U, V)):
             calls.clear()
             m.value(*point)
-            assert sorted(calls) == ["firsts", "value"], calls
+            assert calls == ["jet"], calls
 
 
 def test_known_singularities_kill_alpha_beta():

@@ -161,9 +161,10 @@ def test_public_defaulted_parameters_are_the_allowed_ones():
 
 #: Entries of the ``geometry`` fixture's table (tests/conftest.py) that no
 #: annotation finds: ``frame_from_normal`` takes maps, the horocyclic calls
-#: take curves or vectors of a curve frame, the ball-model point maps points.
+#: take a curve frame, curves or vectors of one, the ball-model point maps points.
 BY_HAND = {
     "frames.frame_from_normal",
+    "horocyclic.build_horocyclic",
     "horocyclic.extract_h",
     "horocyclic.integrate_frame_curves",
     "projections.from_poincare",
@@ -200,8 +201,9 @@ def test_framed_surfaces_are_their_three_maps():
 
 
 def test_maps_are_a_value_and_its_closed_firsts():
-    # the two first partials are one callable, so they cannot come unpaired
-    assert [f.name for f in dataclasses.fields(ParametricMap4)] == ["value", "firsts"]
+    # a closed map is one jet callable, its value and both first partials,
+    # so they cannot come unpaired
+    assert [f.name for f in dataclasses.fields(ParametricMap4)] == ["value", "jet"]
 
 
 def _package_imports(tree: ast.Module) -> set[str]:

@@ -184,8 +184,8 @@ def _one_point_surface(fs):
 
     def wrap(m):
         if m.has_closed_firsts:
-            du, dv = (one_point(lambda u, v, k=k: m.firsts(u, v)[k]) for k in (0, 1))
-            return ParametricMap4(value=one_point(m.value), firsts=lambda u, v: (du(u, v), dv(u, v)))
+            x, du, dv = (one_point(lambda u, v, k=k: m.jet(u, v)[k]) for k in (0, 1, 2))
+            return ParametricMap4(jet=lambda u, v: (x(u, v), du(u, v), dv(u, v)))
         return ParametricMap4(value=one_point(m.value))
 
     return FramedSurface(wrap(fs.x), wrap(fs.nu1), wrap(fs.nu2))
@@ -269,7 +269,7 @@ SWEPT = Domain(-0.9, 0.9, -0.9, 0.9, nu=5, nv=5)
 
 def _cross_cap_with(nu2_value=None, x_value=None):
     cc = get_example("cross_cap").framed
-    x = cc.x if x_value is None else ParametricMap4(value=x_value, firsts=cc.x.firsts)
+    x = cc.x if x_value is None else ParametricMap4(jet=lambda u, v: (x_value(u, v), *cc.x.jet(u, v)[1:]))
     nu2 = cc.nu2 if nu2_value is None else ParametricMap4(value=nu2_value)
     return FramedSurface(x, cc.nu1, nu2)
 

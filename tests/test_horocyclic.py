@@ -381,7 +381,7 @@ def test_integrated_curves_are_fourth_order():
 
 
 def test_complex_step_through_integrated_curves():
-    # the disc image has no closed firsts, so its partials are complex steps
+    # the disc image has no closed jet, so its partials are complex steps
     # through the Hermite pieces of the integrated curves; they must equal
     # the quotient rule on (x2, x3, x4) / (x1 + 1) with the frame system's
     # exact x_u, x_v (a Hermite evaluator that drops the imaginary part
@@ -393,7 +393,7 @@ def test_complex_step_through_integrated_curves():
     for got, dx in ((pu, xu), (pv, xv)):
         want = (dx[1:] * (x[0] + 1.0) - x[1:] * dx[0]) / ((x[0] + 1.0) * (x[0] + 1.0))
         assert np.max(np.abs(got - want)) < 1e-12
-    # the closed firsts of every swept map (u-partials from the frame
+    # the closed partials of every swept map (u-partials from the frame
     # system) match the complex step of the map's own values
     for data, tol in ((_integrated(_const_h(GENERIC_H)), 1e-11), (_helix_data(), 1e-14)):
         fs = build_horocyclic(data, DOMAIN)
@@ -406,8 +406,8 @@ def test_complex_step_through_integrated_curves():
 
 def test_one_frame_evaluation_per_map_call(monkeypatch, tmp_path):
     # one grid frame_at on a profile-driven surface: each of the three maps
-    # evaluates the node-frame spline once for its value and once for its
-    # closed firsts, which read the (n, 6) h table once
+    # makes one jet call, which evaluates the node-frame spline once and
+    # reads the (n, 6) h table once
     prof = _load_text(tmp_path, _profile_text())
     data = integrate_frame_curves(prof.h_funcs, E0, E1, E2, prof.u_min, prof.u_max)
     fs = build_horocyclic(data, DOMAIN)
@@ -420,7 +420,7 @@ def test_one_frame_evaluation_per_map_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(horocyclic, "_hermite", spy)
     frames.frame_at(fs, *DOMAIN.mesh())
-    assert calls.count((4, 4)) == 6
+    assert calls.count((4, 4)) == 3
     assert calls.count((6,)) == 3
 
 

@@ -29,7 +29,7 @@ from h3frames.frames import (
     invariants_at,
     verify_framed,
 )
-from h3frames.horocyclic import Curve4, extract_h, integrate_frame_curves
+from h3frames.horocyclic import Curve4, HorocyclicData, build_horocyclic, extract_h, integrate_frame_curves
 from h3frames.minkowski import (
     minkowski_dot3,
     minkowski_dot4,
@@ -50,7 +50,7 @@ from h3frames.projections import (
     verify_disc_framed,
     write_disc_mesh,
 )
-from h3frames.surface import Domain, ParametricMap4, components, first_partials
+from h3frames.surface import Domain, ParametricMap4, components, evaluate, first_partials
 
 ROUND_TRIP_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -70,7 +70,7 @@ def _constant_frame_surface():
     zero = lambda u, v: np.zeros(4)
 
     def const(w):
-        return ParametricMap4(value=lambda u, v: w, firsts=lambda u, v: (zero(u, v), zero(u, v)))
+        return ParametricMap4(jet=lambda u, v: (w, zero(u, v), zero(u, v)))
 
     return FramedSurface(x=const(e[0]), nu1=const(e[1]), nu2=const(e[2]))
 
@@ -208,13 +208,10 @@ def test_transport_to_h3_flat_patch():
 
     dfs = FramedSurface(
         x=ParametricMap4(
-            value=lambda u, v: components(u, v, 0.0),
-            firsts=lambda u, v: (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+            jet=lambda u, v: (components(u, v, 0.0), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
         ),
-        nu1=ParametricMap4(
-            value=lambda u, v: np.array([0.0, 0.0, 1.0]), firsts=lambda u, v: (zero3(u, v), zero3(u, v))
-        ),
-        nu2=ParametricMap4(value=n2_value, firsts=lambda u, v: (n2_du(u, v), n2_dv(u, v))),
+        nu1=ParametricMap4(jet=lambda u, v: (np.array([0.0, 0.0, 1.0]), zero3(u, v), zero3(u, v))),
+        nu2=ParametricMap4(jet=lambda u, v: (n2_value(u, v), n2_du(u, v), n2_dv(u, v))),
     )
     fs = transport_to_h3(dfs)
     for u in np.linspace(0.1, 0.4, 4):
@@ -255,6 +252,9 @@ _ONE_GEOMETRY_CALLS = {
     "frames.integrability_residuals": integrability_residuals,
     "frames.integrate_frame_along_line": lambda fs, dom: integrate_frame_along_line(
         invariant_field(fs), frame_at(fs, 0.3, 0.4), "u", 0.1, 0.05),
+    "horocyclic.build_horocyclic": lambda fs, dom: build_horocyclic(HorocyclicData(
+        frame=lambda u: np.array([evaluate(m.value, u, 0.4) for m in (fs.x, fs.nu1, fs.nu2)]),
+        h=lambda u: np.zeros(6)), dom),
     "horocyclic.extract_h": lambda fs, dom: extract_h(
         *(Curve4(value=lambda u, m=m: m.value(u, 0.4)) for m in (fs.x, fs.nu1, fs.nu2)), 0.3),
     "horocyclic.integrate_frame_curves": lambda fs, dom: integrate_frame_curves(
@@ -324,8 +324,8 @@ def _sheet():
     """x1^2 - x2^2 - x3^2 = 2 everywhere: a clean lift input."""
     r = lambda u, v: np.sqrt(2.0 + u * u + v * v)
     return ParametricMap4(
-        value=lambda u, v: components(r(u, v), u, v),
-        firsts=lambda u, v: (components(u / r(u, v), 1.0, 0.0), components(v / r(u, v), 0.0, 1.0)),
+        jet=lambda u, v: (components(r(u, v), u, v), components(u / r(u, v), 1.0, 0.0),
+                          components(v / r(u, v), 0.0, 1.0)),
     )
 
 
@@ -377,6 +377,27 @@ def test_lift_with_lightcone_pair():
             assert abs(minkowski_dot4(nu, x)) < IDENTITY_TOL
             assert abs(minkowski_dot4(nu, wedge3(x, xu, xv))) < IDENTITY_TOL
             assert minkowski_dot4(nu, nu) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lift_refuses_a_lightcone_pair_that_is_not_one_stack():
+    # read once on the grid when the lift is built, not at the first nu
+    # evaluation (where numpy's split would refuse an odd stack)
+    dom = Domain(0.2, 0.8, 0.1, 0.6, nu=4, nv=3)
+    calls = []
+    for lightcone, shape in (
+        (lambda u, v: components(u, v, u, v, u, v, u), "(7, 3, 4)"),  # 7 components
+        (lambda u, v: np.ones((2, 3)), "(2, 3)"),  # (l+, l-) as a pair of constant vectors
+        (lambda u, v: calls.append(np.shape(u)) or np.ones(5), "(5,)"),
+    ):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "lift_from_r31 reads the lightcone pair (l+, l-) as one (6, *shape) stack: "
+                f"got shape {shape} on a grid of shape (3, 4)")):
+            lift_from_r31(_sheet(), Axis.X4, domain=dom, lightcone=lightcone)
+    assert calls == [(3, 4)]
+    # a constant pair is one 6-vector, which evaluation broadcasts
+    _, nu_map = lift_from_r31(_sheet(), Axis.X4, domain=dom, lightcone=lambda u, v: np.array([1.0, 0.0, 1.0,
+                                                                                            1.0, 0.0, -1.0]))
+    assert nu_map.value(*dom.mesh()).shape == (4, 3, 4)
 
 
 def test_project_then_lift_is_identity():

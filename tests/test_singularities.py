@@ -373,8 +373,8 @@ def _s1_germ(k):
     det Hess(phi) = -48 k at the origin (derived in
     test_s1_germ_hess_phi_exact_derivation)."""
     return corank_one_surface(ParametricMap4(
-        value=lambda u, v: components(v * v, v * v * v + k * u * u * v),
-        firsts=lambda u, v: (components(0.0, 2.0 * k * u * v), components(2.0 * v, 3.0 * v * v + k * u * u)),
+        jet=lambda u, v: (components(v * v, v * v * v + k * u * u * v), components(0.0, 2.0 * k * u * v),
+                          components(2.0 * v, 3.0 * v * v + k * u * u)),
     ))
 
 
@@ -498,10 +498,11 @@ def test_classification_survives_coordinate_swap():
     fs = get_example("ruled_A").framed
 
     def swap(m):
-        return ParametricMap4(
-            value=lambda u, v: m.value(v, u),
-            firsts=lambda u, v: m.firsts(v, u)[::-1],
-        )
+        def jet(u, v):
+            x, du, dv = m.jet(v, u)
+            return x, dv, du
+
+        return ParametricMap4(jet=jet)
 
     dom = Domain(-1.0, 1.0, -0.5, 3.5, nu=11, nv=21)
     swapped = FramedSurface(swap(fs.x), swap(fs.nu1), swap(fs.nu2))
@@ -621,8 +622,7 @@ def test_s1_germ_classes_agree_on_the_ball(k):
 def _cross_cap_germ():
     """Mond's cross cap (u, v^2, u v) through corank_one_surface."""
     return corank_one_surface(ParametricMap4(
-        value=lambda u, v: components(v * v, u * v),
-        firsts=lambda u, v: (components(0.0, v), components(2.0 * v, u)),
+        jet=lambda u, v: (components(v * v, u * v), components(0.0, v), components(2.0 * v, u)),
     ))
 
 
