@@ -220,26 +220,18 @@ def corank_one_alpha_beta(fg: ParametricMap4) -> Callable[[float, float], tuple[
 
 
 # ---------------------------------------------------------------------------
-# Hyperbolic ruled surfaces over the closed spherical curve gamma.
+# Hyperbolic ruled surfaces x = cosh v gamma(u) + sinh v delta(u) over the
+# closed spherical curve gamma, framed by normals constant along each ruling.
+# Each curve is one callable u -> (c(u), c'(u)), value and derivative from
+# one call; a curve with w = 144 sin^2 u + 25 in it takes w and sqrt(w) once.
 # ---------------------------------------------------------------------------
 
 
 def _gamma(u):
-    return components(
-        13.0 / 5.0,
-        (9.0 * np.cos(u) - 3.0 * np.cos(3.0 * u)) / 5.0,
-        (9.0 * np.sin(u) - 3.0 * np.sin(3.0 * u)) / 5.0,
-        6.0 * SQ3 * np.cos(u) / 5.0,
-    )
-
-
-def _gamma_p(u):
-    return components(
-        0.0,
-        (-9.0 * np.sin(u) + 9.0 * np.sin(3.0 * u)) / 5.0,
-        (9.0 * np.cos(u) - 9.0 * np.cos(3.0 * u)) / 5.0,
-        -6.0 * SQ3 * np.sin(u) / 5.0,
-    )
+    c, s, c3, s3 = np.cos(u), np.sin(u), np.cos(3.0 * u), np.sin(3.0 * u)
+    g = components(13.0 / 5.0, (9.0 * c - 3.0 * c3) / 5.0, (9.0 * s - 3.0 * s3) / 5.0, 6.0 * SQ3 * c / 5.0)
+    g_p = components(0.0, (-9.0 * s + 9.0 * s3) / 5.0, (9.0 * c - 9.0 * c3) / 5.0, -6.0 * SQ3 * s / 5.0)
+    return g, g_p
 
 
 def _w(u):  # 144 sin^2 u + 25
@@ -252,75 +244,58 @@ def _w_and_r(u):  # w, and the ruled oracles' r = sqrt(432 sin^2 u + 75) = sqrt(
     return w, np.sqrt(3.0 * w)
 
 
-def _w_p(u):
-    return 144.0 * np.sin(2.0 * u)
-
-
-def _delta_a_numerator(u):
-    s = np.sin(u)
-    return components(
-        -156.0 * s,
-        -97.0 * np.sin(2.0 * u) + 18.0 * np.sin(4.0 * u),
-        -50.0 * (s * s) - 144.0 * (s * s * s * s) + 25.0,
-        -36.0 * SQ3 * np.sin(2.0 * u),
-    )
-
-
 def _delta_a(u):
     # Spacelike director of the first ruled surface: N(u) / (5 sqrt(w)).
-    return _delta_a_numerator(u) / (5.0 * np.sqrt(_w(u)))
-
-
-def _delta_a_p(u):
-    N = _delta_a_numerator(u)
-    s = np.sin(u)
-    Np = components(
-        -156.0 * np.cos(u),
-        -194.0 * np.cos(2.0 * u) + 72.0 * np.cos(4.0 * u),
-        -50.0 * np.sin(2.0 * u) - 576.0 * (s * s * s) * np.cos(u),
-        -72.0 * SQ3 * np.cos(2.0 * u),
+    s, c, s2, c2 = np.sin(u), np.cos(u), np.sin(2.0 * u), np.cos(2.0 * u)
+    N = components(
+        -156.0 * s,
+        -97.0 * s2 + 18.0 * np.sin(4.0 * u),
+        -50.0 * (s * s) - 144.0 * (s * s * s * s) + 25.0,
+        -36.0 * SQ3 * s2,
     )
-    d = 5.0 * np.sqrt(_w(u))
-    dp = 5.0 * _w_p(u) / (2.0 * np.sqrt(_w(u)))
-    return Np / d - N * dp / (d * d)
-
-
-def _nu1_numerator(u):
-    return components(24.0 * np.cos(u), 13.0 * np.cos(2.0 * u), 13.0 * np.sin(2.0 * u), 13.0 * SQ3)
+    Np = components(
+        -156.0 * c,
+        -194.0 * c2 + 72.0 * np.cos(4.0 * u),
+        -50.0 * s2 - 576.0 * (s * s * s) * c,
+        -72.0 * SQ3 * c2,
+    )
+    w_p = 144.0 * s2
+    r = np.sqrt(_w(u))
+    d = 5.0 * r
+    dp = 5.0 * w_p / (2.0 * r)
+    return N / d, Np / d - N * dp / (d * d)
 
 
 def _nu1_ruled(u):
-    return _nu1_numerator(u) / (2.0 * np.sqrt(_w(u)))
-
-
-def _nu1_ruled_p(u):
-    Ap = components(-24.0 * np.sin(u), -26.0 * np.sin(2.0 * u), 26.0 * np.cos(2.0 * u), 0.0)
-    w = _w(u)
-    return Ap / (2.0 * np.sqrt(w)) - _nu1_numerator(u) * _w_p(u) / (4.0 * (w * np.sqrt(w)))
+    # The normal nu1 of both ruled surfaces: A(u) / (2 sqrt(w)).
+    c, s2, c2 = np.cos(u), np.sin(2.0 * u), np.cos(2.0 * u)
+    A = components(24.0 * c, 13.0 * c2, 13.0 * s2, 13.0 * SQ3)
+    Ap = components(-24.0 * np.sin(u), -26.0 * s2, 26.0 * c2, 0.0)
+    w_p, w = 144.0 * s2, _w(u)
+    r = np.sqrt(w)
+    return A / (2.0 * r), Ap / (2.0 * r) - A * w_p / (4.0 * (w * r))
 
 
 def _delta_b(u):
-    return components(0.0, -SQ3 / 2.0 * np.cos(2.0 * u), -SQ3 / 2.0 * np.sin(2.0 * u), 0.5)
+    s2, c2 = np.sin(2.0 * u), np.cos(2.0 * u)
+    return components(0.0, -SQ3 / 2.0 * c2, -SQ3 / 2.0 * s2, 0.5), components(0.0, SQ3 * s2, -SQ3 * c2, 0.0)
 
 
-def _delta_b_p(u):
-    return components(0.0, SQ3 * np.sin(2.0 * u), -SQ3 * np.cos(2.0 * u), 0.0)
-
-
-def _ruled_surface(delta, delta_p, nu1, nu1_p, nu2, nu2_p) -> FramedSurface:
+def _ruled_surface(delta, nu1, nu2) -> FramedSurface:
     def x(u, v):
-        ch, sh, g, d = np.cosh(v), np.sinh(v), _gamma(u), delta(u)
-        return ch * g + sh * d, ch * _gamma_p(u) + sh * delta_p(u), sh * g + ch * d
+        ch, sh = np.cosh(v), np.sinh(v)
+        (g, g_p), (d, d_p) = _gamma(u), delta(u)
+        return ch * g + sh * d, ch * g_p + sh * d_p, sh * g + ch * d
 
-    def along_u(n, n_p):  # a normal constant along each ruling
-        return ParametricMap4(jet=lambda u, v: (n(u), n_p(u), zero4(u, v)))
+    def along_u(n):  # a normal constant along each ruling
+        return ParametricMap4(jet=lambda u, v: (*n(u), zero4(u, v)))
 
-    return FramedSurface(x=ParametricMap4(jet=x), nu1=along_u(nu1, nu1_p), nu2=along_u(nu2, nu2_p))
+    return FramedSurface(x=ParametricMap4(jet=x), nu1=along_u(nu1), nu2=along_u(nu2))
 
 
 def ruled_a_surface() -> FramedSurface:
     """Ruled surface with two isolated cross cap singular points."""
-    return _ruled_surface(_delta_a, _delta_a_p, _nu1_ruled, _nu1_ruled_p, _delta_b, _delta_b_p)
+    return _ruled_surface(_delta_a, _nu1_ruled, _delta_b)
 
 
 def ruled_a_oracle(u, v) -> Invariants:
@@ -350,7 +325,7 @@ def ruled_a_oracle(u, v) -> Invariants:
 
 def ruled_b_surface() -> FramedSurface:
     """Ruled surface whose singular set is the whole line v = 0."""
-    return _ruled_surface(_delta_b, _delta_b_p, _nu1_ruled, _nu1_ruled_p, _delta_a, _delta_a_p)
+    return _ruled_surface(_delta_b, _nu1_ruled, _delta_a)
 
 
 def ruled_b_oracle(u, v) -> Invariants:

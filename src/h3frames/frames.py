@@ -340,10 +340,7 @@ class IntegrabilityResiduals:
     Arrays are indexed ``[iv, iu]`` following the v-major grid convention.
     """
 
-    u: np.ndarray
-    v: np.ndarray
     r: tuple[np.ndarray, ...]  # six arrays
-    h: float
 
     @property
     def max_abs(self) -> tuple[float, ...]:
@@ -378,7 +375,7 @@ def integrability_residuals(
         (d["f1_v"] + q.e1 * q.g2 + q.a1 * q.c2) - (d["f2_u"] + q.e2 * q.g1 + q.a2 * q.c1),
         (d["g1_v"] - q.e1 * q.f2 + q.b1 * q.c2) - (d["g2_u"] - q.e2 * q.f1 + q.b2 * q.c1),
     )
-    return IntegrabilityResiduals(u=domain.u_grid(), v=domain.v_grid(), r=out, h=h)
+    return IntegrabilityResiduals(r=out)
 
 
 class ReflectVariant(enum.Enum):

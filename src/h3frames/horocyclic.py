@@ -153,19 +153,18 @@ def build_horocyclic(data: HorocyclicData, domain: Domain) -> FramedSurface:
     _in_space("build_horocyclic", frame[0], "H^3")
     _check_curve_frame(frame, "on the u grid")
     return FramedSurface(
-        x=_swept_map(data, (0, 1, 2), lambda v: (1.0 + v * v / 2.0, v, v * v / 2.0),
-                     lambda v: (v, 1.0, v)),
-        nu1=_swept_map(data, (3,), lambda v: (1.0,)),
-        nu2=_swept_map(data, (0, 1, 2), lambda v: (-(v * v / 2.0), -v, 1.0 - v * v / 2.0),
-                       lambda v: (-v, -1.0, -v)),
+        x=_swept_map(data, (0, 1, 2), lambda v: ((1.0 + v * v / 2.0, v, v * v / 2.0), (v, 1.0, v))),
+        nu1=_swept_map(data, (3,), lambda v: ((1.0,), None)),
+        nu2=_swept_map(data, (0, 1, 2), lambda v: ((-(v * v / 2.0), -v, 1.0 - v * v / 2.0), (-v, -1.0, -v))),
     )
 
 
-def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
-    """The map sum_k c_k(v) a_k(u) over the frame vectors a_k, k in ``ks``
-    (``c(v)`` gives their coefficients in that order), as the closed jet
-    with x_u = sum_k c_k a_k' and x_v = sum_k c_k' a_k, where c' = ``dc(v)``
-    (x_v is zero when ``dc`` is None), from one frame evaluation.  a0', a1'
+def _swept_map(data: HorocyclicData, ks, c) -> ParametricMap4:
+    """The map sum_k c_k(v) a_k(u) over the frame vectors a_k, k in ``ks``,
+    as the closed jet with x_u = sum_k c_k a_k' and x_v = sum_k c_k' a_k,
+    from one frame evaluation.  The coefficients are one callable,
+    ``c(v) -> (c_k(v), c_k'(v))``, each tuple in the order of ``ks``; a None
+    in place of the c_k' makes x_v zero.  a0', a1'
     and a2' are rows of the frame system, read with one call of h:
     a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
     a2' = h2 a0 - h4 a1 + h6 a3; a3' is the product rule on a0 ^ a1 ^ a2.
@@ -182,8 +181,8 @@ def _swept_map(data: HorocyclicData, ks, c, dc=None) -> ParametricMap4:
         d = (h1 * w1 + h2 * w2 + h3 * w3, h1 * w0 + h4 * w2 + h5 * w3, h2 * w0 - h4 * w1 + h6 * w3)
         if 3 in ks:
             d += (wedge3(d[0], w1, w2) + wedge3(w0, d[1], w2) + wedge3(w0, w1, d[2]),)
-        cv = c(v)
-        return combine(cv, w + (w3,)), combine(cv, d), zero4(u, v) if dc is None else combine(dc(v), w)
+        cv, dcv = c(v)
+        return combine(cv, w + (w3,)), combine(cv, d), zero4(u, v) if dcv is None else combine(dcv, w)
 
     return ParametricMap4(jet=jet)
 

@@ -106,7 +106,6 @@ class LightconeCandidate:
     xtilde: ParametricMap4
     t: ParametricMap4
     domain: Domain
-    axis: Axis
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,6 @@ def project_to_r31(fs: FramedSurface, axis: Axis, domain: Domain) -> LightconeCa
         xtilde=ParametricMap4(value=xt_value),
         t=ParametricMap4(value=t_value),
         domain=domain,
-        axis=axis,
     )
 
 

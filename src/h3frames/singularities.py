@@ -65,7 +65,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import REFINE_TOL, __version__
-from .errors import CDegenerateError
+from .errors import CDegenerateError, GeometryError
 from .frames import (H_INVARIANT, FramedSurface, Invariants, _assemble, _field_at, basic_invariants,
                      invariant_field, invariant_partials)
 from .surface import Domain, _broadcast, evaluate, first_true
@@ -201,15 +201,17 @@ def _jacobians(field: InvariantField, u: np.ndarray, v: np.ndarray) -> np.ndarra
 def _rows(fn: Callable, field: InvariantField, u: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
     """``fn(field, u, v)``, one row of ``width`` values per point, with nan
     rows where a point cannot be evaluated: its values are not finite, or
-    the field refuses it (a wild Newton step can leave the numerically
-    representable range entirely).  A refused call is split in halves until
-    each refusing point stands alone; no points make no call."""
+    the field refuses it by raising a :class:`GeometryError` (a wild Newton
+    step can leave the numerically representable range entirely).  A
+    refused call is split in halves until each refusing point stands alone;
+    no points make no call.  Any other exception propagates: it is a fault,
+    not a point the geometry refuses."""
     if not len(u):
         return np.empty((0, width))
     try:
         with np.errstate(all="ignore"):
             out = fn(field, u, v)
-    except (ArithmeticError, ValueError):
+    except GeometryError:
         if len(u) == 1:
             return np.full((1, width), np.nan)
         k = len(u) // 2

@@ -20,7 +20,9 @@ from h3frames.examples import (
     example_names,
     get_example,
     ruled_a_oracle,
+    ruled_a_surface,
     ruled_b_oracle,
+    ruled_b_surface,
 )
 from h3frames.frames import Invariants, frame_at, invariants_at, invariants_grid
 from h3frames.minkowski import minkowski_dot4
@@ -291,6 +293,17 @@ def test_cross_cap_grid_frame_takes_sqrt_w_twice(monkeypatch):
     sqrt_w = examples._cc_sqrt_w
     monkeypatch.setattr(examples, "_cc_sqrt_w", lambda u, v: calls.append(1) or sqrt_w(u, v))
     frame_at(cross_cap_surface(), *BOX.mesh())
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("surface", [ruled_a_surface, ruled_b_surface])
+def test_ruled_grid_frame_takes_w_twice(surface, monkeypatch):
+    # once in each of the two curves with w in them: delta_A in x (ruled_A)
+    # or nu2 (ruled_B), and nu1
+    calls = []
+    w = examples._w
+    monkeypatch.setattr(examples, "_w", lambda u: calls.append(1) or w(u))
+    frame_at(surface(), *RULED.mesh())
     assert len(calls) == 2
 
 

@@ -39,7 +39,6 @@ def test_all_names_resolve_and_star_import_works(name):
 #: module.function(parameter) or module.Class.field.  A new one must be
 #: added here on purpose: a knob that no caller sets belongs in a constant.
 KNOBS = {
-    "frames.IntegrabilityResiduals.h",
     "frames.integrability_residuals(h)",
     "frames.integrate_frame_along_line(step)",
     "frames.invariant_partials(h)",

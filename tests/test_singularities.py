@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h3frames import __version__
-from h3frames.errors import CDegenerateError
+from h3frames.errors import CDegenerateError, GeometryError
 from h3frames.examples import corank_one_surface, get_example
 from h3frames.frames import (
     FramedSurface,
@@ -139,6 +139,25 @@ def test_find_singular_points_bare_field_needs_domain():
 def test_a_scan_refuses_what_is_neither_a_framed_surface_nor_a_field():
     with pytest.raises(TypeError, match="expected a FramedSurface or an invariant field, got <class 'int'>"):
         singularity_scan(42, Domain(-1.0, 1.0, -1.0, 1.0, nu=5, nv=5))
+
+
+@pytest.mark.parametrize("error, refused", [(GeometryError, True), (ValueError, False)])
+def test_a_scan_skips_only_the_points_the_geometry_refuses(error, refused):
+    # the cross cap's oracle, raising on Newton's 1-d batches only: a
+    # GeometryError refuses those points (no seed converges), anything
+    # else is a fault and leaves the scan
+    ex = get_example("cross_cap")
+
+    def field(u, v):
+        if np.ndim(u) == 1:
+            raise error("raised on a Newton batch")
+        return ex.oracle_invariants(u, v)
+
+    if refused:
+        assert singularity_scan(field, ex.domain) == []
+    else:
+        with pytest.raises(ValueError, match="raised on a Newton batch"):
+            singularity_scan(field, ex.domain)
 
 
 def test_find_singular_points_narrow_window_merges_one_root():
