@@ -335,7 +335,7 @@ def _residual_summary(fr: FrameAt, inv: Invariants) -> FramedResidualSummary:
 
 @dataclasses.dataclass(frozen=True)
 class IntegrabilityResiduals:
-    """Signed left-minus-right residuals of the six compatibility equations.
+    """Signed residuals of the six integrability equations, one per invariant a, b, c, e, f, g.
 
     Arrays are indexed ``[iv, iu]`` following the v-major grid convention.
     """
@@ -356,26 +356,27 @@ def integrability_residuals(
     domain: Domain,
     h: float = H_INVARIANT,
 ) -> IntegrabilityResiduals:
-    """Evaluate the six integrability residuals over the grid of ``domain``.
+    """Evaluate the six integrability residuals over the grid of ``domain``:
+    Y_uv = Y_vu for the frame system Y_u = M1 Y, Y_v = M2 Y
+    (:func:`_frame_ode_matrix`) in zero-curvature form, M1_v - M2_u +
+    [M1, M2] = 0.  That matrix lies in so(1, 3), so its upper-triangle
+    entries, in the order a, b, c, e, f, g, are all of it.  The (1, 2)
+    entry carries the H^3 curvature term a1 b2 - a2 b1, which the
+    framed-surface constraint makes zero.
 
     Invariant derivatives are 2-point central differences with step ``h``
-    (:func:`invariant_partials`); the grid must be evaluable with that
-    margin.  The equations are those of H^3: a surface in R^3 raises
-    :class:`PreconditionError`.
+    (:func:`invariant_partials`), which must be positive and finite, else
+    ``ValueError``; the grid must be evaluable with that margin.  The
+    equations are those of H^3: a surface in R^3 raises :class:`PreconditionError`.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got h = {h}")
     _in_space("integrability_residuals", evaluate(fs.x.value, domain.u_min, domain.v_min), "H^3")
     q, d = invariant_partials(invariant_field(fs), *domain.mesh(), h)
-    out = (
-        (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
-        (d["b1_v"] + q.a1 * q.e2 - q.c1 * q.g2) - (d["b2_u"] + q.a2 * q.e1 - q.c2 * q.g1),
-        (d["c1_v"] + q.a1 * q.f2 + q.b1 * q.g2) - (d["c2_u"] + q.a2 * q.f1 + q.b2 * q.g1),
-        (d["e1_v"] - q.f1 * q.g2) - (d["e2_u"] - q.f2 * q.g1),
-        (d["f1_v"] + q.e1 * q.g2 + q.a1 * q.c2) - (d["f2_u"] + q.e2 * q.g1 + q.a2 * q.c1),
-        (d["g1_v"] - q.e1 * q.f2 + q.b1 * q.c2) - (d["g2_u"] - q.e2 * q.f1 + q.b2 * q.c1),
-    )
-    return IntegrabilityResiduals(r=out)
+    m1, m2 = (_frame_ode_matrix(np.stack(q.row(i), -1)) for i in (1, 2))
+    m1v, m2u = (_frame_ode_matrix(np.stack([d[k + s] for k in "abcefg"], -1)) for s in ("1_v", "2_u"))
+    r = m1v - m2u + (m1 @ m2 - m2 @ m1)
+    return IntegrabilityResiduals(r=tuple(r[..., i, j] for i, j in zip(*np.triu_indices(4, 1))))
 
 
 class ReflectVariant(enum.Enum):
@@ -384,28 +385,36 @@ class ReflectVariant(enum.Enum):
     SWAP = "swap"
 
 
+#: (r, det r) of each reflection, as :func:`_normal_pair_law` reads them.
+_REFLECTIONS = {
+    ReflectVariant.NEG_NU1: (((-1.0, 0.0), (0.0, 1.0)), -1.0),
+    ReflectVariant.NEG_BOTH: (((-1.0, 0.0), (0.0, -1.0)), 1.0),
+    ReflectVariant.SWAP: (((0.0, 1.0), (1.0, 0.0)), -1.0),
+}
+
+
+def _normal_pair_law(inv: Invariants, r, det: float, omega=(0.0, 0.0)) -> Invariants:
+    """Invariants after the O(2) change (nu1, nu2) -> (nu1, nu2) r of the
+    normal pair, r = ((r11, r12), (r21, r22)) with ``det`` = det r = +-1,
+    so nu3 -> det nu3.  With ``omega`` the connection omega_i = r11,i r12 +
+    r21,i r22, row i maps as (a, b) -> (a, b) r, c -> det c,
+    e -> det e + omega_i and (f, g) -> det (f, g) r."""
+    (r11, r12), (r21, r22) = r
+    rows = [(a * r11 + b * r21, a * r12 + b * r22, det * c, det * e + w,
+             det * (f * r11 + g * r21), det * (f * r12 + g * r22))
+            for (a, b, c, e, f, g), w in zip((inv.row(1), inv.row(2)), omega)]
+    return Invariants(*(q for pair in zip(*rows) for q in pair))
+
+
 def reflect(inv: Invariants, variant: ReflectVariant) -> Invariants:
     """Invariants after a discrete symmetry of the normal pair.
 
     ``NEG_NU1``: (nu1, nu2) -> (-nu1, nu2);  ``NEG_BOTH``: -> (-nu1, -nu2);
-    ``SWAP``: -> (nu2, nu1).  All three are involutions.
+    ``SWAP``: -> (nu2, nu1).  All three are involutions (:data:`_REFLECTIONS`).
     """
-    if variant is ReflectVariant.NEG_NU1:
-        return Invariants(
-            a1=-inv.a1, a2=-inv.a2, b1=inv.b1, b2=inv.b2, c1=-inv.c1, c2=-inv.c2,
-            e1=-inv.e1, e2=-inv.e2, f1=inv.f1, f2=inv.f2, g1=-inv.g1, g2=-inv.g2,
-        )
-    if variant is ReflectVariant.NEG_BOTH:
-        return Invariants(
-            a1=-inv.a1, a2=-inv.a2, b1=-inv.b1, b2=-inv.b2, c1=inv.c1, c2=inv.c2,
-            e1=inv.e1, e2=inv.e2, f1=-inv.f1, f2=-inv.f2, g1=-inv.g1, g2=-inv.g2,
-        )
-    if variant is ReflectVariant.SWAP:
-        return Invariants(
-            a1=inv.b1, a2=inv.b2, b1=inv.a1, b2=inv.a2, c1=-inv.c1, c2=-inv.c2,
-            e1=-inv.e1, e2=-inv.e2, f1=-inv.g1, f2=-inv.g2, g1=-inv.f1, g2=-inv.f2,
-        )
-    raise ValueError(f"unknown reflect variant: {variant!r}")
+    if not isinstance(variant, ReflectVariant):
+        raise ValueError(f"unknown reflect variant: {variant!r}")
+    return _normal_pair_law(inv, *_REFLECTIONS[variant])
 
 
 def rotated_invariants(
@@ -416,22 +425,10 @@ def rotated_invariants(
     The rotation is nu1 -> cos(theta) nu1 - sin(theta) nu2,
     nu2 -> sin(theta) nu1 + cos(theta) nu2 with theta = theta(u, v);
     ``theta_u`` / ``theta_v`` are its partial derivatives at the point.
+    It is :func:`_normal_pair_law` with det r = 1 and omega = (-theta_u, -theta_v).
     """
     ct, st = np.cos(theta), np.sin(theta)
-    return Invariants(
-        a1=inv.a1 * ct - inv.b1 * st,
-        a2=inv.a2 * ct - inv.b2 * st,
-        b1=inv.a1 * st + inv.b1 * ct,
-        b2=inv.a2 * st + inv.b2 * ct,
-        c1=inv.c1,
-        c2=inv.c2,
-        e1=inv.e1 - theta_u,
-        e2=inv.e2 - theta_v,
-        f1=inv.f1 * ct - inv.g1 * st,
-        f2=inv.f2 * ct - inv.g2 * st,
-        g1=inv.f1 * st + inv.g1 * ct,
-        g2=inv.f2 * st + inv.g2 * ct,
-    )
+    return _normal_pair_law(inv, ((ct, st), (-st, ct)), 1.0, (-theta_u, -theta_v))
 
 
 def rotate_frame(fs: FramedSurface, theta: Callable[[float, float], float]) -> FramedSurface:
@@ -678,9 +675,10 @@ class FrameTrajectory:
 
 def _frame_ode_matrix(rows) -> np.ndarray:
     """Matrices M of the frame system Y' = M Y from rows (a, b, c, e, f, g):
-    ``(..., 6) -> (..., 4, 4)``.  M G is antisymmetric for
-    G = diag(-1, 1, 1, 1), i.e. M lies in so(1, 3)."""
-    a, b, c, e, f, g = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
+    ``(..., 6) -> (..., 4, 4)``, the one statement of that system.  M G is
+    antisymmetric for G = diag(-1, 1, 1, 1), i.e. M lies in so(1, 3).
+    Complex rows stay complex, so complex-step jets pass through."""
+    a, b, c, e, f, g = np.moveaxis(np.asarray(rows), -1, 0)
     z = np.zeros_like(a)
     return np.stack(
         [

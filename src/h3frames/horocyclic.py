@@ -18,14 +18,14 @@ Magnus steps, which keep each frame pseudo-orthonormal to rounding, cover
 the whole span in one call).  Between the nodes the integrated frame is a
 cubic Hermite spline of the node states, whose node slopes come from the
 frame system, made pseudo-orthonormal pointwise.  Each swept map is a fixed
-combination sum_k c_k(v) a_k(u), so one frame evaluation gives its value,
-and one more gives both its first partials: the u-partial comes from the
-frame system itself,
-a_k' = sum_j M_kj(h(u)) a_j (a3' by the product rule).  The curvature
-functions are one callable too, u -> (h1, .., h6) stacked component-first,
-read once per evaluation.  Frames and h, like surface maps, broadcast: an
-array of u values gives a component-first ``(3, 4, *shape)`` frame and
-``(6, *shape)`` h, so the swept surface evaluates whole grids.
+combination sum_k c_k(v) a_k(u), so one frame evaluation gives its value
+and both its first partials: the u-partial comes from the frame system
+itself, a_k' = sum_j M_kj a_j with M = ``frames._frame_ode_matrix`` of
+(h1, .., h6).  The curvature functions are one callable too, u -> (h1, ..,
+h6) stacked component-first, read once per evaluation.  Frames and h, like
+surface maps, broadcast: an array of u values gives a component-first
+``(3, 4, *shape)`` frame and ``(6, *shape)`` h, so the swept surface
+evaluates whole grids.
 
 An h-profile CSV gives h1..h6 as the C^2 cubic spline through its samples
 (:class:`HProfile`).  Both splines are a few lines of numpy: one Hermite
@@ -164,25 +164,21 @@ def _swept_map(data: HorocyclicData, ks, c) -> ParametricMap4:
     as the closed jet with x_u = sum_k c_k a_k' and x_v = sum_k c_k' a_k,
     from one frame evaluation.  The coefficients are one callable,
     ``c(v) -> (c_k(v), c_k'(v))``, each tuple in the order of ``ks``; a None
-    in place of the c_k' makes x_v zero.  a0', a1'
-    and a2' are rows of the frame system, read with one call of h:
-    a0' = h1 a1 + h2 a2 + h3 a3, a1' = h1 a0 + h4 a2 + h5 a3,
-    a2' = h2 a0 - h4 a1 + h6 a3; a3' is the product rule on a0 ^ a1 ^ a2.
-    Each sum starts from its first term (not from 0, which would turn a
-    -0.0 into +0.0)."""
+    in place of the c_k' makes x_v zero.  Each a_k' is row k of the frame
+    system (``frames._frame_ode_matrix`` of h1..h6, one call of h) applied
+    to (a0, a1, a2, a3 = a0 ^ a1 ^ a2).  Each sum starts from its first
+    term (not from 0, which would turn a -0.0 into +0.0)."""
 
     def combine(coeffs, vecs):
-        return functools.reduce(operator.add, (ck * vecs[k] for ck, k in zip(coeffs, ks)))
+        return functools.reduce(operator.add, (ck * vk for ck, vk in zip(coeffs, vecs)))
 
     def jet(u, v):
-        w0, w1, w2 = w = tuple(data.at(u))
-        w3 = wedge3(w0, w1, w2)
-        h1, h2, h3, h4, h5, h6 = evaluate(data.h, u)
-        d = (h1 * w1 + h2 * w2 + h3 * w3, h1 * w0 + h4 * w2 + h5 * w3, h2 * w0 - h4 * w1 + h6 * w3)
-        if 3 in ks:
-            d += (wedge3(d[0], w1, w2) + wedge3(w0, d[1], w2) + wedge3(w0, w1, d[2]),)
+        w = data.at(u)
+        w = (*w, wedge3(*w))
+        m = np.moveaxis(_frame_ode_matrix(np.moveaxis(evaluate(data.h, u), 0, -1)), (-2, -1), (0, 1))
+        wk, dk = [w[k] for k in ks], [combine(m[k], w) for k in ks]
         cv, dcv = c(v)
-        return combine(cv, w + (w3,)), combine(cv, d), zero4(u, v) if dcv is None else combine(dcv, w)
+        return combine(cv, wk), combine(cv, dk), zero4(u, v) if dcv is None else combine(dcv, wk)
 
     return ParametricMap4(jet=jet)
 

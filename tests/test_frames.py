@@ -95,10 +95,33 @@ def test_integrability_residuals_small_on_cross_cap():
     assert res.max_abs == tuple(float(np.max(np.abs(ri))) for ri in res.r)
 
 
+def test_integrability_residuals_are_the_six_compatibility_equations(monkeypatch):
+    # the zero-curvature form written out, one equation per invariant, on
+    # invariants and partials that satisfy none of them; the e-equation
+    # carries the H^3 term a1 b2 - a2 b1
+    rng = np.random.default_rng(5)
+    q = Invariants(*rng.normal(size=(12, 3, 4)))
+    d = {k + i + z: rng.normal(size=(3, 4)) for k in "abcefg" for i in "12" for z in ("_u", "_v")}
+    monkeypatch.setattr("h3frames.frames.invariant_partials", lambda field, u, v, h: (q, d))
+    ex = get_example("cross_cap")
+    want = (
+        (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
+        (d["b1_v"] + q.a1 * q.e2 - q.c1 * q.g2) - (d["b2_u"] + q.a2 * q.e1 - q.c2 * q.g1),
+        (d["c1_v"] + q.a1 * q.f2 + q.b1 * q.g2) - (d["c2_u"] + q.a2 * q.f1 + q.b2 * q.g1),
+        (d["e1_v"] + q.a1 * q.b2 - q.f1 * q.g2) - (d["e2_u"] + q.a2 * q.b1 - q.f2 * q.g1),
+        (d["f1_v"] + q.e1 * q.g2 + q.a1 * q.c2) - (d["f2_u"] + q.e2 * q.g1 + q.a2 * q.c1),
+        (d["g1_v"] - q.e1 * q.f2 + q.b1 * q.c2) - (d["g2_u"] - q.e2 * q.f1 + q.b2 * q.c1),
+    )
+    got = integrability_residuals(ex.framed, ex.domain).r
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14)
+
+
 def test_integrability_residuals_reject_bad_step():
     ex = get_example("cross_cap")
-    with pytest.raises(ValueError):
-        integrability_residuals(ex.framed, ex.domain, h=0.0)
+    for h in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"step h must be positive and finite, got h = {h}")):
+            integrability_residuals(ex.framed, ex.domain, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +201,34 @@ def test_rotation_round_trip(inv, theta, theta_u, theta_v):
     )
     for k, val in back.as_dict().items():
         assert val == pytest.approx(inv.as_dict()[k], abs=1e-12), k
+
+
+def _assert_invariants_close(got, want):
+    for k, val in got.as_dict().items():
+        assert val == pytest.approx(want.as_dict()[k], abs=1e-12), k
+
+
+# reflect and rotated_invariants are one O(2) action on the normal pair
+@given(inv=invariants_strategy)
+def test_negating_both_normals_is_the_rotation_by_pi(inv):
+    _assert_invariants_close(reflect(inv, ReflectVariant.NEG_BOTH), rotated_invariants(inv, math.pi, 0.0, 0.0))
+
+
+@given(inv=invariants_strategy)
+def test_negate_then_swap_is_the_rotation_by_minus_half_pi(inv):
+    # (nu1, nu2) -> (-nu1, nu2) -> (nu2, -nu1)
+    _assert_invariants_close(reflect(reflect(inv, ReflectVariant.NEG_NU1), ReflectVariant.SWAP),
+                             rotated_invariants(inv, -math.pi / 2, 0.0, 0.0))
+
+
+@given(
+    inv=invariants_strategy,
+    thetas=st.tuples(st.floats(-math.pi, math.pi), finite, finite),
+    phis=st.tuples(st.floats(-math.pi, math.pi), finite, finite),
+)
+def test_rotations_compose_by_summing_angles_and_partials(inv, thetas, phis):
+    twice = rotated_invariants(rotated_invariants(inv, *thetas), *phis)
+    _assert_invariants_close(twice, rotated_invariants(inv, *(t + p for t, p in zip(thetas, phis))))
 
 
 def test_rotate_frame_two_routes_agree():

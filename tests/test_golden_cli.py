@@ -6,14 +6,19 @@ updates its digest here and records the change in CHANGES.md.
 
 A digest does not say how much an output changed, so the singular-point
 outputs also pin their parsed structure: a digest that moves while the
-structure holds is a change of digits, not of points or classes.
+structure holds is a change of digits, not of points or classes.  The
+horocyclic invariant table is pinned by number, against the closed form
+of the planted profile's invariants.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from h3frames.cli import main
+from h3frames.frames import INVARIANT_CSV_HEADER
+from h3frames.horocyclic import horocyclic_invariants, load_h_profile
 
 # (u, h1, ..., h6): a two-vertex horo-cone (h1..h4 = 0, h5 = 2 h6) whose
 # h6 varies along the curve, so the classification reads a real spline.
@@ -66,11 +71,11 @@ GOLDEN = {
     ),
     "invariants_horocyclic": (
         ["invariants", "--example", "horocyclic:planted.csv"],
-        "4dc741bdcd1885ff8235ec714327b0593311e2f5d3ac4bdd778b47a29a83c7cd",
+        "607e6ed049265d76e11ad7cd963b3815a35cad5cf9f43408a09e6122a60723e4",
     ),
     "singular_horocyclic": (
         ["singular", "--example", "horocyclic:planted.csv", "--grid", "11", "11"],
-        "d61d73b172b3d0917b3d77f1c5a8e60cba24b4f968e24ba597d64f2059e2d05b",
+        "3a7d31ba30158dc0ed2837cf38b91c791799d0c4b4db47ee8a906dcc3f37920f",
     ),
     "classify_profile": (
         ["classify", "--profile", "profile.csv"],
@@ -98,6 +103,12 @@ STRUCTURE = {
     "singular_horocyclic": [("cross_cap", 2)],
     "mesh_ruled_A_markers": 2,
 }
+
+
+#: Largest |printed - closed form| allowed over the invariants_horocyclic
+#: table.  The printed values were within 4.6e-14 of the closed form both
+#: at digest 4dc741bd.. and at 607e6ed0..; the bound is about twice that.
+HOROCYCLIC_PIN = 1e-13
 
 
 def _stdout(name, tmp_path, monkeypatch, capsys) -> str:
@@ -129,3 +140,15 @@ def test_golden_structure(name, tmp_path, monkeypatch, capsys):
     got = list(zip(value["classification"], map(int, value["newton_iters"])))
     assert value["points"] == [str(len(got))]
     assert got == STRUCTURE[name]
+
+
+def test_golden_horocyclic_invariants_match_the_closed_form(tmp_path, monkeypatch, capsys):
+    lines = _stdout("invariants_horocyclic", tmp_path, monkeypatch, capsys).splitlines()
+    lines = [line for line in lines if not line.startswith("#")]
+    assert lines[0] == INVARIANT_CSV_HEADER
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert table.shape == (21 * 21, 16)
+    u, v = table[:, 0], table[:, 1]
+    field = horocyclic_invariants(load_h_profile(tmp_path / "planted.csv").curve_frame())
+    want = np.stack([np.broadcast_to(w, u.shape) for w in field(u, v).as_dict().values()], axis=-1)
+    assert np.max(np.abs(table[:, 2:] - want)) <= HOROCYCLIC_PIN
