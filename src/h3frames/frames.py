@@ -6,9 +6,8 @@ A framed surface is a map ``x`` with two unit normal fields ``nu1``,
 in Euclidean R^3 (maps with 3 components, such as the ball model's image)
 ``{nu1, nu2, nu3}`` with ``nu3 = nu1 x nu2`` is orthonormal.
 :func:`_geometry` reads which from the maps' number of components.  Every
-call here takes either geometry but ``integrability_residuals``,
-``integrate_frame_along_line`` and ``frame_from_normal``, which refuse R^3
-(:func:`_in_space`).  The twelve basic invariants are the connection
+call here takes either geometry but ``frame_from_normal``, which refuses
+R^3 (:func:`_in_space`).  The twelve basic invariants are the connection
 coefficients of that frame, the same inner products in both geometries:
 
     x_u   =  a1 nu1 + b1 nu2 + c1 nu3
@@ -185,17 +184,17 @@ _SPACES = {"H^3": 4, "R^3": 3}
 
 
 def _geometry(x):
-    """``(dot, normal, gram_residual)`` of the space of the points ``x`` by
-    :data:`_SPACES`: the Minkowski product, x ^ a ^ b and the Gram residual
-    of (x, nu1, nu2, nu3) in H^3; the Euclidean product, a x b and the Gram
-    residual of (nu1, nu2, nu3) in R^3.  ``normal(x, a, b)`` is orthogonal
-    to the tangent vectors a, b at x."""
+    """``(dot, normal, gram_residual, curved)`` of the space of the points
+    ``x`` by :data:`_SPACES`: the Minkowski product, x ^ a ^ b, the Gram
+    residual of (x, nu1, nu2, nu3) and True in H^3; the Euclidean product,
+    a x b, the Gram residual of (nu1, nu2, nu3) and False in R^3.  ``normal(x,
+    a, b)`` is orthogonal to the tangent vectors a, b at x."""
     n = len(x)  # no table of functions: a module attribute rebound later is still seen
     if n == _SPACES["H^3"]:
-        return minkowski_dot4, wedge3, frame_gram_residual
+        return minkowski_dot4, wedge3, frame_gram_residual, True
     if n == _SPACES["R^3"]:
         return (euclid_dot, lambda x, a, b: euclid_cross(a, b),
-                lambda x, *nus: _gram_deviation(euclid_dot, nus, (1.0, 1.0, 1.0)))
+                lambda x, *nus: _gram_deviation(euclid_dot, nus, (1.0, 1.0, 1.0)), False)
     raise PreconditionError(f"a framed surface maps into R^4_1 or R^3, got {n} components")
 
 
@@ -285,12 +284,14 @@ def invariant_partials(
     """Invariants at (u, v) and the central differences (step ``h``) of the
     twelve invariants, alpha and beta, keyed like 'a1_u' and 'alpha_v'.
 
-    ``u, v`` are floats or equal-shape arrays.  The field is called once on
-    the stencil (u, v), (u + h, v), (u - h, v), (u, v + h), (u, v - h),
-    stacked on a last axis, so a refusal names the first stencil point in
-    that order; it is read by :func:`_field_at`, so constant components
-    come out as arrays like the others.
+    ``u, v`` are floats or equal-shape arrays; ``h`` outside (0, inf) raises
+    ``ValueError``.  The field is called once on the stencil (u, v),
+    (u + h, v), (u - h, v), (u, v + h), (u, v - h), stacked on a last axis,
+    so a refusal names the first stencil point in that order; it is read by
+    :func:`_field_at`, so constant components come out as arrays like the others.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got h = {h}")
     U = np.stack([u, u + h, u - h, u, u], axis=-1)
     V = np.stack([v, v, v, v + h, v - h], axis=-1)
     inv = _field_at(field, U, V)
@@ -324,7 +325,7 @@ def verify_framed(fs: FramedSurface, domain: Domain) -> FramedResidualSummary:
 
 
 def _residual_summary(fr: FrameAt, inv: Invariants) -> FramedResidualSummary:
-    dot, normal, _ = _geometry(fr.x)
+    dot, normal, *_ = _geometry(fr.x)
     off = abs(dot(normal(fr.x, fr.xu, fr.xv), fr.nu3))
     return FramedResidualSummary(
         float(np.max(fr.gram_residual())),
@@ -358,23 +359,19 @@ def integrability_residuals(
 ) -> IntegrabilityResiduals:
     """Evaluate the six integrability residuals over the grid of ``domain``:
     Y_uv = Y_vu for the frame system Y_u = M1 Y, Y_v = M2 Y
-    (:func:`_frame_ode_matrix`) in zero-curvature form, M1_v - M2_u +
-    [M1, M2] = 0.  That matrix lies in so(1, 3), so its upper-triangle
-    entries, in the order a, b, c, e, f, g, are all of it.  The (1, 2)
-    entry carries the H^3 curvature term a1 b2 - a2 b1, which the
-    framed-surface constraint makes zero.
+    (:func:`_frame_ode_matrix` in the geometry of x at the window's corner)
+    in zero-curvature form, M1_v - M2_u + [M1, M2] = 0.  That matrix is
+    fixed by its upper-triangle entries, in the order a, b, c, e, f, g.
+    H^3's x-column adds a1 b2 - a2 b1, zero by the framed-surface
+    constraint, to the e entry and -beta, alpha to the f, g entries.
 
     Invariant derivatives are 2-point central differences with step ``h``
-    (:func:`invariant_partials`), which must be positive and finite, else
-    ``ValueError``; the grid must be evaluable with that margin.  The
-    equations are those of H^3: a surface in R^3 raises :class:`PreconditionError`.
+    (:func:`invariant_partials`); the grid must be evaluable with that margin.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got h = {h}")
-    _in_space("integrability_residuals", evaluate(fs.x.value, domain.u_min, domain.v_min), "H^3")
+    curved = _geometry(evaluate(fs.x.value, domain.u_min, domain.v_min))[3]
     q, d = invariant_partials(invariant_field(fs), *domain.mesh(), h)
-    m1, m2 = (_frame_ode_matrix(np.stack(q.row(i), -1)) for i in (1, 2))
-    m1v, m2u = (_frame_ode_matrix(np.stack([d[k + s] for k in "abcefg"], -1)) for s in ("1_v", "2_u"))
+    m1, m2 = (_frame_ode_matrix(np.stack(q.row(i), -1), curved) for i in (1, 2))
+    m1v, m2u = (_frame_ode_matrix(np.stack([d[k + s] for k in "abcefg"], -1), curved) for s in ("1_v", "2_u"))
     r = m1v - m2u + (m1 @ m2 - m2 @ m1)
     return IntegrabilityResiduals(r=tuple(r[..., i, j] for i, j in zip(*np.triu_indices(4, 1))))
 
@@ -642,16 +639,18 @@ class FamilyCurvature:
 def family_curvatures(inv: Invariants, direction: str):
     """Relabel the invariants as one-parameter family data.
 
-    ``direction='u'`` requires a1 = b1 = 0 within ``FRAME_TOL`` (the u-lines are
-    the degenerate direction); ``direction='v'`` requires a2 = b2 = 0.
-    With these labels alpha = -m Q, beta = m P for the u-direction and
-    alpha = m Q, beta = -m P for the v-direction.
+    ``direction='u'`` requires a1 = b1 = 0 within ``FRAME_TOL`` at every point (the
+    u-lines are the degenerate direction), ``direction='v'`` a2 = b2 = 0; a refusal
+    names the first point that fails.  With these labels alpha = -m Q, beta = m P
+    for the u-direction and alpha = m Q, beta = -m P for the v-direction.
     """
     if direction not in ("u", "v"):
         raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
     k = 1 if direction == "u" else 2
     a, b, c, e, f, g = inv.row(k)
-    if abs(a) > FRAME_TOL or abs(b) > FRAME_TOL:
+    i = first_true((abs(a) > FRAME_TOL) | (abs(b) > FRAME_TOL))
+    if i is not None:
+        a, b = (q.flat[i] for q in np.broadcast_arrays(a, b))
         raise PreconditionError(
             f"{direction}-family needs a{k} = b{k} = 0 within {FRAME_TOL}, got "
             f"a{k} = {a:.3e}, b{k} = {b:.3e}"
@@ -665,7 +664,7 @@ class FrameTrajectory:
     """Result of integrating the frame ODE along a coordinate line."""
 
     t: np.ndarray  # parameter values (the varying coordinate)
-    frames: np.ndarray  # shape (len(t), 4, 4), rows (x, nu1, nu2, nu3)
+    frames: np.ndarray  # shape (len(t), 4, n), rows (x, nu1, nu2, nu3) of n components
     max_gram_drift: float
 
     @property
@@ -673,19 +672,20 @@ class FrameTrajectory:
         return self.frames[-1]
 
 
-def _frame_ode_matrix(rows) -> np.ndarray:
+def _frame_ode_matrix(rows, curved: bool) -> np.ndarray:
     """Matrices M of the frame system Y' = M Y from rows (a, b, c, e, f, g):
-    ``(..., 6) -> (..., 4, 4)``, the one statement of that system.  M G is
-    antisymmetric for G = diag(-1, 1, 1, 1), i.e. M lies in so(1, 3).
-    Complex rows stay complex, so complex-step jets pass through."""
+    ``(..., 6) -> (..., 4, 4)``, the one statement of that system.  Its x-column
+    is (a, b, c) when ``curved`` (H^3, :func:`_geometry`: M in so(1, 3)), else zero
+    (R^3: an so(3) normal block).  Complex rows stay complex, for complex-step jets."""
     a, b, c, e, f, g = np.moveaxis(np.asarray(rows), -1, 0)
     z = np.zeros_like(a)
+    xa, xb, xc = (a, b, c) if curved else (z, z, z)
     return np.stack(
         [
             np.stack([z, a, b, c], -1),
-            np.stack([a, z, e, f], -1),
-            np.stack([b, -e, z, g], -1),
-            np.stack([c, -f, -g, z], -1),
+            np.stack([xa, z, e, f], -1),
+            np.stack([xb, -e, z, g], -1),
+            np.stack([xc, -f, -g, z], -1),
         ],
         -2,
     )
@@ -747,14 +747,14 @@ def integrate_frame_along_line(
 
         Omega = dt/2 (M1 + M2) + sqrt(3)/12 dt^2 [M2, M1]
 
-    and M1, M2 the system matrix at the step's two Gauss points (Iserles &
-    Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Omega lies in so(1, 3),
-    so exp(Omega) preserves the Gram matrix diag(-1, 1, 1, 1) and the
-    frames stay pseudo-orthonormal to rounding; the worst Gram drift over
-    the nodes is reported.  The field is called once, on the Gauss points
-    of every step as one array, so it must broadcast over ``u, v``.
+    and M1, M2 the system matrix, in the geometry of ``initial.x``, at the step's two
+    Gauss points (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Like M,
+    Omega lies in so(1, 3) or has an so(3) normal block, so exp(Omega) keeps the
+    frames (pseudo-)orthonormal to rounding; the worst Gram drift over the nodes is
+    reported.  The field is called once, on the Gauss points of every step as one
+    array, so it must broadcast over ``u, v``.
     """
-    _in_space("integrate_frame_along_line", initial.x, "H^3")
+    *_, gram_residual, curved = _geometry(initial.x)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if along not in ("u", "v"):
@@ -783,17 +783,17 @@ def integrate_frame_along_line(
             f"{tuple(rows.reshape(-1, 6)[k].tolist())}"
         )
 
-    m = _frame_ode_matrix(rows)
+    m = _frame_ode_matrix(rows, curved)
     m1, m2 = m[:, 0], m[:, 1]
     dt = dts[:, None, None]
     steps = _expm(dt / 2.0 * (m1 + m2) + math.sqrt(3.0) / 12.0 * dt * dt * (m2 @ m1 - m1 @ m2))
 
-    frames = np.empty((len(ts), 4, 4))
+    frames = np.empty((len(ts), 4, len(initial.x)))
     frames[0] = y = np.vstack([initial.x, initial.nu1, initial.nu2, initial.nu3])
     with np.errstate(all="ignore"):  # a non-finite frame is refused downstream
-        for k, e in enumerate(steps, 1):
-            frames[k] = y = e @ y
-        drift = float(np.max(frame_gram_residual(*frames.transpose(1, 2, 0))))
+        for i, e in enumerate(steps, 1):
+            frames[i] = y = e @ y
+        drift = float(np.max(gram_residual(*frames.transpose(1, 2, 0))))
     return FrameTrajectory(t=ts, frames=frames, max_gram_drift=drift)
 
 

@@ -175,7 +175,7 @@ def _swept_map(data: HorocyclicData, ks, c) -> ParametricMap4:
     def jet(u, v):
         w = data.at(u)
         w = (*w, wedge3(*w))
-        m = np.moveaxis(_frame_ode_matrix(np.moveaxis(evaluate(data.h, u), 0, -1)), (-2, -1), (0, 1))
+        m = np.moveaxis(_frame_ode_matrix(np.moveaxis(evaluate(data.h, u), 0, -1), curved=True), (-2, -1), (0, 1))
         wk, dk = [w[k] for k in ks], [combine(m[k], w) for k in ks]
         cv, dcv = c(v)
         return combine(cv, wk), combine(cv, dk), zero4(u, v) if dcv is None else combine(dcv, wk)
@@ -300,7 +300,7 @@ def integrate_frame_curves(
     rows = np.moveaxis(evaluate(h_funcs, us), 0, -1)
     if not np.isfinite(rows).all():
         raise PreconditionError("non-finite curvature function at an integration node")
-    slopes = _frame_ode_matrix(rows) @ traj.frames
+    slopes = _frame_ode_matrix(rows, curved=True) @ traj.frames
 
     def frame(u):
         """(a0, a1, a2) at u, shape ``(3, 4, *shape(u))``: Gram-Schmidt on

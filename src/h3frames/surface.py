@@ -106,8 +106,8 @@ class Domain:
             raise ValueError(
                 f"grid of {self.nu}x{self.nv} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
-        if self.u_period is not None and self.u_period <= 0:
-            raise ValueError(f"u_period must be positive, got {self.u_period}")
+        if self.u_period is not None and not 0.0 < self.u_period < np.inf:
+            raise ValueError(f"u_period must be positive and finite, got {self.u_period}")
 
     def u_grid(self) -> np.ndarray:
         return np.linspace(self.u_min, self.u_max, self.nu)

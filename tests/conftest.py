@@ -13,8 +13,8 @@ GEOMETRY = {
     "frames.basic_invariants": "either",
     "frames.frame_at": "either",
     "frames.frame_from_normal": "H^3",
-    "frames.integrability_residuals": "H^3",
-    "frames.integrate_frame_along_line": "H^3",
+    "frames.integrability_residuals": "either",
+    "frames.integrate_frame_along_line": "either",
     "frames.invariant_field": "either",
     "frames.invariants_at": "either",
     "frames.invariants_grid": "either",

@@ -45,6 +45,7 @@ from h3frames.frames import (
     write_invariants_csv,
 )
 from h3frames.minkowski import minkowski_dot4, wedge3
+from h3frames.projections import transport_to_disc
 from h3frames.surface import Domain, ParametricMap4, _complex_step, components, evaluate, first_partials
 
 GRAM_TOL = 1e-10
@@ -97,8 +98,9 @@ def test_integrability_residuals_small_on_cross_cap():
 
 def test_integrability_residuals_are_the_six_compatibility_equations(monkeypatch):
     # the zero-curvature form written out, one equation per invariant, on
-    # invariants and partials that satisfy none of them; the e-equation
-    # carries the H^3 term a1 b2 - a2 b1
+    # invariants and partials that satisfy none of them; in H^3 the
+    # e-equation carries a1 b2 - a2 b1 and the f and g equations -beta and
+    # alpha, which the zero x-column of R^3 drops
     rng = np.random.default_rng(5)
     q = Invariants(*rng.normal(size=(12, 3, 4)))
     d = {k + i + z: rng.normal(size=(3, 4)) for k in "abcefg" for i in "12" for z in ("_u", "_v")}
@@ -115,6 +117,17 @@ def test_integrability_residuals_are_the_six_compatibility_equations(monkeypatch
     got = integrability_residuals(ex.framed, ex.domain).r
     for g, w in zip(got, want, strict=True):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14)
+    want = (
+        (d["a1_v"] - q.b1 * q.e2 - q.c1 * q.f2) - (d["a2_u"] - q.b2 * q.e1 - q.c2 * q.f1),
+        (d["b1_v"] + q.a1 * q.e2 - q.c1 * q.g2) - (d["b2_u"] + q.a2 * q.e1 - q.c2 * q.g1),
+        (d["c1_v"] + q.a1 * q.f2 + q.b1 * q.g2) - (d["c2_u"] + q.a2 * q.f1 + q.b2 * q.g1),
+        (d["e1_v"] - q.f1 * q.g2) - (d["e2_u"] - q.f2 * q.g1),
+        (d["f1_v"] + q.e1 * q.g2) - (d["f2_u"] + q.e2 * q.g1),
+        (d["g1_v"] - q.e1 * q.f2) - (d["g2_u"] - q.e2 * q.f1),
+    )
+    got = integrability_residuals(transport_to_disc(ex.framed), ex.domain).r
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14)
 
 
 def test_integrability_residuals_reject_bad_step():
@@ -122,6 +135,14 @@ def test_integrability_residuals_reject_bad_step():
     for h in (0.0, -1e-5, math.nan, math.inf):
         with pytest.raises(ValueError, match=re.escape(f"step h must be positive and finite, got h = {h}")):
             integrability_residuals(ex.framed, ex.domain, h=h)
+
+
+def test_invariant_partials_reject_bad_step():
+    # unchecked, a nan step gives nan partials and 0 or inf a RuntimeWarning
+    field = invariant_field(get_example("cross_cap").framed)
+    for h in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"step h must be positive and finite, got h = {h}")):
+            invariant_partials(field, 0.3, 0.4, h)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +580,27 @@ def test_family_curvatures_preconditions():
     assert family_curvatures(dataclasses.replace(inv, a2=1e-8), "v").P == 0.25
 
 
+def test_family_curvatures_on_grid_invariants():
+    # ruled_A is a v-family over its whole window (a2 = b2 = 0 to 9e-16)
+    ex = get_example("ruled_A")
+    q = invariants_grid(ex.framed, ex.domain)
+    fam = family_curvatures(q, "v")
+    assert fam.m.shape == fam.P.shape == (ex.domain.nv, ex.domain.nu)
+    assert (fam.m, fam.n, fam.a, fam.b) == (q.c2, q.e2, q.f2, q.g2)
+    assert (fam.P, fam.Q, fam.M, fam.N, fam.A, fam.B) == (q.a1, q.b1, q.c1, q.e1, q.f1, q.g1)
+    np.testing.assert_allclose(q.alpha, fam.m * fam.Q, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q.beta, -fam.m * fam.P, rtol=0.0, atol=1e-12)
+    # a grid is refused at its first failing point (v-major), and a constant
+    # component broadcasts against the others
+    a1 = np.array([[0.0, 5e-9, 0.0], [0.25, 0.0, -2e-3]])
+    inv = Invariants(a1=a1, a2=1.0, b1=0.0, b2=0.0, c1=1.0, c2=1.0,
+                     e1=0.0, e2=0.0, f1=0.0, f2=0.0, g1=0.0, g2=0.0)
+    with pytest.raises(PreconditionError) as err:
+        family_curvatures(inv, "u")
+    assert str(err.value) == "u-family needs a1 = b1 = 0 within 1e-08, got a1 = 2.500e-01, b1 = 0.000e+00"
+    assert family_curvatures(dataclasses.replace(inv, a1=a1 * 1e-8), "u").P == 1.0
+
+
 # ---------------------------------------------------------------------------
 # frame ODE along coordinate lines
 # ---------------------------------------------------------------------------
@@ -627,7 +669,7 @@ def test_expm_matches_scipy_on_so13(norm, rtol):
     # have 1-norms far below 0.1
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(7)
-    m = _frame_ode_matrix(rng.normal(size=(32, 6)))
+    m = _frame_ode_matrix(rng.normal(size=(32, 6)), curved=True)
     m *= (norm / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
     got, want = _expm(m), linalg.expm(m)
     err = np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))

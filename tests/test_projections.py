@@ -247,11 +247,40 @@ def test_transport_to_h3_rejects_degenerate_normal():
 #: One call of each one-geometry entry of the ``geometry`` fixture's table on
 #: a framed surface and a window, reading the maps a transport returns; the
 #: horocyclic calls read (x, nu1, nu2), a curve frame along u on H^3.
+@pytest.mark.parametrize("name", ["cross_cap", "corank_one", "ruled_A", "ruled_B"])
+def test_ball_images_satisfy_the_r3_integrability_equations(name):
+    # the R^3 equations (zero x-column) hold to the O(h^2) of the central
+    # differences, so each halving of h quarters the residual; the H^3
+    # equations read 0.36 on the ball cross cap at every h
+    ex = get_example(name)
+    ball = transport_to_disc(ex.framed)
+    r = [integrability_residuals(ball, ex.domain, h=h).max_overall for h in (1e-3, 5e-4, 2.5e-4)]
+    assert r[0] < 1e-5, r
+    for coarse, fine in zip(r, r[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, r
+
+
+@pytest.mark.parametrize("name", ["cross_cap", "ruled_B"])
+@pytest.mark.parametrize("along", ["u", "v"])
+def test_ball_frames_integrate_along_lines_to_the_frame_at_the_end(name, along):
+    # criterion 10 on the ball: the Magnus steps are fourth order, so each
+    # halving of the step divides the end error by 16, and an so(3) normal
+    # block keeps (nu1, nu2, nu3) orthonormal to rounding
+    ball = transport_to_disc(get_example(name).framed)
+    start = frame_at(ball, -0.4, -0.4)
+    end = frame_at(ball, *((0.4, -0.4) if along == "u" else (-0.4, 0.4)))
+    want = np.vstack([end.x, end.nu1, end.nu2, end.nu3])
+    errs = []
+    for step in (1e-2, 5e-3):
+        traj = integrate_frame_along_line(invariant_field(ball), start, along, 0.8, step)
+        assert traj.frames.shape == (len(traj.t), 4, 3)
+        assert traj.max_gram_drift < 1e-12
+        errs.append(float(np.max(np.abs(traj.final - want))))
+    assert errs[1] < 1e-9 and 12.0 <= errs[0] / errs[1] <= 20.0, errs
+
+
 _ONE_GEOMETRY_CALLS = {
     "frames.frame_from_normal": lambda fs, dom: frame_from_normal(fs.x, fs.nu1, dom).nu1.value(0.3, 0.4),
-    "frames.integrability_residuals": integrability_residuals,
-    "frames.integrate_frame_along_line": lambda fs, dom: integrate_frame_along_line(
-        invariant_field(fs), frame_at(fs, 0.3, 0.4), "u", 0.1, 0.05),
     "horocyclic.build_horocyclic": lambda fs, dom: build_horocyclic(HorocyclicData(
         frame=lambda u: np.array([evaluate(m.value, u, 0.4) for m in (fs.x, fs.nu1, fs.nu2)]),
         h=lambda u: np.zeros(6)), dom),
@@ -270,10 +299,9 @@ _ONE_GEOMETRY_CALLS = {
 
 
 def test_each_geometry_only_call_refuses_the_other(geometry):
-    # unchecked, the other geometry would give 0.36 from the H^3 integrability
-    # equations on the ball cross cap, a radius of 2.29 from the ball axioms on
-    # the hyperboloid's, and an IndexError, a numpy broadcast error or an
-    # OutsideDiscError from the other calls
+    # unchecked, the other geometry would give a radius of 2.29 from the ball
+    # axioms on the hyperboloid's cross cap, and an IndexError, a numpy
+    # broadcast error or an OutsideDiscError from the other calls
     ex = get_example("cross_cap")
     surfaces = {"H^3": ex.framed, "R^3": transport_to_disc(ex.framed)}
     components_of = {"H^3": 4, "R^3": 3}

@@ -44,6 +44,10 @@ def test_domain_validation():
         Domain(0.0, 1.0, 0.0, 1.0, nu=1)
     with pytest.raises(ValueError):
         Domain(0.0, 1.0, 0.0, 1.0, u_period=-1.0)
+    # a nan period would merge nothing and an infinite one no seam
+    for period in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^u_period must be positive and finite, got {period}$"):
+            Domain(0.0, 1.0, 0.0, 1.0, u_period=period)
 
 
 def test_domain_refuses_a_grid_above_the_point_bound():
